@@ -19,9 +19,7 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .domain import (
     AgentOutput,
@@ -31,6 +29,9 @@ from .domain import (
     SentimentLabel,
 )
 from .store import CacheKey
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV_VAR = "ENSEMBLE_JUDGE_API_KEY"
 
@@ -282,7 +283,8 @@ class ChatCompletionsClient:
     Bearer auth comes from the ``ENSEMBLE_JUDGE_API_KEY`` environment
     variable when set. Connection errors, timeouts, 429 and 5xx responses
     are retried with exponential backoff; other HTTP errors fail
-    immediately since repeating them cannot help.
+    immediately since repeating them cannot help. ``requests`` is imported
+    here, not at module load, so stub-agent runs never pay for it.
     """
 
     def __init__(
@@ -301,7 +303,11 @@ class ChatCompletionsClient:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self._sleep = sleep
 
     def _headers(self) -> dict[str, str]:
@@ -312,6 +318,8 @@ class ChatCompletionsClient:
         return headers
 
     def generate(self, prompt: str, decoding: DecodingConfig, want_logprobs: bool) -> RawGeneration:
+        import requests
+
         payload: dict = {
             "model": self.model_name,
             "messages": [{"role": "user", "content": prompt}],

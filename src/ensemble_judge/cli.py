@@ -15,7 +15,9 @@ from pathlib import Path
 from .agents import TransportError
 from .config import RunConfig, load_config
 from .ingest import CorpusFormatError
+from .meta import ConvergenceError
 from .pipeline import (
+    ArtifactError,
     CoverageError,
     MissingArtifactError,
     StaleModelError,
@@ -143,7 +145,14 @@ def main(argv: list[str] | None = None) -> int:
     except MissingArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
-    except (CoverageError, CacheIntegrityError, CacheCorruptionError, StaleModelError) as exc:
+    except (
+        ArtifactError,
+        CoverageError,
+        CacheIntegrityError,
+        CacheCorruptionError,
+        ConvergenceError,
+        StaleModelError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
     except (CorpusFormatError, TransportError, ValueError, OSError, json.JSONDecodeError) as exc:

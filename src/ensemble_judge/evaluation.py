@@ -4,6 +4,10 @@ Reports carry a per-method metric table (accuracy, macro F1, balanced
 accuracy over the binary downstream classes), a balanced-accuracy breakdown
 by agent agreement regime for the voting rule and the trained aggregator,
 and the list of disclosures where the aggregator corrects the vote.
+
+:func:`evaluate_judgments` scores a whole split from ``(n, 3)`` label-code
+and confidence blocks with array expressions; :func:`regime_of` and
+:meth:`ConfusionMatrix.from_pairs` are the per-row reference rules.
 """
 
 from __future__ import annotations
@@ -16,13 +20,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .baselines import (
-    confidence_vote_predict,
-    majority_vote_predict,
-    single_agent_predict,
-)
+from .baselines import confidence_vote_predictions, majority_vote_predictions
 from .domain import LENS_ORDER, AgentOutput, DisclosureRecord, Lens
-from .features import build_features, confidence_gap
+from .features import confidence_gap, confidence_gaps, feature_matrix, majority_labels
 from .meta import MetaModel
 
 METHOD_NAMES: tuple[str, ...] = (
@@ -68,6 +68,14 @@ class ConfusionMatrix:
             else:
                 fn += 1
         return cls(tp=tp, fp=fp, tn=tn, fn=fn)
+
+    @classmethod
+    def from_arrays(cls, y_true: np.ndarray, y_pred: np.ndarray) -> "ConfusionMatrix":
+        """:meth:`from_pairs` for 0/1 arrays, counted with one ``bincount``."""
+        if len(y_true) != len(y_pred):
+            raise ValueError("prediction and target lengths disagree")
+        tn, fp, fn, tp = np.bincount(2 * np.asarray(y_true) + np.asarray(y_pred), minlength=4)
+        return cls(tp=int(tp), fp=int(fp), tn=int(tn), fn=int(fn))
 
 
 @dataclass(frozen=True)
@@ -160,6 +168,27 @@ def regime_of(outputs: Sequence[AgentOutput], delta: float = DEFAULT_REGIME_DELT
     return Regime.HIGH_CONFLICT
 
 
+# Regime order of the codes :func:`regimes` returns.
+REGIMES: tuple[Regime, ...] = tuple(Regime)
+
+
+def regimes(
+    labels: np.ndarray, confidences: np.ndarray, delta: float = DEFAULT_REGIME_DELTA
+) -> np.ndarray:
+    """:func:`regime_of` for each row, as indices into :data:`REGIMES`."""
+    a, b, c = labels[:, 0], labels[:, 1], labels[:, 2]
+    unanimous = (a == b) & (b == c)
+    two_one = ~unanimous & ((a == b) | (a == c) | (b == c))
+    on_majority = labels == majority_labels(labels, confidences)[:, None]
+    majority_conf = np.where(on_majority, confidences, -np.inf).max(axis=1)
+    minority_conf = np.where(on_majority, -np.inf, confidences).max(axis=1)
+    dominant = two_one & (majority_conf >= minority_conf) & (confidence_gaps(confidences) >= delta)
+    codes = np.full(len(labels), REGIMES.index(Regime.HIGH_CONFLICT))
+    codes[dominant] = REGIMES.index(Regime.SPLIT_DOMINANT)
+    codes[unanimous] = REGIMES.index(Regime.UNANIMOUS)
+    return codes
+
+
 @dataclass(frozen=True)
 class EvalReport:
     test_size: int
@@ -230,26 +259,76 @@ class EvalReport:
 
 
 def _regime_breakdown(
-    regimes: Sequence[Regime],
-    targets: Sequence[int],
-    predictions: Mapping[str, Sequence[int]],
+    codes: np.ndarray, targets: np.ndarray, predictions: Mapping[str, np.ndarray]
 ) -> tuple[dict[str, int], dict[str, dict[str, float]]]:
     counts: dict[str, int] = {}
     breakdown: dict[str, dict[str, float]] = {}
-    for regime in Regime:
-        idx = [i for i, r in enumerate(regimes) if r is regime]
-        counts[regime.value] = len(idx)
-        accs: dict[str, float] = {}
-        for method in ("majority_vote", "aggregator"):
-            if idx:
-                cm = ConfusionMatrix.from_pairs(
-                    [targets[i] for i in idx], [predictions[method][i] for i in idx]
-                )
-                accs[method] = metrics(cm).balanced_accuracy
-            else:
-                accs[method] = 0.0
-        breakdown[regime.value] = accs
+    for code, regime in enumerate(REGIMES):
+        mask = codes == code
+        counts[regime.value] = int(mask.sum())
+        breakdown[regime.value] = {
+            method: (
+                metrics(ConfusionMatrix.from_arrays(targets[mask], predictions[method][mask]))
+                .balanced_accuracy
+                if mask.any()
+                else 0.0
+            )
+            for method in ("majority_vote", "aggregator")
+        }
     return counts, breakdown
+
+
+def evaluate_judgments(
+    ids: Sequence[str],
+    targets: np.ndarray,
+    labels: np.ndarray,
+    confidences: np.ndarray,
+    model: MetaModel,
+    delta: float = DEFAULT_REGIME_DELTA,
+    sensitivity_deltas: Sequence[float] = DEFAULT_SENSITIVITY_DELTAS,
+) -> EvalReport:
+    """Score all six methods on one split and build the report.
+
+    Row ``i`` of the ``(n, 3)`` ``labels`` (codes -1/0/+1) and
+    ``confidences`` blocks holds disclosure ``ids[i]``'s agents in
+    ``LENS_ORDER``; ``targets`` holds its binary target.
+    """
+    if not len(ids):
+        raise ValueError("cannot evaluate an empty split")
+    targets = np.asarray(targets, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    confidences = np.asarray(confidences, dtype=np.float64)
+    predictions: dict[str, np.ndarray] = {
+        method: (labels[:, i] == 1).astype(int) for i, method in enumerate(METHOD_NAMES[:3])
+    }
+    predictions["majority_vote"] = majority_vote_predictions(labels, confidences)
+    predictions["confidence_vote"] = confidence_vote_predictions(labels, confidences)
+    predictions["aggregator"] = model.predict_batch(feature_matrix(labels, confidences))
+
+    method_metrics = {
+        name: metrics(ConfusionMatrix.from_arrays(targets, predictions[name]))
+        for name in METHOD_NAMES
+    }
+    regime_counts, regime_accs = _regime_breakdown(
+        regimes(labels, confidences, delta), targets, predictions
+    )
+    sensitivity: dict[str, dict] = {}
+    for d in sensitivity_deltas:
+        counts_d, accs_d = _regime_breakdown(regimes(labels, confidences, d), targets, predictions)
+        sensitivity[f"{d:g}"] = {
+            regime: {"count": counts_d[regime], **accs_d[regime]} for regime in counts_d
+        }
+
+    corrected = (predictions["aggregator"] == targets) & (predictions["majority_vote"] != targets)
+    return EvalReport(
+        test_size=len(ids),
+        method_metrics=method_metrics,
+        regime_counts=regime_counts,
+        regime_balanced_accuracy=regime_accs,
+        delta=delta,
+        delta_sensitivity=sensitivity,
+        corrections=tuple(ids[i] for i in np.flatnonzero(corrected)),
+    )
 
 
 def evaluate_split(
@@ -259,66 +338,27 @@ def evaluate_split(
     delta: float = DEFAULT_REGIME_DELTA,
     sensitivity_deltas: Sequence[float] = DEFAULT_SENSITIVITY_DELTAS,
 ) -> EvalReport:
-    """Score all six methods on one split and build the report.
+    """:func:`evaluate_judgments` over agent outputs looked up per record.
 
     ``records`` fixes the evaluation order; every record must have its three
     agent outputs present in ``outputs_by_id``.
     """
     if not records:
         raise ValueError("cannot evaluate an empty split")
-    targets: list[int] = []
-    predictions: dict[str, list[int]] = {name: [] for name in METHOD_NAMES}
-    triples: list[list[AgentOutput]] = []
-    feature_rows: list[list[float]] = []
-
+    triples = []
     for record in records:
         per_lens = outputs_by_id.get(record.id)
         if per_lens is None or set(per_lens) != set(LENS_ORDER):
             raise KeyError(f"missing agent outputs for disclosure {record.id!r}")
-        triple = [per_lens[lens] for lens in LENS_ORDER]
-        triples.append(triple)
-        targets.append(record.binary_target)
-        for lens, method in zip(LENS_ORDER, METHOD_NAMES[:3]):
-            predictions[method].append(single_agent_predict(per_lens[lens]))
-        predictions["majority_vote"].append(majority_vote_predict(triple))
-        predictions["confidence_vote"].append(confidence_vote_predict(triple))
-        feature_rows.append(build_features(triple).as_list())
-
-    aggregator_preds = model.predict_batch(np.array(feature_rows))
-    predictions["aggregator"] = [int(p) for p in aggregator_preds]
-
-    method_metrics = {
-        name: metrics(ConfusionMatrix.from_pairs(targets, predictions[name]))
-        for name in METHOD_NAMES
-    }
-
-    regimes = [regime_of(triple, delta=delta) for triple in triples]
-    regime_counts, regime_accs = _regime_breakdown(regimes, targets, predictions)
-
-    sensitivity: dict[str, dict] = {}
-    for d in sensitivity_deltas:
-        regs = [regime_of(triple, delta=d) for triple in triples]
-        counts_d, accs_d = _regime_breakdown(regs, targets, predictions)
-        sensitivity[f"{d:g}"] = {
-            regime: {"count": counts_d[regime], **accs_d[regime]} for regime in counts_d
-        }
-
-    corrections = tuple(
-        record.id
-        for record, target, maj, agg in zip(
-            records, targets, predictions["majority_vote"], predictions["aggregator"]
-        )
-        if agg == target and maj != target
-    )
-
-    return EvalReport(
-        test_size=len(records),
-        method_metrics=method_metrics,
-        regime_counts=regime_counts,
-        regime_balanced_accuracy=regime_accs,
+        triples.append([per_lens[lens] for lens in LENS_ORDER])
+    return evaluate_judgments(
+        [record.id for record in records],
+        np.array([record.binary_target for record in records]),
+        np.array([[int(o.label) for o in triple] for triple in triples]),
+        np.array([[o.confidence for o in triple] for triple in triples], dtype=np.float64),
+        model,
         delta=delta,
-        delta_sensitivity=sensitivity,
-        corrections=corrections,
+        sensitivity_deltas=sensitivity_deltas,
     )
 
 

@@ -4,15 +4,25 @@ Layout (see :mod:`ensemble_judge.domain` for the index constants): per-agent
 labels and confidences in fixed lens order, the majority label, the label
 counts, the modal-label agreement count, the top-two confidence gap, and a
 one-hot indicator of the most confident agent.
+
+The pipeline builds whole feature matrices at once with
+:func:`feature_matrix` from ``(n, 3)`` label-code and confidence blocks; the
+per-disclosure functions are the reference rules it must agree with.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .domain import (
+    FEAT_COUNTS,
+    FEAT_GAP,
+    FEAT_TOP_AGENT,
+    FEATURE_DIM,
     LENS_ORDER,
     AgentOutput,
     FeatureVector,
@@ -99,9 +109,61 @@ def build_features(outputs: Sequence[AgentOutput]) -> FeatureVector:
     return FeatureVector(values=tuple(values))
 
 
+def majority_labels(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
+    """:func:`majority_label` for each row of ``(n, 3)`` label codes and confidences."""
+    a, b, c = labels[:, 0], labels[:, 1], labels[:, 2]
+    fallback = labels[np.arange(len(labels)), np.argmax(confidences, axis=1)]
+    return np.where((a == b) | (a == c), a, np.where(b == c, b, fallback))
+
+
+def confidence_gaps(confidences: np.ndarray) -> np.ndarray:
+    """:func:`confidence_gap` for each row of an ``(n, 3)`` confidence block."""
+    ordered = np.sort(confidences, axis=1)
+    return ordered[:, 2] - ordered[:, 1]
+
+
+def feature_matrix(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
+    """:func:`build_features` for each row: an ``(n, 15)`` float64 matrix.
+
+    ``labels`` holds label codes (-1/0/+1) and ``confidences`` the matching
+    confidences, one row per disclosure and one column per lens in
+    ``LENS_ORDER``.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    confidences = np.asarray(confidences, dtype=np.float64)
+    majority = majority_labels(labels, confidences)
+    top_agent = np.argmax(confidences, axis=1)
+    return np.column_stack(
+        [
+            labels,
+            confidences,
+            majority,
+            (labels == 1).sum(axis=1),
+            (labels == 0).sum(axis=1),
+            (labels == -1).sum(axis=1),
+            (labels == majority[:, None]).sum(axis=1),
+            confidence_gaps(confidences),
+            top_agent[:, None] == np.arange(3),
+        ]
+    ).astype(np.float64, copy=False)
+
+
+def check_feature_matrix(X: np.ndarray) -> None:
+    """:class:`FeatureVector`'s invariants, checked on every row at once."""
+    if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
+        raise ValueError(f"feature rows must have {FEATURE_DIM} entries, got shape {X.shape}")
+    counts = X[:, list(FEAT_COUNTS)]
+    if ((counts < 0) | (counts != np.floor(counts))).any() or (counts.sum(axis=1) != 3).any():
+        raise ValueError("label counts must be nonnegative integers summing to 3")
+    indicators = np.sort(X[:, list(FEAT_TOP_AGENT)], axis=1)
+    if (indicators != [0.0, 0.0, 1.0]).any():
+        raise ValueError("exactly one most-confident indicator must be set")
+    if (X[:, FEAT_GAP] < 0).any():
+        raise ValueError("confidence gap must be nonnegative")
+
+
 def write_feature_file(
-    path: str | Path,
-    rows: Iterable[tuple[str, FeatureVector, int]],
+    path: str | Path, ids: Sequence[str], X: np.ndarray, targets: Sequence[int]
 ) -> None:
     """Audit export: one JSON line {disclosure_id, features, target} per row.
 
@@ -111,22 +173,27 @@ def write_feature_file(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        for disclosure_id, fv, target in rows:
+        for disclosure_id, features, target in zip(ids, X.tolist(), targets):
             fh.write(
                 json.dumps(
-                    {"disclosure_id": disclosure_id, "features": fv.as_list(), "target": target},
+                    {"disclosure_id": disclosure_id, "features": features, "target": int(target)},
                     ensure_ascii=False,
                 )
                 + "\n"
             )
 
 
-def read_feature_file(path: str | Path) -> list[tuple[str, FeatureVector, int]]:
-    rows: list[tuple[str, FeatureVector, int]] = []
+def read_feature_file(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Ids, ``(n, 15)`` feature matrix and targets of one feature file."""
+    ids: list[str] = []
+    rows: list[list[float]] = []
+    targets: list[int] = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:
             obj = json.loads(line)
-            rows.append(
-                (obj["disclosure_id"], FeatureVector(values=tuple(obj["features"])), obj["target"])
-            )
-    return rows
+            ids.append(obj["disclosure_id"])
+            rows.append(obj["features"])
+            targets.append(obj["target"])
+    X = np.array(rows, dtype=np.float64) if rows else np.empty((0, FEATURE_DIM))
+    check_feature_matrix(X)
+    return ids, X, np.array(targets, dtype=int)

@@ -26,7 +26,6 @@ from .agents import (
 )
 from .config import RunConfig
 from .domain import (
-    LENS_ORDER,
     AgentOutput,
     ConfidenceSource,
     DisclosureRecord,
@@ -35,8 +34,8 @@ from .domain import (
     SplitAssignment,
     target_from_return,
 )
-from .evaluation import EvalReport, evaluate_split, write_report
-from .features import build_features, read_feature_file, write_feature_file
+from .evaluation import EvalReport, evaluate_judgments, write_report
+from .features import feature_matrix, read_feature_file, write_feature_file
 from .ingest import (
     chronological_split,
     load_corpus,
@@ -46,7 +45,7 @@ from .ingest import (
     sort_records,
     write_split,
 )
-from .meta import MetaModel, train_meta_model
+from .meta import ConvergenceError, MetaModel, train_meta_model
 from .store import CacheKey, CacheStore, make_record
 from .synth import generate_corpus, load_latents, stub_agent, write_latents
 from . import ingest as ingest_mod
@@ -58,6 +57,10 @@ class MissingArtifactError(RuntimeError):
 
 class StaleModelError(RuntimeError):
     """The model was trained on different prompts than the current run uses."""
+
+
+class ArtifactError(RuntimeError):
+    """A stage input on disk is malformed or does not belong to the current run."""
 
 
 class CoverageError(RuntimeError):
@@ -152,9 +155,22 @@ def _prepared_records(config: RunConfig) -> list[DisclosureRecord]:
     return load_prepared(config.prepared_path)
 
 
+def _load_split(path: Path) -> SplitAssignment:
+    try:
+        return load_split(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: malformed split file: {exc!r}") from None
+
+
 def _split_assignment(config: RunConfig) -> SplitAssignment:
-    _require(config.split_path, "split file")
-    return load_split(config.split_path)
+    return _load_split(_require(config.split_path, "split file"))
+
+
+def _load_model(path: Path) -> MetaModel:
+    try:
+        return MetaModel.load(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: malformed model file: {exc!r}") from None
 
 
 def _pairs(
@@ -174,23 +190,19 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     """
     records = _prepared_records(config)
     if split_path is not None:
-        wanted = set(load_split(split_path).partition)
+        wanted = set(_load_split(split_path).partition)
         records = [r for r in records if r.id in wanted]
     specs = config.agent_specs()
     decoding = config.decoding()
     pairs = _pairs(records, specs, decoding)
-
-    latents = None
-    if config.stub.enabled:
-        _require(config.latents_path, "latents sidecar")
-        latents = load_latents(config.latents_path)
 
     fetched = 0
     fallbacks = 0
     with CacheStore(config.cache_path) as store:
         todo = [(record, spec, key) for record, spec, key in pairs if key not in store]
         cached = len(pairs) - len(todo)
-        if latents is not None:
+        if config.stub.enabled and todo:
+            latents = load_latents(_require(config.latents_path, "latents sidecar"))
             for record, spec, _key in todo:
                 output = stub_agent(
                     spec.lens,
@@ -239,15 +251,16 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     }
 
 
-def _coverage_or_raise(
-    store: CacheStore,
-    records: Sequence[DisclosureRecord],
-    specs: Sequence[AgentSpec],
-    decoding: DecodingConfig,
-) -> None:
-    missing = store.missing(expected_cache_keys(records, specs, decoding))
-    if missing:
-        raise CoverageError(missing)
+def _judgments(store: CacheStore, keys: Sequence[CacheKey]) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, 3)`` label codes and confidences for record-major keys in lens order.
+
+    Raises :class:`CoverageError` naming every key the cache lacks.
+    """
+    rows = store.rows(keys)
+    if (rows < 0).any():
+        raise CoverageError([key for key, row in zip(keys, rows) if row < 0])
+    labels, confidences = store.judgments(rows)
+    return labels.reshape(-1, 3), confidences.reshape(-1, 3)
 
 
 def outputs_for_records(
@@ -290,40 +303,40 @@ def stage_build_features(config: RunConfig) -> dict:
     """Export one audit feature file per split, in sorted split order."""
     records = _prepared_records(config)
     assignment = _split_assignment(config)
-    specs = config.agent_specs()
-    decoding = config.decoding()
-    _require(config.cache_path, "agent cache")
+    keys = expected_cache_keys(records, config.agent_specs(), config.decoding())
+    with CacheStore(_require(config.cache_path, "agent cache"), readonly=True) as store:
+        labels, confidences = _judgments(store, keys)
+    X = feature_matrix(labels, confidences)
+    position = {r.id: i for i, r in enumerate(records)}
     counts = {}
-    with CacheStore(config.cache_path) as store:
-        outputs = outputs_for_records(store, records, specs, decoding)
     for split in (Split.TRAIN, Split.DEV, Split.TEST):
         split_records = _records_for_split(records, assignment, split)
-        rows = [
-            (
-                r.id,
-                build_features([outputs[r.id][lens] for lens in LENS_ORDER]),
-                r.binary_target,
-            )
-            for r in split_records
-        ]
-        write_feature_file(config.features_path(split), rows)
-        counts[split.value] = len(rows)
+        rows = [position[r.id] for r in split_records]
+        write_feature_file(
+            config.features_path(split),
+            [r.id for r in split_records],
+            X[rows],
+            [r.binary_target for r in split_records],
+        )
+        counts[split.value] = len(split_records)
     return counts
 
 
-def _feature_matrix(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    rows = read_feature_file(path)
-    X = np.array([fv.as_list() for _, fv, _ in rows], dtype=np.float64)
-    y = np.array([target for _, _, target in rows], dtype=int)
+def _split_features(
+    path: Path, records: Sequence[DisclosureRecord]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix and targets of one split's file, checked against the split."""
+    ids, X, y = read_feature_file(path)
+    if ids != [r.id for r in records] or not np.array_equal(y, [r.binary_target for r in records]):
+        raise ArtifactError(
+            f"{path}: ids or targets differ from the current split "
+            "(stale features? re-run build-features)"
+        )
     return X, y
 
 
-def _train_prompt_digest(
-    records: Sequence[DisclosureRecord], specs: Sequence[AgentSpec], decoding: DecodingConfig
-) -> str:
-    hashes = sorted(
-        key.prompt_hash for key in expected_cache_keys(records, specs, decoding)
-    )
+def _train_prompt_digest(keys: Sequence[CacheKey]) -> str:
+    hashes = sorted(key.prompt_hash for key in keys)
     return hashlib.sha256("\n".join(hashes).encode("ascii")).hexdigest()
 
 
@@ -332,31 +345,41 @@ def stage_train(config: RunConfig) -> dict:
 
     Refuses to run unless the cache covers the train and dev splits: all
     model outputs must exist before the aggregator learns from any of them.
+    The feature files must hold exactly the current split's ids and targets.
     """
     records = _prepared_records(config)
     assignment = _split_assignment(config)
-    specs = config.agent_specs()
-    decoding = config.decoding()
     _require(config.cache_path, "agent cache")
     train_records = _records_for_split(records, assignment, Split.TRAIN)
     dev_records = _records_for_split(records, assignment, Split.DEV)
-    with CacheStore(config.cache_path) as store:
-        _coverage_or_raise(store, train_records + dev_records, specs, decoding)
-
-    for split in (Split.TRAIN, Split.DEV):
-        _require(config.features_path(split), f"{split.value} feature file")
-    X_train, y_train = _feature_matrix(config.features_path(Split.TRAIN))
-    X_dev, y_dev = _feature_matrix(config.features_path(Split.DEV))
-
-    model, dev_scores = train_meta_model(
-        (X_train, y_train),
-        (X_dev, y_dev),
-        grid=config.train.grid,
-        tol=config.train.tol,
-        max_iter=config.train.max_iter,
-        prompt_hash_digest=_train_prompt_digest(train_records, specs, decoding),
-        n_outputs=3 * len(train_records),
+    keys = expected_cache_keys(
+        train_records + dev_records, config.agent_specs(), config.decoding()
     )
+    with CacheStore(config.cache_path, readonly=True) as store:
+        missing = store.missing(keys)
+    if missing:
+        raise CoverageError(missing)
+
+    paths = {split: config.features_path(split) for split in (Split.TRAIN, Split.DEV)}
+    for split, path in paths.items():
+        _require(path, f"{split.value} feature file")
+    train = _split_features(paths[Split.TRAIN], train_records)
+    dev = _split_features(paths[Split.DEV], dev_records)
+
+    try:
+        model, dev_scores = train_meta_model(
+            train,
+            dev,
+            grid=config.train.grid,
+            tol=config.train.tol,
+            max_iter=config.train.max_iter,
+            prompt_hash_digest=_train_prompt_digest(keys[: 3 * len(train_records)]),
+            n_outputs=3 * len(train_records),
+        )
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"{paths[Split.TRAIN]}: aggregator fit failed: {exc}", exc.report
+        ) from None
     model.save(config.model_path)
     return {
         "chosen_C": model.inverse_reg_strength,
@@ -375,25 +398,29 @@ def stage_evaluate(config: RunConfig) -> EvalReport:
     """
     records = _prepared_records(config)
     assignment = _split_assignment(config)
-    specs = config.agent_specs()
-    decoding = config.decoding()
     _require(config.cache_path, "agent cache")
-    _require(config.model_path, "model file")
-    model = MetaModel.load(config.model_path)
-    if model.prompt_hash_digest:
-        train_records = _records_for_split(records, assignment, Split.TRAIN)
-        expected = _train_prompt_digest(train_records, specs, decoding)
-        if model.prompt_hash_digest != expected:
-            raise StaleModelError(
-                f"{config.model_path} was trained under different prompts or "
-                "preprocessing than this run; re-run the train stage"
-            )
+    model = _load_model(_require(config.model_path, "model file"))
+    digest_records = (
+        _records_for_split(records, assignment, Split.TRAIN) if model.prompt_hash_digest else []
+    )
     test_records = _records_for_split(records, assignment, Split.TEST)
-    with CacheStore(config.cache_path) as store:
-        outputs = outputs_for_records(store, test_records, specs, decoding)
-    report = evaluate_split(
-        test_records,
-        outputs,
+    keys = expected_cache_keys(
+        digest_records + test_records, config.agent_specs(), config.decoding()
+    )
+    n_digest = 3 * len(digest_records)
+    digest = model.prompt_hash_digest
+    if digest and digest != _train_prompt_digest(keys[:n_digest]):
+        raise StaleModelError(
+            f"{config.model_path} was trained under different prompts or "
+            "preprocessing than this run; re-run the train stage"
+        )
+    with CacheStore(config.cache_path, readonly=True) as store:
+        labels, confidences = _judgments(store, keys[n_digest:])
+    report = evaluate_judgments(
+        [r.id for r in test_records],
+        np.array([r.binary_target for r in test_records]),
+        labels,
+        confidences,
         model,
         delta=config.eval.delta,
         sensitivity_deltas=config.eval.sensitivity_deltas,

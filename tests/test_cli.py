@@ -248,3 +248,108 @@ class TestHttpAgentsViaCli:
         assert run(cfg_path, "build-features") == 0
         rows = [json.loads(l) for l in (workdir / "features_train.jsonl").read_text().splitlines()]
         assert all(row["features"][:3] == [1.0, 0.0, -1.0] for row in rows)
+
+
+class TestArtifactChecks:
+    def test_train_rejects_stale_feature_files(self, pipeline, tmp_path, capsys):
+        cfg_path, workdir = pipeline
+        write_config(tmp_path, split_fractions=[0.5, 0.25, 0.25])
+        assert run(cfg_path, "ingest") == 0
+        capsys.readouterr()
+        assert run(cfg_path, "train") == 3
+        err = capsys.readouterr().err
+        assert "features_train.jsonl" in err and len(err.strip().splitlines()) == 1
+        assert run(cfg_path, "build-features") == 0
+        assert run(cfg_path, "train") == 0
+
+    def test_reordered_feature_rows_are_stale(self, pipeline, capsys):
+        cfg_path, workdir = pipeline
+        path = workdir / "features_dev.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[1:] + lines[:1]))
+        assert run(cfg_path, "train") == 3
+        assert "features_dev.jsonl" in capsys.readouterr().err
+
+    def test_model_without_optimizer_report_exits_3(self, pipeline, capsys):
+        cfg_path, workdir = pipeline
+        model = json.loads((workdir / "model.json").read_text())
+        del model["optimizer_report"]
+        (workdir / "model.json").write_text(json.dumps(model))
+        assert run(cfg_path, "evaluate") == 3
+        err = capsys.readouterr().err
+        assert "model.json" in err and len(err.strip().splitlines()) == 1
+
+    def test_split_without_dev_exits_3(self, pipeline, capsys):
+        cfg_path, workdir = pipeline
+        split = json.loads((workdir / "split.json").read_text())
+        del split["dev"]
+        (workdir / "split.json").write_text(json.dumps(split))
+        assert run(cfg_path, "train") == 3
+        err = capsys.readouterr().err
+        assert "split.json" in err and len(err.strip().splitlines()) == 1
+
+    def test_unconverged_fit_exits_3(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, train={"max_iter": 1})
+        for stage in (("synth", "--n", "300", "--seed", "42"), ("ingest",), ("run-agents",),
+                      ("build-features",)):
+            assert run(cfg_path, *stage) == 0
+        capsys.readouterr()
+        assert run(cfg_path, "train") == 3
+        err = capsys.readouterr().err
+        assert "features_train.jsonl" in err and len(err.strip().splitlines()) == 1
+
+    def test_cache_key_output_disagreement_exits_3(self, pipeline, capsys):
+        cfg_path, workdir = pipeline
+        cache = workdir / "cache.jsonl"
+        lines = cache.read_bytes().splitlines(keepends=True)
+        entry = json.loads(lines[1])
+        entry["key"]["disclosure_id"] = json.loads(lines[4])["key"]["disclosure_id"]
+        lines[1] = (json.dumps(entry) + "\n").encode()
+        cache.write_bytes(b"".join(lines))
+        assert run(cfg_path, "evaluate") == 3
+        assert f"byte offset {len(lines[0])}" in capsys.readouterr().err
+
+    def test_reader_stages_leave_cache_untouched(self, pipeline):
+        cfg_path, workdir = pipeline
+        cache = workdir / "cache.jsonl"
+        before = (cache.read_bytes(), cache.stat().st_size, cache.stat().st_mtime_ns)
+        for stage in ("build-features", "train", "evaluate"):
+            assert run(cfg_path, stage) == 0
+        assert (cache.read_bytes(), cache.stat().st_size, cache.stat().st_mtime_ns) == before
+
+    def test_resume_does_not_need_the_latents_sidecar(self, pipeline, capsys):
+        cfg_path, workdir = pipeline
+        (workdir / "latents.jsonl").unlink()
+        capsys.readouterr()
+        assert run(cfg_path, "run-agents") == 0
+        assert "900 cached, 0 fetched" in capsys.readouterr().out
+
+    def test_interrupted_append_resumes_cleanly(self, pipeline, capsys):
+        cfg_path, workdir = pipeline
+        cache = workdir / "cache.jsonl"
+        raw = cache.read_bytes()
+        cache.write_bytes(raw[:-25])
+        assert run(cfg_path, "run-agents") == 0
+        assert "1 fetched" in capsys.readouterr().out
+        assert run(cfg_path, "run-agents") == 0
+        assert "900 cached, 0 fetched" in capsys.readouterr().out
+
+
+def test_cli_import_does_not_load_requests():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ensemble_judge
+
+    src = str(Path(ensemble_judge.__file__).resolve().parents[1])
+    code = "import sys, ensemble_judge.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -157,3 +157,139 @@ class TestSerialization:
     def test_record_round_trip(self):
         rec = record_for(7, Lens.RISK, SentimentLabel.NEGATIVE)
         assert CacheRecord.from_dict(rec.to_dict()) == rec
+
+
+def _line_of(record, **output_changes):
+    d = record.to_dict()
+    d["output"].update(output_changes)
+    return (json.dumps(d) + "\n").encode("utf-8")
+
+
+class TestCrashTailRepair:
+    def _three_records(self, path):
+        with CacheStore(path) as store:
+            for i in range(3):
+                store.put(record_for(i))
+        return path.read_bytes()
+
+    def test_resume_after_truncated_tail(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        raw = self._three_records(path)
+        path.write_bytes(raw[:-25])
+        with CacheStore(path) as store:
+            assert len(store) == 2
+            store.put(record_for(2))
+            store.put(record_for(3))
+        with CacheStore(path) as store:
+            assert len(store) == 4
+        two_lines = raw[: raw.rstrip(b"\n").rfind(b"\n") + 1]
+        assert path.read_bytes().startswith(two_lines)
+        assert len(path.read_bytes().splitlines()) == 4
+
+    def test_resume_after_missing_final_newline(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        raw = self._three_records(path)
+        path.write_bytes(raw[:-1])
+        with CacheStore(path) as store:
+            assert len(store) == 3
+            store.put(record_for(3))
+            store.put(record_for(4))
+        with CacheStore(path) as store:
+            assert len(store) == 5
+            assert store.get(record_for(2).key) is not None
+        assert path.read_bytes().startswith(raw)
+
+    def test_resume_after_a_cut_at_every_byte_of_the_last_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        raw = self._three_records(path)
+        last_start = raw.rstrip(b"\n").rfind(b"\n") + 1
+        for cut in range(last_start, len(raw)):
+            path.write_bytes(raw[:cut])
+            with CacheStore(path) as store:
+                store.put(record_for(2))
+                store.put(record_for(3))
+            with CacheStore(path, readonly=True) as store:
+                assert len(store) == 4, cut
+                for i in range(4):
+                    assert store.get(record_for(i).key) is not None
+            assert path.read_bytes().startswith(raw[:last_start])
+
+    def test_reader_never_modifies_the_file(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        raw = self._three_records(path)
+        for damaged in (raw[:-25], raw[:-1]):
+            path.write_bytes(damaged)
+            with CacheStore(path, readonly=True) as store:
+                assert len(store) == (2 if damaged == raw[:-25] else 3)
+                with pytest.raises(CacheIntegrityError, match="read-only"):
+                    store.put(record_for(5))
+            assert path.read_bytes() == damaged
+
+    def test_bad_value_on_unterminated_final_line_is_dropped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        raw = self._three_records(path)
+        path.write_bytes(raw + _line_of(record_for(3), confidence=1.5).rstrip(b"\n"))
+        with CacheStore(path) as store:
+            assert len(store) == 3
+        assert path.read_bytes() == raw
+
+
+class TestLineChecks:
+    def test_key_block_must_agree_with_output_block(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        good = record_for(0).to_dict()
+        bad = record_for(1).to_dict()
+        bad["key"]["disclosure_id"] = "d7"
+        first = (json.dumps(good) + "\n").encode()
+        path.write_bytes(first + (json.dumps(bad) + "\n").encode())
+        with pytest.raises(CacheIntegrityError, match=f"byte offset {len(first)}"):
+            CacheStore(path, readonly=True)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"confidence": 1.5},
+            {"confidence": -0.1},
+            {"confidence_source": "fallback", "label": "positive", "confidence": 0.0},
+            {"confidence_source": "fallback", "label": "neutral", "confidence": 0.3},
+            {"retry_count": 2},
+            {"label": "bullish"},
+        ],
+    )
+    def test_bad_output_value_names_byte_offset(self, tmp_path, changes):
+        path = tmp_path / "cache.jsonl"
+        first = _line_of(record_for(0))
+        path.write_bytes(first + _line_of(record_for(1), **changes) + _line_of(record_for(2)))
+        with pytest.raises(CacheCorruptionError, match=f"byte offset {len(first)}"):
+            CacheStore(path, readonly=True)
+
+    def test_put_rejects_key_that_disagrees_with_output(self, tmp_path):
+        rec = record_for(0)
+        forged = CacheRecord(key=key_for(1), output=rec.output, created_at=rec.created_at)
+        with CacheStore(tmp_path / "cache.jsonl") as store:
+            with pytest.raises(CacheIntegrityError):
+                store.put(forged)
+
+
+class TestTable:
+    def test_rows_and_judgments_follow_the_file(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        labels = [SentimentLabel.POSITIVE, SentimentLabel.NEUTRAL, SentimentLabel.NEGATIVE]
+        recs = [
+            make_record(
+                make_output(lens=lens, label=label, confidence=0.1 * (i + 1), disclosure_id="d0")
+            )
+            for i, (lens, label) in enumerate(zip(Lens, labels))
+        ]
+        with CacheStore(path) as store:
+            for rec in recs:
+                store.put(rec)
+        with CacheStore(path, readonly=True) as store:
+            keys = [recs[2].key, key_for(9), recs[0].key]
+            rows = store.rows(keys)
+            assert rows.tolist() == [2, -1, 0]
+            got_labels, got_conf = store.judgments(rows[[0, 2]])
+            assert got_labels.tolist() == [-1, 1]
+            assert got_conf.tolist() == [0.1 * 3, 0.1]
+            assert [r.output for r in store.records()] == [r.output for r in recs]
+            assert store.get(recs[1].key).output == recs[1].output
