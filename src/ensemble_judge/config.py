@@ -10,11 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Iterable
 
 from .agents import AgentSpec, DecodingConfig
 from .domain import LENS_ORDER, Lens, Split
-from .ingest import PreprocessConfig
-from .synth import DEFAULT_STUB_NOISE, STUB_ENDPOINT, STUB_MODEL_NAME
+from .evaluation import DEFAULT_REGIME_DELTA, DEFAULT_SENSITIVITY_DELTAS
+from .ingest import DEFAULT_SPLIT_FRACTIONS, PreprocessConfig
+from .meta import DEFAULT_GRID, DEFAULT_MAX_ITER, DEFAULT_TOL
+from .synth import STUB_ENDPOINT, STUB_MODEL_NAME
 
 
 @dataclass(frozen=True)
@@ -28,23 +31,21 @@ class StubConfig:
     enabled: bool = False
     noise: tuple[float, float, float] | None = None
 
-    def noise_for(self, lens: Lens) -> float:
-        if self.noise is None:
-            return DEFAULT_STUB_NOISE[lens]
-        return self.noise[LENS_ORDER.index(lens)]
+    def noise_for(self, lens: Lens) -> float | None:
+        return None if self.noise is None else self.noise[LENS_ORDER.index(lens)]
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    grid: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0)
-    tol: float = 1e-8
-    max_iter: int = 1000
+    grid: tuple[float, ...] = DEFAULT_GRID
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    delta: float = 0.1
-    sensitivity_deltas: tuple[float, ...] = (0.05, 0.1, 0.2)
+    delta: float = DEFAULT_REGIME_DELTA
+    sensitivity_deltas: tuple[float, ...] = DEFAULT_SENSITIVITY_DELTAS
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,7 @@ class RunConfig:
     workdir: Path
     corpus_path: Path
     seed: int = 42
-    preprocess: PreprocessConfig = field(
-        default_factory=lambda: PreprocessConfig(max_tokens=2048)
-    )
+    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     max_output_tokens: int = 128
     agents: tuple[AgentSpec, ...] = ()
     stub: StubConfig = field(default_factory=StubConfig)
@@ -62,7 +61,7 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
     max_in_flight: int = 4
     allow_extra_keys: bool = False
-    split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
+    split_fractions: tuple[float, float, float] = DEFAULT_SPLIT_FRACTIONS
     latents_path: Path | None = None
 
     def __post_init__(self) -> None:
@@ -132,6 +131,15 @@ def _stub_noise(value: object) -> tuple[float, float, float] | None:
     raise ValueError(f"stub noise must be a number or per-lens object, got {value!r}")
 
 
+def _floats(values: Iterable[object]) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _given(raw: dict, **casts: Callable[[Any], object]) -> dict:
+    """Each named key present in ``raw``, converted by its cast."""
+    return {name: cast(raw[name]) for name, cast in casts.items() if name in raw}
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
@@ -157,41 +165,30 @@ def load_config(path: str | Path) -> RunConfig:
             )
             for a in raw.get("agents", [])
         )
-        pre = raw.get("preprocess", {})
         stub = raw.get("stub_agents", {})
-        train = raw.get("train", {})
-        ev = raw.get("eval", {})
+        # Absent keys are left out, so the dataclass defaults apply.
         return RunConfig(
             workdir=_resolve(raw["workdir"]),
             corpus_path=_resolve(raw["corpus_path"]),
-            seed=int(raw.get("seed", 42)),
             preprocess=PreprocessConfig(
-                max_tokens=int(pre.get("max_tokens", 2048)),
-                chars_per_token=float(pre.get("chars_per_token", 4.0)),
+                **_given(raw.get("preprocess", {}), max_tokens=int, chars_per_token=float)
             ),
-            max_output_tokens=int(raw.get("max_output_tokens", 128)),
             agents=agents,
             stub=StubConfig(
-                enabled=bool(stub.get("enabled", False)),
+                **_given(stub, enabled=bool),
                 noise=_stub_noise(stub.get("noise")),
             ),
-            train=TrainConfig(
-                grid=tuple(float(c) for c in train.get("grid", TrainConfig.grid)),
-                tol=float(train.get("tol", TrainConfig.tol)),
-                max_iter=int(train.get("max_iter", TrainConfig.max_iter)),
-            ),
-            eval=EvalConfig(
-                delta=float(ev.get("delta", EvalConfig.delta)),
-                sensitivity_deltas=tuple(
-                    float(d) for d in ev.get("sensitivity_deltas", EvalConfig.sensitivity_deltas)
-                ),
-            ),
-            max_in_flight=int(raw.get("max_in_flight", 4)),
-            allow_extra_keys=bool(raw.get("allow_extra_keys", False)),
-            split_fractions=tuple(
-                float(f) for f in raw.get("split_fractions", (0.6, 0.2, 0.2))
-            ),
+            train=TrainConfig(**_given(raw.get("train", {}), grid=_floats, tol=float, max_iter=int)),
+            eval=EvalConfig(**_given(raw.get("eval", {}), delta=float, sensitivity_deltas=_floats)),
             latents_path=_resolve(raw["latents_path"]) if "latents_path" in raw else None,
+            **_given(
+                raw,
+                seed=int,
+                max_output_tokens=int,
+                max_in_flight=int,
+                allow_extra_keys=bool,
+                split_fractions=_floats,
+            ),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: bad or missing config field: {exc}") from None

@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum, IntEnum
 
+import numpy as np
+
 
 class SentimentLabel(IntEnum):
     """Three-way sentiment judgment with numeric codes -1 / 0 / +1."""
@@ -176,6 +178,20 @@ FEAT_GAP = 11                    # top-1 minus top-2 confidence
 FEAT_TOP_AGENT = (12, 13, 14)    # one-hot: which agent is most confident
 
 
+def check_feature_matrix(X: np.ndarray) -> None:
+    """The feature-vector invariants, checked on every row of ``X`` at once."""
+    if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
+        raise ValueError(f"feature rows must have {FEATURE_DIM} entries, got shape {X.shape}")
+    counts = X[:, list(FEAT_COUNTS)]
+    if ((counts < 0) | (counts != np.floor(counts))).any() or (counts.sum(axis=1) != 3).any():
+        raise ValueError("label counts must be nonnegative integers summing to 3")
+    indicators = np.sort(X[:, list(FEAT_TOP_AGENT)], axis=1)
+    if (indicators != [0.0, 0.0, 1.0]).any():
+        raise ValueError("exactly one most-confident indicator must be set")
+    if (X[:, FEAT_GAP] < 0).any():
+        raise ValueError("confidence gap must be nonnegative")
+
+
 @dataclass(frozen=True)
 class FeatureVector:
     """The 15-dimensional joint-agent feature vector fed to the aggregator."""
@@ -183,16 +199,7 @@ class FeatureVector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != FEATURE_DIM:
-            raise ValueError(f"feature vector must have {FEATURE_DIM} entries")
-        counts = [self.values[i] for i in FEAT_COUNTS]
-        if any(c < 0 or c != int(c) for c in counts) or sum(counts) != 3:
-            raise ValueError(f"label counts {counts} must be nonnegative integers summing to 3")
-        indicators = [self.values[i] for i in FEAT_TOP_AGENT]
-        if sorted(indicators) != [0.0, 0.0, 1.0]:
-            raise ValueError(f"exactly one most-confident indicator must be set, got {indicators}")
-        if self.values[FEAT_GAP] < 0:
-            raise ValueError("confidence gap must be nonnegative")
+        check_feature_matrix(np.array([self.values], dtype=np.float64))
 
     def as_list(self) -> list[float]:
         return list(self.values)

@@ -16,14 +16,17 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import write_text
 from .baselines import confidence_vote_predictions, majority_vote_predictions
 from .domain import LENS_ORDER, AgentOutput, DisclosureRecord, Lens
 from .features import confidence_gap, confidence_gaps, feature_matrix, majority_labels
-from .meta import MetaModel
+
+if TYPE_CHECKING:
+    from .meta import MetaModel
 
 METHOD_NAMES: tuple[str, ...] = (
     "performance_agent",
@@ -343,8 +346,6 @@ def evaluate_split(
     ``records`` fixes the evaluation order; every record must have its three
     agent outputs present in ``outputs_by_id``.
     """
-    if not records:
-        raise ValueError("cannot evaluate an empty split")
     triples = []
     for record in records:
         per_lens = outputs_by_id.get(record.id)
@@ -363,9 +364,8 @@ def evaluate_split(
 
 
 def write_report(report: EvalReport, json_path: str | Path, text_path: str | Path) -> None:
-    Path(json_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(json_path).write_text(report.to_json(), encoding="utf-8")
-    Path(text_path).write_text(report.render_text(), encoding="utf-8")
+    write_text(json_path, [report.to_json()])
+    write_text(text_path, [report.render_text()])
 
 
 def load_report(path: str | Path) -> dict:

@@ -12,21 +12,20 @@ per-disclosure functions are the reference rules it must agree with.
 
 from __future__ import annotations
 
-import json
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .artifacts import ArtifactError, read_jsonl, write_jsonl
 from .domain import (
-    FEAT_COUNTS,
-    FEAT_GAP,
-    FEAT_TOP_AGENT,
     FEATURE_DIM,
     LENS_ORDER,
     AgentOutput,
     FeatureVector,
     SentimentLabel,
+    check_feature_matrix,
 )
 
 
@@ -148,20 +147,6 @@ def feature_matrix(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
     ).astype(np.float64, copy=False)
 
 
-def check_feature_matrix(X: np.ndarray) -> None:
-    """:class:`FeatureVector`'s invariants, checked on every row at once."""
-    if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
-        raise ValueError(f"feature rows must have {FEATURE_DIM} entries, got shape {X.shape}")
-    counts = X[:, list(FEAT_COUNTS)]
-    if ((counts < 0) | (counts != np.floor(counts))).any() or (counts.sum(axis=1) != 3).any():
-        raise ValueError("label counts must be nonnegative integers summing to 3")
-    indicators = np.sort(X[:, list(FEAT_TOP_AGENT)], axis=1)
-    if (indicators != [0.0, 0.0, 1.0]).any():
-        raise ValueError("exactly one most-confident indicator must be set")
-    if (X[:, FEAT_GAP] < 0).any():
-        raise ValueError("confidence gap must be nonnegative")
-
-
 def write_feature_file(
     path: str | Path, ids: Sequence[str], X: np.ndarray, targets: Sequence[int]
 ) -> None:
@@ -170,30 +155,26 @@ def write_feature_file(
     Row order is the caller's responsibility (the pipeline passes the sorted
     split order), so the file bytes are a pure function of the inputs.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for disclosure_id, features, target in zip(ids, X.tolist(), targets):
-            fh.write(
-                json.dumps(
-                    {"disclosure_id": disclosure_id, "features": features, "target": int(target)},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        (
+            {"disclosure_id": disclosure_id, "features": features, "target": int(target)}
+            for disclosure_id, features, target in zip(ids, X.tolist(), targets)
+        ),
+    )
 
 
 def read_feature_file(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Ids, ``(n, 15)`` feature matrix and targets of one feature file."""
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    targets: list[int] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            ids.append(obj["disclosure_id"])
-            rows.append(obj["features"])
-            targets.append(obj["target"])
-    X = np.array(rows, dtype=np.float64) if rows else np.empty((0, FEATURE_DIM))
-    check_feature_matrix(X)
-    return ids, X, np.array(targets, dtype=int)
+    """Ids, ``(n, 15)`` feature matrix and targets of one feature file.
+
+    A malformed line, or a row that breaks the feature-vector invariants,
+    raises :class:`ArtifactError` naming the file.
+    """
+    rows = read_jsonl(path, itemgetter("disclosure_id", "features", "target"))
+    try:
+        X = np.array([r[1] for r in rows], dtype=np.float64) if rows else np.empty((0, FEATURE_DIM))
+        check_feature_matrix(X)
+        y = np.array([r[2] for r in rows], dtype=int)
+    except (TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: malformed feature rows: {exc}") from None
+    return [r[0] for r in rows], X, y

@@ -18,9 +18,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .artifacts import write_jsonl, write_text
 from .domain import DisclosureRecord, Split, SplitAssignment, target_from_return
 
 CORPUS_KEYS = frozenset({"id", "timestamp", "ticker", "text", "next_day_return"})
+DEFAULT_SPLIT_FRACTIONS: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
 
 class CorpusFormatError(ValueError):
@@ -37,7 +39,7 @@ class PreprocessConfig:
     English-text approximation.
     """
 
-    max_tokens: int
+    max_tokens: int = 2048
     chars_per_token: float = 4.0
 
     def __post_init__(self) -> None:
@@ -123,25 +125,21 @@ def load_corpus(path: str | Path) -> list[DisclosureRecord]:
     return records
 
 
+def corpus_row(record: DisclosureRecord, **extra: str) -> dict:
+    """A record's JSON line object; ``extra`` keys go just before the return."""
+    return {
+        "id": record.id,
+        "timestamp": record.timestamp.isoformat(),
+        "ticker": record.ticker,
+        "text": record.raw_text,
+        **extra,
+        "next_day_return": record.next_day_return,
+    }
+
+
 def write_corpus(records: Iterable[DisclosureRecord], path: str | Path) -> None:
     """Write disclosures in the corpus file format (used by the synthetic generator)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": r.id,
-                        "timestamp": r.timestamp.isoformat(),
-                        "ticker": r.ticker,
-                        "text": r.raw_text,
-                        "next_day_return": r.next_day_return,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(path, map(corpus_row, records))
 
 
 # A metadata line is KEY: VALUE with an upper-case key.
@@ -227,7 +225,7 @@ def sort_records(records: Iterable[DisclosureRecord]) -> list[DisclosureRecord]:
 
 def chronological_split(
     records: Sequence[DisclosureRecord],
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    fractions: tuple[float, float, float] = DEFAULT_SPLIT_FRACTIONS,
 ) -> SplitAssignment:
     """Assign records to train/dev/test by time order.
 
@@ -257,12 +255,10 @@ def chronological_split(
 
 
 def write_split(assignment: SplitAssignment, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         split.value: assignment.ids_for(split) for split in (Split.TRAIN, Split.DEV, Split.TEST)
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_text(path, [json.dumps(payload, indent=2) + "\n"])
 
 
 def load_split(path: str | Path) -> SplitAssignment:

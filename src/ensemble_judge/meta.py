@@ -19,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import write_text
 from .domain import FEAT_CONFS, FEAT_GAP, FeatureVector
+from .evaluation import ConfusionMatrix, metrics
 
 # Continuous features (the three confidences and the confidence gap) are the
 # only standardized positions; labels, counts, and indicators stay raw.
@@ -273,9 +275,7 @@ class MetaModel:
             "prompt_hash_digest": self.prompt_hash_digest,
             "n_outputs": self.n_outputs,
         }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_text(path, [json.dumps(payload, indent=2) + "\n"])
 
     @classmethod
     def load(cls, path: str | Path) -> "MetaModel":
@@ -294,14 +294,6 @@ class MetaModel:
             prompt_hash_digest=d.get("prompt_hash_digest", ""),
             n_outputs=int(d.get("n_outputs", 0)),
         )
-
-
-def _balanced_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    pos = y_true == 1
-    neg = ~pos
-    recall_pos = float((y_pred[pos] == 1).mean()) if pos.any() else 0.0
-    recall_neg = float((y_pred[neg] == 0).mean()) if neg.any() else 0.0
-    return 0.5 * (recall_pos + recall_neg)
 
 
 def tune_C(
@@ -327,7 +319,7 @@ def tune_C(
         w, b, _ = fit_logistic(X_train, y_train, C, tol=tol, max_iter=max_iter)
         margins = np.asarray(X_dev, dtype=np.float64) @ w + b
         preds = (margins >= 0).astype(int)
-        score = _balanced_accuracy(np.asarray(y_dev), preds)
+        score = metrics(ConfusionMatrix.from_arrays(np.asarray(y_dev), preds)).balanced_accuracy
         scores[C] = score
         if score > best_score:
             best_score = score

@@ -9,11 +9,10 @@ cache fully covers the records they consume.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .agents import (
     expected_cache_keys,
     run_agent,
 )
+from .artifacts import ArtifactError, read_jsonl, write_jsonl
 from .config import RunConfig
 from .domain import (
     AgentOutput,
@@ -31,24 +31,26 @@ from .domain import (
     DisclosureRecord,
     Lens,
     Split,
-    SplitAssignment,
     target_from_return,
 )
 from .evaluation import EvalReport, evaluate_judgments, write_report
 from .features import feature_matrix, read_feature_file, write_feature_file
 from .ingest import (
     chronological_split,
+    corpus_row,
     load_corpus,
     load_split,
     parse_rfc3339,
     preprocess_corpus,
     sort_records,
+    write_corpus,
     write_split,
 )
 from .meta import ConvergenceError, MetaModel, train_meta_model
 from .store import CacheKey, CacheStore, make_record
 from .synth import generate_corpus, load_latents, stub_agent, write_latents
-from . import ingest as ingest_mod
+
+T = TypeVar("T")
 
 
 class MissingArtifactError(RuntimeError):
@@ -57,10 +59,6 @@ class MissingArtifactError(RuntimeError):
 
 class StaleModelError(RuntimeError):
     """The model was trained on different prompts than the current run uses."""
-
-
-class ArtifactError(RuntimeError):
-    """A stage input on disk is malformed or does not belong to the current run."""
 
 
 class CoverageError(RuntimeError):
@@ -88,7 +86,7 @@ def stage_synth(config: RunConfig, n: int, seed: int) -> dict:
     if config.latents_path is None:
         raise ValueError("config needs latents_path to hold the synthetic signals")
     records, latents = generate_corpus(n, seed)
-    ingest_mod.write_corpus(records, config.corpus_path)
+    write_corpus(records, config.corpus_path)
     write_latents(latents, config.latents_path)
     positives = sum(r.binary_target for r in records)
     return {"n": n, "seed": seed, "positive_rate": positives / n}
@@ -112,65 +110,54 @@ def stage_ingest(config: RunConfig) -> dict:
 
 
 def _write_prepared(records: Sequence[DisclosureRecord], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for r in sort_records(records):
-            fh.write(
-                json.dumps(
-                    {
-                        "id": r.id,
-                        "timestamp": r.timestamp.isoformat(),
-                        "ticker": r.ticker,
-                        "text": r.raw_text,
-                        "clean_text": r.clean_text,
-                        "next_day_return": r.next_day_return,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (corpus_row(r, clean_text=r.clean_text) for r in sort_records(records)))
+
+
+def _prepared_record(obj: dict) -> DisclosureRecord:
+    return DisclosureRecord(
+        id=obj["id"],
+        timestamp=parse_rfc3339(obj["timestamp"]),
+        ticker=obj["ticker"],
+        raw_text=obj["text"],
+        clean_text=obj["clean_text"],
+        next_day_return=obj["next_day_return"],
+        binary_target=target_from_return(obj["next_day_return"]),
+    )
 
 
 def load_prepared(path: str | Path) -> list[DisclosureRecord]:
-    records: list[DisclosureRecord] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            records.append(
-                DisclosureRecord(
-                    id=obj["id"],
-                    timestamp=parse_rfc3339(obj["timestamp"]),
-                    ticker=obj["ticker"],
-                    raw_text=obj["text"],
-                    clean_text=obj["clean_text"],
-                    next_day_return=obj["next_day_return"],
-                    binary_target=target_from_return(obj["next_day_return"]),
-                )
-            )
-    return records
+    return read_jsonl(path, _prepared_record)
 
 
-def _prepared_records(config: RunConfig) -> list[DisclosureRecord]:
-    _require(config.prepared_path, "preprocessed corpus")
-    return load_prepared(config.prepared_path)
-
-
-def _load_split(path: Path) -> SplitAssignment:
+def _load_checked(path: Path, load: Callable[[Path], T], what: str) -> T:
+    """``load(path)``, with a malformed file reported as :class:`ArtifactError`."""
     try:
-        return load_split(path)
+        return load(path)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"{path}: malformed split file: {exc!r}") from None
+        raise ArtifactError(f"{path}: malformed {what} file: {exc!r}") from None
 
 
-def _split_assignment(config: RunConfig) -> SplitAssignment:
-    return _load_split(_require(config.split_path, "split file"))
+def _split_records(config: RunConfig) -> dict[Split, list[DisclosureRecord]]:
+    """The prepared records of each split, in split order.
 
-
-def _load_model(path: Path) -> MetaModel:
-    try:
-        return MetaModel.load(path)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"{path}: malformed model file: {exc!r}") from None
+    The split file must assign every prepared record and nothing else.
+    """
+    records = load_prepared(_require(config.prepared_path, "preprocessed corpus"))
+    assignment = _load_checked(_require(config.split_path, "split file"), load_split, "split")
+    by_id = {r.id: r for r in records}
+    unknown = [rid for rid in assignment.partition if rid not in by_id]
+    if unknown:
+        raise ValueError(f"split references unknown ids, e.g. {unknown[:3]}")
+    unassigned = [rid for rid in by_id if rid not in assignment.partition]
+    if unassigned:
+        raise ValueError(
+            f"split does not cover the corpus (stale split file?), "
+            f"e.g. {unassigned[:3]}"
+        )
+    return {
+        split: [by_id[rid] for rid in assignment.ids_for(split)]
+        for split in (Split.TRAIN, Split.DEV, Split.TEST)
+    }
 
 
 def _pairs(
@@ -188,9 +175,9 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     inline; HTTP agents run through a bounded thread pool, with results
     funneled to the single cache appender in deterministic submission order.
     """
-    records = _prepared_records(config)
+    records = load_prepared(_require(config.prepared_path, "preprocessed corpus"))
     if split_path is not None:
-        wanted = set(_load_split(split_path).partition)
+        wanted = set(_load_checked(split_path, load_split, "split").partition)
         records = [r for r in records if r.id in wanted]
     specs = config.agent_specs()
     decoding = config.decoding()
@@ -283,53 +270,42 @@ def outputs_for_records(
     return result
 
 
-def _records_for_split(
-    records: Sequence[DisclosureRecord], assignment: SplitAssignment, split: Split
-) -> list[DisclosureRecord]:
-    by_id = {r.id: r for r in records}
-    unknown = [rid for rid in assignment.partition if rid not in by_id]
-    if unknown:
-        raise ValueError(f"split references unknown ids, e.g. {unknown[:3]}")
-    unassigned = [rid for rid in by_id if rid not in assignment.partition]
-    if unassigned:
-        raise ValueError(
-            f"split does not cover the corpus (stale split file?), "
-            f"e.g. {unassigned[:3]}"
-        )
-    return [by_id[rid] for rid in assignment.ids_for(split)]
-
-
 def stage_build_features(config: RunConfig) -> dict:
     """Export one audit feature file per split, in sorted split order."""
-    records = _prepared_records(config)
-    assignment = _split_assignment(config)
+    by_split = _split_records(config)
+    records = [r for split_records in by_split.values() for r in split_records]
     keys = expected_cache_keys(records, config.agent_specs(), config.decoding())
     with CacheStore(_require(config.cache_path, "agent cache"), readonly=True) as store:
         labels, confidences = _judgments(store, keys)
     X = feature_matrix(labels, confidences)
-    position = {r.id: i for i, r in enumerate(records)}
-    counts = {}
-    for split in (Split.TRAIN, Split.DEV, Split.TEST):
-        split_records = _records_for_split(records, assignment, split)
-        rows = [position[r.id] for r in split_records]
+    bounds = np.cumsum([len(split_records) for split_records in by_split.values()])[:-1]
+    for (split, split_records), X_split in zip(by_split.items(), np.split(X, bounds)):
         write_feature_file(
             config.features_path(split),
             [r.id for r in split_records],
-            X[rows],
+            X_split,
             [r.binary_target for r in split_records],
         )
-        counts[split.value] = len(split_records)
-    return counts
+    return {split.value: len(split_records) for split, split_records in by_split.items()}
 
 
 def _split_features(
-    path: Path, records: Sequence[DisclosureRecord]
+    path: Path, records: Sequence[DisclosureRecord], expected: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix and targets of one split's file, checked against the split."""
+    """Feature matrix and targets of one split's file, checked against the split.
+
+    ``expected`` is the split's feature matrix rebuilt from the cache; the
+    file must hold exactly those values (JSON floats round-trip exactly).
+    """
     ids, X, y = read_feature_file(path)
     if ids != [r.id for r in records] or not np.array_equal(y, [r.binary_target for r in records]):
         raise ArtifactError(
             f"{path}: ids or targets differ from the current split "
+            "(stale features? re-run build-features)"
+        )
+    if not np.array_equal(X, expected):
+        raise ArtifactError(
+            f"{path}: feature values differ from the agent cache "
             "(stale features? re-run build-features)"
         )
     return X, y
@@ -345,26 +321,24 @@ def stage_train(config: RunConfig) -> dict:
 
     Refuses to run unless the cache covers the train and dev splits: all
     model outputs must exist before the aggregator learns from any of them.
-    The feature files must hold exactly the current split's ids and targets.
+    The feature files must hold exactly the current split's ids, targets and
+    the feature values the cache yields for them.
     """
-    records = _prepared_records(config)
-    assignment = _split_assignment(config)
+    by_split = _split_records(config)
     _require(config.cache_path, "agent cache")
-    train_records = _records_for_split(records, assignment, Split.TRAIN)
-    dev_records = _records_for_split(records, assignment, Split.DEV)
+    train_records, dev_records = by_split[Split.TRAIN], by_split[Split.DEV]
     keys = expected_cache_keys(
         train_records + dev_records, config.agent_specs(), config.decoding()
     )
     with CacheStore(config.cache_path, readonly=True) as store:
-        missing = store.missing(keys)
-    if missing:
-        raise CoverageError(missing)
+        X = feature_matrix(*_judgments(store, keys))
 
     paths = {split: config.features_path(split) for split in (Split.TRAIN, Split.DEV)}
     for split, path in paths.items():
         _require(path, f"{split.value} feature file")
-    train = _split_features(paths[Split.TRAIN], train_records)
-    dev = _split_features(paths[Split.DEV], dev_records)
+    n_train = len(train_records)
+    train = _split_features(paths[Split.TRAIN], train_records, X[:n_train])
+    dev = _split_features(paths[Split.DEV], dev_records, X[n_train:])
 
     try:
         model, dev_scores = train_meta_model(
@@ -396,14 +370,11 @@ def stage_evaluate(config: RunConfig) -> EvalReport:
     config would render, so a model trained before a prompt or preprocessing
     change cannot be silently scored against mismatched agent outputs.
     """
-    records = _prepared_records(config)
-    assignment = _split_assignment(config)
+    by_split = _split_records(config)
     _require(config.cache_path, "agent cache")
-    model = _load_model(_require(config.model_path, "model file"))
-    digest_records = (
-        _records_for_split(records, assignment, Split.TRAIN) if model.prompt_hash_digest else []
-    )
-    test_records = _records_for_split(records, assignment, Split.TEST)
+    model = _load_checked(_require(config.model_path, "model file"), MetaModel.load, "model")
+    digest_records = by_split[Split.TRAIN] if model.prompt_hash_digest else []
+    test_records = by_split[Split.TEST]
     keys = expected_cache_keys(
         digest_records + test_records, config.agent_specs(), config.decoding()
     )

@@ -16,6 +16,7 @@ asks for them.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
@@ -164,11 +165,13 @@ def _parse_line(line: bytes) -> tuple[dict, KeyTuple, int, float, int]:
 class CacheStore:
     """Single-writer, multi-reader JSONL store keyed by :class:`CacheKey`.
 
-    A read-only store never opens a write handle and never changes the file.
-    A writable store first repairs the tail an interrupted writer may have
-    left: it cuts a dropped truncated final line back to the last line
-    boundary, or terminates a valid final line that lacks its newline, so
-    the next append starts on a line of its own.
+    A read-only store never opens a write handle, takes no lock and never
+    changes the file. A writable store holds an exclusive ``flock`` from
+    before it loads until it closes, so a second writer fails instead of
+    cutting the first one's half-written line. It first repairs the tail an
+    interrupted writer may have left: it cuts a dropped truncated final line
+    back to the last line boundary, or terminates a valid final line that
+    lacks its newline, so the next append starts on a line of its own.
     """
 
     def __init__(self, path: str | Path, *, readonly: bool = False):
@@ -182,10 +185,16 @@ class CacheStore:
         self._unterminated = False  # the last intact line lacks its newline
         self._reader: BinaryIO | None = None
         self._fh: BinaryIO | None = None
-        if self.path.exists():
-            self._load()
-        if not readonly:
-            self._open_writer()
+        try:
+            if not readonly:
+                self._lock()
+            if self.path.exists():
+                self._load()
+            if not readonly:
+                self._repair_tail()
+        except BaseException:
+            self.close()
+            raise
 
     def _load(self) -> None:
         index = self._index
@@ -253,26 +262,23 @@ class CacheStore:
 
     def _check_duplicate(self, row: int, key: KeyTuple, out: dict, offset: int) -> None:
         """A repeated key must carry the same payload; the later line then wins."""
-        if self._stored_output(row) != AgentOutput.from_dict(out):
+        if self._record_at(row).output != AgentOutput.from_dict(out):
             raise CacheIntegrityError(
                 f"{self.path}: conflicting payloads for key {key} at byte offset {offset}"
             )
         self._offsets[row] = offset
 
-    def _stored_output(self, row: int) -> AgentOutput:
-        offset = self._offsets[row]
-        try:
-            return AgentOutput.from_dict(json.loads(self._read_line(offset))["output"])
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise CacheCorruptionError(
-                f"{self.path}: corrupted line at byte offset {offset}: {exc}"
-            ) from None
-
-    def _open_writer(self) -> None:
+    def _lock(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.path.exists() and self.path.stat().st_size > self._end:
-            os.truncate(self.path, self._end)  # cut the dropped final line
         self._fh = self.path.open("ab")
+        try:
+            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CacheIntegrityError(f"{self.path}: cache locked by another run") from None
+
+    def _repair_tail(self) -> None:
+        if os.fstat(self._fh.fileno()).st_size > self._end:
+            os.ftruncate(self._fh.fileno(), self._end)  # cut the dropped final line
         if self._unterminated:
             self._fh.write(b"\n")
             self._fh.flush()
@@ -286,7 +292,13 @@ class CacheStore:
         return self._reader.readline()
 
     def _record_at(self, row: int) -> CacheRecord:
-        return CacheRecord.from_dict(json.loads(self._read_line(self._offsets[row])))
+        offset = self._offsets[row]
+        try:
+            return CacheRecord.from_dict(json.loads(self._read_line(offset)))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CacheCorruptionError(
+                f"{self.path}: corrupted line at byte offset {offset}: {exc}"
+            ) from None
 
     def __len__(self) -> int:
         return len(self._index)
@@ -315,15 +327,12 @@ class CacheStore:
         if self._fh is None:
             raise CacheIntegrityError(f"{self.path}: store was opened read-only")
         output = record.output
-        key = record.key.as_tuple()
-        identity = (
-            output.disclosure_id, output.agent, output.model_name, output.prompt_hash, output.seed
-        )
-        if key != identity:
+        if record.key != CacheKey.for_output(output):
             raise CacheIntegrityError(f"record key disagrees with its output: {record.key}")
+        key = record.key.as_tuple()
         row = self._index.get(key)
         if row is not None:
-            if self._stored_output(row) != record.output:
+            if self._record_at(row).output != record.output:
                 raise CacheIntegrityError(
                     f"key already stored with a different payload: {record.key}"
                 )
@@ -358,8 +367,7 @@ class CacheStore:
             self._reader.close()
             self._reader = None
         if self._fh is not None and not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+            self.sync()
             self._fh.close()
 
     def __enter__(self) -> "CacheStore":

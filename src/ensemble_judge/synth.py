@@ -21,6 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .agents import prompt_hash, render_prompt
+from .artifacts import read_jsonl, write_jsonl
 from .domain import (
     AgentOutput,
     ConfidenceSource,
@@ -210,34 +211,12 @@ def stub_agent(
 
 
 def write_latents(latents: Mapping[str, LatentDisclosure], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for rid in latents:
-            lat = latents[rid]
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rid,
-                        "performance_signal": lat.performance_signal,
-                        "guidance_signal": lat.guidance_signal,
-                        "risk_signal": lat.risk_signal,
-                        "noise_seed": lat.noise_seed,
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(path, ({"id": rid, **vars(lat)} for rid, lat in latents.items()))
+
+
+def _latent_row(obj: dict) -> tuple[str, LatentDisclosure]:
+    return obj.pop("id"), LatentDisclosure(**obj)
 
 
 def load_latents(path: str | Path) -> dict[str, LatentDisclosure]:
-    latents: dict[str, LatentDisclosure] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            latents[obj["id"]] = LatentDisclosure(
-                performance_signal=obj["performance_signal"],
-                guidance_signal=obj["guidance_signal"],
-                risk_signal=obj["risk_signal"],
-                noise_seed=obj["noise_seed"],
-            )
-    return latents
+    return dict(read_jsonl(path, _latent_row))

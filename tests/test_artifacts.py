@@ -1,0 +1,61 @@
+"""Atomic artifact writes and checked JSONL reads."""
+
+import numpy as np
+import pytest
+
+from ensemble_judge.artifacts import ArtifactError, read_jsonl, write_jsonl
+from ensemble_judge.features import write_feature_file
+from ensemble_judge.ingest import write_corpus
+from ensemble_judge.synth import generate_corpus
+
+
+class _Boom(Exception):
+    pass
+
+
+class _BadTarget:
+    def __int__(self):
+        raise _Boom
+
+
+def _records_then_crash(records):
+    yield from records
+    raise _Boom
+
+
+def _corpus_writes(path):
+    records, _ = generate_corpus(100, 1)
+    write_corpus(records, path)
+    return lambda: write_corpus(_records_then_crash(records[:50]), path)
+
+
+def _feature_writes(path):
+    X = np.zeros((3, 15))
+    write_feature_file(path, ["a", "b", "c"], X, [1, 0, 1])
+    return lambda: write_feature_file(path, ["a", "b", "c"], X, [0, 1, _BadTarget()])
+
+
+@pytest.mark.parametrize("writes", [_corpus_writes, _feature_writes])
+def test_interrupted_write_keeps_the_previous_file(tmp_path, writes):
+    path = tmp_path / "artifact.jsonl"
+    interrupted = writes(path)
+    before = path.read_bytes()
+    with pytest.raises(_Boom):
+        interrupted()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.jsonl"]
+
+
+def test_write_jsonl_round_trips_through_read_jsonl(tmp_path):
+    rows = [{"id": "ä", "x": 0.1}, {"id": "b", "x": 2}]
+    write_jsonl(tmp_path / "rows.jsonl", rows)
+    assert (tmp_path / "rows.jsonl").read_text(encoding="utf-8").startswith('{"id": "ä"')
+    assert read_jsonl(tmp_path / "rows.jsonl", dict) == rows
+
+
+@pytest.mark.parametrize("bad_line", ["{\"id\": 1", "[1, 2]", "{\"other\": 1}"])
+def test_malformed_line_names_file_and_line(tmp_path, bad_line):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": 0}\n' + bad_line + "\n", encoding="utf-8")
+    with pytest.raises(ArtifactError, match=r"rows\.jsonl: malformed line 2"):
+        read_jsonl(path, lambda obj: obj["id"])

@@ -353,3 +353,77 @@ def test_cli_import_does_not_load_requests():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _single_error_line(err, name):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and name in lines[0] and "Traceback" not in err
+
+
+class TestMalformedInternalArtifacts:
+    @pytest.mark.parametrize(
+        "name, key, stage",
+        [
+            ("prepared.jsonl", "clean_text", "train"),
+            ("features_train.jsonl", "target", "train"),
+            ("latents.jsonl", "noise_seed", "run-agents"),
+        ],
+    )
+    def test_row_missing_a_key_exits_3(self, tmp_path, capsys, name, key, stage):
+        cfg_path, workdir = write_config(tmp_path)
+        stages = [("synth", "--n", "300", "--seed", "42"), ("ingest",)]
+        if stage == "train":
+            stages += [("run-agents",), ("build-features",)]
+        for args in stages:
+            assert run(cfg_path, *args) == 0
+        path = workdir / name
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        del row[key]
+        lines[1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(cfg_path, stage) == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, name) and "line 2" in err
+
+
+class TestTrainChecksFeatureValues:
+    def test_edited_confidence_exits_3(self, pipeline, capsys):
+        cfg_path, workdir = pipeline
+        path = workdir / "features_train.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[3])
+        row["features"][4] = 0.5 if row["features"][4] != 0.5 else 0.25
+        lines[3] = json.dumps(row) + "\n"
+        path.write_text("".join(lines))
+        model_before = sha(workdir / "model.json")
+        capsys.readouterr()
+        assert run(cfg_path, "train") == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "features_train.jsonl") and "agent cache" in err
+        assert sha(workdir / "model.json") == model_before
+        assert run(cfg_path, "build-features") == 0
+        assert run(cfg_path, "train") == 0
+
+    def test_coverage_is_checked_before_the_feature_files(self, tmp_path, capsys):
+        cfg_path, workdir = write_config(tmp_path)
+        for args in (("synth", "--n", "300", "--seed", "42"), ("ingest",), ("run-agents",)):
+            assert run(cfg_path, *args) == 0
+        cache = workdir / "cache.jsonl"
+        cache.write_text("".join(cache.read_text().splitlines(keepends=True)[1:]))
+        capsys.readouterr()
+        assert run(cfg_path, "train") == 3
+        assert "missing 1 agent outputs" in capsys.readouterr().err
+
+    def test_empty_dev_split_is_refused(self, tmp_path, capsys):
+        cfg_path, workdir = write_config(tmp_path, split_fractions=[0.995, 0.0025, 0.0025])
+        for args in (("synth", "--n", "100", "--seed", "42"), ("ingest",), ("run-agents",),
+                     ("build-features",)):
+            assert run(cfg_path, *args) == 0
+        assert (workdir / "features_dev.jsonl").read_text() == ""
+        capsys.readouterr()
+        assert run(cfg_path, "train") == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "zero examples" in err
+        assert not (workdir / "model.json").exists()

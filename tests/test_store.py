@@ -293,3 +293,31 @@ class TestTable:
             assert got_conf.tolist() == [0.1 * 3, 0.1]
             assert [r.output for r in store.records()] == [r.output for r in recs]
             assert store.get(recs[1].key).output == recs[1].output
+
+
+class TestSingleWriter:
+    def test_second_writer_is_refused_until_the_first_closes(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        first = CacheStore(path)
+        try:
+            first.put(record_for(0))
+            with pytest.raises(CacheIntegrityError, match="locked by another run"):
+                CacheStore(path)
+            with CacheStore(path, readonly=True) as reader:
+                assert len(reader) == 1
+        finally:
+            first.close()
+        with CacheStore(path) as second:
+            assert len(second) == 1
+            second.put(record_for(1))
+        with CacheStore(path, readonly=True) as reader:
+            assert len(reader) == 2
+
+    def test_failed_open_releases_the_lock(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(b"not json\n" + _line_of(record_for(0)))
+        with pytest.raises(CacheCorruptionError):
+            CacheStore(path)
+        path.write_bytes(_line_of(record_for(0)))
+        with CacheStore(path) as store:
+            assert len(store) == 1
