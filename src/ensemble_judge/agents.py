@@ -76,7 +76,7 @@ class AgentSpec:
     lens: Lens
     model_name: str
     endpoint_url: str
-    supports_logprobs: bool
+    supports_logprobs: bool = False
 
     def __post_init__(self) -> None:
         if not self.endpoint_url:
@@ -391,7 +391,6 @@ def run_agent(
     decoding: DecodingConfig,
     record: DisclosureRecord,
     client: ChatCompletionsClient | None = None,
-    allow_extra_keys: bool = False,
 ) -> AgentOutput:
     """Query one agent about one disclosure and apply the retry/fallback protocol.
 
@@ -414,7 +413,7 @@ def run_agent(
         raw = client.generate(prompt, decoding, spec.supports_logprobs)
         last_raw = raw
         try:
-            parsed = parse_output(raw, allow_extra_keys=allow_extra_keys)
+            parsed = parse_output(raw)
         except SchemaViolation:
             continue
 
@@ -466,16 +465,12 @@ def expected_cache_keys(
     Keys embed the rendered prompt's hash, so changing a prompt or the
     disclosure text invalidates coverage rather than mixing generations.
     """
-    keys: list[CacheKey] = []
-    for record in records:
-        for spec in specs:
-            keys.append(
-                CacheKey(
-                    disclosure_id=record.id,
-                    lens=spec.lens,
-                    model_name=spec.model_name,
-                    prompt_hash=prompt_hash(render_prompt(spec.lens, record.clean_text)),
-                    seed=decoding.seed,
-                )
-            )
-    return keys
+    seed = decoding.seed
+    return [
+        CacheKey(
+            record.id, spec.lens, spec.model_name,
+            prompt_hash(render_prompt(spec.lens, record.clean_text)), seed,
+        )
+        for record in records
+        for spec in specs
+    ]

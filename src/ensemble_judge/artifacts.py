@@ -44,9 +44,14 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
+def json_line(row: dict) -> str:
+    """``row`` as one line of JSON, non-ASCII characters kept as they are."""
+    return _JSON_LINE.encode(row) + "\n"
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    """Write one compact JSON object per line, streamed row by row."""
-    write_text(path, (_JSON_LINE.encode(row) + "\n" for row in rows))
+    """Write one JSON object per line, streamed row by row."""
+    write_text(path, map(json_line, rows))
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:

@@ -22,17 +22,9 @@ from .synth import STUB_ENDPOINT, STUB_MODEL_NAME
 
 @dataclass(frozen=True)
 class StubConfig:
-    """Stub agents read hidden latents instead of calling an endpoint.
-
-    ``noise`` may be one scale for all lenses or one per lens; unset means
-    the tuned per-lens defaults from the synthetic generator.
-    """
+    """Stub agents read hidden latents instead of calling an endpoint."""
 
     enabled: bool = False
-    noise: tuple[float, float, float] | None = None
-
-    def noise_for(self, lens: Lens) -> float | None:
-        return None if self.noise is None else self.noise[LENS_ORDER.index(lens)]
 
 
 @dataclass(frozen=True)
@@ -60,7 +52,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     max_in_flight: int = 4
-    allow_extra_keys: bool = False
     split_fractions: tuple[float, float, float] = DEFAULT_SPLIT_FRACTIONS
     latents_path: Path | None = None
 
@@ -109,38 +100,69 @@ class RunConfig:
 
     def agent_specs(self) -> tuple[AgentSpec, ...]:
         if self.stub.enabled:
-            return tuple(
-                AgentSpec(
-                    lens=lens,
-                    model_name=STUB_MODEL_NAME,
-                    endpoint_url=STUB_ENDPOINT,
-                    supports_logprobs=False,
-                )
-                for lens in LENS_ORDER
-            )
+            return tuple(AgentSpec(lens, STUB_MODEL_NAME, STUB_ENDPOINT) for lens in LENS_ORDER)
         return tuple(sorted(self.agents, key=lambda s: LENS_ORDER.index(s.lens)))
 
 
-def _stub_noise(value: object) -> tuple[float, float, float] | None:
-    if value is None:
-        return None
-    if isinstance(value, (int, float)):
-        return (float(value),) * 3
-    if isinstance(value, dict):
-        return tuple(float(value[lens.value]) for lens in LENS_ORDER)
-    raise ValueError(f"stub noise must be a number or per-lens object, got {value!r}")
+def _bool(value: object) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _int(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _floats(values: Iterable[object]) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _given(raw: dict, **casts: Callable[[Any], object]) -> dict:
-    """Each named key present in ``raw``, converted by its cast."""
-    return {name: cast(raw[name]) for name, cast in casts.items() if name in raw}
+class _FieldError(Exception):
+    """An unknown config key, or a value its cast rejects, named by its key."""
+
+
+def _given(raw: object, where: str, **casts: Callable[[Any], object]) -> dict:
+    """Each key ``raw`` sets, converted by its cast; absent keys are left out."""
+    if not isinstance(raw, dict):
+        raise _FieldError(f"bad or missing config field: {where or 'config'} is not an object")
+    given = {}
+    for name, value in raw.items():
+        key = f"{where}.{name}" if where else name
+        if name not in casts:
+            raise _FieldError(f"unknown config key {key}")
+        try:
+            given[name] = casts[name](value)
+        except (TypeError, ValueError) as exc:
+            raise _FieldError(f"bad or missing config field: {key}: {exc}") from None
+    return given
+
+
+def _section(
+    cls: Callable[..., object], where: str, **casts: Callable[[Any], object]
+) -> Callable[[Any], object]:
+    """A cast that builds ``cls`` from the keys a JSON object sets."""
+    return lambda raw: cls(**_given(raw, where, **casts))
+
+
+def _agents(entries: Iterable[object]) -> tuple[AgentSpec, ...]:
+    return tuple(
+        _section(
+            AgentSpec, f"agents[{i}]", lens=Lens, model_name=str, endpoint_url=str,
+            supports_logprobs=_bool,
+        )(entry)
+        for i, entry in enumerate(entries)
+    )
 
 
 def load_config(path: str | Path) -> RunConfig:
+    """The run config in ``path``; its relative paths resolve against its directory.
+
+    Keys the file leaves out take the dataclass defaults. An unknown key or
+    a value of the wrong JSON type is a ``ValueError`` naming the key.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -149,46 +171,33 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
-    base = path.parent
-
     def _resolve(p: str) -> Path:
         candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
+        return candidate if candidate.is_absolute() else path.parent / candidate
 
     try:
-        agents = tuple(
-            AgentSpec(
-                lens=Lens(a["lens"]),
-                model_name=a["model_name"],
-                endpoint_url=a["endpoint_url"],
-                supports_logprobs=bool(a.get("supports_logprobs", False)),
-            )
-            for a in raw.get("agents", [])
+        given = _given(
+            raw,
+            "",
+            workdir=_resolve,
+            corpus_path=_resolve,
+            latents_path=_resolve,
+            seed=_int,
+            max_output_tokens=_int,
+            max_in_flight=_int,
+            split_fractions=_floats,
+            preprocess=_section(
+                PreprocessConfig, "preprocess", max_tokens=_int, chars_per_token=float
+            ),
+            agents=_agents,
+            stub_agents=_section(StubConfig, "stub_agents", enabled=_bool),
+            train=_section(TrainConfig, "train", grid=_floats, tol=float, max_iter=_int),
+            eval=_section(EvalConfig, "eval", delta=float, sensitivity_deltas=_floats),
         )
-        stub = raw.get("stub_agents", {})
-        # Absent keys are left out, so the dataclass defaults apply.
-        return RunConfig(
-            workdir=_resolve(raw["workdir"]),
-            corpus_path=_resolve(raw["corpus_path"]),
-            preprocess=PreprocessConfig(
-                **_given(raw.get("preprocess", {}), max_tokens=int, chars_per_token=float)
-            ),
-            agents=agents,
-            stub=StubConfig(
-                **_given(stub, enabled=bool),
-                noise=_stub_noise(stub.get("noise")),
-            ),
-            train=TrainConfig(**_given(raw.get("train", {}), grid=_floats, tol=float, max_iter=int)),
-            eval=EvalConfig(**_given(raw.get("eval", {}), delta=float, sensitivity_deltas=_floats)),
-            latents_path=_resolve(raw["latents_path"]) if "latents_path" in raw else None,
-            **_given(
-                raw,
-                seed=int,
-                max_output_tokens=int,
-                max_in_flight=int,
-                allow_extra_keys=bool,
-                split_fractions=_floats,
-            ),
-        )
-    except (KeyError, TypeError) as exc:
+        if "stub_agents" in given:
+            given["stub"] = given.pop("stub_agents")
+        return RunConfig(**given)
+    except _FieldError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except TypeError as exc:
         raise ValueError(f"{path}: bad or missing config field: {exc}") from None

@@ -76,10 +76,8 @@ class Standardizer:
         return cls(means=tuple(d["means"]), stds=tuple(d["stds"]), mask=tuple(d["mask"]))
 
 
-def fit_standardizer(
-    train_features: np.ndarray, mask: Sequence[bool] | None = None
-) -> Standardizer:
-    """Column means and population stds over the training split.
+def fit_standardizer(train_features: np.ndarray) -> Standardizer:
+    """Training-split means and population stds of the standardized columns.
 
     A constant standardized column would divide by zero; its std is replaced
     by 1 (so it standardizes to all zeros) with a warning.
@@ -88,9 +86,7 @@ def fit_standardizer(
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training feature matrix must be non-empty and 2-D")
     dim = X.shape[1]
-    if mask is None:
-        mask = [i in STANDARDIZED_POSITIONS for i in range(dim)]
-    mask = tuple(bool(m) for m in mask)
+    mask = tuple(i in STANDARDIZED_POSITIONS for i in range(dim))
 
     means = np.zeros(dim)
     stds = np.ones(dim)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -160,94 +161,110 @@ def _split_records(config: RunConfig) -> dict[Split, list[DisclosureRecord]]:
     }
 
 
+_Pair = tuple[DisclosureRecord, AgentSpec, CacheKey]
+
+
 def _pairs(
     records: Sequence[DisclosureRecord], specs: Sequence[AgentSpec], decoding: DecodingConfig
-) -> list[tuple[DisclosureRecord, AgentSpec, CacheKey]]:
+) -> list[_Pair]:
     keys = expected_cache_keys(records, specs, decoding)
     combos = [(record, spec) for record in records for spec in specs]
     return [(record, spec, key) for (record, spec), key in zip(combos, keys)]
+
+
+# HTTP runs fsync the cache every this many appends, so a machine crash loses
+# at most this many paid-for answers; stub runs, which can regenerate theirs,
+# fsync at the end only.
+HTTP_SYNC_EVERY = 256
+
+
+def _stub_outputs(config: RunConfig, todo: Sequence[_Pair]) -> Iterator[AgentOutput]:
+    if not todo:
+        return  # nothing to fetch: the latents are not needed
+    latents = load_latents(_require(config.latents_path, "latents sidecar"))
+    for record, spec, _key in todo:
+        yield stub_agent(spec.lens, record, latents, run_seed=config.seed)
+
+
+def _http_outputs(config: RunConfig, todo: Sequence[_Pair]) -> Iterator[AgentOutput]:
+    """Outputs in submission order from at most ``max_in_flight`` concurrent calls."""
+    decoding = config.decoding()
+    local = threading.local()
+
+    def _call(task: _Pair) -> AgentOutput:
+        record, spec, _ = task
+        clients = getattr(local, "clients", None)
+        if clients is None:
+            clients = local.clients = {}
+        client_key = (spec.endpoint_url, spec.model_name)
+        client = clients.get(client_key)
+        if client is None:
+            client = clients[client_key] = ChatCompletionsClient(
+                spec.endpoint_url, spec.model_name
+            )
+        return run_agent(spec, decoding, record, client=client)
+
+    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
+        yield from pool.map(_call, todo)
 
 
 def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     """Populate the cache for every (disclosure, agent) pair not yet stored.
 
     Resumable: pairs whose key is already cached are skipped. Stub agents run
-    inline; HTTP agents run through a bounded thread pool, with results
-    funneled to the single cache appender in deterministic submission order.
+    inline; HTTP agents run through a bounded thread pool. Either way the
+    single cache appender takes the outputs in deterministic submission order.
     """
     records = load_prepared(_require(config.prepared_path, "preprocessed corpus"))
     if split_path is not None:
         wanted = set(_load_checked(split_path, load_split, "split").partition)
         records = [r for r in records if r.id in wanted]
-    specs = config.agent_specs()
-    decoding = config.decoding()
-    pairs = _pairs(records, specs, decoding)
+    pairs = _pairs(records, config.agent_specs(), config.decoding())
 
     fetched = 0
     fallbacks = 0
     with CacheStore(config.cache_path) as store:
         todo = [(record, spec, key) for record, spec, key in pairs if key not in store]
-        cached = len(pairs) - len(todo)
-        if config.stub.enabled and todo:
-            latents = load_latents(_require(config.latents_path, "latents sidecar"))
-            for record, spec, _key in todo:
-                output = stub_agent(
-                    spec.lens,
-                    record,
-                    latents,
-                    noise=config.stub.noise_for(spec.lens),
-                    run_seed=decoding.seed,
-                )
+        if config.stub.enabled:
+            outputs, sync_every = _stub_outputs(config, todo), 0
+        else:
+            outputs, sync_every = _http_outputs(config, todo), HTTP_SYNC_EVERY
+        with closing(outputs):
+            for output in outputs:
                 store.put(make_record(output))
                 fetched += 1
-        elif todo:
-            local = threading.local()
-
-            def _call(task: tuple[DisclosureRecord, AgentSpec, CacheKey]) -> AgentOutput:
-                record, spec, _ = task
-                clients = getattr(local, "clients", None)
-                if clients is None:
-                    clients = local.clients = {}
-                client_key = (spec.endpoint_url, spec.model_name)
-                client = clients.get(client_key)
-                if client is None:
-                    client = clients[client_key] = ChatCompletionsClient(
-                        spec.endpoint_url, spec.model_name
-                    )
-                return run_agent(
-                    spec, decoding, record, client=client, allow_extra_keys=config.allow_extra_keys
-                )
-
-            with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-                for output in pool.map(_call, todo):
-                    store.put(make_record(output))
-                    fetched += 1
-                    if output.confidence_source is ConfidenceSource.FALLBACK:
-                        fallbacks += 1
-                    if fetched % 256 == 0:
-                        store.sync()
+                if output.confidence_source is ConfidenceSource.FALLBACK:
+                    fallbacks += 1
+                if sync_every and fetched % sync_every == 0:
+                    store.sync()
         store.sync()
         still_missing = len(store.missing(key for _, _, key in pairs))
 
     return {
         "pairs": len(pairs),
-        "already_cached": cached,
+        "already_cached": len(pairs) - len(todo),
         "fetched": fetched,
         "fallbacks": fallbacks,
         "missing": still_missing,
     }
 
 
-def _judgments(store: CacheStore, keys: Sequence[CacheKey]) -> tuple[np.ndarray, np.ndarray]:
-    """``(n, 3)`` label codes and confidences for record-major keys in lens order.
+def _cached_judgments(
+    config: RunConfig, records: Sequence[DisclosureRecord]
+) -> tuple[list[CacheKey], np.ndarray, np.ndarray]:
+    """The records' cache keys and their ``(n, 3)`` label codes and confidences.
 
-    Raises :class:`CoverageError` naming every key the cache lacks.
+    Keys are record-major in lens order. The cache must exist (else
+    :class:`MissingArtifactError`) and hold every key (else
+    :class:`CoverageError` naming each missing one).
     """
-    rows = store.rows(keys)
-    if (rows < 0).any():
-        raise CoverageError([key for key, row in zip(keys, rows) if row < 0])
-    labels, confidences = store.judgments(rows)
-    return labels.reshape(-1, 3), confidences.reshape(-1, 3)
+    keys = expected_cache_keys(records, config.agent_specs(), config.decoding())
+    with CacheStore(_require(config.cache_path, "agent cache"), readonly=True) as store:
+        rows = store.rows(keys)
+        if (rows < 0).any():
+            raise CoverageError([key for key, row in zip(keys, rows) if row < 0])
+        labels, confidences = store.judgments(rows)
+    return keys, labels.reshape(-1, 3), confidences.reshape(-1, 3)
 
 
 def outputs_for_records(
@@ -274,9 +291,7 @@ def stage_build_features(config: RunConfig) -> dict:
     """Export one audit feature file per split, in sorted split order."""
     by_split = _split_records(config)
     records = [r for split_records in by_split.values() for r in split_records]
-    keys = expected_cache_keys(records, config.agent_specs(), config.decoding())
-    with CacheStore(_require(config.cache_path, "agent cache"), readonly=True) as store:
-        labels, confidences = _judgments(store, keys)
+    _keys, labels, confidences = _cached_judgments(config, records)
     X = feature_matrix(labels, confidences)
     bounds = np.cumsum([len(split_records) for split_records in by_split.values()])[:-1]
     for (split, split_records), X_split in zip(by_split.items(), np.split(X, bounds)):
@@ -325,13 +340,9 @@ def stage_train(config: RunConfig) -> dict:
     the feature values the cache yields for them.
     """
     by_split = _split_records(config)
-    _require(config.cache_path, "agent cache")
     train_records, dev_records = by_split[Split.TRAIN], by_split[Split.DEV]
-    keys = expected_cache_keys(
-        train_records + dev_records, config.agent_specs(), config.decoding()
-    )
-    with CacheStore(config.cache_path, readonly=True) as store:
-        X = feature_matrix(*_judgments(store, keys))
+    keys, labels, confidences = _cached_judgments(config, train_records + dev_records)
+    X = feature_matrix(labels, confidences)
 
     paths = {split: config.features_path(split) for split in (Split.TRAIN, Split.DEV)}
     for split, path in paths.items():
@@ -339,6 +350,7 @@ def stage_train(config: RunConfig) -> dict:
     n_train = len(train_records)
     train = _split_features(paths[Split.TRAIN], train_records, X[:n_train])
     dev = _split_features(paths[Split.DEV], dev_records, X[n_train:])
+    n_outputs = 3 * n_train
 
     try:
         model, dev_scores = train_meta_model(
@@ -347,8 +359,8 @@ def stage_train(config: RunConfig) -> dict:
             grid=config.train.grid,
             tol=config.train.tol,
             max_iter=config.train.max_iter,
-            prompt_hash_digest=_train_prompt_digest(keys[: 3 * len(train_records)]),
-            n_outputs=3 * len(train_records),
+            prompt_hash_digest=_train_prompt_digest(keys[:n_outputs]),
+            n_outputs=n_outputs,
         )
     except ConvergenceError as exc:
         raise ConvergenceError(
@@ -373,20 +385,16 @@ def stage_evaluate(config: RunConfig) -> EvalReport:
     by_split = _split_records(config)
     _require(config.cache_path, "agent cache")
     model = _load_checked(_require(config.model_path, "model file"), MetaModel.load, "model")
-    digest_records = by_split[Split.TRAIN] if model.prompt_hash_digest else []
-    test_records = by_split[Split.TEST]
-    keys = expected_cache_keys(
-        digest_records + test_records, config.agent_specs(), config.decoding()
-    )
-    n_digest = 3 * len(digest_records)
     digest = model.prompt_hash_digest
-    if digest and digest != _train_prompt_digest(keys[:n_digest]):
+    if digest and digest != _train_prompt_digest(
+        expected_cache_keys(by_split[Split.TRAIN], config.agent_specs(), config.decoding())
+    ):
         raise StaleModelError(
             f"{config.model_path} was trained under different prompts or "
             "preprocessing than this run; re-run the train stage"
         )
-    with CacheStore(config.cache_path, readonly=True) as store:
-        labels, confidences = _judgments(store, keys[n_digest:])
+    test_records = by_split[Split.TEST]
+    _keys, labels, confidences = _cached_judgments(config, test_records)
     report = evaluate_judgments(
         [r.id for r in test_records],
         np.array([r.binary_target for r in test_records]),

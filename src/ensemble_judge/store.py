@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .artifacts import json_line
 from .domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
 
 logger = logging.getLogger(__name__)
@@ -42,9 +43,6 @@ class CacheCorruptionError(RuntimeError):
     """A non-final line in the store file failed to parse."""
 
 
-# (disclosure_id, lens, model_name, prompt_hash, seed): the table's row key.
-KeyTuple = tuple[str, Lens, str, str, int]
-
 # Confidence-source codes of the table's source column.
 _SOURCE_CODES = {source: code for code, source in enumerate(ConfidenceSource)}
 _FALLBACK_CODE = _SOURCE_CODES[ConfidenceSource.FALLBACK]
@@ -54,8 +52,9 @@ _LABEL_CODES = {label.as_string(): int(label) for label in SentimentLabel}
 _SOURCE_BY_VALUE = {source.value: code for source, code in _SOURCE_CODES.items()}
 
 
-@dataclass(frozen=True)
-class CacheKey:
+class CacheKey(NamedTuple):
+    """The table's row key; a plain tuple of the same fields finds the same row."""
+
     disclosure_id: str
     lens: Lens
     model_name: str
@@ -64,35 +63,18 @@ class CacheKey:
 
     def to_dict(self) -> dict:
         # Field order is fixed so serialized keys hash stably.
-        return {
-            "disclosure_id": self.disclosure_id,
-            "lens": self.lens.value,
-            "model_name": self.model_name,
-            "prompt_hash": self.prompt_hash,
-            "seed": self.seed,
-        }
-
-    def as_tuple(self) -> KeyTuple:
-        return (self.disclosure_id, self.lens, self.model_name, self.prompt_hash, self.seed)
+        return {**self._asdict(), "lens": self.lens.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CacheKey":
         return cls(
-            disclosure_id=d["disclosure_id"],
-            lens=Lens(d["lens"]),
-            model_name=d["model_name"],
-            prompt_hash=d["prompt_hash"],
-            seed=int(d["seed"]),
+            d["disclosure_id"], Lens(d["lens"]), d["model_name"], d["prompt_hash"], int(d["seed"])
         )
 
     @classmethod
     def for_output(cls, output: AgentOutput) -> "CacheKey":
         return cls(
-            disclosure_id=output.disclosure_id,
-            lens=output.agent,
-            model_name=output.model_name,
-            prompt_hash=output.prompt_hash,
-            seed=output.seed,
+            output.disclosure_id, output.agent, output.model_name, output.prompt_hash, output.seed
         )
 
 
@@ -137,7 +119,7 @@ _VALUES = itemgetter(
 )
 
 
-def _parse_line(line: bytes) -> tuple[dict, KeyTuple, int, float, int]:
+def _parse_line(line: bytes) -> tuple[dict, tuple, int, float, int]:
     """One cache line as (output block, key, label code, confidence, source code).
 
     Raises ValueError, KeyError, TypeError or AttributeError on a malformed
@@ -176,7 +158,7 @@ class CacheStore:
 
     def __init__(self, path: str | Path, *, readonly: bool = False):
         self.path = Path(path)
-        self._index: dict[KeyTuple, int] = {}
+        self._index: dict[CacheKey, int] = {}
         self._labels = array("b")
         self._confidences = array("d")
         self._sources = array("b")
@@ -260,7 +242,7 @@ class CacheStore:
                 "confidence outside [0, 1] or a fallback output that is not (neutral, 0.0)"
             )
 
-    def _check_duplicate(self, row: int, key: KeyTuple, out: dict, offset: int) -> None:
+    def _check_duplicate(self, row: int, key: tuple, out: dict, offset: int) -> None:
         """A repeated key must carry the same payload; the later line then wins."""
         if self._record_at(row).output != AgentOutput.from_dict(out):
             raise CacheIntegrityError(
@@ -304,12 +286,12 @@ class CacheStore:
         return len(self._index)
 
     def __contains__(self, key: CacheKey) -> bool:
-        return key.as_tuple() in self._index
+        return key in self._index
 
     def rows(self, keys: Iterable[CacheKey]) -> np.ndarray:
         """Table row of each key, in order; -1 where the key is not stored."""
         index = self._index
-        return np.fromiter((index.get(k.as_tuple(), -1) for k in keys), dtype=np.int64)
+        return np.fromiter((index.get(k, -1) for k in keys), dtype=np.int64)
 
     def judgments(self, rows: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Label codes (int8, -1/0/+1) and confidences (float64) of the given rows."""
@@ -319,7 +301,7 @@ class CacheStore:
         return labels, confidences
 
     def get(self, key: CacheKey) -> CacheRecord | None:
-        row = self._index.get(key.as_tuple())
+        row = self._index.get(key)
         return None if row is None else self._record_at(row)
 
     def put(self, record: CacheRecord) -> None:
@@ -327,17 +309,15 @@ class CacheStore:
         if self._fh is None:
             raise CacheIntegrityError(f"{self.path}: store was opened read-only")
         output = record.output
-        if record.key != CacheKey.for_output(output):
-            raise CacheIntegrityError(f"record key disagrees with its output: {record.key}")
-        key = record.key.as_tuple()
+        key = record.key
+        if key != CacheKey.for_output(output):
+            raise CacheIntegrityError(f"record key disagrees with its output: {key}")
         row = self._index.get(key)
         if row is not None:
-            if self._record_at(row).output != record.output:
-                raise CacheIntegrityError(
-                    f"key already stored with a different payload: {record.key}"
-                )
+            if self._record_at(row).output != output:
+                raise CacheIntegrityError(f"key already stored with a different payload: {key}")
             return
-        data = (json.dumps(record.to_dict(), ensure_ascii=False) + "\n").encode("utf-8")
+        data = json_line(record.to_dict()).encode("utf-8")
         self._fh.write(data)
         self._fh.flush()
         self._index[key] = len(self._offsets)
@@ -356,7 +336,7 @@ class CacheStore:
     def missing(self, expected: Iterable[CacheKey]) -> list[CacheKey]:
         """Expected keys with no stored record; empty means coverage is complete."""
         index = self._index
-        return [key for key in expected if key.as_tuple() not in index]
+        return [key for key in expected if key not in index]
 
     def records(self) -> Iterator[CacheRecord]:
         for row in range(len(self._offsets)):

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 
 import pytest
 
@@ -64,3 +65,90 @@ def test_null_section_is_a_config_error(tmp_path):
     )
     with pytest.raises(ValueError, match="bad or missing config field"):
         load_config(path)
+
+
+def _write(tmp_path, **fields):
+    cfg = {
+        "workdir": "run",
+        "corpus_path": "corpus.jsonl",
+        "latents_path": "latents.jsonl",
+        "stub_agents": {"enabled": True},
+    }
+    cfg.update(fields)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _http_agents(**extra):
+    return [
+        {"lens": lens, "model_name": "m", "endpoint_url": "http://localhost:1/v1", **extra}
+        for lens in ("performance", "guidance", "risk")
+    ]
+
+
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"sed": 7}, "sed"),
+        ({"allow_extra_keys": True}, "allow_extra_keys"),
+        ({"stub_agents": {"enabled": True, "noise": 0.1}}, "stub_agents.noise"),
+        ({"preprocess": {"max_token": 512}}, "preprocess.max_token"),
+        ({"train": {"grid": [1.0], "tolerance": 1e-6}}, "train.tolerance"),
+        ({"eval": {"deltas": [0.1]}}, "eval.deltas"),
+        (
+            {"stub_agents": {"enabled": False}, "agents": _http_agents(logprobs=True)},
+            "agents[0].logprobs",
+        ),
+    ],
+)
+def test_unknown_key_is_a_config_error_naming_it(tmp_path, fields, key):
+    with pytest.raises(ValueError, match=rf"unknown config key {re.escape(key)}$"):
+        load_config(_write(tmp_path, **fields))
+
+
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"stub_agents": {"enabled": "false"}}, "stub_agents.enabled"),
+        ({"stub_agents": {"enabled": 1}}, "stub_agents.enabled"),
+        ({"seed": 42.9}, "seed"),
+        ({"seed": 42.0}, "seed"),
+        ({"seed": "42"}, "seed"),
+        ({"max_in_flight": True}, "max_in_flight"),
+        ({"max_output_tokens": 12.5}, "max_output_tokens"),
+        ({"preprocess": {"max_tokens": False}}, "preprocess.max_tokens"),
+        ({"train": {"max_iter": 1.5}}, "train.max_iter"),
+        (
+            {"stub_agents": {"enabled": False}, "agents": _http_agents(supports_logprobs="no")},
+            "agents[0].supports_logprobs",
+        ),
+    ],
+)
+def test_bools_and_ints_must_have_their_json_type(tmp_path, fields, key):
+    with pytest.raises(ValueError, match=rf"bad or missing config field: {re.escape(key)}: "):
+        load_config(_write(tmp_path, **fields))
+
+
+def test_strict_values_of_the_right_type_load(tmp_path):
+    config = load_config(
+        _write(
+            tmp_path,
+            seed=7,
+            max_in_flight=2,
+            stub_agents={"enabled": False},
+            agents=_http_agents(supports_logprobs=True),
+            train={"max_iter": 10},
+        )
+    )
+    assert (config.seed, config.max_in_flight, config.stub.enabled) == (7, 2, False)
+    assert config.train.max_iter == 10
+    assert all(spec.supports_logprobs for spec in config.agents)
+
+
+def test_cli_reports_an_unknown_key_on_one_line(tmp_path, capsys):
+    from ensemble_judge.cli import main
+
+    assert main(["ingest", "--config", str(_write(tmp_path, sed=7))]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].endswith("unknown config key sed")

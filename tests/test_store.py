@@ -321,3 +321,62 @@ class TestSingleWriter:
         path.write_bytes(_line_of(record_for(0)))
         with CacheStore(path) as store:
             assert len(store) == 1
+
+
+class TestCacheBytesAndKeys:
+    """The line ``put`` writes, and the key that finds it again, are pinned."""
+
+    def test_put_writes_the_documented_bytes_and_expected_keys_find_the_row(self, tmp_path):
+        from datetime import datetime, timezone
+
+        from ensemble_judge.agents import (
+            AgentSpec,
+            DecodingConfig,
+            expected_cache_keys,
+            prompt_hash,
+            render_prompt,
+        )
+        from ensemble_judge.domain import AgentOutput, ConfidenceSource, DisclosureRecord
+
+        disclosure = DisclosureRecord(
+            id="d-é",
+            timestamp=datetime(2024, 1, 2, tzinfo=timezone.utc),
+            ticker="ACME",
+            raw_text="Umsatz stieg — 5 % über Plan.",
+            clean_text="Umsatz stieg — 5 % über Plan.",
+            next_day_return=0.01,
+            binary_target=1,
+        )
+        spec = AgentSpec(Lens.GUIDANCE, "modèle-7b", "http://localhost:1/v1", False)
+        decoding = DecodingConfig(seed=7, max_output_tokens=64)
+        rationale = "Le chiffre d'affaires progresse — «confiant» ✓."
+        output = AgentOutput(
+            disclosure_id=disclosure.id,
+            agent=spec.lens,
+            label=SentimentLabel.POSITIVE,
+            confidence=0.75,
+            rationale=rationale,
+            confidence_source=ConfidenceSource.SELF_REPORTED,
+            model_name=spec.model_name,
+            prompt_hash=prompt_hash(render_prompt(spec.lens, disclosure.clean_text)),
+            seed=decoding.seed,
+            raw_json=json.dumps(
+                {"label": "positive", "rationale": rationale, "confidence": 0.75},
+                ensure_ascii=False,
+            ),
+            retry_count=0,
+        )
+        record = make_record(output)
+        path = tmp_path / "cache.jsonl"
+        with CacheStore(path) as store:
+            store.put(record)
+        expected = (json.dumps(record.to_dict(), ensure_ascii=False) + "\n").encode("utf-8")
+        assert path.read_bytes() == expected
+
+        (key,) = expected_cache_keys([disclosure], [spec], decoding)
+        assert key == record.key
+        with CacheStore(path, readonly=True) as store:
+            assert key in store
+            assert store.rows([key]).tolist() == [0]
+            assert store.get(key) == record
+            assert store.missing([key]) == []
