@@ -8,33 +8,4 @@ which is evaluated against single-agent and voting baselines with an
 agreement-regime breakdown.
 """
 
-from .domain import (
-    AgentOutput,
-    ConfidenceSource,
-    DisclosureRecord,
-    FeatureVector,
-    Lens,
-    LENS_ORDER,
-    SentimentLabel,
-    Split,
-    SplitAssignment,
-    binarize_label,
-    target_from_return,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgentOutput",
-    "ConfidenceSource",
-    "DisclosureRecord",
-    "FeatureVector",
-    "Lens",
-    "LENS_ORDER",
-    "SentimentLabel",
-    "Split",
-    "SplitAssignment",
-    "binarize_label",
-    "target_from_return",
-    "__version__",
-]

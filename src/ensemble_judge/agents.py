@@ -390,7 +390,7 @@ def run_agent(
     spec: AgentSpec,
     decoding: DecodingConfig,
     record: DisclosureRecord,
-    client: ChatCompletionsClient | None = None,
+    client: ChatCompletionsClient,
 ) -> AgentOutput:
     """Query one agent about one disclosure and apply the retry/fallback protocol.
 
@@ -402,56 +402,41 @@ def run_agent(
     """
     if not record.clean_text:
         raise ValueError(f"record {record.id!r} has no clean_text; preprocess first")
-    if client is None:
-        client = ChatCompletionsClient(spec.endpoint_url, spec.model_name)
 
     prompt = render_prompt(spec.lens, record.clean_text)
-    phash = prompt_hash(prompt)
-    last_raw: RawGeneration | None = None
-
+    label, confidence, rationale = SentimentLabel.NEUTRAL, 0.0, ""
+    source = ConfidenceSource.FALLBACK
     for attempt in (0, 1):
         raw = client.generate(prompt, decoding, spec.supports_logprobs)
-        last_raw = raw
         try:
             parsed = parse_output(raw)
         except SchemaViolation:
             continue
-
-        confidence: float | None = None
-        source = ConfidenceSource.SELF_REPORTED
-        if spec.supports_logprobs and raw.token_logprobs and parsed.label_span:
-            label_lps = label_logprobs_for_span(raw.token_logprobs, parsed.label_span)
-            if label_lps:
-                confidence = confidence_from_logprobs(label_lps)
-                source = ConfidenceSource.TOKEN_LOGPROB
-        if confidence is None:
-            confidence = clip_confidence(parsed.self_confidence)
-        return AgentOutput(
-            disclosure_id=record.id,
-            agent=spec.lens,
-            label=parsed.label,
-            confidence=confidence,
-            rationale=parsed.rationale,
-            confidence_source=source,
-            model_name=spec.model_name,
-            prompt_hash=phash,
-            seed=decoding.seed,
-            raw_json=raw.text,
-            retry_count=attempt,
+        label, rationale = parsed.label, parsed.rationale
+        label_lps = (
+            label_logprobs_for_span(raw.token_logprobs, parsed.label_span)
+            if spec.supports_logprobs and raw.token_logprobs and parsed.label_span
+            else []
         )
+        if label_lps:
+            confidence, source = confidence_from_logprobs(label_lps), ConfidenceSource.TOKEN_LOGPROB
+        else:
+            confidence = clip_confidence(parsed.self_confidence)
+            source = ConfidenceSource.SELF_REPORTED
+        break
 
     return AgentOutput(
         disclosure_id=record.id,
         agent=spec.lens,
-        label=SentimentLabel.NEUTRAL,
-        confidence=0.0,
-        rationale="",
-        confidence_source=ConfidenceSource.FALLBACK,
+        label=label,
+        confidence=confidence,
+        rationale=rationale,
+        confidence_source=source,
         model_name=spec.model_name,
-        prompt_hash=phash,
+        prompt_hash=prompt_hash(prompt),
         seed=decoding.seed,
-        raw_json=last_raw.text if last_raw is not None else "",
-        retry_count=1,
+        raw_json=raw.text,
+        retry_count=attempt,
     )
 
 

@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .agents import TransportError
 from .config import RunConfig, load_config
-from .ingest import CorpusFormatError
 from .meta import ConvergenceError
 from .pipeline import (
     ArtifactError,
@@ -155,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except (CorpusFormatError, TransportError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (TransportError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,6 +8,7 @@ cache) reproduces a run end to end.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -104,20 +105,32 @@ class RunConfig:
         return tuple(sorted(self.agents, key=lambda s: LENS_ORDER.index(s.lens)))
 
 
-def _bool(value: object) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
+def _exactly(kind: type, what: str) -> Callable[[object], Any]:
+    """A cast that passes a value of one JSON type through; ``true`` is not an integer."""
+
+    def cast(value: object) -> Any:
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+
+    return cast
 
 
-def _int(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+_bool = _exactly(bool, "true or false")
+_int = _exactly(int, "an integer")
+_str = _exactly(str, "a string")
 
 
-def _floats(values: Iterable[object]) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+def _float(value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _floats(values: object) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise TypeError(f"expected an array of numbers, got {values!r}")
+    return tuple(_float(v) for v in values)
 
 
 class _FieldError(Exception):
@@ -135,7 +148,7 @@ def _given(raw: object, where: str, **casts: Callable[[Any], object]) -> dict:
             raise _FieldError(f"unknown config key {key}")
         try:
             given[name] = casts[name](value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise _FieldError(f"bad or missing config field: {key}: {exc}") from None
     return given
 
@@ -150,7 +163,7 @@ def _section(
 def _agents(entries: Iterable[object]) -> tuple[AgentSpec, ...]:
     return tuple(
         _section(
-            AgentSpec, f"agents[{i}]", lens=Lens, model_name=str, endpoint_url=str,
+            AgentSpec, f"agents[{i}]", lens=Lens, model_name=_str, endpoint_url=_str,
             supports_logprobs=_bool,
         )(entry)
         for i, entry in enumerate(entries)
@@ -187,12 +200,12 @@ def load_config(path: str | Path) -> RunConfig:
             max_in_flight=_int,
             split_fractions=_floats,
             preprocess=_section(
-                PreprocessConfig, "preprocess", max_tokens=_int, chars_per_token=float
+                PreprocessConfig, "preprocess", max_tokens=_int, chars_per_token=_float
             ),
             agents=_agents,
             stub_agents=_section(StubConfig, "stub_agents", enabled=_bool),
-            train=_section(TrainConfig, "train", grid=_floats, tol=float, max_iter=_int),
-            eval=_section(EvalConfig, "eval", delta=float, sensitivity_deltas=_floats),
+            train=_section(TrainConfig, "train", grid=_floats, tol=_float, max_iter=_int),
+            eval=_section(EvalConfig, "eval", delta=_float, sensitivity_deltas=_floats),
         )
         if "stub_agents" in given:
             given["stub"] = given.pop("stub_agents")

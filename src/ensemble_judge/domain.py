@@ -9,7 +9,7 @@ concurrent tasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum, IntEnum
 
@@ -105,9 +105,6 @@ class DisclosureRecord:
                 f"binary_target {self.binary_target} inconsistent with "
                 f"next_day_return {self.next_day_return} (id={self.id})"
             )
-
-    def with_clean_text(self, clean_text: str) -> "DisclosureRecord":
-        return replace(self, clean_text=clean_text)
 
 
 @dataclass(frozen=True)

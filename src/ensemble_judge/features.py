@@ -38,7 +38,8 @@ def majority_label(
     most confident agent is used instead (confidence ties fall back to the
     fixed agent order performance > guidance > risk).
     """
-    _check_triple(labels, confidences)
+    if len(labels) != 3 or len(confidences) != 3:
+        raise ValueError("expected exactly three labels and three confidences")
     for label in labels:
         if sum(1 for other in labels if other == label) >= 2:
             return label
@@ -62,11 +63,6 @@ def confidence_gap(confidences: Sequence[float]) -> float:
         raise ValueError("expected exactly three confidences")
     top, second = sorted(confidences, reverse=True)[:2]
     return top - second
-
-
-def _check_triple(labels: Sequence[SentimentLabel], confidences: Sequence[float]) -> None:
-    if len(labels) != 3 or len(confidences) != 3:
-        raise ValueError("expected exactly three labels and three confidences")
 
 
 def build_features(outputs: Sequence[AgentOutput]) -> FeatureVector:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -210,17 +210,13 @@ def preprocess_corpus(
         clean = preprocess(r.raw_text, cfg)
         if r.raw_text.strip() and not clean:
             raise ValueError(f"preprocessing emptied non-empty disclosure {r.id!r}")
-        out.append(r.with_clean_text(clean))
+        out.append(replace(r, clean_text=clean))
     return out
-
-
-def record_sort_key(record: DisclosureRecord) -> tuple[datetime, str]:
-    return (record.timestamp, record.id)
 
 
 def sort_records(records: Iterable[DisclosureRecord]) -> list[DisclosureRecord]:
     """The deterministic corpus order: by timestamp, ties broken by id."""
-    return sorted(records, key=record_sort_key)
+    return sorted(records, key=lambda r: (r.timestamp, r.id))
 
 
 def chronological_split(

@@ -287,8 +287,8 @@ class MetaModel:
                 final_gradient_norm=float(rep["final_gradient_norm"]),
                 tolerance=float(rep["tolerance"]),
             ),
-            prompt_hash_digest=d.get("prompt_hash_digest", ""),
-            n_outputs=int(d.get("n_outputs", 0)),
+            prompt_hash_digest=d["prompt_hash_digest"],
+            n_outputs=int(d["n_outputs"]),
         )
 
 

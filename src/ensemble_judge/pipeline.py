@@ -182,6 +182,12 @@ def _stub_outputs(config: RunConfig, todo: Sequence[_Pair]) -> Iterator[AgentOut
     if not todo:
         return  # nothing to fetch: the latents are not needed
     latents = load_latents(_require(config.latents_path, "latents sidecar"))
+    lacking = sorted({record.id for record, _, _ in todo if record.id not in latents})
+    if lacking:
+        raise ArtifactError(
+            f"{config.latents_path}: no latent signals for {len(lacking)} disclosures, "
+            f"e.g. {lacking[:3]}"
+        )
     for record, spec, _key in todo:
         yield stub_agent(spec.lens, record, latents, run_seed=config.seed)
 
@@ -385,8 +391,7 @@ def stage_evaluate(config: RunConfig) -> EvalReport:
     by_split = _split_records(config)
     _require(config.cache_path, "agent cache")
     model = _load_checked(_require(config.model_path, "model file"), MetaModel.load, "model")
-    digest = model.prompt_hash_digest
-    if digest and digest != _train_prompt_digest(
+    if model.prompt_hash_digest != _train_prompt_digest(
         expected_cache_keys(by_split[Split.TRAIN], config.agent_specs(), config.decoding())
     ):
         raise StaleModelError(

@@ -197,7 +197,13 @@ class CacheStore:
                         AgentOutput.from_dict(out)
                     row = index.get(key)
                     if row is not None:
-                        self._check_duplicate(row, key, out, offset)
+                        self._check_payload(
+                            row,
+                            AgentOutput.from_dict(out),
+                            f"{self.path}: conflicting payloads for key {key} "
+                            f"at byte offset {offset}",
+                        )
+                        self._offsets[row] = offset  # the later line wins
                         offset += len(line)
                         continue
                 except _KeyMismatch:
@@ -242,13 +248,10 @@ class CacheStore:
                 "confidence outside [0, 1] or a fallback output that is not (neutral, 0.0)"
             )
 
-    def _check_duplicate(self, row: int, key: tuple, out: dict, offset: int) -> None:
-        """A repeated key must carry the same payload; the later line then wins."""
-        if self._record_at(row).output != AgentOutput.from_dict(out):
-            raise CacheIntegrityError(
-                f"{self.path}: conflicting payloads for key {key} at byte offset {offset}"
-            )
-        self._offsets[row] = offset
+    def _check_payload(self, row: int, output: AgentOutput, message: str) -> None:
+        """A repeated key must carry the payload already stored in its row."""
+        if self._record_at(row).output != output:
+            raise CacheIntegrityError(message)
 
     def _lock(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -314,8 +317,7 @@ class CacheStore:
             raise CacheIntegrityError(f"record key disagrees with its output: {key}")
         row = self._index.get(key)
         if row is not None:
-            if self._record_at(row).output != output:
-                raise CacheIntegrityError(f"key already stored with a different payload: {key}")
+            self._check_payload(row, output, f"key already stored with a different payload: {key}")
             return
         data = json_line(record.to_dict()).encode("utf-8")
         self._fh.write(data)

@@ -428,3 +428,39 @@ class TestExpectedCacheKeys:
         (key_a,) = expected_cache_keys(records_a, specs, DECODING)
         (key_b,) = expected_cache_keys(records_b, specs, DECODING)
         assert key_a.prompt_hash != key_b.prompt_hash
+
+
+class TestRunAgentKeepsTheLastGeneration:
+    """The output carries the generation it came from and the request's provenance."""
+
+    SPEC = AgentSpec(lens=Lens.RISK, model_name="judge-7b", endpoint_url="http://unused")
+    DECODING = DecodingConfig(seed=9, max_output_tokens=64)
+
+    def _run(self, chat_endpoint, first, second):
+        ep = chat_endpoint(lambda prompt, i: (200, completion_body(first if i == 0 else second)))
+        record = disclosure("d9", clean="Litigation was settled.")
+        return run_agent(self.SPEC, self.DECODING, record, client=_client(ep)), record
+
+    def test_fallback_after_two_different_violations(self, chat_endpoint):
+        second = agent_json("bullish")
+        out, record = self._run(chat_endpoint, "no json at all", second)
+        assert out.confidence_source is ConfidenceSource.FALLBACK
+        assert (out.label, out.confidence, out.rationale) == (SentimentLabel.NEUTRAL, 0.0, "")
+        assert out.raw_json == second
+        assert out.retry_count == 1
+        assert (out.disclosure_id, out.agent, out.model_name, out.seed) == (
+            "d9", Lens.RISK, "judge-7b", 9
+        )
+        assert out.prompt_hash == prompt_hash(render_prompt(Lens.RISK, record.clean_text))
+
+    def test_success_on_retry_keeps_that_response(self, chat_endpoint):
+        second = agent_json("negative", rationale="Costs rose.", confidence=0.3)
+        out, record = self._run(chat_endpoint, '{"label": "negative"}', second)
+        assert out.confidence_source is ConfidenceSource.SELF_REPORTED
+        assert (out.label, out.confidence, out.rationale) == (
+            SentimentLabel.NEGATIVE, 0.3, "Costs rose."
+        )
+        assert out.raw_json == second
+        assert out.retry_count == 1
+        assert (out.model_name, out.seed) == ("judge-7b", 9)
+        assert out.prompt_hash == prompt_hash(render_prompt(Lens.RISK, record.clean_text))

@@ -334,6 +334,52 @@ class TestArtifactChecks:
         assert run(cfg_path, "run-agents") == 0
         assert "900 cached, 0 fetched" in capsys.readouterr().out
 
+    def test_model_without_its_prompt_digest_exits_3(self, pipeline, capsys):
+        cfg_path, workdir = pipeline
+        for key in ("prompt_hash_digest", "n_outputs"):
+            model = json.loads((workdir / "model.json").read_text())
+            saved = model.pop(key)
+            (workdir / "model.json").write_text(json.dumps(model))
+            capsys.readouterr()
+            assert run(cfg_path, "evaluate") == 3
+            err = capsys.readouterr().err
+            assert _single_error_line(err, "model.json") and key in err
+            model[key] = saved
+            (workdir / "model.json").write_text(json.dumps(model))
+
+    def test_model_with_an_empty_prompt_digest_is_stale(self, pipeline, capsys):
+        cfg_path, workdir = pipeline
+        model = json.loads((workdir / "model.json").read_text())
+        model["prompt_hash_digest"] = ""
+        (workdir / "model.json").write_text(json.dumps(model))
+        report_before = sha(workdir / "report.json")
+        capsys.readouterr()
+        assert run(cfg_path, "evaluate") == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "model.json") and "different prompts" in err
+        assert sha(workdir / "report.json") == report_before
+
+    def test_run_agents_refuses_latents_that_lack_a_disclosure(self, tmp_path, capsys):
+        cfg_path, workdir = write_config(tmp_path)
+        for args in (("synth", "--n", "300", "--seed", "42"), ("ingest",)):
+            assert run(cfg_path, *args) == 0
+        split = json.loads((workdir / "split.json").read_text())
+        subset = tmp_path / "subset.json"
+        subset.write_text(json.dumps({"train": split["train"][:10], "dev": [], "test": []}))
+        assert run(cfg_path, "run-agents", "--split", str(subset)) == 0
+        # The last disclosure in corpus order: every other pair would be fetched first.
+        last_id = json.loads((workdir / "prepared.jsonl").read_text().splitlines()[-1])["id"]
+        latents = workdir / "latents.jsonl"
+        kept = [line for line in latents.read_text().splitlines(keepends=True)
+                if json.loads(line)["id"] != last_id]
+        latents.write_text("".join(kept))
+        cache_before = sha(workdir / "cache.jsonl")
+        capsys.readouterr()
+        assert run(cfg_path, "run-agents") == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "latents.jsonl") and last_id in err
+        assert sha(workdir / "cache.jsonl") == cache_before
+
 
 def test_cli_import_does_not_load_requests():
     import os

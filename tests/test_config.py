@@ -152,3 +152,50 @@ def test_cli_reports_an_unknown_key_on_one_line(tmp_path, capsys):
     assert main(["ingest", "--config", str(_write(tmp_path, sed=7))]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].endswith("unknown config key sed")
+
+
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"train": {"tol": True}}, "train.tol"),
+        ({"train": {"tol": float("nan")}}, "train.tol"),
+        ({"train": {"tol": float("inf")}}, "train.tol"),
+        ({"train": {"tol": 10**400}}, "train.tol"),
+        ({"train": {"grid": "15"}}, "train.grid"),
+        ({"train": {"grid": [1, "10"]}}, "train.grid"),
+        ({"preprocess": {"chars_per_token": "4"}}, "preprocess.chars_per_token"),
+        ({"eval": {"delta": "0.1"}}, "eval.delta"),
+        ({"eval": {"sensitivity_deltas": [0.1, False]}}, "eval.sensitivity_deltas"),
+        ({"split_fractions": "1"}, "split_fractions"),
+        ({"split_fractions": [0.6, 0.2, True]}, "split_fractions"),
+        (
+            {"stub_agents": {"enabled": False}, "agents": _http_agents(model_name=5)},
+            "agents[0].model_name",
+        ),
+        (
+            {"stub_agents": {"enabled": False}, "agents": _http_agents(endpoint_url=["http://x"])},
+            "agents[0].endpoint_url",
+        ),
+    ],
+)
+def test_numbers_arrays_and_strings_must_have_their_json_type(tmp_path, fields, key):
+    with pytest.raises(ValueError, match=rf"bad or missing config field: {re.escape(key)}: "):
+        load_config(_write(tmp_path, **fields))
+
+
+def test_integers_load_as_numbers(tmp_path):
+    config = load_config(
+        _write(tmp_path, train={"grid": [1, 10], "tol": 1},
+               eval={"delta": 0, "sensitivity_deltas": []})
+    )
+    assert (config.train.grid, config.train.tol) == ((1.0, 10.0), 1.0)
+    assert (config.eval.delta, config.eval.sensitivity_deltas) == (0.0, ())
+    assert all(type(v) is float for v in (*config.train.grid, config.train.tol, config.eval.delta))
+
+
+def test_cli_reports_a_bad_number_on_one_line(tmp_path, capsys):
+    from ensemble_judge.cli import main
+
+    assert main(["ingest", "--config", str(_write(tmp_path, train={"tol": True}))]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "bad or missing config field: train.tol: " in err[0]
