@@ -83,20 +83,19 @@ class AgentSpec:
             raise ValueError("endpoint_url must be non-empty")
 
 
+# Deterministic decoding: every request carries these, whatever the config.
+TEMPERATURE = 0.0
+TOP_P = 1.0
+
+
 @dataclass(frozen=True)
 class DecodingConfig:
-    """Deterministic decoding: temperature and top-p are pinned by contract."""
+    """The per-run decoding settings; temperature and top-p are the constants above."""
 
     seed: int
     max_output_tokens: int
-    temperature: float = 0.0
-    top_p: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.temperature != 0.0:
-            raise ValueError("temperature is fixed at 0")
-        if self.top_p != 1.0:
-            raise ValueError("top_p is fixed at 1")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
 
@@ -185,7 +184,7 @@ class ParsedOutput:
 _LABEL_VALUE = re.compile(r'"label"\s*:\s*"((?:[^"\\]|\\.)*)"')
 
 
-def parse_output(raw: RawGeneration, allow_extra_keys: bool = False) -> ParsedOutput:
+def parse_output(raw: RawGeneration) -> ParsedOutput:
     """Validate a generation against the three-field schema.
 
     Surrounding prose is tolerated by extracting the first balanced JSON
@@ -204,7 +203,7 @@ def parse_output(raw: RawGeneration, allow_extra_keys: bool = False) -> ParsedOu
     if missing:
         raise SchemaViolation(ViolationCategory.MISSING_KEY, f"missing {sorted(missing)}")
     extra = obj.keys() - REQUIRED_KEYS
-    if extra and not allow_extra_keys:
+    if extra:
         raise SchemaViolation(ViolationCategory.EXTRA_KEYS, f"unexpected {sorted(extra)}")
 
     label_value = obj["label"]
@@ -275,6 +274,8 @@ def label_logprobs_for_span(
 
 # HTTP statuses worth retrying: rate limiting and transient server failures.
 _RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+# Seconds one chat request may take before it counts as a transport failure.
+REQUEST_TIMEOUT_S = 120.0
 
 
 class ChatCompletionsClient:
@@ -292,7 +293,6 @@ class ChatCompletionsClient:
         endpoint_url: str,
         model_name: str,
         *,
-        timeout: float = 120.0,
         max_attempts: int = 4,
         backoff_base: float = 0.5,
         session: requests.Session | None = None,
@@ -300,7 +300,6 @@ class ChatCompletionsClient:
     ):
         self.endpoint_url = endpoint_url
         self.model_name = model_name
-        self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         if session is None:
@@ -323,8 +322,8 @@ class ChatCompletionsClient:
         payload: dict = {
             "model": self.model_name,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": decoding.temperature,
-            "top_p": decoding.top_p,
+            "temperature": TEMPERATURE,
+            "top_p": TOP_P,
             "seed": decoding.seed,
             "max_tokens": decoding.max_output_tokens,
         }
@@ -337,7 +336,10 @@ class ChatCompletionsClient:
                 self._sleep(self.backoff_base * 2 ** (attempt - 1))
             try:
                 response = self.session.post(
-                    self.endpoint_url, json=payload, headers=self._headers(), timeout=self.timeout
+                    self.endpoint_url,
+                    json=payload,
+                    headers=self._headers(),
+                    timeout=REQUEST_TIMEOUT_S,
                 )
             except requests.RequestException as exc:
                 last_failure = f"transport error: {exc}"

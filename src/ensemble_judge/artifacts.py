@@ -8,6 +8,7 @@ and a malformed line of an internal JSONL artifact is one
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -21,6 +22,24 @@ _JSON_LINE = json.JSONEncoder(ensure_ascii=False)
 
 class ArtifactError(RuntimeError):
     """A stage input on disk is malformed or does not belong to the current run."""
+
+
+def finite_number(value: object) -> float:
+    """A JSON number, an integer too, as a float; ``ValueError`` unless it is finite."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def finite_numbers(values: object) -> tuple[float, ...]:
+    """A JSON array of :func:`finite_number` values."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected an array of numbers, got {values!r}")
+    return tuple(finite_number(v) for v in values)
 
 
 def write_text(path: str | Path, chunks: Iterable[str]) -> None:

@@ -8,12 +8,12 @@ cache) reproduces a run end to end.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from .agents import AgentSpec, DecodingConfig
+from .artifacts import finite_number, finite_numbers
 from .domain import LENS_ORDER, Lens, Split
 from .evaluation import DEFAULT_REGIME_DELTA, DEFAULT_SENSITIVITY_DELTAS
 from .ingest import DEFAULT_SPLIT_FRACTIONS, PreprocessConfig
@@ -119,18 +119,7 @@ def _exactly(kind: type, what: str) -> Callable[[object], Any]:
 _bool = _exactly(bool, "true or false")
 _int = _exactly(int, "an integer")
 _str = _exactly(str, "a string")
-
-
-def _float(value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise TypeError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _floats(values: object) -> tuple[float, ...]:
-    if not isinstance(values, list):
-        raise TypeError(f"expected an array of numbers, got {values!r}")
-    return tuple(_float(v) for v in values)
+_float, _floats = finite_number, finite_numbers
 
 
 class _FieldError(Exception):

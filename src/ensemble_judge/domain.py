@@ -67,11 +67,6 @@ class Split(str, Enum):
     TEST = "test"
 
 
-def binarize_label(label: SentimentLabel) -> int:
-    """Map a three-way label to the binary downstream task: positive -> 1, else 0."""
-    return 1 if label is SentimentLabel.POSITIVE else 0
-
-
 def target_from_return(r: float) -> int:
     """Binary target from a next-day simple return: 1 iff r > 0 (strict)."""
     if not math.isfinite(r):
@@ -197,9 +192,6 @@ class FeatureVector:
 
     def __post_init__(self) -> None:
         check_feature_matrix(np.array([self.values], dtype=np.float64))
-
-    def as_list(self) -> list[float]:
-        return list(self.values)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ by agent agreement regime for the voting rule and the trained aggregator,
 and the list of disclosures where the aggregator corrects the vote.
 
 :func:`evaluate_judgments` scores a whole split from ``(n, 3)`` label-code
-and confidence blocks with array expressions; :func:`regime_of` and
-:meth:`ConfusionMatrix.from_pairs` are the per-row reference rules.
+and confidence blocks with array expressions; it is the one production path.
+The per-disclosure :func:`regime_of` and :func:`evaluate_split` have no caller
+in the pipeline.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .artifacts import write_text
-from .baselines import confidence_vote_predictions, majority_vote_predictions
 from .domain import LENS_ORDER, AgentOutput, DisclosureRecord, Lens
 from .features import confidence_gap, confidence_gaps, feature_matrix, majority_labels
 
@@ -57,24 +57,8 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
     @classmethod
-    def from_pairs(cls, y_true: Sequence[int], y_pred: Sequence[int]) -> "ConfusionMatrix":
-        if len(y_true) != len(y_pred):
-            raise ValueError("prediction and target lengths disagree")
-        tp = fp = tn = fn = 0
-        for t, p in zip(y_true, y_pred):
-            if t == 1 and p == 1:
-                tp += 1
-            elif t == 0 and p == 1:
-                fp += 1
-            elif t == 0 and p == 0:
-                tn += 1
-            else:
-                fn += 1
-        return cls(tp=tp, fp=fp, tn=tn, fn=fn)
-
-    @classmethod
     def from_arrays(cls, y_true: np.ndarray, y_pred: np.ndarray) -> "ConfusionMatrix":
-        """:meth:`from_pairs` for 0/1 arrays, counted with one ``bincount``."""
+        """Cells of 0/1 target and prediction arrays, counted with one ``bincount``."""
         if len(y_true) != len(y_pred):
             raise ValueError("prediction and target lengths disagree")
         tn, fp, fn, tp = np.bincount(2 * np.asarray(y_true) + np.asarray(y_pred), minlength=4)
@@ -141,6 +125,7 @@ class Regime(str, Enum):
     HIGH_CONFLICT = "high_conflict"
 
 
+# Kept in the package only because ``perfbench/traced_stage.py`` wraps it by name.
 def regime_of(outputs: Sequence[AgentOutput], delta: float = DEFAULT_REGIME_DELTA) -> Regime:
     """Classify one disclosure's agent pattern.
 
@@ -261,6 +246,23 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def majority_vote_predictions(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
+    """Majority vote of each row: the modal label binarized (positive -> 1, else 0).
+
+    With three distinct labels the most confident agent's label is the mode.
+    """
+    return (majority_labels(labels, confidences) == 1).astype(int)
+
+
+def confidence_vote_predictions(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
+    """1 where the sum of confidence times label code is strictly positive, else 0.
+
+    The sum runs in agent order, so each row's float result is fixed.
+    """
+    weighted = confidences * labels
+    return (weighted[:, 0] + weighted[:, 1] + weighted[:, 2] > 0).astype(int)
+
+
 def _regime_breakdown(
     codes: np.ndarray, targets: np.ndarray, predictions: Mapping[str, np.ndarray]
 ) -> tuple[dict[str, int], dict[str, dict[str, float]]]:
@@ -334,6 +336,7 @@ def evaluate_judgments(
     )
 
 
+# Kept in the package only because ``perfbench/traced_stage.py`` wraps it by name.
 def evaluate_split(
     records: Sequence[DisclosureRecord],
     outputs_by_id: Mapping[str, Mapping[Lens, AgentOutput]],
@@ -366,7 +369,3 @@ def evaluate_split(
 def write_report(report: EvalReport, json_path: str | Path, text_path: str | Path) -> None:
     write_text(json_path, [report.to_json()])
     write_text(text_path, [report.render_text()])
-
-
-def load_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -6,8 +6,9 @@ counts, the modal-label agreement count, the top-two confidence gap, and a
 one-hot indicator of the most confident agent.
 
 The pipeline builds whole feature matrices at once with
-:func:`feature_matrix` from ``(n, 3)`` label-code and confidence blocks; the
-per-disclosure functions are the reference rules it must agree with.
+:func:`feature_matrix` from ``(n, 3)`` label-code and confidence blocks; it is
+the one production path. The per-disclosure :func:`build_features` has no
+caller in the pipeline.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ def confidence_gap(confidences: Sequence[float]) -> float:
     return top - second
 
 
+# Kept in the package only because ``perfbench/traced_stage.py`` wraps it by name.
 def build_features(outputs: Sequence[AgentOutput]) -> FeatureVector:
     """Assemble the aggregation features for one disclosure.
 

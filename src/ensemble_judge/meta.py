@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import write_text
-from .domain import FEAT_CONFS, FEAT_GAP, FeatureVector
+from .artifacts import finite_number, finite_numbers, write_text
+from .domain import FEAT_CONFS, FEAT_GAP, FEATURE_DIM
 from .evaluation import ConfusionMatrix, metrics
 
 # Continuous features (the three confidences and the confidence gap) are the
@@ -73,7 +73,27 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(means=tuple(d["means"]), stds=tuple(d["stds"]), mask=tuple(d["mask"]))
+        return cls(
+            means=_feature_numbers(d, "means"),
+            stds=_feature_numbers(d, "stds"),
+            mask=tuple(d["mask"]),
+        )
+
+
+def _feature_numbers(d: dict, key: str) -> tuple[float, ...]:
+    """``d[key]`` as one finite number per feature position; else ``ValueError``."""
+    try:
+        numbers = finite_numbers(d[key])
+        if len(numbers) != FEATURE_DIM:
+            raise ValueError(f"expected {FEATURE_DIM} numbers, got {len(numbers)}")
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    return numbers
+
+
+def _reject_constant(name: str) -> float:
+    """``json.loads`` hook for the ``NaN`` and ``Infinity`` tokens, which JSON lacks."""
+    raise ValueError(f"non-finite number {name}")
 
 
 def fit_standardizer(train_features: np.ndarray) -> Standardizer:
@@ -248,14 +268,8 @@ class MetaModel:
         return _stable_sigmoid(self.decision_values(X))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba_batch(X) >= 0.5).astype(int)
-
-    def predict_proba(self, features: FeatureVector) -> float:
-        return float(self.predict_proba_batch(np.array([features.as_list()]))[0])
-
-    def predict(self, features: FeatureVector) -> int:
         # Probability exactly 0.5 goes to the positive class.
-        return 1 if self.predict_proba(features) >= 0.5 else 0
+        return (self.predict_proba_batch(X) >= 0.5).astype(int)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -275,12 +289,15 @@ class MetaModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "MetaModel":
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
+        """The model in ``path``; raises ``KeyError`` for a missing key and
+        ``ValueError`` for a weight, statistic, intercept or C that is not a
+        finite JSON number (``NaN``, ``Infinity``, a string, a boolean)."""
+        d = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
         rep = d["optimizer_report"]
         return cls(
-            weights=tuple(d["weights"]),
-            intercept=float(d["intercept"]),
-            inverse_reg_strength=float(d["inverse_reg_strength"]),
+            weights=_feature_numbers(d, "weights"),
+            intercept=finite_number(d["intercept"]),
+            inverse_reg_strength=finite_number(d["inverse_reg_strength"]),
             standardizer=Standardizer.from_dict(d["standardizer"]),
             optimizer_report=OptimizerReport(
                 iterations=int(rep["iterations"]),

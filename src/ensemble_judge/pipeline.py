@@ -30,7 +30,6 @@ from .domain import (
     AgentOutput,
     ConfidenceSource,
     DisclosureRecord,
-    Lens,
     Split,
     target_from_return,
 )
@@ -271,26 +270,6 @@ def _cached_judgments(
             raise CoverageError([key for key, row in zip(keys, rows) if row < 0])
         labels, confidences = store.judgments(rows)
     return keys, labels.reshape(-1, 3), confidences.reshape(-1, 3)
-
-
-def outputs_for_records(
-    store: CacheStore,
-    records: Sequence[DisclosureRecord],
-    specs: Sequence[AgentSpec],
-    decoding: DecodingConfig,
-) -> dict[str, dict[Lens, AgentOutput]]:
-    """Pull each record's three cached outputs; raises CoverageError on gaps."""
-    result: dict[str, dict[Lens, AgentOutput]] = {}
-    missing: list[CacheKey] = []
-    for record, spec, key in _pairs(records, specs, decoding):
-        cached = store.get(key)
-        if cached is None:
-            missing.append(key)
-            continue
-        result.setdefault(record.id, {})[spec.lens] = cached.output
-    if missing:
-        raise CoverageError(missing)
-    return result
 
 
 def stage_build_features(config: RunConfig) -> dict:

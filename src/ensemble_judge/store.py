@@ -10,8 +10,7 @@ model.
 Loading keeps a columnar table, not records: a key -> row index plus each
 row's label code, confidence, confidence-source code, and byte offset.
 Full :class:`CacheRecord` values (rationale, raw generation) are re-read
-from the file only when :meth:`CacheStore.get` or :meth:`CacheStore.records`
-asks for them.
+from the file only when :meth:`CacheStore.get` asks for one.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -339,10 +338,6 @@ class CacheStore:
         """Expected keys with no stored record; empty means coverage is complete."""
         index = self._index
         return [key for key in expected if key not in index]
-
-    def records(self) -> Iterator[CacheRecord]:
-        for row in range(len(self._offsets)):
-            yield self._record_at(row)
 
     def close(self) -> None:
         if self._reader is not None:

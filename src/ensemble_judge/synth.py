@@ -82,7 +82,6 @@ def generate_corpus(
     n: int,
     seed: int,
     noise_scale: float = RETURN_NOISE_SCALE,
-    weights: tuple[float, float, float] = RETURN_WEIGHTS,
 ) -> tuple[list[DisclosureRecord], dict[str, LatentDisclosure]]:
     """Draw a deterministic synthetic corpus of ``n`` disclosures.
 
@@ -105,7 +104,7 @@ def generate_corpus(
             kind[:, k] < NEUTRAL_SIGNAL_MASS, small[:, k], signs[:, k] * magnitude
         )
     noise = rng.normal(0.0, noise_scale, size=n) if noise_scale > 0 else np.zeros(n)
-    w_perf, w_guid, w_risk = weights
+    w_perf, w_guid, w_risk = RETURN_WEIGHTS
 
     start = datetime(2018, 1, 2, 9, 0, tzinfo=timezone.utc)
     records: list[DisclosureRecord] = []

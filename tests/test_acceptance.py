@@ -20,18 +20,14 @@ import numpy as np
 import pytest
 
 from ensemble_judge.agents import confidence_from_logprobs
-from ensemble_judge.baselines import (
-    confidence_vote_predict,
-    confidence_vote_score,
-    majority_vote_predict,
-)
 from ensemble_judge.cli import main
-from ensemble_judge.domain import ConfidenceSource, Lens, SentimentLabel, Split
+from ensemble_judge.domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel, Split
 from ensemble_judge.evaluation import ConfusionMatrix, metrics
 from ensemble_judge.ingest import chronological_split, sort_records
 from ensemble_judge.meta import fit_logistic, logistic_loss_and_gradient
 from ensemble_judge.store import CacheStore
 from tests.conftest import agent_json, completion_body, make_triple
+from tests.oracles import confidence_vote_predict, confidence_vote_score, majority_vote_predict
 from tests.test_evaluation import HAND_COMPUTED_MATRICES
 from tests.test_ingest import record as make_record
 
@@ -281,26 +277,20 @@ class TestCriterion7SyntheticOrdering:
     @criterion(7, "stub agent errors are close to cross-lens independent")
     def test_cross_lens_error_correlation(self, synth_pipeline):
         workdir = synth_pipeline["workdir"]
+        from ensemble_judge.agents import expected_cache_keys
         from ensemble_judge.config import load_config
-        from ensemble_judge.pipeline import load_prepared, outputs_for_records
+        from ensemble_judge.pipeline import load_prepared
 
         config = load_config(synth_pipeline["config"])
         records = load_prepared(workdir / "prepared.jsonl")
-        with CacheStore(workdir / "cache.jsonl") as store:
-            outputs = outputs_for_records(
-                store, records, config.agent_specs(), config.decoding()
-            )
-        lens_order = (Lens.PERFORMANCE, Lens.GUIDANCE, Lens.RISK)
-        errors = np.array(
-            [
-                [
-                    int((outputs[r.id][lens].label is SentimentLabel.POSITIVE) != bool(r.binary_target))
-                    for lens in lens_order
-                ]
-                for r in records
-            ],
-            dtype=float,
-        )
+        # Record-major, one column per lens in the fixed agent order.
+        keys = expected_cache_keys(records, config.agent_specs(), config.decoding())
+        with CacheStore(workdir / "cache.jsonl", readonly=True) as store:
+            rows = store.rows(keys)
+            assert (rows >= 0).all()
+            labels, _ = store.judgments(rows)
+        targets = np.array([r.binary_target for r in records], dtype=bool)
+        errors = ((labels.reshape(-1, 3) == 1) != targets[:, None]).astype(float)
         corr = np.corrcoef(errors.T)
         worst = max(abs(corr[0, 1]), abs(corr[0, 2]), abs(corr[1, 2]))
         assert worst < 0.15, f"max |cross-lens error correlation| = {worst:.3f}"
@@ -368,8 +358,10 @@ class TestCriterion8ProtocolConformance:
         ]
         assert len(perf_calls) == 10 and all(c == 2 for c in perf_calls)
 
-        with CacheStore(workdir / "cache.jsonl") as store:
-            outputs = [rec.output for rec in store.records()]
+        outputs = [
+            AgentOutput.from_dict(json.loads(line)["output"])
+            for line in (workdir / "cache.jsonl").read_text().splitlines()
+        ]
         fallbacks = [o for o in outputs if o.agent is Lens.PERFORMANCE]
         assert len(fallbacks) == 10
         for out in fallbacks:

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from ensemble_judge.baselines import (
+from ensemble_judge.domain import ConfidenceSource, SentimentLabel
+from tests.conftest import make_output, make_triple
+from tests.oracles import (
     confidence_vote_predict,
     confidence_vote_score,
     majority_vote_predict,
     single_agent_predict,
 )
-from ensemble_judge.domain import ConfidenceSource, SentimentLabel
-from tests.conftest import make_output, make_triple
 
 L = SentimentLabel
 CODES = (-1, 0, 1)

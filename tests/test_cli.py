@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -357,6 +358,29 @@ class TestArtifactChecks:
         assert run(cfg_path, "evaluate") == 3
         err = capsys.readouterr().err
         assert _single_error_line(err, "model.json") and "different prompts" in err
+        assert sha(workdir / "report.json") == report_before
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("weights",), ["x"] * 15),
+            (("standardizer", "stds", 3), math.nan),
+            (("weights", 0), math.inf),
+        ],
+        ids=["string-weights", "nan-std", "infinite-weight"],
+    )
+    def test_model_numbers_must_be_finite(self, pipeline, capsys, where, value):
+        cfg_path, workdir = pipeline
+        model = json.loads((workdir / "model.json").read_text())
+        parent = model
+        for step in where[:-1]:
+            parent = parent[step]
+        parent[where[-1]] = value
+        (workdir / "model.json").write_text(json.dumps(model))  # NaN/Infinity tokens
+        report_before = sha(workdir / "report.json")
+        capsys.readouterr()
+        assert run(cfg_path, "evaluate") == 3
+        assert _single_error_line(capsys.readouterr().err, "model.json")
         assert sha(workdir / "report.json") == report_before
 
     def test_run_agents_refuses_latents_that_lack_a_disclosure(self, tmp_path, capsys):

@@ -8,10 +8,10 @@ from ensemble_judge.domain import (
     FeatureVector,
     Lens,
     SentimentLabel,
-    binarize_label,
     target_from_return,
 )
 from tests.conftest import make_output
+from tests.oracles import binarize_label
 
 
 class TestSentimentLabel:

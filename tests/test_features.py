@@ -68,7 +68,7 @@ class TestConfidenceGap:
 class TestBuildFeatures:
     def test_unanimous_positive_layout(self):
         fv = build_features(make_triple([1, 1, 1], [0.8, 0.7, 0.6]))
-        v = fv.as_list()
+        v = list(fv.values)
         assert [v[i] for i in FEAT_LABELS] == [1.0, 1.0, 1.0]
         assert [v[i] for i in FEAT_CONFS] == [0.8, 0.7, 0.6]
         assert v[FEAT_MAJORITY] == 1.0
@@ -79,7 +79,7 @@ class TestBuildFeatures:
 
     def test_all_distinct_layout_with_fallback_majority(self):
         fv = build_features(make_triple([1, 0, -1], [0.3, 0.9, 0.5]))
-        v = fv.as_list()
+        v = list(fv.values)
         assert [v[i] for i in FEAT_LABELS] == [1.0, 0.0, -1.0]
         assert v[FEAT_MAJORITY] == 0.0  # most confident agent is guidance
         assert [v[i] for i in FEAT_COUNTS] == [1.0, 1.0, 1.0]
@@ -115,7 +115,7 @@ class TestBuildFeatures:
     )
     @settings(max_examples=200, deadline=None)
     def test_structural_invariants(self, labels, confs):
-        v = build_features(make_triple(labels, confs)).as_list()
+        v = list(build_features(make_triple(labels, confs)).values)
         assert len(v) == FEATURE_DIM
         counts = [v[i] for i in FEAT_COUNTS]
         assert sum(counts) == 3.0 and all(c == int(c) >= 0 for c in counts)
@@ -130,12 +130,12 @@ class TestBuildFeatures:
     )
     @settings(max_examples=200, deadline=None)
     def test_permutation_invariance_of_symmetric_features(self, labels, confs, perm):
-        base = build_features(make_triple(labels, confs)).as_list()
+        base = list(build_features(make_triple(labels, confs)).values)
         permuted_labels = [labels[i] for i in perm]
         permuted_confs = [confs[i] for i in perm]
         # permuting (label, confidence) pairs across agents leaves the
         # symmetric features unchanged
-        other = build_features(make_triple(permuted_labels, permuted_confs)).as_list()
+        other = list(build_features(make_triple(permuted_labels, permuted_confs)).values)
         for idx in (*FEAT_COUNTS, FEAT_GAP):
             assert other[idx] == pytest.approx(base[idx], abs=1e-12)
 

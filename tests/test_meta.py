@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ensemble_judge.domain import FEATURE_DIM, FeatureVector
+from ensemble_judge.domain import FEATURE_DIM
 from ensemble_judge.meta import (
     ConvergenceError,
     MetaModel,
@@ -210,16 +210,17 @@ class TestPredict:
             optimizer_report=OptimizerReport(iterations=0, final_gradient_norm=0.0, tolerance=1e-8),
         )
 
-    def _fv(self, confidence=0.5):
+    def _row(self, confidence=0.5):
+        """A one-row feature matrix."""
         values = [1.0, 1.0, 1.0, confidence, 0.5, 0.5, 1.0, 3.0, 0.0, 0.0, 3.0, 0.0, 1.0, 0.0, 0.0]
-        return FeatureVector(values=tuple(values))
+        return np.array([values])
 
     def test_zero_model_gives_half(self):
         model = self._zero_model()
-        assert model.predict_proba(self._fv()) == 0.5
+        assert model.predict_proba_batch(self._row())[0] == 0.5
 
     def test_boundary_goes_positive(self):
-        assert self._zero_model().predict(self._fv()) == 1
+        assert self._zero_model().predict_batch(self._row())[0] == 1
 
     def test_monotone_in_positive_weight(self):
         model = self._zero_model()
@@ -230,7 +231,8 @@ class TestPredict:
             standardizer=model.standardizer,
             optimizer_report=model.optimizer_report,
         )
-        assert model.predict_proba(self._fv(0.9)) > model.predict_proba(self._fv(0.2))
+        high, low = (model.predict_proba_batch(self._row(c))[0] for c in (0.9, 0.2))
+        assert high > low
 
     def test_probability_strictly_inside_unit_interval(self):
         model = self._zero_model()
@@ -249,7 +251,7 @@ class TestPredict:
                 standardizer=model.standardizer,
                 optimizer_report=model.optimizer_report,
             )
-            p = flipped.predict_proba(self._fv())
+            p = flipped.predict_proba_batch(self._row())[0]
             assert 0.0 < p < 1.0
 
     def test_standardization_round_trip_changes_nothing(self):

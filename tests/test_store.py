@@ -291,7 +291,7 @@ class TestTable:
             got_labels, got_conf = store.judgments(rows[[0, 2]])
             assert got_labels.tolist() == [-1, 1]
             assert got_conf.tolist() == [0.1 * 3, 0.1]
-            assert [r.output for r in store.records()] == [r.output for r in recs]
+            assert [store.get(r.key).output for r in recs] == [r.output for r in recs]
             assert store.get(recs[1].key).output == recs[1].output
 
 

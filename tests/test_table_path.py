@@ -1,21 +1,17 @@
 """The array path (feature matrix, votes, regimes, confusion counts) against
-the per-disclosure reference rules."""
+the per-disclosure reference rules in ``tests/oracles.py``."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensemble_judge.baselines import (
-    confidence_vote_predict,
-    confidence_vote_predictions,
-    majority_vote_predict,
-    majority_vote_predictions,
-)
 from ensemble_judge.evaluation import (
     REGIMES,
     ConfusionMatrix,
+    confidence_vote_predictions,
     evaluate_judgments,
     evaluate_split,
+    majority_vote_predictions,
     regime_of,
     regimes,
 )
@@ -27,6 +23,7 @@ from ensemble_judge.features import (
 )
 from tests import test_evaluation
 from tests.conftest import make_triple
+from tests.oracles import confidence_vote_predict, confusion_from_pairs, majority_vote_predict
 
 # A small pool makes exact confidence ties common; fallbacks are (0, 0.0).
 confidence = st.one_of(
@@ -61,7 +58,7 @@ def test_array_path_matches_scalar_oracles(rows, delta_list):
 
     X = feature_matrix(labels, confidences)
     assert X.dtype == np.float64 and X.flags.c_contiguous
-    assert X.tolist() == [build_features(triple).as_list() for triple in outputs]
+    assert X.tolist() == [list(build_features(triple).values) for triple in outputs]
     assert majority_vote_predictions(labels, confidences).tolist() == [
         majority_vote_predict(triple) for triple in outputs
     ]
@@ -79,7 +76,7 @@ def test_confusion_counts_match_from_pairs(pairs):
     y_true = [t for t, _ in pairs]
     y_pred = [p for _, p in pairs]
     y_true_a, y_pred_a = np.array(y_true, dtype=int), np.array(y_pred, dtype=int)
-    assert ConfusionMatrix.from_arrays(y_true_a, y_pred_a) == ConfusionMatrix.from_pairs(y_true, y_pred)
+    assert ConfusionMatrix.from_arrays(y_true_a, y_pred_a) == confusion_from_pairs(y_true, y_pred)
 
 
 def test_evaluate_split_is_the_array_core():
