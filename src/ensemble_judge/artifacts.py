@@ -42,7 +42,7 @@ def finite_numbers(values: object) -> tuple[float, ...]:
     return tuple(finite_number(v) for v in values)
 
 
-def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+def write_binary(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Replace ``path`` with the concatenated ``chunks``, atomically and durably.
 
     The chunks stream into a temporary file next to ``path``, which is
@@ -52,7 +52,7 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
+        with tmp.open("wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
             fh.flush()
@@ -61,6 +61,11 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """:func:`write_binary` of the UTF-8 encoded ``chunks``."""
+    write_binary(path, map(str.encode, chunks))  # UTF-8, the default
 
 
 def json_line(row: dict) -> str:

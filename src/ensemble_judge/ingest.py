@@ -228,6 +228,8 @@ def chronological_split(
     Boundaries are cumulative floors of the fraction sums, which keeps every
     split within one record of its exact share for any corpus size. Ties in
     timestamp are broken by id, so the split is a pure function of the corpus.
+    Fractions that leave a split without records at this corpus size are
+    refused.
     """
     n = len(records)
     if n < 5:
@@ -239,6 +241,13 @@ def chronological_split(
     ordered = sort_records(records)
     b1 = int(fracs[0] * n)
     b2 = int((fracs[0] + fracs[1]) * n)
+    sizes = {Split.TRAIN: b1, Split.DEV: b2 - b1, Split.TEST: n - b2}
+    empty = [split.value for split, size in sizes.items() if size == 0]
+    if empty:
+        raise ValueError(
+            f"split fractions {list(fractions)} leave the {' and '.join(empty)} "
+            f"split empty at {n} records"
+        )
     partition: dict[str, Split] = {}
     for i, rec in enumerate(ordered):
         if i < b1:

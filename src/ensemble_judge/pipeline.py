@@ -187,8 +187,10 @@ def _stub_outputs(config: RunConfig, todo: Sequence[_Pair]) -> Iterator[AgentOut
             f"{config.latents_path}: no latent signals for {len(lacking)} disclosures, "
             f"e.g. {lacking[:3]}"
         )
-    for record, spec, _key in todo:
-        yield stub_agent(spec.lens, record, latents, run_seed=config.seed)
+    for record, spec, key in todo:
+        yield stub_agent(
+            spec.lens, record, latents, run_seed=config.seed, prompt_digest=key.prompt_hash
+        )
 
 
 def _http_outputs(config: RunConfig, todo: Sequence[_Pair]) -> Iterator[AgentOutput]:

@@ -11,24 +11,33 @@ Loading keeps a columnar table, not records: a key -> row index plus each
 row's label code, confidence, confidence-source code, and byte offset.
 Full :class:`CacheRecord` values (rationale, raw generation) are re-read
 from the file only when :meth:`CacheStore.get` asks for one.
+
+The writer saves that table next to the cache as a derived snapshot
+(``cache.jsonl.table``), stamped with the sha256 of the cache bytes it
+covers. An open whose stamp matches loads the table and parses only the
+lines past those bytes; any other snapshot is ignored and the whole file
+is parsed, so deleting the snapshot changes nothing but the open's cost.
 """
 
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import logging
 import os
+import sys
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from operator import itemgetter
+from itertools import islice
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .artifacts import json_line
+from .artifacts import json_line, write_binary
 from .domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
 
 logger = logging.getLogger(__name__)
@@ -49,6 +58,9 @@ _FALLBACK_CODE = _SOURCE_CODES[ConfidenceSource.FALLBACK]
 _LENS_BY_VALUE = {lens.value: lens for lens in Lens}
 _LABEL_CODES = {label.as_string(): int(label) for label in SentimentLabel}
 _SOURCE_BY_VALUE = {source.value: code for source, code in _SOURCE_CODES.items()}
+
+# An output's identity, in CacheKey field order.
+_OUTPUT_IDENTITY = attrgetter("disclosure_id", "agent", "model_name", "prompt_hash", "seed")
 
 
 class CacheKey(NamedTuple):
@@ -72,9 +84,7 @@ class CacheKey(NamedTuple):
 
     @classmethod
     def for_output(cls, output: AgentOutput) -> "CacheKey":
-        return cls(
-            output.disclosure_id, output.agent, output.model_name, output.prompt_hash, output.seed
-        )
+        return cls(*_OUTPUT_IDENTITY(output))
 
 
 @dataclass(frozen=True)
@@ -143,6 +153,116 @@ def _parse_line(line: bytes) -> tuple[dict, tuple, int, float, int]:
     return out, key, code, float(confidence), _SOURCE_BY_VALUE[source]
 
 
+# The table snapshot is the magic line (it holds the format version), a JSON
+# header line, the row columns in the header's byte order, one JSON array
+# of the key values, and a last line with the sha256 of everything before
+# it. The disclosure id, lens, model name and seed of the row keys are
+# stored as codes into a table of their distinct values, so rows of one
+# disclosure share its id; the JSON array holds those four tables and then
+# the rows' prompt hashes.
+_SNAPSHOT_MAGIC = b"ensemble-judge cache table 1\n"
+_CODED_FIELDS = (0, 1, 2, 4)  # CacheKey fields stored as codes
+# label, source, confidence, offset, then the codes of the coded fields
+_SNAPSHOT_COLUMNS = ("b", "b", "d", "q") + ("i",) * len(_CODED_FIELDS)
+_ROW_BYTES = sum(array(typecode).itemsize for typecode in _SNAPSHOT_COLUMNS)
+_DIGEST_LINE_BYTES = 65  # 64 hex digits and a newline
+_KEY_JSON = json.JSONEncoder(separators=(",", ":"))
+# Keys per JSON chunk and bytes per hashed block: small, so the snapshot
+# costs the writer little memory.
+_KEY_BATCH = 1024
+_BLOCK = 1 << 16
+
+
+def _prefix_sha256(path: Path, size: int) -> str:
+    """sha256 of the first ``size`` bytes of ``path``."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while size > 0:
+            block = fh.read(min(size, _BLOCK))
+            if not block:
+                break
+            digest.update(block)
+            size -= len(block)
+    return digest.hexdigest()
+
+
+def _read_snapshot(path: Path, cache: Path) -> tuple | None:
+    """``(covered, index, labels, confidences, sources, offsets)``: the table of
+    the first ``covered`` bytes of ``cache``, from the snapshot at ``path``.
+
+    None when the snapshot is missing or unreadable, has another format
+    version or a bad body digest, or its stamp does not match the cache.
+    """
+    try:
+        with path.open("rb") as fh:
+            if fh.readline() != _SNAPSHOT_MAGIC:
+                return None
+            header_line = fh.readline()
+            header = json.loads(header_line)
+            n, covered = header["rows"], header["covered_bytes"]
+            if type(n) is not int or type(covered) is not int or n < 0 or covered < 0:
+                return None
+            columns = fh.read(n * _ROW_BYTES)
+            keys_json = fh.read(os.fstat(fh.fileno()).st_size - fh.tell() - _DIGEST_LINE_BYTES)
+            digest_line = fh.read()
+        digest = hashlib.sha256(_SNAPSHOT_MAGIC)
+        for part in (header_line, columns, keys_json):
+            digest.update(part)
+        if (
+            digest_line != digest.hexdigest().encode("ascii") + b"\n"
+            or len(columns) != n * _ROW_BYTES
+            or header["byteorder"] != sys.byteorder
+            or os.stat(cache).st_size < covered
+            or _prefix_sha256(cache, covered) != header["cache_sha256"]
+        ):
+            return None
+        table = []
+        start = 0
+        for typecode in _SNAPSHOT_COLUMNS:
+            column = array(typecode)
+            column.frombytes(columns[start : start + n * column.itemsize])
+            table.append(column)
+            start += n * column.itemsize
+        del columns
+        labels, sources, confidences, offsets, *codes = table
+        keys_json = keys_json.decode("ascii")  # json.loads would keep both copies alive
+        *values, prompt_hashes = json.loads(keys_json)
+        del keys_json
+        values[1] = [_LENS_BY_VALUE[lens] for lens in values[1]]
+        ids, lenses, model_names, seeds = (
+            map(field_values.__getitem__, field_codes)
+            for field_values, field_codes in zip(values, codes, strict=True)
+        )
+        keys = zip(ids, lenses, model_names, prompt_hashes, seeds, strict=True)
+        index = dict(zip(keys, range(n), strict=True))
+        if len(index) != n:
+            return None
+    except (OSError, LookupError, TypeError, ValueError):
+        return None
+    return covered, index, labels, confidences, sources, offsets
+
+
+def _json_array(values: Iterable) -> Iterator[bytes]:
+    """``values`` as one ASCII JSON array, encoded a batch at a time."""
+    values = iter(values)
+    yield b"["
+    separator = b""
+    while batch := list(islice(values, _KEY_BATCH)):
+        yield separator
+        yield memoryview(_KEY_JSON.encode(batch).encode("ascii"))[1:-1]
+        separator = b","
+    yield b"]"
+
+
+def _stamped(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """``chunks``, then a line with the sha256 of them all."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+        yield chunk
+    yield digest.hexdigest().encode("ascii") + b"\n"
+
+
 class CacheStore:
     """Single-writer, multi-reader JSONL store keyed by :class:`CacheKey`.
 
@@ -153,6 +273,9 @@ class CacheStore:
     interrupted writer may have left: it cuts a dropped truncated final line
     back to the last line boundary, or terminates a valid final line that
     lacks its newline, so the next append starts on a line of its own.
+
+    Only the writer writes the table snapshot: at :meth:`close`, still under
+    its lock, when the table covers bytes the snapshot on disk does not.
     """
 
     def __init__(self, path: str | Path, *, readonly: bool = False):
@@ -164,26 +287,35 @@ class CacheStore:
         self._offsets = array("q")
         self._end = 0  # file offset just past the last intact line
         self._unterminated = False  # the last intact line lacks its newline
+        self._snapshot_path = self.path.with_name(self.path.name + ".table")
+        self._covered = 0  # cache bytes the snapshot on disk holds the table of
+        self._snapshot_due = False  # a writer whose table is whole
         self._reader: BinaryIO | None = None
         self._fh: BinaryIO | None = None
         try:
             if not readonly:
                 self._lock()
             if self.path.exists():
-                self._load()
+                snapshot = _read_snapshot(self._snapshot_path, self.path)
+                if snapshot is not None:
+                    (self._covered, self._index, self._labels, self._confidences,
+                     self._sources, self._offsets) = snapshot
+                self._load(self._covered)
             if not readonly:
                 self._repair_tail()
+                self._snapshot_due = True
         except BaseException:
             self.close()
             raise
 
-    def _load(self) -> None:
+    def _load(self, offset: int) -> None:
+        """Parse the lines from byte ``offset`` on into the table."""
         index = self._index
         add_label, add_confidence = self._labels.append, self._confidences.append
         add_source, add_offset = self._sources.append, self._offsets.append
-        offset = 0
         line = b""
         with self.path.open("rb") as fh:
+            fh.seek(offset)
             for line in fh:
                 if line == b"\n":
                     offset += 1
@@ -312,7 +444,7 @@ class CacheStore:
             raise CacheIntegrityError(f"{self.path}: store was opened read-only")
         output = record.output
         key = record.key
-        if key != CacheKey.for_output(output):
+        if key != _OUTPUT_IDENTITY(output):
             raise CacheIntegrityError(f"record key disagrees with its output: {key}")
         row = self._index.get(key)
         if row is not None:
@@ -339,16 +471,50 @@ class CacheStore:
         index = self._index
         return [key for key in expected if key not in index]
 
+    def _write_snapshot(self) -> None:
+        header = {
+            "rows": len(self._index),
+            "covered_bytes": self._end,
+            "cache_sha256": _prefix_sha256(self.path, self._end),
+            "byteorder": sys.byteorder,
+        }
+
+        tables, codes = [], []
+        for field in _CODED_FIELDS:
+            values = dict.fromkeys(map(itemgetter(field), self._index))
+            table = dict(zip(values, range(len(values))))
+            tables.append(table)
+            codes.append(array("i", map(table.__getitem__, map(itemgetter(field), self._index))))
+
+        def chunks() -> Iterator[bytes]:
+            yield _SNAPSHOT_MAGIC
+            yield json.dumps(header).encode("ascii") + b"\n"
+            for column in (self._labels, self._sources, self._confidences, self._offsets, *codes):
+                yield memoryview(column)
+            for i, values in enumerate((*tables, map(itemgetter(3), self._index))):
+                yield b"," if i else b"["
+                yield from _json_array(values)
+            yield b"]"
+
+        write_binary(self._snapshot_path, _stamped(chunks()))
+
     def close(self) -> None:
         if self._reader is not None:
             self._reader.close()
             self._reader = None
         if self._fh is not None and not self._fh.closed:
-            self.sync()
-            self._fh.close()
+            try:
+                self.sync()
+                if self._snapshot_due and self._end != self._covered:
+                    self._write_snapshot()
+            finally:
+                self._snapshot_due = False
+                self._fh.close()
 
     def __enter__(self) -> "CacheStore":
         return self
 
-    def __exit__(self, *exc_info: object) -> None:
+    def __exit__(self, exc_type: type | None, *exc_info: object) -> None:
+        if exc_type is not None:
+            self._snapshot_due = False  # the exception may have cut a put short
         self.close()

@@ -159,6 +159,7 @@ def stub_agent(
     latents: Mapping[str, LatentDisclosure],
     noise: float | None = None,
     run_seed: int | None = None,
+    prompt_digest: str | None = None,
 ) -> AgentOutput:
     """Deterministic agent over the hidden signals instead of an LLM.
 
@@ -168,6 +169,8 @@ def stub_agent(
     ``noise`` unset, each lens uses its tuned default scale; the risk
     agent's large scale makes it confidently wrong more often than the
     other two, which single-rule baselines cannot discount.
+    ``prompt_digest`` is the rendered prompt's hash when the caller already
+    has it.
     """
     latent = latents.get(record.id)
     if latent is None:
@@ -176,6 +179,8 @@ def stub_agent(
         raise ValueError(f"record {record.id!r} has no clean_text; preprocess first")
     if noise is None:
         noise = DEFAULT_STUB_NOISE[lens]
+    if prompt_digest is None:
+        prompt_digest = prompt_hash(render_prompt(lens, record.clean_text))
 
     digest = hashlib.sha256(
         f"{lens.value}:{record.id}:{latent.noise_seed}".encode("utf-8")
@@ -202,7 +207,7 @@ def stub_agent(
         rationale=rationale,
         confidence_source=ConfidenceSource.SELF_REPORTED,
         model_name=STUB_MODEL_NAME,
-        prompt_hash=prompt_hash(render_prompt(lens, record.clean_text)),
+        prompt_hash=prompt_digest,
         seed=run_seed if run_seed is not None else latent.noise_seed,
         raw_json=raw_json,
         retry_count=0,

@@ -1,0 +1,261 @@
+"""The table snapshot next to the cache is only a faster way to the same table.
+
+Whatever happened to the cache or the snapshot, an open that finds a
+snapshot must end where a parse of the whole file ends: the same rows,
+judgments, records, missing keys and end offset, or the same error.
+"""
+
+from __future__ import annotations
+
+import json
+import tempfile
+from datetime import datetime, timezone
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ensemble_judge.domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
+from ensemble_judge.store import (
+    CacheCorruptionError,
+    CacheIntegrityError,
+    CacheKey,
+    CacheRecord,
+    CacheStore,
+)
+from tests.conftest import make_output
+
+# Ids with tabs, newlines and non-ASCII characters; a small alphabet makes
+# repeated keys likely.
+ids = st.text(alphabet=["a", "b", "\t", "\n", "é", "✓"], min_size=1, max_size=3)
+outputs = st.builds(
+    make_output,
+    lens=st.sampled_from(Lens),
+    label=st.sampled_from(SentimentLabel),
+    confidence=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    disclosure_id=ids,
+)
+fallbacks = st.builds(
+    make_output,
+    lens=st.sampled_from(Lens),
+    label=st.just(SentimentLabel.NEUTRAL),
+    confidence=st.just(0.0),
+    disclosure_id=ids,
+    source=st.just(ConfidenceSource.FALLBACK),
+)
+# Distinct keys, each with one payload, so the writer's puts never conflict.
+pools = st.lists(
+    st.one_of(outputs, fallbacks),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda o: (o.disclosure_id, o.agent),
+)
+CREATED = datetime(2024, 1, 2, tzinfo=timezone.utc)
+
+
+def _record(output: AgentOutput, created: datetime = CREATED) -> CacheRecord:
+    return CacheRecord(CacheKey.for_output(output), output, created)
+
+
+def _line(output: AgentOutput, created: datetime = CREATED) -> bytes:
+    return (json.dumps(_record(output, created).to_dict(), ensure_ascii=False) + "\n").encode()
+
+
+def _write(path: Path, runs: list[list[AgentOutput]]) -> None:
+    """One writer per run; each closes with a snapshot of its table."""
+    for run in runs:
+        with CacheStore(path) as store:
+            for output in run:
+                store.put(_record(output))
+
+
+def _snapshot(path: Path) -> Path:
+    return path.with_name(path.name + ".table")
+
+
+def _covered(path: Path) -> int:
+    """The cache bytes the snapshot on disk claims to cover (0 if unreadable)."""
+    try:
+        return json.loads(_snapshot(path).read_bytes().split(b"\n")[1])["covered_bytes"]
+    except (OSError, IndexError, ValueError, KeyError, TypeError):
+        return 0
+
+
+# Writer runs as lists of indices into a pool of outputs.
+writer_runs = st.lists(
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=8), min_size=1, max_size=3
+)
+# Lines another process appends after the writers closed: a copy of a stored
+# line, the same payload with a new timestamp, a conflicting payload, a new
+# record, or an empty line.
+appended = st.lists(
+    st.tuples(st.sampled_from(["same", "recreated", "conflict", "new", "blank"]), outputs),
+    max_size=3,
+)
+# Then mutations: ("append", lines), ("cut", where), ("truncate", where),
+# ("flip-snapshot", where, bit), ("flip-prefix", where, bit) and
+# ("foreign", own pool?, pool, writer runs); a byte position is ``where``
+# modulo the size of the range it falls in.
+wheres = st.integers(min_value=0, max_value=2**32)
+bits = st.integers(min_value=0, max_value=7)
+mutations = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), appended),
+        st.tuples(st.just("cut"), wheres),
+        st.tuples(st.just("truncate"), wheres),
+        st.tuples(st.just("flip-snapshot"), wheres, bits),
+        st.tuples(st.just("flip-prefix"), wheres, bits),
+        st.tuples(st.just("foreign"), st.booleans(), pools, writer_runs),
+    ),
+    max_size=2,
+)
+
+
+def _appended_line(kind: str, fresh: AgentOutput, stored: list[AgentOutput]) -> bytes:
+    if not stored:
+        return _line(fresh)
+    stored = stored[len(fresh.disclosure_id) % len(stored)]
+    if kind == "same":
+        return _line(stored)
+    if kind == "recreated":
+        return _line(stored, datetime(2025, 6, 7, tzinfo=timezone.utc))
+    if kind == "conflict":
+        other = next(label for label in SentimentLabel if label is not stored.label)
+        return _line(make_output(stored.agent, other, 0.0, stored.disclosure_id))
+    if kind == "new":
+        return _line(fresh)
+    return b"\n"
+
+
+def _append(path: Path, lines: list[tuple], stored: list[AgentOutput]) -> None:
+    with path.open("ab") as fh:
+        fh.write(b"".join(_appended_line(kind, fresh, stored) for kind, fresh in lines))
+
+
+def _mutate(path: Path, mutation: tuple, pool: list[AgentOutput], stored: list[AgentOutput],
+            tmpdir: Path) -> None:
+    kind = mutation[0]
+    data = path.read_bytes()
+    if kind == "append":
+        _append(path, mutation[1], stored)
+    elif kind == "cut":  # at any byte of the last line, the final newline included
+        last = data.rstrip(b"\n").rfind(b"\n") + 1
+        if len(data) > last:
+            path.write_bytes(data[: last + mutation[1] % (len(data) - last)])
+    elif kind == "truncate":  # below the bytes the snapshot covers
+        if _covered(path):
+            path.write_bytes(data[: mutation[1] % _covered(path)])
+    elif kind in ("flip-snapshot", "flip-prefix"):
+        target = path if kind == "flip-prefix" else _snapshot(path)
+        raw = bytearray(_read(target) or b"")
+        size = min(_covered(path), len(raw)) if kind == "flip-prefix" else len(raw)
+        if size:
+            raw[mutation[1] % size] ^= 1 << mutation[2]
+            target.write_bytes(bytes(raw))
+    elif kind == "foreign":  # another cache's snapshot, copied in
+        _, own_pool, other_pool, other_runs = mutation
+        source = pool if own_pool else other_pool
+        other = Path(tempfile.mkdtemp(dir=tmpdir)) / "cache.jsonl"
+        _write(other, [[source[i % len(source)] for i in run] for run in other_runs])
+        if _snapshot(other).exists():
+            _snapshot(path).write_bytes(_snapshot(other).read_bytes())
+
+
+def _observe(path: Path, keys: list[CacheKey], readonly: bool, put: AgentOutput | None):
+    try:
+        with CacheStore(path, readonly=readonly) as store:
+            rows = store.rows(keys)
+            labels, confidences = store.judgments(rows[rows >= 0])
+            seen = (
+                len(store),
+                rows.tolist(),
+                labels.tolist(),
+                confidences.tolist(),
+                [store.get(key) for key in keys],
+                store.missing(keys),
+                store._end,
+                # The whole table: every key and column, not only what the
+                # keys above reach.
+                list(store._index.items()),
+                [list(column) for column in (
+                    store._labels, store._confidences, store._sources, store._offsets
+                )],
+            )
+            if put is not None:
+                store.put(_record(put))
+        return seen
+    except (CacheCorruptionError, CacheIntegrityError) as exc:
+        return type(exc), str(exc)
+
+
+def _read(path: Path) -> bytes | None:
+    return path.read_bytes() if path.exists() else None
+
+
+def _restore(path: Path, cache: bytes, snapshot: bytes | None) -> None:
+    path.write_bytes(cache)
+    _snapshot(path).unlink(missing_ok=True)
+    if snapshot is not None:
+        _snapshot(path).write_bytes(snapshot)
+
+
+def _both_ways(path: Path, keys: list[CacheKey], readonly: bool, put: AgentOutput | None):
+    """The open as it finds the files, then the open of the same files without
+    the snapshot: what each saw, and the cache and snapshot bytes it left.
+    The files are put back as they were found."""
+    found = path.read_bytes(), _read(_snapshot(path))
+    results = []
+    for snapshot in (found[1], None):
+        _restore(path, found[0], snapshot)
+        seen = _observe(path, keys, readonly, put)
+        results.append((seen, path.read_bytes(), _read(_snapshot(path))))
+    _restore(path, *found)
+    return results, found
+
+
+@given(pool=pools, runs=writer_runs, appends=appended, mutations=mutations, extra=outputs)
+@settings(max_examples=150, deadline=None)
+def test_snapshot_open_equals_full_parse(pool, runs, appends, mutations, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmpdir = Path(tmp)
+        path = tmpdir / "cache.jsonl"
+        puts = [[pool[i % len(pool)] for i in run] for run in runs]
+        _write(path, puts)
+        stored = [output for run in puts for output in run]
+        _append(path, appends, stored)
+        for mutation in mutations:
+            _mutate(path, mutation, pool, stored, tmpdir)
+        keys = [CacheKey.for_output(o) for o in [*pool, extra]]
+
+        (with_snapshot, without), found = _both_ways(path, keys, readonly=True, put=None)
+        assert with_snapshot[0] == without[0]
+        # A reader neither changes the cache nor creates, changes or deletes a snapshot.
+        assert with_snapshot[1:] == found
+        assert without[1:] == (found[0], None)
+
+        (with_snapshot, without), _ = _both_ways(path, keys, readonly=False, put=extra)
+        assert with_snapshot[0] == without[0]
+        assert with_snapshot[1] == without[1]
+        if isinstance(with_snapshot[0][0], int):
+            # A writer leaves the snapshot that a writer without one would write.
+            assert with_snapshot[2] == without[2]
+
+
+def test_every_flipped_snapshot_byte_gives_the_full_parse(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    outputs = [
+        make_output(lens, label, 0.25 * (i + 1), "d\t✓")
+        for i, (lens, label) in enumerate(zip(Lens, SentimentLabel))
+    ]
+    _write(path, [outputs])
+    keys = [CacheKey.for_output(o) for o in outputs]
+    with CacheStore(path, readonly=True) as store:
+        assert store._covered == path.stat().st_size  # the intact snapshot is used
+    snapshot = _snapshot(path).read_bytes()
+    _snapshot(path).unlink()
+    expected = _observe(path, keys, readonly=True, put=None)
+    for position in range(len(snapshot)):
+        flipped = bytearray(snapshot)
+        flipped[position] ^= 1
+        _snapshot(path).write_bytes(bytes(flipped))
+        assert _observe(path, keys, readonly=True, put=None) == expected, position

@@ -488,12 +488,94 @@ class TestTrainChecksFeatureValues:
 
     def test_empty_dev_split_is_refused(self, tmp_path, capsys):
         cfg_path, workdir = write_config(tmp_path, split_fractions=[0.995, 0.0025, 0.0025])
-        for args in (("synth", "--n", "100", "--seed", "42"), ("ingest",), ("run-agents",),
-                     ("build-features",)):
+        assert run(cfg_path, "synth", "--n", "100", "--seed", "42") == 0
+        capsys.readouterr()
+        assert run(cfg_path, "ingest") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and _single_error_line(err, "dev split empty at 100 records")
+        assert not (workdir / "prepared.jsonl").exists()
+        assert not (workdir / "split.json").exists()
+
+    def test_train_refuses_a_split_file_with_an_empty_dev_list(self, tmp_path, capsys):
+        cfg_path, workdir = write_config(tmp_path)
+        for args in (("synth", "--n", "100", "--seed", "42"), ("ingest",), ("run-agents",)):
             assert run(cfg_path, *args) == 0
+        split = json.loads((workdir / "split.json").read_text())
+        split["train"] += split["dev"]
+        split["dev"] = []
+        (workdir / "split.json").write_text(json.dumps(split))
+        assert run(cfg_path, "build-features") == 0
         assert (workdir / "features_dev.jsonl").read_text() == ""
         capsys.readouterr()
         assert run(cfg_path, "train") == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "zero examples" in err
         assert not (workdir / "model.json").exists()
+
+
+ARTIFACTS = (
+    "corpus.jsonl",
+    "latents.jsonl",
+    "prepared.jsonl",
+    "split.json",
+    "cache.jsonl",
+    "features_train.jsonl",
+    "features_dev.jsonl",
+    "features_test.jsonl",
+    "model.json",
+    "report.json",
+    "report.txt",
+)
+
+
+def _stamp(path):
+    return path.read_bytes(), path.stat().st_mtime_ns
+
+
+class TestCacheSnapshot:
+    """``cache.jsonl.table`` is derived: only a writer that appended writes it,
+    and with or without it every artifact has the same bytes."""
+
+    def test_reader_stages_leave_the_workdir_and_the_snapshot_as_they_were(self, pipeline):
+        cfg_path, workdir = pipeline
+        snapshot = workdir / "cache.jsonl.table"
+        listing = sorted(p.name for p in workdir.iterdir())
+        before = _stamp(snapshot)
+        for stage in ("build-features", "train", "evaluate"):
+            assert run(cfg_path, stage) == 0
+        assert sorted(p.name for p in workdir.iterdir()) == listing
+        assert _stamp(snapshot) == before
+
+    def test_resume_that_appends_nothing_leaves_the_snapshot_as_it_was(self, pipeline, capsys):
+        cfg_path, workdir = pipeline
+        snapshot = workdir / "cache.jsonl.table"
+        before = _stamp(snapshot)
+        capsys.readouterr()
+        assert run(cfg_path, "run-agents") == 0
+        assert "900 cached, 0 fetched" in capsys.readouterr().out
+        assert _stamp(snapshot) == before
+
+    def test_deleting_the_snapshot_changes_no_artifact_byte(self, pipeline):
+        cfg_path, workdir = pipeline
+        snapshot = workdir / "cache.jsonl.table"
+        before = {name: sha(workdir / name) for name in ARTIFACTS}
+        snapshot_bytes = snapshot.read_bytes()
+        snapshot.unlink()
+        for stage in ("build-features", "train", "evaluate"):
+            assert run(cfg_path, stage) == 0
+        assert not snapshot.exists()
+        assert {name: sha(workdir / name) for name in ARTIFACTS} == before
+        assert run(cfg_path, "run-agents") == 0
+        assert snapshot.read_bytes() == snapshot_bytes
+
+    def test_cache_without_a_snapshot_replays_byte_identically(self, pipeline):
+        """A cache written before snapshots existed: resume, then the readers."""
+        cfg_path, workdir = pipeline
+        before = {name: sha(workdir / name) for name in ARTIFACTS}
+        (workdir / "cache.jsonl.table").unlink()
+        for name in ("features_train.jsonl", "features_dev.jsonl", "features_test.jsonl",
+                     "model.json", "report.json", "report.txt"):
+            (workdir / name).unlink()
+        for stage in ("run-agents", "build-features", "train", "evaluate"):
+            assert run(cfg_path, stage) == 0
+        assert {name: sha(workdir / name) for name in ARTIFACTS} == before

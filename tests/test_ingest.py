@@ -209,6 +209,18 @@ class TestChronologicalSplit:
         with pytest.raises(ValueError, match="fractions"):
             chronological_split(self._records(10), fractions=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize(
+        "fractions, n, empty",
+        [
+            ((0.995, 0.0025, 0.0025), 100, "dev"),
+            ((0.1, 0.45, 0.45), 5, "train"),
+            ((0.05, 0.05, 0.9), 5, "train and dev"),
+        ],
+    )
+    def test_fractions_that_leave_a_split_empty(self, fractions, n, empty):
+        with pytest.raises(ValueError, match=f"leave the {empty} split empty at {n} records"):
+            chronological_split(self._records(n), fractions=fractions)
+
     def test_split_file_round_trip(self, tmp_path):
         assignment = chronological_split(self._records(12))
         p = tmp_path / "split.json"

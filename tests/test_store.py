@@ -1,8 +1,10 @@
 import json
 import logging
+import os
 
 import pytest
 
+from ensemble_judge import store as store_module
 from ensemble_judge.domain import Lens, SentimentLabel
 from ensemble_judge.store import (
     CacheCorruptionError,
@@ -217,6 +219,8 @@ class TestCrashTailRepair:
     def test_reader_never_modifies_the_file(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         raw = self._three_records(path)
+        listing = sorted(os.listdir(tmp_path))
+        snapshot = path.with_name("cache.jsonl.table").read_bytes()
         for damaged in (raw[:-25], raw[:-1]):
             path.write_bytes(damaged)
             with CacheStore(path, readonly=True) as store:
@@ -224,6 +228,8 @@ class TestCrashTailRepair:
                 with pytest.raises(CacheIntegrityError, match="read-only"):
                     store.put(record_for(5))
             assert path.read_bytes() == damaged
+            assert sorted(os.listdir(tmp_path)) == listing
+            assert path.with_name("cache.jsonl.table").read_bytes() == snapshot
 
     def test_bad_value_on_unterminated_final_line_is_dropped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -312,6 +318,26 @@ class TestSingleWriter:
             second.put(record_for(1))
         with CacheStore(path, readonly=True) as reader:
             assert len(reader) == 2
+
+    def test_second_writer_is_refused_while_the_first_writes_its_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "cache.jsonl"
+        written = []
+        write_binary = store_module.write_binary
+
+        def write_while_locked(target, chunks):
+            with pytest.raises(CacheIntegrityError, match="locked by another run"):
+                CacheStore(path)
+            written.append(target.name)
+            write_binary(target, chunks)
+
+        monkeypatch.setattr(store_module, "write_binary", write_while_locked)
+        with CacheStore(path) as first:
+            first.put(record_for(0))
+        assert written == ["cache.jsonl.table"]
+        with CacheStore(path) as second:
+            assert len(second) == 1
 
     def test_failed_open_releases_the_lock(self, tmp_path):
         path = tmp_path / "cache.jsonl"
