@@ -106,7 +106,6 @@ class RawGeneration:
 
     text: str
     token_logprobs: tuple[tuple[str, float], ...] | None
-    http_status: int
 
     def __post_init__(self) -> None:
         if self.token_logprobs is not None:
@@ -276,6 +275,9 @@ def label_logprobs_for_span(
 _RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 # Seconds one chat request may take before it counts as a transport failure.
 REQUEST_TIMEOUT_S = 120.0
+# Transport attempts per request; the waits between them double from the base.
+MAX_ATTEMPTS = 4
+BACKOFF_BASE_S = 0.5
 
 
 class ChatCompletionsClient:
@@ -293,15 +295,11 @@ class ChatCompletionsClient:
         endpoint_url: str,
         model_name: str,
         *,
-        max_attempts: int = 4,
-        backoff_base: float = 0.5,
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.endpoint_url = endpoint_url
         self.model_name = model_name
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         if session is None:
             import requests
 
@@ -331,9 +329,9 @@ class ChatCompletionsClient:
             payload["logprobs"] = True
 
         last_failure = ""
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                self._sleep(self.backoff_base * 2 ** (attempt - 1))
+                self._sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
             try:
                 response = self.session.post(
                     self.endpoint_url,
@@ -354,7 +352,7 @@ class ChatCompletionsClient:
                 )
             return self._parse_response(response)
         raise TransportError(
-            f"{self.endpoint_url} unreachable after {self.max_attempts} attempts "
+            f"{self.endpoint_url} unreachable after {MAX_ATTEMPTS} attempts "
             f"(last: {last_failure})"
         )
 
@@ -384,7 +382,6 @@ class ChatCompletionsClient:
         return RawGeneration(
             text=text if isinstance(text, str) else "",
             token_logprobs=token_logprobs,
-            http_status=response.status_code,
         )
 
 

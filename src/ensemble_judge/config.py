@@ -2,7 +2,8 @@
 
 One config holds endpoints, decoding, preprocessing, tuning grid, regime
 delta, and artifact paths, so archiving that one file (plus the corpus and
-cache) reproduces a run end to end.
+cache) reproduces a run end to end. The dataclasses below are the one place
+each run default is stated; the stage functions take every value from them.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from typing import Any, Callable, Iterable
 from .agents import AgentSpec, DecodingConfig
 from .artifacts import finite_number, finite_numbers
 from .domain import LENS_ORDER, Lens, Split
-from .evaluation import DEFAULT_REGIME_DELTA, DEFAULT_SENSITIVITY_DELTAS
-from .ingest import DEFAULT_SPLIT_FRACTIONS, PreprocessConfig
-from .meta import DEFAULT_GRID, DEFAULT_MAX_ITER, DEFAULT_TOL
+from .ingest import PreprocessConfig
 from .synth import STUB_ENDPOINT, STUB_MODEL_NAME
 
 
@@ -30,15 +29,15 @@ class StubConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    grid: tuple[float, ...] = DEFAULT_GRID
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
+    grid: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0)
+    tol: float = 1e-8
+    max_iter: int = 1000
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    delta: float = DEFAULT_REGIME_DELTA
-    sensitivity_deltas: tuple[float, ...] = DEFAULT_SENSITIVITY_DELTAS
+    delta: float = 0.1
+    sensitivity_deltas: tuple[float, ...] = (0.05, 0.1, 0.2)
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     max_in_flight: int = 4
-    split_fractions: tuple[float, float, float] = DEFAULT_SPLIT_FRACTIONS
+    split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
     latents_path: Path | None = None
 
     def __post_init__(self) -> None:

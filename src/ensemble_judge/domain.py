@@ -2,7 +2,7 @@
 
 Defines the three-way sentiment label, the per-disclosure record, per-agent
 outputs, the 15-dimensional aggregation feature vector, and the train/dev/test
-split assignment. All types are immutable values and safe to share between
+split names. All types are immutable values and safe to share between
 concurrent tasks.
 """
 
@@ -192,23 +192,3 @@ class FeatureVector:
 
     def __post_init__(self) -> None:
         check_feature_matrix(np.array([self.values], dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class SplitAssignment:
-    """Chronological train/dev/test partition of a corpus.
-
-    ``partition`` maps every disclosure id to its split; insertion order
-    follows the deterministic (timestamp, id) sort of the corpus.
-    """
-
-    partition: dict[str, Split]
-
-    def ids_for(self, split: Split) -> list[str]:
-        return [i for i, s in self.partition.items() if s is split]
-
-    def counts(self) -> dict[Split, int]:
-        c = {Split.TRAIN: 0, Split.DEV: 0, Split.TEST: 0}
-        for s in self.partition.values():
-            c[s] += 1
-        return c

@@ -37,10 +37,6 @@ METHOD_NAMES: tuple[str, ...] = (
     "aggregator",
 )
 
-DEFAULT_REGIME_DELTA = 0.1
-DEFAULT_SENSITIVITY_DELTAS: tuple[float, ...] = (0.05, 0.1, 0.2)
-
-
 @dataclass(frozen=True)
 class ConfusionMatrix:
     tp: int
@@ -126,7 +122,7 @@ class Regime(str, Enum):
 
 
 # Kept in the package only because ``perfbench/traced_stage.py`` wraps it by name.
-def regime_of(outputs: Sequence[AgentOutput], delta: float = DEFAULT_REGIME_DELTA) -> Regime:
+def regime_of(outputs: Sequence[AgentOutput], delta: float) -> Regime:
     """Classify one disclosure's agent pattern.
 
     Unanimous: all three labels equal. Split-dominant: a 2-1 split where the
@@ -160,9 +156,7 @@ def regime_of(outputs: Sequence[AgentOutput], delta: float = DEFAULT_REGIME_DELT
 REGIMES: tuple[Regime, ...] = tuple(Regime)
 
 
-def regimes(
-    labels: np.ndarray, confidences: np.ndarray, delta: float = DEFAULT_REGIME_DELTA
-) -> np.ndarray:
+def regimes(labels: np.ndarray, confidences: np.ndarray, delta: float) -> np.ndarray:
     """:func:`regime_of` for each row, as indices into :data:`REGIMES`."""
     a, b, c = labels[:, 0], labels[:, 1], labels[:, 2]
     unanimous = (a == b) & (b == c)
@@ -289,8 +283,8 @@ def evaluate_judgments(
     labels: np.ndarray,
     confidences: np.ndarray,
     model: MetaModel,
-    delta: float = DEFAULT_REGIME_DELTA,
-    sensitivity_deltas: Sequence[float] = DEFAULT_SENSITIVITY_DELTAS,
+    delta: float,
+    sensitivity_deltas: Sequence[float],
 ) -> EvalReport:
     """Score all six methods on one split and build the report.
 
@@ -341,8 +335,8 @@ def evaluate_split(
     records: Sequence[DisclosureRecord],
     outputs_by_id: Mapping[str, Mapping[Lens, AgentOutput]],
     model: MetaModel,
-    delta: float = DEFAULT_REGIME_DELTA,
-    sensitivity_deltas: Sequence[float] = DEFAULT_SENSITIVITY_DELTAS,
+    delta: float,
+    sensitivity_deltas: Sequence[float],
 ) -> EvalReport:
     """:func:`evaluate_judgments` over agent outputs looked up per record.
 
@@ -361,8 +355,8 @@ def evaluate_split(
         np.array([[int(o.label) for o in triple] for triple in triples]),
         np.array([[o.confidence for o in triple] for triple in triples], dtype=np.float64),
         model,
-        delta=delta,
-        sensitivity_deltas=sensitivity_deltas,
+        delta,
+        sensitivity_deltas,
     )
 
 

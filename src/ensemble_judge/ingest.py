@@ -19,10 +19,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .artifacts import write_jsonl, write_text
-from .domain import DisclosureRecord, Split, SplitAssignment, target_from_return
+from .domain import DisclosureRecord, Split, target_from_return
 
 CORPUS_KEYS = frozenset({"id", "timestamp", "ticker", "text", "next_day_return"})
-DEFAULT_SPLIT_FRACTIONS: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
 
 class CorpusFormatError(ValueError):
@@ -220,10 +219,9 @@ def sort_records(records: Iterable[DisclosureRecord]) -> list[DisclosureRecord]:
 
 
 def chronological_split(
-    records: Sequence[DisclosureRecord],
-    fractions: tuple[float, float, float] = DEFAULT_SPLIT_FRACTIONS,
-) -> SplitAssignment:
-    """Assign records to train/dev/test by time order.
+    records: Sequence[DisclosureRecord], fractions: tuple[float, float, float]
+) -> dict[Split, list[str]]:
+    """The ids of each split, train/dev/test by time order.
 
     Boundaries are cumulative floors of the fraction sums, which keeps every
     split within one record of its exact share for any corpus size. Ties in
@@ -238,40 +236,38 @@ def chronological_split(
     if len(fracs) != 3 or any(f <= 0 for f in fracs) or sum(fracs) != 1:
         raise ValueError(f"fractions must be three positive values summing to 1, got {fractions}")
 
-    ordered = sort_records(records)
+    ids = [r.id for r in sort_records(records)]
     b1 = int(fracs[0] * n)
     b2 = int((fracs[0] + fracs[1]) * n)
-    sizes = {Split.TRAIN: b1, Split.DEV: b2 - b1, Split.TEST: n - b2}
-    empty = [split.value for split, size in sizes.items() if size == 0]
+    split = {Split.TRAIN: ids[:b1], Split.DEV: ids[b1:b2], Split.TEST: ids[b2:]}
+    empty = [s.value for s, split_ids in split.items() if not split_ids]
     if empty:
         raise ValueError(
             f"split fractions {list(fractions)} leave the {' and '.join(empty)} "
             f"split empty at {n} records"
         )
-    partition: dict[str, Split] = {}
-    for i, rec in enumerate(ordered):
-        if i < b1:
-            partition[rec.id] = Split.TRAIN
-        elif i < b2:
-            partition[rec.id] = Split.DEV
-        else:
-            partition[rec.id] = Split.TEST
-    return SplitAssignment(partition=partition)
+    return split
 
 
-def write_split(assignment: SplitAssignment, path: str | Path) -> None:
-    payload = {
-        split.value: assignment.ids_for(split) for split in (Split.TRAIN, Split.DEV, Split.TEST)
-    }
+def write_split(split: dict[Split, list[str]], path: str | Path) -> None:
+    payload = {s.value: ids for s, ids in split.items()}
     write_text(path, [json.dumps(payload, indent=2) + "\n"])
 
 
-def load_split(path: str | Path) -> SplitAssignment:
+def load_split(path: str | Path) -> dict[Split, list[str]]:
+    """The ids of each split in ``path``, a JSON object whose ``train``,
+    ``dev`` and ``test`` each hold an array of id strings; an id may appear
+    once only."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    partition: dict[str, Split] = {}
-    for split in (Split.TRAIN, Split.DEV, Split.TEST):
-        for rid in obj[split.value]:
-            if rid in partition:
+    split: dict[Split, list[str]] = {}
+    seen: set[str] = set()
+    for s in Split:
+        ids = obj[s.value]
+        if not isinstance(ids, list) or not all(isinstance(rid, str) for rid in ids):
+            raise ValueError(f"{s.value} is not an array of id strings")
+        for rid in ids:
+            if rid in seen:
                 raise ValueError(f"id {rid!r} assigned to more than one split")
-            partition[rid] = split
-    return SplitAssignment(partition=partition)
+            seen.add(rid)
+        split[s] = ids
+    return split

@@ -11,7 +11,6 @@ below the tolerance.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,9 +25,6 @@ from .evaluation import ConfusionMatrix, metrics
 # Continuous features (the three confidences and the confidence gap) are the
 # only standardized positions; labels, counts, and indicators stay raw.
 STANDARDIZED_POSITIONS: tuple[int, ...] = FEAT_CONFS + (FEAT_GAP,)
-DEFAULT_GRID: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0)
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 1000
 
 
 class ConvergenceError(RuntimeError):
@@ -168,8 +164,8 @@ def fit_logistic(
     X: np.ndarray,
     y: np.ndarray,
     C: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float,
+    max_iter: int,
 ) -> tuple[np.ndarray, float, OptimizerReport]:
     """Damped Newton minimization from zero initialization.
 
@@ -251,8 +247,8 @@ class MetaModel:
     optimizer_report: OptimizerReport
     # Digest over the prompt hashes of the cached outputs the model was
     # trained on; a prompt or decoding change makes a stale model obvious.
-    prompt_hash_digest: str = ""
-    n_outputs: int = 0
+    prompt_hash_digest: str
+    n_outputs: int
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.standardizer.means):
@@ -312,52 +308,49 @@ class MetaModel:
 def tune_C(
     train: tuple[np.ndarray, np.ndarray],
     dev: tuple[np.ndarray, np.ndarray],
-    grid: Sequence[float] = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[float, dict[float, float]]:
+    grid: Sequence[float],
+    tol: float,
+    max_iter: int,
+) -> tuple[float, dict[float, float], tuple[np.ndarray, float, OptimizerReport]]:
     """Pick the inverse regularization strength by dev balanced accuracy.
 
-    Exact score ties resolve to the smallest C (strongest regularization).
-    Expects already-standardized feature matrices.
+    Returns the chosen C, the dev score of each C, and the chosen C's fit
+    (weights, intercept, optimizer report). Exact score ties resolve to the
+    smallest C (strongest regularization). Expects already-standardized
+    feature matrices.
     """
     if not grid:
         raise ValueError("grid must be non-empty")
     X_train, y_train = train
     X_dev, y_dev = dev
     scores: dict[float, float] = {}
-    best_C: float | None = None
-    best_score = -math.inf
+    fits: dict[float, tuple[np.ndarray, float, OptimizerReport]] = {}
     for C in sorted(grid):
-        w, b, _ = fit_logistic(X_train, y_train, C, tol=tol, max_iter=max_iter)
+        fits[C] = fit_logistic(X_train, y_train, C, tol, max_iter)
+        w, b, _ = fits[C]
         margins = np.asarray(X_dev, dtype=np.float64) @ w + b
         preds = (margins >= 0).astype(int)
-        score = metrics(ConfusionMatrix.from_arrays(np.asarray(y_dev), preds)).balanced_accuracy
-        scores[C] = score
-        if score > best_score:
-            best_score = score
-            best_C = C
-    assert best_C is not None
-    return best_C, scores
+        scores[C] = metrics(ConfusionMatrix.from_arrays(np.asarray(y_dev), preds)).balanced_accuracy
+    best_C = max(scores, key=scores.__getitem__)  # the first, so the smallest, of tied Cs
+    return best_C, scores, fits[best_C]
 
 
 def train_meta_model(
     train: tuple[np.ndarray, np.ndarray],
     dev: tuple[np.ndarray, np.ndarray],
-    grid: Sequence[float] = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    prompt_hash_digest: str = "",
-    n_outputs: int = 0,
+    grid: Sequence[float],
+    tol: float,
+    max_iter: int,
+    prompt_hash_digest: str,
+    n_outputs: int,
 ) -> tuple[MetaModel, dict[float, float]]:
-    """Standardize on training statistics, tune C on dev, fit the final model."""
+    """Standardize on training statistics, tune C on dev, keep the chosen C's fit."""
     X_train, y_train = train
     X_dev, y_dev = dev
     standardizer = fit_standardizer(X_train)
     Zt = standardizer.transform(X_train)
     Zd = standardizer.transform(X_dev)
-    best_C, scores = tune_C((Zt, y_train), (Zd, y_dev), grid=grid, tol=tol, max_iter=max_iter)
-    w, b, report = fit_logistic(Zt, y_train, best_C, tol=tol, max_iter=max_iter)
+    best_C, scores, (w, b, report) = tune_C((Zt, y_train), (Zd, y_dev), grid, tol, max_iter)
     model = MetaModel(
         weights=tuple(float(v) for v in w),
         intercept=float(b),

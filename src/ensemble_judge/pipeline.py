@@ -24,7 +24,7 @@ from .agents import (
     expected_cache_keys,
     run_agent,
 )
-from .artifacts import ArtifactError, read_jsonl, write_jsonl
+from .artifacts import ArtifactError, finite_number, read_jsonl, write_jsonl
 from .config import RunConfig
 from .domain import (
     AgentOutput,
@@ -47,7 +47,7 @@ from .ingest import (
     write_split,
 )
 from .meta import ConvergenceError, MetaModel, train_meta_model
-from .store import CacheKey, CacheStore, make_record
+from .store import CacheKey, CacheStore
 from .synth import generate_corpus, load_latents, stub_agent, write_latents
 
 T = TypeVar("T")
@@ -97,16 +97,10 @@ def stage_ingest(config: RunConfig) -> dict:
     _require(config.corpus_path, "corpus file")
     records = load_corpus(config.corpus_path)
     prepared = preprocess_corpus(records, config.preprocess)
-    assignment = chronological_split(prepared, config.split_fractions)
+    split = chronological_split(prepared, config.split_fractions)
     _write_prepared(prepared, config.prepared_path)
-    write_split(assignment, config.split_path)
-    counts = assignment.counts()
-    return {
-        "records": len(prepared),
-        "train": counts[Split.TRAIN],
-        "dev": counts[Split.DEV],
-        "test": counts[Split.TEST],
-    }
+    write_split(split, config.split_path)
+    return {"records": len(prepared), **{s.value: len(ids) for s, ids in split.items()}}
 
 
 def _write_prepared(records: Sequence[DisclosureRecord], path: Path) -> None:
@@ -114,14 +108,18 @@ def _write_prepared(records: Sequence[DisclosureRecord], path: Path) -> None:
 
 
 def _prepared_record(obj: dict) -> DisclosureRecord:
+    for key in ("id", "timestamp", "ticker", "text", "clean_text"):
+        if not isinstance(obj[key], str):
+            raise TypeError(f"{key} must be a string, got {obj[key]!r}")
+    next_day_return = finite_number(obj["next_day_return"])
     return DisclosureRecord(
         id=obj["id"],
         timestamp=parse_rfc3339(obj["timestamp"]),
         ticker=obj["ticker"],
         raw_text=obj["text"],
         clean_text=obj["clean_text"],
-        next_day_return=obj["next_day_return"],
-        binary_target=target_from_return(obj["next_day_return"]),
+        next_day_return=next_day_return,
+        binary_target=target_from_return(next_day_return),
     )
 
 
@@ -143,21 +141,19 @@ def _split_records(config: RunConfig) -> dict[Split, list[DisclosureRecord]]:
     The split file must assign every prepared record and nothing else.
     """
     records = load_prepared(_require(config.prepared_path, "preprocessed corpus"))
-    assignment = _load_checked(_require(config.split_path, "split file"), load_split, "split")
+    split = _load_checked(_require(config.split_path, "split file"), load_split, "split")
     by_id = {r.id: r for r in records}
-    unknown = [rid for rid in assignment.partition if rid not in by_id]
+    assigned = dict.fromkeys(rid for ids in split.values() for rid in ids)
+    unknown = [rid for rid in assigned if rid not in by_id]
     if unknown:
         raise ValueError(f"split references unknown ids, e.g. {unknown[:3]}")
-    unassigned = [rid for rid in by_id if rid not in assignment.partition]
+    unassigned = [rid for rid in by_id if rid not in assigned]
     if unassigned:
         raise ValueError(
             f"split does not cover the corpus (stale split file?), "
             f"e.g. {unassigned[:3]}"
         )
-    return {
-        split: [by_id[rid] for rid in assignment.ids_for(split)]
-        for split in (Split.TRAIN, Split.DEV, Split.TEST)
-    }
+    return {s: [by_id[rid] for rid in ids] for s, ids in split.items()}
 
 
 _Pair = tuple[DisclosureRecord, AgentSpec, CacheKey]
@@ -224,7 +220,8 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     """
     records = load_prepared(_require(config.prepared_path, "preprocessed corpus"))
     if split_path is not None:
-        wanted = set(_load_checked(split_path, load_split, "split").partition)
+        split = _load_checked(split_path, load_split, "split")
+        wanted = {rid for ids in split.values() for rid in ids}
         records = [r for r in records if r.id in wanted]
     pairs = _pairs(records, config.agent_specs(), config.decoding())
 
@@ -238,7 +235,7 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
             outputs, sync_every = _http_outputs(config, todo), HTTP_SYNC_EVERY
         with closing(outputs):
             for output in outputs:
-                store.put(make_record(output))
+                store.put(output)
                 fetched += 1
                 if output.confidence_source is ConfidenceSource.FALLBACK:
                     fallbacks += 1

@@ -109,14 +109,6 @@ class CacheRecord:
         )
 
 
-def make_record(output: AgentOutput) -> CacheRecord:
-    return CacheRecord(
-        key=CacheKey.for_output(output),
-        output=output,
-        created_at=datetime.now(timezone.utc),
-    )
-
-
 class _KeyMismatch(Exception):
     """A line's key block names a different judgment than its output block."""
 
@@ -438,18 +430,17 @@ class CacheStore:
         row = self._index.get(key)
         return None if row is None else self._record_at(row)
 
-    def put(self, record: CacheRecord) -> None:
-        """Durably append one record; re-putting identical payloads is a no-op."""
+    def put(self, output: AgentOutput) -> None:
+        """Durably append ``output`` under its key, stamped with the current
+        time; re-putting an identical payload is a no-op."""
         if self._fh is None:
             raise CacheIntegrityError(f"{self.path}: store was opened read-only")
-        output = record.output
-        key = record.key
-        if key != _OUTPUT_IDENTITY(output):
-            raise CacheIntegrityError(f"record key disagrees with its output: {key}")
+        key = CacheKey.for_output(output)
         row = self._index.get(key)
         if row is not None:
             self._check_payload(row, output, f"key already stored with a different payload: {key}")
             return
+        record = CacheRecord(key, output, datetime.now(timezone.utc))
         data = json_line(record.to_dict()).encode("utf-8")
         self._fh.write(data)
         self._fh.flush()

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .agents import prompt_hash, render_prompt
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import finite_number, read_jsonl, write_jsonl
 from .domain import (
     AgentOutput,
     ConfidenceSource,
@@ -72,16 +72,18 @@ class LatentDisclosure:
     noise_seed: int
 
     def __post_init__(self) -> None:
+        # The seed is hashed as text, so 1.5 or true would silently pick
+        # another noise stream.
+        if type(self.noise_seed) is not int:
+            raise TypeError(f"noise_seed must be an integer, got {self.noise_seed!r}")
         for name in ("performance_signal", "guidance_signal", "risk_signal"):
             v = getattr(self, name)
-            if not -1.0 <= v <= 1.0:
+            if not -1.0 <= finite_number(v) <= 1.0:
                 raise ValueError(f"{name} {v} outside [-1, 1]")
 
 
 def generate_corpus(
-    n: int,
-    seed: int,
-    noise_scale: float = RETURN_NOISE_SCALE,
+    n: int, seed: int
 ) -> tuple[list[DisclosureRecord], dict[str, LatentDisclosure]]:
     """Draw a deterministic synthetic corpus of ``n`` disclosures.
 
@@ -103,7 +105,7 @@ def generate_corpus(
         signals[:, k] = np.where(
             kind[:, k] < NEUTRAL_SIGNAL_MASS, small[:, k], signs[:, k] * magnitude
         )
-    noise = rng.normal(0.0, noise_scale, size=n) if noise_scale > 0 else np.zeros(n)
+    noise = rng.normal(0.0, RETURN_NOISE_SCALE, size=n)
     w_perf, w_guid, w_risk = RETURN_WEIGHTS
 
     start = datetime(2018, 1, 2, 9, 0, tzinfo=timezone.utc)
@@ -157,7 +159,6 @@ def stub_agent(
     lens: Lens,
     record: DisclosureRecord,
     latents: Mapping[str, LatentDisclosure],
-    noise: float | None = None,
     run_seed: int | None = None,
     prompt_digest: str | None = None,
 ) -> AgentOutput:
@@ -165,10 +166,10 @@ def stub_agent(
 
     The agent sees its own lens signal plus Gaussian noise seeded by
     (lens, disclosure id, latent seed): labels threshold the noisy
-    observation at the dead zone and confidence is its magnitude. With
-    ``noise`` unset, each lens uses its tuned default scale; the risk
-    agent's large scale makes it confidently wrong more often than the
-    other two, which single-rule baselines cannot discount.
+    observation at the dead zone and confidence is its magnitude. Each lens
+    has its own noise scale; the risk agent's large scale makes it
+    confidently wrong more often than the other two, which single-rule
+    baselines cannot discount.
     ``prompt_digest`` is the rendered prompt's hash when the caller already
     has it.
     """
@@ -177,8 +178,6 @@ def stub_agent(
         raise KeyError(f"no latent signals for disclosure {record.id!r}")
     if not record.clean_text:
         raise ValueError(f"record {record.id!r} has no clean_text; preprocess first")
-    if noise is None:
-        noise = DEFAULT_STUB_NOISE[lens]
     if prompt_digest is None:
         prompt_digest = prompt_hash(render_prompt(lens, record.clean_text))
 
@@ -186,7 +185,7 @@ def stub_agent(
         f"{lens.value}:{record.id}:{latent.noise_seed}".encode("utf-8")
     ).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-    obs = _lens_observation(lens, latent) + (float(rng.normal(0.0, noise)) if noise > 0 else 0.0)
+    obs = _lens_observation(lens, latent) + float(rng.normal(0.0, DEFAULT_STUB_NOISE[lens]))
 
     if obs > LABEL_DEAD_ZONE:
         label = SentimentLabel.POSITIVE

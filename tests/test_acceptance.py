@@ -21,6 +21,7 @@ import pytest
 
 from ensemble_judge.agents import confidence_from_logprobs
 from ensemble_judge.cli import main
+from ensemble_judge.config import RunConfig, TrainConfig
 from ensemble_judge.domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel, Split
 from ensemble_judge.evaluation import ConfusionMatrix, metrics
 from ensemble_judge.ingest import chronological_split, sort_records
@@ -30,6 +31,8 @@ from tests.conftest import agent_json, completion_body, make_triple
 from tests.oracles import confidence_vote_predict, confidence_vote_score, majority_vote_predict
 from tests.test_evaluation import HAND_COMPUTED_MATRICES
 from tests.test_ingest import record as make_record
+
+TRAIN = TrainConfig()
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:feature column .* is constant:RuntimeWarning"
@@ -131,14 +134,14 @@ class TestCriterion2Optimizer:
 
         X_toy = np.array([[-1.0], [1.0]])
         y_toy = np.array([0, 1])
-        w1, b1, _ = fit_logistic(X_toy, y_toy, C=1.0)
+        w1, b1, _ = fit_logistic(X_toy, y_toy, C=1.0, tol=TRAIN.tol, max_iter=TRAIN.max_iter)
         proba_at_zero = 1.0 / (1.0 + math.exp(-b1))
         assert abs(proba_at_zero - 0.5) <= 1e-9
 
         X_big = np.random.default_rng(5).normal(size=(60, 15))
         y_big = (X_big[:, 0] + np.random.default_rng(6).normal(0, 1, 60) > 0).astype(int)
-        wa, ba, _ = fit_logistic(X_big, y_big, C=2.0)
-        wb, bb, _ = fit_logistic(X_big, y_big, C=2.0)
+        wa, ba, _ = fit_logistic(X_big, y_big, C=2.0, tol=TRAIN.tol, max_iter=TRAIN.max_iter)
+        wb, bb, _ = fit_logistic(X_big, y_big, C=2.0, tol=TRAIN.tol, max_iter=TRAIN.max_iter)
         assert wa.tobytes() == wb.tobytes() and ba == bb
 
 
@@ -210,18 +213,18 @@ class TestCriterion6SplitIntegrity:
                 )
                 for i in range(n)
             ]
-            assignment = chronological_split(records)
-            counts = assignment.counts()
+            split = chronological_split(records, RunConfig.split_fractions)
+            counts = {s: len(ids) for s, ids in split.items()}
             assert sum(counts.values()) == n
-            assert len(assignment.partition) == n
+            assert len({rid for ids in split.values() for rid in ids}) == n
             assert abs(counts[Split.TRAIN] - 0.6 * n) <= 1.0
             assert abs(counts[Split.DEV] - 0.2 * n) <= 1.0
             assert abs(counts[Split.TEST] - 0.2 * n) <= 1.0
             position = {r.id: i for i, r in enumerate(sort_records(records))}
-            max_train = max(position[i] for i in assignment.ids_for(Split.TRAIN))
-            min_dev = min(position[i] for i in assignment.ids_for(Split.DEV))
-            max_dev = max(position[i] for i in assignment.ids_for(Split.DEV))
-            min_test = min(position[i] for i in assignment.ids_for(Split.TEST))
+            max_train = max(position[i] for i in split[Split.TRAIN])
+            min_dev = min(position[i] for i in split[Split.DEV])
+            max_dev = max(position[i] for i in split[Split.DEV])
+            min_test = min(position[i] for i in split[Split.TEST])
             assert max_train < min_dev and max_dev < min_test
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemble_judge import agents
 from ensemble_judge.agents import (
     AgentSpec,
     ChatCompletionsClient,
@@ -30,8 +31,8 @@ from tests.conftest import agent_json, completion_body
 DECODING = DecodingConfig(seed=42, max_output_tokens=64)
 
 
-def raw(text, logprobs=None, status=200):
-    return RawGeneration(text=text, token_logprobs=logprobs, http_status=status)
+def raw(text, logprobs=None):
+    return RawGeneration(text=text, token_logprobs=logprobs)
 
 
 def disclosure(rid="d1", clean="Quarterly results improved."):
@@ -316,16 +317,15 @@ class TestRunAgentProtocol:
 
         ep = chat_endpoint(script)
         sleeps = []
-        client = ChatCompletionsClient(
-            ep.url, "test-model", max_attempts=4, backoff_base=0.25, sleep=sleeps.append
-        )
+        client = ChatCompletionsClient(ep.url, "test-model", sleep=sleeps.append)
         out = run_agent(spec_for(ep.url, supports_logprobs=False), DECODING, disclosure(), client=client)
         assert out.label is SentimentLabel.POSITIVE
-        assert sleeps == [0.25, 0.5]  # exponential backoff between attempts
+        assert sleeps == [0.5, 1.0]  # exponential backoff between attempts
 
-    def test_transport_exhaustion_fails_loudly(self, chat_endpoint):
+    def test_transport_exhaustion_fails_loudly(self, chat_endpoint, monkeypatch):
+        monkeypatch.setattr(agents, "MAX_ATTEMPTS", 3)
         ep = chat_endpoint(lambda prompt, i: (500, {"error": "down"}))
-        client = ChatCompletionsClient(ep.url, "test-model", max_attempts=3, sleep=lambda s: None)
+        client = ChatCompletionsClient(ep.url, "test-model", sleep=lambda s: None)
         with pytest.raises(TransportError, match="after 3 attempts"):
             run_agent(spec_for(ep.url), DECODING, disclosure(), client=client)
 

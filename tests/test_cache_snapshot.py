@@ -12,9 +12,11 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemble_judge import store as store_module
 from ensemble_judge.domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
 from ensemble_judge.store import (
     CacheCorruptionError,
@@ -53,6 +55,20 @@ pools = st.lists(
 CREATED = datetime(2024, 1, 2, tzinfo=timezone.utc)
 
 
+class _FrozenClock(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return CREATED
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _frozen_clock():
+    """``put`` stamps CREATED, so the lines it writes are the ones ``_line`` builds."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store_module, "datetime", _FrozenClock)
+        yield
+
+
 def _record(output: AgentOutput, created: datetime = CREATED) -> CacheRecord:
     return CacheRecord(CacheKey.for_output(output), output, created)
 
@@ -66,7 +82,7 @@ def _write(path: Path, runs: list[list[AgentOutput]]) -> None:
     for run in runs:
         with CacheStore(path) as store:
             for output in run:
-                store.put(_record(output))
+                store.put(output)
 
 
 def _snapshot(path: Path) -> Path:
@@ -182,7 +198,7 @@ def _observe(path: Path, keys: list[CacheKey], readonly: bool, put: AgentOutput 
                 )],
             )
             if put is not None:
-                store.put(_record(put))
+                store.put(put)
         return seen
     except (CacheCorruptionError, CacheIntegrityError) as exc:
         return type(exc), str(exc)

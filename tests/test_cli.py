@@ -404,6 +404,79 @@ class TestArtifactChecks:
         assert _single_error_line(err, "latents.jsonl") and last_id in err
         assert sha(workdir / "cache.jsonl") == cache_before
 
+    @pytest.fixture
+    def ingested(self, tmp_path, capsys):
+        cfg_path, workdir = write_config(tmp_path)
+        for args in (("synth", "--n", "300", "--seed", "42"), ("ingest",)):
+            assert run(cfg_path, *args) == 0
+        capsys.readouterr()
+        return cfg_path, workdir
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("clean_text", 5),
+            ("id", 5),
+            ("ticker", 5),
+            ("text", None),
+            ("timestamp", 5),
+            ("next_day_return", True),
+        ],
+    )
+    @pytest.mark.parametrize("stage", ["run-agents", "build-features"])
+    def test_prepared_values_of_the_wrong_type_exit_3(self, ingested, capsys, key, value, stage):
+        cfg_path, workdir = ingested
+        path = workdir / "prepared.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row[key] = value
+        lines[1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines))
+        assert run(cfg_path, stage) == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "prepared.jsonl") and "line 2" in err
+
+    @pytest.mark.parametrize(
+        "train", ["abc", 5, [5], None], ids=["string", "number", "array-of-number", "missing"]
+    )
+    @pytest.mark.parametrize("stage", ["build-features", "run-agents --split"])
+    def test_split_lists_must_be_arrays_of_id_strings(self, ingested, capsys, train, stage):
+        cfg_path, workdir = ingested
+        path = workdir / "split.json"
+        split = json.loads(path.read_text())
+        if train is None:
+            del split["train"]
+        else:
+            split["train"] = train
+        path.write_text(json.dumps(split))
+        args = ("run-agents", "--split", str(path)) if stage == "run-agents --split" else (stage,)
+        assert run(cfg_path, *args) == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "split.json") and "malformed split file" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("noise_seed", 1.5), ("noise_seed", True), ("performance_signal", True)],
+    )
+    def test_latent_values_of_the_wrong_type_exit_3(self, ingested, capsys, key, value):
+        cfg_path, workdir = ingested
+        split = json.loads((workdir / "split.json").read_text())
+        subset = workdir / "subset.json"
+        subset.write_text(json.dumps({"train": split["train"][:10], "dev": [], "test": []}))
+        assert run(cfg_path, "run-agents", "--split", str(subset)) == 0
+        path = workdir / "latents.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[-1])
+        row[key] = value
+        lines[-1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines))
+        cache_before = sha(workdir / "cache.jsonl")
+        capsys.readouterr()
+        assert run(cfg_path, "run-agents") == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "latents.jsonl") and f"line {len(lines)}" in err
+        assert sha(workdir / "cache.jsonl") == cache_before
+
 
 def test_cli_import_does_not_load_requests():
     import os

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemble_judge.config import EvalConfig
 from ensemble_judge.domain import (
     FEATURE_DIM,
     DisclosureRecord,
@@ -26,6 +27,7 @@ from tests.conftest import make_triple
 from tests.oracles import confusion_from_pairs
 
 L = SentimentLabel
+EVAL = EvalConfig()
 
 
 def F(num, den):
@@ -89,17 +91,17 @@ class TestMetrics:
 
 class TestRegimeOf:
     def test_unanimous(self):
-        assert regime_of(make_triple([1, 1, 1], [0.1, 0.2, 0.9])) is Regime.UNANIMOUS
+        assert regime_of(make_triple([1, 1, 1], [0.1, 0.2, 0.9]), EVAL.delta) is Regime.UNANIMOUS
 
     def test_split_dominant_hand_case(self):
-        got = regime_of(make_triple([1, 1, -1], [0.9, 0.6, 0.3]))
+        got = regime_of(make_triple([1, 1, -1], [0.9, 0.6, 0.3]), EVAL.delta)
         assert got is Regime.SPLIT_DOMINANT
 
     def test_all_distinct_is_high_conflict(self):
-        assert regime_of(make_triple([1, 0, -1], [0.9, 0.1, 0.1])) is Regime.HIGH_CONFLICT
+        assert regime_of(make_triple([1, 0, -1], [0.9, 0.1, 0.1]), EVAL.delta) is Regime.HIGH_CONFLICT
 
     def test_split_with_confident_dissenter_is_high_conflict(self):
-        got = regime_of(make_triple([1, 1, -1], [0.4, 0.3, 0.9]))
+        got = regime_of(make_triple([1, 1, -1], [0.4, 0.3, 0.9]), EVAL.delta)
         assert got is Regime.HIGH_CONFLICT
 
     def test_split_below_gap_threshold_is_high_conflict(self):
@@ -117,8 +119,8 @@ class TestRegimeOf:
     )
     @settings(max_examples=200, deadline=None)
     def test_permutation_invariant(self, labels, confs, perm):
-        base = regime_of(make_triple(labels, confs))
-        permuted = regime_of(make_triple([labels[i] for i in perm], [confs[i] for i in perm]))
+        base = regime_of(make_triple(labels, confs), EVAL.delta)
+        permuted = regime_of(make_triple([labels[i] for i in perm], [confs[i] for i in perm]), EVAL.delta)
         assert base is permuted
 
 
@@ -143,6 +145,8 @@ def _identity_model():
             means=(0.0,) * FEATURE_DIM, stds=(1.0,) * FEATURE_DIM, mask=(False,) * FEATURE_DIM
         ),
         optimizer_report=OptimizerReport(iterations=1, final_gradient_norm=0.0, tolerance=1e-8),
+        prompt_hash_digest="",
+        n_outputs=0,
     )
 
 
@@ -165,37 +169,37 @@ class TestEvaluateSplit:
 
     def test_report_has_six_method_rows(self):
         records, outputs = self._world()
-        report = evaluate_split(records, outputs, _identity_model())
+        report = evaluate_split(records, outputs, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas)
         assert tuple(report.method_metrics) == METHOD_NAMES
         assert len(report.method_metrics) == 6
 
     def test_regime_counts_partition_test_size(self):
         records, outputs = self._world()
-        report = evaluate_split(records, outputs, _identity_model())
+        report = evaluate_split(records, outputs, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas)
         assert sum(report.regime_counts.values()) == report.test_size == 4
 
     def test_missing_outputs_rejected(self):
         records, outputs = self._world()
         del outputs["c"]
         with pytest.raises(KeyError, match="'c'"):
-            evaluate_split(records, outputs, _identity_model())
+            evaluate_split(records, outputs, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas)
 
     def test_corrections_list_aggregator_over_vote(self):
         records, outputs = self._world()
-        report = evaluate_split(records, outputs, _identity_model())
+        report = evaluate_split(records, outputs, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas)
         for rid in report.corrections:
             assert rid in {r.id for r in records}
 
     def test_delta_sensitivity_block(self):
         records, outputs = self._world()
-        report = evaluate_split(records, outputs, _identity_model(), sensitivity_deltas=(0.05, 0.2))
+        report = evaluate_split(records, outputs, _identity_model(), EVAL.delta, (0.05, 0.2))
         assert set(report.delta_sensitivity) == {"0.05", "0.2"}
         for block in report.delta_sensitivity.values():
             assert sum(entry["count"] for entry in block.values()) == 4
 
     def test_report_files_round_trip(self, tmp_path):
         records, outputs = self._world()
-        report = evaluate_split(records, outputs, _identity_model())
+        report = evaluate_split(records, outputs, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas)
         jp, tp_ = tmp_path / "report.json", tmp_path / "report.txt"
         write_report(report, jp, tp_)
         loaded = json.loads(jp.read_text())
@@ -206,4 +210,4 @@ class TestEvaluateSplit:
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_split([], {}, _identity_model())
+            evaluate_split([], {}, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemble_judge.config import RunConfig
 from ensemble_judge.domain import DisclosureRecord, Split, target_from_return
 from ensemble_judge.ingest import (
     CorpusFormatError,
@@ -21,6 +22,7 @@ from ensemble_judge.ingest import (
 )
 
 CFG = PreprocessConfig(max_tokens=2048)
+FRACTIONS = RunConfig.split_fractions
 
 
 def corpus_line(i, ts="2020-01-01T00:00:00Z", ret=0.01, rid=None, text="Revenue rose."):
@@ -171,30 +173,29 @@ class TestChronologicalSplit:
         ]
 
     def test_ten_records_six_two_two(self):
-        assignment = chronological_split(self._records(10))
-        counts = assignment.counts()
-        assert (counts[Split.TRAIN], counts[Split.DEV], counts[Split.TEST]) == (6, 2, 2)
+        split = chronological_split(self._records(10), FRACTIONS)
+        assert [len(split[s]) for s in (Split.TRAIN, Split.DEV, Split.TEST)] == [6, 2, 2]
 
     def test_paper_scale_test_count(self):
-        assignment = chronological_split(self._records(18_420))
-        assert assignment.counts()[Split.TEST] == 3_684
+        split = chronological_split(self._records(18_420), FRACTIONS)
+        assert len(split[Split.TEST]) == 3_684
 
     def test_time_order_respected(self):
         records = self._records(10)
-        assignment = chronological_split(records)
+        split = chronological_split(records, FRACTIONS)
         order = {r.id: i for i, r in enumerate(sort_records(records))}
-        max_train = max(order[i] for i in assignment.ids_for(Split.TRAIN))
-        min_dev = min(order[i] for i in assignment.ids_for(Split.DEV))
-        min_test = min(order[i] for i in assignment.ids_for(Split.TEST))
+        max_train = max(order[i] for i in split[Split.TRAIN])
+        min_dev = min(order[i] for i in split[Split.DEV])
+        min_test = min(order[i] for i in split[Split.TEST])
         assert max_train < min_dev < min_test
 
     def test_identical_timestamps_deterministic(self, tmp_path):
         records = self._records(17, same_day=True)
-        first = chronological_split(records)
-        second = chronological_split(list(reversed(records)))
-        assert first.partition == second.partition
+        first = chronological_split(records, FRACTIONS)
+        second = chronological_split(list(reversed(records)), FRACTIONS)
+        assert first == second
         # ties broken by id ascending
-        train_ids = first.ids_for(Split.TRAIN)
+        train_ids = first[Split.TRAIN]
         assert train_ids and train_ids == sorted(train_ids)
         # serialized assignments are bitwise identical across runs
         write_split(first, tmp_path / "a.json")
@@ -203,7 +204,7 @@ class TestChronologicalSplit:
 
     def test_too_few_records(self):
         with pytest.raises(ValueError, match="at least 5"):
-            chronological_split(self._records(4))
+            chronological_split(self._records(4), FRACTIONS)
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError, match="fractions"):
@@ -222,11 +223,11 @@ class TestChronologicalSplit:
             chronological_split(self._records(n), fractions=fractions)
 
     def test_split_file_round_trip(self, tmp_path):
-        assignment = chronological_split(self._records(12))
+        split = chronological_split(self._records(12), FRACTIONS)
         p = tmp_path / "split.json"
-        write_split(assignment, p)
+        write_split(split, p)
         loaded = load_split(p)
-        assert loaded.partition == assignment.partition
+        assert loaded == split
 
     def test_load_split_rejects_double_assignment(self, tmp_path):
         p = tmp_path / "split.json"

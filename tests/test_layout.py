@@ -211,3 +211,70 @@ def test_package_does_not_import_tests():
 
 def test_every_definition_has_a_live_user():
     assert _dead_definitions() == []
+
+
+# Knob guard. A parameter with a default is a value some caller may change;
+# it must be given, by keyword or by position, at some call in the package
+# or the benchmark. Tests alone do not keep a knob: a value only tests set
+# belongs in a module constant the tests monkeypatch, and a run default in
+# the config dataclasses.
+
+# Test fakes for the HTTP session and the backoff sleep, and the entry
+# point's argument list.
+UNSET_DEFAULTS_ALLOWED = {
+    "agents.ChatCompletionsClient.__init__(session)",
+    "agents.ChatCompletionsClient.__init__(sleep)",
+    "cli.main(argv)",
+}
+
+
+def _defaulted_parameters():
+    """Each module- or class-level def's parameters that have a default, as
+    ``(qualname, name the def is called by, position or None, parameter)``;
+    an ``__init__`` is called by its class name, and ``self``/``cls`` take no
+    position at the call."""
+    for path in MODULES:
+        for stmt in _tree(path).body:
+            if isinstance(stmt, FUNCTIONS):
+                members = [(None, stmt)]
+            elif isinstance(stmt, ast.ClassDef):
+                members = [(stmt.name, item) for item in stmt.body if isinstance(item, FUNCTIONS)]
+            else:
+                continue
+            for owner, fn in members:
+                qualname = ".".join(filter(None, (path.stem, owner, fn.name)))
+                called_as = owner if fn.name == "__init__" else fn.name
+                positional = fn.args.posonlyargs + fn.args.args
+                if owner is not None:
+                    positional = positional[1:]
+                first = len(positional) - len(fn.args.defaults)
+                for position, arg in enumerate(positional[first:], start=first):
+                    yield qualname, called_as, position, arg.arg
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        yield qualname, called_as, None, arg.arg
+
+
+def _unset_defaults() -> set[str]:
+    calls = [call for path in [*MODULES, *PERFBENCH.glob("*.py")] for call in _calls(path)]
+
+    def given(called_as: str, position: int | None, parameter: str) -> bool:
+        for call in calls:
+            if _name(call) != called_as:
+                continue
+            if any(kw.arg in (parameter, None) for kw in call.keywords):
+                return True
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            if position is not None and (starred or len(call.args) > position):
+                return True
+        return False
+
+    return {
+        f"{qualname}({parameter})"
+        for qualname, called_as, position, parameter in _defaulted_parameters()
+        if not given(called_as, position, parameter)
+    }
+
+
+def test_every_defaulted_parameter_is_set_by_package_code():
+    assert _unset_defaults() == UNSET_DEFAULTS_ALLOWED

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ensemble_judge.config import TrainConfig
 from ensemble_judge.domain import FEATURE_DIM
 from ensemble_judge.meta import (
     ConvergenceError,
@@ -16,6 +17,8 @@ from ensemble_judge.meta import (
     train_meta_model,
     tune_C,
 )
+
+TRAIN = TrainConfig()
 
 
 def toy_instance(n=40, d=15, seed=0, scale=1.0):
@@ -127,31 +130,31 @@ class TestFitLogistic:
     def test_symmetric_separable_toy_boundary_at_zero(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
-        w, b, report = fit_logistic(X, y, C=1.0)
+        w, b, report = fit_logistic(X, y, C=1.0, tol=TRAIN.tol, max_iter=TRAIN.max_iter)
         proba = 1.0 / (1.0 + math.exp(-(0.0 * w[0] + b)))
         assert proba == pytest.approx(0.5, abs=1e-9)
         assert report.final_gradient_norm <= report.tolerance
 
     def test_stopping_contract(self):
         X, y = toy_instance(n=60, seed=9)
-        _, _, report = fit_logistic(X, y, C=10.0, tol=1e-8)
+        _, _, report = fit_logistic(X, y, C=10.0, tol=1e-8, max_iter=TRAIN.max_iter)
         assert report.final_gradient_norm <= 1e-8
 
     def test_refit_is_bitwise_identical(self):
         X, y = toy_instance(n=80, seed=11)
-        w1, b1, _ = fit_logistic(X, y, C=1.0)
-        w2, b2, _ = fit_logistic(X, y, C=1.0)
+        w1, b1, _ = fit_logistic(X, y, C=1.0, tol=TRAIN.tol, max_iter=TRAIN.max_iter)
+        w2, b2, _ = fit_logistic(X, y, C=1.0, tol=TRAIN.tol, max_iter=TRAIN.max_iter)
         assert w1.tobytes() == w2.tobytes() and b1 == b2
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 3))
         with pytest.raises(ValueError, match="both classes"):
-            fit_logistic(X, np.ones(10, dtype=int), C=1.0)
+            fit_logistic(X, np.ones(10, dtype=int), C=1.0, tol=TRAIN.tol, max_iter=TRAIN.max_iter)
 
     def test_non_convergence_carries_report(self):
         X, y = toy_instance(n=40, seed=2)
         with pytest.raises(ConvergenceError) as exc:
-            fit_logistic(X, y, C=1.0, max_iter=0)
+            fit_logistic(X, y, C=1.0, max_iter=0, tol=TRAIN.tol)
         assert exc.value.report.iterations == 0
 
     def test_loss_matches_refined_grid_oracle(self):
@@ -163,7 +166,7 @@ class TestFitLogistic:
         X = np.vstack([half, -half])
         y = np.concatenate([np.ones(12, dtype=int), np.zeros(12, dtype=int)])
         C = 2.0
-        w, b, _ = fit_logistic(X, y, C=C)
+        w, b, _ = fit_logistic(X, y, C=C, tol=TRAIN.tol, max_iter=TRAIN.max_iter)
         assert abs(b) < 1e-6
         loss_fit, _ = logistic_loss_and_gradient(w, b, X, y, C)
 
@@ -208,6 +211,8 @@ class TestPredict:
                 means=(0.0,) * dim, stds=(1.0,) * dim, mask=(False,) * dim
             ),
             optimizer_report=OptimizerReport(iterations=0, final_gradient_norm=0.0, tolerance=1e-8),
+            prompt_hash_digest="",
+            n_outputs=0,
         )
 
     def _row(self, confidence=0.5):
@@ -230,6 +235,8 @@ class TestPredict:
             inverse_reg_strength=1.0,
             standardizer=model.standardizer,
             optimizer_report=model.optimizer_report,
+            prompt_hash_digest="",
+            n_outputs=0,
         )
         high, low = (model.predict_proba_batch(self._row(c))[0] for c in (0.9, 0.2))
         assert high > low
@@ -242,6 +249,8 @@ class TestPredict:
             inverse_reg_strength=1.0,
             standardizer=model.standardizer,
             optimizer_report=model.optimizer_report,
+            prompt_hash_digest="",
+            n_outputs=0,
         )
         for sign in (1.0, -1.0):
             flipped = MetaModel(
@@ -250,6 +259,8 @@ class TestPredict:
                 inverse_reg_strength=1.0,
                 standardizer=model.standardizer,
                 optimizer_report=model.optimizer_report,
+                prompt_hash_digest="",
+                n_outputs=0,
             )
             p = flipped.predict_proba_batch(self._row())[0]
             assert 0.0 < p < 1.0
@@ -260,13 +271,15 @@ class TestPredict:
             X[:, col] = np.abs(X[:, col])
         std = fit_standardizer(X)
         Z = std.transform(X)
-        w, b, report = fit_logistic(Z, y, C=1.0)
+        w, b, report = fit_logistic(Z, y, C=1.0, tol=TRAIN.tol, max_iter=TRAIN.max_iter)
         with_std = MetaModel(
             weights=tuple(w),
             intercept=b,
             inverse_reg_strength=1.0,
             standardizer=std,
             optimizer_report=report,
+            prompt_hash_digest="",
+            n_outputs=0,
         )
         identity = Standardizer(
             means=(0.0,) * FEATURE_DIM, stds=(1.0,) * FEATURE_DIM, mask=(False,) * FEATURE_DIM
@@ -277,6 +290,8 @@ class TestPredict:
             inverse_reg_strength=1.0,
             standardizer=identity,
             optimizer_report=report,
+            prompt_hash_digest="",
+            n_outputs=0,
         )
         p_direct = without_std.predict_proba_batch(Z)
         p_via_std = with_std.predict_proba_batch(X)
@@ -286,27 +301,31 @@ class TestPredict:
 class TestTuneC:
     def test_single_value_grid(self):
         X, y = toy_instance(n=40, seed=5)
-        best, scores = tune_C((X, y), (X, y), grid=[0.5])
+        best, scores, _ = tune_C((X, y), (X, y), [0.5], TRAIN.tol, TRAIN.max_iter)
         assert best == 0.5 and set(scores) == {0.5}
 
     def test_exact_tie_prefers_smaller_c(self):
         # Perfectly separable instance: every C classifies dev identically.
         X = np.array([[-2.0], [-1.5], [1.5], [2.0]])
         y = np.array([0, 0, 1, 1])
-        best, scores = tune_C((X, y), (X, y), grid=[10.0, 0.1, 1.0])
+        best, scores, _ = tune_C((X, y), (X, y), [10.0, 0.1, 1.0], TRAIN.tol, TRAIN.max_iter)
         assert len(set(scores.values())) == 1
         assert best == 0.1
 
     def test_fit_errors_propagate(self):
         X = np.ones((4, 2))
         with pytest.raises(ValueError):
-            tune_C((X, np.ones(4, dtype=int)), (X, np.ones(4, dtype=int)), grid=[1.0])
+            tune_C(
+                (X, np.ones(4, dtype=int)), (X, np.ones(4, dtype=int)), [1.0], TRAIN.tol, TRAIN.max_iter
+            )
 
 
 class TestMetaModelFile:
     def test_save_load_round_trip(self, tmp_path):
         X, y = toy_instance(n=50, d=FEATURE_DIM, seed=8)
-        model, _ = train_meta_model((X, y), (X, y), grid=[0.1, 1.0], prompt_hash_digest="ab", n_outputs=150)
+        model, _ = train_meta_model(
+            (X, y), (X, y), [0.1, 1.0], TRAIN.tol, TRAIN.max_iter, prompt_hash_digest="ab", n_outputs=150
+        )
         path = tmp_path / "model.json"
         model.save(path)
         loaded = MetaModel.load(path)
@@ -324,4 +343,6 @@ class TestMetaModelFile:
                 optimizer_report=OptimizerReport(
                     iterations=5, final_gradient_norm=1.0, tolerance=1e-8
                 ),
+                prompt_hash_digest="",
+                n_outputs=0,
             )

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+from datetime import datetime, timezone
 
 import pytest
 
@@ -12,7 +13,6 @@ from ensemble_judge.store import (
     CacheKey,
     CacheRecord,
     CacheStore,
-    make_record,
 )
 from tests.conftest import make_output
 
@@ -27,15 +27,19 @@ def key_for(i=0, lens=Lens.PERFORMANCE):
     )
 
 
+CREATED = datetime(2026, 1, 2, tzinfo=timezone.utc)
+
+
 def record_for(i=0, lens=Lens.PERFORMANCE, label=SentimentLabel.POSITIVE):
-    return make_record(make_output(lens=lens, label=label, disclosure_id=f"d{i}"))
+    output = make_output(lens=lens, label=label, disclosure_id=f"d{i}")
+    return CacheRecord(CacheKey.for_output(output), output, CREATED)
 
 
 class TestPutGet:
     def test_round_trip(self, tmp_path):
         with CacheStore(tmp_path / "cache.jsonl") as store:
             rec = record_for()
-            store.put(rec)
+            store.put(rec.output)
             got = store.get(rec.key)
             assert got is not None and got.output == rec.output
 
@@ -47,24 +51,24 @@ class TestPutGet:
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
             rec = record_for()
-            store.put(rec)
+            store.put(rec.output)
             size = path.stat().st_size
-            store.put(rec)
+            store.put(rec.output)
             assert path.stat().st_size == size
             assert len(store) == 1
 
     def test_conflicting_payload_is_integrity_error(self, tmp_path):
         with CacheStore(tmp_path / "cache.jsonl") as store:
-            store.put(record_for(label=SentimentLabel.POSITIVE))
+            store.put(record_for(label=SentimentLabel.POSITIVE).output)
             with pytest.raises(CacheIntegrityError):
-                store.put(record_for(label=SentimentLabel.NEGATIVE))
+                store.put(record_for(label=SentimentLabel.NEGATIVE).output)
 
     def test_append_only_file_growth(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         sizes = []
         with CacheStore(path) as store:
             for i in range(5):
-                store.put(record_for(i))
+                store.put(record_for(i).output)
                 sizes.append(path.stat().st_size)
         assert sizes == sorted(sizes)
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
@@ -75,7 +79,7 @@ class TestPersistence:
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
             for i in range(3):
-                store.put(record_for(i))
+                store.put(record_for(i).output)
         with CacheStore(path) as store:
             assert len(store) == 3
             assert store.get(record_for(1).key) is not None
@@ -84,7 +88,7 @@ class TestPersistence:
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
             for i in range(3):
-                store.put(record_for(i))
+                store.put(record_for(i).output)
         raw = path.read_bytes()
         path.write_bytes(raw[:-25])  # chop inside the final record
         with caplog.at_level(logging.WARNING):
@@ -95,9 +99,9 @@ class TestPersistence:
     def test_corrupted_middle_line_names_byte_offset(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
-            store.put(record_for(0))
+            store.put(record_for(0).output)
             offset = path.stat().st_size
-            store.put(record_for(1))
+            store.put(record_for(1).output)
         data = path.read_bytes().splitlines(keepends=True)
         data[1] = b'{"key": garbage}\n'
         path.write_bytes(b"".join(data))
@@ -107,7 +111,7 @@ class TestPersistence:
     def test_valid_unterminated_final_line_kept(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
-            store.put(record_for(0))
+            store.put(record_for(0).output)
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         with CacheStore(path) as store:
             assert len(store) == 1
@@ -118,14 +122,14 @@ class TestCoverage:
         with CacheStore(tmp_path / "c.jsonl") as store:
             recs = [record_for(i, lens) for i in range(10) for lens in Lens]
             for r in recs:
-                store.put(r)
+                store.put(r.output)
             assert store.missing([r.key for r in recs]) == []
 
     def test_single_gap_reported(self, tmp_path):
         with CacheStore(tmp_path / "c.jsonl") as store:
             recs = [record_for(i, lens) for i in range(10) for lens in Lens]
             for r in recs[1:]:
-                store.put(r)
+                store.put(r.output)
             missing = store.missing([r.key for r in recs])
             assert missing == [recs[0].key]
 
@@ -133,7 +137,7 @@ class TestCoverage:
         with CacheStore(tmp_path / "c.jsonl") as store:
             recs = [record_for(i) for i in range(4)]
             for r in recs:
-                store.put(r)
+                store.put(r.output)
             changed = [
                 CacheKey(
                     disclosure_id=k.disclosure_id,
@@ -151,7 +155,7 @@ class TestSerialization:
     def test_key_field_order_is_stable(self, tmp_path):
         path = tmp_path / "c.jsonl"
         with CacheStore(path) as store:
-            store.put(record_for(0))
+            store.put(record_for(0).output)
         line = json.loads(path.read_text().splitlines()[0])
         assert list(line) == ["key", "output", "created_at"]
         assert list(line["key"]) == ["disclosure_id", "lens", "model_name", "prompt_hash", "seed"]
@@ -171,7 +175,7 @@ class TestCrashTailRepair:
     def _three_records(self, path):
         with CacheStore(path) as store:
             for i in range(3):
-                store.put(record_for(i))
+                store.put(record_for(i).output)
         return path.read_bytes()
 
     def test_resume_after_truncated_tail(self, tmp_path):
@@ -180,8 +184,8 @@ class TestCrashTailRepair:
         path.write_bytes(raw[:-25])
         with CacheStore(path) as store:
             assert len(store) == 2
-            store.put(record_for(2))
-            store.put(record_for(3))
+            store.put(record_for(2).output)
+            store.put(record_for(3).output)
         with CacheStore(path) as store:
             assert len(store) == 4
         two_lines = raw[: raw.rstrip(b"\n").rfind(b"\n") + 1]
@@ -194,8 +198,8 @@ class TestCrashTailRepair:
         path.write_bytes(raw[:-1])
         with CacheStore(path) as store:
             assert len(store) == 3
-            store.put(record_for(3))
-            store.put(record_for(4))
+            store.put(record_for(3).output)
+            store.put(record_for(4).output)
         with CacheStore(path) as store:
             assert len(store) == 5
             assert store.get(record_for(2).key) is not None
@@ -208,8 +212,8 @@ class TestCrashTailRepair:
         for cut in range(last_start, len(raw)):
             path.write_bytes(raw[:cut])
             with CacheStore(path) as store:
-                store.put(record_for(2))
-                store.put(record_for(3))
+                store.put(record_for(2).output)
+                store.put(record_for(3).output)
             with CacheStore(path, readonly=True) as store:
                 assert len(store) == 4, cut
                 for i in range(4):
@@ -226,7 +230,7 @@ class TestCrashTailRepair:
             with CacheStore(path, readonly=True) as store:
                 assert len(store) == (2 if damaged == raw[:-25] else 3)
                 with pytest.raises(CacheIntegrityError, match="read-only"):
-                    store.put(record_for(5))
+                    store.put(record_for(5).output)
             assert path.read_bytes() == damaged
             assert sorted(os.listdir(tmp_path)) == listing
             assert path.with_name("cache.jsonl.table").read_bytes() == snapshot
@@ -269,27 +273,19 @@ class TestLineChecks:
         with pytest.raises(CacheCorruptionError, match=f"byte offset {len(first)}"):
             CacheStore(path, readonly=True)
 
-    def test_put_rejects_key_that_disagrees_with_output(self, tmp_path):
-        rec = record_for(0)
-        forged = CacheRecord(key=key_for(1), output=rec.output, created_at=rec.created_at)
-        with CacheStore(tmp_path / "cache.jsonl") as store:
-            with pytest.raises(CacheIntegrityError):
-                store.put(forged)
-
 
 class TestTable:
     def test_rows_and_judgments_follow_the_file(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         labels = [SentimentLabel.POSITIVE, SentimentLabel.NEUTRAL, SentimentLabel.NEGATIVE]
-        recs = [
-            make_record(
-                make_output(lens=lens, label=label, confidence=0.1 * (i + 1), disclosure_id="d0")
-            )
+        outputs = [
+            make_output(lens=lens, label=label, confidence=0.1 * (i + 1), disclosure_id="d0")
             for i, (lens, label) in enumerate(zip(Lens, labels))
         ]
+        recs = [CacheRecord(CacheKey.for_output(o), o, CREATED) for o in outputs]
         with CacheStore(path) as store:
             for rec in recs:
-                store.put(rec)
+                store.put(rec.output)
         with CacheStore(path, readonly=True) as store:
             keys = [recs[2].key, key_for(9), recs[0].key]
             rows = store.rows(keys)
@@ -306,7 +302,7 @@ class TestSingleWriter:
         path = tmp_path / "cache.jsonl"
         first = CacheStore(path)
         try:
-            first.put(record_for(0))
+            first.put(record_for(0).output)
             with pytest.raises(CacheIntegrityError, match="locked by another run"):
                 CacheStore(path)
             with CacheStore(path, readonly=True) as reader:
@@ -315,7 +311,7 @@ class TestSingleWriter:
             first.close()
         with CacheStore(path) as second:
             assert len(second) == 1
-            second.put(record_for(1))
+            second.put(record_for(1).output)
         with CacheStore(path, readonly=True) as reader:
             assert len(reader) == 2
 
@@ -334,7 +330,7 @@ class TestSingleWriter:
 
         monkeypatch.setattr(store_module, "write_binary", write_while_locked)
         with CacheStore(path) as first:
-            first.put(record_for(0))
+            first.put(record_for(0).output)
         assert written == ["cache.jsonl.table"]
         with CacheStore(path) as second:
             assert len(second) == 1
@@ -353,8 +349,6 @@ class TestCacheBytesAndKeys:
     """The line ``put`` writes, and the key that finds it again, are pinned."""
 
     def test_put_writes_the_documented_bytes_and_expected_keys_find_the_row(self, tmp_path):
-        from datetime import datetime, timezone
-
         from ensemble_judge.agents import (
             AgentSpec,
             DecodingConfig,
@@ -392,10 +386,11 @@ class TestCacheBytesAndKeys:
             ),
             retry_count=0,
         )
-        record = make_record(output)
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
-            store.put(record)
+            store.put(output)
+        created_at = datetime.fromisoformat(json.loads(path.read_bytes())["created_at"])
+        record = CacheRecord(CacheKey.for_output(output), output, created_at)
         expected = (json.dumps(record.to_dict(), ensure_ascii=False) + "\n").encode("utf-8")
         assert path.read_bytes() == expected
 

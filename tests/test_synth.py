@@ -1,5 +1,6 @@
 import pytest
 
+from ensemble_judge import synth
 from ensemble_judge.domain import ConfidenceSource, Lens, SentimentLabel
 from ensemble_judge.ingest import PreprocessConfig, preprocess_corpus
 from ensemble_judge.synth import (
@@ -42,8 +43,9 @@ class TestGenerateCorpus:
         assert 0.4 <= rate <= 0.6
         assert rate == pytest.approx(0.467, abs=1e-12)  # frozen from the first run
 
-    def test_zero_noise_makes_target_deterministic(self):
-        records, latents = generate_corpus(200, seed=5, noise_scale=0.0)
+    def test_zero_noise_makes_target_deterministic(self, monkeypatch):
+        monkeypatch.setattr(synth, "RETURN_NOISE_SCALE", 0.0)
+        records, latents = generate_corpus(200, seed=5)
         w_p, w_g, w_r = RETURN_WEIGHTS
         for r in records:
             lat = latents[r.id]
@@ -66,6 +68,11 @@ class TestGenerateCorpus:
                 assert -1.0 <= v <= 1.0
 
 
+@pytest.fixture
+def no_stub_noise(monkeypatch):
+    monkeypatch.setattr(synth, "DEFAULT_STUB_NOISE", dict.fromkeys(Lens, 0.0))
+
+
 class TestStubAgent:
     def _latents_for(self, record_id, perf=0.0, guid=0.0, risk=0.0):
         return {
@@ -77,24 +84,24 @@ class TestStubAgent:
             )
         }
 
-    def test_strong_performance_signal(self):
+    def test_strong_performance_signal(self, no_stub_noise):
         records, _ = prepared()
         latents = self._latents_for(records[0].id, perf=0.9)
-        out = stub_agent(Lens.PERFORMANCE, records[0], latents, noise=0.0)
+        out = stub_agent(Lens.PERFORMANCE, records[0], latents)
         assert out.label is SentimentLabel.POSITIVE
         assert out.confidence == pytest.approx(0.9)
 
-    def test_dead_zone_is_neutral(self):
+    def test_dead_zone_is_neutral(self, no_stub_noise):
         records, _ = prepared()
         latents = self._latents_for(records[0].id, perf=0.05)
-        out = stub_agent(Lens.PERFORMANCE, records[0], latents, noise=0.0)
+        out = stub_agent(Lens.PERFORMANCE, records[0], latents)
         assert out.label is SentimentLabel.NEUTRAL
         assert out.confidence == pytest.approx(0.05)
 
-    def test_risk_signal_reads_as_negative_sentiment(self):
+    def test_risk_signal_reads_as_negative_sentiment(self, no_stub_noise):
         records, _ = prepared()
         latents = self._latents_for(records[0].id, risk=0.8)
-        out = stub_agent(Lens.RISK, records[0], latents, noise=0.0)
+        out = stub_agent(Lens.RISK, records[0], latents)
         assert out.label is SentimentLabel.NEGATIVE
         assert out.confidence == pytest.approx(0.8)
 
@@ -104,16 +111,16 @@ class TestStubAgent:
         b = stub_agent(Lens.GUIDANCE, records[0], latents)
         assert a == b
 
-    def test_confidence_clipped_to_one(self):
+    def test_confidence_clipped_to_one(self, no_stub_noise):
         records, _ = prepared()
         latents = self._latents_for(records[0].id, guid=1.0)
-        out = stub_agent(Lens.GUIDANCE, records[0], latents, noise=0.0)
+        out = stub_agent(Lens.GUIDANCE, records[0], latents)
         assert out.confidence == 1.0
 
-    def test_threshold_matches_dead_zone_constant(self):
+    def test_threshold_matches_dead_zone_constant(self, no_stub_noise):
         records, _ = prepared()
         latents = self._latents_for(records[0].id, perf=LABEL_DEAD_ZONE)
-        out = stub_agent(Lens.PERFORMANCE, records[0], latents, noise=0.0)
+        out = stub_agent(Lens.PERFORMANCE, records[0], latents)
         assert out.label is SentimentLabel.NEUTRAL  # strict inequality at the edge
 
     def test_output_provenance(self):

@@ -85,14 +85,15 @@ def test_evaluate_split_is_the_array_core():
         [[(int(o.label), o.confidence) for o in outputs[r.id].values()] for r in records]
     )
     model = test_evaluation._identity_model()
-    via_outputs = evaluate_split(records, outputs, model, sensitivity_deltas=(0.05, 0.2))
+    via_outputs = evaluate_split(records, outputs, model, 0.1, (0.05, 0.2))
     via_arrays = evaluate_judgments(
         [r.id for r in records],
         np.array([r.binary_target for r in records]),
         labels,
         confidences,
         model,
-        sensitivity_deltas=(0.05, 0.2),
+        0.1,
+        (0.05, 0.2),
     )
     assert via_outputs.to_json() == via_arrays.to_json()
     assert via_outputs.render_text() == via_arrays.render_text()
