@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -652,3 +653,20 @@ class TestCacheSnapshot:
         for stage in ("run-agents", "build-features", "train", "evaluate"):
             assert run(cfg_path, stage) == 0
         assert {name: sha(workdir / name) for name in ARTIFACTS} == before
+
+
+# sha256 of a fresh `synth --n 300 --seed 7` -> `ingest` -> `run-agents`
+# cache.jsonl with every created_at value blanked, recorded before the stub
+# noise was drawn in batches and the store wrote its lines itself.
+PINNED_CACHE_SHA256 = "6ef6dc5bba50ecea40dfa92c177a2c33f636c1d386086fe224ed6b0596fe9568"
+
+
+def test_cold_stub_cache_bytes_are_pinned(tmp_path):
+    """The stub noise stream and the cache line bytes, in about a second."""
+    cfg_path, workdir = write_config(tmp_path)
+    for args in (("synth", "--n", "300", "--seed", "7"), ("ingest",), ("run-agents",)):
+        assert run(cfg_path, *args) == 0
+    blanked = re.sub(rb'"created_at": "[^"]*"', b'"created_at": ""',
+                     (workdir / "cache.jsonl").read_bytes())
+    assert blanked.count(b'"created_at": ""') == 900
+    assert hashlib.sha256(blanked).hexdigest() == PINNED_CACHE_SHA256
