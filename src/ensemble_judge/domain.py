@@ -127,21 +127,6 @@ class AgentOutput:
             if self.label is not SentimentLabel.NEUTRAL or self.confidence != 0.0:
                 raise ValueError("fallback outputs must be (neutral, 0.0)")
 
-    def to_dict(self) -> dict:
-        return {
-            "disclosure_id": self.disclosure_id,
-            "agent": self.agent.value,
-            "label": self.label.as_string(),
-            "confidence": self.confidence,
-            "rationale": self.rationale,
-            "confidence_source": self.confidence_source.value,
-            "model_name": self.model_name,
-            "prompt_hash": self.prompt_hash,
-            "seed": self.seed,
-            "raw_json": self.raw_json,
-            "retry_count": self.retry_count,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "AgentOutput":
         return cls(

@@ -25,6 +25,7 @@ from .evaluation import ConfusionMatrix, metrics
 # Continuous features (the three confidences and the confidence gap) are the
 # only standardized positions; labels, counts, and indicators stay raw.
 STANDARDIZED_POSITIONS: tuple[int, ...] = FEAT_CONFS + (FEAT_GAP,)
+_MASK = tuple(i in STANDARDIZED_POSITIONS for i in range(FEATURE_DIM))
 
 
 class ConvergenceError(RuntimeError):
@@ -69,11 +70,23 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(
-            means=_feature_numbers(d, "means"),
-            stds=_feature_numbers(d, "stds"),
-            mask=tuple(d["mask"]),
-        )
+        """A saved standardizer, which must standardize exactly
+        ``STANDARDIZED_POSITIONS`` and pass every other column through."""
+        mask = d["mask"]
+        if not (
+            isinstance(mask, list)
+            and all(type(masked) is bool for masked in mask)
+            and tuple(mask) == _MASK
+        ):
+            raise ValueError(
+                f"mask: expected {FEATURE_DIM} booleans marking positions "
+                f"{STANDARDIZED_POSITIONS}, got {mask!r}"
+            )
+        means, stds = _feature_numbers(d, "means"), _feature_numbers(d, "stds")
+        for i, (mean, std, masked) in enumerate(zip(means, stds, _MASK)):
+            if not masked and (mean, std) != (0.0, 1.0):
+                raise ValueError(f"column {i} is not standardized but has mean {mean}, std {std}")
+        return cls(means=means, stds=stds, mask=_MASK)
 
 
 def _feature_numbers(d: dict, key: str) -> tuple[float, ...]:

@@ -13,7 +13,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Container, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .ingest import (
 )
 from .meta import ConvergenceError, MetaModel, train_meta_model
 from .store import CacheKey, CacheStore
-from .synth import generate_corpus, load_latents, stub_agent, write_latents
+from .synth import generate_corpus, load_latents, stub_outputs, write_latents
 
 T = TypeVar("T")
 
@@ -135,6 +135,15 @@ def _load_checked(path: Path, load: Callable[[Path], T], what: str) -> T:
         raise ArtifactError(f"{path}: malformed {what} file: {exc!r}") from None
 
 
+def _assigned_ids(split: dict[Split, list[str]], known: Container[str]) -> dict[str, None]:
+    """The ids ``split`` assigns, in split order; each must be ``known``."""
+    assigned = dict.fromkeys(rid for ids in split.values() for rid in ids)
+    unknown = [rid for rid in assigned if rid not in known]
+    if unknown:
+        raise ValueError(f"split references unknown ids, e.g. {unknown[:3]}")
+    return assigned
+
+
 def _split_records(config: RunConfig) -> dict[Split, list[DisclosureRecord]]:
     """The prepared records of each split, in split order.
 
@@ -143,10 +152,7 @@ def _split_records(config: RunConfig) -> dict[Split, list[DisclosureRecord]]:
     records = load_prepared(_require(config.prepared_path, "preprocessed corpus"))
     split = _load_checked(_require(config.split_path, "split file"), load_split, "split")
     by_id = {r.id: r for r in records}
-    assigned = dict.fromkeys(rid for ids in split.values() for rid in ids)
-    unknown = [rid for rid in assigned if rid not in by_id]
-    if unknown:
-        raise ValueError(f"split references unknown ids, e.g. {unknown[:3]}")
+    assigned = _assigned_ids(split, by_id)
     unassigned = [rid for rid in by_id if rid not in assigned]
     if unassigned:
         raise ValueError(
@@ -183,10 +189,9 @@ def _stub_outputs(config: RunConfig, todo: Sequence[_Pair]) -> Iterator[AgentOut
             f"{config.latents_path}: no latent signals for {len(lacking)} disclosures, "
             f"e.g. {lacking[:3]}"
         )
-    for record, spec, key in todo:
-        yield stub_agent(
-            spec.lens, record, latents, run_seed=config.seed, prompt_digest=key.prompt_hash
-        )
+    yield from stub_outputs(
+        ((spec.lens, record, key.prompt_hash, key.seed) for record, spec, key in todo), latents
+    )
 
 
 def _http_outputs(config: RunConfig, todo: Sequence[_Pair]) -> Iterator[AgentOutput]:
@@ -221,14 +226,14 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     records = load_prepared(_require(config.prepared_path, "preprocessed corpus"))
     if split_path is not None:
         split = _load_checked(split_path, load_split, "split")
-        wanted = {rid for ids in split.values() for rid in ids}
+        wanted = _assigned_ids(split, {r.id for r in records})
         records = [r for r in records if r.id in wanted]
     pairs = _pairs(records, config.agent_specs(), config.decoding())
 
     fetched = 0
     fallbacks = 0
     with CacheStore(config.cache_path) as store:
-        todo = [(record, spec, key) for record, spec, key in pairs if key not in store]
+        todo = [pair for pair in pairs if pair[2] not in store]
         if config.stub.enabled:
             outputs, sync_every = _stub_outputs(config, todo), 0
         else:

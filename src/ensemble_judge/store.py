@@ -31,13 +31,14 @@ from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import islice
+from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .artifacts import json_line, write_binary
+from .artifacts import write_binary
 from .domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
 
 logger = logging.getLogger(__name__)
@@ -72,10 +73,6 @@ class CacheKey(NamedTuple):
     prompt_hash: str
     seed: int
 
-    def to_dict(self) -> dict:
-        # Field order is fixed so serialized keys hash stably.
-        return {**self._asdict(), "lens": self.lens.value}
-
     @classmethod
     def from_dict(cls, d: dict) -> "CacheKey":
         return cls(
@@ -93,13 +90,6 @@ class CacheRecord:
     output: AgentOutput
     created_at: datetime
 
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key.to_dict(),
-            "output": self.output.to_dict(),
-            "created_at": self.created_at.isoformat(),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "CacheRecord":
         return cls(
@@ -107,6 +97,41 @@ class CacheRecord:
             output=AgentOutput.from_dict(d["output"]),
             created_at=datetime.fromisoformat(d["created_at"]),
         )
+
+
+# Each enum value's JSON string, encoded once: ``Enum.value`` is a
+# Python-level property.
+_LENS_JSON = {lens: encode_basestring(lens.value) for lens in Lens}
+_LABEL_JSON = {label: encode_basestring(label.as_string()) for label in SentimentLabel}
+_SOURCE_JSON = {source: encode_basestring(source.value) for source in ConfidenceSource}
+
+
+def _json_number(value: float) -> str:
+    """``value`` as ``json`` writes it: an int as an int, a float by ``float.__repr__``
+    (a subclass's ``repr``, such as numpy's, can differ)."""
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
+def _cache_line(output: AgentOutput, created_at: str) -> str:
+    """The cache line of ``output``: ``{key, output, created_at}`` in this fixed
+    field order, the same bytes ``json.dumps(..., ensure_ascii=False)`` writes."""
+    disclosure_id = encode_basestring(output.disclosure_id)
+    lens = _LENS_JSON[output.agent]
+    model_name = encode_basestring(output.model_name)
+    prompt_hash = encode_basestring(output.prompt_hash)
+    seed = int.__repr__(output.seed)
+    return (
+        f'{{"key": {{"disclosure_id": {disclosure_id}, "lens": {lens}, '
+        f'"model_name": {model_name}, "prompt_hash": {prompt_hash}, "seed": {seed}}}, '
+        f'"output": {{"disclosure_id": {disclosure_id}, "agent": {lens}, '
+        f'"label": {_LABEL_JSON[output.label]}, "confidence": {_json_number(output.confidence)}, '
+        f'"rationale": {encode_basestring(output.rationale)}, '
+        f'"confidence_source": {_SOURCE_JSON[output.confidence_source]}, '
+        f'"model_name": {model_name}, "prompt_hash": {prompt_hash}, "seed": {seed}, '
+        f'"raw_json": {encode_basestring(output.raw_json)}, '
+        f'"retry_count": {int.__repr__(output.retry_count)}}}, '
+        f'"created_at": {encode_basestring(created_at)}}}\n'
+    )
 
 
 class _KeyMismatch(Exception):
@@ -440,8 +465,7 @@ class CacheStore:
         if row is not None:
             self._check_payload(row, output, f"key already stored with a different payload: {key}")
             return
-        record = CacheRecord(key, output, datetime.now(timezone.utc))
-        data = json_line(record.to_dict()).encode("utf-8")
+        data = _cache_line(output, datetime.now(timezone.utc).isoformat()).encode("utf-8")
         self._fh.write(data)
         self._fh.flush()
         self._index[key] = len(self._offsets)

@@ -12,11 +12,11 @@ endpoint anywhere.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import islice
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -155,12 +155,65 @@ def _lens_observation(lens: Lens, latent: LatentDisclosure) -> float:
     return -latent.risk_signal
 
 
+# Per-lens and per-label strings, read once: ``Enum.value`` is a
+# Python-level property.
+_LENS_NAMES = {lens: lens.value for lens in Lens}
+_LABEL_NAMES = {label: label.as_string() for label in SentimentLabel}
+
+
+def _latent_for(
+    record: DisclosureRecord, latents: Mapping[str, LatentDisclosure]
+) -> LatentDisclosure:
+    latent = latents.get(record.id)
+    if latent is None:
+        raise KeyError(f"no latent signals for disclosure {record.id!r}")
+    if not record.clean_text:
+        raise ValueError(f"record {record.id!r} has no clean_text; preprocess first")
+    return latent
+
+
+def _noise_seed(lens: Lens, disclosure_id: str, latent: LatentDisclosure) -> int:
+    """The seed of one (lens, disclosure) pair's noise draw."""
+    digest = hashlib.sha256(
+        f"{_LENS_NAMES[lens]}:{disclosure_id}:{latent.noise_seed}".encode("utf-8")
+    ).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def _stub_output(
+    lens: Lens, disclosure_id: str, obs: float, prompt_digest: str, seed: int
+) -> AgentOutput:
+    """The stub agent's answer for a noisy observation ``obs``."""
+    if obs > LABEL_DEAD_ZONE:
+        label = SentimentLabel.POSITIVE
+    elif obs < -LABEL_DEAD_ZONE:
+        label = SentimentLabel.NEGATIVE
+    else:
+        label = SentimentLabel.NEUTRAL
+    confidence = min(abs(obs), 1.0)
+    rationale = f"The {_LENS_NAMES[lens]} signal reads {obs:+.3f} for next-day reaction."
+    # json.dumps's bytes: the label and rationale hold no character JSON escapes.
+    raw_json = (
+        f'{{"label": "{_LABEL_NAMES[label]}", "rationale": "{rationale}", '
+        f'"confidence": {float.__repr__(confidence)}}}'
+    )
+    return AgentOutput(
+        disclosure_id=disclosure_id,
+        agent=lens,
+        label=label,
+        confidence=confidence,
+        rationale=rationale,
+        confidence_source=ConfidenceSource.SELF_REPORTED,
+        model_name=STUB_MODEL_NAME,
+        prompt_hash=prompt_digest,
+        seed=seed,
+        raw_json=raw_json,
+        retry_count=0,
+    )
+
+
 def stub_agent(
-    lens: Lens,
-    record: DisclosureRecord,
-    latents: Mapping[str, LatentDisclosure],
-    run_seed: int | None = None,
-    prompt_digest: str | None = None,
+    lens: Lens, record: DisclosureRecord, latents: Mapping[str, LatentDisclosure]
 ) -> AgentOutput:
     """Deterministic agent over the hidden signals instead of an LLM.
 
@@ -169,48 +222,52 @@ def stub_agent(
     observation at the dead zone and confidence is its magnitude. Each lens
     has its own noise scale; the risk agent's large scale makes it
     confidently wrong more often than the other two, which single-rule
-    baselines cannot discount.
-    ``prompt_digest`` is the rendered prompt's hash when the caller already
-    has it.
+    baselines cannot discount. The output's seed is the latent seed.
     """
-    latent = latents.get(record.id)
-    if latent is None:
-        raise KeyError(f"no latent signals for disclosure {record.id!r}")
-    if not record.clean_text:
-        raise ValueError(f"record {record.id!r} has no clean_text; preprocess first")
-    if prompt_digest is None:
-        prompt_digest = prompt_hash(render_prompt(lens, record.clean_text))
-
-    digest = hashlib.sha256(
-        f"{lens.value}:{record.id}:{latent.noise_seed}".encode("utf-8")
-    ).digest()
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    latent = _latent_for(record, latents)
+    # One pair: default_rng costs less than a call into the chunked mixing.
+    rng = np.random.default_rng(_noise_seed(lens, record.id, latent))
     obs = _lens_observation(lens, latent) + float(rng.normal(0.0, DEFAULT_STUB_NOISE[lens]))
+    return _stub_output(
+        lens,
+        record.id,
+        obs,
+        prompt_hash(render_prompt(lens, record.clean_text)),
+        latent.noise_seed,
+    )
 
-    if obs > LABEL_DEAD_ZONE:
-        label = SentimentLabel.POSITIVE
-    elif obs < -LABEL_DEAD_ZONE:
-        label = SentimentLabel.NEGATIVE
-    else:
-        label = SentimentLabel.NEUTRAL
-    confidence = min(abs(obs), 1.0)
-    rationale = f"The {lens.value} signal reads {obs:+.3f} for next-day reaction."
-    raw_json = json.dumps(
-        {"label": label.as_string(), "rationale": rationale, "confidence": confidence}
-    )
-    return AgentOutput(
-        disclosure_id=record.id,
-        agent=lens,
-        label=label,
-        confidence=confidence,
-        rationale=rationale,
-        confidence_source=ConfidenceSource.SELF_REPORTED,
-        model_name=STUB_MODEL_NAME,
-        prompt_hash=prompt_digest,
-        seed=run_seed if run_seed is not None else latent.noise_seed,
-        raw_json=raw_json,
-        retry_count=0,
-    )
+
+# Pairs per batch of vectorized seed mixing: large enough to amortize the
+# array calls, small enough that a batch's buffers (about 200 bytes a pair)
+# do not raise the stage's peak memory and the outputs stay streamed.
+NOISE_CHUNK = 1024
+
+
+def stub_outputs(
+    pairs: Iterable[tuple[Lens, DisclosureRecord, str, int]],
+    latents: Mapping[str, LatentDisclosure],
+) -> Iterator[AgentOutput]:
+    """:func:`stub_agent`'s output for each ``(lens, record, prompt digest,
+    seed)``, with the given prompt digest and seed.
+
+    The noise is the same ``default_rng(noise seed).normal`` draw, taken a
+    chunk of pairs at a time.
+    """
+    from .noise import normal_draws  # loads numpy.random, which only stub runs need
+
+    pairs = iter(pairs)
+    while chunk := list(islice(pairs, NOISE_CHUNK)):
+        chunk_latents = [_latent_for(record, latents) for _, record, _, _ in chunk]
+        noise = normal_draws(
+            [
+                _noise_seed(lens, record.id, latent)
+                for (lens, record, _, _), latent in zip(chunk, chunk_latents)
+            ],
+            [DEFAULT_STUB_NOISE[lens] for lens, _, _, _ in chunk],
+        )
+        for (lens, record, digest, seed), latent, draw in zip(chunk, chunk_latents, noise):
+            obs = _lens_observation(lens, latent) + draw
+            yield _stub_output(lens, record.id, obs, digest, seed)
 
 
 def write_latents(latents: Mapping[str, LatentDisclosure], path: str | Path) -> None:

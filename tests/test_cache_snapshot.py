@@ -26,6 +26,7 @@ from ensemble_judge.store import (
     CacheStore,
 )
 from tests.conftest import make_output
+from tests.oracles import cache_line
 
 # Ids with tabs, newlines and non-ASCII characters; a small alphabet makes
 # repeated keys likely.
@@ -74,7 +75,7 @@ def _record(output: AgentOutput, created: datetime = CREATED) -> CacheRecord:
 
 
 def _line(output: AgentOutput, created: datetime = CREATED) -> bytes:
-    return (json.dumps(_record(output, created).to_dict(), ensure_ascii=False) + "\n").encode()
+    return cache_line(_record(output, created))
 
 
 def _write(path: Path, runs: list[list[AgentOutput]]) -> None:

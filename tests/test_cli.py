@@ -135,6 +135,24 @@ class TestFullPipeline:
         assert "60/60 pairs" in capsys.readouterr().out
         assert len((workdir / "cache.jsonl").read_text().splitlines()) == 60
 
+    def test_run_agents_split_with_unknown_ids_exits_1(self, tmp_path, capsys):
+        cfg_path, workdir = write_config(tmp_path)
+        assert run(cfg_path, "synth", "--n", "300", "--seed", "42") == 0
+        assert run(cfg_path, "ingest") == 0
+        split = json.loads((workdir / "split.json").read_text())
+        subset = tmp_path / "subset.json"
+        subset.write_text(json.dumps({"train": split["train"][:10], "dev": [], "test": []}))
+        assert run(cfg_path, "run-agents", "--split", str(subset)) == 0
+        cache, snapshot = workdir / "cache.jsonl", workdir / "cache.jsonl.table"
+        before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in (cache, snapshot)]
+        subset.write_text(json.dumps({"train": ["no-such-id"], "dev": [], "test": []}))
+        capsys.readouterr()
+        assert run(cfg_path, "run-agents", "--split", str(subset)) == 1
+        captured = capsys.readouterr()
+        assert "split references unknown ids, e.g. ['no-such-id']" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1 and "coverage" not in captured.out
+        assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in (cache, snapshot)] == before
+
     def test_stale_model_detected(self, pipeline, capsys):
         cfg_path, workdir = pipeline
         model = json.loads((workdir / "model.json").read_text())
@@ -384,6 +402,31 @@ class TestArtifactChecks:
         assert _single_error_line(capsys.readouterr().err, "model.json")
         assert sha(workdir / "report.json") == report_before
 
+    @pytest.mark.parametrize(
+        "mask, stds6",
+        [
+            ([False] * 15, 0.0),
+            ([1, "x", None, True] + [False] * 11, 1.0),
+            ([True] * 15, 1.0),
+            (None, 0.0),
+        ],
+        ids=["all-false-zero-std", "not-booleans", "all-true", "right-mask-zero-std"],
+    )
+    def test_model_standardizer_must_mark_the_standardized_positions(
+        self, pipeline, capsys, mask, stds6
+    ):
+        cfg_path, workdir = pipeline
+        model = json.loads((workdir / "model.json").read_text())
+        if mask is not None:
+            model["standardizer"]["mask"] = mask
+        model["standardizer"]["stds"][6] = stds6
+        (workdir / "model.json").write_text(json.dumps(model))
+        report_before = sha(workdir / "report.json")
+        capsys.readouterr()
+        assert run(cfg_path, "evaluate") == 3
+        assert _single_error_line(capsys.readouterr().err, "model.json")
+        assert sha(workdir / "report.json") == report_before
+
     def test_run_agents_refuses_latents_that_lack_a_disclosure(self, tmp_path, capsys):
         cfg_path, workdir = write_config(tmp_path)
         for args in (("synth", "--n", "300", "--seed", "42"), ("ingest",)):
@@ -489,6 +532,27 @@ def test_cli_import_does_not_load_requests():
 
     src = str(Path(ensemble_judge.__file__).resolve().parents[1])
     code = "import sys, ensemble_judge.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_numpy_random():
+    """Only stub runs draw noise; no other stage pays for numpy.random."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ensemble_judge
+
+    src = str(Path(ensemble_judge.__file__).resolve().parents[1])
+    code = "import sys, ensemble_judge.cli; print('numpy.random' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},

@@ -11,7 +11,7 @@ from ensemble_judge.domain import (
     target_from_return,
 )
 from tests.conftest import make_output
-from tests.oracles import binarize_label
+from tests.oracles import binarize_label, output_to_dict
 
 
 class TestSentimentLabel:
@@ -112,7 +112,7 @@ class TestAgentOutputInvariants:
 
     def test_dict_round_trip(self):
         out = make_output(label=SentimentLabel.NEGATIVE, confidence=0.25)
-        assert AgentOutput.from_dict(out.to_dict()) == out
+        assert AgentOutput.from_dict(output_to_dict(out)) == out
 
 
 class TestFeatureVectorInvariants:

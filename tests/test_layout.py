@@ -1,10 +1,12 @@
 """Where the package writes files and encodes JSON lines, checked on its source.
 
 Every artifact goes through ``artifacts.write_text`` (temporary file,
-fsync, rename), the agent cache is the one file opened for append, and one
-shared encoder writes non-ASCII JSON lines. A new write path elsewhere would
-bypass the crash guarantees or the shared encoder without failing any
-behavioural test, so these tests read the source instead. For the same
+fsync, rename), the agent cache is the one file opened for append, and
+non-ASCII JSON lines have one writer per file kind: the shared encoder in
+``artifacts.py``, and the cache's fixed-layout line in ``store.py``. A new
+write path elsewhere would bypass the crash guarantees or the line writers
+without failing any behavioural test, so these tests read the source
+instead. For the same
 reason they check that the package imports nothing from ``tests`` and
 defines nothing that only tests use.
 """
@@ -99,6 +101,18 @@ def test_only_artifacts_builds_a_non_ascii_json_encoder():
         and not (isinstance(keyword.value, ast.Constant) and keyword.value.value is True)
     ]
     assert found == []
+    # The encoder's internals build JSON text without it.
+    internals = {"encode_basestring", "encode_basestring_ascii", "c_make_encoder"}
+    naming = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Name) and node.id in internals)
+        or (isinstance(node, ast.Attribute) and node.attr in internals)
+        or (isinstance(node, ast.alias) and node.name in internals | {"json.encoder"})
+        or (isinstance(node, ast.ImportFrom) and node.module == "json.encoder")
+    }
+    assert naming <= {"artifacts.py", "store.py"}
 
 
 # Dead-code guard. A function or class the package defines must be used by

@@ -1,12 +1,16 @@
 import json
 import logging
 import os
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensemble_judge import store as store_module
-from ensemble_judge.domain import Lens, SentimentLabel
+from ensemble_judge.domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
 from ensemble_judge.store import (
     CacheCorruptionError,
     CacheIntegrityError,
@@ -15,6 +19,7 @@ from ensemble_judge.store import (
     CacheStore,
 )
 from tests.conftest import make_output
+from tests.oracles import cache_line, record_to_dict
 
 
 def key_for(i=0, lens=Lens.PERFORMANCE):
@@ -162,11 +167,11 @@ class TestSerialization:
 
     def test_record_round_trip(self):
         rec = record_for(7, Lens.RISK, SentimentLabel.NEGATIVE)
-        assert CacheRecord.from_dict(rec.to_dict()) == rec
+        assert CacheRecord.from_dict(record_to_dict(rec)) == rec
 
 
 def _line_of(record, **output_changes):
-    d = record.to_dict()
+    d = record_to_dict(record)
     d["output"].update(output_changes)
     return (json.dumps(d) + "\n").encode("utf-8")
 
@@ -247,8 +252,8 @@ class TestCrashTailRepair:
 class TestLineChecks:
     def test_key_block_must_agree_with_output_block(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        good = record_for(0).to_dict()
-        bad = record_for(1).to_dict()
+        good = record_to_dict(record_for(0))
+        bad = record_to_dict(record_for(1))
         bad["key"]["disclosure_id"] = "d7"
         first = (json.dumps(good) + "\n").encode()
         path.write_bytes(first + (json.dumps(bad) + "\n").encode())
@@ -391,7 +396,7 @@ class TestCacheBytesAndKeys:
             store.put(output)
         created_at = datetime.fromisoformat(json.loads(path.read_bytes())["created_at"])
         record = CacheRecord(CacheKey.for_output(output), output, created_at)
-        expected = (json.dumps(record.to_dict(), ensure_ascii=False) + "\n").encode("utf-8")
+        expected = cache_line(record)
         assert path.read_bytes() == expected
 
         (key,) = expected_cache_keys([disclosure], [spec], decoding)
@@ -401,3 +406,58 @@ class TestCacheBytesAndKeys:
             assert store.rows([key]).tolist() == [0]
             assert store.get(key) == record
             assert store.missing([key]) == []
+
+
+# Text JSON must escape or keep: quotes, backslashes, control characters,
+# DEL, the line and paragraph separators and non-ASCII; lone surrogates
+# cannot be encoded as UTF-8 at all.
+texts = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", " ", " ", "é"]),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def any_outputs(draw):
+    source = draw(st.sampled_from(ConfidenceSource))
+    fallback = source is ConfidenceSource.FALLBACK
+    return AgentOutput(
+        disclosure_id=draw(texts.filter(bool)),
+        agent=draw(st.sampled_from(Lens)),
+        label=SentimentLabel.NEUTRAL if fallback else draw(st.sampled_from(SentimentLabel)),
+        confidence=(
+            draw(st.sampled_from([0, 0.0]))
+            if fallback
+            else draw(st.one_of(st.integers(0, 1), st.floats(0.0, 1.0)))
+        ),
+        rationale=draw(texts),
+        confidence_source=source,
+        model_name=draw(texts),
+        prompt_hash=draw(texts),
+        seed=draw(st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([-1, 2**63, 2**64]))),
+        raw_json=draw(texts),
+        retry_count=draw(st.integers(0, 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(any_outputs(), min_size=1, max_size=5, unique_by=CacheKey.for_output))
+def test_put_writes_the_oracle_bytes_for_any_output(outputs):
+    """``put``'s fixed-layout line is ``json.dumps(..., ensure_ascii=False)``
+    of the record's dicts, byte for byte, and reads back as the record."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        with CacheStore(path) as store:
+            for output in outputs:
+                store.put(output)
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == len(outputs)
+        with CacheStore(path, readonly=True) as store:
+            for output, line in zip(outputs, lines):
+                created_at = datetime.fromisoformat(json.loads(line)["created_at"])
+                record = CacheRecord(CacheKey.for_output(output), output, created_at)
+                assert line == cache_line(record)
+                assert store.get(record.key) == record

@@ -1,7 +1,8 @@
 import pytest
 
 from ensemble_judge import synth
-from ensemble_judge.domain import ConfidenceSource, Lens, SentimentLabel
+from ensemble_judge.agents import prompt_hash, render_prompt
+from ensemble_judge.domain import LENS_ORDER, ConfidenceSource, Lens, SentimentLabel
 from ensemble_judge.ingest import PreprocessConfig, preprocess_corpus
 from ensemble_judge.synth import (
     LABEL_DEAD_ZONE,
@@ -10,8 +11,10 @@ from ensemble_judge.synth import (
     generate_corpus,
     load_latents,
     stub_agent,
+    stub_outputs,
     write_latents,
 )
+from tests import oracles
 
 CFG = PreprocessConfig(max_tokens=2048)
 
@@ -125,9 +128,9 @@ class TestStubAgent:
 
     def test_output_provenance(self):
         records, latents = prepared()
-        out = stub_agent(Lens.RISK, records[0], latents, run_seed=42)
+        out = stub_agent(Lens.RISK, records[0], latents)
         assert out.model_name == "stub-agent"
-        assert out.seed == 42
+        assert out.seed == latents[records[0].id].noise_seed
         assert out.confidence_source is ConfidenceSource.SELF_REPORTED
         assert out.retry_count == 0
         assert len(out.prompt_hash) == 64
@@ -141,6 +144,49 @@ class TestStubAgent:
         records, latents = generate_corpus(100, seed=2)
         with pytest.raises(ValueError, match="clean_text"):
             stub_agent(Lens.RISK, records[0], latents)
+
+
+class TestAgainstTheStubOracle:
+    """The package's stub paths give the outputs of one default_rng per pair
+    and json.dumps of each answer (``tests.oracles.stub_agent``)."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        records, latents = generate_corpus(300, seed=7)
+        return preprocess_corpus(records, CFG), latents
+
+    def test_stub_agent_matches_the_oracle_on_every_pair(self, corpus):
+        records, latents = corpus
+        for record in records:
+            for lens in LENS_ORDER:
+                assert stub_agent(lens, record, latents) == oracles.stub_agent(
+                    lens, record, latents
+                )
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_batch_path_yields_the_oracle_outputs(self, corpus, monkeypatch, chunk):
+        records, latents = corpus
+        if chunk is not None:
+            monkeypatch.setattr(synth, "NOISE_CHUNK", chunk)
+        pairs = [
+            (lens, record, prompt_hash(render_prompt(lens, record.clean_text)), 42)
+            for record in records
+            for lens in LENS_ORDER
+        ]
+        expected = [
+            oracles.stub_agent(lens, record, latents, run_seed=42, prompt_digest=digest)
+            for lens, record, digest, _ in pairs
+        ]
+        assert list(stub_outputs(pairs, latents)) == expected
+        assert len(expected) == 900
+
+    def test_batch_path_keeps_the_stub_agents_checks(self, corpus):
+        records, latents = corpus
+        raw, _ = generate_corpus(100, seed=2)
+        with pytest.raises(KeyError):
+            list(stub_outputs([(Lens.RISK, records[0], "0" * 64, 42)], {}))
+        with pytest.raises(ValueError, match="clean_text"):
+            list(stub_outputs([(Lens.RISK, raw[0], "0" * 64, 42)], latents))
 
 
 class TestLatentsSidecar:
