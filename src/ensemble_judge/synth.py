@@ -195,7 +195,7 @@ def _stub_output(
     # json.dumps's bytes: the label and rationale hold no character JSON escapes.
     raw_json = (
         f'{{"label": "{_LABEL_NAMES[label]}", "rationale": "{rationale}", '
-        f'"confidence": {float.__repr__(confidence)}}}'
+        f'"confidence": {confidence!r}}}'
     )
     return AgentOutput(
         disclosure_id=disclosure_id,

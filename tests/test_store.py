@@ -413,7 +413,7 @@ class TestCacheBytesAndKeys:
 # cannot be encoded as UTF-8 at all.
 texts = st.text(
     alphabet=st.one_of(
-        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", " ", " ", "é"]),
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é"]),
         st.characters(exclude_categories=("Cs",)),
     ),
     max_size=12,
