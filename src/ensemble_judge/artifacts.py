@@ -68,14 +68,9 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     write_binary(path, map(str.encode, chunks))  # UTF-8, the default
 
 
-def json_line(row: dict) -> str:
-    """``row`` as one line of JSON, non-ASCII characters kept as they are."""
-    return _JSON_LINE.encode(row) + "\n"
-
-
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    """Write one JSON object per line, streamed row by row."""
-    write_text(path, map(json_line, rows))
+    """Write one JSON object per line, non-ASCII kept as is, streamed row by row."""
+    write_text(path, (_JSON_LINE.encode(row) + "\n" for row in rows))
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:

@@ -7,8 +7,8 @@ and the list of disclosures where the aggregator corrects the vote.
 
 :func:`evaluate_judgments` scores a whole split from ``(n, 3)`` label-code
 and confidence blocks with array expressions; it is the one production path.
-The per-disclosure :func:`regime_of` and :func:`evaluate_split` have no caller
-in the pipeline.
+:func:`regime_of` and :func:`evaluate_split` only adapt agent outputs to
+:func:`regimes` and to it; the per-disclosure rules are test oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .artifacts import write_text
 from .domain import LENS_ORDER, AgentOutput, DisclosureRecord, Lens
-from .features import confidence_gap, confidence_gaps, feature_matrix, majority_labels
+from .features import confidence_gaps, feature_matrix, majority_labels, output_blocks
 
 if TYPE_CHECKING:
     from .meta import MetaModel
@@ -121,43 +121,20 @@ class Regime(str, Enum):
     HIGH_CONFLICT = "high_conflict"
 
 
-# Kept in the package only because ``perfbench/traced_stage.py`` wraps it by name.
-def regime_of(outputs: Sequence[AgentOutput], delta: float) -> Regime:
-    """Classify one disclosure's agent pattern.
+# Regime order of the codes :func:`regimes` returns.
+REGIMES: tuple[Regime, ...] = tuple(Regime)
+
+
+def regimes(labels: np.ndarray, confidences: np.ndarray, delta: float) -> np.ndarray:
+    """The agreement regime of each row, as indices into :data:`REGIMES`.
 
     Unanimous: all three labels equal. Split-dominant: a 2-1 split where the
     top confidence sits on the majority side and the top-two confidence gap
     is at least ``delta``. Everything else (all-distinct labels, or a 2-1
     split without a dominant majority voice) is high conflict. The rule only
     compares confidence maxima across sides, so it is invariant under
-    permutation of the outputs.
+    permutation of the agents.
     """
-    if len(outputs) != 3:
-        raise ValueError("expected exactly three agent outputs")
-    labels = [o.label for o in outputs]
-    confidences = [o.confidence for o in outputs]
-    if labels[0] == labels[1] == labels[2]:
-        return Regime.UNANIMOUS
-    modal = None
-    for label in labels:
-        if labels.count(label) == 2:
-            modal = label
-            break
-    if modal is None:
-        return Regime.HIGH_CONFLICT
-    majority_conf = max(c for c, l in zip(confidences, labels) if l == modal)
-    minority_conf = max(c for c, l in zip(confidences, labels) if l != modal)
-    if majority_conf >= minority_conf and confidence_gap(confidences) >= delta:
-        return Regime.SPLIT_DOMINANT
-    return Regime.HIGH_CONFLICT
-
-
-# Regime order of the codes :func:`regimes` returns.
-REGIMES: tuple[Regime, ...] = tuple(Regime)
-
-
-def regimes(labels: np.ndarray, confidences: np.ndarray, delta: float) -> np.ndarray:
-    """:func:`regime_of` for each row, as indices into :data:`REGIMES`."""
     a, b, c = labels[:, 0], labels[:, 1], labels[:, 2]
     unanimous = (a == b) & (b == c)
     two_one = ~unanimous & ((a == b) | (a == c) | (b == c))
@@ -169,6 +146,12 @@ def regimes(labels: np.ndarray, confidences: np.ndarray, delta: float) -> np.nda
     codes[dominant] = REGIMES.index(Regime.SPLIT_DOMINANT)
     codes[unanimous] = REGIMES.index(Regime.UNANIMOUS)
     return codes
+
+
+# Kept in the package only because ``perfbench/traced_stage.py`` wraps it by name.
+def regime_of(outputs: Sequence[AgentOutput], delta: float) -> Regime:
+    """:func:`regimes` of one disclosure's three outputs, given in any order."""
+    return REGIMES[regimes(*output_blocks(outputs), delta)[0]]
 
 
 @dataclass(frozen=True)
@@ -241,10 +224,7 @@ class EvalReport:
 
 
 def majority_vote_predictions(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
-    """Majority vote of each row: the modal label binarized (positive -> 1, else 0).
-
-    With three distinct labels the most confident agent's label is the mode.
-    """
+    """Majority vote of each row: the modal label binarized (positive -> 1, else 0)."""
     return (majority_labels(labels, confidences) == 1).astype(int)
 
 

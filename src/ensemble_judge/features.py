@@ -7,8 +7,8 @@ one-hot indicator of the most confident agent.
 
 The pipeline builds whole feature matrices at once with
 :func:`feature_matrix` from ``(n, 3)`` label-code and confidence blocks; it is
-the one production path. The per-disclosure :func:`build_features` has no
-caller in the pipeline.
+the one implementation of the rules. :func:`build_features` only adapts one
+disclosure's outputs to it; the per-disclosure rules are test oracles.
 """
 
 from __future__ import annotations
@@ -25,54 +25,15 @@ from .domain import (
     LENS_ORDER,
     AgentOutput,
     FeatureVector,
-    SentimentLabel,
     check_feature_matrix,
 )
 
 
-def majority_label(
-    labels: Sequence[SentimentLabel], confidences: Sequence[float]
-) -> SentimentLabel:
-    """Modal label of the three agents.
-
-    When all three labels are distinct there is no mode; the label of the
-    most confident agent is used instead (confidence ties fall back to the
-    fixed agent order performance > guidance > risk).
-    """
-    if len(labels) != 3 or len(confidences) != 3:
-        raise ValueError("expected exactly three labels and three confidences")
-    for label in labels:
-        if sum(1 for other in labels if other == label) >= 2:
-            return label
-    return labels[most_confident_agent(confidences)]
-
-
-def most_confident_agent(confidences: Sequence[float]) -> int:
-    """Index of the highest confidence; exact ties go to the earliest agent."""
-    if len(confidences) != 3:
-        raise ValueError("expected exactly three confidences")
-    best = 0
-    for i in (1, 2):
-        if confidences[i] > confidences[best]:
-            best = i
-    return best
-
-
-def confidence_gap(confidences: Sequence[float]) -> float:
-    """Largest confidence minus the second largest."""
-    if len(confidences) != 3:
-        raise ValueError("expected exactly three confidences")
-    top, second = sorted(confidences, reverse=True)[:2]
-    return top - second
-
-
-# Kept in the package only because ``perfbench/traced_stage.py`` wraps it by name.
-def build_features(outputs: Sequence[AgentOutput]) -> FeatureVector:
-    """Assemble the aggregation features for one disclosure.
+def output_blocks(outputs: Sequence[AgentOutput]) -> tuple[np.ndarray, np.ndarray]:
+    """One disclosure's outputs as ``(1, 3)`` label-code and confidence blocks.
 
     ``outputs`` must hold exactly one output per lens for a single
-    disclosure; any order is accepted and canonicalized to the fixed
-    agent order. Fallback outputs (neutral, 0.0) enter unchanged.
+    disclosure; any order is accepted and canonicalized to ``LENS_ORDER``.
     """
     if len(outputs) != 3:
         raise ValueError(f"expected exactly three agent outputs, got {len(outputs)}")
@@ -83,48 +44,44 @@ def build_features(outputs: Sequence[AgentOutput]) -> FeatureVector:
     ids = {o.disclosure_id for o in outputs}
     if len(ids) != 1:
         raise ValueError(f"outputs span multiple disclosures: {sorted(ids)}")
-
     ordered = [by_lens[lens] for lens in LENS_ORDER]
-    labels = [o.label for o in ordered]
-    confidences = [o.confidence for o in ordered]
+    return (
+        np.array([[int(o.label) for o in ordered]], dtype=np.int64),
+        np.array([[o.confidence for o in ordered]], dtype=np.float64),
+    )
 
-    majority = majority_label(labels, confidences)
-    agreement = sum(1 for label in labels if label == majority)
-    top_agent = most_confident_agent(confidences)
 
-    values = [float(int(label)) for label in labels]
-    values += [float(c) for c in confidences]
-    values.append(float(int(majority)))
-    values += [
-        float(sum(1 for l in labels if l is SentimentLabel.POSITIVE)),
-        float(sum(1 for l in labels if l is SentimentLabel.NEUTRAL)),
-        float(sum(1 for l in labels if l is SentimentLabel.NEGATIVE)),
-    ]
-    values.append(float(agreement))
-    values.append(confidence_gap(confidences))
-    values += [1.0 if i == top_agent else 0.0 for i in range(3)]
-    return FeatureVector(values=tuple(values))
+# Kept in the package only because ``perfbench/traced_stage.py`` wraps it by name.
+def build_features(outputs: Sequence[AgentOutput]) -> FeatureVector:
+    """:func:`feature_matrix` of one disclosure's outputs (see :func:`output_blocks`)."""
+    return FeatureVector(values=tuple(feature_matrix(*output_blocks(outputs))[0].tolist()))
 
 
 def majority_labels(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
-    """:func:`majority_label` for each row of ``(n, 3)`` label codes and confidences."""
+    """The modal label of each row of ``(n, 3)`` label codes and confidences.
+
+    When all three labels are distinct there is no mode; the label of the
+    most confident agent is used instead (confidence ties fall back to the
+    fixed agent order performance > guidance > risk).
+    """
     a, b, c = labels[:, 0], labels[:, 1], labels[:, 2]
     fallback = labels[np.arange(len(labels)), np.argmax(confidences, axis=1)]
     return np.where((a == b) | (a == c), a, np.where(b == c, b, fallback))
 
 
 def confidence_gaps(confidences: np.ndarray) -> np.ndarray:
-    """:func:`confidence_gap` for each row of an ``(n, 3)`` confidence block."""
+    """Largest confidence minus the second largest, for each row of an ``(n, 3)`` block."""
     ordered = np.sort(confidences, axis=1)
     return ordered[:, 2] - ordered[:, 1]
 
 
 def feature_matrix(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
-    """:func:`build_features` for each row: an ``(n, 15)`` float64 matrix.
+    """The aggregation features of each row: an ``(n, 15)`` float64 matrix.
 
     ``labels`` holds label codes (-1/0/+1) and ``confidences`` the matching
     confidences, one row per disclosure and one column per lens in
-    ``LENS_ORDER``.
+    ``LENS_ORDER``. The most-confident-agent indicator marks the highest
+    confidence; exact ties go to the earliest agent.
     """
     labels = np.asarray(labels, dtype=np.int64)
     confidences = np.asarray(confidences, dtype=np.float64)

@@ -1,10 +1,11 @@
 """Corpus loading, text preprocessing, and the chronological split.
 
 The corpus file is UTF-8 line-delimited JSON, one record per line with keys
-exactly {id, timestamp, ticker, text, next_day_return}; timestamps are
-RFC 3339. Preprocessing collapses duplicated consecutive lines, lowercases
-ticker symbols inside a leading metadata block, normalizes whitespace, and
-truncates to a character budget derived from a token budget.
+exactly {id, timestamp, ticker, text, next_day_return}; the first four are
+strings and timestamps are RFC 3339. Preprocessing collapses duplicated
+consecutive lines, lowercases ticker symbols inside a leading metadata block,
+normalizes whitespace, and truncates to a character budget derived from a
+token budget.
 """
 
 from __future__ import annotations
@@ -105,8 +106,13 @@ def load_corpus(path: str | Path) -> list[DisclosureRecord]:
                     f"{path}: duplicate id {rid!r} on lines {seen[rid]} and {lineno}"
                 )
             seen[rid] = lineno
+            for key in ("timestamp", "ticker", "text"):
+                if not isinstance(obj[key], str):
+                    raise CorpusFormatError(
+                        f"{path}: line {lineno}: {key} must be a string, got {obj[key]!r}"
+                    )
             try:
-                timestamp = parse_rfc3339(str(obj["timestamp"]))
+                timestamp = parse_rfc3339(obj["timestamp"])
                 next_day_return = _coerce_return(obj["next_day_return"])
             except (ValueError, TypeError) as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from None
@@ -114,8 +120,8 @@ def load_corpus(path: str | Path) -> list[DisclosureRecord]:
                 DisclosureRecord(
                     id=rid,
                     timestamp=timestamp,
-                    ticker=str(obj["ticker"]),
-                    raw_text=str(obj["text"]),
+                    ticker=obj["ticker"],
+                    raw_text=obj["text"],
                     clean_text="",
                     next_day_return=next_day_return,
                     binary_target=target_from_return(next_day_return),
@@ -203,12 +209,16 @@ def preprocess(raw_text: str, cfg: PreprocessConfig) -> str:
 def preprocess_corpus(
     records: Sequence[DisclosureRecord], cfg: PreprocessConfig
 ) -> list[DisclosureRecord]:
-    """Return records with ``clean_text`` populated."""
+    """Return records with ``clean_text`` populated.
+
+    A record whose text cleans to nothing (empty or blank) is refused: no
+    agent can judge it.
+    """
     out: list[DisclosureRecord] = []
     for r in records:
         clean = preprocess(r.raw_text, cfg)
-        if r.raw_text.strip() and not clean:
-            raise ValueError(f"preprocessing emptied non-empty disclosure {r.id!r}")
+        if not clean:
+            raise ValueError(f"disclosure {r.id!r} has no text after preprocessing")
         out.append(replace(r, clean_text=clean))
     return out
 

@@ -111,6 +111,8 @@ def _prepared_record(obj: dict) -> DisclosureRecord:
     for key in ("id", "timestamp", "ticker", "text", "clean_text"):
         if not isinstance(obj[key], str):
             raise TypeError(f"{key} must be a string, got {obj[key]!r}")
+    if not obj["clean_text"]:
+        raise ValueError("clean_text is empty")
     next_day_return = finite_number(obj["next_day_return"])
     return DisclosureRecord(
         id=obj["id"],

@@ -1,8 +1,10 @@
 """Reference rules the package's fast paths are checked against.
 
-The pipeline scores whole splits at once (``evaluation.evaluate_judgments``
-over ``(n, 3)`` label-code and confidence blocks), draws the stub agents'
-noise a chunk of pairs at a time and writes each cache line field by field.
+The pipeline builds features, votes and regimes for whole splits at once
+(``features.feature_matrix``, ``evaluation.regimes`` and
+``evaluation.evaluate_judgments`` over ``(n, 3)`` label-code and confidence
+blocks), draws the stub agents' noise a chunk of pairs at a time and writes
+each cache line field by field.
 These are the same rules written one item at a time, in the plainest form,
 so tests can compare the two; no production code calls them.
 """
@@ -17,14 +19,15 @@ import numpy as np
 
 from ensemble_judge.agents import prompt_hash, render_prompt
 from ensemble_judge.domain import (
+    LENS_ORDER,
     AgentOutput,
     ConfidenceSource,
     DisclosureRecord,
+    FeatureVector,
     Lens,
     SentimentLabel,
 )
-from ensemble_judge.evaluation import ConfusionMatrix
-from ensemble_judge.features import majority_label
+from ensemble_judge.evaluation import ConfusionMatrix, Regime
 from ensemble_judge.store import CacheKey, CacheRecord
 from ensemble_judge.synth import (
     DEFAULT_STUB_NOISE,
@@ -33,6 +36,111 @@ from ensemble_judge.synth import (
     LatentDisclosure,
     _lens_observation,
 )
+
+
+def majority_label(
+    labels: Sequence[SentimentLabel], confidences: Sequence[float]
+) -> SentimentLabel:
+    """Modal label of the three agents.
+
+    When all three labels are distinct there is no mode; the label of the
+    most confident agent is used instead (confidence ties fall back to the
+    fixed agent order performance > guidance > risk).
+    """
+    if len(labels) != 3 or len(confidences) != 3:
+        raise ValueError("expected exactly three labels and three confidences")
+    for label in labels:
+        if sum(1 for other in labels if other == label) >= 2:
+            return label
+    return labels[most_confident_agent(confidences)]
+
+
+def most_confident_agent(confidences: Sequence[float]) -> int:
+    """Index of the highest confidence; exact ties go to the earliest agent."""
+    if len(confidences) != 3:
+        raise ValueError("expected exactly three confidences")
+    best = 0
+    for i in (1, 2):
+        if confidences[i] > confidences[best]:
+            best = i
+    return best
+
+
+def confidence_gap(confidences: Sequence[float]) -> float:
+    """Largest confidence minus the second largest."""
+    if len(confidences) != 3:
+        raise ValueError("expected exactly three confidences")
+    top, second = sorted(confidences, reverse=True)[:2]
+    return top - second
+
+
+def build_features(outputs: Sequence[AgentOutput]) -> FeatureVector:
+    """Assemble the aggregation features for one disclosure.
+
+    ``outputs`` must hold exactly one output per lens for a single
+    disclosure; any order is accepted and canonicalized to the fixed
+    agent order. Fallback outputs (neutral, 0.0) enter unchanged.
+    """
+    if len(outputs) != 3:
+        raise ValueError(f"expected exactly three agent outputs, got {len(outputs)}")
+    by_lens = {o.agent: o for o in outputs}
+    if len(by_lens) != 3:
+        lenses = sorted(o.agent.value for o in outputs)
+        raise ValueError(f"need one output per lens, got {lenses}")
+    ids = {o.disclosure_id for o in outputs}
+    if len(ids) != 1:
+        raise ValueError(f"outputs span multiple disclosures: {sorted(ids)}")
+
+    ordered = [by_lens[lens] for lens in LENS_ORDER]
+    labels = [o.label for o in ordered]
+    confidences = [o.confidence for o in ordered]
+
+    majority = majority_label(labels, confidences)
+    agreement = sum(1 for label in labels if label == majority)
+    top_agent = most_confident_agent(confidences)
+
+    values = [float(int(label)) for label in labels]
+    values += [float(c) for c in confidences]
+    values.append(float(int(majority)))
+    values += [
+        float(sum(1 for l in labels if l is SentimentLabel.POSITIVE)),
+        float(sum(1 for l in labels if l is SentimentLabel.NEUTRAL)),
+        float(sum(1 for l in labels if l is SentimentLabel.NEGATIVE)),
+    ]
+    values.append(float(agreement))
+    values.append(confidence_gap(confidences))
+    values += [1.0 if i == top_agent else 0.0 for i in range(3)]
+    return FeatureVector(values=tuple(values))
+
+
+def regime_of(outputs: Sequence[AgentOutput], delta: float) -> Regime:
+    """Classify one disclosure's agent pattern.
+
+    Unanimous: all three labels equal. Split-dominant: a 2-1 split where the
+    top confidence sits on the majority side and the top-two confidence gap
+    is at least ``delta``. Everything else (all-distinct labels, or a 2-1
+    split without a dominant majority voice) is high conflict. The rule only
+    compares confidence maxima across sides, so it is invariant under
+    permutation of the outputs.
+    """
+    if len(outputs) != 3:
+        raise ValueError("expected exactly three agent outputs")
+    labels = [o.label for o in outputs]
+    confidences = [o.confidence for o in outputs]
+    if labels[0] == labels[1] == labels[2]:
+        return Regime.UNANIMOUS
+    modal = None
+    for label in labels:
+        if labels.count(label) == 2:
+            modal = label
+            break
+    if modal is None:
+        return Regime.HIGH_CONFLICT
+    majority_conf = max(c for c, l in zip(confidences, labels) if l == modal)
+    minority_conf = max(c for c, l in zip(confidences, labels) if l != modal)
+    if majority_conf >= minority_conf and confidence_gap(confidences) >= delta:
+        return Regime.SPLIT_DOMINANT
+    return Regime.HIGH_CONFLICT
 
 
 def binarize_label(label: SentimentLabel) -> int:

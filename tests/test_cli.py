@@ -238,6 +238,36 @@ class TestUsageErrors:
         assert run(cfg_path, "ingest") == 1
         assert "agent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("text", "   ", "has no text"),
+            ("text", "", "has no text"),
+            ("text", None, "line 3"),
+            ("ticker", None, "line 3"),
+            ("timestamp", 20180102, "line 3"),
+        ],
+    )
+    def test_ingest_refuses_non_string_fields_and_empty_text(
+        self, tmp_path, capsys, key, value, named
+    ):
+        cfg_path, workdir = write_config(tmp_path)
+        assert run(cfg_path, "synth", "--n", "300", "--seed", "3") == 0
+        corpus = workdir / "corpus.jsonl"
+        lines = corpus.read_text().splitlines(keepends=True)
+        row = json.loads(lines[2])
+        row[key] = value
+        lines[2] = json.dumps(row) + "\n"
+        corpus.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(cfg_path, "ingest") == 1
+        err = capsys.readouterr().err
+        assert _single_error_line(err, named)
+        if named == "has no text":
+            assert row["id"] in err
+        assert not (workdir / "prepared.jsonl").exists()
+        assert not (workdir / "split.json").exists()
+
 
 class TestHttpAgentsViaCli:
     def test_pipeline_with_mock_endpoint(self, tmp_path, chat_endpoint):
@@ -460,6 +490,7 @@ class TestArtifactChecks:
         "key, value",
         [
             ("clean_text", 5),
+            ("clean_text", ""),
             ("id", 5),
             ("ticker", 5),
             ("text", None),

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,13 +19,36 @@ from ensemble_judge.domain import (
 )
 from ensemble_judge.features import (
     build_features,
-    confidence_gap,
-    majority_label,
-    most_confident_agent,
+    confidence_gaps,
+    feature_matrix,
+    majority_labels,
 )
 from tests.conftest import make_output, make_triple
 
 L = SentimentLabel
+
+
+# The array rules on one-row blocks, so each hand case checks production code.
+
+
+def _confidences(confidences):
+    return np.array([confidences], dtype=np.float64)
+
+
+def majority_label(labels, confidences):
+    codes = np.array([[int(label) for label in labels]], dtype=np.int64)
+    return L(int(majority_labels(codes, _confidences(confidences))[0]))
+
+
+def most_confident_agent(confidences):
+    X = feature_matrix(np.zeros((1, 3), dtype=np.int64), _confidences(confidences))
+    indicator = [X[0, i] for i in FEAT_TOP_AGENT]
+    assert sorted(indicator) == [0.0, 0.0, 1.0]
+    return indicator.index(1.0)
+
+
+def confidence_gap(confidences):
+    return float(confidence_gaps(_confidences(confidences))[0])
 
 
 class TestMajorityLabel:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -87,6 +88,24 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="keys exactly"):
             load_corpus(p)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("text", None),
+            ("text", 5),
+            ("ticker", None),
+            ("timestamp", 20180102),
+            ("timestamp", None),
+        ],
+    )
+    def test_string_fields_must_be_json_strings(self, tmp_path, key, value):
+        lines = [json.loads(corpus_line(i)) for i in range(3)]
+        lines[1][key] = value
+        p = tmp_path / "c.jsonl"
+        p.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        with pytest.raises(CorpusFormatError, match=rf"line 2: {key} must be a string"):
+            load_corpus(p)
+
     def test_round_trip_through_write_corpus(self, tmp_path):
         ts = datetime(2021, 3, 4, 9, 30, tzinfo=timezone.utc)
         records = [record(f"a{i}", ts + timedelta(days=i)) for i in range(4)]
@@ -162,6 +181,13 @@ class TestPreprocess:
         records = [record("a", ts)]
         out = preprocess_corpus(records, CFG)
         assert out[0].clean_text == "body text"
+
+    @pytest.mark.parametrize("text", ["", "   ", "\n\t\n"])
+    def test_preprocess_corpus_refuses_text_that_cleans_to_nothing(self, text):
+        ts = datetime(2020, 1, 1, tzinfo=timezone.utc)
+        records = [record("a", ts), replace(record("b", ts), raw_text=text, clean_text="")]
+        with pytest.raises(ValueError, match="'b' has no text"):
+            preprocess_corpus(records, CFG)
 
 
 class TestChronologicalSplit:

@@ -7,8 +7,9 @@ non-ASCII JSON lines have one writer per file kind: the shared encoder in
 write path elsewhere would bypass the crash guarantees or the line writers
 without failing any behavioural test, so these tests read the source
 instead. For the same
-reason they check that the package imports nothing from ``tests`` and
-defines nothing that only tests use.
+reason they check that the package imports nothing from ``tests``, defines
+nothing that only tests use, and that the per-disclosure functions the
+benchmark wraps reach the array path instead of holding a rule of their own.
 """
 
 from __future__ import annotations
@@ -225,6 +226,27 @@ def test_package_does_not_import_tests():
 
 def test_every_definition_has_a_live_user():
     assert _dead_definitions() == []
+
+
+# Adapter guard. The benchmark wraps these per-disclosure names by name, so
+# each must call the array function the pipeline runs; a rule of its own
+# would be a second implementation that no stage uses.
+ADAPTERS = [
+    ("features", "build_features", "feature_matrix"),
+    ("evaluation", "regime_of", "regimes"),
+    ("evaluation", "evaluate_split", "evaluate_judgments"),
+]
+
+
+@pytest.mark.parametrize("module, adapter, core", ADAPTERS)
+def test_benchmark_adapters_call_the_array_path(module, adapter, core):
+    (fn,) = [
+        stmt
+        for stmt in _tree(PACKAGE / f"{module}.py").body
+        if isinstance(stmt, FUNCTIONS) and stmt.name == adapter
+    ]
+    called = {_name(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert core in called
 
 
 # Knob guard. A parameter with a default is a value some caller may change;

@@ -12,18 +12,18 @@ from ensemble_judge.evaluation import (
     evaluate_judgments,
     evaluate_split,
     majority_vote_predictions,
-    regime_of,
     regimes,
 )
-from ensemble_judge.features import (
-    build_features,
-    feature_matrix,
-    read_feature_file,
-    write_feature_file,
-)
+from ensemble_judge.features import feature_matrix, read_feature_file, write_feature_file
 from tests import test_evaluation
 from tests.conftest import make_triple
-from tests.oracles import confidence_vote_predict, confusion_from_pairs, majority_vote_predict
+from tests.oracles import (
+    build_features,
+    confidence_vote_predict,
+    confusion_from_pairs,
+    majority_vote_predict,
+    regime_of,
+)
 
 # A small pool makes exact confidence ties common; fallbacks are (0, 0.0).
 confidence = st.one_of(
