@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from urllib.parse import SplitResult, urlsplit
 
 from .domain import (
     AgentOutput,
@@ -31,7 +32,7 @@ from .domain import (
 from .store import CacheKey
 
 if TYPE_CHECKING:
-    import requests
+    import socket
 
 API_KEY_ENV_VAR = "ENSEMBLE_JUDGE_API_KEY"
 
@@ -280,14 +281,37 @@ MAX_ATTEMPTS = 4
 BACKOFF_BASE_S = 0.5
 
 
-class ChatCompletionsClient:
-    """Minimal OpenAI-compatible chat-completions client.
+def http_url(url: str) -> SplitResult:
+    """``url`` split into its parts; a ``ValueError`` unless it is http(s) with a host."""
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"{url!r} is not an http:// or https:// URL with a host")
+    parts.port  # noqa: B018 - raises ValueError on a malformed port
+    return parts
 
-    Bearer auth comes from the ``ENSEMBLE_JUDGE_API_KEY`` environment
-    variable when set. Connection errors, timeouts, 429 and 5xx responses
-    are retried with exponential backoff; other HTTP errors fail
-    immediately since repeating them cannot help. ``requests`` is imported
-    here, not at module load, so stub-agent runs never pay for it.
+
+def _dropped(sock: socket.socket) -> bool:
+    """Whether an idle keep-alive socket polls readable: the server closed it
+    (or sent bytes nobody asked for), so it cannot carry another request."""
+    import select
+
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+class ChatCompletionsClient:
+    """Minimal OpenAI-compatible chat-completions client on one keep-alive connection.
+
+    Each client serves one worker thread and one endpoint, so it holds one
+    persistent HTTP/1.1 connection, opened on first use and reopened after
+    the server closes it. Bearer auth comes from the
+    ``ENSEMBLE_JUDGE_API_KEY`` environment variable when set. Connection
+    errors, timeouts, 429 and 5xx responses are retried with exponential
+    backoff; other statuses from 300 up fail immediately since repeating
+    them cannot help. Proxy variables are not read, and https verifies the
+    server against the system trust store. ``http.client`` and ``ssl`` are
+    imported here, not at module load, so stub-agent runs never pay for them.
     """
 
     def __init__(
@@ -295,17 +319,30 @@ class ChatCompletionsClient:
         endpoint_url: str,
         model_name: str,
         *,
-        session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        import http.client
+        import ssl
+
+        url = http_url(endpoint_url)
         self.endpoint_url = endpoint_url
         self.model_name = model_name
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.session = session
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        # Constructing a connection opens nothing; the first request connects.
+        if url.scheme == "https":
+            self.connection: http.client.HTTPConnection = http.client.HTTPSConnection(
+                url.hostname, url.port, timeout=REQUEST_TIMEOUT_S,
+                context=ssl.create_default_context(),
+            )
+        else:
+            self.connection = http.client.HTTPConnection(
+                url.hostname, url.port, timeout=REQUEST_TIMEOUT_S
+            )
         self._sleep = sleep
+
+    def close(self) -> None:
+        """Close the connection; a later call opens a new one."""
+        self.connection.close()
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -315,7 +352,7 @@ class ChatCompletionsClient:
         return headers
 
     def generate(self, prompt: str, decoding: DecodingConfig, want_logprobs: bool) -> RawGeneration:
-        import requests
+        from http.client import HTTPException
 
         payload: dict = {
             "model": self.model_name,
@@ -327,38 +364,44 @@ class ChatCompletionsClient:
         }
         if want_logprobs:
             payload["logprobs"] = True
+        body = json.dumps(payload).encode("utf-8")
+        headers = self._headers()
 
+        conn = self.connection
         last_failure = ""
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 self._sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
             try:
-                response = self.session.post(
-                    self.endpoint_url,
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=REQUEST_TIMEOUT_S,
-                )
-            except requests.RequestException as exc:
+                # A server's idle timeout closes the socket between calls;
+                # reconnecting then costs no attempt. http.client itself
+                # closes the connection after a response that says it will.
+                if conn.sock is not None and _dropped(conn.sock):
+                    conn.close()
+                conn.request("POST", self._target, body, headers)
+                response = conn.getresponse()
+                data = response.read()
+            except (OSError, HTTPException) as exc:
+                conn.close()
                 last_failure = f"transport error: {exc}"
                 continue
-            if response.status_code in _RETRYABLE_STATUSES:
-                last_failure = f"HTTP {response.status_code}"
+            if response.status in _RETRYABLE_STATUSES:
+                last_failure = f"HTTP {response.status}"
                 continue
-            if response.status_code >= 400:
+            if response.status >= 300:
                 raise TransportError(
-                    f"{self.endpoint_url} answered HTTP {response.status_code}: "
-                    f"{response.text[:200]}"
+                    f"{self.endpoint_url} answered HTTP {response.status}: "
+                    f"{data.decode('utf-8', 'replace')[:200]}"
                 )
-            return self._parse_response(response)
+            return self._parse_response(data)
         raise TransportError(
             f"{self.endpoint_url} unreachable after {MAX_ATTEMPTS} attempts "
             f"(last: {last_failure})"
         )
 
-    def _parse_response(self, response: requests.Response) -> RawGeneration:
+    def _parse_response(self, data: bytes) -> RawGeneration:
         try:
-            body = response.json()
+            body = json.loads(data)
             choice = body["choices"][0]
             text = choice["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:

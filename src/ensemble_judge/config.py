@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .agents import AgentSpec, DecodingConfig
+from .agents import AgentSpec, DecodingConfig, http_url
 from .artifacts import finite_number, finite_numbers
 from .domain import LENS_ORDER, Lens, Split
 from .ingest import PreprocessConfig
@@ -148,10 +148,18 @@ def _section(
     return lambda raw: cls(**_given(raw, where, **casts))
 
 
+def _endpoint_url(value: object) -> str:
+    """An http(s) URL with a host; the check lives here, not in ``AgentSpec``,
+    because the stub agents' spec names a ``stub://`` endpoint."""
+    url = _str(value)
+    http_url(url)
+    return url
+
+
 def _agents(entries: Iterable[object]) -> tuple[AgentSpec, ...]:
     return tuple(
         _section(
-            AgentSpec, f"agents[{i}]", lens=Lens, model_name=_str, endpoint_url=_str,
+            AgentSpec, f"agents[{i}]", lens=Lens, model_name=_str, endpoint_url=_endpoint_url,
             supports_logprobs=_bool,
         )(entry)
         for i, entry in enumerate(entries)

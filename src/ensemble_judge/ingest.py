@@ -2,10 +2,10 @@
 
 The corpus file is UTF-8 line-delimited JSON, one record per line with keys
 exactly {id, timestamp, ticker, text, next_day_return}; the first four are
-strings and timestamps are RFC 3339. Preprocessing collapses duplicated
-consecutive lines, lowercases ticker symbols inside a leading metadata block,
-normalizes whitespace, and truncates to a character budget derived from a
-token budget.
+strings, timestamps are RFC 3339 and the return is a finite JSON number.
+Preprocessing collapses duplicated consecutive lines, lowercases ticker
+symbols inside a leading metadata block, normalizes whitespace, and
+truncates to a character budget derived from a token budget.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .artifacts import write_jsonl, write_text
+from .artifacts import finite_number, write_jsonl, write_text
 from .domain import DisclosureRecord, Split, target_from_return
 
 CORPUS_KEYS = frozenset({"id", "timestamp", "ticker", "text", "next_day_return"})
@@ -69,15 +69,6 @@ def parse_rfc3339(value: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _coerce_return(value: object) -> float:
-    if isinstance(value, bool):
-        raise ValueError("boolean is not a return value")
-    r = float(value)  # accepts numbers and numeric strings
-    if not math.isfinite(r):
-        raise ValueError(f"non-finite return {value!r}")
-    return r
-
-
 def load_corpus(path: str | Path) -> list[DisclosureRecord]:
     """Load disclosures from a line-delimited JSON file.
 
@@ -113,7 +104,7 @@ def load_corpus(path: str | Path) -> list[DisclosureRecord]:
                     )
             try:
                 timestamp = parse_rfc3339(obj["timestamp"])
-                next_day_return = _coerce_return(obj["next_day_return"])
+                next_day_return = finite_number(obj["next_day_return"])
             except (ValueError, TypeError) as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from None
             records.append(

@@ -200,6 +200,7 @@ def _http_outputs(config: RunConfig, todo: Sequence[_Pair]) -> Iterator[AgentOut
     """Outputs in submission order from at most ``max_in_flight`` concurrent calls."""
     decoding = config.decoding()
     local = threading.local()
+    opened: list[ChatCompletionsClient] = []
 
     def _call(task: _Pair) -> AgentOutput:
         record, spec, _ = task
@@ -212,10 +213,15 @@ def _http_outputs(config: RunConfig, todo: Sequence[_Pair]) -> Iterator[AgentOut
             client = clients[client_key] = ChatCompletionsClient(
                 spec.endpoint_url, spec.model_name
             )
+            opened.append(client)
         return run_agent(spec, decoding, record, client=client)
 
-    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        yield from pool.map(_call, todo)
+    try:
+        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
+            yield from pool.map(_call, todo)
+    finally:
+        for client in opened:
+            client.close()
 
 
 def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:

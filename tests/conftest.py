@@ -57,7 +57,8 @@ class ScriptedChatEndpoint:
     ``script(prompt, call_index)`` returns ``(status, payload)`` where payload
     is the JSON body to serve (or a raw string for malformed bodies);
     ``call_index`` counts calls seen for that exact prompt, so tests can make
-    the first attempt fail and the retry succeed.
+    the first attempt fail and the retry succeed. Each request's payload and
+    headers are recorded in arrival order.
     """
 
     def __init__(self, script):
@@ -65,6 +66,7 @@ class ScriptedChatEndpoint:
         self.lock = threading.Lock()
         self.calls_by_prompt: dict[str, int] = {}
         self.requests: list[dict] = []
+        self.headers: list[dict[str, str]] = []
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -76,6 +78,7 @@ class ScriptedChatEndpoint:
                     index = endpoint.calls_by_prompt.get(prompt, 0)
                     endpoint.calls_by_prompt[prompt] = index + 1
                     endpoint.requests.append(payload)
+                    endpoint.headers.append(dict(self.headers))
                 status, body = endpoint.script(prompt, index)
                 raw = body if isinstance(body, (bytes, str)) else json.dumps(body)
                 if isinstance(raw, str):

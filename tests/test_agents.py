@@ -1,6 +1,10 @@
+import http.client
 import json
 import math
+import ssl
+import threading
 from datetime import datetime, timezone
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -338,22 +342,9 @@ class TestRunAgentProtocol:
 
     def test_bearer_token_from_environment(self, chat_endpoint, monkeypatch):
         monkeypatch.setenv("ENSEMBLE_JUDGE_API_KEY", "sk-test-123")
-        seen = {}
-
-        def script(prompt, i):
-            return 200, completion_body(agent_json("neutral"))
-
-        ep = chat_endpoint(script)
-        client = _client(ep)
-        original = client.session.post
-
-        def capture(url, **kwargs):
-            seen.update(kwargs["headers"])
-            return original(url, **kwargs)
-
-        client.session.post = capture
-        run_agent(spec_for(ep.url, supports_logprobs=False), DECODING, disclosure(), client=client)
-        assert seen.get("Authorization") == "Bearer sk-test-123"
+        ep = chat_endpoint(lambda prompt, i: (200, completion_body(agent_json("neutral"))))
+        run_agent(spec_for(ep.url, supports_logprobs=False), DECODING, disclosure(), client=_client(ep))
+        assert [h.get("Authorization") for h in ep.headers] == ["Bearer sk-test-123"]
 
     def test_requires_clean_text(self, chat_endpoint):
         ep = chat_endpoint(lambda prompt, i: (200, completion_body(agent_json("neutral"))))
@@ -452,3 +443,147 @@ class TestRunAgentKeepsTheLastGeneration:
         assert out.retry_count == 1
         assert (out.model_name, out.seed) == ("judge-7b", 9)
         assert out.prompt_hash == prompt_hash(render_prompt(Lens.RISK, record.clean_text))
+
+
+class KeepAliveServer(ThreadingHTTPServer):
+    """An HTTP/1.1 endpoint that counts the connections it accepts.
+
+    ``respond(handler, n)`` answers the n-th POST, counted across
+    connections; setting ``handler.close_connection`` closes that connection
+    after the response without telling the client. ``closed`` is released
+    once per connection the server has closed.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, respond):
+        self.connections = 0
+        self.posts = 0
+        self.lock = threading.Lock()
+        self.closed = threading.Semaphore(0)
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):  # noqa: N802 - http.server API
+                self.rfile.read(int(self.headers["Content-Length"]))
+                with server.lock:
+                    n, server.posts = server.posts, server.posts + 1
+                respond(self, n)
+
+            def log_message(self, *args):
+                pass
+
+        super().__init__(("127.0.0.1", 0), Handler)
+
+    def get_request(self):
+        accepted = super().get_request()
+        with self.lock:
+            self.connections += 1
+        return accepted
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
+
+
+@pytest.fixture
+def keepalive_server():
+    servers = []
+
+    def _start(respond):
+        server = KeepAliveServer(respond)
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield _start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+CONTENT = agent_json("positive", confidence=0.7)
+
+
+def _frame(status, body, content_length=None):
+    head = (
+        f"HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(body) if content_length is None else content_length}\r\n\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+def _answer(handler, n):
+    handler.wfile.write(_frame(200, json.dumps(completion_body(CONTENT)).encode("utf-8")))
+
+
+class TestKeepAliveTransport:
+    @pytest.fixture(autouse=True)
+    def _close_clients(self):
+        self.clients = []
+        yield
+        for client in self.clients:
+            client.close()
+
+    def _client(self, server, sleeps):
+        client = ChatCompletionsClient(server.url, "test-model", sleep=sleeps.append)
+        self.clients.append(client)
+        return client
+
+    def _generate(self, client):
+        assert client.generate("Prompt.", DECODING, False).text == CONTENT
+
+    def test_one_connection_carries_every_request(self, keepalive_server):
+        server = keepalive_server(_answer)
+        sleeps = []
+        client = self._client(server, sleeps)
+        for _ in range(5):
+            self._generate(client)
+        assert (server.posts, server.connections, sleeps) == (5, 1, [])
+
+    def test_idle_connection_closed_by_the_server_costs_no_attempt(self, keepalive_server):
+        def respond(handler, n):
+            _answer(handler, n)
+            handler.close_connection = n == 0
+
+        server = keepalive_server(respond)
+        sleeps = []
+        client = self._client(server, sleeps)
+        self._generate(client)
+        assert server.closed.acquire(timeout=5)
+        self._generate(client)
+        assert (server.posts, server.connections, sleeps) == (2, 2, [])
+
+    def test_truncated_body_is_one_transport_failure(self, keepalive_server):
+        def respond(handler, n):
+            if n == 0:
+                handler.wfile.write(_frame(200, b'{"choices": [', content_length=100))
+                handler.close_connection = True
+            else:
+                _answer(handler, n)
+
+        server = keepalive_server(respond)
+        sleeps = []
+        self._generate(self._client(server, sleeps))
+        assert (server.posts, server.connections, sleeps) == (2, 2, [0.5])
+
+    def test_redirect_is_not_followed_or_retried(self, keepalive_server):
+        server = keepalive_server(lambda handler, n: handler.wfile.write(_frame(301, b"")))
+        sleeps = []
+        with pytest.raises(TransportError, match="HTTP 301"):
+            self._generate(self._client(server, sleeps))
+        assert (server.posts, sleeps) == (1, [])
+
+    def test_https_verifies_the_server_certificate(self):
+        client = ChatCompletionsClient("https://judge.example/v1/chat/completions", "m")
+        conn = client.connection
+        assert isinstance(conn, http.client.HTTPSConnection) and conn.sock is None
+        assert (conn.host, conn.port) == ("judge.example", 443)
+        assert conn._context.check_hostname is True
+        assert conn._context.verify_mode is ssl.CERT_REQUIRED

@@ -246,6 +246,8 @@ class TestUsageErrors:
             ("text", None, "line 3"),
             ("ticker", None, "line 3"),
             ("timestamp", 20180102, "line 3"),
+            ("next_day_return", " 1_0 ", "line 3"),
+            ("next_day_return", "0.01", "line 3"),
         ],
     )
     def test_ingest_refuses_non_string_fields_and_empty_text(
@@ -553,7 +555,8 @@ class TestArtifactChecks:
         assert sha(workdir / "cache.jsonl") == cache_before
 
 
-def test_cli_import_does_not_load_requests():
+def test_cli_imports_nothing_but_the_stdlib_and_numpy():
+    """Every top-level module the CLI import loads is stdlib, numpy or the package."""
     import os
     import subprocess
     import sys
@@ -562,7 +565,10 @@ def test_cli_import_does_not_load_requests():
     import ensemble_judge
 
     src = str(Path(ensemble_judge.__file__).resolve().parents[1])
-    code = "import sys, ensemble_judge.cli; print('requests' in sys.modules)"
+    code = (
+        "import sys; before = set(sys.modules); import ensemble_judge.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
@@ -570,7 +576,9 @@ def test_cli_import_does_not_load_requests():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    loaded = {name.partition(".")[0] for name in out.stdout.split()}
+    assert "ensemble_judge" in loaded and "numpy" in loaded
+    assert loaded - sys.stdlib_module_names - {"numpy", "ensemble_judge"} == set()
 
 
 def test_cli_import_does_not_load_numpy_random():

@@ -172,3 +172,41 @@ def test_cli_reports_a_bad_number_on_one_line(tmp_path, capsys):
     assert main(["ingest", "--config", str(_write(tmp_path, train={"tol": True}))]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "bad or missing config field: train.tol: " in err[0]
+
+
+BAD_ENDPOINT_URLS = [
+    "localhost:8000/v1/chat/completions",
+    "ftp://x/y",
+    "http:///nohost",
+    "http://host:port/v1",
+    "",
+]
+
+
+@pytest.mark.parametrize("url", BAD_ENDPOINT_URLS)
+def test_endpoint_url_must_be_http_or_https_with_a_host(tmp_path, url):
+    agents = _http_agents()
+    agents[1]["endpoint_url"] = url
+    with pytest.raises(
+        ValueError, match=r"bad or missing config field: agents\[1\]\.endpoint_url: "
+    ):
+        load_config(_write(tmp_path, stub_agents={"enabled": False}, agents=agents))
+
+
+def test_http_and_https_endpoint_urls_load(tmp_path):
+    urls = ["https://api.example.com/v1/chat/completions", "http://[::1]:8000/v1", "http://h/v1?x=1"]
+    agents = [{**agent, "endpoint_url": url} for agent, url in zip(_http_agents(), urls)]
+    config = load_config(_write(tmp_path, stub_agents={"enabled": False}, agents=agents))
+    assert [spec.endpoint_url for spec in config.agents] == urls
+
+
+@pytest.mark.parametrize("url", BAD_ENDPOINT_URLS[:3])
+def test_cli_refuses_a_bad_endpoint_url_on_one_line(tmp_path, capsys, url):
+    from ensemble_judge.cli import main
+
+    agents = _http_agents()
+    agents[0]["endpoint_url"] = url
+    path = _write(tmp_path, stub_agents={"enabled": False}, agents=agents)
+    assert main(["run-agents", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "bad or missing config field: agents[0].endpoint_url: " in err[0]

@@ -74,6 +74,14 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 1"):
             load_corpus(p)
 
+    @pytest.mark.parametrize("value", [" 1_0 ", "0.01", "1e3", None, [0.01], True])
+    def test_return_must_be_a_json_number(self, tmp_path, value):
+        lines = [corpus_line(0), corpus_line(1, ret=value)]
+        p = tmp_path / "c.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError, match="line 2: expected a finite number"):
+            load_corpus(p)
+
     def test_malformed_line_names_line_number(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text(corpus_line(0) + "\n{not json\n")

@@ -255,10 +255,8 @@ def test_benchmark_adapters_call_the_array_path(module, adapter, core):
 # belongs in a module constant the tests monkeypatch, and a run default in
 # the config dataclasses.
 
-# Test fakes for the HTTP session and the backoff sleep, and the entry
-# point's argument list.
+# The test fake for the backoff sleep, and the entry point's argument list.
 UNSET_DEFAULTS_ALLOWED = {
-    "agents.ChatCompletionsClient.__init__(session)",
     "agents.ChatCompletionsClient.__init__(sleep)",
     "cli.main(argv)",
 }
