@@ -9,7 +9,7 @@ concurrent tasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum, IntEnum
 
@@ -78,7 +78,8 @@ def target_from_return(r: float) -> int:
 class DisclosureRecord:
     """One disclosure document with its downstream return target.
 
-    ``clean_text`` is empty until preprocessing has been applied.
+    ``clean_text`` is empty until preprocessing has been applied; the
+    binary target is derived from the return.
     """
 
     id: str
@@ -87,19 +88,12 @@ class DisclosureRecord:
     raw_text: str
     clean_text: str
     next_day_return: float
-    binary_target: int
+    binary_target: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("disclosure id must be non-empty")
-        if not math.isfinite(self.next_day_return):
-            raise ValueError(f"next_day_return must be finite (id={self.id})")
-        expected = target_from_return(self.next_day_return)
-        if self.binary_target != expected:
-            raise ValueError(
-                f"binary_target {self.binary_target} inconsistent with "
-                f"next_day_return {self.next_day_return} (id={self.id})"
-            )
+        object.__setattr__(self, "binary_target", target_from_return(self.next_day_return))
 
 
 @dataclass(frozen=True)

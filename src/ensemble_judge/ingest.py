@@ -1,8 +1,10 @@
-"""Corpus loading, text preprocessing, and the chronological split.
+"""Disclosure files, text preprocessing, and the chronological split.
 
 The corpus file is UTF-8 line-delimited JSON, one record per line with keys
 exactly {id, timestamp, ticker, text, next_day_return}; the first four are
-strings, timestamps are RFC 3339 and the return is a finite JSON number.
+strings, timestamps are RFC 3339, the return is a finite JSON number and no
+id repeats. The prepared file has the same lines with a non-empty
+``clean_text`` string added; one reader parses both.
 Preprocessing collapses duplicated consecutive lines, lowercases ticker
 symbols inside a leading metadata block, normalizes whitespace, and
 truncates to a character budget derived from a token budget.
@@ -16,13 +18,17 @@ import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .artifacts import finite_number, write_jsonl, write_text
-from .domain import DisclosureRecord, Split, target_from_return
+from .artifacts import ArtifactError, finite_number, write_jsonl, write_text
+from .domain import DisclosureRecord, Split
 
 CORPUS_KEYS = frozenset({"id", "timestamp", "ticker", "text", "next_day_return"})
+PREPARED_KEYS = CORPUS_KEYS | {"clean_text"}
+_TEXT_KEYS = ("id", "timestamp", "ticker", "text", "clean_text")
+_CORPUS_TEXT = itemgetter("id", "timestamp", "ticker", "text")
 
 
 class CorpusFormatError(ValueError):
@@ -69,56 +75,68 @@ def parse_rfc3339(value: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def load_corpus(path: str | Path) -> list[DisclosureRecord]:
-    """Load disclosures from a line-delimited JSON file.
+def _read_disclosures(
+    path: str | Path, keys: frozenset[str], error: type[Exception]
+) -> list[DisclosureRecord]:
+    """The disclosures of a corpus (``CORPUS_KEYS``) or prepared
+    (``PREPARED_KEYS``) file, in file order.
 
-    Records come back with ``clean_text`` empty; run :func:`preprocess_corpus`
-    before anything downstream touches the text.
+    Each line must carry exactly ``keys``, string text fields, a finite JSON
+    number as the return and an id no earlier line has; otherwise ``error``
+    is raised naming the file and line.
     """
     path = Path(path)
+    prepared = "clean_text" in keys
     records: list[DisclosureRecord] = []
     seen: dict[str, int] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}: malformed JSON on line {lineno}: {exc}") from None
-            if not isinstance(obj, dict) or set(obj) != CORPUS_KEYS:
-                raise CorpusFormatError(
-                    f"{path}: line {lineno} must carry keys exactly {sorted(CORPUS_KEYS)}"
-                )
-            rid = obj["id"]
-            if not isinstance(rid, str) or not rid:
-                raise CorpusFormatError(f"{path}: line {lineno}: id must be a non-empty string")
-            if rid in seen:
-                raise CorpusFormatError(
-                    f"{path}: duplicate id {rid!r} on lines {seen[rid]} and {lineno}"
-                )
-            seen[rid] = lineno
-            for key in ("timestamp", "ticker", "text"):
-                if not isinstance(obj[key], str):
-                    raise CorpusFormatError(
-                        f"{path}: line {lineno}: {key} must be a string, got {obj[key]!r}"
+                if not isinstance(obj, dict) or obj.keys() != keys:
+                    raise ValueError(f"must carry keys exactly {sorted(keys)}")
+                rid, timestamp, ticker, text = _CORPUS_TEXT(obj)
+                clean_text = obj["clean_text"] if prepared else ""
+                if not (
+                    isinstance(rid, str) and isinstance(timestamp, str) and isinstance(ticker, str)
+                    and isinstance(text, str) and isinstance(clean_text, str)
+                ):
+                    key = next(k for k in _TEXT_KEYS if not isinstance(obj.get(k, ""), str))
+                    raise ValueError(f"{key} must be a string, got {obj[key]!r}")
+                if prepared and not clean_text:
+                    raise ValueError("clean_text is empty")
+                if rid in seen:
+                    raise ValueError(f"duplicate id {rid!r} on lines {seen[rid]} and {lineno}")
+                seen[rid] = lineno
+                records.append(
+                    DisclosureRecord(
+                        id=rid,
+                        timestamp=parse_rfc3339(timestamp),
+                        ticker=ticker,
+                        raw_text=text,
+                        clean_text=clean_text,
+                        next_day_return=finite_number(obj["next_day_return"]),
                     )
-            try:
-                timestamp = parse_rfc3339(obj["timestamp"])
-                next_day_return = finite_number(obj["next_day_return"])
-            except (ValueError, TypeError) as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from None
-            records.append(
-                DisclosureRecord(
-                    id=rid,
-                    timestamp=timestamp,
-                    ticker=obj["ticker"],
-                    raw_text=obj["text"],
-                    clean_text="",
-                    next_day_return=next_day_return,
-                    binary_target=target_from_return(next_day_return),
                 )
-            )
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}: line {lineno}: malformed JSON ({exc})") from None
+            except ValueError as exc:
+                raise error(f"{path}: line {lineno}: {exc}") from None
     return records
+
+
+def load_corpus(path: str | Path) -> list[DisclosureRecord]:
+    """Load disclosures from a corpus file (:class:`CorpusFormatError` on a bad line).
+
+    Records come back with ``clean_text`` empty; run :func:`preprocess_corpus`
+    before anything downstream touches the text.
+    """
+    return _read_disclosures(path, CORPUS_KEYS, CorpusFormatError)
+
+
+def load_prepared(path: str | Path) -> list[DisclosureRecord]:
+    """Load preprocessed disclosures (:class:`ArtifactError` on a bad line)."""
+    return _read_disclosures(path, PREPARED_KEYS, ArtifactError)
 
 
 def corpus_row(record: DisclosureRecord, **extra: str) -> dict:
@@ -136,6 +154,11 @@ def corpus_row(record: DisclosureRecord, **extra: str) -> dict:
 def write_corpus(records: Iterable[DisclosureRecord], path: str | Path) -> None:
     """Write disclosures in the corpus file format (used by the synthetic generator)."""
     write_jsonl(path, map(corpus_row, records))
+
+
+def write_prepared(records: Iterable[DisclosureRecord], path: str | Path) -> None:
+    """Write preprocessed disclosures, in corpus order, with their ``clean_text``."""
+    write_jsonl(path, (corpus_row(r, clean_text=r.clean_text) for r in sort_records(records)))
 
 
 # A metadata line is KEY: VALUE with an upper-case key.

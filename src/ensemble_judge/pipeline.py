@@ -24,26 +24,19 @@ from .agents import (
     expected_cache_keys,
     run_agent,
 )
-from .artifacts import ArtifactError, finite_number, read_jsonl, write_jsonl
+from .artifacts import ArtifactError
 from .config import RunConfig
-from .domain import (
-    AgentOutput,
-    ConfidenceSource,
-    DisclosureRecord,
-    Split,
-    target_from_return,
-)
+from .domain import AgentOutput, ConfidenceSource, DisclosureRecord, Split
 from .evaluation import EvalReport, evaluate_judgments, write_report
 from .features import feature_matrix, read_feature_file, write_feature_file
 from .ingest import (
     chronological_split,
-    corpus_row,
     load_corpus,
+    load_prepared,
     load_split,
-    parse_rfc3339,
     preprocess_corpus,
-    sort_records,
     write_corpus,
+    write_prepared,
     write_split,
 )
 from .meta import ConvergenceError, MetaModel, train_meta_model
@@ -98,35 +91,9 @@ def stage_ingest(config: RunConfig) -> dict:
     records = load_corpus(config.corpus_path)
     prepared = preprocess_corpus(records, config.preprocess)
     split = chronological_split(prepared, config.split_fractions)
-    _write_prepared(prepared, config.prepared_path)
+    write_prepared(prepared, config.prepared_path)
     write_split(split, config.split_path)
     return {"records": len(prepared), **{s.value: len(ids) for s, ids in split.items()}}
-
-
-def _write_prepared(records: Sequence[DisclosureRecord], path: Path) -> None:
-    write_jsonl(path, (corpus_row(r, clean_text=r.clean_text) for r in sort_records(records)))
-
-
-def _prepared_record(obj: dict) -> DisclosureRecord:
-    for key in ("id", "timestamp", "ticker", "text", "clean_text"):
-        if not isinstance(obj[key], str):
-            raise TypeError(f"{key} must be a string, got {obj[key]!r}")
-    if not obj["clean_text"]:
-        raise ValueError("clean_text is empty")
-    next_day_return = finite_number(obj["next_day_return"])
-    return DisclosureRecord(
-        id=obj["id"],
-        timestamp=parse_rfc3339(obj["timestamp"]),
-        ticker=obj["ticker"],
-        raw_text=obj["text"],
-        clean_text=obj["clean_text"],
-        next_day_return=next_day_return,
-        binary_target=target_from_return(next_day_return),
-    )
-
-
-def load_prepared(path: str | Path) -> list[DisclosureRecord]:
-    return read_jsonl(path, _prepared_record)
 
 
 def _load_checked(path: Path, load: Callable[[Path], T], what: str) -> T:

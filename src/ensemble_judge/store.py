@@ -38,7 +38,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .artifacts import write_binary
+from .artifacts import finite_number, write_binary
 from .domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
 
 logger = logging.getLogger(__name__)
@@ -156,18 +156,25 @@ def _parse_line(line: bytes) -> tuple[dict, tuple, int, float, int]:
     obj = json.loads(line)
     out = obj["output"]
     identity = _IDENTITY(out)
-    label, confidence, source, retry_count, _rationale, _raw_json = _VALUES(out)
+    label, confidence, source, retry_count, rationale, raw_json = _VALUES(out)
     datetime.fromisoformat(obj["created_at"])
     if _KEY_IDENTITY(obj["key"]) != identity:
         raise _KeyMismatch
     disclosure_id, lens, model_name, prompt_hash, seed = identity
+    # The equality above holds for 42.0 == 42 and True == 1: check the types
+    # _cache_line writes.
+    if type(seed) is not int or type(obj["key"]["seed"]) is not int:
+        raise TypeError("seed must be an integer in both blocks")
+    if type(retry_count) is not int or retry_count not in (0, 1):
+        raise ValueError(f"retry_count must be 0 or 1, got {retry_count!r}")
+    for text in (disclosure_id, model_name, prompt_hash, rationale, raw_json):
+        if not isinstance(text, str):
+            raise TypeError(f"expected a string, got {text!r}")
     code = _LABEL_CODES.get(label)
     if code is None:
         code = int(SentimentLabel.from_string(label))
-    if int(retry_count) not in (0, 1):
-        raise ValueError(f"retry_count must be 0 or 1, got {retry_count}")
-    key = (disclosure_id, _LENS_BY_VALUE[lens], model_name, prompt_hash, int(seed))
-    return out, key, code, float(confidence), _SOURCE_BY_VALUE[source]
+    key = (disclosure_id, _LENS_BY_VALUE[lens], model_name, prompt_hash, seed)
+    return out, key, code, finite_number(confidence), _SOURCE_BY_VALUE[source]
 
 
 # The table snapshot is the magic line (it holds the format version), a JSON

@@ -21,14 +21,13 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .agents import prompt_hash, render_prompt
-from .artifacts import finite_number, read_jsonl, write_jsonl
+from .artifacts import ArtifactError, finite_number, read_jsonl, write_jsonl
 from .domain import (
     AgentOutput,
     ConfidenceSource,
     DisclosureRecord,
     Lens,
     SentimentLabel,
-    target_from_return,
 )
 
 STUB_MODEL_NAME = "stub-agent"
@@ -134,7 +133,6 @@ def generate_corpus(
                 raw_text=text,
                 clean_text="",
                 next_day_return=ret,
-                binary_target=target_from_return(ret),
             )
         )
         latents[rid] = LatentDisclosure(
@@ -279,4 +277,10 @@ def _latent_row(obj: dict) -> tuple[str, LatentDisclosure]:
 
 
 def load_latents(path: str | Path) -> dict[str, LatentDisclosure]:
-    return dict(read_jsonl(path, _latent_row))
+    """The latents of each id in ``path``; an id may appear on one line only."""
+    rows = read_jsonl(path, _latent_row)
+    first: dict[str, int] = {}
+    for lineno, (rid, _) in enumerate(rows, start=1):
+        if first.setdefault(rid, lineno) != lineno:
+            raise ArtifactError(f"{path}: duplicate id {rid!r} on lines {first[rid]} and {lineno}")
+    return dict(rows)

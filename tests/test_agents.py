@@ -47,7 +47,6 @@ def disclosure(rid="d1", clean="Quarterly results improved."):
         raw_text=clean,
         clean_text=clean,
         next_day_return=0.01,
-        binary_target=1,
     )
 
 
@@ -356,7 +355,6 @@ class TestRunAgentProtocol:
             raw_text=bare.raw_text,
             clean_text="",
             next_day_return=bare.next_day_return,
-            binary_target=bare.binary_target,
         )
         with pytest.raises(ValueError, match="clean_text"):
             run_agent(spec_for(ep.url), DECODING, bare, client=_client(ep))

@@ -554,6 +554,52 @@ class TestArtifactChecks:
         assert _single_error_line(err, "latents.jsonl") and f"line {len(lines)}" in err
         assert sha(workdir / "cache.jsonl") == cache_before
 
+    def test_latents_with_a_repeated_id_exit_3(self, ingested, capsys):
+        cfg_path, workdir = ingested
+        split = json.loads((workdir / "split.json").read_text())
+        subset = workdir / "subset.json"
+        subset.write_text(json.dumps({"train": split["train"][:10], "dev": [], "test": []}))
+        assert run(cfg_path, "run-agents", "--split", str(subset)) == 0
+        path = workdir / "latents.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[-1])
+        for key in ("performance_signal", "guidance_signal", "risk_signal"):
+            row[key] = -row[key]
+        path.write_text("".join(lines) + json.dumps(row) + "\n")
+        cache_before = sha(workdir / "cache.jsonl")
+        capsys.readouterr()
+        assert run(cfg_path, "run-agents") == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "latents.jsonl")
+        assert f"{row['id']!r} on lines {len(lines)} and {len(lines) + 1}" in err
+        assert sha(workdir / "cache.jsonl") == cache_before
+
+    @pytest.mark.parametrize("case", ["repeated-line", "extra-key"])
+    @pytest.mark.parametrize("stage", ["run-agents", "build-features", "train", "evaluate"])
+    def test_prepared_line_repeated_or_with_an_extra_key_exits_3(
+        self, pipeline, capsys, case, stage
+    ):
+        cfg_path, workdir = pipeline
+        path = workdir / "prepared.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        if case == "repeated-line":
+            row["clean_text"] = "a different text"
+            row["next_day_return"] = -row["next_day_return"]
+            lines.insert(2, json.dumps(row) + "\n")
+            named = f"line 3: duplicate id {row['id']!r} on lines 2 and 3"
+        else:
+            row["sector"] = "tech"
+            lines[1] = json.dumps(row) + "\n"
+            named = "line 2: must carry keys exactly"
+        path.write_text("".join(lines))
+        before = {name: sha(workdir / name) for name in ARTIFACTS}
+        capsys.readouterr()
+        assert run(cfg_path, stage) == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "prepared.jsonl") and named in err
+        assert {name: sha(workdir / name) for name in ARTIFACTS} == before
+
 
 def test_cli_imports_nothing_but_the_stdlib_and_numpy():
     """Every top-level module the CLI import loads is stdlib, numpy or the package."""

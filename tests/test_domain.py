@@ -67,24 +67,6 @@ class TestTargetFromReturn:
         assert target_from_return(lo) <= target_from_return(hi)
 
 
-class TestDisclosureRecordInvariants:
-    def test_target_must_match_return(self):
-        from datetime import datetime, timezone
-
-        from ensemble_judge.domain import DisclosureRecord
-
-        with pytest.raises(ValueError, match="inconsistent"):
-            DisclosureRecord(
-                id="x",
-                timestamp=datetime(2020, 1, 1, tzinfo=timezone.utc),
-                ticker="X",
-                raw_text="t",
-                clean_text="t",
-                next_day_return=-0.1,
-                binary_target=1,
-            )
-
-
 class TestAgentOutputInvariants:
     def test_confidence_range_enforced(self):
         with pytest.raises(ValueError):

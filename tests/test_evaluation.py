@@ -11,7 +11,6 @@ from ensemble_judge.domain import (
     FEATURE_DIM,
     DisclosureRecord,
     SentimentLabel,
-    target_from_return,
 )
 from ensemble_judge.evaluation import (
     ConfusionMatrix,
@@ -132,7 +131,6 @@ def _record(rid, ret, day):
         raw_text="x",
         clean_text="x",
         next_day_return=ret,
-        binary_target=target_from_return(ret),
     )
 
 

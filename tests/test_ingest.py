@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensemble_judge.config import RunConfig
-from ensemble_judge.domain import DisclosureRecord, Split, target_from_return
+from ensemble_judge.domain import DisclosureRecord, Split
 from ensemble_judge.ingest import (
     CorpusFormatError,
     PreprocessConfig,
@@ -46,7 +46,6 @@ def record(rid, ts, ret=0.01):
         raw_text="body text",
         clean_text="body text",
         next_day_return=ret,
-        binary_target=target_from_return(ret),
     )
 
 

@@ -8,8 +8,9 @@ write path elsewhere would bypass the crash guarantees or the line writers
 without failing any behavioural test, so these tests read the source
 instead. For the same
 reason they check that the package imports nothing from ``tests``, defines
-nothing that only tests use, and that the per-disclosure functions the
-benchmark wraps reach the array path instead of holding a rule of their own.
+nothing that only tests use, that the per-disclosure functions the
+benchmark wraps reach the array path instead of holding a rule of their own,
+and that only the disclosure-line reader and the generator build records.
 """
 
 from __future__ import annotations
@@ -247,6 +248,28 @@ def test_benchmark_adapters_call_the_array_path(module, adapter, core):
     ]
     called = {_name(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
     assert core in called
+
+
+# Format guard. A disclosure line is parsed by the one reader in
+# ``ingest.py``, and only the synthetic generator builds records otherwise;
+# the binary target is derived inside the record. A second parser of the
+# format, or a target computed beside it, would drift from these unseen.
+CALLERS_ALLOWED = [
+    ("DisclosureRecord", {"ingest.py", "synth.py"}),
+    ("target_from_return", {"domain.py"}),
+]
+
+
+@pytest.mark.parametrize("callee, allowed", CALLERS_ALLOWED)
+def test_only_the_reader_and_the_generator_build_records(callee, allowed):
+    found = [
+        f"{path.name}:{call.lineno}"
+        for path in MODULES
+        if path.name not in allowed
+        for call in _calls(path)
+        if _name(call) == callee
+    ]
+    assert found == []
 
 
 # Knob guard. A parameter with a default is a value some caller may change;

@@ -269,6 +269,13 @@ class TestLineChecks:
             {"confidence_source": "fallback", "label": "neutral", "confidence": 0.3},
             {"retry_count": 2},
             {"label": "bullish"},
+            {"seed": 42.0},
+            {"retry_count": True},
+            {"retry_count": 0.0},
+            {"confidence": "0.8"},
+            {"confidence": True},
+            {"rationale": None},
+            {"raw_json": 5},
         ],
     )
     def test_bad_output_value_names_byte_offset(self, tmp_path, changes):
@@ -278,6 +285,28 @@ class TestLineChecks:
         with pytest.raises(CacheCorruptionError, match=f"byte offset {len(first)}"):
             CacheStore(path, readonly=True)
 
+
+    @pytest.mark.parametrize(
+        "key_changes, output_changes",
+        [
+            ({"seed": 42.25}, {"seed": 42.25}),
+            ({"seed": 42.0}, {}),
+            ({"model_name": 5}, {"model_name": 5}),
+        ],
+        ids=["seed-float-both-blocks", "seed-integral-float-in-key", "model-name-number"],
+    )
+    def test_key_value_of_the_wrong_json_type_names_byte_offset(
+        self, tmp_path, key_changes, output_changes
+    ):
+        """The key block must agree with the output block, but 42.0 == 42."""
+        path = tmp_path / "cache.jsonl"
+        first = _line_of(record_for(0))
+        bad = record_to_dict(record_for(1))
+        bad["key"].update(key_changes)
+        bad["output"].update(output_changes)
+        path.write_bytes(first + (json.dumps(bad) + "\n").encode() + _line_of(record_for(2)))
+        with pytest.raises(CacheCorruptionError, match=f"byte offset {len(first)}"):
+            CacheStore(path, readonly=True)
 
 class TestTable:
     def test_rows_and_judgments_follow_the_file(self, tmp_path):
@@ -370,7 +399,6 @@ class TestCacheBytesAndKeys:
             raw_text="Umsatz stieg — 5 % über Plan.",
             clean_text="Umsatz stieg — 5 % über Plan.",
             next_day_return=0.01,
-            binary_target=1,
         )
         spec = AgentSpec(Lens.GUIDANCE, "modèle-7b", "http://localhost:1/v1", False)
         decoding = DecodingConfig(seed=7, max_output_tokens=64)
