@@ -63,13 +63,40 @@ PROMPT_TEMPLATES: dict[Lens, str] = {
 }
 
 
+_PLACEHOLDER = "<DISCLOSURE>"
+
+
 def render_prompt(lens: Lens, clean_text: str) -> str:
     """The fixed prompt for a lens with the disclosure text substituted in."""
-    return PROMPT_TEMPLATES[lens].replace("<DISCLOSURE>", clean_text)
+    return PROMPT_TEMPLATES[lens].replace(_PLACEHOLDER, clean_text)
 
 
 def prompt_hash(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+
+
+def templates_sha256() -> str:
+    """sha256 of :data:`PROMPT_TEMPLATES` as it stands: the prompts every
+    prompt digest depends on."""
+    templates = [[lens.value, template] for lens, template in PROMPT_TEMPLATES.items()]
+    return hashlib.sha256(json.dumps(templates).encode("ascii")).hexdigest()
+
+
+def prompt_digests(lens: Lens, clean_texts: Iterable[str]) -> list[bytes]:
+    """The raw sha256 of each text's :func:`render_prompt` prompt, without
+    rendering it: each hash continues a copy of one state that has taken the
+    template text before the placeholder."""
+    head, *tails = (part.encode("utf-8") for part in PROMPT_TEMPLATES[lens].split(_PLACEHOLDER))
+    seeded = hashlib.sha256(head)
+    digests = []
+    for text in clean_texts:
+        digest = seeded.copy()
+        encoded = text.encode("utf-8")
+        for tail in tails:
+            digest.update(encoded)
+            digest.update(tail)
+        digests.append(digest.digest())
+    return digests
 
 
 @dataclass(frozen=True)
@@ -492,12 +519,11 @@ def expected_cache_keys(
     Keys embed the rendered prompt's hash, so changing a prompt or the
     disclosure text invalidates coverage rather than mixing generations.
     """
-    seed = decoding.seed
+    records = list(records)
+    texts = [record.clean_text for record in records]
+    hashes = [[d.hex() for d in prompt_digests(spec.lens, texts)] for spec in specs]
     return [
-        CacheKey(
-            record.id, spec.lens, spec.model_name,
-            prompt_hash(render_prompt(spec.lens, record.clean_text)), seed,
-        )
-        for record in records
-        for spec in specs
+        CacheKey(record.id, spec.lens, spec.model_name, lens_hashes[i], decoding.seed)
+        for i, record in enumerate(records)
+        for spec, lens_hashes in zip(specs, hashes)
     ]

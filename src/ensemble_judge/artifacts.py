@@ -2,18 +2,25 @@
 
 A crash at any instant leaves each artifact either whole-old or whole-new,
 and a malformed line of an internal JSONL artifact is one
-:class:`ArtifactError` naming the file and line.
+:class:`ArtifactError` naming the file and line. Derived binary sidecars
+(the cache's table snapshot, the prepared key table) share one stamped
+layout, written by :func:`write_stamped` and checked by :func:`read_stamped`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
+
+_DIGEST_LINE_BYTES = 65  # 64 hex digits and a newline
+_BLOCK = 1 << 16  # bytes per hashed block of a file: small, so hashing costs little memory
+_NUMBER_TYPES = frozenset({int, float})  # a boolean's type is bool
 
 # One encoder for every line: json.dumps with a non-default option builds a
 # new encoder per call.
@@ -39,7 +46,30 @@ def finite_numbers(values: object) -> tuple[float, ...]:
     """A JSON array of :func:`finite_number` values."""
     if not isinstance(values, list):
         raise ValueError(f"expected an array of numbers, got {values!r}")
-    return tuple(finite_number(v) for v in values)
+    # The whole array at once when every value is a plain int or float;
+    # otherwise value by value, which names the first bad one.
+    if _NUMBER_TYPES.issuperset(map(type, values)):
+        try:
+            numbers = tuple(map(float, values))
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if all(map(math.isfinite, numbers)):
+                return numbers
+    return tuple(map(finite_number, values))
+
+
+def prefix_sha256(path: str | Path, size: int) -> str:
+    """sha256 of the first ``size`` bytes of ``path``."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        while size > 0:
+            block = fh.read(min(size, _BLOCK))
+            if not block:
+                break
+            digest.update(block)
+            size -= len(block)
+    return digest.hexdigest()
 
 
 def write_binary(path: str | Path, chunks: Iterable[bytes]) -> None:
@@ -61,6 +91,51 @@ def write_binary(path: str | Path, chunks: Iterable[bytes]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_stamped(path: str | Path, magic: bytes, header: dict, chunks: Iterable[bytes]) -> None:
+    """:func:`write_binary` of a derived file: the ``magic`` line (it names the
+    format and its version), ``header`` as one JSON line, the ``chunks``, and
+    a last line with the sha256 of everything before it."""
+    digest = hashlib.sha256()
+
+    def stamped() -> Iterator[bytes]:
+        for chunk in (magic, json.dumps(header).encode("ascii") + b"\n", *chunks):
+            digest.update(chunk)
+            yield chunk
+        yield digest.hexdigest().encode("ascii") + b"\n"
+
+    write_binary(path, stamped())
+
+
+def read_stamped(path: str | Path, magic: bytes) -> tuple[dict, memoryview] | None:
+    """The header and the body (the bytes after the header line) of a
+    :func:`write_stamped` file.
+
+    None when the file is missing or unreadable, starts with another magic
+    line, fails its sha256 line or has no JSON object as its header.
+    """
+    try:
+        data = memoryview(Path(path).read_bytes())
+    except OSError:
+        return None
+    covered = len(data) - _DIGEST_LINE_BYTES
+    if (
+        covered < len(magic)
+        or data[: len(magic)] != magic
+        or data[covered:] != hashlib.sha256(data[:covered]).hexdigest().encode("ascii") + b"\n"
+    ):
+        return None
+    end = data.obj.find(b"\n", len(magic), covered)
+    if end < 0:
+        return None
+    try:
+        header = json.loads(data[len(magic) : end].tobytes())
+    except ValueError:
+        return None
+    if not isinstance(header, dict):
+        return None
+    return header, data[end + 1 : covered]
 
 
 def write_text(path: str | Path, chunks: Iterable[str]) -> None:

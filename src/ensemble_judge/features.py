@@ -13,13 +13,12 @@ disclosure's outputs to it; the per-disclosure rules are test oracles.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .artifacts import ArtifactError, read_jsonl, write_jsonl
+from .artifacts import ArtifactError, finite_numbers, read_jsonl, write_jsonl
 from .domain import (
     FEATURE_DIM,
     LENS_ORDER,
@@ -119,13 +118,31 @@ def write_feature_file(
     )
 
 
+_FEATURE_KEYS = frozenset({"disclosure_id", "features", "target"})
+
+
+def _feature_row(obj: object) -> tuple[str, tuple[float, ...], int]:
+    """One feature line: exactly a string id, 15 finite numbers and the integer 0 or 1."""
+    if not isinstance(obj, dict) or obj.keys() != _FEATURE_KEYS:
+        raise ValueError(f"must carry keys exactly {sorted(_FEATURE_KEYS)}")
+    disclosure_id, features, target = obj["disclosure_id"], obj["features"], obj["target"]
+    if not isinstance(disclosure_id, str):
+        raise ValueError(f"disclosure_id must be a string, got {disclosure_id!r}")
+    numbers = finite_numbers(features)
+    if len(numbers) != FEATURE_DIM:
+        raise ValueError(f"expected {FEATURE_DIM} features, got {len(numbers)}")
+    if type(target) is not int or target not in (0, 1):
+        raise ValueError(f"target must be the integer 0 or 1, got {target!r}")
+    return disclosure_id, numbers, target
+
+
 def read_feature_file(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Ids, ``(n, 15)`` feature matrix and targets of one feature file.
 
     A malformed line, or a row that breaks the feature-vector invariants,
-    raises :class:`ArtifactError` naming the file.
+    raises :class:`ArtifactError` naming the file (and the line).
     """
-    rows = read_jsonl(path, itemgetter("disclosure_id", "features", "target"))
+    rows = read_jsonl(path, _feature_row)
     try:
         X = np.array([r[1] for r in rows], dtype=np.float64) if rows else np.empty((0, FEATURE_DIM))
         check_feature_matrix(X)

@@ -5,6 +5,10 @@ exactly {id, timestamp, ticker, text, next_day_return}; the first four are
 strings, timestamps are RFC 3339, the return is a finite JSON number and no
 id repeats. The prepared file has the same lines with a non-empty
 ``clean_text`` string added; one reader parses both.
+Next to the prepared file, ``ingest`` writes its key table
+(``prepared.jsonl.keys``): the ids, targets, prompt digests and cache-key
+digests the reader stages need, stamped with what they depend on, so those
+stages skip the text.
 Preprocessing collapses duplicated consecutive lines, lowercases ticker
 symbols inside a leading metadata block, normalizes whitespace, and
 truncates to a character budget derived from a token budget.
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -22,8 +27,20 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .artifacts import ArtifactError, finite_number, write_jsonl, write_text
+import numpy as np
+
+from .agents import AgentSpec, prompt_digests, templates_sha256
+from .artifacts import (
+    ArtifactError,
+    finite_number,
+    prefix_sha256,
+    read_stamped,
+    write_jsonl,
+    write_stamped,
+    write_text,
+)
 from .domain import DisclosureRecord, Split
+from .store import DIGEST, key_digest
 
 CORPUS_KEYS = frozenset({"id", "timestamp", "ticker", "text", "next_day_return"})
 PREPARED_KEYS = CORPUS_KEYS | {"clean_text"}
@@ -156,9 +173,123 @@ def write_corpus(records: Iterable[DisclosureRecord], path: str | Path) -> None:
     write_jsonl(path, map(corpus_row, records))
 
 
-def write_prepared(records: Iterable[DisclosureRecord], path: str | Path) -> None:
-    """Write preprocessed disclosures, in corpus order, with their ``clean_text``."""
-    write_jsonl(path, (corpus_row(r, clean_text=r.clean_text) for r in sort_records(records)))
+_KEY_TABLE_MAGIC = b"ensemble-judge prepared keys 1\n"
+_PROMPT_BYTES = 32  # a raw sha256
+
+
+@dataclass(frozen=True)
+class PreparedKeys:
+    """What the reader stages use of a prepared file, without its text.
+
+    One row per disclosure in file order and one column per agent spec: the
+    ids, the binary targets (int64), the raw sha256 of each pair's prompt
+    (``(n, k, 32)`` uint8) and each pair's cache-key digest (``(n, k)``,
+    :data:`store.DIGEST`).
+    """
+
+    ids: list[str]
+    targets: np.ndarray
+    prompts: np.ndarray
+    keys: np.ndarray
+
+    @classmethod
+    def of(
+        cls, records: Sequence[DisclosureRecord], specs: Sequence[AgentSpec], seed: int
+    ) -> "PreparedKeys":
+        ids = [r.id for r in records]
+        texts = [r.clean_text for r in records]
+        prompts = np.empty((len(ids), len(specs), _PROMPT_BYTES), dtype=np.uint8)
+        keys = np.empty((len(ids), len(specs)), dtype=DIGEST)
+        for column, spec in enumerate(specs):
+            digests = prompt_digests(spec.lens, texts)
+            prompts[:, column] = np.frombuffer(b"".join(digests), np.uint8).reshape(
+                -1, _PROMPT_BYTES
+            )
+            lens, model_name = spec.lens.value, spec.model_name
+            keys[:, column] = [
+                key_digest(rid, lens, model_name, digest.hex(), seed)
+                for rid, digest in zip(ids, digests)
+            ]
+        targets = np.array([r.binary_target for r in records], dtype=np.int64)
+        return cls(ids, targets, prompts, keys)
+
+    def ids_at(self, rows: np.ndarray) -> list[str]:
+        return [self.ids[row] for row in rows.tolist()]
+
+    def prompt_hash(self, row: int, column: int) -> str:
+        """The hex sha256 of one pair's prompt, as a cache key carries it."""
+        return self.prompts[row, column].tobytes().hex()
+
+
+def _key_table_path(prepared: Path) -> Path:
+    return prepared.with_name(prepared.name + ".keys")
+
+
+def _key_table_stamp(prepared: Path, specs: Sequence[AgentSpec], seed: int) -> dict:
+    """What a key table's digests depend on: the prepared bytes, the prompt
+    templates, the agents' lenses and models, and the seed."""
+    return {
+        "prepared_sha256": prefix_sha256(prepared, os.stat(prepared).st_size),
+        "templates_sha256": templates_sha256(),
+        "agents": [[spec.lens.value, spec.model_name] for spec in specs],
+        "seed": seed,
+    }
+
+
+def write_prepared(
+    records: Iterable[DisclosureRecord], path: str | Path, specs: Sequence[AgentSpec], seed: int
+) -> None:
+    """Write preprocessed disclosures, in corpus order, with their
+    ``clean_text``; then their key table, stamped with the bytes just written."""
+    path, records = Path(path), sort_records(records)
+    write_jsonl(path, (corpus_row(r, clean_text=r.clean_text) for r in records))
+    table = PreparedKeys.of(records, specs, seed)
+    write_stamped(
+        _key_table_path(path),
+        _KEY_TABLE_MAGIC,
+        {"rows": len(records), **_key_table_stamp(path, specs, seed)},
+        (
+            table.targets.astype(np.int8).tobytes(),
+            table.prompts.tobytes(),
+            table.keys.tobytes(),
+            json.dumps(table.ids).encode("ascii"),
+        ),
+    )
+
+
+def read_key_table(
+    path: str | Path, specs: Sequence[AgentSpec], seed: int
+) -> PreparedKeys | None:
+    """The key table of the prepared file at ``path``: what
+    ``PreparedKeys.of(load_prepared(path), specs, seed)`` gives.
+
+    None when the table is missing or unreadable, has another format version
+    or a bad body digest, or its stamp does not match the prepared bytes,
+    the prompt templates, the agents or the seed.
+    """
+    path = Path(path)
+    found = read_stamped(_key_table_path(path), _KEY_TABLE_MAGIC)
+    if found is None:
+        return None
+    header, body = found
+    try:
+        n, k = header["rows"], len(specs)
+        stamp = _key_table_stamp(path, specs, seed)
+        if type(n) is not int or n < 0 or header != {"rows": n, **stamp}:
+            return None
+        keys_at = n + n * k * _PROMPT_BYTES  # after the targets and the prompts
+        ids_at = keys_at + n * k * DIGEST.itemsize
+        ids = json.loads(body[ids_at:].tobytes())
+        if not (isinstance(ids, list) and len(ids) == n and all(isinstance(i, str) for i in ids)):
+            return None
+        return PreparedKeys(
+            ids,
+            np.frombuffer(body, np.int8, n).astype(np.int64),
+            np.frombuffer(body, np.uint8, n * k * _PROMPT_BYTES, n).reshape(n, k, _PROMPT_BYTES),
+            np.frombuffer(body, DIGEST, n * k, keys_at).reshape(n, k),
+        )
+    except (OSError, LookupError, TypeError, ValueError):
+        return None
 
 
 # A metadata line is KEY: VALUE with an upper-case key.

@@ -100,6 +100,20 @@ def _feature_numbers(d: dict, key: str) -> tuple[float, ...]:
     return numbers
 
 
+def _json_int(d: dict, key: str) -> int:
+    """``d[key]``, which must be a JSON integer (not a boolean); else ``ValueError``."""
+    if type(d[key]) is not int:
+        raise ValueError(f"{key} must be an integer, got {d[key]!r}")
+    return d[key]
+
+
+def _json_str(d: dict, key: str) -> str:
+    """``d[key]``, which must be a JSON string; else ``ValueError``."""
+    if not isinstance(d[key], str):
+        raise ValueError(f"{key} must be a string, got {d[key]!r}")
+    return d[key]
+
+
 def _reject_constant(name: str) -> float:
     """``json.loads`` hook for the ``NaN`` and ``Infinity`` tokens, which JSON lacks."""
     raise ValueError(f"non-finite number {name}")
@@ -299,8 +313,10 @@ class MetaModel:
     @classmethod
     def load(cls, path: str | Path) -> "MetaModel":
         """The model in ``path``; raises ``KeyError`` for a missing key and
-        ``ValueError`` for a weight, statistic, intercept or C that is not a
-        finite JSON number (``NaN``, ``Infinity``, a string, a boolean)."""
+        ``ValueError`` for a weight, statistic, intercept, C, gradient norm or
+        tolerance that is not a finite JSON number (``NaN``, ``Infinity``, a
+        string, a boolean), an iteration or output count that is not a JSON
+        integer, or a prompt digest that is not a string."""
         d = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
         rep = d["optimizer_report"]
         return cls(
@@ -309,12 +325,12 @@ class MetaModel:
             inverse_reg_strength=finite_number(d["inverse_reg_strength"]),
             standardizer=Standardizer.from_dict(d["standardizer"]),
             optimizer_report=OptimizerReport(
-                iterations=int(rep["iterations"]),
-                final_gradient_norm=float(rep["final_gradient_norm"]),
-                tolerance=float(rep["tolerance"]),
+                iterations=_json_int(rep, "iterations"),
+                final_gradient_norm=finite_number(rep["final_gradient_norm"]),
+                tolerance=finite_number(rep["tolerance"]),
             ),
-            prompt_hash_digest=d["prompt_hash_digest"],
-            n_outputs=int(d["n_outputs"]),
+            prompt_hash_digest=_json_str(d, "prompt_hash_digest"),
+            n_outputs=_json_int(d, "n_outputs"),
         )
 
 

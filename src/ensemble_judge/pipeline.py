@@ -4,6 +4,12 @@ Stages communicate only through files under the run's working directory, so
 every stage is resumable and a rerun with unchanged inputs rewrites
 byte-identical artifacts. Training and evaluation refuse to run until the
 cache fully covers the records they consume.
+
+The stages after ``ingest`` match disclosures to cached judgments as arrays
+of per-pair digests (:class:`ingest.PreparedKeys`), read from the prepared
+file's key table when its stamp matches and built from a full parse of the
+prepared file otherwise. Only ``run-agents`` with pairs to fetch reads the
+disclosure text.
 """
 
 from __future__ import annotations
@@ -13,28 +19,24 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from pathlib import Path
-from typing import Callable, Container, Iterator, Sequence, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .agents import (
-    AgentSpec,
-    ChatCompletionsClient,
-    DecodingConfig,
-    expected_cache_keys,
-    run_agent,
-)
+from .agents import AgentSpec, ChatCompletionsClient, run_agent
 from .artifacts import ArtifactError
 from .config import RunConfig
 from .domain import AgentOutput, ConfidenceSource, DisclosureRecord, Split
 from .evaluation import EvalReport, evaluate_judgments, write_report
 from .features import feature_matrix, read_feature_file, write_feature_file
 from .ingest import (
+    PreparedKeys,
     chronological_split,
     load_corpus,
     load_prepared,
     load_split,
     preprocess_corpus,
+    read_key_table,
     write_corpus,
     write_prepared,
     write_split,
@@ -91,7 +93,7 @@ def stage_ingest(config: RunConfig) -> dict:
     records = load_corpus(config.corpus_path)
     prepared = preprocess_corpus(records, config.preprocess)
     split = chronological_split(prepared, config.split_fractions)
-    write_prepared(prepared, config.prepared_path)
+    write_prepared(prepared, config.prepared_path, config.agent_specs(), config.seed)
     write_split(split, config.split_path)
     return {"records": len(prepared), **{s.value: len(ids) for s, ids in split.items()}}
 
@@ -113,33 +115,36 @@ def _assigned_ids(split: dict[Split, list[str]], known: Container[str]) -> dict[
     return assigned
 
 
-def _split_records(config: RunConfig) -> dict[Split, list[DisclosureRecord]]:
-    """The prepared records of each split, in split order.
+def _prepared(config: RunConfig) -> tuple[PreparedKeys, list[DisclosureRecord] | None]:
+    """The prepared file's keys, from its key table when the stamp matches;
+    else from a full parse, whose records come back too (None otherwise)."""
+    path = _require(config.prepared_path, "preprocessed corpus")
+    specs = config.agent_specs()
+    keys = read_key_table(path, specs, config.seed)
+    if keys is not None:
+        return keys, None
+    records = load_prepared(path)
+    return PreparedKeys.of(records, specs, config.seed), records
+
+
+def _split_rows(config: RunConfig, keys: PreparedKeys) -> dict[Split, np.ndarray]:
+    """The prepared rows of each split, in split order.
 
     The split file must assign every prepared record and nothing else.
     """
-    records = load_prepared(_require(config.prepared_path, "preprocessed corpus"))
     split = _load_checked(_require(config.split_path, "split file"), load_split, "split")
-    by_id = {r.id: r for r in records}
-    assigned = _assigned_ids(split, by_id)
-    unassigned = [rid for rid in by_id if rid not in assigned]
+    position = dict(zip(keys.ids, range(len(keys.ids))))
+    assigned = _assigned_ids(split, position)
+    unassigned = [rid for rid in position if rid not in assigned]
     if unassigned:
         raise ValueError(
             f"split does not cover the corpus (stale split file?), "
             f"e.g. {unassigned[:3]}"
         )
-    return {s: [by_id[rid] for rid in ids] for s, ids in split.items()}
-
-
-_Pair = tuple[DisclosureRecord, AgentSpec, CacheKey]
-
-
-def _pairs(
-    records: Sequence[DisclosureRecord], specs: Sequence[AgentSpec], decoding: DecodingConfig
-) -> list[_Pair]:
-    keys = expected_cache_keys(records, specs, decoding)
-    combos = [(record, spec) for record in records for spec in specs]
-    return [(record, spec, key) for (record, spec), key in zip(combos, keys)]
+    return {
+        s: np.fromiter(map(position.__getitem__, ids), np.int64, len(ids))
+        for s, ids in split.items()
+    }
 
 
 # HTTP runs fsync the cache every this many appends, so a machine crash loses
@@ -148,28 +153,33 @@ def _pairs(
 HTTP_SYNC_EVERY = 256
 
 
-def _stub_outputs(config: RunConfig, todo: Sequence[_Pair]) -> Iterator[AgentOutput]:
-    if not todo:
-        return  # nothing to fetch: the latents are not needed
+# A pair to fetch: the disclosure, its agent and the prompt's sha256 in hex.
+_Fetch = tuple[DisclosureRecord, AgentSpec, str]
+
+
+def _stub_outputs(
+    config: RunConfig, ids: set[str], todo: Iterable[_Fetch]
+) -> Iterator[AgentOutput]:
+    """The stub agents' outputs for ``todo``, whose disclosures have ``ids``."""
     latents = load_latents(_require(config.latents_path, "latents sidecar"))
-    lacking = sorted({record.id for record, _, _ in todo if record.id not in latents})
+    lacking = sorted(ids - latents.keys())
     if lacking:
         raise ArtifactError(
             f"{config.latents_path}: no latent signals for {len(lacking)} disclosures, "
             f"e.g. {lacking[:3]}"
         )
     yield from stub_outputs(
-        ((spec.lens, record, key.prompt_hash, key.seed) for record, spec, key in todo), latents
+        ((spec.lens, record, prompt, config.seed) for record, spec, prompt in todo), latents
     )
 
 
-def _http_outputs(config: RunConfig, todo: Sequence[_Pair]) -> Iterator[AgentOutput]:
+def _http_outputs(config: RunConfig, todo: Iterable[_Fetch]) -> Iterator[AgentOutput]:
     """Outputs in submission order from at most ``max_in_flight`` concurrent calls."""
     decoding = config.decoding()
     local = threading.local()
     opened: list[ChatCompletionsClient] = []
 
-    def _call(task: _Pair) -> AgentOutput:
+    def _call(task: _Fetch) -> AgentOutput:
         record, spec, _ = task
         clients = getattr(local, "clients", None)
         if clients is None:
@@ -197,36 +207,48 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     Resumable: pairs whose key is already cached are skipped. Stub agents run
     inline; HTTP agents run through a bounded thread pool. Either way the
     single cache appender takes the outputs in deterministic submission order.
+    The disclosure text is read only when some pair is not cached.
     """
-    records = load_prepared(_require(config.prepared_path, "preprocessed corpus"))
+    keys, records = _prepared(config)
+    rows = np.arange(len(keys.ids))
     if split_path is not None:
         split = _load_checked(split_path, load_split, "split")
-        wanted = _assigned_ids(split, {r.id for r in records})
-        records = [r for r in records if r.id in wanted]
-    pairs = _pairs(records, config.agent_specs(), config.decoding())
+        wanted = _assigned_ids(split, set(keys.ids))
+        rows = np.flatnonzero([rid in wanted for rid in keys.ids])
+    specs = config.agent_specs()
+    digests = keys.keys[rows].ravel()
 
     fetched = 0
     fallbacks = 0
     with CacheStore(config.cache_path) as store:
-        todo = [pair for pair in pairs if pair[2] not in store]
-        if config.stub.enabled:
-            outputs, sync_every = _stub_outputs(config, todo), 0
-        else:
-            outputs, sync_every = _http_outputs(config, todo), HTTP_SYNC_EVERY
-        with closing(outputs):
-            for output in outputs:
-                store.put(output)
-                fetched += 1
-                if output.confidence_source is ConfidenceSource.FALLBACK:
-                    fallbacks += 1
-                if sync_every and fetched % sync_every == 0:
-                    store.sync()
+        todo = store.missing(digests)
+        if todo.size:
+            if records is None:
+                records = load_prepared(config.prepared_path)
+            todo_rows, todo_columns = rows[todo // len(specs)], todo % len(specs)
+            fetch = (
+                (records[row], specs[column], keys.prompt_hash(row, column))
+                for row, column in zip(todo_rows.tolist(), todo_columns.tolist())
+            )
+            if config.stub.enabled:
+                ids = {records[row].id for row in todo_rows.tolist()}
+                outputs, sync_every = _stub_outputs(config, ids, fetch), 0
+            else:
+                outputs, sync_every = _http_outputs(config, fetch), HTTP_SYNC_EVERY
+            with closing(outputs):
+                for output in outputs:
+                    store.put(output)
+                    fetched += 1
+                    if output.confidence_source is ConfidenceSource.FALLBACK:
+                        fallbacks += 1
+                    if sync_every and fetched % sync_every == 0:
+                        store.sync()
         store.sync()
-        still_missing = len(store.missing(key for _, _, key in pairs))
+        still_missing = len(store.missing(digests)) if todo.size else 0
 
     return {
-        "pairs": len(pairs),
-        "already_cached": len(pairs) - len(todo),
+        "pairs": len(digests),
+        "already_cached": len(digests) - len(todo),
         "fetched": fetched,
         "fallbacks": fallbacks,
         "missing": still_missing,
@@ -234,42 +256,47 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
 
 
 def _cached_judgments(
-    config: RunConfig, records: Sequence[DisclosureRecord]
-) -> tuple[list[CacheKey], np.ndarray, np.ndarray]:
-    """The records' cache keys and their ``(n, 3)`` label codes and confidences.
+    config: RunConfig, keys: PreparedKeys, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, 3)`` label codes and confidences of the prepared ``rows``.
 
-    Keys are record-major in lens order. The cache must exist (else
-    :class:`MissingArtifactError`) and hold every key (else
+    Columns follow the agent specs' lens order. The cache must exist (else
+    :class:`MissingArtifactError`) and hold every pair (else
     :class:`CoverageError` naming each missing one).
     """
-    keys = expected_cache_keys(records, config.agent_specs(), config.decoding())
+    specs = config.agent_specs()
     with CacheStore(_require(config.cache_path, "agent cache"), readonly=True) as store:
-        rows = store.rows(keys)
-        if (rows < 0).any():
-            raise CoverageError([key for key, row in zip(keys, rows) if row < 0])
-        labels, confidences = store.judgments(rows)
-    return keys, labels.reshape(-1, 3), confidences.reshape(-1, 3)
+        found = store.rows(keys.keys[rows].ravel())
+        lacking = []
+        for pair in np.flatnonzero(found < 0).tolist():
+            row, column = rows[pair // len(specs)], pair % len(specs)
+            spec = specs[column]
+            prompt = keys.prompt_hash(row, column)
+            lacking.append(CacheKey(keys.ids[row], spec.lens, spec.model_name, prompt, config.seed))
+        if lacking:
+            raise CoverageError(lacking)
+        labels, confidences = store.judgments(found)
+    return labels.reshape(-1, len(specs)), confidences.reshape(-1, len(specs))
 
 
 def stage_build_features(config: RunConfig) -> dict:
     """Export one audit feature file per split, in sorted split order."""
-    by_split = _split_records(config)
-    records = [r for split_records in by_split.values() for r in split_records]
-    _keys, labels, confidences = _cached_judgments(config, records)
-    X = feature_matrix(labels, confidences)
-    bounds = np.cumsum([len(split_records) for split_records in by_split.values()])[:-1]
-    for (split, split_records), X_split in zip(by_split.items(), np.split(X, bounds)):
+    keys, _ = _prepared(config)
+    by_split = _split_rows(config, keys)
+    X = feature_matrix(*_cached_judgments(config, keys, np.concatenate(list(by_split.values()))))
+    bounds = np.cumsum([len(rows) for rows in by_split.values()])[:-1]
+    for (split, rows), X_split in zip(by_split.items(), np.split(X, bounds)):
         write_feature_file(
             config.features_path(split),
-            [r.id for r in split_records],
+            keys.ids_at(rows),
             X_split,
-            [r.binary_target for r in split_records],
+            keys.targets[rows].tolist(),
         )
-    return {split.value: len(split_records) for split, split_records in by_split.items()}
+    return {split.value: len(rows) for split, rows in by_split.items()}
 
 
 def _split_features(
-    path: Path, records: Sequence[DisclosureRecord], expected: np.ndarray
+    path: Path, keys: PreparedKeys, rows: np.ndarray, expected: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix and targets of one split's file, checked against the split.
 
@@ -277,7 +304,7 @@ def _split_features(
     file must hold exactly those values (JSON floats round-trip exactly).
     """
     ids, X, y = read_feature_file(path)
-    if ids != [r.id for r in records] or not np.array_equal(y, [r.binary_target for r in records]):
+    if ids != keys.ids_at(rows) or not np.array_equal(y, keys.targets[rows]):
         raise ArtifactError(
             f"{path}: ids or targets differ from the current split "
             "(stale features? re-run build-features)"
@@ -290,9 +317,12 @@ def _split_features(
     return X, y
 
 
-def _train_prompt_digest(keys: Sequence[CacheKey]) -> str:
-    hashes = sorted(key.prompt_hash for key in keys)
-    return hashlib.sha256("\n".join(hashes).encode("ascii")).hexdigest()
+def _prompt_digest(prompts: np.ndarray) -> str:
+    """The model file's ``prompt_hash_digest``: the sha256 of the hex prompt
+    digests of ``prompts`` (raw sha256 rows), sorted, one per line."""
+    width = prompts.shape[-1]
+    ordered = np.sort(prompts.reshape(-1, width).view(f"S{width}").ravel())
+    return hashlib.sha256(ordered.tobytes().hex("\n", width).encode("ascii")).hexdigest()
 
 
 def stage_train(config: RunConfig) -> dict:
@@ -303,18 +333,17 @@ def stage_train(config: RunConfig) -> dict:
     The feature files must hold exactly the current split's ids, targets and
     the feature values the cache yields for them.
     """
-    by_split = _split_records(config)
-    train_records, dev_records = by_split[Split.TRAIN], by_split[Split.DEV]
-    keys, labels, confidences = _cached_judgments(config, train_records + dev_records)
-    X = feature_matrix(labels, confidences)
+    keys, _ = _prepared(config)
+    by_split = _split_rows(config, keys)
+    train_rows, dev_rows = by_split[Split.TRAIN], by_split[Split.DEV]
+    X = feature_matrix(*_cached_judgments(config, keys, np.concatenate([train_rows, dev_rows])))
 
     paths = {split: config.features_path(split) for split in (Split.TRAIN, Split.DEV)}
     for split, path in paths.items():
         _require(path, f"{split.value} feature file")
-    n_train = len(train_records)
-    train = _split_features(paths[Split.TRAIN], train_records, X[:n_train])
-    dev = _split_features(paths[Split.DEV], dev_records, X[n_train:])
-    n_outputs = 3 * n_train
+    n_train = len(train_rows)
+    train = _split_features(paths[Split.TRAIN], keys, train_rows, X[:n_train])
+    dev = _split_features(paths[Split.DEV], keys, dev_rows, X[n_train:])
 
     try:
         model, dev_scores = train_meta_model(
@@ -323,8 +352,8 @@ def stage_train(config: RunConfig) -> dict:
             grid=config.train.grid,
             tol=config.train.tol,
             max_iter=config.train.max_iter,
-            prompt_hash_digest=_train_prompt_digest(keys[:n_outputs]),
-            n_outputs=n_outputs,
+            prompt_hash_digest=_prompt_digest(keys.prompts[train_rows]),
+            n_outputs=3 * n_train,
         )
     except ConvergenceError as exc:
         raise ConvergenceError(
@@ -346,21 +375,20 @@ def stage_evaluate(config: RunConfig) -> EvalReport:
     config would render, so a model trained before a prompt or preprocessing
     change cannot be silently scored against mismatched agent outputs.
     """
-    by_split = _split_records(config)
+    keys, _ = _prepared(config)
+    by_split = _split_rows(config, keys)
     _require(config.cache_path, "agent cache")
     model = _load_checked(_require(config.model_path, "model file"), MetaModel.load, "model")
-    if model.prompt_hash_digest != _train_prompt_digest(
-        expected_cache_keys(by_split[Split.TRAIN], config.agent_specs(), config.decoding())
-    ):
+    if model.prompt_hash_digest != _prompt_digest(keys.prompts[by_split[Split.TRAIN]]):
         raise StaleModelError(
             f"{config.model_path} was trained under different prompts or "
             "preprocessing than this run; re-run the train stage"
         )
-    test_records = by_split[Split.TEST]
-    _keys, labels, confidences = _cached_judgments(config, test_records)
+    test_rows = by_split[Split.TEST]
+    labels, confidences = _cached_judgments(config, keys, test_rows)
     report = evaluate_judgments(
-        [r.id for r in test_records],
-        np.array([r.binary_target for r in test_records]),
+        keys.ids_at(test_rows),
+        keys.targets[test_rows],
         labels,
         confidences,
         model,

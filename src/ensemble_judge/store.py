@@ -7,8 +7,10 @@ off before appending), and never rewritten in place, so feature building,
 training, and evaluation can replay it bit-for-bit without re-querying any
 model.
 
-Loading keeps a columnar table, not records: a key -> row index plus each
-row's label code, confidence, confidence-source code, and byte offset.
+Loading keeps a columnar table, not records: each row's label code,
+confidence, confidence-source code and byte offset, and an index of the
+rows' key digests (:func:`key_digest`, 16 bytes each) held as one sorted
+array, which :meth:`CacheStore.rows` searches with ``np.searchsorted``.
 Full :class:`CacheRecord` values (rationale, raw generation) are re-read
 from the file only when :meth:`CacheStore.get` asks for one.
 
@@ -30,15 +32,14 @@ import sys
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 import numpy as np
 
-from .artifacts import finite_number, write_binary
+from .artifacts import finite_number, prefix_sha256, read_stamped, write_stamped
 from .domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
 
 logger = logging.getLogger(__name__)
@@ -57,15 +58,31 @@ _SOURCE_CODES = {source: code for code, source in enumerate(ConfidenceSource)}
 _FALLBACK_CODE = _SOURCE_CODES[ConfidenceSource.FALLBACK]
 
 _LENS_BY_VALUE = {lens.value: lens for lens in Lens}
+_LENS_NAMES = {lens: lens.value for lens in Lens}
 _LABEL_CODES = {label.as_string(): int(label) for label in SentimentLabel}
 _SOURCE_BY_VALUE = {source.value: code for source, code in _SOURCE_CODES.items()}
 
 # An output's identity, in CacheKey field order.
 _OUTPUT_IDENTITY = attrgetter("disclosure_id", "agent", "model_name", "prompt_hash", "seed")
 
+# The index's digest type: fixed-width bytes, compared and sorted as raw bytes.
+DIGEST = np.dtype("S16")
+
+
+def key_digest(
+    disclosure_id: str, lens: str, model_name: str, prompt_hash: str, seed: int
+) -> bytes:
+    """The 16-byte digest a key's row is indexed by. Each string field is
+    prefixed with its length, so no two keys share an encoding."""
+    encoded = (
+        f"{len(disclosure_id)}:{disclosure_id}{len(lens)}:{lens}{len(model_name)}:{model_name}"
+        f"{len(prompt_hash)}:{prompt_hash}{seed}"
+    ).encode("utf-8", "surrogatepass")
+    return hashlib.blake2b(encoded, digest_size=16).digest()
+
 
 class CacheKey(NamedTuple):
-    """The table's row key; a plain tuple of the same fields finds the same row."""
+    """A cache line's key fields; the table finds its row by :meth:`digest`."""
 
     disclosure_id: str
     lens: Lens
@@ -82,6 +99,11 @@ class CacheKey(NamedTuple):
     @classmethod
     def for_output(cls, output: AgentOutput) -> "CacheKey":
         return cls(*_OUTPUT_IDENTITY(output))
+
+    def digest(self) -> bytes:
+        return key_digest(
+            self.disclosure_id, _LENS_NAMES[self.lens], self.model_name, self.prompt_hash, self.seed
+        )
 
 
 @dataclass(frozen=True)
@@ -145,8 +167,8 @@ _VALUES = itemgetter(
 )
 
 
-def _parse_line(line: bytes) -> tuple[dict, tuple, int, float, int]:
-    """One cache line as (output block, key, label code, confidence, source code).
+def _parse_line(line: bytes) -> tuple[dict, bytes, int, float, int]:
+    """One cache line as (output block, key digest, label code, confidence, source code).
 
     Raises ValueError, KeyError, TypeError or AttributeError on a malformed
     line and :class:`_KeyMismatch` when the key block disagrees with the
@@ -173,118 +195,56 @@ def _parse_line(line: bytes) -> tuple[dict, tuple, int, float, int]:
     code = _LABEL_CODES.get(label)
     if code is None:
         code = int(SentimentLabel.from_string(label))
-    key = (disclosure_id, _LENS_BY_VALUE[lens], model_name, prompt_hash, seed)
-    return out, key, code, finite_number(confidence), _SOURCE_BY_VALUE[source]
+    _LENS_BY_VALUE[lens]  # a KeyError unless the lens is known
+    digest = key_digest(disclosure_id, lens, model_name, prompt_hash, seed)
+    return out, digest, code, finite_number(confidence), _SOURCE_BY_VALUE[source]
 
 
-# The table snapshot is the magic line (it holds the format version), a JSON
-# header line, the row columns in the header's byte order, one JSON array
-# of the key values, and a last line with the sha256 of everything before
-# it. The disclosure id, lens, model name and seed of the row keys are
-# stored as codes into a table of their distinct values, so rows of one
-# disclosure share its id; the JSON array holds those four tables and then
-# the rows' prompt hashes.
-_SNAPSHOT_MAGIC = b"ensemble-judge cache table 1\n"
-_CODED_FIELDS = (0, 1, 2, 4)  # CacheKey fields stored as codes
-# label, source, confidence, offset, then the codes of the coded fields
-_SNAPSHOT_COLUMNS = ("b", "b", "d", "q") + ("i",) * len(_CODED_FIELDS)
-_ROW_BYTES = sum(array(typecode).itemsize for typecode in _SNAPSHOT_COLUMNS)
-_DIGEST_LINE_BYTES = 65  # 64 hex digits and a newline
-_KEY_JSON = json.JSONEncoder(separators=(",", ":"))
-# Keys per JSON chunk and bytes per hashed block: small, so the snapshot
-# costs the writer little memory.
-_KEY_BATCH = 1024
-_BLOCK = 1 << 16
-
-
-def _prefix_sha256(path: Path, size: int) -> str:
-    """sha256 of the first ``size`` bytes of ``path``."""
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        while size > 0:
-            block = fh.read(min(size, _BLOCK))
-            if not block:
-                break
-            digest.update(block)
-            size -= len(block)
-    return digest.hexdigest()
+# The table snapshot is a stamped binary file (artifacts.write_stamped) whose
+# body holds the row columns in the header's byte order: label, source,
+# confidence and offset by row, then the key digests sorted and the row of
+# each sorted digest.
+_SNAPSHOT_MAGIC = b"ensemble-judge cache table 2\n"
+_SNAPSHOT_COLUMNS = ("b", "b", "d", "q")  # label, source, confidence, offset
+# The columns, a sorted digest and a row number, per row.
+_ROW_BYTES = sum(array(code).itemsize for code in _SNAPSHOT_COLUMNS) + DIGEST.itemsize + 8
 
 
 def _read_snapshot(path: Path, cache: Path) -> tuple | None:
-    """``(covered, index, labels, confidences, sources, offsets)``: the table of
-    the first ``covered`` bytes of ``cache``, from the snapshot at ``path``.
+    """``(covered, columns, digests, rows)``: the table of the first ``covered``
+    bytes of ``cache``, from the snapshot at ``path``.
 
     None when the snapshot is missing or unreadable, has another format
     version or a bad body digest, or its stamp does not match the cache.
     """
+    found = read_stamped(path, _SNAPSHOT_MAGIC)
+    if found is None:
+        return None
+    header, body = found
     try:
-        with path.open("rb") as fh:
-            if fh.readline() != _SNAPSHOT_MAGIC:
-                return None
-            header_line = fh.readline()
-            header = json.loads(header_line)
-            n, covered = header["rows"], header["covered_bytes"]
-            if type(n) is not int or type(covered) is not int or n < 0 or covered < 0:
-                return None
-            columns = fh.read(n * _ROW_BYTES)
-            keys_json = fh.read(os.fstat(fh.fileno()).st_size - fh.tell() - _DIGEST_LINE_BYTES)
-            digest_line = fh.read()
-        digest = hashlib.sha256(_SNAPSHOT_MAGIC)
-        for part in (header_line, columns, keys_json):
-            digest.update(part)
+        n, covered = header["rows"], header["covered_bytes"]
         if (
-            digest_line != digest.hexdigest().encode("ascii") + b"\n"
-            or len(columns) != n * _ROW_BYTES
+            type(n) is not int or type(covered) is not int or n < 0 or covered < 0
+            or len(body) != n * _ROW_BYTES
             or header["byteorder"] != sys.byteorder
             or os.stat(cache).st_size < covered
-            or _prefix_sha256(cache, covered) != header["cache_sha256"]
+            or prefix_sha256(cache, covered) != header["cache_sha256"]
         ):
             return None
-        table = []
+        columns = []
         start = 0
         for typecode in _SNAPSHOT_COLUMNS:
             column = array(typecode)
-            column.frombytes(columns[start : start + n * column.itemsize])
-            table.append(column)
+            column.frombytes(body[start : start + n * column.itemsize])
+            columns.append(column)
             start += n * column.itemsize
-        del columns
-        labels, sources, confidences, offsets, *codes = table
-        keys_json = keys_json.decode("ascii")  # json.loads would keep both copies alive
-        *values, prompt_hashes = json.loads(keys_json)
-        del keys_json
-        values[1] = [_LENS_BY_VALUE[lens] for lens in values[1]]
-        ids, lenses, model_names, seeds = (
-            map(field_values.__getitem__, field_codes)
-            for field_values, field_codes in zip(values, codes, strict=True)
-        )
-        keys = zip(ids, lenses, model_names, prompt_hashes, seeds, strict=True)
-        index = dict(zip(keys, range(n), strict=True))
-        if len(index) != n:
+        digests = np.frombuffer(body, DIGEST, n, start).copy()
+        rows = np.frombuffer(body, np.int64, n, start + n * DIGEST.itemsize).copy()
+        if (digests[1:] <= digests[:-1]).any() or not np.array_equal(np.sort(rows), np.arange(n)):
             return None
     except (OSError, LookupError, TypeError, ValueError):
         return None
-    return covered, index, labels, confidences, sources, offsets
-
-
-def _json_array(values: Iterable) -> Iterator[bytes]:
-    """``values`` as one ASCII JSON array, encoded a batch at a time."""
-    values = iter(values)
-    yield b"["
-    separator = b""
-    while batch := list(islice(values, _KEY_BATCH)):
-        yield separator
-        yield memoryview(_KEY_JSON.encode(batch).encode("ascii"))[1:-1]
-        separator = b","
-    yield b"]"
-
-
-def _stamped(chunks: Iterable[bytes]) -> Iterator[bytes]:
-    """``chunks``, then a line with the sha256 of them all."""
-    digest = hashlib.sha256()
-    for chunk in chunks:
-        digest.update(chunk)
-        yield chunk
-    yield digest.hexdigest().encode("ascii") + b"\n"
+    return covered, columns, digests, rows
 
 
 class CacheStore:
@@ -304,7 +264,11 @@ class CacheStore:
 
     def __init__(self, path: str | Path, *, readonly: bool = False):
         self.path = Path(path)
-        self._index: dict[CacheKey, int] = {}
+        # The index: sorted key digests and the row of each, plus a dict of
+        # the rows added since the last sort.
+        self._digests = np.empty(0, dtype=DIGEST)
+        self._rows = np.empty(0, dtype=np.int64)
+        self._recent: dict[bytes, int] = {}
         self._labels = array("b")
         self._confidences = array("d")
         self._sources = array("b")
@@ -322,8 +286,8 @@ class CacheStore:
             if self.path.exists():
                 snapshot = _read_snapshot(self._snapshot_path, self.path)
                 if snapshot is not None:
-                    (self._covered, self._index, self._labels, self._confidences,
-                     self._sources, self._offsets) = snapshot
+                    self._covered, columns, self._digests, self._rows = snapshot
+                    self._labels, self._sources, self._confidences, self._offsets = columns
                 self._load(self._covered)
             if not readonly:
                 self._repair_tail()
@@ -334,7 +298,7 @@ class CacheStore:
 
     def _load(self, offset: int) -> None:
         """Parse the lines from byte ``offset`` on into the table."""
-        index = self._index
+        recent = self._recent
         add_label, add_confidence = self._labels.append, self._confidences.append
         add_source, add_offset = self._sources.append, self._offsets.append
         line = b""
@@ -345,18 +309,19 @@ class CacheStore:
                     offset += 1
                     continue
                 try:
-                    out, key, label, confidence, source = _parse_line(line)
+                    out, digest, label, confidence, source = _parse_line(line)
                     if not line.endswith(b"\n"):
                         # The final line lacks its newline: check it in full
                         # here, so a cut-off value drops it as a crash tail.
                         AgentOutput.from_dict(out)
-                    row = index.get(key)
+                    row = self._find(digest)
                     if row is not None:
+                        output = AgentOutput.from_dict(out)
                         self._check_payload(
                             row,
-                            AgentOutput.from_dict(out),
-                            f"{self.path}: conflicting payloads for key {key} "
-                            f"at byte offset {offset}",
+                            output,
+                            f"{self.path}: conflicting payloads for key "
+                            f"{CacheKey.for_output(output)} at byte offset {offset}",
                         )
                         self._offsets[row] = offset  # the later line wins
                         offset += len(line)
@@ -377,7 +342,7 @@ class CacheStore:
                     )
                     self._end = offset
                     break
-                index[key] = len(index)
+                recent[digest] = len(self._offsets)
                 add_label(label)
                 add_confidence(confidence)
                 add_source(source)
@@ -387,6 +352,29 @@ class CacheStore:
                 self._end = offset
                 self._unterminated = line[-1:] not in (b"", b"\n")
         self._check_values()
+        self._sort()
+
+    def _find(self, digest: bytes) -> int | None:
+        """The row of the key with ``digest``, or None."""
+        row = self._recent.get(digest)
+        if row is None and len(self._digests):
+            at = int(self._digests.searchsorted(digest))
+            # Compare raw bytes: an S16 element drops its trailing zero bytes.
+            if self._digests[at : at + 1].tobytes() == digest:
+                row = int(self._rows[at])
+        return row
+
+    def _sort(self) -> None:
+        """Fold the rows added since the last sort into the sorted index."""
+        if not self._recent:
+            return
+        digests = np.concatenate([self._digests, np.array(list(self._recent), dtype=DIGEST)])
+        rows = np.concatenate(
+            [self._rows, np.fromiter(self._recent.values(), np.int64, len(self._recent))]
+        )
+        order = np.argsort(digests, kind="stable")
+        self._digests, self._rows = digests[order], rows[order]
+        self._recent = {}
 
     def _check_values(self) -> None:
         """AgentOutput's value checks, applied to the whole table at once."""
@@ -441,15 +429,17 @@ class CacheStore:
             ) from None
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._offsets)
 
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._index
-
-    def rows(self, keys: Iterable[CacheKey]) -> np.ndarray:
-        """Table row of each key, in order; -1 where the key is not stored."""
-        index = self._index
-        return np.fromiter((index.get(k, -1) for k in keys), dtype=np.int64)
+    def rows(self, digests: Sequence[bytes] | np.ndarray) -> np.ndarray:
+        """Table row of each key digest (:func:`key_digest`), in order; -1 where
+        no key with that digest is stored."""
+        wanted = np.asarray(digests, dtype=DIGEST)
+        self._sort()
+        if not len(self._digests):
+            return np.full(wanted.shape, -1, dtype=np.int64)
+        at = np.minimum(self._digests.searchsorted(wanted), len(self._digests) - 1)
+        return np.where(self._digests[at] == wanted, self._rows[at], -1)
 
     def judgments(self, rows: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Label codes (int8, -1/0/+1) and confidences (float64) of the given rows."""
@@ -459,7 +449,7 @@ class CacheStore:
         return labels, confidences
 
     def get(self, key: CacheKey) -> CacheRecord | None:
-        row = self._index.get(key)
+        row = self._find(key.digest())
         return None if row is None else self._record_at(row)
 
     def put(self, output: AgentOutput) -> None:
@@ -467,15 +457,21 @@ class CacheStore:
         time; re-putting an identical payload is a no-op."""
         if self._fh is None:
             raise CacheIntegrityError(f"{self.path}: store was opened read-only")
-        key = CacheKey.for_output(output)
-        row = self._index.get(key)
+        digest = key_digest(
+            output.disclosure_id, _LENS_NAMES[output.agent], output.model_name,
+            output.prompt_hash, output.seed,
+        )
+        row = self._find(digest)
         if row is not None:
-            self._check_payload(row, output, f"key already stored with a different payload: {key}")
+            self._check_payload(
+                row, output,
+                f"key already stored with a different payload: {CacheKey.for_output(output)}",
+            )
             return
         data = _cache_line(output, datetime.now(timezone.utc).isoformat()).encode("utf-8")
         self._fh.write(data)
         self._fh.flush()
-        self._index[key] = len(self._offsets)
+        self._recent[digest] = len(self._offsets)
         self._labels.append(int(output.label))
         self._confidences.append(output.confidence)
         self._sources.append(_SOURCE_CODES[output.confidence_source])
@@ -488,37 +484,26 @@ class CacheStore:
             self._fh.flush()
             os.fsync(self._fh.fileno())
 
-    def missing(self, expected: Iterable[CacheKey]) -> list[CacheKey]:
-        """Expected keys with no stored record; empty means coverage is complete."""
-        index = self._index
-        return [key for key in expected if key not in index]
+    def missing(self, digests: Sequence[bytes] | np.ndarray) -> np.ndarray:
+        """Positions of the key digests with no stored record; empty means
+        coverage is complete."""
+        return np.flatnonzero(self.rows(digests) < 0)
 
     def _write_snapshot(self) -> None:
+        self._sort()
         header = {
-            "rows": len(self._index),
+            "rows": len(self._offsets),
             "covered_bytes": self._end,
-            "cache_sha256": _prefix_sha256(self.path, self._end),
+            "cache_sha256": prefix_sha256(self.path, self._end),
             "byteorder": sys.byteorder,
         }
-
-        tables, codes = [], []
-        for field in _CODED_FIELDS:
-            values = dict.fromkeys(map(itemgetter(field), self._index))
-            table = dict(zip(values, range(len(values))))
-            tables.append(table)
-            codes.append(array("i", map(table.__getitem__, map(itemgetter(field), self._index))))
-
-        def chunks() -> Iterator[bytes]:
-            yield _SNAPSHOT_MAGIC
-            yield json.dumps(header).encode("ascii") + b"\n"
-            for column in (self._labels, self._sources, self._confidences, self._offsets, *codes):
-                yield memoryview(column)
-            for i, values in enumerate((*tables, map(itemgetter(3), self._index))):
-                yield b"," if i else b"["
-                yield from _json_array(values)
-            yield b"]"
-
-        write_binary(self._snapshot_path, _stamped(chunks()))
+        columns = (self._labels, self._sources, self._confidences, self._offsets)
+        write_stamped(
+            self._snapshot_path,
+            _SNAPSHOT_MAGIC,
+            header,
+            (*map(memoryview, columns), self._digests.tobytes(), self._rows.tobytes()),
+        )
 
     def close(self) -> None:
         if self._reader is not None:

@@ -289,7 +289,7 @@ class TestCriterion7SyntheticOrdering:
         # Record-major, one column per lens in the fixed agent order.
         keys = expected_cache_keys(records, config.agent_specs(), config.decoding())
         with CacheStore(workdir / "cache.jsonl", readonly=True) as store:
-            rows = store.rows(keys)
+            rows = store.rows([key.digest() for key in keys])
             assert (rows >= 0).all()
             labels, _ = store.judgments(rows)
         targets = np.array([r.binary_target for r in records], dtype=bool)

@@ -181,7 +181,8 @@ def _mutate(path: Path, mutation: tuple, pool: list[AgentOutput], stored: list[A
 def _observe(path: Path, keys: list[CacheKey], readonly: bool, put: AgentOutput | None):
     try:
         with CacheStore(path, readonly=readonly) as store:
-            rows = store.rows(keys)
+            digests = [key.digest() for key in keys]
+            rows = store.rows(digests)
             labels, confidences = store.judgments(rows[rows >= 0])
             seen = (
                 len(store),
@@ -189,11 +190,12 @@ def _observe(path: Path, keys: list[CacheKey], readonly: bool, put: AgentOutput 
                 labels.tolist(),
                 confidences.tolist(),
                 [store.get(key) for key in keys],
-                store.missing(keys),
+                store.missing(digests).tolist(),
                 store._end,
-                # The whole table: every key and column, not only what the
-                # keys above reach.
-                list(store._index.items()),
+                # The whole table: the digest index and every column, not
+                # only what the keys above reach.
+                store._digests.tobytes(),
+                store._rows.tolist(),
                 [list(column) for column in (
                     store._labels, store._confidences, store._sources, store._offsets
                 )],

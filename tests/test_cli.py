@@ -322,6 +322,70 @@ class TestArtifactChecks:
         assert run(cfg_path, "train") == 3
         assert "features_dev.jsonl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        ["target-string", "target-true", "target-float", "feature-strings", "feature-true",
+         "extra-key"],
+    )
+    def test_feature_lines_of_the_wrong_type_exit_3(self, pipeline, capsys, edit):
+        """numpy would cast each of these to the stored value; the line must hold
+        the JSON types the writer writes."""
+        cfg_path, workdir = pipeline
+        path = workdir / "features_train.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lineno, row = next(
+            (i, row) for i, row in enumerate(map(json.loads, lines), start=1) if row["target"] == 1
+        )
+        if edit == "target-string":
+            row["target"] = "1"
+        elif edit == "target-true":
+            row["target"] = True
+        elif edit == "target-float":
+            row["target"] = 1.0
+        elif edit == "feature-strings":
+            row["features"] = [repr(v) for v in row["features"]]
+        elif edit == "feature-true":
+            row["features"][row["features"].index(1.0, 12)] = True  # the one-hot agent
+        else:
+            row["note"] = "x"
+        lines[lineno - 1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines))
+        model_before = sha(workdir / "model.json")
+        capsys.readouterr()
+        assert run(cfg_path, "train") == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "features_train.jsonl") and f"line {lineno}" in err
+        assert sha(workdir / "model.json") == model_before
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("optimizer_report", "tolerance"), "nan"),
+            (("optimizer_report", "final_gradient_norm"), "0"),
+            (("optimizer_report", "iterations"), "5"),
+            (("optimizer_report", "iterations"), 5.0),
+            (("n_outputs",), True),
+        ],
+        ids=["string-tolerance", "string-gradient-norm", "string-iterations", "float-iterations",
+             "boolean-outputs"],
+    )
+    def test_model_optimizer_fields_must_have_their_json_types(
+        self, pipeline, capsys, where, value
+    ):
+        cfg_path, workdir = pipeline
+        model = json.loads((workdir / "model.json").read_text())
+        parent = model
+        for step in where[:-1]:
+            parent = parent[step]
+        parent[where[-1]] = value
+        (workdir / "model.json").write_text(json.dumps(model))
+        report_before = sha(workdir / "report.json")
+        capsys.readouterr()
+        assert run(cfg_path, "evaluate") == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "model.json")
+        assert sha(workdir / "report.json") == report_before
+
     def test_model_without_optimizer_report_exits_3(self, pipeline, capsys):
         cfg_path, workdir = pipeline
         model = json.loads((workdir / "model.json").read_text())

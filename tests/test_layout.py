@@ -3,7 +3,8 @@
 Every artifact goes through ``artifacts.write_text`` (temporary file,
 fsync, rename), the agent cache is the one file opened for append, and
 non-ASCII JSON lines have one writer per file kind: the shared encoder in
-``artifacts.py``, and the cache's fixed-layout line in ``store.py``. A new
+``artifacts.py``, and the cache's fixed-layout line in ``store.py``; each
+derived binary sidecar has one writing module. A new
 write path elsewhere would bypass the crash guarantees or the line writers
 without failing any behavioural test, so these tests read the source
 instead. For the same
@@ -115,6 +116,36 @@ def test_only_artifacts_builds_a_non_ascii_json_encoder():
         or (isinstance(node, ast.ImportFrom) and node.module == "json.encoder")
     }
     assert naming <= {"artifacts.py", "store.py"}
+
+
+# Sidecar guard. Each derived binary file has one writer, through
+# ``artifacts.write_stamped``: ``ingest.py`` writes the prepared key table
+# (``prepared.jsonl.keys``) and ``store.py`` the cache's table snapshot
+# (``cache.jsonl.table``). A reader stage that wrote one would race the
+# stage that owns it.
+SIDECAR_WRITERS = [(".keys", "ingest.py"), (".table", "store.py")]
+
+
+def test_only_the_sidecar_owners_write_binary_files():
+    callers = {
+        path.name
+        for path in MODULES
+        if path.name != "artifacts.py"
+        for call in _calls(path)
+        if _name(call) in ("write_stamped", "write_binary")
+    }
+    assert callers == {writer for _, writer in SIDECAR_WRITERS}
+
+
+@pytest.mark.parametrize("suffix, writer", SIDECAR_WRITERS)
+def test_each_sidecar_is_named_by_its_writer_alone(suffix, writer):
+    naming = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Constant) and node.value == suffix
+    }
+    assert naming == {writer}
 
 
 # Dead-code guard. A function or class the package defines must be used by

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -330,6 +331,22 @@ class TestMetaModelFile:
         model.save(path)
         loaded = MetaModel.load(path)
         assert loaded == model
+
+    @pytest.mark.parametrize(
+        "key, value", [("prompt_hash_digest", 5), ("prompt_hash_digest", None), ("n_outputs", 1.0)]
+    )
+    def test_digest_and_output_count_types_checked(self, tmp_path, key, value):
+        X, y = toy_instance(n=50, d=FEATURE_DIM, seed=8)
+        model, _ = train_meta_model(
+            (X, y), (X, y), [1.0], TRAIN.tol, TRAIN.max_iter, prompt_hash_digest="ab", n_outputs=150
+        )
+        path = tmp_path / "model.json"
+        model.save(path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=key):
+            MetaModel.load(path)
 
     def test_unconverged_report_rejected(self):
         with pytest.raises(ValueError, match="unconverged"):

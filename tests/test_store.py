@@ -22,6 +22,10 @@ from tests.conftest import make_output
 from tests.oracles import cache_line, record_to_dict
 
 
+def digests(keys):
+    return [key.digest() for key in keys]
+
+
 def key_for(i=0, lens=Lens.PERFORMANCE):
     return CacheKey(
         disclosure_id=f"d{i}",
@@ -128,15 +132,15 @@ class TestCoverage:
             recs = [record_for(i, lens) for i in range(10) for lens in Lens]
             for r in recs:
                 store.put(r.output)
-            assert store.missing([r.key for r in recs]) == []
+            assert store.missing(digests(r.key for r in recs)).tolist() == []
 
     def test_single_gap_reported(self, tmp_path):
         with CacheStore(tmp_path / "c.jsonl") as store:
             recs = [record_for(i, lens) for i in range(10) for lens in Lens]
             for r in recs[1:]:
                 store.put(r.output)
-            missing = store.missing([r.key for r in recs])
-            assert missing == [recs[0].key]
+            missing = store.missing(digests(r.key for r in recs))
+            assert missing.tolist() == [0]
 
     def test_prompt_change_invalidates_everything(self, tmp_path):
         with CacheStore(tmp_path / "c.jsonl") as store:
@@ -153,7 +157,7 @@ class TestCoverage:
                 )
                 for k in (r.key for r in recs)
             ]
-            assert len(store.missing(changed)) == 4
+            assert len(store.missing(digests(changed))) == 4
 
 
 class TestSerialization:
@@ -322,7 +326,7 @@ class TestTable:
                 store.put(rec.output)
         with CacheStore(path, readonly=True) as store:
             keys = [recs[2].key, key_for(9), recs[0].key]
-            rows = store.rows(keys)
+            rows = store.rows(digests(keys))
             assert rows.tolist() == [2, -1, 0]
             got_labels, got_conf = store.judgments(rows[[0, 2]])
             assert got_labels.tolist() == [-1, 1]
@@ -354,15 +358,15 @@ class TestSingleWriter:
     ):
         path = tmp_path / "cache.jsonl"
         written = []
-        write_binary = store_module.write_binary
+        write_stamped = store_module.write_stamped
 
-        def write_while_locked(target, chunks):
+        def write_while_locked(target, *args):
             with pytest.raises(CacheIntegrityError, match="locked by another run"):
                 CacheStore(path)
             written.append(target.name)
-            write_binary(target, chunks)
+            write_stamped(target, *args)
 
-        monkeypatch.setattr(store_module, "write_binary", write_while_locked)
+        monkeypatch.setattr(store_module, "write_stamped", write_while_locked)
         with CacheStore(path) as first:
             first.put(record_for(0).output)
         assert written == ["cache.jsonl.table"]
@@ -377,6 +381,26 @@ class TestSingleWriter:
         path.write_bytes(_line_of(record_for(0)))
         with CacheStore(path) as store:
             assert len(store) == 1
+
+
+class TestDigestIndex:
+    def test_digests_ending_in_zero_bytes_are_found(self, tmp_path, monkeypatch):
+        """numpy drops an S16 element's trailing zero bytes when it reads one out."""
+        real = store_module.key_digest
+        monkeypatch.setattr(store_module, "key_digest", lambda *f: real(*f)[:13] + b"\0\0\0")
+        path = tmp_path / "cache.jsonl"
+        recs = [record_for(i, lens) for i in range(3) for lens in Lens]
+        with CacheStore(path) as store:
+            for rec in recs:
+                store.put(rec.output)
+        with CacheStore(path) as store:  # the index now comes from the snapshot
+            assert store._covered == path.stat().st_size
+            store.put(recs[4].output)  # a no-op: found in the sorted index
+            assert [store.get(rec.key) for rec in recs] == [
+                CacheRecord(rec.key, rec.output, store.get(rec.key).created_at) for rec in recs
+            ]
+            assert store.rows(digests(rec.key for rec in recs)).tolist() == list(range(9))
+        assert len(path.read_bytes().splitlines()) == 9
 
 
 class TestCacheBytesAndKeys:
@@ -430,10 +454,9 @@ class TestCacheBytesAndKeys:
         (key,) = expected_cache_keys([disclosure], [spec], decoding)
         assert key == record.key
         with CacheStore(path, readonly=True) as store:
-            assert key in store
-            assert store.rows([key]).tolist() == [0]
+            assert store.rows([key.digest()]).tolist() == [0]
             assert store.get(key) == record
-            assert store.missing([key]) == []
+            assert store.missing([key.digest()]).tolist() == []
 
 
 # Text JSON must escape or keep: quotes, backslashes, control characters,
