@@ -71,10 +71,6 @@ def render_prompt(lens: Lens, clean_text: str) -> str:
     return PROMPT_TEMPLATES[lens].replace(_PLACEHOLDER, clean_text)
 
 
-def prompt_hash(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-
-
 def templates_sha256() -> str:
     """sha256 of :data:`PROMPT_TEMPLATES` as it stands: the prompts every
     prompt digest depends on."""
@@ -502,7 +498,7 @@ def run_agent(
         rationale=rationale,
         confidence_source=source,
         model_name=spec.model_name,
-        prompt_hash=prompt_hash(prompt),
+        prompt_hash=prompt_digests(spec.lens, [record.clean_text])[0].hex(),
         seed=decoding.seed,
         raw_json=raw.text,
         retry_count=attempt,

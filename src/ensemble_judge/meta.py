@@ -45,18 +45,18 @@ class OptimizerReport:
 class Standardizer:
     """Per-column affine transform fitted on training rows only.
 
-    Masked-off columns carry mean 0 / std 1, so applying the transform is a
-    uniform vectorized expression and those positions pass through unchanged.
+    Only ``STANDARDIZED_POSITIONS`` are fitted; the other columns carry
+    mean 0 / std 1, so applying the transform is a uniform vectorized
+    expression and those positions pass through unchanged.
     """
 
     means: tuple[float, ...]
     stds: tuple[float, ...]
-    mask: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        if not len(self.means) == len(self.stds) == len(self.mask):
-            raise ValueError("means, stds, and mask must have equal length")
-        for i, (std, masked) in enumerate(zip(self.stds, self.mask)):
+        if not len(self.means) == len(self.stds) == FEATURE_DIM:
+            raise ValueError(f"means and stds must hold {FEATURE_DIM} numbers each")
+        for i, (std, masked) in enumerate(zip(self.stds, _MASK)):
             if masked and std <= 0:
                 raise ValueError(f"standardized column {i} has non-positive std {std}")
 
@@ -66,7 +66,7 @@ class Standardizer:
         return (np.asarray(X, dtype=np.float64) - means) / stds
 
     def to_dict(self) -> dict:
-        return {"means": list(self.means), "stds": list(self.stds), "mask": list(self.mask)}
+        return {"means": list(self.means), "stds": list(self.stds), "mask": list(_MASK)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardizer":
@@ -86,7 +86,7 @@ class Standardizer:
         for i, (mean, std, masked) in enumerate(zip(means, stds, _MASK)):
             if not masked and (mean, std) != (0.0, 1.0):
                 raise ValueError(f"column {i} is not standardized but has mean {mean}, std {std}")
-        return cls(means=means, stds=stds, mask=_MASK)
+        return cls(means=means, stds=stds)
 
 
 def _feature_numbers(d: dict, key: str) -> tuple[float, ...]:
@@ -128,14 +128,9 @@ def fit_standardizer(train_features: np.ndarray) -> Standardizer:
     X = np.asarray(train_features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training feature matrix must be non-empty and 2-D")
-    dim = X.shape[1]
-    mask = tuple(i in STANDARDIZED_POSITIONS for i in range(dim))
-
-    means = np.zeros(dim)
-    stds = np.ones(dim)
-    for i in range(dim):
-        if not mask[i]:
-            continue
+    means = np.zeros(X.shape[1])
+    stds = np.ones(X.shape[1])
+    for i in STANDARDIZED_POSITIONS:
         means[i] = X[:, i].mean()
         std = X[:, i].std()  # population std
         if std == 0.0:
@@ -146,7 +141,7 @@ def fit_standardizer(train_features: np.ndarray) -> Standardizer:
             )
             std = 1.0
         stds[i] = std
-    return Standardizer(means=tuple(means), stds=tuple(stds), mask=mask)
+    return Standardizer(means=tuple(means), stds=tuple(stds))
 
 
 def _stable_sigmoid(t: np.ndarray) -> np.ndarray:

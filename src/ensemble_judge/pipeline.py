@@ -8,8 +8,8 @@ cache fully covers the records they consume.
 The stages after ``ingest`` match disclosures to cached judgments as arrays
 of per-pair digests (:class:`ingest.PreparedKeys`), read from the prepared
 file's key table when its stamp matches and built from a full parse of the
-prepared file otherwise. Only ``run-agents`` with pairs to fetch reads the
-disclosure text.
+prepared file otherwise. Only ``run-agents`` with HTTP agents and pairs to
+fetch reads the disclosure text.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .agents import AgentSpec, ChatCompletionsClient, run_agent
 from .artifacts import ArtifactError
 from .config import RunConfig
-from .domain import AgentOutput, ConfidenceSource, DisclosureRecord, Split
+from .domain import AgentOutput, ConfidenceSource, DisclosureRecord, Lens, Split
 from .evaluation import EvalReport, evaluate_judgments, write_report
 from .features import feature_matrix, read_feature_file, write_feature_file
 from .ingest import (
@@ -42,7 +42,7 @@ from .ingest import (
     write_split,
 )
 from .meta import ConvergenceError, MetaModel, train_meta_model
-from .store import CacheKey, CacheStore
+from .store import CacheStore
 from .synth import generate_corpus, load_latents, stub_outputs, write_latents
 
 T = TypeVar("T")
@@ -59,11 +59,9 @@ class StaleModelError(RuntimeError):
 class CoverageError(RuntimeError):
     """The cache does not cover every (disclosure, agent) pair a stage needs."""
 
-    def __init__(self, missing: Sequence[CacheKey]):
+    def __init__(self, missing: Sequence[tuple[str, Lens]]):
         self.missing = list(missing)
-        preview = ", ".join(
-            f"{k.disclosure_id}/{k.lens.value}" for k in self.missing[:10]
-        )
+        preview = ", ".join(f"{rid}/{lens.value}" for rid, lens in self.missing[:10])
         suffix = f" (+{len(self.missing) - 10} more)" if len(self.missing) > 10 else ""
         super().__init__(
             f"cache is missing {len(self.missing)} agent outputs: {preview}{suffix}"
@@ -115,16 +113,13 @@ def _assigned_ids(split: dict[Split, list[str]], known: Container[str]) -> dict[
     return assigned
 
 
-def _prepared(config: RunConfig) -> tuple[PreparedKeys, list[DisclosureRecord] | None]:
-    """The prepared file's keys, from its key table when the stamp matches;
-    else from a full parse, whose records come back too (None otherwise)."""
+def _prepared(config: RunConfig) -> PreparedKeys:
+    """The prepared file's keys, from its key table when the stamp matches,
+    else from a full parse."""
     path = _require(config.prepared_path, "preprocessed corpus")
     specs = config.agent_specs()
     keys = read_key_table(path, specs, config.seed)
-    if keys is not None:
-        return keys, None
-    records = load_prepared(path)
-    return PreparedKeys.of(records, specs, config.seed), records
+    return keys if keys is not None else PreparedKeys.of(load_prepared(path), specs, config.seed)
 
 
 def _split_rows(config: RunConfig, keys: PreparedKeys) -> dict[Split, np.ndarray]:
@@ -153,14 +148,11 @@ def _split_rows(config: RunConfig, keys: PreparedKeys) -> dict[Split, np.ndarray
 HTTP_SYNC_EVERY = 256
 
 
-# A pair to fetch: the disclosure, its agent and the prompt's sha256 in hex.
-_Fetch = tuple[DisclosureRecord, AgentSpec, str]
-
-
 def _stub_outputs(
-    config: RunConfig, ids: set[str], todo: Iterable[_Fetch]
+    config: RunConfig, ids: set[str], todo: Iterable[tuple[str, Lens, str]]
 ) -> Iterator[AgentOutput]:
-    """The stub agents' outputs for ``todo``, whose disclosures have ``ids``."""
+    """The stub agents' outputs for ``todo``'s ``(disclosure id, lens, prompt
+    digest)`` triples, whose disclosures have ``ids``."""
     latents = load_latents(_require(config.latents_path, "latents sidecar"))
     lacking = sorted(ids - latents.keys())
     if lacking:
@@ -168,19 +160,19 @@ def _stub_outputs(
             f"{config.latents_path}: no latent signals for {len(lacking)} disclosures, "
             f"e.g. {lacking[:3]}"
         )
-    yield from stub_outputs(
-        ((spec.lens, record, prompt, config.seed) for record, spec, prompt in todo), latents
-    )
+    yield from stub_outputs(todo, latents, config.seed)
 
 
-def _http_outputs(config: RunConfig, todo: Iterable[_Fetch]) -> Iterator[AgentOutput]:
+def _http_outputs(
+    config: RunConfig, todo: Iterable[tuple[DisclosureRecord, AgentSpec]]
+) -> Iterator[AgentOutput]:
     """Outputs in submission order from at most ``max_in_flight`` concurrent calls."""
     decoding = config.decoding()
     local = threading.local()
     opened: list[ChatCompletionsClient] = []
 
-    def _call(task: _Fetch) -> AgentOutput:
-        record, spec, _ = task
+    def _call(task: tuple[DisclosureRecord, AgentSpec]) -> AgentOutput:
+        record, spec = task
         clients = getattr(local, "clients", None)
         if clients is None:
             clients = local.clients = {}
@@ -207,9 +199,10 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     Resumable: pairs whose key is already cached are skipped. Stub agents run
     inline; HTTP agents run through a bounded thread pool. Either way the
     single cache appender takes the outputs in deterministic submission order.
-    The disclosure text is read only when some pair is not cached.
+    Stub agents judge from the key table's ids and prompt digests; the
+    disclosure text is read only when an HTTP agent has a pair to fetch.
     """
-    keys, records = _prepared(config)
+    keys = _prepared(config)
     rows = np.arange(len(keys.ids))
     if split_path is not None:
         split = _load_checked(split_path, load_split, "split")
@@ -223,17 +216,18 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     with CacheStore(config.cache_path) as store:
         todo = store.missing(digests)
         if todo.size:
-            if records is None:
-                records = load_prepared(config.prepared_path)
-            todo_rows, todo_columns = rows[todo // len(specs)], todo % len(specs)
-            fetch = (
-                (records[row], specs[column], keys.prompt_hash(row, column))
-                for row, column in zip(todo_rows.tolist(), todo_columns.tolist())
-            )
+            todo_rows = rows[todo // len(specs)].tolist()
+            todo_pairs = zip(todo_rows, (todo % len(specs)).tolist())
             if config.stub.enabled:
-                ids = {records[row].id for row in todo_rows.tolist()}
-                outputs, sync_every = _stub_outputs(config, ids, fetch), 0
+                ids = {keys.ids[row] for row in todo_rows}
+                triples = (
+                    (keys.ids[row], specs[column].lens, keys.prompt_hash(row, column))
+                    for row, column in todo_pairs
+                )
+                outputs, sync_every = _stub_outputs(config, ids, triples), 0
             else:
+                records = load_prepared(config.prepared_path)
+                fetch = ((records[row], specs[column]) for row, column in todo_pairs)
                 outputs, sync_every = _http_outputs(config, fetch), HTTP_SYNC_EVERY
             with closing(outputs):
                 for output in outputs:
@@ -267,12 +261,10 @@ def _cached_judgments(
     specs = config.agent_specs()
     with CacheStore(_require(config.cache_path, "agent cache"), readonly=True) as store:
         found = store.rows(keys.keys[rows].ravel())
-        lacking = []
-        for pair in np.flatnonzero(found < 0).tolist():
-            row, column = rows[pair // len(specs)], pair % len(specs)
-            spec = specs[column]
-            prompt = keys.prompt_hash(row, column)
-            lacking.append(CacheKey(keys.ids[row], spec.lens, spec.model_name, prompt, config.seed))
+        lacking = [
+            (keys.ids[rows[pair // len(specs)]], specs[pair % len(specs)].lens)
+            for pair in np.flatnonzero(found < 0).tolist()
+        ]
         if lacking:
             raise CoverageError(lacking)
         labels, confidences = store.judgments(found)
@@ -281,7 +273,7 @@ def _cached_judgments(
 
 def stage_build_features(config: RunConfig) -> dict:
     """Export one audit feature file per split, in sorted split order."""
-    keys, _ = _prepared(config)
+    keys = _prepared(config)
     by_split = _split_rows(config, keys)
     X = feature_matrix(*_cached_judgments(config, keys, np.concatenate(list(by_split.values()))))
     bounds = np.cumsum([len(rows) for rows in by_split.values()])[:-1]
@@ -333,7 +325,7 @@ def stage_train(config: RunConfig) -> dict:
     The feature files must hold exactly the current split's ids, targets and
     the feature values the cache yields for them.
     """
-    keys, _ = _prepared(config)
+    keys = _prepared(config)
     by_split = _split_rows(config, keys)
     train_rows, dev_rows = by_split[Split.TRAIN], by_split[Split.DEV]
     X = feature_matrix(*_cached_judgments(config, keys, np.concatenate([train_rows, dev_rows])))
@@ -375,7 +367,7 @@ def stage_evaluate(config: RunConfig) -> EvalReport:
     config would render, so a model trained before a prompt or preprocessing
     change cannot be silently scored against mismatched agent outputs.
     """
-    keys, _ = _prepared(config)
+    keys = _prepared(config)
     by_split = _split_rows(config, keys)
     _require(config.cache_path, "agent cache")
     model = _load_checked(_require(config.model_path, "model file"), MetaModel.load, "model")

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .agents import prompt_hash, render_prompt
+from .agents import prompt_digests
 from .artifacts import ArtifactError, finite_number, read_jsonl, write_jsonl
 from .domain import (
     AgentOutput,
@@ -159,17 +159,6 @@ _LENS_NAMES = {lens: lens.value for lens in Lens}
 _LABEL_NAMES = {label: label.as_string() for label in SentimentLabel}
 
 
-def _latent_for(
-    record: DisclosureRecord, latents: Mapping[str, LatentDisclosure]
-) -> LatentDisclosure:
-    latent = latents.get(record.id)
-    if latent is None:
-        raise KeyError(f"no latent signals for disclosure {record.id!r}")
-    if not record.clean_text:
-        raise ValueError(f"record {record.id!r} has no clean_text; preprocess first")
-    return latent
-
-
 def _noise_seed(lens: Lens, disclosure_id: str, latent: LatentDisclosure) -> int:
     """The seed of one (lens, disclosure) pair's noise draw."""
     digest = hashlib.sha256(
@@ -222,7 +211,11 @@ def stub_agent(
     confidently wrong more often than the other two, which single-rule
     baselines cannot discount. The output's seed is the latent seed.
     """
-    latent = _latent_for(record, latents)
+    latent = latents.get(record.id)
+    if latent is None:
+        raise KeyError(f"no latent signals for disclosure {record.id!r}")
+    if not record.clean_text:
+        raise ValueError(f"record {record.id!r} has no clean_text; preprocess first")
     # One pair: default_rng costs less than a call into the chunked mixing.
     rng = np.random.default_rng(_noise_seed(lens, record.id, latent))
     obs = _lens_observation(lens, latent) + float(rng.normal(0.0, DEFAULT_STUB_NOISE[lens]))
@@ -230,7 +223,7 @@ def stub_agent(
         lens,
         record.id,
         obs,
-        prompt_hash(render_prompt(lens, record.clean_text)),
+        prompt_digests(lens, [record.clean_text])[0].hex(),
         latent.noise_seed,
     )
 
@@ -242,30 +235,31 @@ NOISE_CHUNK = 1024
 
 
 def stub_outputs(
-    pairs: Iterable[tuple[Lens, DisclosureRecord, str, int]],
+    pairs: Iterable[tuple[str, Lens, str]],
     latents: Mapping[str, LatentDisclosure],
+    seed: int,
 ) -> Iterator[AgentOutput]:
-    """:func:`stub_agent`'s output for each ``(lens, record, prompt digest,
-    seed)``, with the given prompt digest and seed.
+    """:func:`stub_agent`'s output for each ``(disclosure id, lens, prompt
+    digest)``, with the given prompt digest and the run's ``seed``.
 
     The noise is the same ``default_rng(noise seed).normal`` draw, taken a
-    chunk of pairs at a time.
+    chunk of pairs at a time. No disclosure text is read.
     """
     from .noise import normal_draws  # loads numpy.random, which only stub runs need
 
     pairs = iter(pairs)
     while chunk := list(islice(pairs, NOISE_CHUNK)):
-        chunk_latents = [_latent_for(record, latents) for _, record, _, _ in chunk]
+        chunk_latents = [latents[rid] for rid, _, _ in chunk]
         noise = normal_draws(
             [
-                _noise_seed(lens, record.id, latent)
-                for (lens, record, _, _), latent in zip(chunk, chunk_latents)
+                _noise_seed(lens, rid, latent)
+                for (rid, lens, _), latent in zip(chunk, chunk_latents)
             ],
-            [DEFAULT_STUB_NOISE[lens] for lens, _, _, _ in chunk],
+            [DEFAULT_STUB_NOISE[lens] for _, lens, _ in chunk],
         )
-        for (lens, record, digest, seed), latent, draw in zip(chunk, chunk_latents, noise):
+        for (rid, lens, digest), latent, draw in zip(chunk, chunk_latents, noise):
             obs = _lens_observation(lens, latent) + draw
-            yield _stub_output(lens, record.id, obs, digest, seed)
+            yield _stub_output(lens, rid, obs, digest, seed)
 
 
 def write_latents(latents: Mapping[str, LatentDisclosure], path: str | Path) -> None:

@@ -93,7 +93,10 @@ class ScriptedChatEndpoint:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # A short poll, so stop() does not wait out serve_forever's 0.5 s default.
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
 
     @property
     def url(self) -> str:

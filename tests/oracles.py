@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ensemble_judge.agents import prompt_hash, render_prompt
+from ensemble_judge.agents import render_prompt
 from ensemble_judge.domain import (
     LENS_ORDER,
     AgentOutput,
@@ -36,6 +36,11 @@ from ensemble_judge.synth import (
     LatentDisclosure,
     _lens_observation,
 )
+
+
+def prompt_hash(prompt: str) -> str:
+    """The hex sha256 of a rendered prompt, as a cache key carries it."""
+    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 def majority_label(

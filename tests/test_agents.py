@@ -25,12 +25,12 @@ from ensemble_judge.agents import (
     extract_json_object,
     label_logprobs_for_span,
     parse_output,
-    prompt_hash,
     render_prompt,
     run_agent,
 )
 from ensemble_judge.domain import ConfidenceSource, DisclosureRecord, Lens, SentimentLabel
 from tests.conftest import agent_json, completion_body
+from tests.oracles import prompt_hash
 
 DECODING = DecodingConfig(seed=42, max_output_tokens=64)
 

@@ -139,9 +139,7 @@ def _identity_model():
         weights=tuple(0.8 if i == 6 else 0.0 for i in range(FEATURE_DIM)),  # majority feature
         intercept=0.0,
         inverse_reg_strength=1.0,
-        standardizer=Standardizer(
-            means=(0.0,) * FEATURE_DIM, stds=(1.0,) * FEATURE_DIM, mask=(False,) * FEATURE_DIM
-        ),
+        standardizer=Standardizer(means=(0.0,) * FEATURE_DIM, stds=(1.0,) * FEATURE_DIM),
         optimizer_report=OptimizerReport(iterations=1, final_gradient_norm=0.0, tolerance=1e-8),
         prompt_hash_digest="",
         n_outputs=0,

@@ -288,6 +288,8 @@ def test_benchmark_adapters_call_the_array_path(module, adapter, core):
 CALLERS_ALLOWED = [
     ("DisclosureRecord", {"ingest.py", "synth.py"}),
     ("target_from_return", {"domain.py"}),
+    # Prompts are rendered only to be sent; digests come from prompt_digests.
+    ("render_prompt", {"agents.py"}),
 ]
 
 

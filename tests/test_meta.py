@@ -208,9 +208,7 @@ class TestPredict:
             weights=(0.0,) * dim,
             intercept=0.0,
             inverse_reg_strength=1.0,
-            standardizer=Standardizer(
-                means=(0.0,) * dim, stds=(1.0,) * dim, mask=(False,) * dim
-            ),
+            standardizer=Standardizer(means=(0.0,) * dim, stds=(1.0,) * dim),
             optimizer_report=OptimizerReport(iterations=0, final_gradient_norm=0.0, tolerance=1e-8),
             prompt_hash_digest="",
             n_outputs=0,
@@ -282,9 +280,7 @@ class TestPredict:
             prompt_hash_digest="",
             n_outputs=0,
         )
-        identity = Standardizer(
-            means=(0.0,) * FEATURE_DIM, stds=(1.0,) * FEATURE_DIM, mask=(False,) * FEATURE_DIM
-        )
+        identity = Standardizer(means=(0.0,) * FEATURE_DIM, stds=(1.0,) * FEATURE_DIM)
         without_std = MetaModel(
             weights=tuple(w),
             intercept=b,
@@ -354,9 +350,7 @@ class TestMetaModelFile:
                 weights=(0.0,) * FEATURE_DIM,
                 intercept=0.0,
                 inverse_reg_strength=1.0,
-                standardizer=Standardizer(
-                    means=(0.0,) * FEATURE_DIM, stds=(1.0,) * FEATURE_DIM, mask=(False,) * FEATURE_DIM
-                ),
+                standardizer=Standardizer(means=(0.0,) * FEATURE_DIM, stds=(1.0,) * FEATURE_DIM),
                 optimizer_report=OptimizerReport(
                     iterations=5, final_gradient_norm=1.0, tolerance=1e-8
                 ),

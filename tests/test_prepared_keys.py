@@ -29,12 +29,12 @@ from ensemble_judge.agents import (
     DecodingConfig,
     expected_cache_keys,
     prompt_digests,
-    prompt_hash,
     render_prompt,
 )
 from ensemble_judge.cli import main
 from ensemble_judge.domain import LENS_ORDER, DisclosureRecord, Lens
 from ensemble_judge.ingest import PreparedKeys, load_prepared, read_key_table, write_prepared
+from tests.oracles import prompt_hash
 
 texts = st.lists(
     st.sampled_from(["a", "é", "✓", " ", "\n", '"', "<DISCLOSURE>"]), min_size=1, max_size=8
@@ -279,3 +279,10 @@ def test_a_current_table_spares_the_text(base, tmp_path, monkeypatch, capsys):
         assert _run(cfg, stage) == 0, stage
     assert "900 cached, 0 fetched" in capsys.readouterr().out
     assert {name: (workdir / name).read_bytes() for name in ARTIFACTS} == before
+
+    # A cold stub run judges every pair from the table's ids and prompt digests.
+    for name in ("cache.jsonl", "cache.jsonl.table"):
+        (workdir / name).unlink()
+    assert _run(cfg, "run-agents") == 0
+    assert "0 cached, 900 fetched" in capsys.readouterr().out
+    assert _cache_lines(workdir) == _cache_lines(base)

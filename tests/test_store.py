@@ -19,7 +19,7 @@ from ensemble_judge.store import (
     CacheStore,
 )
 from tests.conftest import make_output
-from tests.oracles import cache_line, record_to_dict
+from tests.oracles import cache_line, prompt_hash, record_to_dict
 
 
 def digests(keys):
@@ -411,7 +411,6 @@ class TestCacheBytesAndKeys:
             AgentSpec,
             DecodingConfig,
             expected_cache_keys,
-            prompt_hash,
             render_prompt,
         )
         from ensemble_judge.domain import AgentOutput, ConfidenceSource, DisclosureRecord

@@ -1,7 +1,7 @@
 import pytest
 
 from ensemble_judge import synth
-from ensemble_judge.agents import prompt_hash, render_prompt
+from ensemble_judge.agents import render_prompt
 from ensemble_judge.domain import LENS_ORDER, ConfidenceSource, Lens, SentimentLabel
 from ensemble_judge.ingest import PreprocessConfig, preprocess_corpus
 from ensemble_judge.synth import (
@@ -169,24 +169,22 @@ class TestAgainstTheStubOracle:
         if chunk is not None:
             monkeypatch.setattr(synth, "NOISE_CHUNK", chunk)
         pairs = [
-            (lens, record, prompt_hash(render_prompt(lens, record.clean_text)), 42)
+            (record, lens, oracles.prompt_hash(render_prompt(lens, record.clean_text)))
             for record in records
             for lens in LENS_ORDER
         ]
         expected = [
             oracles.stub_agent(lens, record, latents, run_seed=42, prompt_digest=digest)
-            for lens, record, digest, _ in pairs
+            for record, lens, digest in pairs
         ]
-        assert list(stub_outputs(pairs, latents)) == expected
+        triples = [(record.id, lens, digest) for record, lens, digest in pairs]
+        assert list(stub_outputs(triples, latents, 42)) == expected
         assert len(expected) == 900
 
-    def test_batch_path_keeps_the_stub_agents_checks(self, corpus):
-        records, latents = corpus
-        raw, _ = generate_corpus(100, seed=2)
+    def test_batch_path_needs_each_disclosures_latents(self, corpus):
+        records, _ = corpus
         with pytest.raises(KeyError):
-            list(stub_outputs([(Lens.RISK, records[0], "0" * 64, 42)], {}))
-        with pytest.raises(ValueError, match="clean_text"):
-            list(stub_outputs([(Lens.RISK, raw[0], "0" * 64, 42)], latents))
+            list(stub_outputs([(records[0].id, Lens.RISK, "0" * 64)], {}, 42))
 
 
 class TestLatentsSidecar:
