@@ -433,9 +433,9 @@ class ChatCompletionsClient:
         logprobs = choice.get("logprobs")
         if isinstance(logprobs, dict) and isinstance(logprobs.get("content"), list):
             # Some backends report logprobs a hair above zero; clamp to keep
-            # the <= 0 invariant. A stream with missing or non-finite entries
-            # is dropped wholesale so confidence falls back to the
-            # self-reported value instead of poisoning the geometric mean.
+            # the <= 0 invariant. A stream with missing, non-string or
+            # non-finite entries is dropped wholesale so confidence falls back
+            # to the self-reported value instead of poisoning the geometric mean.
             try:
                 entries = [
                     (entry["token"], min(float(entry["logprob"]), 0.0))
@@ -443,7 +443,9 @@ class ChatCompletionsClient:
                 ]
             except (KeyError, TypeError, ValueError):
                 entries = None
-            if entries is not None and all(math.isfinite(lp) for _, lp in entries):
+            if entries is not None and all(
+                isinstance(token, str) and math.isfinite(lp) for token, lp in entries
+            ):
                 token_logprobs = tuple(entries)
         return RawGeneration(
             text=text if isinstance(text, str) else "",

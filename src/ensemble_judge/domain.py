@@ -121,22 +121,6 @@ class AgentOutput:
             if self.label is not SentimentLabel.NEUTRAL or self.confidence != 0.0:
                 raise ValueError("fallback outputs must be (neutral, 0.0)")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AgentOutput":
-        return cls(
-            disclosure_id=d["disclosure_id"],
-            agent=Lens(d["agent"]),
-            label=SentimentLabel.from_string(d["label"]),
-            confidence=float(d["confidence"]),
-            rationale=d["rationale"],
-            confidence_source=ConfidenceSource(d["confidence_source"]),
-            model_name=d["model_name"],
-            prompt_hash=d["prompt_hash"],
-            seed=int(d["seed"]),
-            raw_json=d["raw_json"],
-            retry_count=int(d["retry_count"]),
-        )
-
 
 # Feature vector layout (dimension 15).
 FEATURE_DIM = 15

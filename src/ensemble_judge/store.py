@@ -11,14 +11,17 @@ Loading keeps a columnar table, not records: each row's label code,
 confidence, confidence-source code and byte offset, and an index of the
 rows' key digests (:func:`key_digest`, 16 bytes each) held as one sorted
 array, which :meth:`CacheStore.rows` searches with ``np.searchsorted``.
-Full :class:`CacheRecord` values (rationale, raw generation) are re-read
-from the file only when :meth:`CacheStore.get` asks for one.
+A row's full output (rationale, raw generation) is re-read from the file
+only when :meth:`CacheStore.get` or a repeated key asks for it. Every read
+of a line, the first and each re-read, goes through :func:`_parse_line`,
+which holds all of a line's rules.
 
 The writer saves that table next to the cache as a derived snapshot
 (``cache.jsonl.table``), stamped with the sha256 of the cache bytes it
 covers. An open whose stamp matches loads the table and parses only the
 lines past those bytes; any other snapshot is ignored and the whole file
 is parsed, so deleting the snapshot changes nothing but the open's cost.
+A snapshot whose columns break a value rule is ignored the same way.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import logging
 import os
 import sys
 from array import array
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
@@ -53,8 +55,9 @@ class CacheCorruptionError(RuntimeError):
     """A non-final line in the store file failed to parse."""
 
 
-# Confidence-source codes of the table's source column.
-_SOURCE_CODES = {source: code for code, source in enumerate(ConfidenceSource)}
+# Confidence-source codes of the table's source column: each source's position.
+_SOURCES = tuple(ConfidenceSource)
+_SOURCE_CODES = {source: code for code, source in enumerate(_SOURCES)}
 _FALLBACK_CODE = _SOURCE_CODES[ConfidenceSource.FALLBACK]
 
 _LENS_BY_VALUE = {lens.value: lens for lens in Lens}
@@ -91,33 +94,12 @@ class CacheKey(NamedTuple):
     seed: int
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CacheKey":
-        return cls(
-            d["disclosure_id"], Lens(d["lens"]), d["model_name"], d["prompt_hash"], int(d["seed"])
-        )
-
-    @classmethod
     def for_output(cls, output: AgentOutput) -> "CacheKey":
         return cls(*_OUTPUT_IDENTITY(output))
 
     def digest(self) -> bytes:
         return key_digest(
             self.disclosure_id, _LENS_NAMES[self.lens], self.model_name, self.prompt_hash, self.seed
-        )
-
-
-@dataclass(frozen=True)
-class CacheRecord:
-    key: CacheKey
-    output: AgentOutput
-    created_at: datetime
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CacheRecord":
-        return cls(
-            key=CacheKey.from_dict(d["key"]),
-            output=AgentOutput.from_dict(d["output"]),
-            created_at=datetime.fromisoformat(d["created_at"]),
         )
 
 
@@ -167,13 +149,36 @@ _VALUES = itemgetter(
 )
 
 
-def _parse_line(line: bytes) -> tuple[dict, bytes, int, float, int]:
-    """One cache line as (output block, key digest, label code, confidence, source code).
+# The errors _parse_line raises on a malformed line, besides _KeyMismatch.
+_LINE_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
-    Raises ValueError, KeyError, TypeError or AttributeError on a malformed
-    line and :class:`_KeyMismatch` when the key block disagrees with the
-    output block. The confidence range and the fallback rule are checked
-    by the caller, on the whole table at once.
+
+def _payload(output: AgentOutput) -> tuple:
+    """``output``'s fields in order, as :func:`_parse_line` reads them from its line."""
+    return (
+        output.disclosure_id, _LENS_NAMES[output.agent], int(output.label), output.confidence,
+        output.rationale, _SOURCE_CODES[output.confidence_source], output.model_name,
+        output.prompt_hash, output.seed, output.raw_json, output.retry_count,
+    )
+
+
+def _output(payload: tuple) -> AgentOutput:
+    """The output a :func:`_parse_line` payload holds."""
+    disclosure_id, lens, label, confidence, rationale, source, *provenance = payload
+    return AgentOutput(
+        disclosure_id, _LENS_BY_VALUE[lens], SentimentLabel(label), confidence, rationale,
+        _SOURCES[source], *provenance,
+    )
+
+
+def _parse_line(line: bytes) -> tuple[bytes, tuple]:
+    """One cache line as (key digest, payload). The payload is the line's 11
+    output values in :class:`AgentOutput` field order, with the lens as its
+    name and the label and confidence source as their codes.
+
+    Raises one of ``_LINE_ERRORS`` when the line breaks a rule, a value's
+    range included, and :class:`_KeyMismatch` when the key block disagrees
+    with the output block.
     """
     obj = json.loads(line)
     out = obj["output"]
@@ -196,8 +201,16 @@ def _parse_line(line: bytes) -> tuple[dict, bytes, int, float, int]:
     if code is None:
         code = int(SentimentLabel.from_string(label))
     _LENS_BY_VALUE[lens]  # a KeyError unless the lens is known
-    digest = key_digest(disclosure_id, lens, model_name, prompt_hash, seed)
-    return out, digest, code, finite_number(confidence), _SOURCE_BY_VALUE[source]
+    confidence = finite_number(confidence)
+    source = _SOURCE_BY_VALUE[source]
+    if not 0.0 <= confidence <= 1.0 or (source == _FALLBACK_CODE and (code or confidence)):
+        raise ValueError(
+            "confidence outside [0, 1] or a fallback output that is not (neutral, 0.0)"
+        )
+    return key_digest(disclosure_id, lens, model_name, prompt_hash, seed), (
+        disclosure_id, lens, code, confidence, rationale, source,
+        model_name, prompt_hash, seed, raw_json, retry_count,
+    )
 
 
 # The table snapshot is a stamped binary file (artifacts.write_stamped) whose
@@ -215,7 +228,8 @@ def _read_snapshot(path: Path, cache: Path) -> tuple | None:
     bytes of ``cache``, from the snapshot at ``path``.
 
     None when the snapshot is missing or unreadable, has another format
-    version or a bad body digest, or its stamp does not match the cache.
+    version or a bad body digest, its stamp does not match the cache, or a
+    row's label, confidence or source breaks a rule :func:`_parse_line` checks.
     """
     found = read_stamped(path, _SNAPSHOT_MAGIC)
     if found is None:
@@ -240,7 +254,17 @@ def _read_snapshot(path: Path, cache: Path) -> tuple | None:
             start += n * column.itemsize
         digests = np.frombuffer(body, DIGEST, n, start).copy()
         rows = np.frombuffer(body, np.int64, n, start + n * DIGEST.itemsize).copy()
-        if (digests[1:] <= digests[:-1]).any() or not np.array_equal(np.sort(rows), np.arange(n)):
+        labels, sources, confidences = map(np.asarray, columns[:3])
+        valid = (
+            (labels >= -1) & (labels <= 1) & (sources >= 0) & (sources < len(_SOURCES))
+            & (confidences >= 0.0) & (confidences <= 1.0)
+            & ((sources != _FALLBACK_CODE) | ((labels == 0) & (confidences == 0.0)))
+        )
+        if (
+            (digests[1:] <= digests[:-1]).any()
+            or not np.array_equal(np.sort(rows), np.arange(n))
+            or not valid.all()
+        ):
             return None
     except (OSError, LookupError, TypeError, ValueError):
         return None
@@ -309,29 +333,13 @@ class CacheStore:
                     offset += 1
                     continue
                 try:
-                    out, digest, label, confidence, source = _parse_line(line)
-                    if not line.endswith(b"\n"):
-                        # The final line lacks its newline: check it in full
-                        # here, so a cut-off value drops it as a crash tail.
-                        AgentOutput.from_dict(out)
-                    row = self._find(digest)
-                    if row is not None:
-                        output = AgentOutput.from_dict(out)
-                        self._check_payload(
-                            row,
-                            output,
-                            f"{self.path}: conflicting payloads for key "
-                            f"{CacheKey.for_output(output)} at byte offset {offset}",
-                        )
-                        self._offsets[row] = offset  # the later line wins
-                        offset += len(line)
-                        continue
+                    digest, payload = _parse_line(line)
                 except _KeyMismatch:
                     raise CacheIntegrityError(
                         f"{self.path}: key block disagrees with output block "
                         f"at byte offset {offset}"
                     ) from None
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                except _LINE_ERRORS as exc:
                     if line.endswith(b"\n"):
                         raise CacheCorruptionError(
                             f"{self.path}: corrupted line at byte offset {offset}: {exc}"
@@ -342,16 +350,25 @@ class CacheStore:
                     )
                     self._end = offset
                     break
-                recent[digest] = len(self._offsets)
-                add_label(label)
-                add_confidence(confidence)
-                add_source(source)
-                add_offset(offset)
+                row = self._find(digest)
+                if row is None:
+                    recent[digest] = len(self._offsets)
+                    # The payload's label code, confidence and source code.
+                    add_label(payload[2])
+                    add_confidence(payload[3])
+                    add_source(payload[5])
+                    add_offset(offset)
+                elif self._payload_at(row) == payload:
+                    self._offsets[row] = offset  # the later line wins
+                else:
+                    raise CacheIntegrityError(
+                        f"{self.path}: conflicting payloads for key "
+                        f"{CacheKey.for_output(_output(payload))} at byte offset {offset}"
+                    )
                 offset += len(line)
             else:
                 self._end = offset
                 self._unterminated = line[-1:] not in (b"", b"\n")
-        self._check_values()
         self._sort()
 
     def _find(self, digest: bytes) -> int | None:
@@ -376,26 +393,6 @@ class CacheStore:
         self._digests, self._rows = digests[order], rows[order]
         self._recent = {}
 
-    def _check_values(self) -> None:
-        """AgentOutput's value checks, applied to the whole table at once."""
-        labels = np.array(self._labels, dtype=np.int8)
-        conf = np.array(self._confidences, dtype=np.float64)
-        sources = np.array(self._sources, dtype=np.int8)
-        bad = np.flatnonzero(
-            ~((conf >= 0.0) & (conf <= 1.0))
-            | ((sources == _FALLBACK_CODE) & ((labels != 0) | (conf != 0.0)))
-        )
-        if bad.size:
-            raise CacheCorruptionError(
-                f"{self.path}: corrupted line at byte offset {self._offsets[bad[0]]}: "
-                "confidence outside [0, 1] or a fallback output that is not (neutral, 0.0)"
-            )
-
-    def _check_payload(self, row: int, output: AgentOutput, message: str) -> None:
-        """A repeated key must carry the payload already stored in its row."""
-        if self._record_at(row).output != output:
-            raise CacheIntegrityError(message)
-
     def _lock(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("ab")
@@ -419,11 +416,12 @@ class CacheStore:
         self._reader.seek(offset)
         return self._reader.readline()
 
-    def _record_at(self, row: int) -> CacheRecord:
+    def _payload_at(self, row: int) -> tuple:
+        """The payload of ``row``'s line, re-read from the file."""
         offset = self._offsets[row]
         try:
-            return CacheRecord.from_dict(json.loads(self._read_line(offset)))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            return _parse_line(self._read_line(offset))[1]
+        except (_KeyMismatch, *_LINE_ERRORS) as exc:
             raise CacheCorruptionError(
                 f"{self.path}: corrupted line at byte offset {offset}: {exc}"
             ) from None
@@ -448,9 +446,10 @@ class CacheStore:
         confidences = np.array(self._confidences, dtype=np.float64)[rows]
         return labels, confidences
 
-    def get(self, key: CacheKey) -> CacheRecord | None:
+    def get(self, key: CacheKey) -> AgentOutput | None:
+        """The output stored under ``key``, or None."""
         row = self._find(key.digest())
-        return None if row is None else self._record_at(row)
+        return None if row is None else _output(self._payload_at(row))
 
     def put(self, output: AgentOutput) -> None:
         """Durably append ``output`` under its key, stamped with the current
@@ -463,10 +462,10 @@ class CacheStore:
         )
         row = self._find(digest)
         if row is not None:
-            self._check_payload(
-                row, output,
-                f"key already stored with a different payload: {CacheKey.for_output(output)}",
-            )
+            if self._payload_at(row) != _payload(output):
+                raise CacheIntegrityError(
+                    f"key already stored with a different payload: {CacheKey.for_output(output)}"
+                )
             return
         data = _cache_line(output, datetime.now(timezone.utc).isoformat()).encode("utf-8")
         self._fh.write(data)

@@ -267,7 +267,12 @@ def write_latents(latents: Mapping[str, LatentDisclosure], path: str | Path) -> 
 
 
 def _latent_row(obj: dict) -> tuple[str, LatentDisclosure]:
-    return obj.pop("id"), LatentDisclosure(**obj)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {obj!r}")
+    rid = obj.pop("id")
+    if not isinstance(rid, str):
+        raise ValueError(f"id must be a string, got {rid!r}")
+    return rid, LatentDisclosure(**obj)
 
 
 def load_latents(path: str | Path) -> dict[str, LatentDisclosure]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from datetime import datetime
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,7 +29,6 @@ from ensemble_judge.domain import (
     SentimentLabel,
 )
 from ensemble_judge.evaluation import ConfusionMatrix, Regime
-from ensemble_judge.store import CacheKey, CacheRecord
 from ensemble_judge.synth import (
     DEFAULT_STUB_NOISE,
     LABEL_DEAD_ZONE,
@@ -201,11 +201,6 @@ def confusion_from_pairs(y_true: Sequence[int], y_pred: Sequence[int]) -> Confus
 # written by ``json.dumps(..., ensure_ascii=False)``.
 
 
-def key_to_dict(key: CacheKey) -> dict:
-    # Field order is fixed so serialized keys hash stably.
-    return {**key._asdict(), "lens": key.lens.value}
-
-
 def output_to_dict(output: AgentOutput) -> dict:
     return {
         "disclosure_id": output.disclosure_id,
@@ -222,16 +217,23 @@ def output_to_dict(output: AgentOutput) -> dict:
     }
 
 
-def record_to_dict(record: CacheRecord) -> dict:
+def line_to_dict(output: AgentOutput, created_at: datetime) -> dict:
     return {
-        "key": key_to_dict(record.key),
-        "output": output_to_dict(record.output),
-        "created_at": record.created_at.isoformat(),
+        # Field order is fixed so serialized keys hash stably.
+        "key": {
+            "disclosure_id": output.disclosure_id,
+            "lens": output.agent.value,
+            "model_name": output.model_name,
+            "prompt_hash": output.prompt_hash,
+            "seed": output.seed,
+        },
+        "output": output_to_dict(output),
+        "created_at": created_at.isoformat(),
     }
 
 
-def cache_line(record: CacheRecord) -> bytes:
-    return (json.dumps(record_to_dict(record), ensure_ascii=False) + "\n").encode("utf-8")
+def cache_line(output: AgentOutput, created_at: datetime) -> bytes:
+    return (json.dumps(line_to_dict(output, created_at), ensure_ascii=False) + "\n").encode("utf-8")
 
 
 # The stub oracle: one default_rng per pair and json.dumps of the answer.

@@ -22,7 +22,7 @@ import pytest
 from ensemble_judge.agents import confidence_from_logprobs
 from ensemble_judge.cli import main
 from ensemble_judge.config import RunConfig, TrainConfig
-from ensemble_judge.domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel, Split
+from ensemble_judge.domain import Split
 from ensemble_judge.evaluation import ConfusionMatrix, metrics
 from ensemble_judge.ingest import chronological_split, sort_records
 from ensemble_judge.meta import fit_logistic, logistic_loss_and_gradient
@@ -362,16 +362,16 @@ class TestCriterion8ProtocolConformance:
         assert len(perf_calls) == 10 and all(c == 2 for c in perf_calls)
 
         outputs = [
-            AgentOutput.from_dict(json.loads(line)["output"])
+            json.loads(line)["output"]
             for line in (workdir / "cache.jsonl").read_text().splitlines()
         ]
-        fallbacks = [o for o in outputs if o.agent is Lens.PERFORMANCE]
+        fallbacks = [o for o in outputs if o["agent"] == "performance"]
         assert len(fallbacks) == 10
         for out in fallbacks:
-            assert out.label is SentimentLabel.NEUTRAL
-            assert out.confidence == 0.0
-            assert out.confidence_source is ConfidenceSource.FALLBACK
-            assert out.retry_count == 1
+            assert out["label"] == "neutral"
+            assert out["confidence"] == 0.0
+            assert out["confidence_source"] == "fallback"
+            assert out["retry_count"] == 1
 
         # the records stay in every downstream stage
         for split in ("train", "dev", "test"):

@@ -359,12 +359,15 @@ class TestRunAgentProtocol:
         with pytest.raises(ValueError, match="clean_text"):
             run_agent(spec_for(ep.url), DECODING, bare, client=_client(ep))
 
-    @pytest.mark.parametrize("bad_logprob", [float("nan"), None])
-    def test_degenerate_logprobs_fall_back_to_self_reported(self, chat_endpoint, bad_logprob):
+    @pytest.mark.parametrize(
+        "bad_entry",
+        [{"logprob": float("nan")}, {"logprob": None}, {"token": None}, {"token": 5}],
+        ids=["nan", "None", "token-null", "token-5"],
+    )
+    def test_degenerate_logprobs_fall_back_to_self_reported(self, chat_endpoint, bad_entry):
         content = agent_json("positive", confidence=0.8)
-        ep = chat_endpoint(
-            lambda prompt, i: (200, completion_body(content, [(content, bad_logprob)]))
-        )
+        entry = (bad_entry.get("token", content), bad_entry.get("logprob", -0.1))
+        ep = chat_endpoint(lambda prompt, i: (200, completion_body(content, [entry])))
         out = run_agent(spec_for(ep.url), DECODING, disclosure(), client=_client(ep))
         assert out.confidence_source is ConfidenceSource.SELF_REPORTED
         assert out.confidence == pytest.approx(0.8)

@@ -22,7 +22,6 @@ from ensemble_judge.store import (
     CacheCorruptionError,
     CacheIntegrityError,
     CacheKey,
-    CacheRecord,
     CacheStore,
 )
 from tests.conftest import make_output
@@ -70,12 +69,8 @@ def _frozen_clock():
         yield
 
 
-def _record(output: AgentOutput, created: datetime = CREATED) -> CacheRecord:
-    return CacheRecord(CacheKey.for_output(output), output, created)
-
-
 def _line(output: AgentOutput, created: datetime = CREATED) -> bytes:
-    return cache_line(_record(output, created))
+    return cache_line(output, created)
 
 
 def _write(path: Path, runs: list[list[AgentOutput]]) -> None:
@@ -278,3 +273,30 @@ def test_every_flipped_snapshot_byte_gives_the_full_parse(tmp_path):
         flipped[position] ^= 1
         _snapshot(path).write_bytes(bytes(flipped))
         assert _observe(path, keys, readonly=True, put=None) == expected, position
+
+
+@pytest.mark.parametrize("confidence", [1.5, float("nan")])
+def test_a_restamped_snapshot_with_a_bad_value_gives_the_full_parse(tmp_path, confidence):
+    """A snapshot that covers a bad line is ignored, so the line is named."""
+    path = tmp_path / "cache.jsonl"
+    outputs = [make_output(lens, SentimentLabel.POSITIVE, 0.5, "d1") for lens in Lens]
+    _write(path, [outputs])
+    data = path.read_bytes()
+    second = data.index(b"\n") + 1
+    bad = data[second:].replace(b'"confidence": 0.5', b'"confidence": 1.5', 1)
+    with CacheStore(path, readonly=True) as store:
+        # Edit line 2 in place, then stamp a snapshot of the edited cache
+        # whose row for that line holds a bad value too.
+        path.write_bytes(data[:second] + bad)
+        store._confidences[1] = confidence
+        store._write_snapshot()
+    errors = []
+    for _ in ("with the snapshot", "without it"):
+        with pytest.raises(CacheCorruptionError) as raised:
+            CacheStore(path, readonly=True)  # the open alone: get would re-read the line
+        errors.append(str(raised.value))
+        _snapshot(path).unlink(missing_ok=True)
+    assert errors == 2 * [
+        f"{path}: corrupted line at byte offset {second}: "
+        "confidence outside [0, 1] or a fallback output that is not (neutral, 0.0)"
+    ]

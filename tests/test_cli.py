@@ -638,6 +638,22 @@ class TestArtifactChecks:
         assert f"{row['id']!r} on lines {len(lines)} and {len(lines) + 1}" in err
         assert sha(workdir / "cache.jsonl") == cache_before
 
+    @pytest.mark.parametrize("line", ["5", '"x"', "null", "id 7"])
+    def test_latents_line_that_is_not_an_object_with_a_string_id_exit_3(
+        self, ingested, capsys, line
+    ):
+        cfg_path, workdir = ingested
+        path = workdir / "latents.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        if line == "id 7":
+            line = json.dumps({**json.loads(lines[1]), "id": 7})
+        lines[1] = line + "\n"
+        path.write_text("".join(lines))
+        assert run(cfg_path, "run-agents") == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "latents.jsonl") and "line 2:" in err
+        assert (workdir / "cache.jsonl").read_bytes() == b""  # nothing appended
+
     @pytest.mark.parametrize("case", ["repeated-line", "extra-key"])
     @pytest.mark.parametrize("stage", ["run-agents", "build-features", "train", "evaluate"])
     def test_prepared_line_repeated_or_with_an_extra_key_exits_3(

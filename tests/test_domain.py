@@ -11,7 +11,7 @@ from ensemble_judge.domain import (
     target_from_return,
 )
 from tests.conftest import make_output
-from tests.oracles import binarize_label, output_to_dict
+from tests.oracles import binarize_label
 
 
 class TestSentimentLabel:
@@ -91,10 +91,6 @@ class TestAgentOutputInvariants:
     def test_retry_count_bounded(self):
         with pytest.raises(ValueError):
             make_output(retry_count=2)
-
-    def test_dict_round_trip(self):
-        out = make_output(label=SentimentLabel.NEGATIVE, confidence=0.25)
-        assert AgentOutput.from_dict(output_to_dict(out)) == out
 
 
 class TestFeatureVectorInvariants:

@@ -11,7 +11,8 @@ instead. For the same
 reason they check that the package imports nothing from ``tests``, defines
 nothing that only tests use, that the per-disclosure functions the
 benchmark wraps reach the array path instead of holding a rule of their own,
-and that only the disclosure-line reader and the generator build records.
+that only the disclosure-line reader and the generator build records, and
+that only ``store._parse_line`` parses a cache line.
 """
 
 from __future__ import annotations
@@ -290,6 +291,8 @@ CALLERS_ALLOWED = [
     ("target_from_return", {"domain.py"}),
     # Prompts are rendered only to be sent; digests come from prompt_digests.
     ("render_prompt", {"agents.py"}),
+    # Outputs come from an agent, a stub agent or a cache line, read by store.py.
+    ("AgentOutput", {"agents.py", "synth.py", "store.py"}),
 ]
 
 
@@ -303,6 +306,19 @@ def test_only_the_reader_and_the_generator_build_records(callee, allowed):
         if _name(call) == callee
     ]
     assert found == []
+
+
+def test_only_parse_line_reads_a_cache_line():
+    """Each of a cache line's rules is checked in one place, so every read of
+    a line, re-reads included, goes through ``store._parse_line``."""
+    readers = {
+        fn.name
+        for fn in ast.walk(_tree(PACKAGE / "store.py"))
+        if isinstance(fn, FUNCTIONS)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and _name(call) == "loads"
+    }
+    assert readers == {"_parse_line"}
 
 
 # Knob guard. A parameter with a default is a value some caller may change;

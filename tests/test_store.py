@@ -15,11 +15,12 @@ from ensemble_judge.store import (
     CacheCorruptionError,
     CacheIntegrityError,
     CacheKey,
-    CacheRecord,
     CacheStore,
+    _parse_line,
+    _payload,
 )
 from tests.conftest import make_output
-from tests.oracles import cache_line, prompt_hash, record_to_dict
+from tests.oracles import cache_line, line_to_dict, prompt_hash
 
 
 def digests(keys):
@@ -39,18 +40,16 @@ def key_for(i=0, lens=Lens.PERFORMANCE):
 CREATED = datetime(2026, 1, 2, tzinfo=timezone.utc)
 
 
-def record_for(i=0, lens=Lens.PERFORMANCE, label=SentimentLabel.POSITIVE):
-    output = make_output(lens=lens, label=label, disclosure_id=f"d{i}")
-    return CacheRecord(CacheKey.for_output(output), output, CREATED)
+def output_for(i=0, lens=Lens.PERFORMANCE, label=SentimentLabel.POSITIVE):
+    return make_output(lens=lens, label=label, disclosure_id=f"d{i}")
 
 
 class TestPutGet:
     def test_round_trip(self, tmp_path):
         with CacheStore(tmp_path / "cache.jsonl") as store:
-            rec = record_for()
-            store.put(rec.output)
-            got = store.get(rec.key)
-            assert got is not None and got.output == rec.output
+            output = output_for()
+            store.put(output)
+            assert store.get(CacheKey.for_output(output)) == output
 
     def test_absent_key(self, tmp_path):
         with CacheStore(tmp_path / "cache.jsonl") as store:
@@ -59,25 +58,25 @@ class TestPutGet:
     def test_idempotent_duplicate_is_noop(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
-            rec = record_for()
-            store.put(rec.output)
+            output = output_for()
+            store.put(output)
             size = path.stat().st_size
-            store.put(rec.output)
+            store.put(output)
             assert path.stat().st_size == size
             assert len(store) == 1
 
     def test_conflicting_payload_is_integrity_error(self, tmp_path):
         with CacheStore(tmp_path / "cache.jsonl") as store:
-            store.put(record_for(label=SentimentLabel.POSITIVE).output)
+            store.put(output_for(label=SentimentLabel.POSITIVE))
             with pytest.raises(CacheIntegrityError):
-                store.put(record_for(label=SentimentLabel.NEGATIVE).output)
+                store.put(output_for(label=SentimentLabel.NEGATIVE))
 
     def test_append_only_file_growth(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         sizes = []
         with CacheStore(path) as store:
             for i in range(5):
-                store.put(record_for(i).output)
+                store.put(output_for(i))
                 sizes.append(path.stat().st_size)
         assert sizes == sorted(sizes)
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
@@ -88,16 +87,16 @@ class TestPersistence:
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
             for i in range(3):
-                store.put(record_for(i).output)
+                store.put(output_for(i))
         with CacheStore(path) as store:
             assert len(store) == 3
-            assert store.get(record_for(1).key) is not None
+            assert store.get(CacheKey.for_output(output_for(1))) is not None
 
     def test_truncated_final_line_dropped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
             for i in range(3):
-                store.put(record_for(i).output)
+                store.put(output_for(i))
         raw = path.read_bytes()
         path.write_bytes(raw[:-25])  # chop inside the final record
         with caplog.at_level(logging.WARNING):
@@ -108,9 +107,9 @@ class TestPersistence:
     def test_corrupted_middle_line_names_byte_offset(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
-            store.put(record_for(0).output)
+            store.put(output_for(0))
             offset = path.stat().st_size
-            store.put(record_for(1).output)
+            store.put(output_for(1))
         data = path.read_bytes().splitlines(keepends=True)
         data[1] = b'{"key": garbage}\n'
         path.write_bytes(b"".join(data))
@@ -120,7 +119,7 @@ class TestPersistence:
     def test_valid_unterminated_final_line_kept(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
-            store.put(record_for(0).output)
+            store.put(output_for(0))
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         with CacheStore(path) as store:
             assert len(store) == 1
@@ -129,24 +128,24 @@ class TestPersistence:
 class TestCoverage:
     def test_full_cache_has_no_missing(self, tmp_path):
         with CacheStore(tmp_path / "c.jsonl") as store:
-            recs = [record_for(i, lens) for i in range(10) for lens in Lens]
-            for r in recs:
-                store.put(r.output)
-            assert store.missing(digests(r.key for r in recs)).tolist() == []
+            outputs = [output_for(i, lens) for i in range(10) for lens in Lens]
+            for output in outputs:
+                store.put(output)
+            assert store.missing(digests(map(CacheKey.for_output, outputs))).tolist() == []
 
     def test_single_gap_reported(self, tmp_path):
         with CacheStore(tmp_path / "c.jsonl") as store:
-            recs = [record_for(i, lens) for i in range(10) for lens in Lens]
-            for r in recs[1:]:
-                store.put(r.output)
-            missing = store.missing(digests(r.key for r in recs))
+            outputs = [output_for(i, lens) for i in range(10) for lens in Lens]
+            for output in outputs[1:]:
+                store.put(output)
+            missing = store.missing(digests(map(CacheKey.for_output, outputs)))
             assert missing.tolist() == [0]
 
     def test_prompt_change_invalidates_everything(self, tmp_path):
         with CacheStore(tmp_path / "c.jsonl") as store:
-            recs = [record_for(i) for i in range(4)]
-            for r in recs:
-                store.put(r.output)
+            outputs = [output_for(i) for i in range(4)]
+            for output in outputs:
+                store.put(output)
             changed = [
                 CacheKey(
                     disclosure_id=k.disclosure_id,
@@ -155,7 +154,7 @@ class TestCoverage:
                     prompt_hash="f" * 64,
                     seed=k.seed,
                 )
-                for k in (r.key for r in recs)
+                for k in map(CacheKey.for_output, outputs)
             ]
             assert len(store.missing(digests(changed))) == 4
 
@@ -164,18 +163,19 @@ class TestSerialization:
     def test_key_field_order_is_stable(self, tmp_path):
         path = tmp_path / "c.jsonl"
         with CacheStore(path) as store:
-            store.put(record_for(0).output)
+            store.put(output_for(0))
         line = json.loads(path.read_text().splitlines()[0])
         assert list(line) == ["key", "output", "created_at"]
         assert list(line["key"]) == ["disclosure_id", "lens", "model_name", "prompt_hash", "seed"]
 
     def test_record_round_trip(self):
-        rec = record_for(7, Lens.RISK, SentimentLabel.NEGATIVE)
-        assert CacheRecord.from_dict(record_to_dict(rec)) == rec
+        output = output_for(7, Lens.RISK, SentimentLabel.NEGATIVE)
+        line = cache_line(output, CREATED)
+        assert _parse_line(line) == (CacheKey.for_output(output).digest(), _payload(output))
 
 
-def _line_of(record, **output_changes):
-    d = record_to_dict(record)
+def _line_of(output, **output_changes):
+    d = line_to_dict(output, CREATED)
     d["output"].update(output_changes)
     return (json.dumps(d) + "\n").encode("utf-8")
 
@@ -184,7 +184,7 @@ class TestCrashTailRepair:
     def _three_records(self, path):
         with CacheStore(path) as store:
             for i in range(3):
-                store.put(record_for(i).output)
+                store.put(output_for(i))
         return path.read_bytes()
 
     def test_resume_after_truncated_tail(self, tmp_path):
@@ -193,8 +193,8 @@ class TestCrashTailRepair:
         path.write_bytes(raw[:-25])
         with CacheStore(path) as store:
             assert len(store) == 2
-            store.put(record_for(2).output)
-            store.put(record_for(3).output)
+            store.put(output_for(2))
+            store.put(output_for(3))
         with CacheStore(path) as store:
             assert len(store) == 4
         two_lines = raw[: raw.rstrip(b"\n").rfind(b"\n") + 1]
@@ -207,11 +207,11 @@ class TestCrashTailRepair:
         path.write_bytes(raw[:-1])
         with CacheStore(path) as store:
             assert len(store) == 3
-            store.put(record_for(3).output)
-            store.put(record_for(4).output)
+            store.put(output_for(3))
+            store.put(output_for(4))
         with CacheStore(path) as store:
             assert len(store) == 5
-            assert store.get(record_for(2).key) is not None
+            assert store.get(CacheKey.for_output(output_for(2))) is not None
         assert path.read_bytes().startswith(raw)
 
     def test_resume_after_a_cut_at_every_byte_of_the_last_line(self, tmp_path):
@@ -221,12 +221,12 @@ class TestCrashTailRepair:
         for cut in range(last_start, len(raw)):
             path.write_bytes(raw[:cut])
             with CacheStore(path) as store:
-                store.put(record_for(2).output)
-                store.put(record_for(3).output)
+                store.put(output_for(2))
+                store.put(output_for(3))
             with CacheStore(path, readonly=True) as store:
                 assert len(store) == 4, cut
                 for i in range(4):
-                    assert store.get(record_for(i).key) is not None
+                    assert store.get(CacheKey.for_output(output_for(i))) is not None
             assert path.read_bytes().startswith(raw[:last_start])
 
     def test_reader_never_modifies_the_file(self, tmp_path):
@@ -239,7 +239,7 @@ class TestCrashTailRepair:
             with CacheStore(path, readonly=True) as store:
                 assert len(store) == (2 if damaged == raw[:-25] else 3)
                 with pytest.raises(CacheIntegrityError, match="read-only"):
-                    store.put(record_for(5).output)
+                    store.put(output_for(5))
             assert path.read_bytes() == damaged
             assert sorted(os.listdir(tmp_path)) == listing
             assert path.with_name("cache.jsonl.table").read_bytes() == snapshot
@@ -247,7 +247,7 @@ class TestCrashTailRepair:
     def test_bad_value_on_unterminated_final_line_is_dropped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         raw = self._three_records(path)
-        path.write_bytes(raw + _line_of(record_for(3), confidence=1.5).rstrip(b"\n"))
+        path.write_bytes(raw + _line_of(output_for(3), confidence=1.5).rstrip(b"\n"))
         with CacheStore(path) as store:
             assert len(store) == 3
         assert path.read_bytes() == raw
@@ -256,8 +256,8 @@ class TestCrashTailRepair:
 class TestLineChecks:
     def test_key_block_must_agree_with_output_block(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        good = record_to_dict(record_for(0))
-        bad = record_to_dict(record_for(1))
+        good = line_to_dict(output_for(0), CREATED)
+        bad = line_to_dict(output_for(1), CREATED)
         bad["key"]["disclosure_id"] = "d7"
         first = (json.dumps(good) + "\n").encode()
         path.write_bytes(first + (json.dumps(bad) + "\n").encode())
@@ -284,11 +284,20 @@ class TestLineChecks:
     )
     def test_bad_output_value_names_byte_offset(self, tmp_path, changes):
         path = tmp_path / "cache.jsonl"
-        first = _line_of(record_for(0))
-        path.write_bytes(first + _line_of(record_for(1), **changes) + _line_of(record_for(2)))
+        first = _line_of(output_for(0))
+        path.write_bytes(first + _line_of(output_for(1), **changes) + _line_of(output_for(2)))
         with pytest.raises(CacheCorruptionError, match=f"byte offset {len(first)}"):
             CacheStore(path, readonly=True)
 
+    def test_the_first_of_several_bad_lines_is_named(self, tmp_path):
+        """A value rule is checked as its line is read, not after the whole file."""
+        path = tmp_path / "cache.jsonl"
+        lines = [_line_of(output_for(i)) for i in range(5)]
+        lines[1] = _line_of(output_for(1), confidence=1.5)
+        lines[3] = b'{"key": garbage}\n'
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(CacheCorruptionError, match=f"byte offset {len(lines[0])}: confidence"):
+            CacheStore(path, readonly=True)
 
     @pytest.mark.parametrize(
         "key_changes, output_changes",
@@ -304,11 +313,11 @@ class TestLineChecks:
     ):
         """The key block must agree with the output block, but 42.0 == 42."""
         path = tmp_path / "cache.jsonl"
-        first = _line_of(record_for(0))
-        bad = record_to_dict(record_for(1))
+        first = _line_of(output_for(0))
+        bad = line_to_dict(output_for(1), CREATED)
         bad["key"].update(key_changes)
         bad["output"].update(output_changes)
-        path.write_bytes(first + (json.dumps(bad) + "\n").encode() + _line_of(record_for(2)))
+        path.write_bytes(first + (json.dumps(bad) + "\n").encode() + _line_of(output_for(2)))
         with pytest.raises(CacheCorruptionError, match=f"byte offset {len(first)}"):
             CacheStore(path, readonly=True)
 
@@ -320,19 +329,17 @@ class TestTable:
             make_output(lens=lens, label=label, confidence=0.1 * (i + 1), disclosure_id="d0")
             for i, (lens, label) in enumerate(zip(Lens, labels))
         ]
-        recs = [CacheRecord(CacheKey.for_output(o), o, CREATED) for o in outputs]
         with CacheStore(path) as store:
-            for rec in recs:
-                store.put(rec.output)
+            for output in outputs:
+                store.put(output)
         with CacheStore(path, readonly=True) as store:
-            keys = [recs[2].key, key_for(9), recs[0].key]
+            keys = [CacheKey.for_output(outputs[2]), key_for(9), CacheKey.for_output(outputs[0])]
             rows = store.rows(digests(keys))
             assert rows.tolist() == [2, -1, 0]
             got_labels, got_conf = store.judgments(rows[[0, 2]])
             assert got_labels.tolist() == [-1, 1]
             assert got_conf.tolist() == [0.1 * 3, 0.1]
-            assert [store.get(r.key).output for r in recs] == [r.output for r in recs]
-            assert store.get(recs[1].key).output == recs[1].output
+            assert [store.get(CacheKey.for_output(output)) for output in outputs] == outputs
 
 
 class TestSingleWriter:
@@ -340,7 +347,7 @@ class TestSingleWriter:
         path = tmp_path / "cache.jsonl"
         first = CacheStore(path)
         try:
-            first.put(record_for(0).output)
+            first.put(output_for(0))
             with pytest.raises(CacheIntegrityError, match="locked by another run"):
                 CacheStore(path)
             with CacheStore(path, readonly=True) as reader:
@@ -349,7 +356,7 @@ class TestSingleWriter:
             first.close()
         with CacheStore(path) as second:
             assert len(second) == 1
-            second.put(record_for(1).output)
+            second.put(output_for(1))
         with CacheStore(path, readonly=True) as reader:
             assert len(reader) == 2
 
@@ -368,17 +375,17 @@ class TestSingleWriter:
 
         monkeypatch.setattr(store_module, "write_stamped", write_while_locked)
         with CacheStore(path) as first:
-            first.put(record_for(0).output)
+            first.put(output_for(0))
         assert written == ["cache.jsonl.table"]
         with CacheStore(path) as second:
             assert len(second) == 1
 
     def test_failed_open_releases_the_lock(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        path.write_bytes(b"not json\n" + _line_of(record_for(0)))
+        path.write_bytes(b"not json\n" + _line_of(output_for(0)))
         with pytest.raises(CacheCorruptionError):
             CacheStore(path)
-        path.write_bytes(_line_of(record_for(0)))
+        path.write_bytes(_line_of(output_for(0)))
         with CacheStore(path) as store:
             assert len(store) == 1
 
@@ -389,17 +396,15 @@ class TestDigestIndex:
         real = store_module.key_digest
         monkeypatch.setattr(store_module, "key_digest", lambda *f: real(*f)[:13] + b"\0\0\0")
         path = tmp_path / "cache.jsonl"
-        recs = [record_for(i, lens) for i in range(3) for lens in Lens]
+        outputs = [output_for(i, lens) for i in range(3) for lens in Lens]
         with CacheStore(path) as store:
-            for rec in recs:
-                store.put(rec.output)
+            for output in outputs:
+                store.put(output)
         with CacheStore(path) as store:  # the index now comes from the snapshot
             assert store._covered == path.stat().st_size
-            store.put(recs[4].output)  # a no-op: found in the sorted index
-            assert [store.get(rec.key) for rec in recs] == [
-                CacheRecord(rec.key, rec.output, store.get(rec.key).created_at) for rec in recs
-            ]
-            assert store.rows(digests(rec.key for rec in recs)).tolist() == list(range(9))
+            store.put(outputs[4])  # a no-op: found in the sorted index
+            assert [store.get(CacheKey.for_output(output)) for output in outputs] == outputs
+            assert store.rows(digests(map(CacheKey.for_output, outputs))).tolist() == list(range(9))
         assert len(path.read_bytes().splitlines()) == 9
 
 
@@ -446,15 +451,13 @@ class TestCacheBytesAndKeys:
         with CacheStore(path) as store:
             store.put(output)
         created_at = datetime.fromisoformat(json.loads(path.read_bytes())["created_at"])
-        record = CacheRecord(CacheKey.for_output(output), output, created_at)
-        expected = cache_line(record)
-        assert path.read_bytes() == expected
+        assert path.read_bytes() == cache_line(output, created_at)
 
         (key,) = expected_cache_keys([disclosure], [spec], decoding)
-        assert key == record.key
+        assert key == CacheKey.for_output(output)
         with CacheStore(path, readonly=True) as store:
             assert store.rows([key.digest()]).tolist() == [0]
-            assert store.get(key) == record
+            assert store.get(key) == output
             assert store.missing([key.digest()]).tolist() == []
 
 
@@ -497,7 +500,8 @@ def any_outputs(draw):
 @given(st.lists(any_outputs(), min_size=1, max_size=5, unique_by=CacheKey.for_output))
 def test_put_writes_the_oracle_bytes_for_any_output(outputs):
     """``put``'s fixed-layout line is ``json.dumps(..., ensure_ascii=False)``
-    of the record's dicts, byte for byte, and reads back as the record."""
+    of the line's dicts, byte for byte; :func:`_parse_line` reads it back as
+    the key digest and the payload a re-put compares, and ``get`` as the output."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cache.jsonl"
         with CacheStore(path) as store:
@@ -508,6 +512,6 @@ def test_put_writes_the_oracle_bytes_for_any_output(outputs):
         with CacheStore(path, readonly=True) as store:
             for output, line in zip(outputs, lines):
                 created_at = datetime.fromisoformat(json.loads(line)["created_at"])
-                record = CacheRecord(CacheKey.for_output(output), output, created_at)
-                assert line == cache_line(record)
-                assert store.get(record.key) == record
+                assert line == cache_line(output, created_at)
+                assert _parse_line(line) == (CacheKey.for_output(output).digest(), _payload(output))
+                assert store.get(CacheKey.for_output(output)) == output
