@@ -20,7 +20,6 @@ T = TypeVar("T")
 
 _DIGEST_LINE_BYTES = 65  # 64 hex digits and a newline
 _BLOCK = 1 << 16  # bytes per hashed block of a file: small, so hashing costs little memory
-_NUMBER_TYPES = frozenset({int, float})  # a boolean's type is bool
 
 # One encoder for every line: json.dumps with a non-default option builds a
 # new encoder per call.
@@ -46,16 +45,6 @@ def finite_numbers(values: object) -> tuple[float, ...]:
     """A JSON array of :func:`finite_number` values."""
     if not isinstance(values, list):
         raise ValueError(f"expected an array of numbers, got {values!r}")
-    # The whole array at once when every value is a plain int or float;
-    # otherwise value by value, which names the first bad one.
-    if _NUMBER_TYPES.issuperset(map(type, values)):
-        try:
-            numbers = tuple(map(float, values))
-        except OverflowError:  # an integer beyond the float range
-            pass
-        else:
-            if all(map(math.isfinite, numbers)):
-                return numbers
     return tuple(map(finite_number, values))
 
 
@@ -91,6 +80,17 @@ def write_binary(path: str | Path, chunks: Iterable[bytes]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fsync_dir(path.parent)
+
+
+def fsync_dir(path: str | Path) -> None:
+    """fsync the directory ``path``, so a name just created or renamed in it
+    survives a power cut."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_stamped(path: str | Path, magic: bytes, header: dict, chunks: Iterable[bytes]) -> None:
@@ -143,9 +143,14 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     write_binary(path, map(str.encode, chunks))  # UTF-8, the default
 
 
+def json_lines(rows: Iterable[dict]) -> Iterator[str]:
+    """One JSON object per line, non-ASCII kept as is, each ending in a newline."""
+    return (_JSON_LINE.encode(row) + "\n" for row in rows)
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    """Write one JSON object per line, non-ASCII kept as is, streamed row by row."""
-    write_text(path, (_JSON_LINE.encode(row) + "\n" for row in rows))
+    """Write :func:`json_lines` of ``rows``, streamed row by row."""
+    write_text(path, json_lines(rows))
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:

@@ -14,18 +14,12 @@ disclosure's outputs to it; the per-disclosure rules are test oracles.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .artifacts import ArtifactError, finite_numbers, read_jsonl, write_jsonl
-from .domain import (
-    FEATURE_DIM,
-    LENS_ORDER,
-    AgentOutput,
-    FeatureVector,
-    check_feature_matrix,
-)
+from .artifacts import json_lines, write_text
+from .domain import LENS_ORDER, AgentOutput, FeatureVector
 
 
 def output_blocks(outputs: Sequence[AgentOutput]) -> tuple[np.ndarray, np.ndarray]:
@@ -101,52 +95,27 @@ def feature_matrix(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
     ).astype(np.float64, copy=False)
 
 
-def write_feature_file(
-    path: str | Path, ids: Sequence[str], X: np.ndarray, targets: Sequence[int]
-) -> None:
-    """Audit export: one JSON line {disclosure_id, features, target} per row.
+def feature_lines(ids: Sequence[str], X: np.ndarray, targets: Sequence[int]) -> Iterator[str]:
+    """One JSON line {disclosure_id, features, target} per row, each ending in a newline.
 
     Row order is the caller's responsibility (the pipeline passes the sorted
-    split order), so the file bytes are a pure function of the inputs.
+    split order), so the lines are a pure function of the inputs.
     """
-    write_jsonl(
-        path,
-        (
-            {"disclosure_id": disclosure_id, "features": features, "target": int(target)}
-            for disclosure_id, features, target in zip(ids, X.tolist(), targets)
-        ),
+    return json_lines(
+        {"disclosure_id": disclosure_id, "features": features, "target": int(target)}
+        for disclosure_id, features, target in zip(ids, X.tolist(), targets)
     )
 
 
-_FEATURE_KEYS = frozenset({"disclosure_id", "features", "target"})
+def write_feature_file(
+    path: str | Path, ids: Sequence[str], X: np.ndarray, targets: Sequence[int]
+) -> None:
+    """Audit export: the :func:`feature_lines` of the rows."""
+    write_text(path, feature_lines(ids, X, targets))
 
 
-def _feature_row(obj: object) -> tuple[str, tuple[float, ...], int]:
-    """One feature line: exactly a string id, 15 finite numbers and the integer 0 or 1."""
-    if not isinstance(obj, dict) or obj.keys() != _FEATURE_KEYS:
-        raise ValueError(f"must carry keys exactly {sorted(_FEATURE_KEYS)}")
-    disclosure_id, features, target = obj["disclosure_id"], obj["features"], obj["target"]
-    if not isinstance(disclosure_id, str):
-        raise ValueError(f"disclosure_id must be a string, got {disclosure_id!r}")
-    numbers = finite_numbers(features)
-    if len(numbers) != FEATURE_DIM:
-        raise ValueError(f"expected {FEATURE_DIM} features, got {len(numbers)}")
-    if type(target) is not int or target not in (0, 1):
-        raise ValueError(f"target must be the integer 0 or 1, got {target!r}")
-    return disclosure_id, numbers, target
-
-
-def read_feature_file(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Ids, ``(n, 15)`` feature matrix and targets of one feature file.
-
-    A malformed line, or a row that breaks the feature-vector invariants,
-    raises :class:`ArtifactError` naming the file (and the line).
-    """
-    rows = read_jsonl(path, _feature_row)
-    try:
-        X = np.array([r[1] for r in rows], dtype=np.float64) if rows else np.empty((0, FEATURE_DIM))
-        check_feature_matrix(X)
-        y = np.array([r[2] for r in rows], dtype=int)
-    except (TypeError, ValueError) as exc:
-        raise ArtifactError(f"{path}: malformed feature rows: {exc}") from None
-    return [r[0] for r in rows], X, y
+def read_feature_file(path: str | Path) -> list[bytes]:
+    """The lines of one feature file as bytes, each with its newline byte;
+    a carriage return does not end a line."""
+    with Path(path).open("rb") as fh:
+        return fh.readlines()

@@ -18,6 +18,7 @@ import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
@@ -28,7 +29,7 @@ from .artifacts import ArtifactError
 from .config import RunConfig
 from .domain import AgentOutput, ConfidenceSource, DisclosureRecord, Lens, Split
 from .evaluation import EvalReport, evaluate_judgments, write_report
-from .features import feature_matrix, read_feature_file, write_feature_file
+from .features import feature_lines, feature_matrix, read_feature_file, write_feature_file
 from .ingest import (
     PreparedKeys,
     chronological_split,
@@ -287,25 +288,22 @@ def stage_build_features(config: RunConfig) -> dict:
     return {split.value: len(rows) for split, rows in by_split.items()}
 
 
-def _split_features(
-    path: Path, keys: PreparedKeys, rows: np.ndarray, expected: np.ndarray
+def _checked_features(
+    path: Path, keys: PreparedKeys, rows: np.ndarray, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix and targets of one split's file, checked against the split.
+    """``X`` and the targets of the prepared ``rows``, once the feature file at
+    ``path`` holds exactly their :func:`feature_lines`, byte for byte.
 
-    ``expected`` is the split's feature matrix rebuilt from the cache; the
-    file must hold exactly those values (JSON floats round-trip exactly).
+    ``X`` is the rows' feature matrix rebuilt from the cache.
     """
-    ids, X, y = read_feature_file(path)
-    if ids != keys.ids_at(rows) or not np.array_equal(y, keys.targets[rows]):
-        raise ArtifactError(
-            f"{path}: ids or targets differ from the current split "
-            "(stale features? re-run build-features)"
-        )
-    if not np.array_equal(X, expected):
-        raise ArtifactError(
-            f"{path}: feature values differ from the agent cache "
-            "(stale features? re-run build-features)"
-        )
+    y = keys.targets[rows]
+    lines = feature_lines(keys.ids_at(rows), X, y)
+    for lineno, (stored, line) in enumerate(zip_longest(read_feature_file(path), lines), 1):
+        if stored is None or line is None or stored != line.encode():
+            raise ArtifactError(
+                f"{path}: line {lineno} differs from the features of the current split "
+                "and agent cache (stale features? re-run build-features)"
+            )
     return X, y
 
 
@@ -322,8 +320,8 @@ def stage_train(config: RunConfig) -> dict:
 
     Refuses to run unless the cache covers the train and dev splits: all
     model outputs must exist before the aggregator learns from any of them.
-    The feature files must hold exactly the current split's ids, targets and
-    the feature values the cache yields for them.
+    Each feature file must hold, byte for byte, the lines ``build-features``
+    writes from the current split and cache.
     """
     keys = _prepared(config)
     by_split = _split_rows(config, keys)
@@ -334,8 +332,8 @@ def stage_train(config: RunConfig) -> dict:
     for split, path in paths.items():
         _require(path, f"{split.value} feature file")
     n_train = len(train_rows)
-    train = _split_features(paths[Split.TRAIN], keys, train_rows, X[:n_train])
-    dev = _split_features(paths[Split.DEV], keys, dev_rows, X[n_train:])
+    train = _checked_features(paths[Split.TRAIN], keys, train_rows, X[:n_train])
+    dev = _checked_features(paths[Split.DEV], keys, dev_rows, X[n_train:])
 
     try:
         model, dev_scores = train_meta_model(

@@ -41,7 +41,7 @@ from typing import BinaryIO, NamedTuple, Sequence
 
 import numpy as np
 
-from .artifacts import finite_number, prefix_sha256, read_stamped, write_stamped
+from .artifacts import finite_number, fsync_dir, prefix_sha256, read_stamped, write_stamped
 from .domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
 
 logger = logging.getLogger(__name__)
@@ -283,7 +283,9 @@ class CacheStore:
     lacks its newline, so the next append starts on a line of its own.
 
     Only the writer writes the table snapshot: at :meth:`close`, still under
-    its lock, when the table covers bytes the snapshot on disk does not.
+    its lock, when the table covers bytes the snapshot on disk does not. A
+    writer that closes on an empty file removes it instead, so a run that
+    appended nothing leaves no cache behind.
     """
 
     def __init__(self, path: str | Path, *, readonly: bool = False):
@@ -396,10 +398,19 @@ class CacheStore:
     def _lock(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("ab")
+        opened = os.fstat(self._fh.fileno())
         try:
             fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise CacheIntegrityError(f"{self.path}: cache locked by another run") from None
+            # The writer that held the lock may have removed the file it left
+            # empty (see close) after this one opened it.
+            current = os.stat(self.path)
+        except (BlockingIOError, FileNotFoundError):
+            current = None
+        if current is None or not os.path.samestat(opened, current):
+            self._fh.close()
+            raise CacheIntegrityError(f"{self.path}: cache locked by another run")
+        if current.st_size == 0:
+            fsync_dir(self.path.parent)  # the new file's name survives a power cut
 
     def _repair_tail(self) -> None:
         if os.fstat(self._fh.fileno()).st_size > self._end:
@@ -511,7 +522,11 @@ class CacheStore:
         if self._fh is not None and not self._fh.closed:
             try:
                 self.sync()
-                if self._snapshot_due and self._end != self._covered:
+                if os.fstat(self._fh.fileno()).st_size == 0:
+                    # Still under the lock: a file that holds no line holds no
+                    # data, whoever created it, so leave none behind.
+                    self.path.unlink()
+                elif self._snapshot_due and self._end != self._covered:
                     self._write_snapshot()
             finally:
                 self._snapshot_due = False

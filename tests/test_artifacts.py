@@ -1,9 +1,12 @@
 """Atomic artifact writes and checked JSONL reads."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
-from ensemble_judge.artifacts import ArtifactError, read_jsonl, write_jsonl
+from ensemble_judge.artifacts import ArtifactError, read_jsonl, write_binary, write_jsonl
 from ensemble_judge.features import write_feature_file
 from ensemble_judge.ingest import write_corpus
 from ensemble_judge.synth import generate_corpus
@@ -59,3 +62,23 @@ def test_malformed_line_names_file_and_line(tmp_path, bad_line):
     path.write_text('{"id": 0}\n' + bad_line + "\n", encoding="utf-8")
     with pytest.raises(ArtifactError, match=r"rows\.jsonl: malformed line 2"):
         read_jsonl(path, lambda obj: obj["id"])
+
+
+def test_write_binary_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    """The rename is durable only once the directory holding the new name is."""
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        events.append(("directory", st.st_ino) if stat.S_ISDIR(st.st_mode) else "file")
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append("rename")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    write_binary(tmp_path / "artifact.bin", [b"data"])
+    assert events == ["file", "rename", ("directory", tmp_path.stat().st_ino)]

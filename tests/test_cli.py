@@ -652,7 +652,22 @@ class TestArtifactChecks:
         assert run(cfg_path, "run-agents") == 3
         err = capsys.readouterr().err
         assert _single_error_line(err, "latents.jsonl") and "line 2:" in err
-        assert (workdir / "cache.jsonl").read_bytes() == b""  # nothing appended
+        assert not (workdir / "cache.jsonl").exists()  # nothing appended
+
+    def test_failed_run_agents_leaves_no_cache(self, ingested, capsys):
+        """A run that appended nothing must not turn the next stage's "agent
+        cache missing" (exit 2) into a coverage failure (exit 3)."""
+        cfg_path, workdir = ingested
+        assert run(cfg_path, "build-features") == 2
+        assert "agent cache missing" in capsys.readouterr().err
+        path = workdir / "latents.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = "5\n"
+        path.write_text("".join(lines))
+        assert run(cfg_path, "run-agents") == 3
+        capsys.readouterr()
+        assert run(cfg_path, "build-features") == 2
+        assert _single_error_line(capsys.readouterr().err, "agent cache missing")
 
     @pytest.mark.parametrize("case", ["repeated-line", "extra-key"])
     @pytest.mark.parametrize("stage", ["run-agents", "build-features", "train", "evaluate"])
@@ -778,6 +793,30 @@ class TestTrainChecksFeatureValues:
         assert sha(workdir / "model.json") == model_before
         assert run(cfg_path, "build-features") == 0
         assert run(cfg_path, "train") == 0
+
+    @pytest.mark.parametrize("edit", ["keys-reordered", "integer-feature"])
+    def test_same_values_in_other_bytes_exit_3(self, pipeline, capsys, edit):
+        """The file must hold the bytes build-features writes, not just values
+        that parse to the same row."""
+        cfg_path, workdir = pipeline
+        path = workdir / "features_train.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[2])
+        if edit == "keys-reordered":
+            line = json.dumps(dict(reversed(row.items())))
+        else:
+            features = row["features"]
+            features[features.index(1.0, 12)] = 1  # the one-hot agent, written as 1.0
+            line = json.dumps(row)
+        assert line + "\n" != lines[2] and json.loads(line) == json.loads(lines[2])
+        lines[2] = line + "\n"
+        path.write_text("".join(lines))
+        model_before = sha(workdir / "model.json")
+        capsys.readouterr()
+        assert run(cfg_path, "train") == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "features_train.jsonl") and "line 3 differs" in err
+        assert sha(workdir / "model.json") == model_before
 
     def test_coverage_is_checked_before_the_feature_files(self, tmp_path, capsys):
         cfg_path, workdir = write_config(tmp_path)

@@ -11,8 +11,9 @@ instead. For the same
 reason they check that the package imports nothing from ``tests``, defines
 nothing that only tests use, that the per-disclosure functions the
 benchmark wraps reach the array path instead of holding a rule of their own,
-that only the disclosure-line reader and the generator build records, and
-that only ``store._parse_line`` parses a cache line.
+that only the disclosure-line reader and the generator build records,
+that only ``store._parse_line`` parses a cache line, and that no stage
+parses a feature file.
 """
 
 from __future__ import annotations
@@ -319,6 +320,19 @@ def test_only_parse_line_reads_a_cache_line():
         if isinstance(call, ast.Call) and _name(call) == "loads"
     }
     assert readers == {"_parse_line"}
+
+
+
+@pytest.mark.parametrize("module", ["features.py", "pipeline.py"])
+def test_no_stage_parses_a_feature_file(module):
+    """``train`` checks a feature file against the bytes ``feature_lines``
+    renders, so the feature line has one set of rules: its writer's."""
+    parsers = [
+        f"{module}:{call.lineno}"
+        for call in _calls(PACKAGE / module)
+        if _name(call) in ("loads", "read_jsonl")
+    ]
+    assert parsers == []
 
 
 # Knob guard. A parameter with a default is a value some caller may change;

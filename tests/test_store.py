@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import stat
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
@@ -388,6 +389,74 @@ class TestSingleWriter:
         path.write_bytes(_line_of(output_for(0)))
         with CacheStore(path) as store:
             assert len(store) == 1
+
+
+class TestEmptyFile:
+    """A writer that closes on an empty cache removes it: an empty file holds
+    no data, and readers treat "no file" as "run the earlier stage first"."""
+
+    def test_writer_that_appends_nothing_leaves_no_file(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with CacheStore(path):
+            assert path.exists()
+        assert not path.exists()
+        with pytest.raises(RuntimeError):
+            with CacheStore(path):
+                raise RuntimeError("stage failed before its first append")
+        assert not path.exists()
+
+    def test_writer_that_appends_nothing_keeps_a_cache_with_lines(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with CacheStore(path) as store:
+            store.put(output_for(0))
+        before = path.read_bytes()
+        with CacheStore(path):
+            pass
+        assert path.read_bytes() == before
+
+    def test_refused_writer_leaves_the_lock_holders_empty_file(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with CacheStore(path) as first:
+            with pytest.raises(CacheIntegrityError, match="locked by another run"):
+                CacheStore(path)
+            assert path.exists()
+            first.put(output_for(0))
+        with CacheStore(path, readonly=True) as reader:
+            assert len(reader) == 1
+
+    def test_writer_that_locks_a_removed_file_is_refused(self, tmp_path, monkeypatch):
+        """The lock holder may remove its empty file between this writer's open
+        and its lock; appending to the removed file would lose every line."""
+        path = tmp_path / "cache.jsonl"
+        flock = store_module.fcntl.flock
+
+        def flock_after_removal(fd, operation):
+            path.unlink()
+            flock(fd, operation)
+
+        monkeypatch.setattr(store_module.fcntl, "flock", flock_after_removal)
+        with pytest.raises(CacheIntegrityError, match="locked by another run"):
+            CacheStore(path)
+        monkeypatch.undo()
+        with CacheStore(path) as store:
+            store.put(output_for(0))
+        with CacheStore(path, readonly=True) as reader:
+            assert len(reader) == 1
+
+    def test_a_new_file_has_its_directory_synced(self, tmp_path, monkeypatch):
+        synced = []
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.fstat(fd))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        with CacheStore(tmp_path / "cache.jsonl") as store:
+            assert [st.st_ino for st in synced if stat.S_ISDIR(st.st_mode)] == [
+                tmp_path.stat().st_ino
+            ]
+            store.put(output_for(0))
 
 
 class TestDigestIndex:

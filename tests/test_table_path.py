@@ -14,7 +14,12 @@ from ensemble_judge.evaluation import (
     majority_vote_predictions,
     regimes,
 )
-from ensemble_judge.features import feature_matrix, read_feature_file, write_feature_file
+from ensemble_judge.features import (
+    feature_lines,
+    feature_matrix,
+    read_feature_file,
+    write_feature_file,
+)
 from tests import test_evaluation
 from tests.conftest import make_triple
 from tests.oracles import (
@@ -104,6 +109,6 @@ def test_feature_file_round_trip(tmp_path):
     X = feature_matrix(labels, confidences)
     path = tmp_path / "features.jsonl"
     write_feature_file(path, ["a", "b"], X, [1, 0])
-    ids, X_read, y = read_feature_file(path)
-    assert ids == ["a", "b"] and y.tolist() == [1, 0]
-    assert np.array_equal(X_read, X)
+    lines = [line.encode() for line in feature_lines(["a", "b"], X, [1, 0])]
+    assert read_feature_file(path) == lines
+    assert path.read_bytes() == b"".join(lines)
