@@ -29,7 +29,6 @@ from .domain import (
     Lens,
     SentimentLabel,
 )
-from .store import CacheKey
 
 if TYPE_CHECKING:
     import socket
@@ -93,6 +92,10 @@ def prompt_digests(lens: Lens, clean_texts: Iterable[str]) -> list[bytes]:
             digest.update(tail)
         digests.append(digest.digest())
     return digests
+
+
+# ``perfbench/traced_stage.py`` wraps this name for a span; no stage calls it.
+expected_cache_keys = prompt_digests
 
 
 @dataclass(frozen=True)
@@ -219,7 +222,9 @@ def parse_output(raw: RawGeneration) -> ParsedOutput:
     snippet, offset = found
     try:
         obj = json.loads(snippet)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides malformed JSON: an integer past Python's digit limit
+        # (ValueError) or nesting past the recursion limit.
         raise SchemaViolation(ViolationCategory.NO_JSON, f"unparsable JSON object: {exc}") from None
 
     missing = REQUIRED_KEYS - obj.keys()
@@ -244,7 +249,7 @@ def parse_output(raw: RawGeneration) -> ParsedOutput:
         )
     try:
         self_confidence = float(conf_value)
-    except ValueError:
+    except (ValueError, OverflowError):  # an integer too large for a float overflows
         raise SchemaViolation(
             ViolationCategory.BAD_CONFIDENCE, f"confidence {conf_value!r} does not parse"
         ) from None
@@ -427,21 +432,22 @@ class ChatCompletionsClient:
             body = json.loads(data)
             choice = body["choices"][0]
             text = choice["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise TransportError(f"malformed chat-completions envelope: {exc}") from None
         token_logprobs: tuple[tuple[str, float], ...] | None = None
         logprobs = choice.get("logprobs")
         if isinstance(logprobs, dict) and isinstance(logprobs.get("content"), list):
             # Some backends report logprobs a hair above zero; clamp to keep
-            # the <= 0 invariant. A stream with missing, non-string or
-            # non-finite entries is dropped wholesale so confidence falls back
-            # to the self-reported value instead of poisoning the geometric mean.
+            # the <= 0 invariant. A stream with missing, non-string,
+            # non-finite or float-overflowing entries is dropped wholesale so
+            # confidence falls back to the self-reported value instead of
+            # poisoning the geometric mean.
             try:
                 entries = [
                     (entry["token"], min(float(entry["logprob"]), 0.0))
                     for entry in logprobs["content"]
                 ]
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 entries = None
             if entries is not None and all(
                 isinstance(token, str) and math.isfinite(lp) for token, lp in entries
@@ -505,23 +511,3 @@ def run_agent(
         raw_json=raw.text,
         retry_count=attempt,
     )
-
-
-def expected_cache_keys(
-    records: Iterable[DisclosureRecord],
-    specs: Sequence[AgentSpec],
-    decoding: DecodingConfig,
-) -> list[CacheKey]:
-    """Every cache key the pipeline needs: one per (disclosure, agent) pair.
-
-    Keys embed the rendered prompt's hash, so changing a prompt or the
-    disclosure text invalidates coverage rather than mixing generations.
-    """
-    records = list(records)
-    texts = [record.clean_text for record in records]
-    hashes = [[d.hex() for d in prompt_digests(spec.lens, texts)] for spec in specs]
-    return [
-        CacheKey(record.id, spec.lens, spec.model_name, lens_hashes[i], decoding.seed)
-        for i, record in enumerate(records)
-        for spec, lens_hashes in zip(specs, hashes)
-    ]

@@ -1,9 +1,9 @@
 """Core data types shared across the pipeline.
 
 Defines the three-way sentiment label, the per-disclosure record, per-agent
-outputs, the 15-dimensional aggregation feature vector, and the train/dev/test
-split names. All types are immutable values and safe to share between
-concurrent tasks.
+outputs, the layout of the 15-dimensional aggregation feature vector, and the
+train/dev/test split names. All types are immutable values and safe to share
+between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum, IntEnum
-
-import numpy as np
 
 
 class SentimentLabel(IntEnum):
@@ -131,27 +129,3 @@ FEAT_COUNTS = (7, 8, 9)          # counts of positive, neutral, negative labels
 FEAT_AGREEMENT = 10              # number of agents sharing the modal label
 FEAT_GAP = 11                    # top-1 minus top-2 confidence
 FEAT_TOP_AGENT = (12, 13, 14)    # one-hot: which agent is most confident
-
-
-def check_feature_matrix(X: np.ndarray) -> None:
-    """The feature-vector invariants, checked on every row of ``X`` at once."""
-    if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
-        raise ValueError(f"feature rows must have {FEATURE_DIM} entries, got shape {X.shape}")
-    counts = X[:, list(FEAT_COUNTS)]
-    if ((counts < 0) | (counts != np.floor(counts))).any() or (counts.sum(axis=1) != 3).any():
-        raise ValueError("label counts must be nonnegative integers summing to 3")
-    indicators = np.sort(X[:, list(FEAT_TOP_AGENT)], axis=1)
-    if (indicators != [0.0, 0.0, 1.0]).any():
-        raise ValueError("exactly one most-confident indicator must be set")
-    if (X[:, FEAT_GAP] < 0).any():
-        raise ValueError("confidence gap must be nonnegative")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """The 15-dimensional joint-agent feature vector fed to the aggregator."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        check_feature_matrix(np.array([self.values], dtype=np.float64))

@@ -6,9 +6,9 @@ by agent agreement regime for the voting rule and the trained aggregator,
 and the list of disclosures where the aggregator corrects the vote.
 
 :func:`evaluate_judgments` scores a whole split from ``(n, 3)`` label-code
-and confidence blocks with array expressions; it is the one production path.
-:func:`regime_of` and :func:`evaluate_split` only adapt agent outputs to
-:func:`regimes` and to it; the per-disclosure rules are test oracles.
+and confidence blocks with array expressions, and :func:`regimes` gives each
+row's agreement regime; they are the one production path. The
+per-disclosure rules are test oracles.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .artifacts import write_text
-from .domain import LENS_ORDER, AgentOutput, DisclosureRecord, Lens
-from .features import confidence_gaps, feature_matrix, majority_labels, output_blocks
+from .features import confidence_gaps, feature_matrix, majority_labels
 
 if TYPE_CHECKING:
     from .meta import MetaModel
@@ -148,10 +147,8 @@ def regimes(labels: np.ndarray, confidences: np.ndarray, delta: float) -> np.nda
     return codes
 
 
-# Kept in the package only because ``perfbench/traced_stage.py`` wraps it by name.
-def regime_of(outputs: Sequence[AgentOutput], delta: float) -> Regime:
-    """:func:`regimes` of one disclosure's three outputs, given in any order."""
-    return REGIMES[regimes(*output_blocks(outputs), delta)[0]]
+# ``perfbench/traced_stage.py`` wraps this name for a span; no stage calls it.
+regime_of = regimes
 
 
 @dataclass(frozen=True)
@@ -310,34 +307,8 @@ def evaluate_judgments(
     )
 
 
-# Kept in the package only because ``perfbench/traced_stage.py`` wraps it by name.
-def evaluate_split(
-    records: Sequence[DisclosureRecord],
-    outputs_by_id: Mapping[str, Mapping[Lens, AgentOutput]],
-    model: MetaModel,
-    delta: float,
-    sensitivity_deltas: Sequence[float],
-) -> EvalReport:
-    """:func:`evaluate_judgments` over agent outputs looked up per record.
-
-    ``records`` fixes the evaluation order; every record must have its three
-    agent outputs present in ``outputs_by_id``.
-    """
-    triples = []
-    for record in records:
-        per_lens = outputs_by_id.get(record.id)
-        if per_lens is None or set(per_lens) != set(LENS_ORDER):
-            raise KeyError(f"missing agent outputs for disclosure {record.id!r}")
-        triples.append([per_lens[lens] for lens in LENS_ORDER])
-    return evaluate_judgments(
-        [record.id for record in records],
-        np.array([record.binary_target for record in records]),
-        np.array([[int(o.label) for o in triple] for triple in triples]),
-        np.array([[o.confidence for o in triple] for triple in triples], dtype=np.float64),
-        model,
-        delta,
-        sensitivity_deltas,
-    )
+# ``perfbench/traced_stage.py`` wraps this name for a span; no stage calls it.
+evaluate_split = evaluate_judgments
 
 
 def write_report(report: EvalReport, json_path: str | Path, text_path: str | Path) -> None:

@@ -7,8 +7,8 @@ one-hot indicator of the most confident agent.
 
 The pipeline builds whole feature matrices at once with
 :func:`feature_matrix` from ``(n, 3)`` label-code and confidence blocks; it is
-the one implementation of the rules. :func:`build_features` only adapts one
-disclosure's outputs to it; the per-disclosure rules are test oracles.
+the one implementation of the rules. The per-disclosure rules are test
+oracles.
 """
 
 from __future__ import annotations
@@ -19,35 +19,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .artifacts import json_lines, write_text
-from .domain import LENS_ORDER, AgentOutput, FeatureVector
-
-
-def output_blocks(outputs: Sequence[AgentOutput]) -> tuple[np.ndarray, np.ndarray]:
-    """One disclosure's outputs as ``(1, 3)`` label-code and confidence blocks.
-
-    ``outputs`` must hold exactly one output per lens for a single
-    disclosure; any order is accepted and canonicalized to ``LENS_ORDER``.
-    """
-    if len(outputs) != 3:
-        raise ValueError(f"expected exactly three agent outputs, got {len(outputs)}")
-    by_lens = {o.agent: o for o in outputs}
-    if len(by_lens) != 3:
-        lenses = sorted(o.agent.value for o in outputs)
-        raise ValueError(f"need one output per lens, got {lenses}")
-    ids = {o.disclosure_id for o in outputs}
-    if len(ids) != 1:
-        raise ValueError(f"outputs span multiple disclosures: {sorted(ids)}")
-    ordered = [by_lens[lens] for lens in LENS_ORDER]
-    return (
-        np.array([[int(o.label) for o in ordered]], dtype=np.int64),
-        np.array([[o.confidence for o in ordered]], dtype=np.float64),
-    )
-
-
-# Kept in the package only because ``perfbench/traced_stage.py`` wraps it by name.
-def build_features(outputs: Sequence[AgentOutput]) -> FeatureVector:
-    """:func:`feature_matrix` of one disclosure's outputs (see :func:`output_blocks`)."""
-    return FeatureVector(values=tuple(feature_matrix(*output_blocks(outputs))[0].tolist()))
 
 
 def majority_labels(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
@@ -93,6 +64,10 @@ def feature_matrix(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
             top_agent[:, None] == np.arange(3),
         ]
     ).astype(np.float64, copy=False)
+
+
+# ``perfbench/traced_stage.py`` wraps this name for a span; no stage calls it.
+build_features = feature_matrix
 
 
 def feature_lines(ids: Sequence[str], X: np.ndarray, targets: Sequence[int]) -> Iterator[str]:

@@ -135,7 +135,7 @@ def _read_disclosures(
                         next_day_return=finite_number(obj["next_day_return"]),
                     )
                 )
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise error(f"{path}: line {lineno}: malformed JSON ({exc})") from None
             except ValueError as exc:
                 raise error(f"{path}: line {lineno}: {exc}") from None

@@ -177,11 +177,6 @@ def logistic_loss_and_gradient(
     return loss, np.concatenate([grad_w, [grad_b]])
 
 
-def _loss_only(w: np.ndarray, b: float, X: np.ndarray, signs: np.ndarray, C: float) -> float:
-    margins = signs * (X @ w + b)
-    return 0.5 / C * float(w @ w) + float(np.logaddexp(0.0, -margins).sum())
-
-
 def fit_logistic(
     X: np.ndarray,
     y: np.ndarray,
@@ -240,7 +235,8 @@ def fit_logistic(
             for _ in range(60):
                 cand_w = w + t * step[:d]
                 cand_b = b + t * step[d]
-                if _loss_only(cand_w, cand_b, X, signs, C) <= loss + 1e-4 * t * slope:
+                cand_loss = logistic_loss_and_gradient(cand_w, cand_b, X, y, C)[0]
+                if cand_loss <= loss + 1e-4 * t * slope:
                     break
                 t *= 0.5
         w = w + t * step[:d]

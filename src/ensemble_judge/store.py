@@ -11,10 +11,10 @@ Loading keeps a columnar table, not records: each row's label code,
 confidence, confidence-source code and byte offset, and an index of the
 rows' key digests (:func:`key_digest`, 16 bytes each) held as one sorted
 array, which :meth:`CacheStore.rows` searches with ``np.searchsorted``.
-A row's full output (rationale, raw generation) is re-read from the file
-only when :meth:`CacheStore.get` or a repeated key asks for it. Every read
-of a line, the first and each re-read, goes through :func:`_parse_line`,
-which holds all of a line's rules.
+A row's full line (rationale, raw generation) is re-read from the file
+only to compare it with a repeated key's line or a re-put output. Every
+read of a line, the first and each re-read, goes through
+:func:`_parse_line`, which holds all of a line's rules.
 
 The writer saves that table next to the cache as a derived snapshot
 (``cache.jsonl.table``), stamped with the sha256 of the cache bytes it
@@ -35,9 +35,9 @@ import sys
 from array import array
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, NamedTuple, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -65,9 +65,6 @@ _LENS_NAMES = {lens: lens.value for lens in Lens}
 _LABEL_CODES = {label.as_string(): int(label) for label in SentimentLabel}
 _SOURCE_BY_VALUE = {source.value: code for source, code in _SOURCE_CODES.items()}
 
-# An output's identity, in CacheKey field order.
-_OUTPUT_IDENTITY = attrgetter("disclosure_id", "agent", "model_name", "prompt_hash", "seed")
-
 # The index's digest type: fixed-width bytes, compared and sorted as raw bytes.
 DIGEST = np.dtype("S16")
 
@@ -82,25 +79,6 @@ def key_digest(
         f"{len(prompt_hash)}:{prompt_hash}{seed}"
     ).encode("utf-8", "surrogatepass")
     return hashlib.blake2b(encoded, digest_size=16).digest()
-
-
-class CacheKey(NamedTuple):
-    """A cache line's key fields; the table finds its row by :meth:`digest`."""
-
-    disclosure_id: str
-    lens: Lens
-    model_name: str
-    prompt_hash: str
-    seed: int
-
-    @classmethod
-    def for_output(cls, output: AgentOutput) -> "CacheKey":
-        return cls(*_OUTPUT_IDENTITY(output))
-
-    def digest(self) -> bytes:
-        return key_digest(
-            self.disclosure_id, _LENS_NAMES[self.lens], self.model_name, self.prompt_hash, self.seed
-        )
 
 
 # Each enum value's JSON string, encoded once: ``Enum.value`` is a
@@ -162,12 +140,12 @@ def _payload(output: AgentOutput) -> tuple:
     )
 
 
-def _output(payload: tuple) -> AgentOutput:
-    """The output a :func:`_parse_line` payload holds."""
-    disclosure_id, lens, label, confidence, rationale, source, *provenance = payload
-    return AgentOutput(
-        disclosure_id, _LENS_BY_VALUE[lens], SentimentLabel(label), confidence, rationale,
-        _SOURCES[source], *provenance,
+def _key_fields(payload: tuple) -> str:
+    """The key fields of a :func:`_parse_line` payload, named, for an error message."""
+    disclosure_id, lens, *_, model_name, prompt_hash, seed, _raw_json, _retry_count = payload
+    return (
+        f"disclosure_id={disclosure_id!r}, lens={lens!r}, model_name={model_name!r}, "
+        f"prompt_hash={prompt_hash!r}, seed={seed!r}"
     )
 
 
@@ -272,7 +250,7 @@ def _read_snapshot(path: Path, cache: Path) -> tuple | None:
 
 
 class CacheStore:
-    """Single-writer, multi-reader JSONL store keyed by :class:`CacheKey`.
+    """Single-writer, multi-reader JSONL store keyed by :func:`key_digest`.
 
     A read-only store never opens a write handle, takes no lock and never
     changes the file. A writable store holds an exclusive ``flock`` from
@@ -365,7 +343,7 @@ class CacheStore:
                 else:
                     raise CacheIntegrityError(
                         f"{self.path}: conflicting payloads for key "
-                        f"{CacheKey.for_output(_output(payload))} at byte offset {offset}"
+                        f"({_key_fields(payload)}) at byte offset {offset}"
                     )
                 offset += len(line)
             else:
@@ -457,11 +435,6 @@ class CacheStore:
         confidences = np.array(self._confidences, dtype=np.float64)[rows]
         return labels, confidences
 
-    def get(self, key: CacheKey) -> AgentOutput | None:
-        """The output stored under ``key``, or None."""
-        row = self._find(key.digest())
-        return None if row is None else _output(self._payload_at(row))
-
     def put(self, output: AgentOutput) -> None:
         """Durably append ``output`` under its key, stamped with the current
         time; re-putting an identical payload is a no-op."""
@@ -473,9 +446,10 @@ class CacheStore:
         )
         row = self._find(digest)
         if row is not None:
-            if self._payload_at(row) != _payload(output):
+            payload = _payload(output)
+            if self._payload_at(row) != payload:
                 raise CacheIntegrityError(
-                    f"key already stored with a different payload: {CacheKey.for_output(output)}"
+                    f"key already stored with a different payload: {_key_fields(payload)}"
                 )
             return
         data = _cache_line(output, datetime.now(timezone.utc).isoformat()).encode("utf-8")
@@ -493,6 +467,9 @@ class CacheStore:
         if self._fh is not None:
             self._fh.flush()
             os.fsync(self._fh.fileno())
+
+    # ``perfbench/traced_stage.py`` wraps this name for a span; no stage calls it.
+    get = rows
 
     def missing(self, digests: Sequence[bytes] | np.ndarray) -> np.ndarray:
         """Positions of the key digests with no stored record; empty means

@@ -3,8 +3,9 @@
 The pipeline builds features, votes and regimes for whole splits at once
 (``features.feature_matrix``, ``evaluation.regimes`` and
 ``evaluation.evaluate_judgments`` over ``(n, 3)`` label-code and confidence
-blocks), draws the stub agents' noise a chunk of pairs at a time and writes
-each cache line field by field.
+blocks), keys the cache by digests of pairs whose prompts it never renders,
+draws the stub agents' noise a chunk of pairs at a time and writes each
+cache line field by field.
 These are the same rules written one item at a time, in the plainest form,
 so tests can compare the two; no production code calls them.
 """
@@ -13,18 +14,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from datetime import datetime
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ensemble_judge.agents import render_prompt
+from ensemble_judge import store
+from ensemble_judge.agents import AgentSpec, render_prompt
 from ensemble_judge.domain import (
+    FEAT_COUNTS,
+    FEAT_GAP,
+    FEAT_TOP_AGENT,
+    FEATURE_DIM,
     LENS_ORDER,
     AgentOutput,
     ConfidenceSource,
     DisclosureRecord,
-    FeatureVector,
     Lens,
     SentimentLabel,
 )
@@ -77,6 +83,30 @@ def confidence_gap(confidences: Sequence[float]) -> float:
         raise ValueError("expected exactly three confidences")
     top, second = sorted(confidences, reverse=True)[:2]
     return top - second
+
+
+def check_feature_matrix(X: np.ndarray) -> None:
+    """The feature-vector invariants, checked on every row of ``X`` at once."""
+    if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
+        raise ValueError(f"feature rows must have {FEATURE_DIM} entries, got shape {X.shape}")
+    counts = X[:, list(FEAT_COUNTS)]
+    if ((counts < 0) | (counts != np.floor(counts))).any() or (counts.sum(axis=1) != 3).any():
+        raise ValueError("label counts must be nonnegative integers summing to 3")
+    indicators = np.sort(X[:, list(FEAT_TOP_AGENT)], axis=1)
+    if (indicators != [0.0, 0.0, 1.0]).any():
+        raise ValueError("exactly one most-confident indicator must be set")
+    if (X[:, FEAT_GAP] < 0).any():
+        raise ValueError("confidence gap must be nonnegative")
+
+
+@dataclass(frozen=True)
+class FeatureVector:
+    """The 15-dimensional joint-agent feature vector of one disclosure."""
+
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        check_feature_matrix(np.array([self.values], dtype=np.float64))
 
 
 def build_features(outputs: Sequence[AgentOutput]) -> FeatureVector:
@@ -195,6 +225,52 @@ def confusion_from_pairs(y_true: Sequence[int], y_pred: Sequence[int]) -> Confus
         else:
             fn += 1
     return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
+
+
+# The cache-key oracle: a pair's key fields, from its rendered prompt.
+
+
+class CacheKey(NamedTuple):
+    """A cache line's key fields; the store indexes its row by :meth:`digest`."""
+
+    disclosure_id: str
+    lens: Lens
+    model_name: str
+    prompt_hash: str
+    seed: int
+
+    @classmethod
+    def for_output(cls, output: AgentOutput) -> "CacheKey":
+        return cls(
+            output.disclosure_id, output.agent, output.model_name, output.prompt_hash, output.seed
+        )
+
+    def digest(self) -> bytes:
+        # Looked up on the module at each call, so a test can patch it there.
+        return store.key_digest(
+            self.disclosure_id, self.lens.value, self.model_name, self.prompt_hash, self.seed
+        )
+
+
+def expected_cache_keys(
+    records: Iterable[DisclosureRecord], specs: Sequence[AgentSpec], seed: int
+) -> list[CacheKey]:
+    """One key per (disclosure, agent) pair, record-major, from each rendered prompt."""
+    return [
+        CacheKey(
+            record.id, spec.lens, spec.model_name,
+            prompt_hash(render_prompt(spec.lens, record.clean_text)), seed,
+        )
+        for record in records
+        for spec in specs
+    ]
+
+
+def stored_payload(cache: store.CacheStore, key: CacheKey) -> tuple | None:
+    """The payload of the line ``cache`` holds under ``key``, re-read from the
+    file through ``store._parse_line``; None when no line has that key."""
+    (row,) = cache.rows([key.digest()]).tolist()
+    return None if row < 0 else cache._payload_at(row)
 
 
 # The cache-line oracle: a cache line is the JSON of these nested dicts,

@@ -280,14 +280,14 @@ class TestCriterion7SyntheticOrdering:
     @criterion(7, "stub agent errors are close to cross-lens independent")
     def test_cross_lens_error_correlation(self, synth_pipeline):
         workdir = synth_pipeline["workdir"]
-        from ensemble_judge.agents import expected_cache_keys
         from ensemble_judge.config import load_config
         from ensemble_judge.pipeline import load_prepared
+        from tests.oracles import expected_cache_keys
 
         config = load_config(synth_pipeline["config"])
         records = load_prepared(workdir / "prepared.jsonl")
         # Record-major, one column per lens in the fixed agent order.
-        keys = expected_cache_keys(records, config.agent_specs(), config.decoding())
+        keys = expected_cache_keys(records, config.agent_specs(), config.decoding().seed)
         with CacheStore(workdir / "cache.jsonl", readonly=True) as store:
             rows = store.rows([key.digest() for key in keys])
             assert (rows >= 0).all()

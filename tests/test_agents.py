@@ -21,7 +21,6 @@ from ensemble_judge.agents import (
     ViolationCategory,
     clip_confidence,
     confidence_from_logprobs,
-    expected_cache_keys,
     extract_json_object,
     label_logprobs_for_span,
     parse_output,
@@ -29,6 +28,7 @@ from ensemble_judge.agents import (
     run_agent,
 )
 from ensemble_judge.domain import ConfidenceSource, DisclosureRecord, Lens, SentimentLabel
+from ensemble_judge.ingest import PreparedKeys
 from tests.conftest import agent_json, completion_body
 from tests.oracles import prompt_hash
 
@@ -173,6 +173,28 @@ class TestParseOutput:
         with pytest.raises(SchemaViolation) as exc:
             parse_output(raw('{"label":"positive","rationale":"r","confidence":NaN}'))
         assert exc.value.category is ViolationCategory.BAD_CONFIDENCE
+
+    def test_integer_confidence_too_large_for_a_float(self):
+        text = '{"label":"positive","rationale":"r","confidence":%s}' % ("9" * 401)
+        with pytest.raises(SchemaViolation) as exc:
+            parse_output(raw(text))
+        assert exc.value.category is ViolationCategory.BAD_CONFIDENCE
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Past Python's 4,300-digit limit for reading an integer.
+            '{"label":"positive","rationale":"r","confidence":%s}' % ("9" * 5000),
+            # Past the recursion limit of the JSON reader.
+            '{"label":%s"positive"%s,"rationale":"r","confidence":0.5}'
+            % ("[" * 100_000, "]" * 100_000),
+        ],
+        ids=["confidence-of-5000-digits", "label-nested-100000-deep"],
+    )
+    def test_object_python_cannot_read_is_no_json(self, text):
+        with pytest.raises(SchemaViolation) as exc:
+            parse_output(raw(text))
+        assert exc.value.category is ViolationCategory.NO_JSON
 
     def test_label_span_covers_value(self):
         text = 'note {"label": "positive", "rationale": "r", "confidence": 0.5}'
@@ -361,8 +383,14 @@ class TestRunAgentProtocol:
 
     @pytest.mark.parametrize(
         "bad_entry",
-        [{"logprob": float("nan")}, {"logprob": None}, {"token": None}, {"token": 5}],
-        ids=["nan", "None", "token-null", "token-5"],
+        [
+            {"logprob": float("nan")},
+            {"logprob": None},
+            {"token": None},
+            {"token": 5},
+            {"logprob": -(10**400)},
+        ],
+        ids=["nan", "None", "token-null", "token-5", "too-large-for-a-float"],
     )
     def test_degenerate_logprobs_fall_back_to_self_reported(self, chat_endpoint, bad_entry):
         content = agent_json("positive", confidence=0.8)
@@ -371,6 +399,12 @@ class TestRunAgentProtocol:
         out = run_agent(spec_for(ep.url), DECODING, disclosure(), client=_client(ep))
         assert out.confidence_source is ConfidenceSource.SELF_REPORTED
         assert out.confidence == pytest.approx(0.8)
+
+    def test_envelope_nested_past_the_recursion_limit_is_a_transport_error(self, chat_endpoint):
+        body = '{"choices": %s}' % ("[" * 100_000 + "]" * 100_000)
+        ep = chat_endpoint(lambda prompt, i: (200, body))
+        with pytest.raises(TransportError, match="malformed chat-completions envelope"):
+            run_agent(spec_for(ep.url), DECODING, disclosure(), client=_client(ep))
 
     def test_pure_function_of_inputs_for_deterministic_server(self, chat_endpoint):
         content = agent_json("positive", confidence=0.8)
@@ -394,20 +428,21 @@ def _client(ep):
 
 
 class TestExpectedCacheKeys:
+    """The cache-key digests the pipeline derives, one per (disclosure, agent) pair."""
+
     def test_one_key_per_pair(self):
         records = [disclosure("a"), disclosure("b", clean="Different text.")]
         specs = [spec_for("http://x", lens=lens) for lens in Lens]
-        keys = expected_cache_keys(records, specs, DECODING)
-        assert len(keys) == 6
-        assert len({(k.disclosure_id, k.lens) for k in keys}) == 6
+        keys = PreparedKeys.of(records, specs, DECODING.seed).keys
+        assert keys.shape == (2, 3)
+        assert len(set(keys.ravel().tolist())) == 6
 
     def test_prompt_change_invalidates(self):
-        records_a = [disclosure("a", clean="Old text")]
-        records_b = [disclosure("a", clean="New text")]
         specs = [spec_for("http://x")]
-        (key_a,) = expected_cache_keys(records_a, specs, DECODING)
-        (key_b,) = expected_cache_keys(records_b, specs, DECODING)
-        assert key_a.prompt_hash != key_b.prompt_hash
+        old = PreparedKeys.of([disclosure("a", clean="Old text")], specs, DECODING.seed)
+        new = PreparedKeys.of([disclosure("a", clean="New text")], specs, DECODING.seed)
+        assert old.prompt_hash(0, 0) != new.prompt_hash(0, 0)
+        assert old.keys[0, 0] != new.keys[0, 0]
 
 
 class TestRunAgentKeepsTheLastGeneration:

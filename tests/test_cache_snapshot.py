@@ -21,11 +21,10 @@ from ensemble_judge.domain import AgentOutput, ConfidenceSource, Lens, Sentiment
 from ensemble_judge.store import (
     CacheCorruptionError,
     CacheIntegrityError,
-    CacheKey,
     CacheStore,
 )
 from tests.conftest import make_output
-from tests.oracles import cache_line
+from tests.oracles import CacheKey, cache_line, stored_payload
 
 # Ids with tabs, newlines and non-ASCII characters; a small alphabet makes
 # repeated keys likely.
@@ -184,7 +183,7 @@ def _observe(path: Path, keys: list[CacheKey], readonly: bool, put: AgentOutput 
                 rows.tolist(),
                 labels.tolist(),
                 confidences.tolist(),
-                [store.get(key) for key in keys],
+                [stored_payload(store, key) for key in keys],
                 store.missing(digests).tolist(),
                 store._end,
                 # The whole table: the digest index and every column, not
@@ -293,7 +292,7 @@ def test_a_restamped_snapshot_with_a_bad_value_gives_the_full_parse(tmp_path, co
     errors = []
     for _ in ("with the snapshot", "without it"):
         with pytest.raises(CacheCorruptionError) as raised:
-            CacheStore(path, readonly=True)  # the open alone: get would re-read the line
+            CacheStore(path, readonly=True)  # the open alone: a lookup would re-read the line
         errors.append(str(raised.value))
         _snapshot(path).unlink(missing_ok=True)
     assert errors == 2 * [

@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 from ensemble_judge.domain import (
     AgentOutput,
     ConfidenceSource,
-    FeatureVector,
     Lens,
     SentimentLabel,
     target_from_return,
 )
 from tests.conftest import make_output
-from tests.oracles import binarize_label
+from tests.oracles import FeatureVector, binarize_label
 
 
 class TestSentimentLabel:

@@ -1,28 +1,24 @@
 import json
-from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensemble_judge.config import EvalConfig
-from ensemble_judge.domain import (
-    FEATURE_DIM,
-    DisclosureRecord,
-    SentimentLabel,
-)
+from ensemble_judge.domain import FEATURE_DIM, SentimentLabel, target_from_return
 from ensemble_judge.evaluation import (
-    ConfusionMatrix,
     METHOD_NAMES,
+    REGIMES,
+    ConfusionMatrix,
     Regime,
-    evaluate_split,
+    evaluate_judgments,
     metrics,
-    regime_of,
+    regimes,
     write_report,
 )
 from ensemble_judge.meta import MetaModel, OptimizerReport, Standardizer
-from tests.conftest import make_triple
 from tests.oracles import confusion_from_pairs
 
 L = SentimentLabel
@@ -88,28 +84,33 @@ class TestMetrics:
         assert original.balanced_accuracy == pytest.approx(mirrored.balanced_accuracy, abs=1e-12)
 
 
+def regime_of(labels, confidences, delta):
+    """:func:`regimes` of one disclosure, as a :class:`Regime`."""
+    codes = regimes(np.array([labels]), np.array([confidences], dtype=np.float64), delta)
+    return REGIMES[codes[0]]
+
+
 class TestRegimeOf:
     def test_unanimous(self):
-        assert regime_of(make_triple([1, 1, 1], [0.1, 0.2, 0.9]), EVAL.delta) is Regime.UNANIMOUS
+        assert regime_of([1, 1, 1], [0.1, 0.2, 0.9], EVAL.delta) is Regime.UNANIMOUS
 
     def test_split_dominant_hand_case(self):
-        got = regime_of(make_triple([1, 1, -1], [0.9, 0.6, 0.3]), EVAL.delta)
+        got = regime_of([1, 1, -1], [0.9, 0.6, 0.3], EVAL.delta)
         assert got is Regime.SPLIT_DOMINANT
 
     def test_all_distinct_is_high_conflict(self):
-        assert regime_of(make_triple([1, 0, -1], [0.9, 0.1, 0.1]), EVAL.delta) is Regime.HIGH_CONFLICT
+        assert regime_of([1, 0, -1], [0.9, 0.1, 0.1], EVAL.delta) is Regime.HIGH_CONFLICT
 
     def test_split_with_confident_dissenter_is_high_conflict(self):
-        got = regime_of(make_triple([1, 1, -1], [0.4, 0.3, 0.9]), EVAL.delta)
+        got = regime_of([1, 1, -1], [0.4, 0.3, 0.9], EVAL.delta)
         assert got is Regime.HIGH_CONFLICT
 
     def test_split_below_gap_threshold_is_high_conflict(self):
-        got = regime_of(make_triple([1, 1, -1], [0.62, 0.6, 0.58]), delta=0.1)
+        got = regime_of([1, 1, -1], [0.62, 0.6, 0.58], delta=0.1)
         assert got is Regime.HIGH_CONFLICT
 
     def test_gap_threshold_is_configurable(self):
-        triple = make_triple([1, 1, -1], [0.62, 0.6, 0.58])
-        assert regime_of(triple, delta=0.01) is Regime.SPLIT_DOMINANT
+        assert regime_of([1, 1, -1], [0.62, 0.6, 0.58], delta=0.01) is Regime.SPLIT_DOMINANT
 
     @given(
         st.lists(st.sampled_from([-1, 0, 1]), min_size=3, max_size=3),
@@ -118,20 +119,9 @@ class TestRegimeOf:
     )
     @settings(max_examples=200, deadline=None)
     def test_permutation_invariant(self, labels, confs, perm):
-        base = regime_of(make_triple(labels, confs), EVAL.delta)
-        permuted = regime_of(make_triple([labels[i] for i in perm], [confs[i] for i in perm]), EVAL.delta)
+        base = regime_of(labels, confs, EVAL.delta)
+        permuted = regime_of([labels[i] for i in perm], [confs[i] for i in perm], EVAL.delta)
         assert base is permuted
-
-
-def _record(rid, ret, day):
-    return DisclosureRecord(
-        id=rid,
-        timestamp=datetime(2022, 1, 1, tzinfo=timezone.utc) + timedelta(days=day),
-        ticker="T",
-        raw_text="x",
-        clean_text="x",
-        next_day_return=ret,
-    )
 
 
 def _identity_model():
@@ -147,55 +137,50 @@ def _identity_model():
 
 
 class TestEvaluateSplit:
-    def _world(self):
-        records = [
-            _record("a", 0.02, 0),
-            _record("b", -0.01, 1),
-            _record("c", 0.005, 2),
-            _record("d", -0.02, 3),
-        ]
-        patterns = {
-            "a": make_triple([1, 1, 1], [0.9, 0.8, 0.7], disclosure_id="a"),
-            "b": make_triple([-1, -1, 1], [0.8, 0.6, 0.2], disclosure_id="b"),
-            "c": make_triple([1, 0, -1], [0.5, 0.9, 0.4], disclosure_id="c"),
-            "d": make_triple([0, 0, -1], [0.2, 0.3, 0.8], disclosure_id="d"),
-        }
-        outputs = {rid: {o.agent: o for o in triple} for rid, triple in patterns.items()}
-        return records, outputs
+    """:func:`evaluate_judgments` on a four-disclosure split."""
+
+    # id: (next-day return, agent label codes, agent confidences)
+    WORLD = {
+        "a": (0.02, [1, 1, 1], [0.9, 0.8, 0.7]),
+        "b": (-0.01, [-1, -1, 1], [0.8, 0.6, 0.2]),
+        "c": (0.005, [1, 0, -1], [0.5, 0.9, 0.4]),
+        "d": (-0.02, [0, 0, -1], [0.2, 0.3, 0.8]),
+    }
+
+    def _report(self, sensitivity_deltas=EVAL.sensitivity_deltas):
+        returns, labels, confidences = zip(*self.WORLD.values())
+        return evaluate_judgments(
+            list(self.WORLD),
+            np.array([target_from_return(r) for r in returns]),
+            np.array(labels),
+            np.array(confidences, dtype=np.float64),
+            _identity_model(),
+            EVAL.delta,
+            sensitivity_deltas,
+        )
 
     def test_report_has_six_method_rows(self):
-        records, outputs = self._world()
-        report = evaluate_split(records, outputs, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas)
+        report = self._report()
         assert tuple(report.method_metrics) == METHOD_NAMES
         assert len(report.method_metrics) == 6
 
     def test_regime_counts_partition_test_size(self):
-        records, outputs = self._world()
-        report = evaluate_split(records, outputs, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas)
+        report = self._report()
         assert sum(report.regime_counts.values()) == report.test_size == 4
 
-    def test_missing_outputs_rejected(self):
-        records, outputs = self._world()
-        del outputs["c"]
-        with pytest.raises(KeyError, match="'c'"):
-            evaluate_split(records, outputs, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas)
-
     def test_corrections_list_aggregator_over_vote(self):
-        records, outputs = self._world()
-        report = evaluate_split(records, outputs, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas)
+        report = self._report()
         for rid in report.corrections:
-            assert rid in {r.id for r in records}
+            assert rid in self.WORLD
 
     def test_delta_sensitivity_block(self):
-        records, outputs = self._world()
-        report = evaluate_split(records, outputs, _identity_model(), EVAL.delta, (0.05, 0.2))
+        report = self._report((0.05, 0.2))
         assert set(report.delta_sensitivity) == {"0.05", "0.2"}
         for block in report.delta_sensitivity.values():
             assert sum(entry["count"] for entry in block.values()) == 4
 
     def test_report_files_round_trip(self, tmp_path):
-        records, outputs = self._world()
-        report = evaluate_split(records, outputs, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas)
+        report = self._report()
         jp, tp_ = tmp_path / "report.json", tmp_path / "report.txt"
         write_report(report, jp, tp_)
         loaded = json.loads(jp.read_text())
@@ -205,5 +190,8 @@ class TestEvaluateSplit:
         assert "aggregator" in text and "Balanced accuracy by agreement regime" in text
 
     def test_empty_split_rejected(self):
+        empty = np.empty((0, 3))
         with pytest.raises(ValueError):
-            evaluate_split([], {}, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas)
+            evaluate_judgments(
+                [], np.empty(0), empty, empty, _identity_model(), EVAL.delta, EVAL.sensitivity_deltas
+            )

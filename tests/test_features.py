@@ -18,12 +18,12 @@ from ensemble_judge.domain import (
     SentimentLabel,
 )
 from ensemble_judge.features import (
-    build_features,
     confidence_gaps,
     feature_matrix,
     majority_labels,
 )
 from tests.conftest import make_output, make_triple
+from tests.oracles import build_features
 
 L = SentimentLabel
 
@@ -49,6 +49,11 @@ def most_confident_agent(confidences):
 
 def confidence_gap(confidences):
     return float(confidence_gaps(_confidences(confidences))[0])
+
+
+def features(labels, confidences):
+    codes = np.array([labels], dtype=np.int64)
+    return feature_matrix(codes, _confidences(confidences))[0].tolist()
 
 
 class TestMajorityLabel:
@@ -90,9 +95,11 @@ class TestConfidenceGap:
 
 
 class TestBuildFeatures:
+    """The layout on the array path; the input rules for one disclosure's
+    outputs on the reference rule, which takes them in any order."""
+
     def test_unanimous_positive_layout(self):
-        fv = build_features(make_triple([1, 1, 1], [0.8, 0.7, 0.6]))
-        v = list(fv.values)
+        v = features([1, 1, 1], [0.8, 0.7, 0.6])
         assert [v[i] for i in FEAT_LABELS] == [1.0, 1.0, 1.0]
         assert [v[i] for i in FEAT_CONFS] == [0.8, 0.7, 0.6]
         assert v[FEAT_MAJORITY] == 1.0
@@ -102,8 +109,7 @@ class TestBuildFeatures:
         assert [v[i] for i in FEAT_TOP_AGENT] == [1.0, 0.0, 0.0]
 
     def test_all_distinct_layout_with_fallback_majority(self):
-        fv = build_features(make_triple([1, 0, -1], [0.3, 0.9, 0.5]))
-        v = list(fv.values)
+        v = features([1, 0, -1], [0.3, 0.9, 0.5])
         assert [v[i] for i in FEAT_LABELS] == [1.0, 0.0, -1.0]
         assert v[FEAT_MAJORITY] == 0.0  # most confident agent is guidance
         assert [v[i] for i in FEAT_COUNTS] == [1.0, 1.0, 1.0]
@@ -139,7 +145,7 @@ class TestBuildFeatures:
     )
     @settings(max_examples=200, deadline=None)
     def test_structural_invariants(self, labels, confs):
-        v = list(build_features(make_triple(labels, confs)).values)
+        v = features(labels, confs)
         assert len(v) == FEATURE_DIM
         counts = [v[i] for i in FEAT_COUNTS]
         assert sum(counts) == 3.0 and all(c == int(c) >= 0 for c in counts)
@@ -154,12 +160,10 @@ class TestBuildFeatures:
     )
     @settings(max_examples=200, deadline=None)
     def test_permutation_invariance_of_symmetric_features(self, labels, confs, perm):
-        base = list(build_features(make_triple(labels, confs)).values)
-        permuted_labels = [labels[i] for i in perm]
-        permuted_confs = [confs[i] for i in perm]
+        base = features(labels, confs)
         # permuting (label, confidence) pairs across agents leaves the
         # symmetric features unchanged
-        other = list(build_features(make_triple(permuted_labels, permuted_confs)).values)
+        other = features([labels[i] for i in perm], [confs[i] for i in perm])
         for idx in (*FEAT_COUNTS, FEAT_GAP):
             assert other[idx] == pytest.approx(base[idx], abs=1e-12)
 

@@ -87,6 +87,12 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_corpus(p)
 
+    def test_line_nested_past_the_recursion_limit_names_line_number(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text(corpus_line(0) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(CorpusFormatError, match="line 2: malformed JSON"):
+            load_corpus(p)
+
     def test_extra_key_rejected(self, tmp_path):
         obj = json.loads(corpus_line(0))
         obj["sector"] = "tech"

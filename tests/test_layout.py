@@ -9,16 +9,18 @@ write path elsewhere would bypass the crash guarantees or the line writers
 without failing any behavioural test, so these tests read the source
 instead. For the same
 reason they check that the package imports nothing from ``tests``, defines
-nothing that only tests use, that the per-disclosure functions the
-benchmark wraps reach the array path instead of holding a rule of their own,
-that only the disclosure-line reader and the generator build records,
-that only ``store._parse_line`` parses a cache line, and that no stage
-parses a feature file.
+nothing that only tests use, that the names the benchmark wraps and no
+stage calls are the array functions themselves, that only the
+disclosure-line reader and the generator build records, that only
+``store._parse_line`` parses a cache line, and that no stage parses a
+feature file.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -262,25 +264,22 @@ def test_every_definition_has_a_live_user():
     assert _dead_definitions() == []
 
 
-# Adapter guard. The benchmark wraps these per-disclosure names by name, so
-# each must call the array function the pipeline runs; a rule of its own
-# would be a second implementation that no stage uses.
-ADAPTERS = [
+# Alias guard. The benchmark wraps these names for its spans, and no stage
+# calls them: each must be the array function the pipeline runs, so that no
+# second implementation hides behind the name.
+BENCHMARK_ALIASES = [
     ("features", "build_features", "feature_matrix"),
     ("evaluation", "regime_of", "regimes"),
     ("evaluation", "evaluate_split", "evaluate_judgments"),
+    ("agents", "expected_cache_keys", "prompt_digests"),
+    ("store", "CacheStore.get", "CacheStore.rows"),
 ]
 
 
-@pytest.mark.parametrize("module, adapter, core", ADAPTERS)
-def test_benchmark_adapters_call_the_array_path(module, adapter, core):
-    (fn,) = [
-        stmt
-        for stmt in _tree(PACKAGE / f"{module}.py").body
-        if isinstance(stmt, FUNCTIONS) and stmt.name == adapter
-    ]
-    called = {_name(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
-    assert core in called
+@pytest.mark.parametrize("module, alias, function", BENCHMARK_ALIASES)
+def test_benchmark_aliases_are_the_array_functions(module, alias, function):
+    owner = importlib.import_module(f"ensemble_judge.{module}")
+    assert attrgetter(alias)(owner) is attrgetter(function)(owner)
 
 
 # Format guard. A disclosure line is parsed by the one reader in
@@ -292,8 +291,8 @@ CALLERS_ALLOWED = [
     ("target_from_return", {"domain.py"}),
     # Prompts are rendered only to be sent; digests come from prompt_digests.
     ("render_prompt", {"agents.py"}),
-    # Outputs come from an agent, a stub agent or a cache line, read by store.py.
-    ("AgentOutput", {"agents.py", "synth.py", "store.py"}),
+    # Outputs come from an agent or a stub agent; the cache holds their values.
+    ("AgentOutput", {"agents.py", "synth.py"}),
 ]
 
 

@@ -24,17 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensemble_judge import agents, ingest, pipeline
-from ensemble_judge.agents import (
-    AgentSpec,
-    DecodingConfig,
-    expected_cache_keys,
-    prompt_digests,
-    render_prompt,
-)
+from ensemble_judge.agents import AgentSpec, prompt_digests, render_prompt
 from ensemble_judge.cli import main
 from ensemble_judge.domain import LENS_ORDER, DisclosureRecord, Lens
 from ensemble_judge.ingest import PreparedKeys, load_prepared, read_key_table, write_prepared
-from tests.oracles import prompt_hash
+from tests.oracles import expected_cache_keys, prompt_hash
 
 texts = st.lists(
     st.sampled_from(["a", "é", "✓", " ", "\n", '"', "<DISCLOSURE>"]), min_size=1, max_size=8
@@ -109,7 +103,7 @@ def test_table_path_equals_the_full_parse(records, specs, seed):
         assert table is not None and _same(table, full)
 
         # The oracle: the keys and prompt hashes of the rendered prompts.
-        keys = expected_cache_keys(parsed, specs, DecodingConfig(seed, 8))
+        keys = expected_cache_keys(parsed, specs, seed)
         assert full.keys.tobytes() == b"".join(key.digest() for key in keys)
         assert full.prompts.tobytes() == b"".join(bytes.fromhex(key.prompt_hash) for key in keys)
         hashes = sorted(key.prompt_hash for key in keys)

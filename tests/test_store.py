@@ -15,17 +15,21 @@ from ensemble_judge.domain import AgentOutput, ConfidenceSource, Lens, Sentiment
 from ensemble_judge.store import (
     CacheCorruptionError,
     CacheIntegrityError,
-    CacheKey,
     CacheStore,
     _parse_line,
     _payload,
 )
 from tests.conftest import make_output
-from tests.oracles import cache_line, line_to_dict, prompt_hash
+from tests.oracles import CacheKey, cache_line, line_to_dict, prompt_hash, stored_payload
 
 
 def digests(keys):
     return [key.digest() for key in keys]
+
+
+def stored(store, output):
+    """The payload ``store`` holds under ``output``'s key, or None."""
+    return stored_payload(store, CacheKey.for_output(output))
 
 
 def key_for(i=0, lens=Lens.PERFORMANCE):
@@ -50,11 +54,11 @@ class TestPutGet:
         with CacheStore(tmp_path / "cache.jsonl") as store:
             output = output_for()
             store.put(output)
-            assert store.get(CacheKey.for_output(output)) == output
+            assert stored(store, output) == _payload(output)
 
     def test_absent_key(self, tmp_path):
         with CacheStore(tmp_path / "cache.jsonl") as store:
-            assert store.get(key_for(99)) is None
+            assert stored_payload(store, key_for(99)) is None
 
     def test_idempotent_duplicate_is_noop(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -69,7 +73,7 @@ class TestPutGet:
     def test_conflicting_payload_is_integrity_error(self, tmp_path):
         with CacheStore(tmp_path / "cache.jsonl") as store:
             store.put(output_for(label=SentimentLabel.POSITIVE))
-            with pytest.raises(CacheIntegrityError):
+            with pytest.raises(CacheIntegrityError, match="disclosure_id='d0', lens='performance'"):
                 store.put(output_for(label=SentimentLabel.NEGATIVE))
 
     def test_append_only_file_growth(self, tmp_path):
@@ -91,7 +95,7 @@ class TestPersistence:
                 store.put(output_for(i))
         with CacheStore(path) as store:
             assert len(store) == 3
-            assert store.get(CacheKey.for_output(output_for(1))) is not None
+            assert stored(store, output_for(1)) == _payload(output_for(1))
 
     def test_truncated_final_line_dropped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
@@ -212,7 +216,7 @@ class TestCrashTailRepair:
             store.put(output_for(4))
         with CacheStore(path) as store:
             assert len(store) == 5
-            assert store.get(CacheKey.for_output(output_for(2))) is not None
+            assert stored(store, output_for(2)) == _payload(output_for(2))
         assert path.read_bytes().startswith(raw)
 
     def test_resume_after_a_cut_at_every_byte_of_the_last_line(self, tmp_path):
@@ -227,7 +231,7 @@ class TestCrashTailRepair:
             with CacheStore(path, readonly=True) as store:
                 assert len(store) == 4, cut
                 for i in range(4):
-                    assert store.get(CacheKey.for_output(output_for(i))) is not None
+                    assert stored(store, output_for(i)) == _payload(output_for(i))
             assert path.read_bytes().startswith(raw[:last_start])
 
     def test_reader_never_modifies_the_file(self, tmp_path):
@@ -263,6 +267,17 @@ class TestLineChecks:
         first = (json.dumps(good) + "\n").encode()
         path.write_bytes(first + (json.dumps(bad) + "\n").encode())
         with pytest.raises(CacheIntegrityError, match=f"byte offset {len(first)}"):
+            CacheStore(path, readonly=True)
+
+    def test_conflicting_lines_name_the_key_and_the_byte_offset(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        first = _line_of(output_for(0))
+        path.write_bytes(first + _line_of(output_for(0), label="negative"))
+        key = (
+            "disclosure_id='d0', lens='performance', model_name='test-model', "
+            f"prompt_hash='{'0' * 64}', seed=42"
+        )
+        with pytest.raises(CacheIntegrityError, match=rf"\({key}\) at byte offset {len(first)}$"):
             CacheStore(path, readonly=True)
 
     @pytest.mark.parametrize(
@@ -340,7 +355,7 @@ class TestTable:
             got_labels, got_conf = store.judgments(rows[[0, 2]])
             assert got_labels.tolist() == [-1, 1]
             assert got_conf.tolist() == [0.1 * 3, 0.1]
-            assert [store.get(CacheKey.for_output(output)) for output in outputs] == outputs
+            assert [stored(store, o) for o in outputs] == list(map(_payload, outputs))
 
 
 class TestSingleWriter:
@@ -472,7 +487,7 @@ class TestDigestIndex:
         with CacheStore(path) as store:  # the index now comes from the snapshot
             assert store._covered == path.stat().st_size
             store.put(outputs[4])  # a no-op: found in the sorted index
-            assert [store.get(CacheKey.for_output(output)) for output in outputs] == outputs
+            assert [stored(store, o) for o in outputs] == list(map(_payload, outputs))
             assert store.rows(digests(map(CacheKey.for_output, outputs))).tolist() == list(range(9))
         assert len(path.read_bytes().splitlines()) == 9
 
@@ -481,13 +496,9 @@ class TestCacheBytesAndKeys:
     """The line ``put`` writes, and the key that finds it again, are pinned."""
 
     def test_put_writes_the_documented_bytes_and_expected_keys_find_the_row(self, tmp_path):
-        from ensemble_judge.agents import (
-            AgentSpec,
-            DecodingConfig,
-            expected_cache_keys,
-            render_prompt,
-        )
+        from ensemble_judge.agents import AgentSpec, DecodingConfig, render_prompt
         from ensemble_judge.domain import AgentOutput, ConfidenceSource, DisclosureRecord
+        from ensemble_judge.ingest import PreparedKeys
 
         disclosure = DisclosureRecord(
             id="d-é",
@@ -522,12 +533,13 @@ class TestCacheBytesAndKeys:
         created_at = datetime.fromisoformat(json.loads(path.read_bytes())["created_at"])
         assert path.read_bytes() == cache_line(output, created_at)
 
-        (key,) = expected_cache_keys([disclosure], [spec], decoding)
-        assert key == CacheKey.for_output(output)
+        # The pipeline's key digest of the pair, without rendering its prompt.
+        (digest,) = PreparedKeys.of([disclosure], [spec], decoding.seed).keys.ravel().tolist()
+        assert digest == CacheKey.for_output(output).digest()
         with CacheStore(path, readonly=True) as store:
-            assert store.rows([key.digest()]).tolist() == [0]
-            assert store.get(key) == output
-            assert store.missing([key.digest()]).tolist() == []
+            assert store.rows([digest]).tolist() == [0]
+            assert stored(store, output) == _payload(output)
+            assert store.missing([digest]).tolist() == []
 
 
 # Text JSON must escape or keep: quotes, backslashes, control characters,
@@ -583,4 +595,4 @@ def test_put_writes_the_oracle_bytes_for_any_output(outputs):
                 created_at = datetime.fromisoformat(json.loads(line)["created_at"])
                 assert line == cache_line(output, created_at)
                 assert _parse_line(line) == (CacheKey.for_output(output).digest(), _payload(output))
-                assert store.get(CacheKey.for_output(output)) == output
+                assert stored(store, output) == _payload(output)

@@ -1,17 +1,20 @@
 """The array path (feature matrix, votes, regimes, confusion counts) against
 the per-disclosure reference rules in ``tests/oracles.py``."""
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensemble_judge.evaluation import (
+    METHOD_NAMES,
     REGIMES,
     ConfusionMatrix,
     confidence_vote_predictions,
     evaluate_judgments,
-    evaluate_split,
     majority_vote_predictions,
+    metrics,
     regimes,
 )
 from ensemble_judge.features import (
@@ -28,6 +31,7 @@ from tests.oracles import (
     confusion_from_pairs,
     majority_vote_predict,
     regime_of,
+    single_agent_predict,
 )
 
 # A small pool makes exact confidence ties common; fallbacks are (0, 0.0).
@@ -84,24 +88,38 @@ def test_confusion_counts_match_from_pairs(pairs):
     assert ConfusionMatrix.from_arrays(y_true_a, y_pred_a) == confusion_from_pairs(y_true, y_pred)
 
 
-def test_evaluate_split_is_the_array_core():
-    records, outputs = test_evaluation.TestEvaluateSplit()._world()
-    labels, confidences = _blocks(
-        [[(int(o.label), o.confidence) for o in outputs[r.id].values()] for r in records]
-    )
+@given(triples, st.data())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_judgments_matches_scalar_oracles(rows, data):
+    """Each method's metrics, the regime counts and the corrections, scored
+    pair by pair from the reference rules."""
+    labels, confidences = _blocks(rows)
+    outputs = _outputs(rows)
+    targets = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    ids = [f"d{i}" for i in range(len(rows))]
     model = test_evaluation._identity_model()
-    via_outputs = evaluate_split(records, outputs, model, 0.1, (0.05, 0.2))
-    via_arrays = evaluate_judgments(
-        [r.id for r in records],
-        np.array([r.binary_target for r in records]),
-        labels,
-        confidences,
-        model,
-        0.1,
-        (0.05, 0.2),
-    )
-    assert via_outputs.to_json() == via_arrays.to_json()
-    assert via_outputs.render_text() == via_arrays.render_text()
+    report = evaluate_judgments(ids, np.array(targets), labels, confidences, model, 0.1, ())
+
+    predictions = {
+        name: [single_agent_predict(triple[i]) for triple in outputs]
+        for i, name in enumerate(METHOD_NAMES[:3])
+    }
+    predictions["majority_vote"] = [majority_vote_predict(triple) for triple in outputs]
+    predictions["confidence_vote"] = [confidence_vote_predict(triple) for triple in outputs]
+    X = np.array([build_features(triple).values for triple in outputs])
+    predictions["aggregator"] = model.predict_batch(X).tolist()
+    assert report.method_metrics == {
+        name: metrics(confusion_from_pairs(targets, predictions[name])) for name in METHOD_NAMES
+    }
+    found = Counter(regime_of(triple, delta=0.1).value for triple in outputs)
+    assert report.regime_counts == {regime.value: found[regime.value] for regime in REGIMES}
+    assert list(report.corrections) == [
+        rid
+        for rid, target, aggregator, vote in zip(
+            ids, targets, predictions["aggregator"], predictions["majority_vote"]
+        )
+        if aggregator == target != vote
+    ]
 
 
 def test_feature_file_round_trip(tmp_path):
