@@ -429,7 +429,7 @@ class ChatCompletionsClient:
 
     def _parse_response(self, data: bytes) -> RawGeneration:
         try:
-            body = json.loads(data)
+            body = json.loads(data, parse_int=_readable_int)
             choice = body["choices"][0]
             text = choice["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
@@ -439,9 +439,9 @@ class ChatCompletionsClient:
         if isinstance(logprobs, dict) and isinstance(logprobs.get("content"), list):
             # Some backends report logprobs a hair above zero; clamp to keep
             # the <= 0 invariant. A stream with missing, non-string,
-            # non-finite or float-overflowing entries is dropped wholesale so
-            # confidence falls back to the self-reported value instead of
-            # poisoning the geometric mean.
+            # non-finite, float-overflowing or unreadably long entries is
+            # dropped wholesale so confidence falls back to the self-reported
+            # value instead of poisoning the geometric mean.
             try:
                 entries = [
                     (entry["token"], min(float(entry["logprob"]), 0.0))
@@ -457,6 +457,15 @@ class ChatCompletionsClient:
             text=text if isinstance(text, str) else "",
             token_logprobs=token_logprobs,
         )
+
+
+def _readable_int(text: str) -> int | None:
+    """A JSON integer, or None past the integer string limit: one unreadable
+    number must not make the whole envelope malformed."""
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def run_agent(

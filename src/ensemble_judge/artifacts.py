@@ -66,10 +66,22 @@ def write_binary(path: str | Path, chunks: Iterable[bytes]) -> None:
 
     The chunks stream into a temporary file next to ``path``, which is
     fsynced and renamed over it; on any failure the temporary file is removed.
+    A temporary file of ``path`` left by a writer that was killed (its pid
+    no longer runs) is removed first.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    prefix = f".{path.name}."
+    for entry in os.scandir(path.parent):
+        pid = entry.name[len(prefix) : -len(".tmp")]
+        if entry.name.startswith(prefix) and entry.name.endswith(".tmp") and pid.isdecimal():
+            try:
+                os.kill(int(pid), 0)
+            except ProcessLookupError:
+                Path(entry.path).unlink(missing_ok=True)
+            except (OSError, OverflowError):  # alive under another user, or no pid at all
+                pass
+    tmp = path.with_name(f"{prefix}{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
             for chunk in chunks:
@@ -131,7 +143,7 @@ def read_stamped(path: str | Path, magic: bytes) -> tuple[dict, memoryview] | No
         return None
     try:
         header = json.loads(data[len(magic) : end].tobytes())
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     if not isinstance(header, dict):
         return None
@@ -156,8 +168,9 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     """``parse`` applied to each line's JSON object, in file order.
 
-    A line that is not JSON, or that ``parse`` rejects with ``KeyError``,
-    ``TypeError`` or ``ValueError``, raises :class:`ArtifactError`.
+    A line that is not JSON (nested past the recursion limit too), or that
+    ``parse`` rejects with ``KeyError``, ``TypeError`` or ``ValueError``,
+    raises :class:`ArtifactError`.
     """
     path = Path(path)
     parsed: list[T] = []
@@ -165,6 +178,6 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
         for lineno, line in enumerate(fh, start=1):
             try:
                 parsed.append(parse(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ArtifactError(f"{path}: malformed line {lineno}: {exc!r}") from None
     return parsed

@@ -177,7 +177,7 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
     def _resolve(p: str) -> Path:

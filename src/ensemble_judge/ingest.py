@@ -216,10 +216,6 @@ class PreparedKeys:
     def ids_at(self, rows: np.ndarray) -> list[str]:
         return [self.ids[row] for row in rows.tolist()]
 
-    def prompt_hash(self, row: int, column: int) -> str:
-        """The hex sha256 of one pair's prompt, as a cache key carries it."""
-        return self.prompts[row, column].tobytes().hex()
-
 
 def _key_table_path(prepared: Path) -> Path:
     return prepared.with_name(prepared.name + ".keys")

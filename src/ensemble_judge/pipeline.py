@@ -27,7 +27,7 @@ import numpy as np
 from .agents import AgentSpec, ChatCompletionsClient, run_agent
 from .artifacts import ArtifactError
 from .config import RunConfig
-from .domain import AgentOutput, ConfidenceSource, DisclosureRecord, Lens, Split
+from .domain import AgentOutput, DisclosureRecord, Lens, Split
 from .evaluation import EvalReport, evaluate_judgments, write_report
 from .features import feature_lines, feature_matrix, read_feature_file, write_feature_file
 from .ingest import (
@@ -43,8 +43,8 @@ from .ingest import (
     write_split,
 )
 from .meta import ConvergenceError, MetaModel, train_meta_model
-from .store import CacheStore
-from .synth import generate_corpus, load_latents, stub_outputs, write_latents
+from .store import CacheBlock, CacheStore
+from .synth import generate_corpus, read_latents, stub_blocks, write_latents
 
 T = TypeVar("T")
 
@@ -98,10 +98,11 @@ def stage_ingest(config: RunConfig) -> dict:
 
 
 def _load_checked(path: Path, load: Callable[[Path], T], what: str) -> T:
-    """``load(path)``, with a malformed file reported as :class:`ArtifactError`."""
+    """``load(path)``, with a malformed file (nested past the recursion limit
+    too) reported as :class:`ArtifactError`."""
     try:
         return load(path)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ArtifactError(f"{path}: malformed {what} file: {exc!r}") from None
 
 
@@ -149,25 +150,30 @@ def _split_rows(config: RunConfig, keys: PreparedKeys) -> dict[Split, np.ndarray
 HTTP_SYNC_EVERY = 256
 
 
-def _stub_outputs(
-    config: RunConfig, ids: set[str], todo: Iterable[tuple[str, Lens, str]]
-) -> Iterator[AgentOutput]:
-    """The stub agents' outputs for ``todo``'s ``(disclosure id, lens, prompt
-    digest)`` triples, whose disclosures have ``ids``."""
-    latents = load_latents(_require(config.latents_path, "latents sidecar"))
-    lacking = sorted(ids - latents.keys())
+def _stub_blocks(
+    config: RunConfig, keys: PreparedKeys, rows: np.ndarray, columns: np.ndarray
+) -> Iterator[CacheBlock]:
+    """The stub agents' judgments of the pairs (prepared row, spec column)."""
+    position, signals, seeds = read_latents(_require(config.latents_path, "latents sidecar"))
+    lacking = sorted({keys.ids[row] for row in rows.tolist()} - position.keys())
     if lacking:
         raise ArtifactError(
             f"{config.latents_path}: no latent signals for {len(lacking)} disclosures, "
             f"e.g. {lacking[:3]}"
         )
-    yield from stub_outputs(todo, latents, config.seed)
+    # Each prepared row's latents line; a row without one is never judged.
+    line = np.fromiter((position.get(rid, 0) for rid in keys.ids), np.int64, len(keys.ids))
+    yield from stub_blocks(
+        keys, rows, columns, config.agent_specs(), signals[line],
+        [seeds[i] for i in line.tolist()], config.seed,
+    )
 
 
-def _http_outputs(
-    config: RunConfig, todo: Iterable[tuple[DisclosureRecord, AgentSpec]]
-) -> Iterator[AgentOutput]:
-    """Outputs in submission order from at most ``max_in_flight`` concurrent calls."""
+def _http_blocks(
+    config: RunConfig, todo: Iterable[tuple[DisclosureRecord, AgentSpec]], digests: np.ndarray
+) -> Iterator[CacheBlock]:
+    """Each answer as a one-row block under its key digest, in submission
+    order, from at most ``max_in_flight`` concurrent calls."""
     decoding = config.decoding()
     local = threading.local()
     opened: list[ChatCompletionsClient] = []
@@ -188,7 +194,8 @@ def _http_outputs(
 
     try:
         with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            yield from pool.map(_call, todo)
+            for digest, output in zip(digests, pool.map(_call, todo)):
+                yield CacheBlock.of([digest], [output])
     finally:
         for client in opened:
             client.close()
@@ -198,8 +205,9 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     """Populate the cache for every (disclosure, agent) pair not yet stored.
 
     Resumable: pairs whose key is already cached are skipped. Stub agents run
-    inline; HTTP agents run through a bounded thread pool. Either way the
-    single cache appender takes the outputs in deterministic submission order.
+    inline, a block of pairs per cache append; HTTP agents run through a
+    bounded thread pool, one answer per append. Either way the single cache
+    appender takes the answers in deterministic submission order.
     Stub agents judge from the key table's ids and prompt digests; the
     disclosure text is read only when an HTTP agent has a pair to fetch.
     """
@@ -217,25 +225,19 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     with CacheStore(config.cache_path) as store:
         todo = store.missing(digests)
         if todo.size:
-            todo_rows = rows[todo // len(specs)].tolist()
-            todo_pairs = zip(todo_rows, (todo % len(specs)).tolist())
+            todo_rows, todo_columns = rows[todo // len(specs)], todo % len(specs)
             if config.stub.enabled:
-                ids = {keys.ids[row] for row in todo_rows}
-                triples = (
-                    (keys.ids[row], specs[column].lens, keys.prompt_hash(row, column))
-                    for row, column in todo_pairs
-                )
-                outputs, sync_every = _stub_outputs(config, ids, triples), 0
+                blocks, sync_every = _stub_blocks(config, keys, todo_rows, todo_columns), 0
             else:
                 records = load_prepared(config.prepared_path)
-                fetch = ((records[row], specs[column]) for row, column in todo_pairs)
-                outputs, sync_every = _http_outputs(config, fetch), HTTP_SYNC_EVERY
-            with closing(outputs):
-                for output in outputs:
-                    store.put(output)
-                    fetched += 1
-                    if output.confidence_source is ConfidenceSource.FALLBACK:
-                        fallbacks += 1
+                pairs = zip(todo_rows.tolist(), todo_columns.tolist())
+                fetch = ((records[row], specs[column]) for row, column in pairs)
+                blocks, sync_every = _http_blocks(config, fetch, digests[todo]), HTTP_SYNC_EVERY
+            with closing(blocks):
+                for block in blocks:
+                    store.put(block)
+                    fetched += len(block.digests)
+                    fallbacks += block.fallbacks()
                     if sync_every and fetched % sync_every == 0:
                         store.sync()
         store.sync()

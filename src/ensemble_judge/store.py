@@ -11,6 +11,9 @@ Loading keeps a columnar table, not records: each row's label code,
 confidence, confidence-source code and byte offset, and an index of the
 rows' key digests (:func:`key_digest`, 16 bytes each) held as one sorted
 array, which :meth:`CacheStore.rows` searches with ``np.searchsorted``.
+The writer appends a :class:`CacheBlock` of judgments at a time: one write
+of its lines, which share one ``created_at``, its columns added to the
+table and its sorted digests merged into the index.
 A row's full line (rationale, raw generation) is re-read from the file
 only to compare it with a repeated key's line or a re-put output. Every
 read of a line, the first and each re-read, goes through
@@ -37,7 +40,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,13 +60,11 @@ class CacheCorruptionError(RuntimeError):
 
 # Confidence-source codes of the table's source column: each source's position.
 _SOURCES = tuple(ConfidenceSource)
-_SOURCE_CODES = {source: code for code, source in enumerate(_SOURCES)}
-_FALLBACK_CODE = _SOURCE_CODES[ConfidenceSource.FALLBACK]
+SOURCE_CODES = {source: code for code, source in enumerate(_SOURCES)}
+_FALLBACK_CODE = SOURCE_CODES[ConfidenceSource.FALLBACK]
 
-_LENS_BY_VALUE = {lens.value: lens for lens in Lens}
-_LENS_NAMES = {lens: lens.value for lens in Lens}
 _LABEL_CODES = {label.as_string(): int(label) for label in SentimentLabel}
-_SOURCE_BY_VALUE = {source.value: code for source, code in _SOURCE_CODES.items()}
+_SOURCE_BY_VALUE = {source.value: code for source, code in SOURCE_CODES.items()}
 
 # The index's digest type: fixed-width bytes, compared and sorted as raw bytes.
 DIGEST = np.dtype("S16")
@@ -81,39 +82,87 @@ def key_digest(
     return hashlib.blake2b(encoded, digest_size=16).digest()
 
 
-# Each enum value's JSON string, encoded once: ``Enum.value`` is a
-# Python-level property.
-_LENS_JSON = {lens: encode_basestring(lens.value) for lens in Lens}
-_LABEL_JSON = {label: encode_basestring(label.as_string()) for label in SentimentLabel}
-_SOURCE_JSON = {source: encode_basestring(source.value) for source in ConfidenceSource}
+class CacheBlock(NamedTuple):
+    """Judgments to append, as columns with one row per judgment: each row's
+    key digest (as ``PreparedKeys.keys`` holds it), then its output fields in
+    :class:`AgentOutput` order, the lens as its name and the label and the
+    confidence source as their codes; the numeric columns are numpy arrays."""
+
+    digests: np.ndarray
+    disclosure_ids: Sequence[str]
+    lenses: Sequence[str]
+    labels: np.ndarray
+    confidences: np.ndarray
+    rationales: Sequence[str]
+    sources: np.ndarray
+    model_names: Sequence[str]
+    prompt_hashes: Sequence[str]
+    seeds: Sequence[int]
+    raw_jsons: Sequence[str]
+    retry_counts: np.ndarray
+
+    @classmethod
+    def of(cls, digests: Sequence[bytes], outputs: Sequence[AgentOutput]) -> "CacheBlock":
+        """The block of ``outputs``, the one under each key digest."""
+        return cls(
+            np.array(digests, dtype=DIGEST),
+            [o.disclosure_id for o in outputs],
+            [o.agent.value for o in outputs],
+            np.array([int(o.label) for o in outputs], dtype=np.int8),
+            np.array([o.confidence for o in outputs], dtype=np.float64),
+            [o.rationale for o in outputs],
+            np.array([SOURCE_CODES[o.confidence_source] for o in outputs], dtype=np.int8),
+            [o.model_name for o in outputs],
+            [o.prompt_hash for o in outputs],
+            [o.seed for o in outputs],
+            [o.raw_json for o in outputs],
+            np.array([o.retry_count for o in outputs], dtype=np.int8),
+        )
+
+    def fallbacks(self) -> int:
+        """The rows whose confidence source is the fallback."""
+        return int(np.count_nonzero(self.sources == _FALLBACK_CODE))
 
 
-def _json_number(value: float) -> str:
-    """``value`` as ``json`` writes it: an int as an int, a float by ``float.__repr__``
-    (a subclass's ``repr``, such as numpy's, can differ)."""
-    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
-
-
-def _cache_line(output: AgentOutput, created_at: str) -> str:
-    """The cache line of ``output``: ``{key, output, created_at}`` in this fixed
-    field order, the same bytes ``json.dumps(..., ensure_ascii=False)`` writes."""
-    disclosure_id = encode_basestring(output.disclosure_id)
-    lens = _LENS_JSON[output.agent]
-    model_name = encode_basestring(output.model_name)
-    prompt_hash = encode_basestring(output.prompt_hash)
-    seed = int.__repr__(output.seed)
+def _valid_values(labels: np.ndarray, sources: np.ndarray, confidences: np.ndarray) -> np.ndarray:
+    """Which rows keep a cache line's value rules: a label and a source code
+    that exist, a confidence in [0, 1], and (neutral, 0.0) for a fallback."""
     return (
-        f'{{"key": {{"disclosure_id": {disclosure_id}, "lens": {lens}, '
-        f'"model_name": {model_name}, "prompt_hash": {prompt_hash}, "seed": {seed}}}, '
-        f'"output": {{"disclosure_id": {disclosure_id}, "agent": {lens}, '
-        f'"label": {_LABEL_JSON[output.label]}, "confidence": {_json_number(output.confidence)}, '
-        f'"rationale": {encode_basestring(output.rationale)}, '
-        f'"confidence_source": {_SOURCE_JSON[output.confidence_source]}, '
-        f'"model_name": {model_name}, "prompt_hash": {prompt_hash}, "seed": {seed}, '
-        f'"raw_json": {encode_basestring(output.raw_json)}, '
-        f'"retry_count": {int.__repr__(output.retry_count)}}}, '
-        f'"created_at": {encode_basestring(created_at)}}}\n'
+        (labels >= -1) & (labels <= 1) & (sources >= 0) & (sources < len(_SOURCES))
+        & (confidences >= 0.0) & (confidences <= 1.0)
+        & ((sources != _FALLBACK_CODE) | ((labels == 0) & (confidences == 0.0)))
     )
+
+
+# The JSON text of each output field, in CacheBlock order; enum values are
+# encoded once, by their name or code.
+_LENS_JSON = {lens.value: encode_basestring(lens.value) for lens in Lens}
+_LABEL_JSON = {int(label): encode_basestring(label.as_string()) for label in SentimentLabel}
+_SOURCE_JSON = [encode_basestring(source.value) for source in _SOURCES]
+_TEXT = encode_basestring
+_FIELD_JSON = (
+    _TEXT, _LENS_JSON.__getitem__, _LABEL_JSON.__getitem__, float.__repr__, _TEXT,
+    _SOURCE_JSON.__getitem__, _TEXT, _TEXT, int.__repr__, _TEXT, int.__repr__,
+)
+
+
+def _cache_lines(columns: Sequence[list], created_at: str) -> list[bytes]:
+    """The cache line of each row of a block's output ``columns`` (lists, in
+    :class:`CacheBlock` order): ``{key, output, created_at}`` in this fixed
+    field order, the bytes ``json.dumps(..., ensure_ascii=False)`` writes."""
+    at = _TEXT(created_at)
+    return [
+        (
+            f'{{"key": {{"disclosure_id": {rid}, "lens": {lens}, "model_name": {model}, '
+            f'"prompt_hash": {prompt}, "seed": {seed}}}, "output": {{"disclosure_id": {rid}, '
+            f'"agent": {lens}, "label": {label}, "confidence": {conf}, "rationale": {why}, '
+            f'"confidence_source": {source}, "model_name": {model}, "prompt_hash": {prompt}, '
+            f'"seed": {seed}, "raw_json": {raw}, "retry_count": {retry}}}, "created_at": {at}}}\n'
+        ).encode("utf-8")
+        for rid, lens, label, conf, why, source, model, prompt, seed, raw, retry in zip(
+            *map(map, _FIELD_JSON, columns), strict=True
+        )
+    ]
 
 
 class _KeyMismatch(Exception):
@@ -128,16 +177,7 @@ _VALUES = itemgetter(
 
 
 # The errors _parse_line raises on a malformed line, besides _KeyMismatch.
-_LINE_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
-
-
-def _payload(output: AgentOutput) -> tuple:
-    """``output``'s fields in order, as :func:`_parse_line` reads them from its line."""
-    return (
-        output.disclosure_id, _LENS_NAMES[output.agent], int(output.label), output.confidence,
-        output.rationale, _SOURCE_CODES[output.confidence_source], output.model_name,
-        output.prompt_hash, output.seed, output.raw_json, output.retry_count,
-    )
+_LINE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
 
 
 def _key_fields(payload: tuple) -> str:
@@ -167,7 +207,7 @@ def _parse_line(line: bytes) -> tuple[bytes, tuple]:
         raise _KeyMismatch
     disclosure_id, lens, model_name, prompt_hash, seed = identity
     # The equality above holds for 42.0 == 42 and True == 1: check the types
-    # _cache_line writes.
+    # _cache_lines writes.
     if type(seed) is not int or type(obj["key"]["seed"]) is not int:
         raise TypeError("seed must be an integer in both blocks")
     if type(retry_count) is not int or retry_count not in (0, 1):
@@ -178,7 +218,7 @@ def _parse_line(line: bytes) -> tuple[bytes, tuple]:
     code = _LABEL_CODES.get(label)
     if code is None:
         code = int(SentimentLabel.from_string(label))
-    _LENS_BY_VALUE[lens]  # a KeyError unless the lens is known
+    _LENS_JSON[lens]  # a KeyError unless the lens is known
     confidence = finite_number(confidence)
     source = _SOURCE_BY_VALUE[source]
     if not 0.0 <= confidence <= 1.0 or (source == _FALLBACK_CODE and (code or confidence)):
@@ -232,16 +272,10 @@ def _read_snapshot(path: Path, cache: Path) -> tuple | None:
             start += n * column.itemsize
         digests = np.frombuffer(body, DIGEST, n, start).copy()
         rows = np.frombuffer(body, np.int64, n, start + n * DIGEST.itemsize).copy()
-        labels, sources, confidences = map(np.asarray, columns[:3])
-        valid = (
-            (labels >= -1) & (labels <= 1) & (sources >= 0) & (sources < len(_SOURCES))
-            & (confidences >= 0.0) & (confidences <= 1.0)
-            & ((sources != _FALLBACK_CODE) | ((labels == 0) & (confidences == 0.0)))
-        )
         if (
             (digests[1:] <= digests[:-1]).any()
             or not np.array_equal(np.sort(rows), np.arange(n))
-            or not valid.all()
+            or not _valid_values(*map(np.asarray, columns[:3])).all()
         ):
             return None
     except (OSError, LookupError, TypeError, ValueError):
@@ -268,11 +302,9 @@ class CacheStore:
 
     def __init__(self, path: str | Path, *, readonly: bool = False):
         self.path = Path(path)
-        # The index: sorted key digests and the row of each, plus a dict of
-        # the rows added since the last sort.
+        # The index: the key digests, sorted, and the row of each.
         self._digests = np.empty(0, dtype=DIGEST)
         self._rows = np.empty(0, dtype=np.int64)
-        self._recent: dict[bytes, int] = {}
         self._labels = array("b")
         self._confidences = array("d")
         self._sources = array("b")
@@ -302,7 +334,7 @@ class CacheStore:
 
     def _load(self, offset: int) -> None:
         """Parse the lines from byte ``offset`` on into the table."""
-        recent = self._recent
+        added: dict[bytes, int] = {}  # the row of each key this parse adds
         add_label, add_confidence = self._labels.append, self._confidences.append
         add_source, add_offset = self._sources.append, self._offsets.append
         line = b""
@@ -330,9 +362,11 @@ class CacheStore:
                     )
                     self._end = offset
                     break
-                row = self._find(digest)
-                if row is None:
-                    recent[digest] = len(self._offsets)
+                row = added.get(digest, -1)
+                if row < 0 and len(self._digests):
+                    (row,) = self.rows([digest]).tolist()
+                if row < 0:
+                    added[digest] = len(self._offsets)
                     # The payload's label code, confidence and source code.
                     add_label(payload[2])
                     add_confidence(payload[3])
@@ -349,29 +383,18 @@ class CacheStore:
             else:
                 self._end = offset
                 self._unterminated = line[-1:] not in (b"", b"\n")
-        self._sort()
-
-    def _find(self, digest: bytes) -> int | None:
-        """The row of the key with ``digest``, or None."""
-        row = self._recent.get(digest)
-        if row is None and len(self._digests):
-            at = int(self._digests.searchsorted(digest))
-            # Compare raw bytes: an S16 element drops its trailing zero bytes.
-            if self._digests[at : at + 1].tobytes() == digest:
-                row = int(self._rows[at])
-        return row
-
-    def _sort(self) -> None:
-        """Fold the rows added since the last sort into the sorted index."""
-        if not self._recent:
-            return
-        digests = np.concatenate([self._digests, np.array(list(self._recent), dtype=DIGEST)])
-        rows = np.concatenate(
-            [self._rows, np.fromiter(self._recent.values(), np.int64, len(self._recent))]
+        self._index(
+            np.array(list(added), dtype=DIGEST), np.fromiter(added.values(), np.int64, len(added))
         )
+
+    def _index(self, digests: np.ndarray, rows: np.ndarray) -> None:
+        """Merge key digests that are not in the index yet, and their rows,
+        into the sorted index."""
         order = np.argsort(digests, kind="stable")
-        self._digests, self._rows = digests[order], rows[order]
-        self._recent = {}
+        digests, rows = digests[order], rows[order]
+        at = self._digests.searchsorted(digests)
+        self._digests = np.insert(self._digests, at, digests)
+        self._rows = np.insert(self._rows, at, rows)
 
     def _lock(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -422,7 +445,6 @@ class CacheStore:
         """Table row of each key digest (:func:`key_digest`), in order; -1 where
         no key with that digest is stored."""
         wanted = np.asarray(digests, dtype=DIGEST)
-        self._sort()
         if not len(self._digests):
             return np.full(wanted.shape, -1, dtype=np.int64)
         at = np.minimum(self._digests.searchsorted(wanted), len(self._digests) - 1)
@@ -435,32 +457,53 @@ class CacheStore:
         confidences = np.array(self._confidences, dtype=np.float64)[rows]
         return labels, confidences
 
-    def put(self, output: AgentOutput) -> None:
-        """Durably append ``output`` under its key, stamped with the current
-        time; re-putting an identical payload is a no-op."""
+    def put(self, block: CacheBlock) -> None:
+        """Durably append the rows of ``block`` whose keys are not stored yet,
+        in one write, each line stamped with the block's one ``created_at``.
+
+        A row whose key is stored, or repeats an earlier row's key, with the
+        same payload is skipped; with another payload it is a
+        :class:`CacheIntegrityError`, and the block writes nothing.
+        """
         if self._fh is None:
             raise CacheIntegrityError(f"{self.path}: store was opened read-only")
-        digest = key_digest(
-            output.disclosure_id, _LENS_NAMES[output.agent], output.model_name,
-            output.prompt_hash, output.seed,
-        )
-        row = self._find(digest)
-        if row is not None:
-            payload = _payload(output)
-            if self._payload_at(row) != payload:
+        n = len(block.digests)
+        if any(len(column) != n for column in block):
+            raise ValueError("a cache block's columns must hold one row per key digest")
+        retries = block.retry_counts
+        valid = _valid_values(block.labels, block.sources, block.confidences)
+        bad = np.flatnonzero(~valid | (retries < 0) | (retries > 1))
+        if bad.size:
+            raise ValueError(f"cache block row {bad[0]} breaks a cache line's value rules")
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block[1:]]
+        first: dict[bytes, int] = {}  # the first row of each key in the block
+        new = []  # the rows to append: each new key's first row
+        stored = self.rows(block.digests).tolist()
+        for i, (digest, row) in enumerate(zip(block.digests.tolist(), stored)):
+            j = first.setdefault(digest, i)
+            if row < 0 and j == i:
+                new.append(i)
+                continue
+            payload = tuple(column[i] for column in columns)
+            earlier = self._payload_at(row) if row >= 0 else tuple(c[j] for c in columns)
+            if payload != earlier:
                 raise CacheIntegrityError(
                     f"key already stored with a different payload: {_key_fields(payload)}"
                 )
+        if not new:
             return
-        data = _cache_line(output, datetime.now(timezone.utc).isoformat()).encode("utf-8")
-        self._fh.write(data)
+        created_at = datetime.now(timezone.utc).isoformat()
+        lines = _cache_lines([[column[i] for i in new] for column in columns], created_at)
+        self._fh.write(b"".join(lines))
         self._fh.flush()
-        self._recent[digest] = len(self._offsets)
-        self._labels.append(int(output.label))
-        self._confidences.append(output.confidence)
-        self._sources.append(_SOURCE_CODES[output.confidence_source])
-        self._offsets.append(self._end)
-        self._end += len(data)
+        offsets = np.cumsum([self._end, *map(len, lines)])
+        self._index(block.digests[new], np.arange(len(self), len(self) + len(new)))
+        for table, values in zip(
+            (self._labels, self._confidences, self._sources, self._offsets),
+            (block.labels[new], block.confidences[new], block.sources[new], offsets[:-1]),
+        ):
+            table.frombytes(values.astype(table.typecode).tobytes())
+        self._end = int(offsets[-1])
 
     def sync(self) -> None:
         """fsync the append handle (call on batch boundaries)."""
@@ -477,7 +520,6 @@ class CacheStore:
         return np.flatnonzero(self.rows(digests) < 0)
 
     def _write_snapshot(self) -> None:
-        self._sort()
         header = {
             "rows": len(self._offsets),
             "covered_bytes": self._end,

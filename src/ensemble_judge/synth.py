@@ -14,13 +14,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .agents import prompt_digests
+from .agents import AgentSpec, prompt_digests
 from .artifacts import ArtifactError, finite_number, read_jsonl, write_jsonl
 from .domain import (
     AgentOutput,
@@ -29,6 +28,8 @@ from .domain import (
     Lens,
     SentimentLabel,
 )
+from .ingest import PreparedKeys
+from .store import SOURCE_CODES, CacheBlock
 
 STUB_MODEL_NAME = "stub-agent"
 STUB_ENDPOINT = "stub://local"
@@ -144,59 +145,36 @@ def generate_corpus(
     return records, latents
 
 
-def _lens_observation(lens: Lens, latent: LatentDisclosure) -> float:
-    if lens is Lens.PERFORMANCE:
-        return latent.performance_signal
-    if lens is Lens.GUIDANCE:
-        return latent.guidance_signal
-    # Elevated risk reads as negative sentiment for next-day reaction.
-    return -latent.risk_signal
+# The latent signal each lens observes, as its column in (performance,
+# guidance, risk), and its sign: elevated risk reads as negative sentiment.
+_OBSERVED = {Lens.PERFORMANCE: (0, 1.0), Lens.GUIDANCE: (1, 1.0), Lens.RISK: (2, -1.0)}
+# Per-label strings, read once: ``Enum.value`` is a Python-level property.
+_LABEL_NAMES = {int(label): label.as_string() for label in SentimentLabel}
+_SELF_REPORTED = SOURCE_CODES[ConfidenceSource.SELF_REPORTED]
 
 
-# Per-lens and per-label strings, read once: ``Enum.value`` is a
-# Python-level property.
-_LENS_NAMES = {lens: lens.value for lens in Lens}
-_LABEL_NAMES = {label: label.as_string() for label in SentimentLabel}
-
-
-def _noise_seed(lens: Lens, disclosure_id: str, latent: LatentDisclosure) -> int:
-    """The seed of one (lens, disclosure) pair's noise draw."""
-    digest = hashlib.sha256(
-        f"{_LENS_NAMES[lens]}:{disclosure_id}:{latent.noise_seed}".encode("utf-8")
-    ).digest()
+def _noise_seed(lens: str, disclosure_id: str, noise_seed: int) -> int:
+    """The seed of one (lens name, disclosure) pair's noise draw."""
+    digest = hashlib.sha256(f"{lens}:{disclosure_id}:{noise_seed}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def _stub_output(
-    lens: Lens, disclosure_id: str, obs: float, prompt_digest: str, seed: int
-) -> AgentOutput:
-    """The stub agent's answer for a noisy observation ``obs``."""
-    if obs > LABEL_DEAD_ZONE:
-        label = SentimentLabel.POSITIVE
-    elif obs < -LABEL_DEAD_ZONE:
-        label = SentimentLabel.NEGATIVE
-    else:
-        label = SentimentLabel.NEUTRAL
-    confidence = min(abs(obs), 1.0)
-    rationale = f"The {_LENS_NAMES[lens]} signal reads {obs:+.3f} for next-day reaction."
+def _stub_answers(lenses: Sequence[str], obs: np.ndarray) -> tuple:
+    """The stub agent's label codes (int8), confidences, rationales and raw
+    answers for noisy observations ``obs`` by agents of the given lens names."""
+    labels = np.where(obs > LABEL_DEAD_ZONE, 1, np.where(obs < -LABEL_DEAD_ZONE, -1, 0))
+    confidences = np.minimum(np.abs(obs), 1.0)
+    rationales = [
+        f"The {lens} signal reads {o:+.3f} for next-day reaction."
+        for lens, o in zip(lenses, obs.tolist())
+    ]
     # json.dumps's bytes: the label and rationale hold no character JSON escapes.
-    raw_json = (
+    raw_jsons = [
         f'{{"label": "{_LABEL_NAMES[label]}", "rationale": "{rationale}", '
         f'"confidence": {confidence!r}}}'
-    )
-    return AgentOutput(
-        disclosure_id=disclosure_id,
-        agent=lens,
-        label=label,
-        confidence=confidence,
-        rationale=rationale,
-        confidence_source=ConfidenceSource.SELF_REPORTED,
-        model_name=STUB_MODEL_NAME,
-        prompt_hash=prompt_digest,
-        seed=seed,
-        raw_json=raw_json,
-        retry_count=0,
-    )
+        for label, rationale, confidence in zip(labels.tolist(), rationales, confidences.tolist())
+    ]
+    return labels.astype(np.int8), confidences, rationales, raw_jsons
 
 
 def stub_agent(
@@ -217,69 +195,103 @@ def stub_agent(
     if not record.clean_text:
         raise ValueError(f"record {record.id!r} has no clean_text; preprocess first")
     # One pair: default_rng costs less than a call into the chunked mixing.
-    rng = np.random.default_rng(_noise_seed(lens, record.id, latent))
-    obs = _lens_observation(lens, latent) + float(rng.normal(0.0, DEFAULT_STUB_NOISE[lens]))
-    return _stub_output(
-        lens,
-        record.id,
-        obs,
-        prompt_digests(lens, [record.clean_text])[0].hex(),
-        latent.noise_seed,
+    rng = np.random.default_rng(_noise_seed(lens.value, record.id, latent.noise_seed))
+    column, sign = _OBSERVED[lens]
+    signal = (latent.performance_signal, latent.guidance_signal, latent.risk_signal)[column]
+    obs = sign * signal + float(rng.normal(0.0, DEFAULT_STUB_NOISE[lens]))
+    (label,), (confidence,), (rationale,), (raw_json,) = _stub_answers(
+        [lens.value], np.array([obs])
+    )
+    return AgentOutput(
+        disclosure_id=record.id,
+        agent=lens,
+        label=SentimentLabel(int(label)),
+        confidence=float(confidence),
+        rationale=rationale,
+        confidence_source=ConfidenceSource.SELF_REPORTED,
+        model_name=STUB_MODEL_NAME,
+        prompt_hash=prompt_digests(lens, [record.clean_text])[0].hex(),
+        seed=latent.noise_seed,
+        raw_json=raw_json,
+        retry_count=0,
     )
 
 
-# Pairs per batch of vectorized seed mixing: large enough to amortize the
-# array calls, small enough that a batch's buffers (about 200 bytes a pair)
-# do not raise the stage's peak memory and the outputs stay streamed.
+# Pairs per block of vectorized seed mixing and cache appends: large enough
+# to amortize the array calls and the write, small enough that a block's
+# buffers (a few hundred bytes a pair) do not raise the stage's peak memory.
 NOISE_CHUNK = 1024
 
 
-def stub_outputs(
-    pairs: Iterable[tuple[str, Lens, str]],
-    latents: Mapping[str, LatentDisclosure],
-    seed: int,
-) -> Iterator[AgentOutput]:
-    """:func:`stub_agent`'s output for each ``(disclosure id, lens, prompt
-    digest)``, with the given prompt digest and the run's ``seed``.
+def stub_blocks(
+    keys: PreparedKeys, rows: np.ndarray, columns: np.ndarray, specs: Sequence[AgentSpec],
+    signals: np.ndarray, noise_seeds: Sequence[int], seed: int,
+) -> Iterator[CacheBlock]:
+    """:func:`stub_agent`'s judgment of each pair (prepared row, spec column),
+    with the key table's prompt digest and the run's ``seed``, as cache
+    blocks of :data:`NOISE_CHUNK` pairs.
 
-    The noise is the same ``default_rng(noise seed).normal`` draw, taken a
-    chunk of pairs at a time. No disclosure text is read.
+    ``signals`` (performance, guidance, risk) and ``noise_seeds`` are the
+    latents of each prepared row. The noise is the same
+    ``default_rng(noise seed).normal`` draw, taken a block at a time. No
+    disclosure text is read.
     """
     from .noise import normal_draws  # loads numpy.random, which only stub runs need
 
-    pairs = iter(pairs)
-    while chunk := list(islice(pairs, NOISE_CHUNK)):
-        chunk_latents = [latents[rid] for rid, _, _ in chunk]
-        noise = normal_draws(
-            [
-                _noise_seed(lens, rid, latent)
-                for (rid, lens, _), latent in zip(chunk, chunk_latents)
-            ],
-            [DEFAULT_STUB_NOISE[lens] for _, lens, _ in chunk],
+    lens_names = [spec.lens.value for spec in specs]
+    observed, signs = np.array([_OBSERVED[spec.lens] for spec in specs]).T
+    scales = [DEFAULT_STUB_NOISE[spec.lens] for spec in specs]
+    for start in range(0, len(rows), NOISE_CHUNK):
+        r, c = rows[start : start + NOISE_CHUNK], columns[start : start + NOISE_CHUNK]
+        at, ids = c.tolist(), keys.ids_at(r)
+        lenses = [lens_names[column] for column in at]
+        pair_seeds = [
+            _noise_seed(lens, rid, noise_seeds[row])
+            for lens, rid, row in zip(lenses, ids, r.tolist())
+        ]
+        draws = normal_draws(pair_seeds, [scales[column] for column in at])
+        obs = signs[c] * signals[r, observed[c].astype(np.int64)] + draws
+        labels, confidences, rationales, raw_jsons = _stub_answers(lenses, obs)
+        prompts, n = keys.prompts[r, c].tobytes().hex(), len(at)
+        yield CacheBlock(
+            keys.keys[r, c], ids, lenses, labels, confidences, rationales,
+            np.full(n, _SELF_REPORTED, dtype=np.int8), [specs[column].model_name for column in at],
+            [prompts[i : i + 64] for i in range(0, 64 * n, 64)], [seed] * n, raw_jsons,
+            np.zeros(n, dtype=np.int8),
         )
-        for (rid, lens, digest), latent, draw in zip(chunk, chunk_latents, noise):
-            obs = _lens_observation(lens, latent) + draw
-            yield _stub_output(lens, rid, obs, digest, seed)
 
 
 def write_latents(latents: Mapping[str, LatentDisclosure], path: str | Path) -> None:
     write_jsonl(path, ({"id": rid, **vars(lat)} for rid, lat in latents.items()))
 
 
-def _latent_row(obj: dict) -> tuple[str, LatentDisclosure]:
+def _latent_row(obj: dict) -> tuple:
+    """``(id, performance, guidance, risk, noise seed)`` of one latents line."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {obj!r}")
     rid = obj.pop("id")
     if not isinstance(rid, str):
         raise ValueError(f"id must be a string, got {rid!r}")
-    return rid, LatentDisclosure(**obj)
+    lat = LatentDisclosure(**obj)
+    return rid, lat.performance_signal, lat.guidance_signal, lat.risk_signal, lat.noise_seed
+
+
+def read_latents(path: str | Path) -> tuple[dict[str, int], np.ndarray, list[int]]:
+    """The latents in ``path`` as arrays in file order: each id's line index,
+    the ``(m, 3)`` performance, guidance and risk signals, and the noise
+    seeds. An id may appear on one line only."""
+    rows = read_jsonl(path, _latent_row)
+    position: dict[str, int] = {}
+    for index, (rid, *_) in enumerate(rows):
+        if position.setdefault(rid, index) != index:
+            raise ArtifactError(
+                f"{path}: duplicate id {rid!r} on lines {position[rid] + 1} and {index + 1}"
+            )
+    signals = np.array([row[1:4] for row in rows], dtype=np.float64).reshape(-1, 3)
+    return position, signals, [row[4] for row in rows]
 
 
 def load_latents(path: str | Path) -> dict[str, LatentDisclosure]:
-    """The latents of each id in ``path``; an id may appear on one line only."""
-    rows = read_jsonl(path, _latent_row)
-    first: dict[str, int] = {}
-    for lineno, (rid, _) in enumerate(rows, start=1):
-        if first.setdefault(rid, lineno) != lineno:
-            raise ArtifactError(f"{path}: duplicate id {rid!r} on lines {first[rid]} and {lineno}")
-    return dict(rows)
+    """The latents of each id in ``path``, from :func:`read_latents`."""
+    position, signals, seeds = read_latents(path)
+    return {rid: LatentDisclosure(*signals[i].tolist(), seeds[i]) for rid, i in position.items()}

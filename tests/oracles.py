@@ -4,8 +4,8 @@ The pipeline builds features, votes and regimes for whole splits at once
 (``features.feature_matrix``, ``evaluation.regimes`` and
 ``evaluation.evaluate_judgments`` over ``(n, 3)`` label-code and confidence
 blocks), keys the cache by digests of pairs whose prompts it never renders,
-draws the stub agents' noise a chunk of pairs at a time and writes each
-cache line field by field.
+draws the stub agents' noise and appends their cache lines a block of pairs
+at a time and writes each cache line field by field.
 These are the same rules written one item at a time, in the plainest form,
 so tests can compare the two; no production code calls them.
 """
@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from ensemble_judge.synth import (
     LABEL_DEAD_ZONE,
     STUB_MODEL_NAME,
     LatentDisclosure,
-    _lens_observation,
 )
 
 
@@ -266,6 +265,21 @@ def expected_cache_keys(
     ]
 
 
+def payload(output: AgentOutput) -> tuple:
+    """``output``'s fields in order, as ``store._parse_line`` reads them from
+    its line: the lens as its name, the label and source as their codes."""
+    return (
+        output.disclosure_id, output.agent.value, int(output.label), output.confidence,
+        output.rationale, store.SOURCE_CODES[output.confidence_source], output.model_name,
+        output.prompt_hash, output.seed, output.raw_json, output.retry_count,
+    )
+
+
+def block(outputs: Sequence[AgentOutput]) -> store.CacheBlock:
+    """The cache block of ``outputs``, each under the digest of its own key."""
+    return store.CacheBlock.of([CacheKey.for_output(o).digest() for o in outputs], outputs)
+
+
 def stored_payload(cache: store.CacheStore, key: CacheKey) -> tuple | None:
     """The payload of the line ``cache`` holds under ``key``, re-read from the
     file through ``store._parse_line``; None when no line has that key."""
@@ -315,6 +329,50 @@ def cache_line(output: AgentOutput, created_at: datetime) -> bytes:
 # The stub oracle: one default_rng per pair and json.dumps of the answer.
 
 
+def _lens_observation(lens: Lens, latent: LatentDisclosure) -> float:
+    if lens is Lens.PERFORMANCE:
+        return latent.performance_signal
+    if lens is Lens.GUIDANCE:
+        return latent.guidance_signal
+    # Elevated risk reads as negative sentiment for next-day reaction.
+    return -latent.risk_signal
+
+
+def _stub_answer(
+    lens: Lens, disclosure_id: str, latent: LatentDisclosure, prompt_digest: str, seed: int
+) -> AgentOutput:
+    digest = hashlib.sha256(
+        f"{lens.value}:{disclosure_id}:{latent.noise_seed}".encode("utf-8")
+    ).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    obs = _lens_observation(lens, latent) + float(rng.normal(0.0, DEFAULT_STUB_NOISE[lens]))
+
+    if obs > LABEL_DEAD_ZONE:
+        label = SentimentLabel.POSITIVE
+    elif obs < -LABEL_DEAD_ZONE:
+        label = SentimentLabel.NEGATIVE
+    else:
+        label = SentimentLabel.NEUTRAL
+    confidence = min(abs(obs), 1.0)
+    rationale = f"The {lens.value} signal reads {obs:+.3f} for next-day reaction."
+    raw_json = json.dumps(
+        {"label": label.as_string(), "rationale": rationale, "confidence": confidence}
+    )
+    return AgentOutput(
+        disclosure_id=disclosure_id,
+        agent=lens,
+        label=label,
+        confidence=confidence,
+        rationale=rationale,
+        confidence_source=ConfidenceSource.SELF_REPORTED,
+        model_name=STUB_MODEL_NAME,
+        prompt_hash=prompt_digest,
+        seed=seed,
+        raw_json=raw_json,
+        retry_count=0,
+    )
+
+
 def stub_agent(
     lens: Lens,
     record: DisclosureRecord,
@@ -340,34 +398,17 @@ def stub_agent(
         raise ValueError(f"record {record.id!r} has no clean_text; preprocess first")
     if prompt_digest is None:
         prompt_digest = prompt_hash(render_prompt(lens, record.clean_text))
+    seed = run_seed if run_seed is not None else latent.noise_seed
+    return _stub_answer(lens, record.id, latent, prompt_digest, seed)
 
-    digest = hashlib.sha256(
-        f"{lens.value}:{record.id}:{latent.noise_seed}".encode("utf-8")
-    ).digest()
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-    obs = _lens_observation(lens, latent) + float(rng.normal(0.0, DEFAULT_STUB_NOISE[lens]))
 
-    if obs > LABEL_DEAD_ZONE:
-        label = SentimentLabel.POSITIVE
-    elif obs < -LABEL_DEAD_ZONE:
-        label = SentimentLabel.NEGATIVE
-    else:
-        label = SentimentLabel.NEUTRAL
-    confidence = min(abs(obs), 1.0)
-    rationale = f"The {lens.value} signal reads {obs:+.3f} for next-day reaction."
-    raw_json = json.dumps(
-        {"label": label.as_string(), "rationale": rationale, "confidence": confidence}
-    )
-    return AgentOutput(
-        disclosure_id=record.id,
-        agent=lens,
-        label=label,
-        confidence=confidence,
-        rationale=rationale,
-        confidence_source=ConfidenceSource.SELF_REPORTED,
-        model_name=STUB_MODEL_NAME,
-        prompt_hash=prompt_digest,
-        seed=run_seed if run_seed is not None else latent.noise_seed,
-        raw_json=raw_json,
-        retry_count=0,
-    )
+def stub_outputs(
+    pairs: Iterable[tuple[str, Lens, str]],
+    latents: Mapping[str, LatentDisclosure],
+    seed: int,
+) -> Iterator[AgentOutput]:
+    """The stub agent's output for each ``(disclosure id, lens, prompt
+    digest)``, with the given prompt digest and the run's ``seed``, one pair
+    at a time; no disclosure text is read."""
+    for disclosure_id, lens, prompt_digest in pairs:
+        yield _stub_answer(lens, disclosure_id, latents[disclosure_id], prompt_digest, seed)

@@ -406,6 +406,19 @@ class TestRunAgentProtocol:
         with pytest.raises(TransportError, match="malformed chat-completions envelope"):
             run_agent(spec_for(ep.url), DECODING, disclosure(), client=_client(ep))
 
+    @pytest.mark.parametrize("sign", ["-", ""])
+    def test_a_logprob_past_the_integer_digit_limit_drops_only_the_stream(self, sign):
+        """A number json cannot turn into an int is an unreadable entry, not a
+        malformed envelope; elsewhere in the body it is ignored."""
+        content = agent_json("positive", confidence=0.8)
+        entry = '{"token": %s, "logprob": %s%s}' % (json.dumps(content), sign, "7" * 5_000)
+        body = (
+            '{"choices": [{"message": {"content": %s}, "logprobs": {"content": [%s]}}], '
+            '"usage": {"total_tokens": %s}}' % (json.dumps(content), entry, "9" * 5_000)
+        )
+        parsed = ChatCompletionsClient("http://localhost:1/v1", "m")._parse_response(body.encode())
+        assert parsed == RawGeneration(text=content, token_logprobs=None)
+
     def test_pure_function_of_inputs_for_deterministic_server(self, chat_endpoint):
         content = agent_json("positive", confidence=0.8)
         ep = chat_endpoint(lambda prompt, i: (200, completion_body(content)))
@@ -441,7 +454,7 @@ class TestExpectedCacheKeys:
         specs = [spec_for("http://x")]
         old = PreparedKeys.of([disclosure("a", clean="Old text")], specs, DECODING.seed)
         new = PreparedKeys.of([disclosure("a", clean="New text")], specs, DECODING.seed)
-        assert old.prompt_hash(0, 0) != new.prompt_hash(0, 0)
+        assert old.prompts[0, 0].tobytes() != new.prompts[0, 0].tobytes()
         assert old.keys[0, 0] != new.keys[0, 0]
 
 

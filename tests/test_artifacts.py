@@ -1,12 +1,23 @@
 """Atomic artifact writes and checked JSONL reads."""
 
+import hashlib
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ensemble_judge.artifacts import ArtifactError, read_jsonl, write_binary, write_jsonl
+import ensemble_judge
+from ensemble_judge.artifacts import (
+    ArtifactError,
+    read_jsonl,
+    read_stamped,
+    write_binary,
+    write_jsonl,
+)
 from ensemble_judge.features import write_feature_file
 from ensemble_judge.ingest import write_corpus
 from ensemble_judge.synth import generate_corpus
@@ -82,3 +93,48 @@ def test_write_binary_syncs_the_directory_after_the_rename(tmp_path, monkeypatch
     monkeypatch.setattr(os, "replace", recording_replace)
     write_binary(tmp_path / "artifact.bin", [b"data"])
     assert events == ["file", "rename", ("directory", tmp_path.stat().st_ino)]
+
+
+def test_a_stamped_header_nested_past_the_recursion_limit_reads_as_no_sidecar(tmp_path):
+    magic = b"test sidecar 1\n"
+    body = magic + b"[" * 100_000 + b"]" * 100_000 + b"\n"
+    path = tmp_path / "sidecar"
+    path.write_bytes(body + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n")
+    assert read_stamped(path, magic) is None
+
+
+def _dead_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def test_write_binary_removes_a_killed_writers_temporary_file(tmp_path):
+    target = tmp_path / "model.json"
+    dead = tmp_path / f".model.json.{_dead_pid()}.tmp"
+    other_target = tmp_path / f".model.jsonl.{_dead_pid()}.tmp"
+    for leftover in (dead, other_target):
+        leftover.write_bytes(b"half a file")
+    write_binary(target, [b"whole"])
+    assert target.read_bytes() == b"whole"
+    assert not dead.exists()
+    assert other_target.exists()  # another target's file
+
+
+def test_write_binary_leaves_a_running_writers_temporary_file(tmp_path):
+    """The test process runs: a writer in another process must not remove
+    the temporary file that carries its pid."""
+    live = tmp_path / f".model.json.{os.getpid()}.tmp"
+    live.write_bytes(b"being written")
+    script = (
+        "import sys; from ensemble_judge.artifacts import write_binary; "
+        "write_binary(sys.argv[1], [b'whole'])"
+    )
+    src = Path(ensemble_judge.__file__).parents[1]
+    subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "model.json")],
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (tmp_path / "model.json").read_bytes() == b"whole"
+    assert live.read_bytes() == b"being written"

@@ -24,7 +24,7 @@ from ensemble_judge.store import (
     CacheStore,
 )
 from tests.conftest import make_output
-from tests.oracles import CacheKey, cache_line, stored_payload
+from tests.oracles import CacheKey, block, cache_line, stored_payload
 
 # Ids with tabs, newlines and non-ASCII characters; a small alphabet makes
 # repeated keys likely.
@@ -77,7 +77,7 @@ def _write(path: Path, runs: list[list[AgentOutput]]) -> None:
     for run in runs:
         with CacheStore(path) as store:
             for output in run:
-                store.put(output)
+                store.put(block([output]))
 
 
 def _snapshot(path: Path) -> Path:
@@ -195,7 +195,7 @@ def _observe(path: Path, keys: list[CacheKey], readonly: bool, put: AgentOutput 
                 )],
             )
             if put is not None:
-                store.put(put)
+                store.put(block([put]))
         return seen
     except (CacheCorruptionError, CacheIntegrityError) as exc:
         return type(exc), str(exc)

@@ -938,3 +938,52 @@ def test_cold_stub_cache_bytes_are_pinned(tmp_path):
                      (workdir / "cache.jsonl").read_bytes())
     assert blanked.count(b'"created_at": ""') == 900
     assert hashlib.sha256(blanked).hexdigest() == PINNED_CACHE_SHA256
+
+
+# Deep enough to pass the interpreter's recursion limit inside ``json.loads``.
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+class TestJsonNestedPastTheRecursionLimit:
+    """Every JSON reader turns a RecursionError into its file's documented
+    exit code and one ``error:`` line."""
+
+    def test_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(NESTED)
+        assert run(path, "ingest") == 1
+        assert _single_error_line(capsys.readouterr().err, "config.json")
+
+    @pytest.mark.parametrize(
+        "name, stage",
+        [("cache.jsonl", "build-features"), ("split.json", "build-features"),
+         ("model.json", "evaluate")],
+    )
+    def test_stage_input_exits_3(self, pipeline, capsys, name, stage):
+        cfg_path, workdir = pipeline
+        path = workdir / name
+        if name == "cache.jsonl":  # the second line, its rationale nested
+            lines = path.read_text().splitlines(keepends=True)
+            lines[1] = re.sub(r'"rationale": "[^"]*"', f'"rationale": {NESTED}', lines[1])
+            path.write_text("".join(lines))
+        else:
+            path.write_text(NESTED)
+        capsys.readouterr()
+        assert run(cfg_path, stage) == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, name)
+        if name == "cache.jsonl":
+            assert "corrupted line at byte offset" in err
+
+    def test_latents_line_exits_3(self, tmp_path, capsys):
+        cfg_path, workdir = write_config(tmp_path)
+        for args in (("synth", "--n", "300", "--seed", "42"), ("ingest",)):
+            assert run(cfg_path, *args) == 0
+        path = workdir / "latents.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = NESTED + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(cfg_path, "run-agents") == 3
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "latents.jsonl") and "line 2:" in err

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import logging
 import os
+import re
 import stat
 import tempfile
 from datetime import datetime, timezone
@@ -17,10 +19,17 @@ from ensemble_judge.store import (
     CacheIntegrityError,
     CacheStore,
     _parse_line,
-    _payload,
 )
 from tests.conftest import make_output
-from tests.oracles import CacheKey, cache_line, line_to_dict, prompt_hash, stored_payload
+from tests.oracles import (
+    CacheKey,
+    block,
+    cache_line,
+    line_to_dict,
+    payload,
+    prompt_hash,
+    stored_payload,
+)
 
 
 def digests(keys):
@@ -53,8 +62,8 @@ class TestPutGet:
     def test_round_trip(self, tmp_path):
         with CacheStore(tmp_path / "cache.jsonl") as store:
             output = output_for()
-            store.put(output)
-            assert stored(store, output) == _payload(output)
+            store.put(block([output]))
+            assert stored(store, output) == payload(output)
 
     def test_absent_key(self, tmp_path):
         with CacheStore(tmp_path / "cache.jsonl") as store:
@@ -64,24 +73,74 @@ class TestPutGet:
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
             output = output_for()
-            store.put(output)
+            store.put(block([output]))
             size = path.stat().st_size
-            store.put(output)
+            store.put(block([output]))
             assert path.stat().st_size == size
             assert len(store) == 1
 
     def test_conflicting_payload_is_integrity_error(self, tmp_path):
         with CacheStore(tmp_path / "cache.jsonl") as store:
-            store.put(output_for(label=SentimentLabel.POSITIVE))
+            store.put(block([output_for(label=SentimentLabel.POSITIVE)]))
             with pytest.raises(CacheIntegrityError, match="disclosure_id='d0', lens='performance'"):
-                store.put(output_for(label=SentimentLabel.NEGATIVE))
+                store.put(block([output_for(label=SentimentLabel.NEGATIVE)]))
+
+    def test_a_block_with_a_conflict_writes_nothing(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with CacheStore(path) as store:
+            store.put(block([output_for(0)]))
+            before = path.read_bytes()
+            for conflicting in (
+                [output_for(1), output_for(0, label=SentimentLabel.NEGATIVE)],
+                [output_for(1), output_for(1, label=SentimentLabel.NEGATIVE)],
+            ):
+                with pytest.raises(
+                    CacheIntegrityError, match="different payload: disclosure_id='d[01]'"
+                ):
+                    store.put(block(conflicting))
+                assert path.read_bytes() == before
+                assert len(store) == 1
+
+    def test_repeats_inside_a_block_are_written_once(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        outputs = [output_for(0), output_for(1), output_for(0), output_for(1)]
+        with CacheStore(path) as store:
+            store.put(block(outputs))
+            assert len(store) == 2
+        lines = path.read_bytes().splitlines(keepends=True)
+        created = {json.loads(line)["created_at"] for line in lines}
+        assert len(created) == 1  # one stamp per block
+        assert lines == [cache_line(o, datetime.fromisoformat(*created)) for o in outputs[:2]]
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("labels", 2),
+            ("confidences", 1.5),
+            ("confidences", float("nan")),
+            ("sources", 3),
+            ("retry_counts", 2),
+        ],
+    )
+    def test_a_block_value_that_breaks_a_rule_is_refused(self, tmp_path, column, value):
+        path = tmp_path / "cache.jsonl"
+        good = block([output_for(0), output_for(1)])
+        bad = good._replace(**{column: getattr(good, column).copy()})
+        getattr(bad, column)[1] = value
+        with CacheStore(path) as store:
+            with pytest.raises(ValueError, match="row 1 breaks"):
+                store.put(bad)
+            with pytest.raises(ValueError, match="one row per key digest"):
+                store.put(good._replace(rationales=good.rationales[:1]))
+            assert len(store) == 0
+        assert not path.exists()
 
     def test_append_only_file_growth(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         sizes = []
         with CacheStore(path) as store:
             for i in range(5):
-                store.put(output_for(i))
+                store.put(block([output_for(i)]))
                 sizes.append(path.stat().st_size)
         assert sizes == sorted(sizes)
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
@@ -92,16 +151,16 @@ class TestPersistence:
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
             for i in range(3):
-                store.put(output_for(i))
+                store.put(block([output_for(i)]))
         with CacheStore(path) as store:
             assert len(store) == 3
-            assert stored(store, output_for(1)) == _payload(output_for(1))
+            assert stored(store, output_for(1)) == payload(output_for(1))
 
     def test_truncated_final_line_dropped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
             for i in range(3):
-                store.put(output_for(i))
+                store.put(block([output_for(i)]))
         raw = path.read_bytes()
         path.write_bytes(raw[:-25])  # chop inside the final record
         with caplog.at_level(logging.WARNING):
@@ -112,9 +171,9 @@ class TestPersistence:
     def test_corrupted_middle_line_names_byte_offset(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
-            store.put(output_for(0))
+            store.put(block([output_for(0)]))
             offset = path.stat().st_size
-            store.put(output_for(1))
+            store.put(block([output_for(1)]))
         data = path.read_bytes().splitlines(keepends=True)
         data[1] = b'{"key": garbage}\n'
         path.write_bytes(b"".join(data))
@@ -124,7 +183,7 @@ class TestPersistence:
     def test_valid_unterminated_final_line_kept(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
-            store.put(output_for(0))
+            store.put(block([output_for(0)]))
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         with CacheStore(path) as store:
             assert len(store) == 1
@@ -135,14 +194,14 @@ class TestCoverage:
         with CacheStore(tmp_path / "c.jsonl") as store:
             outputs = [output_for(i, lens) for i in range(10) for lens in Lens]
             for output in outputs:
-                store.put(output)
+                store.put(block([output]))
             assert store.missing(digests(map(CacheKey.for_output, outputs))).tolist() == []
 
     def test_single_gap_reported(self, tmp_path):
         with CacheStore(tmp_path / "c.jsonl") as store:
             outputs = [output_for(i, lens) for i in range(10) for lens in Lens]
             for output in outputs[1:]:
-                store.put(output)
+                store.put(block([output]))
             missing = store.missing(digests(map(CacheKey.for_output, outputs)))
             assert missing.tolist() == [0]
 
@@ -150,7 +209,7 @@ class TestCoverage:
         with CacheStore(tmp_path / "c.jsonl") as store:
             outputs = [output_for(i) for i in range(4)]
             for output in outputs:
-                store.put(output)
+                store.put(block([output]))
             changed = [
                 CacheKey(
                     disclosure_id=k.disclosure_id,
@@ -168,7 +227,7 @@ class TestSerialization:
     def test_key_field_order_is_stable(self, tmp_path):
         path = tmp_path / "c.jsonl"
         with CacheStore(path) as store:
-            store.put(output_for(0))
+            store.put(block([output_for(0)]))
         line = json.loads(path.read_text().splitlines()[0])
         assert list(line) == ["key", "output", "created_at"]
         assert list(line["key"]) == ["disclosure_id", "lens", "model_name", "prompt_hash", "seed"]
@@ -176,7 +235,7 @@ class TestSerialization:
     def test_record_round_trip(self):
         output = output_for(7, Lens.RISK, SentimentLabel.NEGATIVE)
         line = cache_line(output, CREATED)
-        assert _parse_line(line) == (CacheKey.for_output(output).digest(), _payload(output))
+        assert _parse_line(line) == (CacheKey.for_output(output).digest(), payload(output))
 
 
 def _line_of(output, **output_changes):
@@ -189,7 +248,7 @@ class TestCrashTailRepair:
     def _three_records(self, path):
         with CacheStore(path) as store:
             for i in range(3):
-                store.put(output_for(i))
+                store.put(block([output_for(i)]))
         return path.read_bytes()
 
     def test_resume_after_truncated_tail(self, tmp_path):
@@ -198,8 +257,8 @@ class TestCrashTailRepair:
         path.write_bytes(raw[:-25])
         with CacheStore(path) as store:
             assert len(store) == 2
-            store.put(output_for(2))
-            store.put(output_for(3))
+            store.put(block([output_for(2)]))
+            store.put(block([output_for(3)]))
         with CacheStore(path) as store:
             assert len(store) == 4
         two_lines = raw[: raw.rstrip(b"\n").rfind(b"\n") + 1]
@@ -212,11 +271,11 @@ class TestCrashTailRepair:
         path.write_bytes(raw[:-1])
         with CacheStore(path) as store:
             assert len(store) == 3
-            store.put(output_for(3))
-            store.put(output_for(4))
+            store.put(block([output_for(3)]))
+            store.put(block([output_for(4)]))
         with CacheStore(path) as store:
             assert len(store) == 5
-            assert stored(store, output_for(2)) == _payload(output_for(2))
+            assert stored(store, output_for(2)) == payload(output_for(2))
         assert path.read_bytes().startswith(raw)
 
     def test_resume_after_a_cut_at_every_byte_of_the_last_line(self, tmp_path):
@@ -226,12 +285,12 @@ class TestCrashTailRepair:
         for cut in range(last_start, len(raw)):
             path.write_bytes(raw[:cut])
             with CacheStore(path) as store:
-                store.put(output_for(2))
-                store.put(output_for(3))
+                store.put(block([output_for(2)]))
+                store.put(block([output_for(3)]))
             with CacheStore(path, readonly=True) as store:
                 assert len(store) == 4, cut
                 for i in range(4):
-                    assert stored(store, output_for(i)) == _payload(output_for(i))
+                    assert stored(store, output_for(i)) == payload(output_for(i))
             assert path.read_bytes().startswith(raw[:last_start])
 
     def test_reader_never_modifies_the_file(self, tmp_path):
@@ -244,7 +303,7 @@ class TestCrashTailRepair:
             with CacheStore(path, readonly=True) as store:
                 assert len(store) == (2 if damaged == raw[:-25] else 3)
                 with pytest.raises(CacheIntegrityError, match="read-only"):
-                    store.put(output_for(5))
+                    store.put(block([output_for(5)]))
             assert path.read_bytes() == damaged
             assert sorted(os.listdir(tmp_path)) == listing
             assert path.with_name("cache.jsonl.table").read_bytes() == snapshot
@@ -347,7 +406,7 @@ class TestTable:
         ]
         with CacheStore(path) as store:
             for output in outputs:
-                store.put(output)
+                store.put(block([output]))
         with CacheStore(path, readonly=True) as store:
             keys = [CacheKey.for_output(outputs[2]), key_for(9), CacheKey.for_output(outputs[0])]
             rows = store.rows(digests(keys))
@@ -355,7 +414,7 @@ class TestTable:
             got_labels, got_conf = store.judgments(rows[[0, 2]])
             assert got_labels.tolist() == [-1, 1]
             assert got_conf.tolist() == [0.1 * 3, 0.1]
-            assert [stored(store, o) for o in outputs] == list(map(_payload, outputs))
+            assert [stored(store, o) for o in outputs] == list(map(payload, outputs))
 
 
 class TestSingleWriter:
@@ -363,7 +422,7 @@ class TestSingleWriter:
         path = tmp_path / "cache.jsonl"
         first = CacheStore(path)
         try:
-            first.put(output_for(0))
+            first.put(block([output_for(0)]))
             with pytest.raises(CacheIntegrityError, match="locked by another run"):
                 CacheStore(path)
             with CacheStore(path, readonly=True) as reader:
@@ -372,7 +431,7 @@ class TestSingleWriter:
             first.close()
         with CacheStore(path) as second:
             assert len(second) == 1
-            second.put(output_for(1))
+            second.put(block([output_for(1)]))
         with CacheStore(path, readonly=True) as reader:
             assert len(reader) == 2
 
@@ -391,7 +450,7 @@ class TestSingleWriter:
 
         monkeypatch.setattr(store_module, "write_stamped", write_while_locked)
         with CacheStore(path) as first:
-            first.put(output_for(0))
+            first.put(block([output_for(0)]))
         assert written == ["cache.jsonl.table"]
         with CacheStore(path) as second:
             assert len(second) == 1
@@ -423,7 +482,7 @@ class TestEmptyFile:
     def test_writer_that_appends_nothing_keeps_a_cache_with_lines(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
-            store.put(output_for(0))
+            store.put(block([output_for(0)]))
         before = path.read_bytes()
         with CacheStore(path):
             pass
@@ -435,7 +494,7 @@ class TestEmptyFile:
             with pytest.raises(CacheIntegrityError, match="locked by another run"):
                 CacheStore(path)
             assert path.exists()
-            first.put(output_for(0))
+            first.put(block([output_for(0)]))
         with CacheStore(path, readonly=True) as reader:
             assert len(reader) == 1
 
@@ -454,7 +513,7 @@ class TestEmptyFile:
             CacheStore(path)
         monkeypatch.undo()
         with CacheStore(path) as store:
-            store.put(output_for(0))
+            store.put(block([output_for(0)]))
         with CacheStore(path, readonly=True) as reader:
             assert len(reader) == 1
 
@@ -471,7 +530,7 @@ class TestEmptyFile:
             assert [st.st_ino for st in synced if stat.S_ISDIR(st.st_mode)] == [
                 tmp_path.stat().st_ino
             ]
-            store.put(output_for(0))
+            store.put(block([output_for(0)]))
 
 
 class TestDigestIndex:
@@ -483,11 +542,11 @@ class TestDigestIndex:
         outputs = [output_for(i, lens) for i in range(3) for lens in Lens]
         with CacheStore(path) as store:
             for output in outputs:
-                store.put(output)
+                store.put(block([output]))
         with CacheStore(path) as store:  # the index now comes from the snapshot
             assert store._covered == path.stat().st_size
-            store.put(outputs[4])  # a no-op: found in the sorted index
-            assert [stored(store, o) for o in outputs] == list(map(_payload, outputs))
+            store.put(block([outputs[4]]))  # a no-op: found in the sorted index
+            assert [stored(store, o) for o in outputs] == list(map(payload, outputs))
             assert store.rows(digests(map(CacheKey.for_output, outputs))).tolist() == list(range(9))
         assert len(path.read_bytes().splitlines()) == 9
 
@@ -529,7 +588,7 @@ class TestCacheBytesAndKeys:
         )
         path = tmp_path / "cache.jsonl"
         with CacheStore(path) as store:
-            store.put(output)
+            store.put(block([output]))
         created_at = datetime.fromisoformat(json.loads(path.read_bytes())["created_at"])
         assert path.read_bytes() == cache_line(output, created_at)
 
@@ -538,7 +597,7 @@ class TestCacheBytesAndKeys:
         assert digest == CacheKey.for_output(output).digest()
         with CacheStore(path, readonly=True) as store:
             assert store.rows([digest]).tolist() == [0]
-            assert stored(store, output) == _payload(output)
+            assert stored(store, output) == payload(output)
             assert store.missing([digest]).tolist() == []
 
 
@@ -582,17 +641,77 @@ def any_outputs(draw):
 def test_put_writes_the_oracle_bytes_for_any_output(outputs):
     """``put``'s fixed-layout line is ``json.dumps(..., ensure_ascii=False)``
     of the line's dicts, byte for byte; :func:`_parse_line` reads it back as
-    the key digest and the payload a re-put compares, and ``get`` as the output."""
+    the key digest and the payload a re-put compares, and ``get`` as the output.
+    A block's confidence column is float64, so an integral confidence is
+    written as the float every agent reports (``1.0``, not ``1``)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cache.jsonl"
         with CacheStore(path) as store:
             for output in outputs:
-                store.put(output)
+                store.put(block([output]))
         lines = path.read_bytes().splitlines(keepends=True)
         assert len(lines) == len(outputs)
         with CacheStore(path, readonly=True) as store:
             for output, line in zip(outputs, lines):
                 created_at = datetime.fromisoformat(json.loads(line)["created_at"])
-                assert line == cache_line(output, created_at)
-                assert _parse_line(line) == (CacheKey.for_output(output).digest(), _payload(output))
-                assert stored(store, output) == _payload(output)
+                as_float = dataclasses.replace(output, confidence=float(output.confidence))
+                assert line == cache_line(as_float, created_at)
+                assert _parse_line(line) == (CacheKey.for_output(output).digest(), payload(output))
+                assert stored(store, output) == payload(output)
+
+
+@st.composite
+def put_sequences(draw):
+    """Distinct-key outputs, the order they are put in (a key may come back,
+    with the same payload), and where that sequence is cut into blocks."""
+    outputs = draw(st.lists(any_outputs(), min_size=1, max_size=6, unique_by=CacheKey.for_output))
+    order = draw(st.lists(st.integers(0, len(outputs) - 1), min_size=1, max_size=12))
+    cuts = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    blocks, current = [], []
+    for index, cut in zip(order, cuts):
+        if cut and current:
+            blocks.append(current)
+            current = []
+        current.append(outputs[index])
+    return outputs, order, [*blocks, current]
+
+
+def _without_created_at(data: bytes) -> bytes:
+    return re.sub(rb'"created_at": "[^"]*"', b"", data)
+
+
+def _state(store, keys):
+    rows = store.rows(digests(keys))
+    return rows.tolist(), [x.tolist() for x in store.judgments(rows[rows >= 0])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(put_sequences())
+def test_blocks_write_what_per_pair_puts_write(sequence):
+    """Blocks and one-row puts leave the same bytes (``created_at`` aside),
+    rows and judgments; the index built from the blocks' digests is the one a
+    full parse of the lines builds, so each digest is its line's key digest."""
+    outputs, order, blocks = sequence
+    keys = [CacheKey.for_output(o) for o in outputs]
+    with tempfile.TemporaryDirectory() as tmp:
+        per_pair, batched = Path(tmp) / "per-pair.jsonl", Path(tmp) / "batched.jsonl"
+        with CacheStore(per_pair) as store:
+            for index in order:
+                store.put(block([outputs[index]]))
+            expected = _state(store, keys)
+        with CacheStore(batched) as store:
+            for outputs_of_block in blocks:
+                store.put(block(outputs_of_block))
+            assert _state(store, keys) == expected
+            index = store._digests.tobytes(), store._rows.tolist()
+        first_seen = [outputs[i] for i in dict.fromkeys(order)]
+        oracle = b"".join(
+            cache_line(dataclasses.replace(o, confidence=float(o.confidence)), CREATED)
+            for o in first_seen
+        )
+        assert _without_created_at(batched.read_bytes()) == _without_created_at(oracle)
+        assert _without_created_at(per_pair.read_bytes()) == _without_created_at(oracle)
+        batched.with_name("batched.jsonl.table").unlink()
+        with CacheStore(batched, readonly=True) as store:
+            assert (store._digests.tobytes(), store._rows.tolist()) == index
+            assert _state(store, keys) == expected

@@ -1,9 +1,14 @@
+import json
+
+import numpy as np
 import pytest
 
-from ensemble_judge import synth
-from ensemble_judge.agents import render_prompt
+from ensemble_judge import pipeline, synth
+from ensemble_judge.agents import AgentSpec, render_prompt
+from ensemble_judge.artifacts import ArtifactError
+from ensemble_judge.config import load_config
 from ensemble_judge.domain import LENS_ORDER, ConfidenceSource, Lens, SentimentLabel
-from ensemble_judge.ingest import PreprocessConfig, preprocess_corpus
+from ensemble_judge.ingest import PreparedKeys, PreprocessConfig, preprocess_corpus
 from ensemble_judge.synth import (
     LABEL_DEAD_ZONE,
     LatentDisclosure,
@@ -11,7 +16,7 @@ from ensemble_judge.synth import (
     generate_corpus,
     load_latents,
     stub_agent,
-    stub_outputs,
+    stub_blocks,
     write_latents,
 )
 from tests import oracles
@@ -163,28 +168,74 @@ class TestAgainstTheStubOracle:
                     lens, record, latents
                 )
 
+    @staticmethod
+    def _pairs(records):
+        """Every (prepared row, spec column) pair of ``records`` under the stub
+        specs, row-major, with the key table of the run seed 42."""
+        specs = [AgentSpec(lens, synth.STUB_MODEL_NAME, synth.STUB_ENDPOINT) for lens in LENS_ORDER]
+        keys = PreparedKeys.of(records, specs, 42)
+        rows, columns = np.divmod(np.arange(3 * len(records)), 3)
+        return specs, keys, rows, columns
+
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_batch_path_yields_the_oracle_outputs(self, corpus, monkeypatch, chunk):
         records, latents = corpus
         if chunk is not None:
             monkeypatch.setattr(synth, "NOISE_CHUNK", chunk)
-        pairs = [
-            (record, lens, oracles.prompt_hash(render_prompt(lens, record.clean_text)))
+        specs, keys, rows, columns = self._pairs(records)
+        signals = np.array(
+            [
+                [lat.performance_signal, lat.guidance_signal, lat.risk_signal]
+                for lat in (latents[r.id] for r in records)
+            ]
+        )
+        seeds = [latents[r.id].noise_seed for r in records]
+        blocks = list(stub_blocks(keys, rows, columns, specs, signals, seeds, 42))
+        triples = [
+            (record.id, lens, oracles.prompt_hash(render_prompt(lens, record.clean_text)))
             for record in records
             for lens in LENS_ORDER
         ]
-        expected = [
-            oracles.stub_agent(lens, record, latents, run_seed=42, prompt_digest=digest)
-            for record, lens, digest in pairs
-        ]
-        triples = [(record.id, lens, digest) for record, lens, digest in pairs]
-        assert list(stub_outputs(triples, latents, 42)) == expected
+        expected = list(oracles.stub_outputs(triples, latents, 42))
         assert len(expected) == 900
+        assert [len(b.digests) for b in blocks[:-1]] == [synth.NOISE_CHUNK] * (len(blocks) - 1)
+        # Row for row, the columns equal those of the oracle's outputs under
+        # the digests of their own keys.
+        assert _block_rows(blocks) == _block_rows([oracles.block(expected)])
 
-    def test_batch_path_needs_each_disclosures_latents(self, corpus):
-        records, _ = corpus
-        with pytest.raises(KeyError):
-            list(stub_outputs([(records[0].id, Lens.RISK, "0" * 64)], {}, 42))
+    def test_batch_path_needs_each_disclosures_latents(self, corpus, tmp_path):
+        records, latents = corpus
+        config = load_config(_stub_config(tmp_path))
+        write_latents({r.id: latents[r.id] for r in records[1:]}, config.latents_path)
+        _, keys, rows, columns = self._pairs(records)
+        with pytest.raises(ArtifactError, match=f"no latent signals for 1 disclosures.*{records[0].id}"):
+            next(pipeline._stub_blocks(config, keys, rows, columns))
+        # Pairs of the disclosures that have latents need nothing more.
+        assert next(pipeline._stub_blocks(config, keys, rows[3:], columns[3:]))
+
+
+def _block_rows(blocks) -> list[tuple]:
+    return [
+        row
+        for block in blocks
+        for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else list(c) for c in block))
+    ]
+
+
+def _stub_config(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps(
+            {
+                "workdir": "run",
+                "corpus_path": "run/corpus.jsonl",
+                "latents_path": "run/latents.jsonl",
+                "seed": 42,
+                "stub_agents": {"enabled": True},
+            }
+        )
+    )
+    return path
 
 
 class TestLatentsSidecar:
