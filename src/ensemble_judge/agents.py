@@ -16,7 +16,9 @@ import json
 import math
 import os
 import re
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -307,6 +309,47 @@ REQUEST_TIMEOUT_S = 120.0
 # Transport attempts per request; the waits between them double from the base.
 MAX_ATTEMPTS = 4
 BACKOFF_BASE_S = 0.5
+# The longest wait a 429 or 503 may ask for in its Retry-After header.
+RETRY_AFTER_MAX_S = 60.0
+_DELAY_SECONDS = re.compile(r"[0-9]+")
+
+
+def _retry_after(value: str | None, backoff: float) -> float:
+    """The wait a ``Retry-After`` header value asks for when it is
+    delay-seconds (RFC 9110 §10.2.3), capped at :data:`RETRY_AFTER_MAX_S`;
+    ``backoff`` when it is absent or an HTTP date."""
+    if value is None or not _DELAY_SECONDS.fullmatch(value.strip()):
+        return backoff
+    return min(float(value), RETRY_AFTER_MAX_S)
+
+
+class RequestSlots:
+    """``count`` slots, each held by one request on the wire. A freed slot
+    goes to the thread that has waited longest: a thread that sends request
+    after request cannot starve the others (``threading.Semaphore`` lets it
+    take back the slot it just released before a woken waiter runs)."""
+
+    def __init__(self, count: int):
+        self._lock = threading.Lock()
+        self._free = count
+        self._waiting: deque[threading.Lock] = deque()
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._free:
+                self._free -= 1
+                return
+            handoff = threading.Lock()
+            handoff.acquire()
+            self._waiting.append(handoff)
+        handoff.acquire()  # released by the holder that hands this thread its slot
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            if self._waiting:
+                self._waiting.popleft().release()
+            else:
+                self._free += 1
 
 
 def http_url(url: str) -> SplitResult:
@@ -333,13 +376,17 @@ class ChatCompletionsClient:
 
     Each client serves one worker thread and one endpoint, so it holds one
     persistent HTTP/1.1 connection, opened on first use and reopened after
-    the server closes it. Bearer auth comes from the
-    ``ENSEMBLE_JUDGE_API_KEY`` environment variable when set. Connection
-    errors, timeouts, 429 and 5xx responses are retried with exponential
-    backoff; other statuses from 300 up fail immediately since repeating
-    them cannot help. Proxy variables are not read, and https verifies the
-    server against the system trust store. ``http.client`` and ``ssl`` are
-    imported here, not at module load, so stub-agent runs never pay for them.
+    the server closes it. Each exchange holds one of the ``slots`` that
+    clients share, so at most that many requests are on the wire at once;
+    the backoff sleeps and the response parsing hold none. Bearer auth
+    comes from the ``ENSEMBLE_JUDGE_API_KEY`` environment variable when set.
+    Connection errors, timeouts, 429 and 5xx responses are retried with
+    exponential backoff, or after the delay a 429 or 503 asks for in
+    ``Retry-After``; other statuses from 300 up fail immediately since
+    repeating them cannot help. Proxy variables are not read, and https
+    verifies the server against the system trust store. ``http.client`` and
+    ``ssl`` are imported here, not at module load, so stub-agent runs never
+    pay for them.
     """
 
     def __init__(
@@ -347,6 +394,7 @@ class ChatCompletionsClient:
         endpoint_url: str,
         model_name: str,
         *,
+        slots: RequestSlots | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         import http.client
@@ -366,6 +414,8 @@ class ChatCompletionsClient:
             self.connection = http.client.HTTPConnection(
                 url.hostname, url.port, timeout=REQUEST_TIMEOUT_S
             )
+        # A client on its own is used by one thread: one slot never waits.
+        self._slots = RequestSlots(1) if slots is None else slots
         self._sleep = sleep
 
     def close(self) -> None:
@@ -396,25 +446,29 @@ class ChatCompletionsClient:
         headers = self._headers()
 
         conn = self.connection
-        last_failure = ""
+        last_failure, wait = "", 0.0
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                self._sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
+                self._sleep(wait)
+            wait = BACKOFF_BASE_S * 2**attempt
             try:
-                # A server's idle timeout closes the socket between calls;
-                # reconnecting then costs no attempt. http.client itself
-                # closes the connection after a response that says it will.
-                if conn.sock is not None and _dropped(conn.sock):
-                    conn.close()
-                conn.request("POST", self._target, body, headers)
-                response = conn.getresponse()
-                data = response.read()
+                with self._slots:
+                    # A server's idle timeout closes the socket between calls;
+                    # reconnecting then costs no attempt. http.client itself
+                    # closes the connection after a response that says it will.
+                    if conn.sock is not None and _dropped(conn.sock):
+                        conn.close()
+                    conn.request("POST", self._target, body, headers)
+                    response = conn.getresponse()
+                    data = response.read()
             except (OSError, HTTPException) as exc:
                 conn.close()
                 last_failure = f"transport error: {exc}"
                 continue
             if response.status in _RETRYABLE_STATUSES:
                 last_failure = f"HTTP {response.status}"
+                if response.status in (429, 503):
+                    wait = _retry_after(response.getheader("Retry-After"), wait)
                 continue
             if response.status >= 300:
                 raise TransportError(

@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,9 +94,9 @@ def parse_rfc3339(value: str) -> datetime:
 
 def _read_disclosures(
     path: str | Path, keys: frozenset[str], error: type[Exception]
-) -> list[DisclosureRecord]:
+) -> Iterator[DisclosureRecord]:
     """The disclosures of a corpus (``CORPUS_KEYS``) or prepared
-    (``PREPARED_KEYS``) file, in file order.
+    (``PREPARED_KEYS``) file, in file order, read as they are iterated.
 
     Each line must carry exactly ``keys``, string text fields, a finite JSON
     number as the return and an id no earlier line has; otherwise ``error``
@@ -104,7 +104,6 @@ def _read_disclosures(
     """
     path = Path(path)
     prepared = "clean_text" in keys
-    records: list[DisclosureRecord] = []
     seen: dict[str, int] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -125,21 +124,19 @@ def _read_disclosures(
                 if rid in seen:
                     raise ValueError(f"duplicate id {rid!r} on lines {seen[rid]} and {lineno}")
                 seen[rid] = lineno
-                records.append(
-                    DisclosureRecord(
-                        id=rid,
-                        timestamp=parse_rfc3339(timestamp),
-                        ticker=ticker,
-                        raw_text=text,
-                        clean_text=clean_text,
-                        next_day_return=finite_number(obj["next_day_return"]),
-                    )
+                record = DisclosureRecord(
+                    id=rid,
+                    timestamp=parse_rfc3339(timestamp),
+                    ticker=ticker,
+                    raw_text=text,
+                    clean_text=clean_text,
+                    next_day_return=finite_number(obj["next_day_return"]),
                 )
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise error(f"{path}: line {lineno}: malformed JSON ({exc})") from None
             except ValueError as exc:
                 raise error(f"{path}: line {lineno}: {exc}") from None
-    return records
+            yield record
 
 
 def load_corpus(path: str | Path) -> list[DisclosureRecord]:
@@ -148,12 +145,17 @@ def load_corpus(path: str | Path) -> list[DisclosureRecord]:
     Records come back with ``clean_text`` empty; run :func:`preprocess_corpus`
     before anything downstream touches the text.
     """
-    return _read_disclosures(path, CORPUS_KEYS, CorpusFormatError)
+    return list(_read_disclosures(path, CORPUS_KEYS, CorpusFormatError))
+
+
+def read_prepared(path: str | Path) -> Iterator[DisclosureRecord]:
+    """The preprocessed disclosures, streaming (:class:`ArtifactError` on a bad line)."""
+    return _read_disclosures(path, PREPARED_KEYS, ArtifactError)
 
 
 def load_prepared(path: str | Path) -> list[DisclosureRecord]:
     """Load preprocessed disclosures (:class:`ArtifactError` on a bad line)."""
-    return _read_disclosures(path, PREPARED_KEYS, ArtifactError)
+    return list(read_prepared(path))
 
 
 def corpus_row(record: DisclosureRecord, **extra: str) -> dict:

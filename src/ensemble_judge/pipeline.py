@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from itertools import zip_longest
+from itertools import groupby, islice, zip_longest
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .agents import AgentSpec, ChatCompletionsClient, run_agent
+from .agents import AgentSpec, ChatCompletionsClient, RequestSlots, run_agent
 from .artifacts import ArtifactError
 from .config import RunConfig
 from .domain import AgentOutput, DisclosureRecord, Lens, Split
@@ -38,6 +40,7 @@ from .ingest import (
     load_split,
     preprocess_corpus,
     read_key_table,
+    read_prepared,
     write_corpus,
     write_prepared,
     write_split,
@@ -144,9 +147,9 @@ def _split_rows(config: RunConfig, keys: PreparedKeys) -> dict[Split, np.ndarray
     }
 
 
-# HTTP runs fsync the cache every this many appends, so a machine crash loses
-# at most this many paid-for answers; stub runs, which can regenerate theirs,
-# fsync at the end only.
+# HTTP runs fsync the cache at every multiple of this many answers, which no
+# HTTP block spans, so a machine crash loses at most this many paid-for
+# answers; stub runs, which can regenerate theirs, fsync at the end only.
 HTTP_SYNC_EVERY = 256
 
 
@@ -169,12 +172,37 @@ def _stub_blocks(
     )
 
 
+def _fetch_tasks(
+    path: Path, rows: np.ndarray, columns: np.ndarray, specs: Sequence[AgentSpec]
+) -> Iterator[tuple[DisclosureRecord, AgentSpec]]:
+    """The (record, agent) of each pair (prepared row, spec column) to fetch,
+    read from the prepared file as it streams by; ``rows`` ascend."""
+    records = enumerate(read_prepared(path))
+    for row, pairs in groupby(zip(rows.tolist(), columns.tolist()), key=itemgetter(0)):
+        record = next(record for at, record in records if at == row)
+        for _, column in pairs:
+            yield record, specs[column]
+
+
+# Pending pairs per request slot in the HTTP submission window: enough that
+# the other slots stay busy while the answer at the window's head backs off.
+WINDOW_PER_SLOT = 64
+
+
 def _http_blocks(
     config: RunConfig, todo: Iterable[tuple[DisclosureRecord, AgentSpec]], digests: np.ndarray
 ) -> Iterator[CacheBlock]:
-    """Each answer as a one-row block under its key digest, in submission
-    order, from at most ``max_in_flight`` concurrent calls."""
+    """The answers under their key digests, in submission order, as blocks.
+
+    At most ``max_in_flight`` requests are on the wire at once, each holding
+    one shared slot, from twice as many worker threads, so a thread that
+    backs off leaves its slot to another. At most :data:`WINDOW_PER_SLOT`
+    pairs a slot are submitted and not yet handed on; each block is the run
+    of answers at the head of that window, cut at every multiple of
+    :data:`HTTP_SYNC_EVERY` pairs.
+    """
     decoding = config.decoding()
+    slots = RequestSlots(config.max_in_flight)
     local = threading.local()
     opened: list[ChatCompletionsClient] = []
 
@@ -187,16 +215,30 @@ def _http_blocks(
         client = clients.get(client_key)
         if client is None:
             client = clients[client_key] = ChatCompletionsClient(
-                spec.endpoint_url, spec.model_name
+                spec.endpoint_url, spec.model_name, slots=slots
             )
             opened.append(client)
         return run_agent(spec, decoding, record, client=client)
 
+    tasks, window = iter(todo), deque()
+    size, done = WINDOW_PER_SLOT * config.max_in_flight, 0
+    pool = ThreadPoolExecutor(max_workers=2 * config.max_in_flight)
     try:
-        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            for digest, output in zip(digests, pool.map(_call, todo)):
-                yield CacheBlock.of([digest], [output])
+        while True:
+            window.extend(pool.submit(_call, task) for task in islice(tasks, size - len(window)))
+            if not window:
+                return
+            window[0].exception()  # waits for the head's answer
+            run: list[AgentOutput] = []
+            room = HTTP_SYNC_EVERY - done % HTTP_SYNC_EVERY
+            while window and window[0].done() and not window[0].exception() and len(run) < room:
+                run.append(window.popleft().result())
+            if not run:
+                window[0].result()  # raises the head's error, once the answers before it are put
+            yield CacheBlock.of(digests[done : done + len(run)], run)
+            done += len(run)
     finally:
+        pool.shutdown(cancel_futures=True)
         for client in opened:
             client.close()
 
@@ -206,10 +248,12 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
 
     Resumable: pairs whose key is already cached are skipped. Stub agents run
     inline, a block of pairs per cache append; HTTP agents run through a
-    bounded thread pool, one answer per append. Either way the single cache
-    appender takes the answers in deterministic submission order.
+    bounded submission window, the answers that have arrived in order per
+    append. Either way the single cache appender takes the answers in
+    deterministic submission order.
     Stub agents judge from the key table's ids and prompt digests; the
-    disclosure text is read only when an HTTP agent has a pair to fetch.
+    disclosure text is read, streaming, only when an HTTP agent has a pair to
+    fetch, and only the records of those pairs are kept, while in flight.
     """
     keys = _prepared(config)
     rows = np.arange(len(keys.ids))
@@ -229,16 +273,14 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
             if config.stub.enabled:
                 blocks, sync_every = _stub_blocks(config, keys, todo_rows, todo_columns), 0
             else:
-                records = load_prepared(config.prepared_path)
-                pairs = zip(todo_rows.tolist(), todo_columns.tolist())
-                fetch = ((records[row], specs[column]) for row, column in pairs)
+                fetch = _fetch_tasks(config.prepared_path, todo_rows, todo_columns, specs)
                 blocks, sync_every = _http_blocks(config, fetch, digests[todo]), HTTP_SYNC_EVERY
             with closing(blocks):
                 for block in blocks:
                     store.put(block)
-                    fetched += len(block.digests)
+                    before, fetched = fetched, fetched + len(block.digests)
                     fallbacks += block.fallbacks()
-                    if sync_every and fetched % sync_every == 0:
+                    if sync_every and fetched // sync_every > before // sync_every:
                         store.sync()
         store.sync()
         still_missing = len(store.missing(digests)) if todo.size else 0

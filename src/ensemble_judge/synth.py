@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -265,30 +266,56 @@ def write_latents(latents: Mapping[str, LatentDisclosure], path: str | Path) -> 
     write_jsonl(path, ({"id": rid, **vars(lat)} for rid, lat in latents.items()))
 
 
+_LATENT_FIELDS = ("id", "performance_signal", "guidance_signal", "risk_signal", "noise_seed")
+_latent_fields = itemgetter(*_LATENT_FIELDS)
+
+
 def _latent_row(obj: dict) -> tuple:
-    """``(id, performance, guidance, risk, noise seed)`` of one latents line."""
+    """``(id, performance, guidance, risk, noise seed)`` of one latents line,
+    its values unchecked."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {obj!r}")
-    rid = obj.pop("id")
-    if not isinstance(rid, str):
-        raise ValueError(f"id must be a string, got {rid!r}")
-    lat = LatentDisclosure(**obj)
-    return rid, lat.performance_signal, lat.guidance_signal, lat.risk_signal, lat.noise_seed
+    row = _latent_fields(obj)
+    if len(obj) != len(row):
+        raise ValueError(f"unexpected keys {sorted(obj.keys() - set(_LATENT_FIELDS))}")
+    if not isinstance(row[0], str):
+        raise ValueError(f"id must be a string, got {row[0]!r}")
+    return row
 
 
 def read_latents(path: str | Path) -> tuple[dict[str, int], np.ndarray, list[int]]:
     """The latents in ``path`` as arrays in file order: each id's line index,
     the ``(m, 3)`` performance, guidance and risk signals, and the noise
-    seeds. An id may appear on one line only."""
+    seeds. An id may appear on one line only.
+
+    The values are checked as columns; when one breaks a
+    :class:`LatentDisclosure` rule, the first line that does is named with
+    that rule's message.
+    """
     rows = read_jsonl(path, _latent_row)
+    values = [value for row in rows for value in row[1:4]]
+    seeds = [row[4] for row in rows]
+    try:
+        signals = np.array(values, dtype=np.float64).reshape(-1, 3)
+    except (TypeError, ValueError, OverflowError):  # not numbers, or beyond the float range
+        signals = np.full((len(rows), 3), np.nan)
+    if not (
+        set(map(type, values)) <= {int, float}
+        and set(map(type, seeds)) <= {int}
+        and (np.abs(signals) <= 1.0).all()  # NaN fails too
+    ):
+        for lineno, (_, *latent) in enumerate(rows, start=1):
+            try:
+                LatentDisclosure(*latent)
+            except (TypeError, ValueError) as exc:
+                raise ArtifactError(f"{path}: malformed line {lineno}: {exc!r}") from None
     position: dict[str, int] = {}
     for index, (rid, *_) in enumerate(rows):
         if position.setdefault(rid, index) != index:
             raise ArtifactError(
                 f"{path}: duplicate id {rid!r} on lines {position[rid] + 1} and {index + 1}"
             )
-    signals = np.array([row[1:4] for row in rows], dtype=np.float64).reshape(-1, 3)
-    return position, signals, [row[4] for row in rows]
+    return position, signals, seeds
 
 
 def load_latents(path: str | Path) -> dict[str, LatentDisclosure]:

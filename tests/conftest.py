@@ -55,10 +55,12 @@ class ScriptedChatEndpoint:
     """Minimal OpenAI-compatible endpoint driven by a scripting callback.
 
     ``script(prompt, call_index)`` returns ``(status, payload)`` where payload
-    is the JSON body to serve (or a raw string for malformed bodies);
-    ``call_index`` counts calls seen for that exact prompt, so tests can make
-    the first attempt fail and the retry succeed. Each request's payload and
-    headers are recorded in arrival order.
+    is the JSON body to serve (or a raw string for malformed bodies), or
+    ``(status, payload, headers)`` to add response headers; ``call_index``
+    counts calls seen for that exact prompt, so tests can make the first
+    attempt fail and the retry succeed. Each request's payload and headers
+    are recorded in arrival order, and ``peak_in_service`` is the most
+    requests that were ever read and not yet answered at once.
     """
 
     def __init__(self, script):
@@ -67,6 +69,7 @@ class ScriptedChatEndpoint:
         self.calls_by_prompt: dict[str, int] = {}
         self.requests: list[dict] = []
         self.headers: list[dict[str, str]] = []
+        self.in_service = self.peak_in_service = 0
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -79,11 +82,21 @@ class ScriptedChatEndpoint:
                     endpoint.calls_by_prompt[prompt] = index + 1
                     endpoint.requests.append(payload)
                     endpoint.headers.append(dict(self.headers))
-                status, body = endpoint.script(prompt, index)
+                    endpoint.in_service += 1
+                    endpoint.peak_in_service = max(endpoint.peak_in_service, endpoint.in_service)
+                try:
+                    status, body, *extra = endpoint.script(prompt, index)
+                finally:
+                    # Before the first response byte: the client that sent this
+                    # request is still waiting for it.
+                    with endpoint.lock:
+                        endpoint.in_service -= 1
                 raw = body if isinstance(body, (bytes, str)) else json.dumps(body)
                 if isinstance(raw, str):
                     raw = raw.encode("utf-8")
                 self.send_response(status)
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(raw)))
                 self.end_headers()

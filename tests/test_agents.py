@@ -2,7 +2,9 @@ import http.client
 import json
 import math
 import ssl
+import sys
 import threading
+import time
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -346,6 +348,119 @@ class TestRunAgentProtocol:
         out = run_agent(spec_for(ep.url, supports_logprobs=False), DECODING, disclosure(), client=client)
         assert out.label is SentimentLabel.POSITIVE
         assert sleeps == [0.5, 1.0]  # exponential backoff between attempts
+
+    @pytest.mark.parametrize(
+        "status, retry_after, waits",
+        [
+            (503, "7", [7.0, 7.0]),
+            (429, " 0 ", [0.0, 0.0]),
+            (429, "86400", [60.0, 60.0]),  # capped at RETRY_AFTER_MAX_S
+            (503, "Fri, 31 Dec 1999 23:59:59 GMT", [0.5, 1.0]),  # an HTTP date is not read
+            (503, "1.5", [0.5, 1.0]),  # delay-seconds are whole
+            (500, "7", [0.5, 1.0]),  # only a 429 or a 503 sets the pace
+        ],
+    )
+    def test_retry_after_paces_the_retries(self, chat_endpoint, status, retry_after, waits):
+        def script(prompt, i):
+            if i < 2:
+                return status, {"error": "busy"}, {"Retry-After": retry_after}
+            return 200, completion_body(agent_json("positive"))
+
+        ep = chat_endpoint(script)
+        sleeps = []
+        client = ChatCompletionsClient(ep.url, "test-model", sleep=sleeps.append)
+        out = run_agent(spec_for(ep.url, supports_logprobs=False), DECODING, disclosure(), client=client)
+        assert out.label is SentimentLabel.POSITIVE
+        assert sleeps == waits
+
+    def test_backoff_leaves_the_request_slot_free(self, chat_endpoint):
+        ep = chat_endpoint(
+            lambda prompt, i: (503, {}, {"Retry-After": "1"}) if i == 0
+            else (200, completion_body(agent_json("positive")))
+        )
+        slots = agents.RequestSlots(1)
+        free = []
+
+        def slot_is_free() -> bool:
+            entered = threading.Event()
+
+            def take_the_slot():
+                with slots:
+                    entered.set()
+
+            threading.Thread(target=take_the_slot, daemon=True).start()
+            return entered.wait(timeout=2)
+
+        def sleep(seconds):
+            free.append(slot_is_free())
+
+        client = ChatCompletionsClient(ep.url, "test-model", slots=slots, sleep=sleep)
+        run_agent(spec_for(ep.url, supports_logprobs=False), DECODING, disclosure(), client=client)
+        assert free == [True]
+        assert slot_is_free()  # and the exchange gave its slot back
+
+    def test_a_freed_slot_goes_to_the_longest_waiter(self):
+        slots = agents.RequestSlots(1)
+        entered = []
+
+        def wait_for_the_slot(name):
+            with slots:
+                entered.append(name)
+
+        threads = []
+        with slots:
+            for name in ("first", "second"):
+                threads.append(threading.Thread(target=wait_for_the_slot, args=(name,), daemon=True))
+                threads[-1].start()
+                deadline = time.monotonic() + 5
+                while len(slots._waiting) < len(threads) and time.monotonic() < deadline:
+                    time.sleep(0.001)
+        with slots:  # the holder asks again at once, and queues behind both
+            entered.append("holder")
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert entered == ["first", "second", "holder"]
+
+    def test_request_slots_under_contention(self):
+        """Eight threads entering and leaving three slots as fast as they can:
+        never more than three holders, and no slot lost at the end."""
+        slots, guard = agents.RequestSlots(3), threading.Lock()
+        holders, peak = [0], [0]
+
+        def hammer():
+            for _ in range(300):
+                with slots:
+                    with guard:
+                        holders[0] += 1
+                        peak[0] = max(peak[0], holders[0])
+                    with guard:
+                        holders[0] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, daemon=True) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert peak[0] <= 3
+        all_three = threading.Barrier(3, timeout=5)
+
+        def hold_one():
+            with slots:
+                all_three.wait()
+
+        holding = [threading.Thread(target=hold_one, daemon=True) for _ in range(3)]
+        for thread in holding:
+            thread.start()
+        for thread in holding:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in holding) and not all_three.broken
 
     def test_transport_exhaustion_fails_loudly(self, chat_endpoint, monkeypatch):
         monkeypatch.setattr(agents, "MAX_ATTEMPTS", 3)

@@ -1,11 +1,17 @@
 import hashlib
 import json
 import math
+import os
 import re
+import time
 
 import pytest
 
+from ensemble_judge import agents as agents_module
+from ensemble_judge import pipeline as pipeline_module
+from ensemble_judge.agents import render_prompt
 from ensemble_judge.cli import main
+from ensemble_judge.domain import Lens
 from tests.conftest import agent_json, completion_body
 
 
@@ -271,35 +277,162 @@ class TestUsageErrors:
         assert not (workdir / "split.json").exists()
 
 
+def lens_answer(prompt, i):
+    """A valid answer whose label depends only on the prompt's lens."""
+    if "realized operating performance" in prompt:
+        label = "positive"
+    elif "forward guidance" in prompt:
+        label = "neutral"
+    else:
+        label = "negative"
+    return 200, completion_body(agent_json(label, confidence=0.75))
+
+
+LENSES = ("performance", "guidance", "risk")
+
+
+def http_run(tmp_path, ep, n=100, max_in_flight=2):
+    """A synthesized and ingested run whose three agents use ``ep``; its
+    config path, workdir and prepared records' ``(id, clean_text)``."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    agents = [
+        {"lens": lens, "model_name": f"m-{lens}", "endpoint_url": ep.url, "supports_logprobs": False}
+        for lens in LENSES
+    ]
+    cfg_path, workdir = write_config(
+        tmp_path, stub_agents={"enabled": False}, agents=agents, max_in_flight=max_in_flight
+    )
+    assert run(cfg_path, "synth", "--n", str(n), "--seed", "42") == 0
+    assert run(cfg_path, "ingest") == 0
+    prepared = [json.loads(line) for line in (workdir / "prepared.jsonl").read_text().splitlines()]
+    return cfg_path, workdir, [(row["id"], row["clean_text"]) for row in prepared]
+
+
+def cached_pairs(workdir):
+    """The (disclosure id, lens) of each cache line, in file order."""
+    outputs = [json.loads(line)["output"] for line in (workdir / "cache.jsonl").read_text().splitlines()]
+    return [(output["disclosure_id"], output["agent"]) for output in outputs]
+
+
+def without_created_at(workdir):
+    return re.sub(rb'"created_at": "[^"]*"', b"", (workdir / "cache.jsonl").read_bytes())
+
+
 class TestHttpAgentsViaCli:
     def test_pipeline_with_mock_endpoint(self, tmp_path, chat_endpoint):
-        # All three lenses served by one scripted endpoint with logprobs.
-        def script(prompt, i):
-            if "realized operating performance" in prompt:
-                label = "positive"
-            elif "forward guidance" in prompt:
-                label = "neutral"
-            else:
-                label = "negative"
-            content = agent_json(label, confidence=0.75)
-            return 200, completion_body(content)
-
-        ep = chat_endpoint(script)
-        agents = [
-            {"lens": lens, "model_name": f"m-{lens}", "endpoint_url": ep.url, "supports_logprobs": False}
-            for lens in ("performance", "guidance", "risk")
-        ]
-        cfg_path, workdir = write_config(
-            tmp_path, stub_agents={"enabled": False}, agents=agents, max_in_flight=3
-        )
-        assert run(cfg_path, "synth", "--n", "300", "--seed", "42") == 0
-        assert run(cfg_path, "ingest") == 0
+        # All three lenses served by one scripted endpoint.
+        ep = chat_endpoint(lens_answer)
+        cfg_path, workdir, _ = http_run(tmp_path, ep, n=300, max_in_flight=3)
         assert run(cfg_path, "run-agents") == 0
         cache_lines = (workdir / "cache.jsonl").read_text().splitlines()
         assert len(cache_lines) == 900
         assert run(cfg_path, "build-features") == 0
         rows = [json.loads(l) for l in (workdir / "features_train.jsonl").read_text().splitlines()]
         assert all(row["features"][:3] == [1.0, 0.0, -1.0] for row in rows)
+
+
+class TestHttpRunAgentsWindow:
+    """The HTTP run-agents contract: at most ``max_in_flight`` requests on the
+    wire, answers appended in submission order, a backoff that leaves its
+    request slot to other pairs, and an fsync at least every
+    ``HTTP_SYNC_EVERY`` answers."""
+
+    def test_no_more_than_max_in_flight_requests_at_once(self, tmp_path, chat_endpoint):
+        def script(prompt, i):
+            time.sleep(0.002)
+            return lens_answer(prompt, i)
+
+        ep = chat_endpoint(script)
+        cfg_path, workdir, prepared = http_run(tmp_path, ep, max_in_flight=3)
+        assert run(cfg_path, "run-agents") == 0
+        assert 2 <= ep.peak_in_service <= 3
+        assert cached_pairs(workdir) == [(rid, lens) for rid, _ in prepared for lens in LENSES]
+
+    def test_other_pairs_use_the_slot_while_one_backs_off(self, tmp_path, chat_endpoint, monkeypatch):
+        monkeypatch.setattr(agents_module, "BACKOFF_BASE_S", 0.1)
+        held = {}
+
+        def script(prompt, i):
+            if prompt == held.get("prompt") and i == 0:
+                return 503, {"error": "busy"}
+            return lens_answer(prompt, i)
+
+        ep = chat_endpoint(script)
+        cfg_path, workdir, prepared = http_run(tmp_path, ep, max_in_flight=1)
+        held["prompt"] = render_prompt(Lens.GUIDANCE, prepared[0][1])
+        assert run(cfg_path, "run-agents") == 0
+        prompts = [request["messages"][0]["content"] for request in ep.requests]
+        first, retry = (i for i, prompt in enumerate(prompts) if prompt == held["prompt"])
+        assert retry - first > 1  # other prompts were sent between the 503 and its retry
+        assert cached_pairs(workdir) == [(rid, lens) for rid, _ in prepared for lens in LENSES]
+
+    def test_an_error_keeps_the_answers_before_it_and_a_rerun_completes(
+        self, tmp_path, chat_endpoint, capsys
+    ):
+        refused = {"text": None}
+
+        def script(prompt, i):
+            if refused["text"] and "forward guidance" in prompt and prompt.endswith(refused["text"]):
+                return 401, {"error": "no auth"}
+            return lens_answer(prompt, i)
+
+        ep = chat_endpoint(script)
+        clean_cfg, clean_dir, prepared = http_run(tmp_path / "clean", ep)
+        assert run(clean_cfg, "run-agents") == 0
+        cfg_path, workdir, _ = http_run(tmp_path / "failing", ep)
+        refused["text"] = prepared[40][1]  # the guidance pair of the 41st record: pair k = 3 * 40 + 2
+        capsys.readouterr()
+        assert run(cfg_path, "run-agents") == 1
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "error:") and "401" in err
+        submitted = [(rid, lens) for rid, _ in prepared for lens in LENSES]
+        assert cached_pairs(workdir) == submitted[: 3 * 40 + 1]
+
+        refused["text"] = None
+        assert run(cfg_path, "run-agents") == 0
+        assert without_created_at(workdir) == without_created_at(clean_dir)
+
+    def test_only_the_records_of_missing_pairs_are_read(
+        self, tmp_path, chat_endpoint, monkeypatch, capsys
+    ):
+        ep = chat_endpoint(lens_answer)
+        cfg_path, workdir, prepared = http_run(tmp_path, ep)
+        split = json.loads((workdir / "split.json").read_text())
+        subset = workdir / "subset.json"
+        subset.write_text(json.dumps({"train": split["train"][::2], "dev": [], "test": []}))
+        assert run(cfg_path, "run-agents", "--split", str(subset)) == 0
+        sent_before = len(ep.requests)
+
+        def refuse(path):
+            raise AssertionError(f"{path} was loaded whole")
+
+        monkeypatch.setattr(pipeline_module, "load_prepared", refuse)
+        capsys.readouterr()
+        assert run(cfg_path, "run-agents") == 0
+        cached = set(split["train"][::2])
+        missing = [text for rid, text in prepared if rid not in cached]
+        sent = [request["messages"][0]["content"] for request in ep.requests[sent_before:]]
+        assert sorted(sent) == sorted(render_prompt(lens, text) for text in missing for lens in Lens)
+        assert "0 fallbacks" in capsys.readouterr().out
+
+    def test_no_more_than_sync_every_answers_go_without_an_fsync(
+        self, tmp_path, chat_endpoint, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline_module, "HTTP_SYNC_EVERY", 100)
+        ep = chat_endpoint(lens_answer)
+        cfg_path, workdir, _ = http_run(tmp_path, ep, n=300)
+        cache = workdir / "cache.jsonl"
+        synced, fsync = [], os.fsync
+
+        def recording_fsync(fd):
+            fsync(fd)
+            if cache.exists() and os.path.samestat(os.fstat(fd), os.stat(cache)):
+                synced.append(cache.read_bytes().count(b"\n"))
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        assert run(cfg_path, "run-agents") == 0
+        assert synced[-1] == 900
+        assert max(b - a for a, b in zip([0, *synced], synced)) <= 100
 
 
 class TestArtifactChecks:
@@ -597,7 +730,12 @@ class TestArtifactChecks:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("noise_seed", 1.5), ("noise_seed", True), ("performance_signal", True)],
+        [
+            ("noise_seed", 1.5), ("noise_seed", True), ("performance_signal", True),
+            ("guidance_signal", "0.5"), ("risk_signal", None), ("risk_signal", 1.5),
+            ("performance_signal", 10**400), ("performance_signal", [0.5]),
+            ("extra_signal", 0.5),
+        ],
     )
     def test_latent_values_of_the_wrong_type_exit_3(self, ingested, capsys, key, value):
         cfg_path, workdir = ingested
