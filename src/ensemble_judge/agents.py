@@ -11,17 +11,18 @@ exponential backoff.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
+import queue
 import re
 import threading
-import time
-from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 from urllib.parse import SplitResult, urlsplit
 
 from .domain import (
@@ -34,6 +35,7 @@ from .domain import (
 
 if TYPE_CHECKING:
     import socket
+    import ssl
 
 API_KEY_ENV_VAR = "ENSEMBLE_JUDGE_API_KEY"
 
@@ -323,42 +325,161 @@ def _retry_after(value: str | None, backoff: float) -> float:
     return min(float(value), RETRY_AFTER_MAX_S)
 
 
-class RequestSlots:
-    """``count`` slots, each held by one request on the wire. A freed slot
-    goes to the thread that has waited longest: a thread that sends request
-    after request cannot starve the others (``threading.Semaphore`` lets it
-    take back the slot it just released before a woken waiter runs)."""
-
-    def __init__(self, count: int):
-        self._lock = threading.Lock()
-        self._free = count
-        self._waiting: deque[threading.Lock] = deque()
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._free:
-                self._free -= 1
-                return
-            handoff = threading.Lock()
-            handoff.acquire()
-            self._waiting.append(handoff)
-        handoff.acquire()  # released by the holder that hands this thread its slot
-
-    def __exit__(self, *exc_info: object) -> None:
-        with self._lock:
-            if self._waiting:
-                self._waiting.popleft().release()
-            else:
-                self._free += 1
-
-
 def http_url(url: str) -> SplitResult:
-    """``url`` split into its parts; a ``ValueError`` unless it is http(s) with a host."""
+    """``url`` split into its parts; a ``ValueError`` unless it is http(s)
+    with a host, and its path and query are visible ASCII."""
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"{url!r} is not an http:// or https:// URL with a host")
     parts.port  # noqa: B018 - raises ValueError on a malformed port
+    if re.search(r"[^\x21-\x7e]", parts.path + parts.query):
+        raise ValueError(f"{url!r} has a character other than visible ASCII in its path or query")
     return parts
+
+
+class Endpoint(NamedTuple):
+    """Where a client's requests go: each transport thread keeps one
+    connection per endpoint."""
+
+    host: str
+    port: int
+    tls: bool
+
+
+@functools.cache
+def _tls_context() -> ssl.SSLContext:
+    """The context of every https connection: the system trust store, with
+    the certificate and the host name both checked."""
+    import ssl
+
+    return ssl.create_default_context()
+
+
+class BadResponse(Exception):
+    """A response this client does not read. The exchange is a transport
+    failure, and its connection is closed."""
+
+
+# http.client's limits: the bytes in one header line, and the header fields
+# of one response.
+_MAX_LINE = 65_536
+_MAX_FIELDS = 100
+_STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([0-9]{3})(?: [^\r\n]*)?\r?\n")
+_CONTENT_LENGTH = re.compile(rb"[0-9]{1,18}")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+_LINE_END = (b"\r\n", b"\n")
+
+
+def _tokens(values: list[bytes]) -> list[bytes]:
+    """The lower-cased items of a comma-separated list field."""
+    return [item.strip().lower() for value in values for item in value.split(b",") if item.strip()]
+
+
+class _Connection:
+    """One HTTP/1.1 connection, owned by one transport thread.
+
+    A response is read by its framing rules (RFC 9112 §6): interim 1xx
+    responses are skipped; the body is empty for a 204 or 304, else chunked,
+    else ``Content-Length`` bytes, else everything until the server closes.
+    """
+
+    def __init__(self, endpoint: Endpoint):
+        import socket
+
+        sock = socket.create_connection((endpoint.host, endpoint.port), REQUEST_TIMEOUT_S)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if endpoint.tls:
+                sock = _tls_context().wrap_socket(sock, server_hostname=endpoint.host)
+        except BaseException:
+            sock.close()
+            raise
+        self.sock = sock
+        self._reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self._reader.close()
+        self.sock.close()
+
+    def receive(self) -> tuple[int, str | None, bytes, bool]:
+        """The response to the request just sent: its status, its
+        ``Retry-After`` value, its body, and whether the connection may carry
+        another request. Raises ``OSError`` or :class:`BadResponse`."""
+        status = 100
+        while status < 200:
+            line = self._line()
+            head = _STATUS_LINE.fullmatch(line)
+            if head is None:
+                raise BadResponse(f"status line {line[:80]!r}")
+            status, fields = int(head[2]), self._fields()
+        # An HTTP/1.0 response closes the connection, whatever it says.
+        reusable = head[1] != b"0" and b"close" not in _tokens(fields.get(b"connection", []))
+        if status in (204, 304):
+            body = b""
+        elif b"transfer-encoding" in fields:
+            if _tokens(fields[b"transfer-encoding"]) != [b"chunked"]:
+                raise BadResponse("a transfer coding other than chunked")
+            body = self._chunked()
+            # A Content-Length beside it was not what framed this message.
+            reusable = reusable and b"content-length" not in fields
+        elif b"content-length" in fields:
+            lengths = set(_tokens(fields[b"content-length"]))
+            if len(lengths) != 1 or not _CONTENT_LENGTH.fullmatch(length := lengths.pop()):
+                raise BadResponse(f"Content-Length {b', '.join(fields[b'content-length'])[:80]!r}")
+            body = self._exactly(int(length))
+        else:
+            body, reusable = self._reader.read(), False
+        retry_after = fields.get(b"retry-after")
+        return status, retry_after[0].decode("latin-1") if retry_after else None, body, reusable
+
+    def _line(self) -> bytes:
+        line = self._reader.readline(_MAX_LINE + 1)
+        if not line:
+            raise BadResponse("the server closed the connection")
+        if len(line) > _MAX_LINE:
+            raise BadResponse(f"a line longer than {_MAX_LINE} bytes")
+        return line
+
+    def _fields(self) -> dict[bytes, list[bytes]]:
+        """A header or trailer section: each field's values under its
+        lower-cased name, an obsolete line folding replaced by a space."""
+        fields: dict[bytes, list[bytes]] = {}
+        values: list[bytes] = []
+        for _ in range(_MAX_FIELDS + 1):
+            line = self._line()
+            if line in _LINE_END:
+                return fields
+            if line[:1] in (b" ", b"\t") and values:
+                values[-1] += b" " + line.strip()
+                continue
+            name, colon, value = line.partition(b":")
+            if not colon or not name.strip():
+                raise BadResponse(f"header line {line[:80]!r}")
+            values = fields.setdefault(name.strip().lower(), [])
+            values.append(value.strip())
+        raise BadResponse(f"more than {_MAX_FIELDS} header fields")
+
+    def _exactly(self, size: int) -> bytes:
+        data = self._reader.read(size)
+        if len(data) < size:
+            raise BadResponse(f"the body ended after {len(data)} of {size} bytes")
+        return data
+
+    def _chunked(self) -> bytes:
+        chunks = []
+        while True:
+            line = self._line()
+            digits = line.split(b";", 1)[0].strip()
+            if not _CHUNK_SIZE.fullmatch(digits):
+                raise BadResponse(f"chunk size line {line[:80]!r}")
+            size = int(digits, 16)
+            if not size:
+                break
+            chunks.append(self._exactly(size))
+            if self._line() not in _LINE_END:
+                raise BadResponse("a chunk longer than its size")
+        self._fields()  # the trailer section, read and dropped
+        return b"".join(chunks)
 
 
 def _dropped(sock: socket.socket) -> bool:
@@ -371,67 +492,169 @@ def _dropped(sock: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
-class ChatCompletionsClient:
-    """Minimal OpenAI-compatible chat-completions client on one keep-alive connection.
+class Transport:
+    """``threads`` threads that carry chat requests to their endpoints.
 
-    Each client serves one worker thread and one endpoint, so it holds one
-    persistent HTTP/1.1 connection, opened on first use and reopened after
-    the server closes it. Each exchange holds one of the ``slots`` that
-    clients share, so at most that many requests are on the wire at once;
-    the backoff sleeps and the response parsing hold none. Bearer auth
-    comes from the ``ENSEMBLE_JUDGE_API_KEY`` environment variable when set.
-    Connection errors, timeouts, 429 and 5xx responses are retried with
-    exponential backoff, or after the delay a 429 or 503 asks for in
-    ``Retry-After``; other statuses from 300 up fail immediately since
-    repeating them cannot help. Proxy variables are not read, and https
-    verifies the server against the system trust store. ``http.client`` and
-    ``ssl`` are imported here, not at module load, so stub-agent runs never
-    pay for them.
+    Requests wait in one FIFO queue, so the longest-waiting one goes first.
+    A thread takes a request, sends it on its own keep-alive connection to
+    that endpoint and reads the response; then it takes the next request at
+    once, and hands the response back to its caller when that request is on
+    the wire (or the queue is empty). So at most ``threads`` requests are on
+    the wire, and a caller that backs off holds no thread. A thread opens
+    its connection to an endpoint on first use and reopens it after the
+    server closes it. ``socket`` and ``ssl`` are imported only when a
+    connection opens, so stub-agent runs never pay for them.
+    """
+
+    def __init__(self, threads: int):
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        # Set by close(); a client's default backoff wait ends on it.
+        self.closed = threading.Event()
+        self._threads = [threading.Thread(target=self._serve, daemon=True) for _ in range(threads)]
+        for thread in self._threads:
+            thread.start()
+
+    def exchange(self, endpoint: Endpoint, request: bytes) -> tuple[int, str | None, bytes]:
+        """The status, ``Retry-After`` value and body of the response to
+        ``request``. Raises ``OSError`` or :class:`BadResponse` when the
+        exchange fails, and :class:`TransportError` once the transport is
+        closed."""
+        answer: Future[tuple[int, str | None, bytes]] = Future()
+        with self._lock:
+            if self.closed.is_set():
+                raise TransportError("the transport is closed")
+            self._queue.put((endpoint, request, answer))
+        return answer.result()
+
+    def close(self) -> None:
+        """Fail the queued requests, wait for the exchanges on the wire and
+        close every connection; each later request raises
+        :class:`TransportError`."""
+        with self._lock:
+            self.closed.set()
+            threads, self._threads = self._threads, []
+            for _ in threads:
+                self._queue.put(None)
+        for thread in threads:
+            thread.join()
+
+    def _serve(self) -> None:
+        connections: dict[Endpoint, _Connection] = {}
+        # The last exchange's caller and outcome. They wait until the next
+        # queued request is on the wire, so that waking the caller, whose
+        # thread then takes the interpreter lock, does not delay that send.
+        done: tuple[Future, object] | None = None
+        try:
+            while True:
+                try:
+                    item = self._queue.get(block=done is None)
+                except queue.Empty:
+                    _hand_back(*done)
+                    done = None
+                    item = self._queue.get()
+                if item is None:
+                    break
+                endpoint, request, answer = item
+                if self.closed.is_set():
+                    answer.set_exception(TransportError("the transport is closed"))
+                    continue
+                connection = connections.pop(endpoint, None)
+                # A server's idle timeout closes the socket between requests;
+                # reconnecting then costs no attempt.
+                if connection is not None and _dropped(connection.sock):
+                    connection.close()
+                    connection = None
+                if connection is None and done is not None:  # opening one can take long
+                    _hand_back(*done)
+                    done = None
+                try:
+                    if connection is None:
+                        connection = _Connection(endpoint)
+                    connection.sock.sendall(request)
+                except Exception as exc:  # the caller decides what a failure costs
+                    if connection is not None:
+                        connection.close()
+                    answer.set_exception(exc)
+                    continue
+                if done is not None:
+                    _hand_back(*done)
+                    done = None
+                try:
+                    status, retry_after, body, reusable = connection.receive()
+                except Exception as exc:
+                    connection.close()
+                    done = answer, exc
+                    continue
+                if reusable:
+                    connections[endpoint] = connection
+                else:
+                    connection.close()
+                done = answer, (status, retry_after, body)
+        finally:
+            if done is not None:
+                _hand_back(*done)
+            for connection in connections.values():
+                connection.close()
+
+
+def _hand_back(answer: Future, outcome: object) -> None:
+    if isinstance(outcome, BaseException):
+        answer.set_exception(outcome)
+    else:
+        answer.set_result(outcome)
+
+
+class ChatCompletionsClient:
+    """Minimal OpenAI-compatible chat-completions client for one endpoint and model.
+
+    Its requests go out on a shared :class:`Transport`, and it holds no
+    connection of its own, so any number of threads may share it. The
+    request head is built once, laid out as ``http.client`` lays it out;
+    bearer auth comes from the ``ENSEMBLE_JUDGE_API_KEY`` environment
+    variable, read at construction, when set. Connection errors, timeouts,
+    unreadable responses, 429 and 5xx responses are retried with exponential
+    backoff, or after the delay a 429 or 503 asks for in ``Retry-After``;
+    other statuses from 300 up fail immediately since repeating them cannot
+    help. A backoff wait ends at once when the transport closes, and the
+    next attempt then raises :class:`TransportError`. Proxy variables are not
+    read, and https verifies the server against the system trust store.
     """
 
     def __init__(
         self,
         endpoint_url: str,
         model_name: str,
+        transport: Transport,
         *,
-        slots: RequestSlots | None = None,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Callable[[float], object] | None = None,
     ):
-        import http.client
-        import ssl
-
         url = http_url(endpoint_url)
+        tls = url.scheme == "https"
+        default_port = 443 if tls else 80
+        port = default_port if url.port is None else url.port
         self.endpoint_url = endpoint_url
         self.model_name = model_name
-        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        # Constructing a connection opens nothing; the first request connects.
-        if url.scheme == "https":
-            self.connection: http.client.HTTPConnection = http.client.HTTPSConnection(
-                url.hostname, url.port, timeout=REQUEST_TIMEOUT_S,
-                context=ssl.create_default_context(),
-            )
-        else:
-            self.connection = http.client.HTTPConnection(
-                url.hostname, url.port, timeout=REQUEST_TIMEOUT_S
-            )
-        # A client on its own is used by one thread: one slot never waits.
-        self._slots = RequestSlots(1) if slots is None else slots
-        self._sleep = sleep
+        self.endpoint = Endpoint(url.hostname, port, tls)
+        self._transport = transport
+        self._sleep = transport.closed.wait if sleep is None else sleep
 
-    def close(self) -> None:
-        """Close the connection; a later call opens a new one."""
-        self.connection.close()
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
+        host = url.hostname if url.hostname.isascii() else url.hostname.encode("idna").decode("ascii")
+        host = f"[{host}]" if ":" in host else host
+        host = host if port == default_port else f"{host}:{port}"
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         api_key = os.environ.get(API_KEY_ENV_VAR)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        return headers
+        if api_key and re.search(r"[\x00-\x1f\x7f]", api_key):
+            raise ValueError(f"{API_KEY_ENV_VAR} holds a control character")
+        auth = f"Authorization: Bearer {api_key}\r\n" if api_key else ""
+        # The head before and after the body's length.
+        self._head = (
+            f"POST {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+            "Content-Length: "
+        ).encode("ascii")
+        self._tail = f"\r\nContent-Type: application/json\r\n{auth}\r\n".encode("latin-1")
 
     def generate(self, prompt: str, decoding: DecodingConfig, want_logprobs: bool) -> RawGeneration:
-        from http.client import HTTPException
-
         payload: dict = {
             "model": self.model_name,
             "messages": [{"role": "user", "content": prompt}],
@@ -443,36 +666,26 @@ class ChatCompletionsClient:
         if want_logprobs:
             payload["logprobs"] = True
         body = json.dumps(payload).encode("utf-8")
-        headers = self._headers()
+        request = b"%s%d%s%s" % (self._head, len(body), self._tail, body)
 
-        conn = self.connection
         last_failure, wait = "", 0.0
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 self._sleep(wait)
             wait = BACKOFF_BASE_S * 2**attempt
             try:
-                with self._slots:
-                    # A server's idle timeout closes the socket between calls;
-                    # reconnecting then costs no attempt. http.client itself
-                    # closes the connection after a response that says it will.
-                    if conn.sock is not None and _dropped(conn.sock):
-                        conn.close()
-                    conn.request("POST", self._target, body, headers)
-                    response = conn.getresponse()
-                    data = response.read()
-            except (OSError, HTTPException) as exc:
-                conn.close()
+                status, retry_after, data = self._transport.exchange(self.endpoint, request)
+            except (OSError, BadResponse) as exc:
                 last_failure = f"transport error: {exc}"
                 continue
-            if response.status in _RETRYABLE_STATUSES:
-                last_failure = f"HTTP {response.status}"
-                if response.status in (429, 503):
-                    wait = _retry_after(response.getheader("Retry-After"), wait)
+            if status in _RETRYABLE_STATUSES:
+                last_failure = f"HTTP {status}"
+                if status in (429, 503):
+                    wait = _retry_after(retry_after, wait)
                 continue
-            if response.status >= 300:
+            if status >= 300:
                 raise TransportError(
-                    f"{self.endpoint_url} answered HTTP {response.status}: "
+                    f"{self.endpoint_url} answered HTTP {status}: "
                     f"{data.decode('utf-8', 'replace')[:200]}"
                 )
             return self._parse_response(data)

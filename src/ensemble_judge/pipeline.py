@@ -15,7 +15,6 @@ fetch reads the disclosure text.
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -26,7 +25,7 @@ from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .agents import AgentSpec, ChatCompletionsClient, RequestSlots, run_agent
+from .agents import AgentSpec, ChatCompletionsClient, Transport, run_agent
 from .artifacts import ArtifactError
 from .config import RunConfig
 from .domain import AgentOutput, DisclosureRecord, Lens, Split
@@ -184,8 +183,9 @@ def _fetch_tasks(
             yield record, specs[column]
 
 
-# Pending pairs per request slot in the HTTP submission window: enough that
-# the other slots stay busy while the answer at the window's head backs off.
+# Pending pairs per transport thread in the HTTP submission window: enough
+# that the other threads stay busy while the answer at the window's head
+# backs off.
 WINDOW_PER_SLOT = 64
 
 
@@ -194,36 +194,28 @@ def _http_blocks(
 ) -> Iterator[CacheBlock]:
     """The answers under their key digests, in submission order, as blocks.
 
-    At most ``max_in_flight`` requests are on the wire at once, each holding
-    one shared slot, from twice as many worker threads, so a thread that
-    backs off leaves its slot to another. At most :data:`WINDOW_PER_SLOT`
-    pairs a slot are submitted and not yet handed on; each block is the run
-    of answers at the head of that window, cut at every multiple of
-    :data:`HTTP_SYNC_EVERY` pairs.
+    ``max_in_flight`` transport threads carry the requests of twice as many
+    worker threads, so a worker that backs off leaves the wire to another.
+    At most :data:`WINDOW_PER_SLOT` pairs a transport thread are submitted
+    and not yet handed on; each block is the run of answers at the head of
+    that window, cut at every multiple of :data:`HTTP_SYNC_EVERY` pairs.
     """
     decoding = config.decoding()
-    slots = RequestSlots(config.max_in_flight)
-    local = threading.local()
-    opened: list[ChatCompletionsClient] = []
 
     def _call(task: tuple[DisclosureRecord, AgentSpec]) -> AgentOutput:
         record, spec = task
-        clients = getattr(local, "clients", None)
-        if clients is None:
-            clients = local.clients = {}
-        client_key = (spec.endpoint_url, spec.model_name)
-        client = clients.get(client_key)
-        if client is None:
-            client = clients[client_key] = ChatCompletionsClient(
-                spec.endpoint_url, spec.model_name, slots=slots
-            )
-            opened.append(client)
-        return run_agent(spec, decoding, record, client=client)
+        return run_agent(spec, decoding, record, client=clients[spec])
 
     tasks, window = iter(todo), deque()
     size, done = WINDOW_PER_SLOT * config.max_in_flight, 0
+    transport = Transport(config.max_in_flight)
     pool = ThreadPoolExecutor(max_workers=2 * config.max_in_flight)
     try:
+        # One client per agent, shared by every worker.
+        clients = {
+            spec: ChatCompletionsClient(spec.endpoint_url, spec.model_name, transport)
+            for spec in config.agent_specs()
+        }
         while True:
             window.extend(pool.submit(_call, task) for task in islice(tasks, size - len(window)))
             if not window:
@@ -238,9 +230,9 @@ def _http_blocks(
             yield CacheBlock.of(digests[done : done + len(run)], run)
             done += len(run)
     finally:
+        # First, so that a pending backoff ends at once and its pair fails.
+        transport.close()
         pool.shutdown(cancel_futures=True)
-        for client in opened:
-            client.close()
 
 
 def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:

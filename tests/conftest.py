@@ -59,8 +59,10 @@ class ScriptedChatEndpoint:
     ``(status, payload, headers)`` to add response headers; ``call_index``
     counts calls seen for that exact prompt, so tests can make the first
     attempt fail and the retry succeed. Each request's payload and headers
-    are recorded in arrival order, and ``peak_in_service`` is the most
-    requests that were ever read and not yet answered at once.
+    are recorded in arrival order, and so is all of it as it arrived
+    (``received``: method, target, header fields and body bytes).
+    ``peak_in_service`` is the most requests that were ever read and not
+    yet answered at once.
     """
 
     def __init__(self, script):
@@ -69,19 +71,22 @@ class ScriptedChatEndpoint:
         self.calls_by_prompt: dict[str, int] = {}
         self.requests: list[dict] = []
         self.headers: list[dict[str, str]] = []
+        self.received: list[tuple[str, str, list[tuple[str, str]], bytes]] = []
         self.in_service = self.peak_in_service = 0
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):  # noqa: N802 - http.server API
                 length = int(self.headers.get("Content-Length", 0))
-                payload = json.loads(self.rfile.read(length).decode("utf-8"))
+                sent = self.rfile.read(length)
+                payload = json.loads(sent.decode("utf-8"))
                 prompt = payload["messages"][0]["content"]
                 with endpoint.lock:
                     index = endpoint.calls_by_prompt.get(prompt, 0)
                     endpoint.calls_by_prompt[prompt] = index + 1
                     endpoint.requests.append(payload)
                     endpoint.headers.append(dict(self.headers))
+                    endpoint.received.append((self.command, self.path, self.headers.items(), sent))
                     endpoint.in_service += 1
                     endpoint.peak_in_service = max(endpoint.peak_in_service, endpoint.in_service)
                 try:

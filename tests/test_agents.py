@@ -1,6 +1,6 @@
-import http.client
 import json
 import math
+import socket
 import ssl
 import sys
 import threading
@@ -19,6 +19,7 @@ from ensemble_judge.agents import (
     DecodingConfig,
     RawGeneration,
     SchemaViolation,
+    Transport,
     TransportError,
     ViolationCategory,
     clip_confidence,
@@ -50,6 +51,29 @@ def disclosure(rid="d1", clean="Quarterly results improved."):
         clean_text=clean,
         next_day_return=0.01,
     )
+
+
+_TRANSPORTS: list[Transport] = []
+
+
+def _transport(threads=1):
+    """A transport that the autouse fixture below closes after the test."""
+    _TRANSPORTS.append(Transport(threads))
+    return _TRANSPORTS[-1]
+
+
+@pytest.fixture(autouse=True)
+def _close_transports():
+    yield
+    while _TRANSPORTS:
+        _TRANSPORTS.pop().close()
+
+
+def _until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
 
 
 def spec_for(url, supports_logprobs=True, lens=Lens.PERFORMANCE):
@@ -344,7 +368,7 @@ class TestRunAgentProtocol:
 
         ep = chat_endpoint(script)
         sleeps = []
-        client = ChatCompletionsClient(ep.url, "test-model", sleep=sleeps.append)
+        client = ChatCompletionsClient(ep.url, "test-model", _transport(), sleep=sleeps.append)
         out = run_agent(spec_for(ep.url, supports_logprobs=False), DECODING, disclosure(), client=client)
         assert out.label is SentimentLabel.POSITIVE
         assert sleeps == [0.5, 1.0]  # exponential backoff between attempts
@@ -368,110 +392,138 @@ class TestRunAgentProtocol:
 
         ep = chat_endpoint(script)
         sleeps = []
-        client = ChatCompletionsClient(ep.url, "test-model", sleep=sleeps.append)
+        client = ChatCompletionsClient(ep.url, "test-model", _transport(), sleep=sleeps.append)
         out = run_agent(spec_for(ep.url, supports_logprobs=False), DECODING, disclosure(), client=client)
         assert out.label is SentimentLabel.POSITIVE
         assert sleeps == waits
 
-    def test_backoff_leaves_the_request_slot_free(self, chat_endpoint):
-        ep = chat_endpoint(
-            lambda prompt, i: (503, {}, {"Retry-After": "1"}) if i == 0
-            else (200, completion_body(agent_json("positive")))
-        )
-        slots = agents.RequestSlots(1)
-        free = []
+    def test_requests_go_out_in_the_order_they_were_queued(self, chat_endpoint):
+        release = threading.Event()
 
-        def slot_is_free() -> bool:
-            entered = threading.Event()
+        def script(prompt, i):
+            if prompt == "holder":
+                release.wait(timeout=5)
+            return 200, completion_body(agent_json("neutral"))
 
-            def take_the_slot():
-                with slots:
-                    entered.set()
+        ep = chat_endpoint(script)
+        transport = _transport(1)
+        client = ChatCompletionsClient(ep.url, "test-model", transport)
+        callers = []
+        for queued, prompt in enumerate(("holder", "first", "second", "third")):
+            callers.append(
+                threading.Thread(target=client.generate, args=(prompt, DECODING, False), daemon=True)
+            )
+            callers[-1].start()
+            # The holder is on the wire, and each later prompt waits behind it.
+            _until(lambda: ep.requests and transport._queue.qsize() == queued)
+        release.set()
+        for caller in callers:
+            caller.join(timeout=5)
+        assert not any(caller.is_alive() for caller in callers)
+        sent = [request["messages"][0]["content"] for request in ep.requests]
+        assert sent == ["holder", "first", "second", "third"]
 
-            threading.Thread(target=take_the_slot, daemon=True).start()
-            return entered.wait(timeout=2)
+    def test_no_more_exchanges_at_once_than_threads(self, chat_endpoint):
+        """Eight callers on three transport threads: never more than three
+        requests in service, every caller gets its own answers, and all three
+        threads still serve at the end."""
+        barrier = {"at_once": None}
 
-        def sleep(seconds):
-            free.append(slot_is_free())
+        def script(prompt, i):
+            if barrier["at_once"] is not None:
+                barrier["at_once"].wait()
+            else:
+                time.sleep(0.001)
+            return 200, completion_body(agent_json("neutral", rationale=prompt))
 
-        client = ChatCompletionsClient(ep.url, "test-model", slots=slots, sleep=sleep)
-        run_agent(spec_for(ep.url, supports_logprobs=False), DECODING, disclosure(), client=client)
-        assert free == [True]
-        assert slot_is_free()  # and the exchange gave its slot back
+        ep = chat_endpoint(script)
+        client = ChatCompletionsClient(ep.url, "test-model", _transport(3))
+        answers = {}
 
-    def test_a_freed_slot_goes_to_the_longest_waiter(self):
-        slots = agents.RequestSlots(1)
-        entered = []
-
-        def wait_for_the_slot(name):
-            with slots:
-                entered.append(name)
-
-        threads = []
-        with slots:
-            for name in ("first", "second"):
-                threads.append(threading.Thread(target=wait_for_the_slot, args=(name,), daemon=True))
-                threads[-1].start()
-                deadline = time.monotonic() + 5
-                while len(slots._waiting) < len(threads) and time.monotonic() < deadline:
-                    time.sleep(0.001)
-        with slots:  # the holder asks again at once, and queues behind both
-            entered.append("holder")
-        for thread in threads:
-            thread.join(timeout=5)
-        assert not any(thread.is_alive() for thread in threads)
-        assert entered == ["first", "second", "holder"]
-
-    def test_request_slots_under_contention(self):
-        """Eight threads entering and leaving three slots as fast as they can:
-        never more than three holders, and no slot lost at the end."""
-        slots, guard = agents.RequestSlots(3), threading.Lock()
-        holders, peak = [0], [0]
-
-        def hammer():
-            for _ in range(300):
-                with slots:
-                    with guard:
-                        holders[0] += 1
-                        peak[0] = max(peak[0], holders[0])
-                    with guard:
-                        holders[0] -= 1
+        def call(name, count):
+            answers[name] = [
+                json.loads(client.generate(f"{name} {k}", DECODING, False).text)["rationale"]
+                for k in range(count)
+            ]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=hammer, daemon=True) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
+            callers = [
+                threading.Thread(target=call, args=(f"caller {c}", 25), daemon=True)
+                for c in range(8)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert peak[0] <= 3
-        all_three = threading.Barrier(3, timeout=5)
+        assert not any(caller.is_alive() for caller in callers)
+        assert answers == {f"caller {c}": [f"caller {c} {k}" for k in range(25)] for c in range(8)}
+        assert 2 <= ep.peak_in_service <= 3
+        barrier["at_once"] = threading.Barrier(3, timeout=5)
+        callers = [
+            threading.Thread(target=call, args=(f"last {c}", 1), daemon=True) for c in range(3)
+        ]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=10)
+        assert not any(caller.is_alive() for caller in callers)
+        assert not barrier["at_once"].broken
 
-        def hold_one():
-            with slots:
-                all_three.wait()
+    def test_a_backoff_holds_no_transport_thread(self, chat_endpoint):
+        ep = chat_endpoint(
+            lambda prompt, i: (503, {}, {"Retry-After": "1"}) if prompt == "backs off" and i == 0
+            else (200, completion_body(agent_json("positive")))
+        )
+        transport = _transport(1)
+        other = ChatCompletionsClient(ep.url, "test-model", transport)
+        answered = []
 
-        holding = [threading.Thread(target=hold_one, daemon=True) for _ in range(3)]
-        for thread in holding:
-            thread.start()
-        for thread in holding:
-            thread.join(timeout=10)
-        assert not any(thread.is_alive() for thread in holding) and not all_three.broken
+        def sleep(seconds):
+            caller = threading.Thread(
+                target=lambda: answered.append(other.generate("other", DECODING, False).text),
+                daemon=True,
+            )
+            caller.start()
+            caller.join(timeout=2)
+
+        client = ChatCompletionsClient(ep.url, "test-model", transport, sleep=sleep)
+        assert client.generate("backs off", DECODING, False).text == agent_json("positive")
+        assert answered == [agent_json("positive")]
+
+    def test_closing_the_transport_ends_a_backoff_at_once(self, chat_endpoint):
+        ep = chat_endpoint(lambda prompt, i: (503, {}, {"Retry-After": "30"}))
+        transport = Transport(1)
+        client = ChatCompletionsClient(ep.url, "test-model", transport)
+        failed = []
+
+        def call():
+            with pytest.raises(TransportError, match="closed") as caught:
+                client.generate("Prompt.", DECODING, False)
+            failed.append(caught.value)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        _until(lambda: ep.requests)
+        started = time.monotonic()
+        transport.close()
+        caller.join(timeout=5)
+        assert len(failed) == 1 and time.monotonic() - started < 2
+        assert len(ep.requests) == 1
 
     def test_transport_exhaustion_fails_loudly(self, chat_endpoint, monkeypatch):
         monkeypatch.setattr(agents, "MAX_ATTEMPTS", 3)
         ep = chat_endpoint(lambda prompt, i: (500, {"error": "down"}))
-        client = ChatCompletionsClient(ep.url, "test-model", sleep=lambda s: None)
+        client = ChatCompletionsClient(ep.url, "test-model", _transport(), sleep=lambda s: None)
         with pytest.raises(TransportError, match="after 3 attempts"):
             run_agent(spec_for(ep.url), DECODING, disclosure(), client=client)
 
     def test_client_error_fails_immediately(self, chat_endpoint):
         ep = chat_endpoint(lambda prompt, i: (401, {"error": "no auth"}))
-        client = ChatCompletionsClient(ep.url, "test-model", sleep=lambda s: None)
+        client = ChatCompletionsClient(ep.url, "test-model", _transport(), sleep=lambda s: None)
         with pytest.raises(TransportError, match="401"):
             run_agent(spec_for(ep.url), DECODING, disclosure(), client=client)
         assert list(ep.calls_by_prompt.values()) == [1]
@@ -531,7 +583,9 @@ class TestRunAgentProtocol:
             '{"choices": [{"message": {"content": %s}, "logprobs": {"content": [%s]}}], '
             '"usage": {"total_tokens": %s}}' % (json.dumps(content), entry, "9" * 5_000)
         )
-        parsed = ChatCompletionsClient("http://localhost:1/v1", "m")._parse_response(body.encode())
+        parsed = ChatCompletionsClient("http://localhost:1/v1", "m", _transport())._parse_response(
+            body.encode()
+        )
         assert parsed == RawGeneration(text=content, token_logprobs=None)
 
     def test_pure_function_of_inputs_for_deterministic_server(self, chat_endpoint):
@@ -552,7 +606,7 @@ class TestRunAgentProtocol:
 
 
 def _client(ep):
-    return ChatCompletionsClient(ep.url, "test-model", sleep=lambda s: None)
+    return ChatCompletionsClient(ep.url, "test-model", _transport(), sleep=lambda s: None)
 
 
 class TestExpectedCacheKeys:
@@ -688,17 +742,8 @@ def _answer(handler, n):
 
 
 class TestKeepAliveTransport:
-    @pytest.fixture(autouse=True)
-    def _close_clients(self):
-        self.clients = []
-        yield
-        for client in self.clients:
-            client.close()
-
     def _client(self, server, sleeps):
-        client = ChatCompletionsClient(server.url, "test-model", sleep=sleeps.append)
-        self.clients.append(client)
-        return client
+        return ChatCompletionsClient(server.url, "test-model", _transport(), sleep=sleeps.append)
 
     def _generate(self, client):
         assert client.generate("Prompt.", DECODING, False).text == CONTENT
@@ -744,10 +789,122 @@ class TestKeepAliveTransport:
             self._generate(self._client(server, sleeps))
         assert (server.posts, sleeps) == (1, [])
 
-    def test_https_verifies_the_server_certificate(self):
-        client = ChatCompletionsClient("https://judge.example/v1/chat/completions", "m")
-        conn = client.connection
-        assert isinstance(conn, http.client.HTTPSConnection) and conn.sock is None
-        assert (conn.host, conn.port) == ("judge.example", 443)
-        assert conn._context.check_hostname is True
-        assert conn._context.verify_mode is ssl.CERT_REQUIRED
+    def test_chunked_body_with_a_trailer(self, keepalive_server):
+        body = json.dumps(completion_body(CONTENT)).encode("utf-8")
+
+        def respond(handler, n):
+            handler.wfile.write(
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                + b"a;name=value\r\n" + body[:10] + b"\r\n"
+                + b"%X\r\n" % (len(body) - 10) + body[10:] + b"\r\n"
+                + b"0\r\nX-Checksum: 1\r\n\r\n"
+            )
+
+        server = keepalive_server(respond)
+        sleeps = []
+        client = self._client(server, sleeps)
+        self._generate(client)
+        self._generate(client)
+        assert (server.posts, server.connections, sleeps) == (2, 1, [])
+
+    @pytest.mark.parametrize(
+        "status_line, field",
+        [("HTTP/1.1 200 OK", "Connection: close\r\n"), ("HTTP/1.0 200 OK", "")],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_a_response_that_ends_its_connection_costs_no_attempt(
+        self, keepalive_server, status_line, field
+    ):
+        body = json.dumps(completion_body(CONTENT)).encode("utf-8")
+
+        def respond(handler, n):
+            head = f"{status_line}\r\n{field}Content-Length: {len(body)}\r\n\r\n"
+            handler.wfile.write(head.encode("latin-1") + body)
+
+        server = keepalive_server(respond)
+        sleeps = []
+        client = self._client(server, sleeps)
+        self._generate(client)
+        self._generate(client)
+        assert (server.posts, server.connections, sleeps) == (2, 2, [])
+
+    def test_an_interim_100_continue_is_skipped(self, keepalive_server):
+        def respond(handler, n):
+            handler.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            _answer(handler, n)
+
+        server = keepalive_server(respond)
+        sleeps = []
+        client = self._client(server, sleeps)
+        self._generate(client)
+        self._generate(client)
+        assert (server.posts, server.connections, sleeps) == (2, 1, [])
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            "X-Long: " + "a" * 65_536 + "\r\n",
+            "".join(f"X-Field-{k}: {k}\r\n" for k in range(101)),
+            "Content-Length: 7\r\nContent-Length: 8\r\n",
+            "Content-Length: 12a\r\n",
+        ],
+        ids=["line-over-65536-bytes", "over-100-fields", "two-content-lengths", "non-numeric-length"],
+    )
+    def test_an_unreadable_head_is_one_transport_failure(self, keepalive_server, fields):
+        def respond(handler, n):
+            if n == 0:
+                handler.wfile.write(f"HTTP/1.1 200 OK\r\n{fields}\r\n{{}}".encode("latin-1"))
+                handler.close_connection = True
+            else:
+                _answer(handler, n)
+
+        server = keepalive_server(respond)
+        sleeps = []
+        self._generate(self._client(server, sleeps))
+        assert (server.posts, server.connections, sleeps) == (2, 2, [0.5])
+
+    def test_https_verifies_the_server_certificate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a connection was opened")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        client = ChatCompletionsClient("https://judge.example/v1/chat/completions", "m", _transport())
+        assert client.endpoint == agents.Endpoint("judge.example", 443, tls=True)
+        context = agents._tls_context()
+        assert context.check_hostname is True
+        assert context.verify_mode is ssl.CERT_REQUIRED
+
+
+class TestRequestBytes:
+    def test_the_head_and_body_of_a_request(self, chat_endpoint, monkeypatch):
+        """Method, target, header fields in order and body, as ``http.client``
+        laid them out before the transport replaced it."""
+        ep = chat_endpoint(lambda prompt, i: (200, completion_body(agent_json("neutral"))))
+        url = ep.url + "?api-version=2"
+        monkeypatch.setenv("ENSEMBLE_JUDGE_API_KEY", "sk-test-123")
+        ChatCompletionsClient(url, "test-model", _transport()).generate("Prompt \u00e9.", DECODING, True)
+        monkeypatch.delenv("ENSEMBLE_JUDGE_API_KEY")
+        ChatCompletionsClient(url, "test-model", _transport()).generate("Prompt.", DECODING, False)
+
+        def body(prompt, logprobs):
+            return (
+                '{"model": "test-model", "messages": [{"role": "user", "content": "%s"}], '
+                '"temperature": 0.0, "top_p": 1.0, "seed": 42, "max_tokens": 64%s}'
+                % (prompt, ', "logprobs": true' if logprobs else "")
+            ).encode("ascii")
+
+        def fields(body, auth):
+            return [
+                ("Host", ep.url.split("/")[2]),
+                ("Accept-Encoding", "identity"),
+                ("Content-Length", str(len(body))),
+                ("Content-Type", "application/json"),
+                *([("Authorization", auth)] if auth else []),
+            ]
+
+        first, second = body("Prompt \\u00e9.", True), body("Prompt.", False)
+        target = "/v1/chat/completions?api-version=2"
+        assert ep.received == [
+            ("POST", target, fields(first, "Bearer sk-test-123"), first),
+            ("POST", target, fields(second, None), second),
+        ]

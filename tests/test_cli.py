@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import threading
 import time
 
 import pytest
@@ -329,6 +330,36 @@ class TestHttpAgentsViaCli:
         assert run(cfg_path, "build-features") == 0
         rows = [json.loads(l) for l in (workdir / "features_train.jsonl").read_text().splitlines()]
         assert all(row["features"][:3] == [1.0, 0.0, -1.0] for row in rows)
+
+
+class TestHttpRunAgentsFailure:
+    def test_a_failure_ends_the_backoffs_of_the_pairs_in_flight(
+        self, tmp_path, chat_endpoint, capsys
+    ):
+        """Pair 1 is refused while pair 2 waits out a 503's ``Retry-After: 5``:
+        the run fails at once instead of after pair 2's three waits."""
+        first = {"text": None}
+        backing_off = threading.Event()
+
+        def script(prompt, i):
+            if first["text"] and prompt.endswith(first["text"]):
+                if "realized operating performance" in prompt:
+                    backing_off.wait(timeout=2)
+                    return 401, {"error": "no auth"}
+                if "forward guidance" in prompt:
+                    backing_off.set()
+                    return 503, {"error": "busy"}, {"Retry-After": "5"}
+            return lens_answer(prompt, i)
+
+        ep = chat_endpoint(script)
+        cfg_path, _, prepared = http_run(tmp_path, ep)
+        first["text"] = prepared[0][1]
+        capsys.readouterr()
+        started = time.monotonic()
+        assert run(cfg_path, "run-agents") == 1
+        assert time.monotonic() - started < 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "error:") and "401" in err
 
 
 class TestHttpRunAgentsWindow:

@@ -179,6 +179,8 @@ BAD_ENDPOINT_URLS = [
     "ftp://x/y",
     "http:///nohost",
     "http://host:port/v1",
+    "http://host/v1/chat completions",
+    "http://host/v1/caf\u00e9",
     "",
 ]
 

@@ -245,19 +245,35 @@ def _dead_definitions() -> list[str]:
     return sorted(qualname for qualname, *_ in defs if qualname not in live)
 
 
+def _imports(path: Path):
+    """Each absolute import in a module as ``(line, module)``; ``from m import
+    n`` yields both ``m`` and ``m.n``, since ``n`` may be a submodule."""
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+            yield from ((node.lineno, f"{node.module}.{alias.name}") for alias in node.names)
+
+
 def test_package_does_not_import_tests():
-    found = []
-    for path in MODULES:
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            if any(module.split(".")[0] == "tests" for module in modules):
-                found.append(f"{path.name}:{node.lineno}")
+    found = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        for line, module in _imports(path)
+        if module.split(".")[0] == "tests"
+    ]
     assert found == []
+
+
+def test_only_the_transport_touches_the_network_modules():
+    """``agents.Transport`` is the one HTTP path: nothing imports
+    ``http.client``, and only ``agents.py`` imports ``socket`` or ``ssl``."""
+    imports = [(path.name, module) for path in MODULES for _, module in _imports(path)]
+    assert [found for found in imports if found[1].startswith("http.client")] == []
+    assert {name for name, module in imports if module.split(".")[0] in ("socket", "ssl")} == {
+        "agents.py"
+    }
 
 
 def test_every_definition_has_a_live_user():
