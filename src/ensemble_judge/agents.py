@@ -497,10 +497,9 @@ class Transport:
 
     Requests wait in one FIFO queue, so the longest-waiting one goes first.
     A thread takes a request, sends it on its own keep-alive connection to
-    that endpoint and reads the response; then it takes the next request at
-    once, and hands the response back to its caller when that request is on
-    the wire (or the queue is empty). So at most ``threads`` requests are on
-    the wire, and a caller that backs off holds no thread. A thread opens
+    that endpoint, reads the response and hands it back to its caller; then
+    it takes the next request at once. So at most ``threads`` requests are
+    on the wire, and a caller that backs off holds no thread. A thread opens
     its connection to an endpoint on first use and reopens it after the
     server closes it. ``socket`` and ``ssl`` are imported only when a
     connection opens, so stub-agent runs never pay for them.
@@ -541,20 +540,8 @@ class Transport:
 
     def _serve(self) -> None:
         connections: dict[Endpoint, _Connection] = {}
-        # The last exchange's caller and outcome. They wait until the next
-        # queued request is on the wire, so that waking the caller, whose
-        # thread then takes the interpreter lock, does not delay that send.
-        done: tuple[Future, object] | None = None
         try:
-            while True:
-                try:
-                    item = self._queue.get(block=done is None)
-                except queue.Empty:
-                    _hand_back(*done)
-                    done = None
-                    item = self._queue.get()
-                if item is None:
-                    break
+            while (item := self._queue.get()) is not None:
                 endpoint, request, answer = item
                 if self.closed.is_set():
                     answer.set_exception(TransportError("the transport is closed"))
@@ -565,44 +552,24 @@ class Transport:
                 if connection is not None and _dropped(connection.sock):
                     connection.close()
                     connection = None
-                if connection is None and done is not None:  # opening one can take long
-                    _hand_back(*done)
-                    done = None
                 try:
                     if connection is None:
                         connection = _Connection(endpoint)
                     connection.sock.sendall(request)
+                    status, retry_after, body, reusable = connection.receive()
                 except Exception as exc:  # the caller decides what a failure costs
                     if connection is not None:
                         connection.close()
                     answer.set_exception(exc)
                     continue
-                if done is not None:
-                    _hand_back(*done)
-                    done = None
-                try:
-                    status, retry_after, body, reusable = connection.receive()
-                except Exception as exc:
-                    connection.close()
-                    done = answer, exc
-                    continue
                 if reusable:
                     connections[endpoint] = connection
                 else:
                     connection.close()
-                done = answer, (status, retry_after, body)
+                answer.set_result((status, retry_after, body))
         finally:
-            if done is not None:
-                _hand_back(*done)
             for connection in connections.values():
                 connection.close()
-
-
-def _hand_back(answer: Future, outcome: object) -> None:
-    if isinstance(outcome, BaseException):
-        answer.set_exception(outcome)
-    else:
-        answer.set_result(outcome)
 
 
 class ChatCompletionsClient:

@@ -186,7 +186,7 @@ def _fetch_tasks(
 # Pending pairs per transport thread in the HTTP submission window: enough
 # that the other threads stay busy while the answer at the window's head
 # backs off.
-WINDOW_PER_SLOT = 64
+WINDOW_PER_THREAD = 64
 
 
 def _http_blocks(
@@ -196,7 +196,7 @@ def _http_blocks(
 
     ``max_in_flight`` transport threads carry the requests of twice as many
     worker threads, so a worker that backs off leaves the wire to another.
-    At most :data:`WINDOW_PER_SLOT` pairs a transport thread are submitted
+    At most :data:`WINDOW_PER_THREAD` pairs a transport thread are submitted
     and not yet handed on; each block is the run of answers at the head of
     that window, cut at every multiple of :data:`HTTP_SYNC_EVERY` pairs.
     """
@@ -207,7 +207,7 @@ def _http_blocks(
         return run_agent(spec, decoding, record, client=clients[spec])
 
     tasks, window = iter(todo), deque()
-    size, done = WINDOW_PER_SLOT * config.max_in_flight, 0
+    size, done = WINDOW_PER_THREAD * config.max_in_flight, 0
     transport = Transport(config.max_in_flight)
     pool = ThreadPoolExecutor(max_workers=2 * config.max_in_flight)
     try:

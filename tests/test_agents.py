@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import socket
@@ -873,6 +874,46 @@ class TestKeepAliveTransport:
         context = agents._tls_context()
         assert context.check_hostname is True
         assert context.verify_mode is ssl.CERT_REQUIRED
+
+    @pytest.mark.parametrize("scheme, port, wrapped", [("https", 443, True), ("http", 80, False)])
+    def test_an_https_request_goes_out_on_a_tls_socket(self, monkeypatch, scheme, port, wrapped):
+        """Every socket an https client's transport opens is wrapped by the
+        verifying context for the URL's host; a failed handshake is one
+        transport failure. An http client's sockets are not wrapped."""
+
+        class NoWire:  # sent bytes vanish, and the peer has closed
+            def setsockopt(self, *args):
+                pass
+
+            def sendall(self, data):
+                pass
+
+            def makefile(self, mode):
+                return io.BytesIO()
+
+            def close(self):
+                pass
+
+        class Context:
+            def wrap_socket(self, sock, server_hostname):
+                handshakes.append(server_hostname)
+                raise ssl.SSLCertVerificationError("certificate verify failed")
+
+        opened, handshakes = [], []
+
+        def connect(address, timeout):
+            opened.append(address)
+            return NoWire()
+
+        monkeypatch.setattr(socket, "create_connection", connect)
+        monkeypatch.setattr(agents, "_tls_context", Context)
+        sleeps = []
+        url = f"{scheme}://judge.example/v1"
+        client = ChatCompletionsClient(url, "m", _transport(), sleep=sleeps.append)
+        with pytest.raises(TransportError, match="certificate verify failed" if wrapped else "closed"):
+            client.generate("Prompt.", DECODING, False)
+        assert opened == [("judge.example", port)] * agents.MAX_ATTEMPTS
+        assert handshakes == (["judge.example"] * agents.MAX_ATTEMPTS if wrapped else [])
 
 
 class TestRequestBytes:
