@@ -395,10 +395,9 @@ class _Connection:
             sock.close()
             raise
         self.sock = sock
-        self._reader = sock.makefile("rb")
+        self._buffer = bytearray()  # received, not yet read: never more than was sent
 
     def close(self) -> None:
-        self._reader.close()
         self.sock.close()
 
     def receive(self) -> tuple[int, str | None, bytes, bool]:
@@ -428,12 +427,29 @@ class _Connection:
                 raise BadResponse(f"Content-Length {b', '.join(fields[b'content-length'])[:80]!r}")
             body = self._exactly(int(length))
         else:
-            body, reusable = self._reader.read(), False
+            self._fill(math.inf)
+            body, reusable = self._take(len(self._buffer)), False
         retry_after = fields.get(b"retry-after")
+        # Bytes after the response would be read as the next one's.
+        reusable = reusable and not self._buffer
         return status, retry_after[0].decode("latin-1") if retry_after else None, body, reusable
 
+    def _fill(self, size: float) -> bool:
+        """Whether ``size`` bytes are buffered, received until they are or the server closes."""
+        while len(self._buffer) < size and (data := self.sock.recv(8192)):
+            self._buffer += data
+        return len(self._buffer) >= size
+
+    def _take(self, size: int) -> bytes:
+        data = bytes(self._buffer[:size])
+        del self._buffer[:size]
+        return data
+
     def _line(self) -> bytes:
-        line = self._reader.readline(_MAX_LINE + 1)
+        while (end := self._buffer.find(b"\n", 0, _MAX_LINE + 1)) < 0:
+            if len(self._buffer) > _MAX_LINE or not self._fill(len(self._buffer) + 1):
+                break
+        line = self._take(end + 1 if end >= 0 else _MAX_LINE + 1)
         if not line:
             raise BadResponse("the server closed the connection")
         if len(line) > _MAX_LINE:
@@ -460,7 +476,8 @@ class _Connection:
         raise BadResponse(f"more than {_MAX_FIELDS} header fields")
 
     def _exactly(self, size: int) -> bytes:
-        data = self._reader.read(size)
+        self._fill(size)
+        data = self._take(size)
         if len(data) < size:
             raise BadResponse(f"the body ended after {len(data)} of {size} bytes")
         return data

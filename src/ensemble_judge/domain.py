@@ -120,12 +120,7 @@ class AgentOutput:
                 raise ValueError("fallback outputs must be (neutral, 0.0)")
 
 
-# Feature vector layout (dimension 15).
+# Feature vector layout (dimension 15; features.py documents every column).
 FEATURE_DIM = 15
-FEAT_LABELS = (0, 1, 2)          # agent labels as -1/0/+1 in LENS_ORDER
 FEAT_CONFS = (3, 4, 5)           # agent confidences in LENS_ORDER
-FEAT_MAJORITY = 6                # majority label as -1/0/+1
-FEAT_COUNTS = (7, 8, 9)          # counts of positive, neutral, negative labels
-FEAT_AGREEMENT = 10              # number of agents sharing the modal label
 FEAT_GAP = 11                    # top-1 minus top-2 confidence
-FEAT_TOP_AGENT = (12, 13, 14)    # one-hot: which agent is most confident

@@ -1,9 +1,9 @@
 """Build the 15-dimensional aggregation feature vector from three agent outputs.
 
-Layout (see :mod:`ensemble_judge.domain` for the index constants): per-agent
-labels and confidences in fixed lens order, the majority label, the label
-counts, the modal-label agreement count, the top-two confidence gap, and a
-one-hot indicator of the most confident agent.
+Layout, by column: per-agent labels (0-2) and confidences (3-5) in fixed lens
+order, the majority label (6), the label counts (7-9), the modal-label
+agreement count (10), the top-two confidence gap (11), and a one-hot
+indicator of the most confident agent (12-14).
 
 The pipeline builds whole feature matrices at once with
 :func:`feature_matrix` from ``(n, 3)`` label-code and confidence blocks; it is

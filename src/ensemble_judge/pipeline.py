@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from itertools import groupby, islice, zip_longest
 from operator import itemgetter
@@ -146,9 +146,9 @@ def _split_rows(config: RunConfig, keys: PreparedKeys) -> dict[Split, np.ndarray
     }
 
 
-# HTTP runs fsync the cache at every multiple of this many answers, which no
-# HTTP block spans, so a machine crash loses at most this many paid-for
-# answers; stub runs, which can regenerate theirs, fsync at the end only.
+# HTTP runs append and fsync the cache once per this many answers, so a crash
+# loses at most this many paid-for answers; stub runs, which can regenerate
+# theirs, fsync at the end only.
 HTTP_SYNC_EVERY = 256
 
 
@@ -192,22 +192,23 @@ WINDOW_PER_THREAD = 64
 def _http_blocks(
     config: RunConfig, todo: Iterable[tuple[DisclosureRecord, AgentSpec]], digests: np.ndarray
 ) -> Iterator[CacheBlock]:
-    """The answers under their key digests, in submission order, as blocks.
+    """The answers under their key digests, in submission order, as blocks of
+    :data:`HTTP_SYNC_EVERY` answers; the last block is shorter.
 
     ``max_in_flight`` transport threads carry the requests of twice as many
     worker threads, so a worker that backs off leaves the wire to another.
     At most :data:`WINDOW_PER_THREAD` pairs a transport thread are submitted
-    and not yet handed on; each block is the run of answers at the head of
-    that window, cut at every multiple of :data:`HTTP_SYNC_EVERY` pairs.
+    and not yet collected. An error, from a pair or from ``todo``, is raised
+    once the answers before it have been yielded as a block.
     """
     decoding = config.decoding()
 
-    def _call(task: tuple[DisclosureRecord, AgentSpec]) -> AgentOutput:
+    def _submit(task: tuple[DisclosureRecord, AgentSpec]) -> Future[AgentOutput]:
         record, spec = task
-        return run_agent(spec, decoding, record, client=clients[spec])
+        return pool.submit(run_agent, spec, decoding, record, client=clients[spec])
 
     tasks, window = iter(todo), deque()
-    size, done = WINDOW_PER_THREAD * config.max_in_flight, 0
+    size = WINDOW_PER_THREAD * config.max_in_flight
     transport = Transport(config.max_in_flight)
     pool = ThreadPoolExecutor(max_workers=2 * config.max_in_flight)
     try:
@@ -216,19 +217,15 @@ def _http_blocks(
             spec: ChatCompletionsClient(spec.endpoint_url, spec.model_name, transport)
             for spec in config.agent_specs()
         }
-        while True:
-            window.extend(pool.submit(_call, task) for task in islice(tasks, size - len(window)))
-            if not window:
-                return
-            window[0].exception()  # waits for the head's answer
-            run: list[AgentOutput] = []
-            room = HTTP_SYNC_EVERY - done % HTTP_SYNC_EVERY
-            while window and window[0].done() and not window[0].exception() and len(run) < room:
-                run.append(window.popleft().result())
-            if not run:
-                window[0].result()  # raises the head's error, once the answers before it are put
-            yield CacheBlock.of(digests[done : done + len(run)], run)
-            done += len(run)
+        for done in range(0, len(digests), HTTP_SYNC_EVERY):
+            block: list[AgentOutput] = []
+            try:
+                for _ in range(min(HTTP_SYNC_EVERY, len(digests) - done)):
+                    window.extend(map(_submit, islice(tasks, size - len(window))))
+                    block.append(window.popleft().result())
+            finally:
+                if block:  # the answers before an error too, which then propagates
+                    yield CacheBlock.of(digests[done : done + len(block)], block)
     finally:
         # First, so that a pending backoff ends at once and its pair fails.
         transport.close()
@@ -240,8 +237,8 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
 
     Resumable: pairs whose key is already cached are skipped. Stub agents run
     inline, a block of pairs per cache append; HTTP agents run through a
-    bounded submission window, the answers that have arrived in order per
-    append. Either way the single cache appender takes the answers in
+    bounded submission window, :data:`HTTP_SYNC_EVERY` answers per append
+    and fsync. Either way the single cache appender takes the answers in
     deterministic submission order.
     Stub agents judge from the key table's ids and prompt digests; the
     disclosure text is read, streaming, only when an HTTP agent has a pair to
@@ -263,16 +260,16 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
         if todo.size:
             todo_rows, todo_columns = rows[todo // len(specs)], todo % len(specs)
             if config.stub.enabled:
-                blocks, sync_every = _stub_blocks(config, keys, todo_rows, todo_columns), 0
+                blocks = _stub_blocks(config, keys, todo_rows, todo_columns)
             else:
                 fetch = _fetch_tasks(config.prepared_path, todo_rows, todo_columns, specs)
-                blocks, sync_every = _http_blocks(config, fetch, digests[todo]), HTTP_SYNC_EVERY
+                blocks = _http_blocks(config, fetch, digests[todo])
             with closing(blocks):
                 for block in blocks:
                     store.put(block)
-                    before, fetched = fetched, fetched + len(block.digests)
+                    fetched += len(block.digests)
                     fallbacks += block.fallbacks()
-                    if sync_every and fetched // sync_every > before // sync_every:
+                    if not config.stub.enabled:
                         store.sync()
         store.sync()
         still_missing = len(store.missing(digests)) if todo.size else 0

@@ -23,9 +23,7 @@ import numpy as np
 from ensemble_judge import store
 from ensemble_judge.agents import AgentSpec, render_prompt
 from ensemble_judge.domain import (
-    FEAT_COUNTS,
     FEAT_GAP,
-    FEAT_TOP_AGENT,
     FEATURE_DIM,
     LENS_ORDER,
     AgentOutput,
@@ -41,6 +39,14 @@ from ensemble_judge.synth import (
     STUB_MODEL_NAME,
     LatentDisclosure,
 )
+
+# The feature columns no production code indexes by name; ``domain`` holds
+# the dimension and the columns the aggregator standardizes.
+FEAT_LABELS = (0, 1, 2)          # agent labels as -1/0/+1 in LENS_ORDER
+FEAT_MAJORITY = 6                # majority label as -1/0/+1
+FEAT_COUNTS = (7, 8, 9)          # counts of positive, neutral, negative labels
+FEAT_AGREEMENT = 10              # number of agents sharing the modal label
+FEAT_TOP_AGENT = (12, 13, 14)    # one-hot: which agent is most confident
 
 
 def prompt_hash(prompt: str) -> str:

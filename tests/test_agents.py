@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import socket
@@ -848,8 +847,12 @@ class TestKeepAliveTransport:
             "".join(f"X-Field-{k}: {k}\r\n" for k in range(101)),
             "Content-Length: 7\r\nContent-Length: 8\r\n",
             "Content-Length: 12a\r\n",
+            "Content-Length: 999999999999999999\r\n",
         ],
-        ids=["line-over-65536-bytes", "over-100-fields", "two-content-lengths", "non-numeric-length"],
+        ids=[
+            "line-over-65536-bytes", "over-100-fields", "two-content-lengths", "non-numeric-length",
+            "length-past-memory",
+        ],
     )
     def test_an_unreadable_head_is_one_transport_failure(self, keepalive_server, fields):
         def respond(handler, n):
@@ -863,6 +866,23 @@ class TestKeepAliveTransport:
         sleeps = []
         self._generate(self._client(server, sleeps))
         assert (server.posts, server.connections, sleeps) == (2, 2, [0.5])
+
+    def test_bytes_after_a_response_are_not_the_next_answer(self, keepalive_server):
+        """A second response sent with the first, unasked, is dropped with
+        its connection; the next prompt gets its own answer on a new one."""
+        answers = [agent_json(label, confidence=0.7) for label in ("positive", "negative")]
+
+        def respond(handler, n):
+            frame = _frame(200, json.dumps(completion_body(answers[n])).encode("utf-8"))
+            stale = _frame(200, json.dumps(completion_body("stale")).encode("utf-8"))
+            handler.wfile.write(frame + stale if n == 0 else frame)
+
+        server = keepalive_server(respond)
+        sleeps = []
+        client = self._client(server, sleeps)
+        texts = [client.generate(f"Prompt {n}.", DECODING, False).text for n in range(2)]
+        assert texts == answers
+        assert (server.posts, server.connections, sleeps) == (2, 2, [])
 
     def test_https_verifies_the_server_certificate(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -888,8 +908,8 @@ class TestKeepAliveTransport:
             def sendall(self, data):
                 pass
 
-            def makefile(self, mode):
-                return io.BytesIO()
+            def recv(self, size):
+                return b""
 
             def close(self):
                 pass

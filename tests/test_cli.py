@@ -465,6 +465,50 @@ class TestHttpRunAgentsWindow:
         assert synced[-1] == 900
         assert max(b - a for a, b in zip([0, *synced], synced)) <= 100
 
+    def _recording_puts(self, monkeypatch):
+        """The row count of each ``CacheStore.put`` from now on."""
+        sizes, put = [], pipeline_module.CacheStore.put
+
+        def recording_put(store, block):
+            sizes.append(len(block.digests))
+            return put(store, block)
+
+        monkeypatch.setattr(pipeline_module.CacheStore, "put", recording_put)
+        return sizes
+
+    def test_one_append_per_sync_every_answers(self, tmp_path, chat_endpoint, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "HTTP_SYNC_EVERY", 100)
+        ep = chat_endpoint(lens_answer)
+        cfg_path, workdir, prepared = http_run(tmp_path, ep, n=300)
+        sizes = self._recording_puts(monkeypatch)
+        assert run(cfg_path, "run-agents") == 0
+        assert sizes == [100] * 9
+        assert cached_pairs(workdir) == [(rid, lens) for rid, _ in prepared for lens in LENSES]
+
+    def test_any_error_keeps_exactly_the_answers_before_it(
+        self, tmp_path, chat_endpoint, monkeypatch
+    ):
+        """Not only a ``TransportError``: whatever ``run_agent`` raises at
+        pair k, the k answers before it are appended, in the blocks they
+        filled and one shorter block, and nothing after it."""
+        monkeypatch.setattr(pipeline_module, "HTTP_SYNC_EVERY", 50)
+        ep = chat_endpoint(lens_answer)
+        cfg_path, workdir, prepared = http_run(tmp_path, ep)
+        failing_id, agent = prepared[40][0], pipeline_module.run_agent
+
+        def failing_run_agent(spec, decoding, record, **kwargs):
+            if record.id == failing_id and spec.lens is Lens.GUIDANCE:
+                raise RuntimeError("judge crashed")
+            return agent(spec, decoding, record, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "run_agent", failing_run_agent)
+        sizes = self._recording_puts(monkeypatch)
+        with pytest.raises(RuntimeError, match="judge crashed"):
+            run(cfg_path, "run-agents")
+        k = 3 * 40 + 1
+        assert sizes == [50, 50, k - 100]
+        assert cached_pairs(workdir) == [(rid, lens) for rid, _ in prepared for lens in LENSES][:k]
+
 
 class TestArtifactChecks:
     def test_train_rejects_stale_feature_files(self, pipeline, tmp_path, capsys):

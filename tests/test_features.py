@@ -5,25 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensemble_judge.domain import (
-    FEAT_AGREEMENT,
-    FEAT_CONFS,
-    FEAT_COUNTS,
-    FEAT_GAP,
-    FEAT_LABELS,
-    FEAT_MAJORITY,
-    FEAT_TOP_AGENT,
-    FEATURE_DIM,
-    Lens,
-    SentimentLabel,
-)
+from ensemble_judge.domain import FEAT_CONFS, FEAT_GAP, FEATURE_DIM, Lens, SentimentLabel
 from ensemble_judge.features import (
     confidence_gaps,
     feature_matrix,
     majority_labels,
 )
 from tests.conftest import make_output, make_triple
-from tests.oracles import build_features
+from tests.oracles import (
+    FEAT_AGREEMENT,
+    FEAT_COUNTS,
+    FEAT_LABELS,
+    FEAT_MAJORITY,
+    FEAT_TOP_AGENT,
+    build_features,
+)
 
 L = SentimentLabel
 
