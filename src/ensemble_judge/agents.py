@@ -16,10 +16,9 @@ import hashlib
 import json
 import math
 import os
-import queue
 import re
 import threading
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
@@ -510,83 +509,79 @@ def _dropped(sock: socket.socket) -> bool:
 
 
 class Transport:
-    """``threads`` threads that carry chat requests to their endpoints.
+    """The ``threads`` threads of a thread pool, each started on first use,
+    that carry chat requests to their endpoints.
 
-    Requests wait in one FIFO queue, so the longest-waiting one goes first.
-    A thread takes a request, sends it on its own keep-alive connection to
-    that endpoint, reads the response and hands it back to its caller; then
-    it takes the next request at once. So at most ``threads`` requests are
-    on the wire, and a caller that backs off holds no thread. A thread opens
-    its connection to an endpoint on first use and reopens it after the
-    server closes it. ``socket`` and ``ssl`` are imported only when a
-    connection opens, so stub-agent runs never pay for them.
+    Requests wait in the pool's FIFO work queue, so the longest-waiting one
+    goes first. A thread takes a request, sends it on its own keep-alive
+    connection to that endpoint, reads the response and hands it back to its
+    caller; then it takes the next request at once. So at most ``threads``
+    requests are on the wire, and a caller that backs off holds no thread. A
+    thread opens its connection to an endpoint on first use and reopens it
+    after the server closes it. ``socket`` and ``ssl`` are imported only when
+    a connection opens, so stub-agent runs never pay for them.
     """
 
     def __init__(self, threads: int):
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._lock = threading.Lock()
+        self._local = threading.local()
+        # Each pool thread's connections by endpoint, for close() to close.
+        self._connections: list[dict[Endpoint, _Connection]] = []
         # Set by close(); a client's default backoff wait ends on it.
         self.closed = threading.Event()
-        self._threads = [threading.Thread(target=self._serve, daemon=True) for _ in range(threads)]
-        for thread in self._threads:
-            thread.start()
+        self._pool = ThreadPoolExecutor(threads, initializer=self._start_thread)
 
     def exchange(self, endpoint: Endpoint, request: bytes) -> tuple[int, str | None, bytes]:
         """The status, ``Retry-After`` value and body of the response to
         ``request``. Raises ``OSError`` or :class:`BadResponse` when the
         exchange fails, and :class:`TransportError` once the transport is
         closed."""
-        answer: Future[tuple[int, str | None, bytes]] = Future()
-        with self._lock:
-            if self.closed.is_set():
-                raise TransportError("the transport is closed")
-            self._queue.put((endpoint, request, answer))
-        return answer.result()
+        try:
+            answer = self._pool.submit(self._exchange, endpoint, request)
+        except RuntimeError:  # the pool has shut down
+            raise TransportError("the transport is closed") from None
+        try:
+            return answer.result()
+        except CancelledError:  # close() took it off the queue
+            raise TransportError("the transport is closed") from None
 
     def close(self) -> None:
         """Fail the queued requests, wait for the exchanges on the wire and
         close every connection; each later request raises
         :class:`TransportError`."""
-        with self._lock:
-            self.closed.set()
-            threads, self._threads = self._threads, []
-            for _ in threads:
-                self._queue.put(None)
-        for thread in threads:
-            thread.join()
-
-    def _serve(self) -> None:
-        connections: dict[Endpoint, _Connection] = {}
-        try:
-            while (item := self._queue.get()) is not None:
-                endpoint, request, answer = item
-                if self.closed.is_set():
-                    answer.set_exception(TransportError("the transport is closed"))
-                    continue
-                connection = connections.pop(endpoint, None)
-                # A server's idle timeout closes the socket between requests;
-                # reconnecting then costs no attempt.
-                if connection is not None and _dropped(connection.sock):
-                    connection.close()
-                    connection = None
-                try:
-                    if connection is None:
-                        connection = _Connection(endpoint)
-                    connection.sock.sendall(request)
-                    status, retry_after, body, reusable = connection.receive()
-                except Exception as exc:  # the caller decides what a failure costs
-                    if connection is not None:
-                        connection.close()
-                    answer.set_exception(exc)
-                    continue
-                if reusable:
-                    connections[endpoint] = connection
-                else:
-                    connection.close()
-                answer.set_result((status, retry_after, body))
-        finally:
+        self.closed.set()
+        self._pool.shutdown(cancel_futures=True)
+        for connections in self._connections:
             for connection in connections.values():
                 connection.close()
+
+    def _start_thread(self) -> None:
+        self._local.connections = {}
+        self._connections.append(self._local.connections)
+
+    def _exchange(self, endpoint: Endpoint, request: bytes) -> tuple[int, str | None, bytes]:
+        if self.closed.is_set():
+            raise TransportError("the transport is closed")
+        connections = self._local.connections
+        connection = connections.pop(endpoint, None)
+        # A server's idle timeout closes the socket between requests;
+        # reconnecting then costs no attempt.
+        if connection is not None and _dropped(connection.sock):
+            connection.close()
+            connection = None
+        try:
+            if connection is None:
+                connection = _Connection(endpoint)
+            connection.sock.sendall(request)
+            status, retry_after, body, reusable = connection.receive()
+        except BaseException:  # the caller decides what a failure costs
+            if connection is not None:
+                connection.close()
+            raise
+        if reusable:
+            connections[endpoint] = connection
+        else:
+            connection.close()
+        return status, retry_after, body
 
 
 class ChatCompletionsClient:

@@ -46,6 +46,7 @@ CORPUS_KEYS = frozenset({"id", "timestamp", "ticker", "text", "next_day_return"}
 PREPARED_KEYS = CORPUS_KEYS | {"clean_text"}
 _TEXT_KEYS = ("id", "timestamp", "ticker", "text", "clean_text")
 _CORPUS_TEXT = itemgetter("id", "timestamp", "ticker", "text")
+_SURROGATE = re.compile("[\ud800-\udfff]")  # left by an escape no JSON surrogate pair completes
 
 
 class CorpusFormatError(ValueError):
@@ -98,9 +99,9 @@ def _read_disclosures(
     """The disclosures of a corpus (``CORPUS_KEYS``) or prepared
     (``PREPARED_KEYS``) file, in file order, read as they are iterated.
 
-    Each line must carry exactly ``keys``, string text fields, a finite JSON
-    number as the return and an id no earlier line has; otherwise ``error``
-    is raised naming the file and line.
+    Each line must carry exactly ``keys``, string text fields that UTF-8 can
+    encode, a finite JSON number as the return and an id no earlier line
+    has; otherwise ``error`` is raised naming the file and line.
     """
     path = Path(path)
     prepared = "clean_text" in keys
@@ -119,6 +120,10 @@ def _read_disclosures(
                 ):
                     key = next(k for k in _TEXT_KEYS if not isinstance(obj.get(k, ""), str))
                     raise ValueError(f"{key} must be a string, got {obj[key]!r}")
+                if "\\u" in line:  # the file is UTF-8, so only an escape spells a surrogate
+                    for key, value in zip(_TEXT_KEYS, (rid, timestamp, ticker, text, clean_text)):
+                        if _SURROGATE.search(value):
+                            raise ValueError(f"{key} holds a lone surrogate")
                 if prepared and not clean_text:
                     raise ValueError("clean_text is empty")
                 if rid in seen:

@@ -271,7 +271,6 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
                     fallbacks += block.fallbacks()
                     if not config.stub.enabled:
                         store.sync()
-        store.sync()
         still_missing = len(store.missing(digests)) if todo.size else 0
 
     return {

@@ -415,7 +415,7 @@ class TestRunAgentProtocol:
             )
             callers[-1].start()
             # The holder is on the wire, and each later prompt waits behind it.
-            _until(lambda: ep.requests and transport._queue.qsize() == queued)
+            _until(lambda: ep.requests and transport._pool._work_queue.qsize() == queued)
         release.set()
         for caller in callers:
             caller.join(timeout=5)
@@ -513,6 +513,50 @@ class TestRunAgentProtocol:
         caller.join(timeout=5)
         assert len(failed) == 1 and time.monotonic() - started < 2
         assert len(ep.requests) == 1
+
+    def test_a_closed_transport_fails_its_queued_and_later_requests(self, chat_endpoint):
+        """One thread: the request on the wire when the transport closes gets
+        its answer; the one queued behind it and those made after the close
+        began and after it ended raise TransportError, never a pool's
+        CancelledError or RuntimeError."""
+        release = threading.Event()
+
+        def script(prompt, i):
+            if prompt == "on the wire":
+                release.wait(timeout=5)
+            return 200, completion_body(agent_json("neutral"))
+
+        ep = chat_endpoint(script)
+        transport = Transport(1)
+        client = ChatCompletionsClient(ep.url, "test-model", transport)
+        outcomes = {}
+
+        def call(prompt):
+            try:
+                outcomes[prompt] = client.generate(prompt, DECODING, False).text
+            except Exception as exc:  # the test reads its type
+                outcomes[prompt] = exc
+
+        callers = [threading.Thread(target=call, args=("on the wire",), daemon=True)]
+        callers[0].start()
+        _until(lambda: ep.requests)
+        callers.append(threading.Thread(target=call, args=("queued",), daemon=True))
+        callers[1].start()
+        _until(lambda: transport._pool._work_queue.qsize() == 1)
+        closer = threading.Thread(target=transport.close, daemon=True)
+        closer.start()
+        _until(transport.closed.is_set)
+        call("after the close")
+        release.set()
+        for thread in (*callers, closer):
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        call("after the close ended")
+        assert outcomes["on the wire"] == agent_json("neutral")
+        for prompt in ("queued", "after the close", "after the close ended"):
+            assert type(outcomes[prompt]) is TransportError, outcomes[prompt]
+            assert "closed" in str(outcomes[prompt])
+        assert [request["messages"][0]["content"] for request in ep.requests] == ["on the wire"]
 
     def test_transport_exhaustion_fails_loudly(self, chat_endpoint, monkeypatch):
         monkeypatch.setattr(agents, "MAX_ATTEMPTS", 3)

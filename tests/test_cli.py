@@ -510,6 +510,41 @@ class TestHttpRunAgentsWindow:
         assert cached_pairs(workdir) == [(rid, lens) for rid, _ in prepared for lens in LENSES][:k]
 
 
+class TestRunAgentsFsyncs:
+    """``run-agents`` fsyncs the cache once per HTTP block and once when the
+    store closes, and at no other point."""
+
+    @staticmethod
+    def _cache_fsyncs(monkeypatch, cache_path):
+        """A list that grows by one per ``os.fsync`` of ``cache_path``."""
+        synced, fsync = [], os.fsync
+
+        def counting_fsync(fd):
+            if cache_path.exists() and os.path.samestat(os.fstat(fd), os.stat(cache_path)):
+                synced.append(fd)
+            return fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        return synced
+
+    def test_a_stub_run_fsyncs_once(self, tmp_path, monkeypatch):
+        cfg_path, workdir = write_config(tmp_path)
+        assert run(cfg_path, "synth", "--n", "300", "--seed", "42") == 0
+        assert run(cfg_path, "ingest") == 0
+        synced = self._cache_fsyncs(monkeypatch, workdir / "cache.jsonl")
+        assert run(cfg_path, "run-agents") == 0
+        assert len(synced) == 1
+
+    def test_an_http_run_fsyncs_once_per_block_and_once_at_close(
+        self, tmp_path, chat_endpoint, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline_module, "HTTP_SYNC_EVERY", 100)
+        cfg_path, workdir, _ = http_run(tmp_path, chat_endpoint(lens_answer), n=300)
+        synced = self._cache_fsyncs(monkeypatch, workdir / "cache.jsonl")
+        assert run(cfg_path, "run-agents") == 0
+        assert len(synced) == 9 + 1
+
+
 class TestArtifactChecks:
     def test_train_rejects_stale_feature_files(self, pipeline, tmp_path, capsys):
         cfg_path, workdir = pipeline
@@ -987,6 +1022,28 @@ class TestMalformedInternalArtifacts:
         assert run(cfg_path, stage) == 3
         err = capsys.readouterr().err
         assert _single_error_line(err, name) and "line 2" in err
+
+    @pytest.mark.parametrize(
+        "name, key, stage, code",
+        [("prepared.jsonl", "clean_text", "run-agents", 3), ("corpus.jsonl", "text", "ingest", 1)],
+    )
+    def test_a_lone_surrogate_is_refused_naming_its_line(
+        self, tmp_path, capsys, name, key, stage, code
+    ):
+        cfg_path, workdir = write_config(tmp_path)
+        assert run(cfg_path, "synth", "--n", "300", "--seed", "42") == 0
+        if stage != "ingest":
+            assert run(cfg_path, "ingest") == 0
+        path = workdir / name
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row[key] += "\ud800"
+        lines[1] = json.dumps(row) + "\n"  # written as the escape \ud800
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(cfg_path, stage) == code
+        err = capsys.readouterr().err
+        assert _single_error_line(err, name) and "line 2" in err and "surrogate" in err
 
 
 class TestTrainChecksFeatureValues:
