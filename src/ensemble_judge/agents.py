@@ -125,10 +125,6 @@ class DecodingConfig:
     seed: int
     max_output_tokens: int
 
-    def __post_init__(self) -> None:
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be >= 1")
-
 
 @dataclass(frozen=True)
 class RawGeneration:

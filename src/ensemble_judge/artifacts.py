@@ -1,8 +1,8 @@
 """Atomic artifact writes and checked JSONL reads.
 
 A crash at any instant leaves each artifact either whole-old or whole-new,
-and a malformed line of an internal JSONL artifact is one
-:class:`ArtifactError` naming the file and line. Derived binary sidecars
+and a JSONL line that is not UTF-8, not JSON or breaks its reader's rules
+is one error naming the file and line. Derived binary sidecars
 (the cache's table snapshot, the prepared key table) share one stamped
 layout, written by :func:`write_stamped` and checked by :func:`read_stamped`.
 """
@@ -142,7 +142,7 @@ def read_stamped(path: str | Path, magic: bytes) -> tuple[dict, memoryview] | No
     if end < 0:
         return None
     try:
-        header = json.loads(data[len(magic) : end].tobytes())
+        header = json.loads(data[len(magic) : end].tobytes().decode("utf-8"))
     except (ValueError, RecursionError):
         return None
     if not isinstance(header, dict):
@@ -165,19 +165,23 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     write_text(path, json_lines(rows))
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
-    """``parse`` applied to each line's JSON object, in file order.
-
-    A line that is not JSON (nested past the recursion limit too), or that
-    ``parse`` rejects with ``KeyError``, ``TypeError`` or ``ValueError``,
-    raises :class:`ArtifactError`.
+def read_jsonl(
+    path: str | Path, parse: Callable[[object], T], error: type[Exception] = ArtifactError
+) -> Iterator[T]:
+    """``parse`` applied to each line's JSON value, in file order, as the
+    lines are iterated. Each line is decoded as strict UTF-8 and parsed in
+    the same check as ``parse``: a line that is not UTF-8 (an encoded
+    surrogate included), not JSON (nested past the recursion limit too) or
+    that ``parse`` rejects with ``KeyError``, ``TypeError`` or
+    ``ValueError`` raises ``error`` naming the file and line.
     """
     path = Path(path)
-    parsed: list[T] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                parsed.append(parse(json.loads(line)))
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise ArtifactError(f"{path}: malformed line {lineno}: {exc!r}") from None
-    return parsed
+                value = parse(json.loads(line.decode("utf-8")))
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise error(f"{path}: line {lineno}: malformed JSON ({exc})") from None
+            except (KeyError, TypeError, ValueError) as exc:
+                raise error(f"{path}: line {lineno}: {exc}") from None
+            yield value

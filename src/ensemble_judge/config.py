@@ -58,6 +58,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        if self.max_output_tokens < 1:
+            raise ValueError("max_output_tokens must be >= 1")
+        if self.train.max_iter < 1:
+            raise ValueError("train.max_iter must be >= 1")
+        if not self.train.tol > 0:
+            raise ValueError("train.tol must be positive")
+        if not self.train.grid or min(self.train.grid) <= 0:
+            raise ValueError("train.grid must be one or more positive values")
         if not self.stub.enabled:
             if len(self.agents) != len(LENS_ORDER):
                 raise ValueError("config must name exactly one agent per lens (or enable stubs)")
@@ -174,7 +182,7 @@ def load_config(path: str | Path) -> RunConfig:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_bytes().decode("utf-8"))
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}") from None
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep

@@ -4,7 +4,7 @@ The corpus file is UTF-8 line-delimited JSON, one record per line with keys
 exactly {id, timestamp, ticker, text, next_day_return}; the first four are
 strings, timestamps are RFC 3339, the return is a finite JSON number and no
 id repeats. The prepared file has the same lines with a non-empty
-``clean_text`` string added; one reader parses both.
+``clean_text`` string added; one line check parses both.
 Next to the prepared file, ``ingest`` writes its key table
 (``prepared.jsonl.keys``): the ids, targets, prompt digests and cache-key
 digests the reader stages need, stamped with what they depend on, so those
@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .artifacts import (
     ArtifactError,
     finite_number,
     prefix_sha256,
+    read_jsonl,
     read_stamped,
     write_jsonl,
     write_stamped,
@@ -93,55 +94,48 @@ def parse_rfc3339(value: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _read_disclosures(
-    path: str | Path, keys: frozenset[str], error: type[Exception]
-) -> Iterator[DisclosureRecord]:
-    """The disclosures of a corpus (``CORPUS_KEYS``) or prepared
-    (``PREPARED_KEYS``) file, in file order, read as they are iterated.
+def _disclosure_check(keys: frozenset[str]) -> Callable[[object], DisclosureRecord]:
+    """The check of each line, in file order, of a corpus (``CORPUS_KEYS``)
+    or prepared (``PREPARED_KEYS``) file: the line's record.
 
     Each line must carry exactly ``keys``, string text fields that UTF-8 can
     encode, a finite JSON number as the return and an id no earlier line
-    has; otherwise ``error`` is raised naming the file and line.
+    has; otherwise ``ValueError``.
     """
-    path = Path(path)
     prepared = "clean_text" in keys
-    seen: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict) or obj.keys() != keys:
-                    raise ValueError(f"must carry keys exactly {sorted(keys)}")
-                rid, timestamp, ticker, text = _CORPUS_TEXT(obj)
-                clean_text = obj["clean_text"] if prepared else ""
-                if not (
-                    isinstance(rid, str) and isinstance(timestamp, str) and isinstance(ticker, str)
-                    and isinstance(text, str) and isinstance(clean_text, str)
-                ):
-                    key = next(k for k in _TEXT_KEYS if not isinstance(obj.get(k, ""), str))
-                    raise ValueError(f"{key} must be a string, got {obj[key]!r}")
-                if "\\u" in line:  # the file is UTF-8, so only an escape spells a surrogate
-                    for key, value in zip(_TEXT_KEYS, (rid, timestamp, ticker, text, clean_text)):
-                        if _SURROGATE.search(value):
-                            raise ValueError(f"{key} holds a lone surrogate")
-                if prepared and not clean_text:
-                    raise ValueError("clean_text is empty")
-                if rid in seen:
-                    raise ValueError(f"duplicate id {rid!r} on lines {seen[rid]} and {lineno}")
-                seen[rid] = lineno
-                record = DisclosureRecord(
-                    id=rid,
-                    timestamp=parse_rfc3339(timestamp),
-                    ticker=ticker,
-                    raw_text=text,
-                    clean_text=clean_text,
-                    next_day_return=finite_number(obj["next_day_return"]),
-                )
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise error(f"{path}: line {lineno}: malformed JSON ({exc})") from None
-            except ValueError as exc:
-                raise error(f"{path}: line {lineno}: {exc}") from None
-            yield record
+    seen: dict[str, int] = {}  # the line of each id
+
+    def check(obj: object) -> DisclosureRecord:
+        if not isinstance(obj, dict) or obj.keys() != keys:
+            raise ValueError(f"must carry keys exactly {sorted(keys)}")
+        rid, timestamp, ticker, text = _CORPUS_TEXT(obj)
+        clean_text = obj["clean_text"] if prepared else ""
+        if not (
+            isinstance(rid, str) and isinstance(timestamp, str) and isinstance(ticker, str)
+            and isinstance(text, str) and isinstance(clean_text, str)
+        ):
+            key = next(k for k in _TEXT_KEYS if not isinstance(obj.get(k, ""), str))
+            raise ValueError(f"{key} must be a string, got {obj[key]!r}")
+        strings = (rid, timestamp, ticker, text, clean_text)
+        if not "".join(strings).isascii():  # an ASCII string holds no surrogate
+            for key, value in zip(_TEXT_KEYS, strings):
+                if _SURROGATE.search(value):
+                    raise ValueError(f"{key} holds a lone surrogate")
+        if prepared and not clean_text:
+            raise ValueError("clean_text is empty")
+        lineno = len(seen) + 1  # each earlier line passed, adding its id
+        if seen.setdefault(rid, lineno) != lineno:
+            raise ValueError(f"duplicate id {rid!r} on lines {seen[rid]} and {lineno}")
+        return DisclosureRecord(
+            id=rid,
+            timestamp=parse_rfc3339(timestamp),
+            ticker=ticker,
+            raw_text=text,
+            clean_text=clean_text,
+            next_day_return=finite_number(obj["next_day_return"]),
+        )
+
+    return check
 
 
 def load_corpus(path: str | Path) -> list[DisclosureRecord]:
@@ -150,12 +144,12 @@ def load_corpus(path: str | Path) -> list[DisclosureRecord]:
     Records come back with ``clean_text`` empty; run :func:`preprocess_corpus`
     before anything downstream touches the text.
     """
-    return list(_read_disclosures(path, CORPUS_KEYS, CorpusFormatError))
+    return list(read_jsonl(path, _disclosure_check(CORPUS_KEYS), CorpusFormatError))
 
 
 def read_prepared(path: str | Path) -> Iterator[DisclosureRecord]:
     """The preprocessed disclosures, streaming (:class:`ArtifactError` on a bad line)."""
-    return _read_disclosures(path, PREPARED_KEYS, ArtifactError)
+    return read_jsonl(path, _disclosure_check(PREPARED_KEYS))
 
 
 def load_prepared(path: str | Path) -> list[DisclosureRecord]:
@@ -282,7 +276,7 @@ def read_key_table(
             return None
         keys_at = n + n * k * _PROMPT_BYTES  # after the targets and the prompts
         ids_at = keys_at + n * k * DIGEST.itemsize
-        ids = json.loads(body[ids_at:].tobytes())
+        ids = json.loads(body[ids_at:].tobytes().decode("utf-8"))
         if not (isinstance(ids, list) and len(ids) == n and all(isinstance(i, str) for i in ids)):
             return None
         return PreparedKeys(
@@ -416,7 +410,7 @@ def load_split(path: str | Path) -> dict[Split, list[str]]:
     """The ids of each split in ``path``, a JSON object whose ``train``,
     ``dev`` and ``test`` each hold an array of id strings; an id may appear
     once only."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    obj = json.loads(Path(path).read_bytes().decode("utf-8"))
     split: dict[Split, list[str]] = {}
     seen: set[str] = set()
     for s in Split:

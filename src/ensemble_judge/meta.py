@@ -308,7 +308,7 @@ class MetaModel:
         tolerance that is not a finite JSON number (``NaN``, ``Infinity``, a
         string, a boolean), an iteration or output count that is not a JSON
         integer, or a prompt digest that is not a string."""
-        d = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        d = json.loads(Path(path).read_bytes().decode("utf-8"), parse_constant=_reject_constant)
         rep = d["optimizer_report"]
         return cls(
             weights=_feature_numbers(d, "weights"),

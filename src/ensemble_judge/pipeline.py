@@ -105,7 +105,7 @@ def _load_checked(path: Path, load: Callable[[Path], T], what: str) -> T:
     try:
         return load(path)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ArtifactError(f"{path}: malformed {what} file: {exc!r}") from None
+        raise ArtifactError(f"{path}: malformed {what} file: {type(exc).__name__}: {exc}") from None
 
 
 def _assigned_ids(split: dict[Split, list[str]], known: Container[str]) -> dict[str, None]:
@@ -422,9 +422,10 @@ def stage_evaluate(config: RunConfig) -> EvalReport:
 
 
 def stage_report(config: RunConfig, fmt: str) -> str:
-    """Re-emit the persisted report in the requested format."""
-    if fmt == "json":
-        return _require(config.report_json_path, "report file").read_text(encoding="utf-8")
-    if fmt == "text":
-        return _require(config.report_text_path, "report file").read_text(encoding="utf-8")
-    raise ValueError(f"unknown report format {fmt!r} (expected text or json)")
+    """Re-emit the persisted report in the requested format; a report that
+    is not UTF-8 is an :class:`ArtifactError`."""
+    paths = {"json": config.report_json_path, "text": config.report_text_path}
+    if fmt not in paths:
+        raise ValueError(f"unknown report format {fmt!r} (expected text or json)")
+    path = _require(paths[fmt], "report file")
+    return _load_checked(path, lambda p: p.read_bytes().decode("utf-8"), "report")

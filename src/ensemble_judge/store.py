@@ -149,7 +149,9 @@ _FIELD_JSON = (
 def _cache_lines(columns: Sequence[list], created_at: str) -> list[bytes]:
     """The cache line of each row of a block's output ``columns`` (lists, in
     :class:`CacheBlock` order): ``{key, output, created_at}`` in this fixed
-    field order, the bytes ``json.dumps(..., ensure_ascii=False)`` writes."""
+    field order, the bytes ``json.dumps(..., ensure_ascii=False)`` writes,
+    except that a lone surrogate, which UTF-8 cannot encode, is written as its
+    JSON escape (``\\udXXX``)."""
     at = _TEXT(created_at)
     return [
         (
@@ -158,7 +160,7 @@ def _cache_lines(columns: Sequence[list], created_at: str) -> list[bytes]:
             f'"agent": {lens}, "label": {label}, "confidence": {conf}, "rationale": {why}, '
             f'"confidence_source": {source}, "model_name": {model}, "prompt_hash": {prompt}, '
             f'"seed": {seed}, "raw_json": {raw}, "retry_count": {retry}}}, "created_at": {at}}}\n'
-        ).encode("utf-8")
+        ).encode("utf-8", "backslashreplace")
         for rid, lens, label, conf, why, source, model, prompt, seed, raw, retry in zip(
             *map(map, _FIELD_JSON, columns), strict=True
         )
@@ -198,7 +200,7 @@ def _parse_line(line: bytes) -> tuple[bytes, tuple]:
     range included, and :class:`_KeyMismatch` when the key block disagrees
     with the output block.
     """
-    obj = json.loads(line)
+    obj = json.loads(line.decode("utf-8"))  # strict: json.loads would pass encoded surrogates
     out = obj["output"]
     identity = _IDENTITY(out)
     label, confidence, source, retry_count, rationale, raw_json = _VALUES(out)

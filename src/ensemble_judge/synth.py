@@ -267,17 +267,16 @@ def write_latents(latents: Mapping[str, LatentDisclosure], path: str | Path) -> 
 
 
 _LATENT_FIELDS = ("id", "performance_signal", "guidance_signal", "risk_signal", "noise_seed")
+_LATENT_KEYS = frozenset(_LATENT_FIELDS)
 _latent_fields = itemgetter(*_LATENT_FIELDS)
 
 
-def _latent_row(obj: dict) -> tuple:
+def _latent_row(obj: object) -> tuple:
     """``(id, performance, guidance, risk, noise seed)`` of one latents line,
     its values unchecked."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {obj!r}")
+    if not isinstance(obj, dict) or obj.keys() != _LATENT_KEYS:
+        raise ValueError(f"must be a JSON object with keys exactly {list(_LATENT_FIELDS)}")
     row = _latent_fields(obj)
-    if len(obj) != len(row):
-        raise ValueError(f"unexpected keys {sorted(obj.keys() - set(_LATENT_FIELDS))}")
     if not isinstance(row[0], str):
         raise ValueError(f"id must be a string, got {row[0]!r}")
     return row
@@ -292,7 +291,7 @@ def read_latents(path: str | Path) -> tuple[dict[str, int], np.ndarray, list[int
     :class:`LatentDisclosure` rule, the first line that does is named with
     that rule's message.
     """
-    rows = read_jsonl(path, _latent_row)
+    rows = list(read_jsonl(path, _latent_row))
     values = [value for row in rows for value in row[1:4]]
     seeds = [row[4] for row in rows]
     try:
@@ -308,7 +307,7 @@ def read_latents(path: str | Path) -> tuple[dict[str, int], np.ndarray, list[int
             try:
                 LatentDisclosure(*latent)
             except (TypeError, ValueError) as exc:
-                raise ArtifactError(f"{path}: malformed line {lineno}: {exc!r}") from None
+                raise ArtifactError(f"{path}: line {lineno}: {exc}") from None
     position: dict[str, int] = {}
     for index, (rid, *_) in enumerate(rows):
         if position.setdefault(rid, index) != index:

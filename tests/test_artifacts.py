@@ -64,15 +64,40 @@ def test_write_jsonl_round_trips_through_read_jsonl(tmp_path):
     rows = [{"id": "ä", "x": 0.1}, {"id": "b", "x": 2}]
     write_jsonl(tmp_path / "rows.jsonl", rows)
     assert (tmp_path / "rows.jsonl").read_text(encoding="utf-8").startswith('{"id": "ä"')
-    assert read_jsonl(tmp_path / "rows.jsonl", dict) == rows
+    assert list(read_jsonl(tmp_path / "rows.jsonl", dict)) == rows
 
 
 @pytest.mark.parametrize("bad_line", ["{\"id\": 1", "[1, 2]", "{\"other\": 1}"])
 def test_malformed_line_names_file_and_line(tmp_path, bad_line):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"id": 0}\n' + bad_line + "\n", encoding="utf-8")
-    with pytest.raises(ArtifactError, match=r"rows\.jsonl: malformed line 2"):
-        read_jsonl(path, lambda obj: obj["id"])
+    with pytest.raises(ArtifactError, match=r"rows\.jsonl: line 2: "):
+        list(read_jsonl(path, lambda obj: obj["id"]))
+
+
+def test_read_jsonl_streams_one_line_at_a_time(tmp_path):
+    """Each line is decoded, parsed and checked as it is iterated, so a
+    caller that stops early never reads the rest."""
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"id": 0}\n{"id": 1}\nnot json\n')
+    rows = read_jsonl(path, lambda obj: obj["id"])
+    assert next(rows) == 0 and next(rows) == 1
+    with pytest.raises(ArtifactError, match=r"rows\.jsonl: line 3: malformed JSON"):
+        next(rows)
+
+
+class _RowError(ValueError):
+    pass
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["0xff", "encoded-surrogate"])
+def test_a_line_that_is_not_utf8_raises_the_callers_error(tmp_path, bad):
+    """Strict UTF-8: a byte that starts no character and a surrogate encoded
+    as if it were one are both refused, as the caller's error naming the line."""
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"id": "a"}\n{"id": "b' + bad + b'"}\n')
+    with pytest.raises(_RowError, match=r"rows\.jsonl: line 2: .*'utf-8' codec can't decode"):
+        list(read_jsonl(path, lambda obj: obj["id"], _RowError))
 
 
 def test_write_binary_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):

@@ -331,6 +331,26 @@ class TestHttpAgentsViaCli:
         rows = [json.loads(l) for l in (workdir / "features_train.jsonl").read_text().splitlines()]
         assert all(row["features"][:3] == [1.0, 0.0, -1.0] for row in rows)
 
+    def test_an_answer_with_a_lone_surrogate_is_cached_as_its_escape(
+        self, tmp_path, chat_endpoint
+    ):
+        """A lone surrogate escape is valid JSON (here an emoji pair cut to
+        its first half). UTF-8 cannot encode it, so the cache writes it back
+        as the same escape; a rerun reads it and sends no request."""
+        answer = agent_json("positive", rationale="Results beat plan \ud83d", confidence=0.75)
+        ep = chat_endpoint(lambda prompt, i: (200, completion_body(answer)))
+        cfg_path, workdir, prepared = http_run(tmp_path, ep)
+        assert run(cfg_path, "run-agents") == 0
+        data = (workdir / "cache.jsonl").read_bytes()
+        assert data.count(b'"rationale": "Results beat plan \\ud83d"') == 3 * len(prepared)
+        outputs = [json.loads(line)["output"] for line in data.decode("utf-8").splitlines()]
+        assert {output["rationale"] for output in outputs} == {"Results beat plan \ud83d"}
+        sent = len(ep.requests)
+        assert run(cfg_path, "run-agents") == 0
+        assert len(ep.requests) == sent
+        assert (workdir / "cache.jsonl").read_bytes() == data
+        assert run(cfg_path, "build-features") == 0
+
 
 class TestHttpRunAgentsFailure:
     def test_a_failure_ends_the_backoffs_of_the_pairs_in_flight(
@@ -1044,6 +1064,40 @@ class TestMalformedInternalArtifacts:
         assert run(cfg_path, stage) == code
         err = capsys.readouterr().err
         assert _single_error_line(err, name) and "line 2" in err and "surrogate" in err
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["0xff", "encoded-surrogate"])
+    @pytest.mark.parametrize(
+        "name, stage, code, named",
+        [
+            ("corpus.jsonl", ("ingest",), 1, "line 2: "),
+            ("prepared.jsonl", ("run-agents",), 3, "line 2: "),
+            ("latents.jsonl", ("run-agents",), 3, "line 2: "),
+            ("cache.jsonl", ("build-features",), 3, "byte offset"),
+            ("report.json", ("report", "--format", "json"), 3, "malformed report file"),
+        ],
+    )
+    def test_bytes_that_are_not_utf8_are_refused_naming_the_file(
+        self, tmp_path, capsys, bad, name, stage, code, named
+    ):
+        """Every input is decoded as strict UTF-8 inside the check that names
+        it: a byte that starts no character (0xff) and a surrogate encoded as
+        if it were a character (ED A0 80), put inside a string on line 2."""
+        cfg_path, workdir = write_config(tmp_path)
+        stages = [("synth", "--n", "300", "--seed", "42"), ("ingest",), ("run-agents",)]
+        stages += [("build-features",), ("train",), ("evaluate",)]
+        before = {"ingest": 1, "run-agents": 2, "build-features": 3, "report": 6}[stage[0]]
+        for args in stages[:before]:
+            assert run(cfg_path, *args) == 0
+        (workdir / "cache.jsonl.table").unlink(missing_ok=True)  # so every cache line is read
+        path = workdir / name
+        data = path.read_bytes()
+        at = data.index(b'"', data.index(b"\n")) + 1
+        path.write_bytes(data[:at] + bad + data[at:])
+        capsys.readouterr()
+        assert run(cfg_path, *stage) == code
+        err = capsys.readouterr().err
+        assert _single_error_line(err, name) and named in err
+        assert "'utf-8' codec can't decode" in err
 
 
 class TestTrainChecksFeatureValues:

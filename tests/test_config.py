@@ -119,6 +119,26 @@ def test_strict_values_of_the_right_type_load(tmp_path):
     assert all(spec.supports_logprobs for spec in config.agents)
 
 
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"max_output_tokens": 0}, "max_output_tokens"),
+        ({"train": {"tol": 0}}, "train.tol"),
+        ({"train": {"max_iter": 0}}, "train.max_iter"),
+        ({"train": {"grid": []}}, "train.grid"),
+        ({"train": {"grid": [-1]}}, "train.grid"),
+    ],
+)
+def test_a_value_out_of_range_is_refused_at_load_naming_its_key(tmp_path, capsys, fields, key):
+    """Checked as the config loads, not where the value is first used, so
+    every command exits 1 before it reads anything else."""
+    from ensemble_judge.cli import main
+
+    assert main(["ingest", "--config", str(_write(tmp_path, **fields))]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must be")
+
+
 def test_cli_reports_an_unknown_key_on_one_line(tmp_path, capsys):
     from ensemble_judge.cli import main
 

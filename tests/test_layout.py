@@ -1,17 +1,17 @@
 """Where the package writes files and encodes JSON lines, checked on its source.
 
 Every artifact goes through ``artifacts.write_text`` (temporary file,
-fsync, rename), the agent cache is the one file opened for append, and
-non-ASCII JSON lines have one writer per file kind: the shared encoder in
-``artifacts.py``, and the cache's fixed-layout line in ``store.py``; each
-derived binary sidecar has one writing module. A new
+fsync, rename), no file is opened in text mode, the agent cache is the one
+file opened for append, and non-ASCII JSON lines have one writer per file
+kind: the shared encoder in ``artifacts.py``, and the cache's fixed-layout
+line in ``store.py``; each derived binary sidecar has one writing module. A new
 write path elsewhere would bypass the crash guarantees or the line writers
 without failing any behavioural test, so these tests read the source
 instead. For the same
 reason they check that the package imports nothing from ``tests``, defines
 nothing that only tests use, that the names the benchmark wraps and no
 stage calls are the array functions themselves, that only the
-disclosure-line reader and the generator build records, that only
+disclosure-line check and the generator build records, that only
 ``store._parse_line`` parses a cache line, and that no stage parses a
 feature file.
 """
@@ -76,6 +76,20 @@ def _opens(mode_chars: str) -> dict[str, list[int]]:
 
 def test_scan_sees_the_package():
     assert {"artifacts.py", "store.py", "pipeline.py"} <= {p.name for p in MODULES}
+
+
+def test_no_module_opens_a_file_in_text_mode():
+    """Every file is read as bytes and decoded as strict UTF-8 inside the
+    check that names it. A text-mode read decodes outside that check, so a
+    byte that is not UTF-8 would end a stage with no file or line named."""
+    found = [
+        f"{path.name}:{call.lineno}"
+        for path in MODULES
+        for call in _calls(path)
+        if _name(call) == "read_text"
+        or ("b" not in (_open_mode(call) or "b") and ast.unparse(call.func) != "os.open")
+    ]
+    assert found == []
 
 
 def test_only_artifacts_opens_files_for_writing():
