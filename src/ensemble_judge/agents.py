@@ -710,6 +710,12 @@ def _readable_int(text: str) -> int | None:
         return None
 
 
+def _as_json_reads(text: str) -> str:
+    """``text`` with each high surrogate that a low one follows joined to it,
+    as JSON reads the escapes of the two back: one character."""
+    return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+
+
 def run_agent(
     spec: AgentSpec,
     decoding: DecodingConfig,
@@ -754,11 +760,11 @@ def run_agent(
         agent=spec.lens,
         label=label,
         confidence=confidence,
-        rationale=rationale,
+        rationale=_as_json_reads(rationale),
         confidence_source=source,
         model_name=spec.model_name,
         prompt_hash=prompt_digests(spec.lens, [record.clean_text])[0].hex(),
         seed=decoding.seed,
-        raw_json=raw.text,
+        raw_json=_as_json_reads(raw.text),
         retry_count=attempt,
     )

@@ -165,21 +165,34 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     write_text(path, json_lines(rows))
 
 
+def _encode_strings(value: object) -> None:
+    """Encode each string of a JSON value, keys included, as strict UTF-8."""
+    if isinstance(value, str):
+        value.encode()  # UnicodeEncodeError on a lone surrogate
+    elif isinstance(value, (dict, list)):
+        for item in (*value, *value.values()) if isinstance(value, dict) else value:
+            _encode_strings(item)
+
+
 def read_jsonl(
     path: str | Path, parse: Callable[[object], T], error: type[Exception] = ArtifactError
 ) -> Iterator[T]:
     """``parse`` applied to each line's JSON value, in file order, as the
     lines are iterated. Each line is decoded as strict UTF-8 and parsed in
     the same check as ``parse``: a line that is not UTF-8 (an encoded
-    surrogate included), not JSON (nested past the recursion limit too) or
-    that ``parse`` rejects with ``KeyError``, ``TypeError`` or
-    ``ValueError`` raises ``error`` naming the file and line.
+    surrogate or a lone surrogate escape included), not JSON (nested past
+    the recursion limit too) or that ``parse`` rejects with ``KeyError``,
+    ``TypeError`` or ``ValueError`` raises ``error`` naming the file and line.
     """
     path = Path(path)
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                value = parse(json.loads(line.decode("utf-8")))
+                text = line.decode("utf-8")
+                obj = json.loads(text)
+                if "\\u" in text:  # strict UTF-8 holds no surrogate; only an escape spells one
+                    _encode_strings(obj)
+                value = parse(obj)
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise error(f"{path}: line {lineno}: malformed JSON ({exc})") from None
             except (KeyError, TypeError, ValueError) as exc:

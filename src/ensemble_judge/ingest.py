@@ -47,7 +47,6 @@ CORPUS_KEYS = frozenset({"id", "timestamp", "ticker", "text", "next_day_return"}
 PREPARED_KEYS = CORPUS_KEYS | {"clean_text"}
 _TEXT_KEYS = ("id", "timestamp", "ticker", "text", "clean_text")
 _CORPUS_TEXT = itemgetter("id", "timestamp", "ticker", "text")
-_SURROGATE = re.compile("[\ud800-\udfff]")  # left by an escape no JSON surrogate pair completes
 
 
 class CorpusFormatError(ValueError):
@@ -98,9 +97,8 @@ def _disclosure_check(keys: frozenset[str]) -> Callable[[object], DisclosureReco
     """The check of each line, in file order, of a corpus (``CORPUS_KEYS``)
     or prepared (``PREPARED_KEYS``) file: the line's record.
 
-    Each line must carry exactly ``keys``, string text fields that UTF-8 can
-    encode, a finite JSON number as the return and an id no earlier line
-    has; otherwise ``ValueError``.
+    Each line must carry exactly ``keys``, string text fields, a finite JSON
+    number as the return and an id no earlier line has; otherwise ``ValueError``.
     """
     prepared = "clean_text" in keys
     seen: dict[str, int] = {}  # the line of each id
@@ -116,11 +114,6 @@ def _disclosure_check(keys: frozenset[str]) -> Callable[[object], DisclosureReco
         ):
             key = next(k for k in _TEXT_KEYS if not isinstance(obj.get(k, ""), str))
             raise ValueError(f"{key} must be a string, got {obj[key]!r}")
-        strings = (rid, timestamp, ticker, text, clean_text)
-        if not "".join(strings).isascii():  # an ASCII string holds no surrogate
-            for key, value in zip(_TEXT_KEYS, strings):
-                if _SURROGATE.search(value):
-                    raise ValueError(f"{key} holds a lone surrogate")
         if prepared and not clean_text:
             raise ValueError("clean_text is empty")
         lineno = len(seen) + 1  # each earlier line passed, adding its id

@@ -151,7 +151,8 @@ def _cache_lines(columns: Sequence[list], created_at: str) -> list[bytes]:
     :class:`CacheBlock` order): ``{key, output, created_at}`` in this fixed
     field order, the bytes ``json.dumps(..., ensure_ascii=False)`` writes,
     except that a lone surrogate, which UTF-8 cannot encode, is written as its
-    JSON escape (``\\udXXX``)."""
+    JSON escape (``\\udXXX``). A high surrogate and a low one side by side
+    are two such escapes, which JSON reads back as one character."""
     at = _TEXT(created_at)
     return [
         (

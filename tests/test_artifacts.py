@@ -100,6 +100,20 @@ def test_a_line_that_is_not_utf8_raises_the_callers_error(tmp_path, bad):
         list(read_jsonl(path, lambda obj: obj["id"], _RowError))
 
 
+@pytest.mark.parametrize(
+    "value", ['"b\\ud800"', '["b", ["\\udc00"]]', '{"\\ud83d": 1}'], ids=["string", "nested", "key"]
+)
+def test_a_lone_surrogate_escape_raises_the_callers_error(tmp_path, value):
+    """An escape no surrogate pair completes spells text UTF-8 cannot encode:
+    refused wherever it sits in the line's value, as the caller's error."""
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "\\ud83d\\ude00"}\n{"id": %s}\n' % value)
+    rows = read_jsonl(path, lambda obj: obj["id"], _RowError)
+    assert next(rows) == "\U0001f600"
+    with pytest.raises(_RowError, match=r"rows\.jsonl: line 2: .*surrogates not allowed"):
+        next(rows)
+
+
 def test_write_binary_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
     """The rename is durable only once the directory holding the new name is."""
     events = []

@@ -331,20 +331,32 @@ class TestHttpAgentsViaCli:
         rows = [json.loads(l) for l in (workdir / "features_train.jsonl").read_text().splitlines()]
         assert all(row["features"][:3] == [1.0, 0.0, -1.0] for row in rows)
 
+    @pytest.mark.parametrize(
+        "spelled, rationale, written",
+        [
+            ("\ud83d", "Results beat plan \ud83d", b"Results beat plan \\ud83d"),
+            ("\ud83d\\ude00", "Results beat plan \U0001f600", "Results beat plan \U0001f600".encode()),
+        ],
+        ids=["lone", "split-pair"],
+    )
     def test_an_answer_with_a_lone_surrogate_is_cached_as_its_escape(
-        self, tmp_path, chat_endpoint
+        self, tmp_path, chat_endpoint, spelled, rationale, written
     ):
         """A lone surrogate escape is valid JSON (here an emoji pair cut to
         its first half). UTF-8 cannot encode it, so the cache writes it back
-        as the same escape; a rerun reads it and sends no request."""
-        answer = agent_json("positive", rationale="Results beat plan \ud83d", confidence=0.75)
+        as the same escape; a rerun reads it and sends no request. A high
+        surrogate the envelope spells and a low one the answer's own escape
+        spells are two characters side by side, which JSON cannot write
+        apart: they are read as the one character the pair encodes."""
+        answer = agent_json("positive", rationale="Results beat plan \x00", confidence=0.75)
+        answer = answer.replace("\\u0000", spelled)
         ep = chat_endpoint(lambda prompt, i: (200, completion_body(answer)))
         cfg_path, workdir, prepared = http_run(tmp_path, ep)
         assert run(cfg_path, "run-agents") == 0
         data = (workdir / "cache.jsonl").read_bytes()
-        assert data.count(b'"rationale": "Results beat plan \\ud83d"') == 3 * len(prepared)
+        assert data.count(b'"rationale": "' + written + b'"') == 3 * len(prepared)
         outputs = [json.loads(line)["output"] for line in data.decode("utf-8").splitlines()]
-        assert {output["rationale"] for output in outputs} == {"Results beat plan \ud83d"}
+        assert {output["rationale"] for output in outputs} == {rationale}
         sent = len(ep.requests)
         assert run(cfg_path, "run-agents") == 0
         assert len(ep.requests) == sent
