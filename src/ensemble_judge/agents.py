@@ -164,36 +164,86 @@ class TransportError(RuntimeError):
 REQUIRED_KEYS = frozenset({"label", "rationale", "confidence"})
 
 
+# One step of a brace scan outside string literals: up to and including the
+# next brace, or past the next whole string literal.
+_SCAN_STEP = re.compile(r'[^{}"]*(?:([{}])|"[^"\\]*(?:\\.[^"\\]*)*")', re.S)
+
+
 def extract_json_object(text: str) -> tuple[str, int] | None:
     """First balanced ``{...}`` object in the text and its start offset.
 
     Brace depth is tracked outside of string literals (with escape handling),
-    so braces inside rationale strings do not confuse the scan.
+    so braces inside rationale strings do not confuse the scan. The object
+    is the one whose scan, started at its ``{``, balances and whose ``{``
+    comes first. The scan from the first ``{`` is tried alone, a string
+    literal or a run of plain text a step; when it does not balance, the
+    scans from the later ``{`` run together in one pass, so the cost is
+    linear in the text whatever it holds.
     """
     start = text.find("{")
-    while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    return text[start : i + 1], start
-        start = text.find("{", start + 1)
-    return None
+    if start == -1:
+        return None
+    depth, at = 0, start
+    while step := _SCAN_STEP.match(text, at):
+        at = step.end()
+        if step[1] == "{":
+            depth += 1
+        elif step[1] == "}":
+            depth -= 1
+            if depth == 0:
+                return text[start:at], start
+    return _first_balanced(text, start + 1)
+
+
+def _first_balanced(text: str, begin: int) -> tuple[str, int] | None:
+    """:func:`extract_json_object` over the ``{`` from ``begin`` on.
+
+    A scan is outside a string, inside one, or just past a backslash inside
+    one, and two scans in the same state at the same offset read the rest of
+    the text alike. So the scans still open are kept in three lists, one a
+    state, of the offsets of their ``{``, innermost last: a ``{`` outside
+    strings opens a scan and a ``}`` closes the innermost. When two lists
+    meet in one state their scans are paired off from the innermost, since
+    a pair sits at the same depth and closes at the same ``}``, and only the
+    pair's first ``{`` can be the answer. A merge drops as many scans as it
+    reads, so the pass is linear.
+    """
+    outside: list[int] = []
+    inside: list[int] = []
+    escaped: list[int] = []
+    first: tuple[int, int] | None = None
+    for at in range(begin, len(text)):
+        ch = text[at]
+        if ch == '"':
+            outside, inside, escaped = inside, _paired(outside, escaped), []
+        elif ch == "\\":
+            inside, escaped = escaped, inside
+        else:
+            if ch == "{":
+                outside.append(at)
+            elif ch == "}" and outside:
+                start = outside.pop()
+                if first is None or start < first[0]:
+                    first = (start, at)
+                if not (outside or inside or escaped):
+                    break  # no scan is open, and each later one opens after the first
+            if escaped:
+                inside, escaped = _paired(inside, escaped), []
+    if first is None:
+        return None
+    start, end = first
+    return text[start : end + 1], start
+
+
+def _paired(a: list[int], b: list[int]) -> list[int]:
+    """The open scans of ``a`` and ``b`` paired off from the innermost,
+    keeping the first ``{`` of each pair."""
+    if len(a) < len(b):
+        a, b = b, a
+    for k in range(-len(b), 0):
+        if b[k] < a[k]:
+            a[k] = b[k]
+    return a
 
 
 @dataclass(frozen=True)
@@ -671,7 +721,8 @@ class ChatCompletionsClient:
 
     def _parse_response(self, data: bytes) -> RawGeneration:
         try:
-            body = json.loads(data, parse_int=_readable_int)
+            # Decoded first: on bytes, json.loads lets an encoded surrogate in.
+            body = json.loads(data.decode("utf-8"), parse_int=_readable_int)
             choice = body["choices"][0]
             text = choice["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:

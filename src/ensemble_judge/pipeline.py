@@ -184,9 +184,11 @@ def _fetch_tasks(
 
 
 # Pending pairs per transport thread in the HTTP submission window: enough
-# that the other threads stay busy while the answer at the window's head
-# backs off.
-WINDOW_PER_THREAD = 64
+# that the wire stays busy while the answer at the window's head waits out
+# one base backoff. A thread carries an exchange in about 4 ms against a
+# local endpoint, so BACKOFF_BASE_S (0.5 s) / 4 ms ≈ 125 requests a thread;
+# a smaller window drains before the backoff ends and leaves the wire idle.
+WINDOW_PER_THREAD = 128
 
 
 def _http_blocks(

@@ -418,3 +418,33 @@ def stub_outputs(
     at a time; no disclosure text is read."""
     for disclosure_id, lens, prompt_digest in pairs:
         yield _stub_answer(lens, disclosure_id, latents[disclosure_id], prompt_digest, seed)
+
+
+def extract_json_object(text: str) -> tuple[str, int] | None:
+    """First balanced ``{...}`` object in the text and its start offset:
+    each ``{`` in turn starts a quote-aware brace scan to the end of the
+    text, and the first scan that balances wins."""
+    start = text.find("{")
+    while start != -1:
+        depth = 0
+        in_string = False
+        escaped = False
+        for i in range(start, len(text)):
+            ch = text[i]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == '"':
+                    in_string = False
+            elif ch == '"':
+                in_string = True
+            elif ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    return text[start : i + 1], start
+        start = text.find("{", start + 1)
+    return None

@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import socket
 import ssl
+import subprocess
 import sys
 import threading
 import time
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,7 @@ from ensemble_judge.agents import (
 )
 from ensemble_judge.domain import ConfidenceSource, DisclosureRecord, Lens, SentimentLabel
 from ensemble_judge.ingest import PreparedKeys
+from tests import oracles
 from tests.conftest import agent_json, completion_body
 from tests.oracles import prompt_hash
 
@@ -129,34 +133,31 @@ class TestParseOutput:
         assert parsed.rationale == "Routine."
 
     def test_extraction_matches_brace_scan_oracle(self):
-        # Independent oracle: first balanced object by a simple quote-aware scan.
         text = 'prefix {"label":"negative","rationale":"Q} brace {inside.","confidence":0.3} suffix'
-
-        def oracle(s):
-            start = s.index("{")
-            depth, in_str, esc = 0, False, False
-            for i, ch in enumerate(s[start:], start):
-                if in_str:
-                    if esc:
-                        esc = False
-                    elif ch == "\\":
-                        esc = True
-                    elif ch == '"':
-                        in_str = False
-                elif ch == '"':
-                    in_str = True
-                elif ch == "{":
-                    depth += 1
-                elif ch == "}":
-                    depth -= 1
-                    if depth == 0:
-                        return s[start : i + 1], start
-            raise AssertionError("unbalanced")
-
-        assert extract_json_object(text) == oracle(text)
+        assert extract_json_object(text) == oracles.extract_json_object(text)
         parsed = parse_output(raw(text))
         assert parsed.label is SentimentLabel.NEGATIVE
         assert parsed.rationale == "Q} brace {inside."
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(alphabet='{}"\\a', max_size=80))
+    def test_extraction_takes_the_first_brace_whose_scan_balances(self, text):
+        assert extract_json_object(text) == oracles.extract_json_object(text)
+
+    @pytest.mark.parametrize(
+        "flood", ["'{' * 200_000", r"""'{"\\"' * 50_000"""], ids=["braces", "string-state"]
+    )
+    def test_extraction_is_linear_in_a_flood_of_braces_that_never_close(self, flood):
+        """A scan from each ``{`` to the end of the text would take hours on
+        these; the child process gets 20 s."""
+        src = str(Path(agents.__file__).resolve().parents[1])
+        code = f"from ensemble_judge.agents import extract_json_object as x; assert x({flood}) is None"
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=20,
+            check=True,
+        )
 
     def test_missing_key(self):
         with pytest.raises(SchemaViolation) as exc:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -363,6 +364,18 @@ class TestHttpAgentsViaCli:
         assert (workdir / "cache.jsonl").read_bytes() == data
         assert run(cfg_path, "build-features") == 0
 
+    def test_a_response_that_is_not_utf8_is_a_malformed_envelope(
+        self, tmp_path, chat_endpoint, capsys
+    ):
+        """An encoded surrogate (ED A0 80) is refused like every file input."""
+        body = json.dumps(completion_body(agent_json("positive", rationale="Beat @@"))).encode()
+        ep = chat_endpoint(lambda prompt, i: (200, body.replace(b"@@", b"\xed\xa0\x80")))
+        cfg_path, _, _ = http_run(tmp_path, ep)
+        capsys.readouterr()
+        assert run(cfg_path, "run-agents") == 1
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "error:") and "malformed chat-completions envelope" in err
+
 
 class TestHttpRunAgentsFailure:
     def test_a_failure_ends_the_backoffs_of_the_pairs_in_flight(
@@ -428,6 +441,67 @@ class TestHttpRunAgentsWindow:
         first, retry = (i for i, prompt in enumerate(prompts) if prompt == held["prompt"])
         assert retry - first > 1  # other prompts were sent between the 503 and its retry
         assert cached_pairs(workdir) == [(rid, lens) for rid, _ in prepared for lens in LENSES]
+
+    def test_a_backoff_at_the_head_leaves_a_full_window_on_the_wire(
+        self, tmp_path, chat_endpoint, monkeypatch
+    ):
+        """While the pair at the window's head waits out a 503, the window's
+        other pairs go out: more than 63 of them at one transport thread.
+        The backoff base is raised past any time sending them could take,
+        and the wait ends once 64 have been served, so no timing sets the
+        count."""
+        monkeypatch.setattr(agents_module, "BACKOFF_BASE_S", 30.0)
+        head, others = {}, []
+        enough = threading.Event()
+
+        def script(prompt, i):
+            time.sleep(0.005)
+            if prompt == head.get("prompt"):
+                if i == 0:
+                    return 503, {"error": "busy"}
+            elif i == 0 and head.get("prompt") in ep.calls_by_prompt:
+                others.append(prompt)
+                if len(others) > 63:
+                    enough.set()
+            return lens_answer(prompt, i)
+
+        client = pipeline_module.ChatCompletionsClient
+        monkeypatch.setattr(
+            pipeline_module, "ChatCompletionsClient", functools.partial(client, sleep=enough.wait)
+        )
+        ep = chat_endpoint(script)
+        cfg_path, workdir, prepared = http_run(tmp_path, ep, max_in_flight=1)
+        head["prompt"] = render_prompt(Lens.PERFORMANCE, prepared[0][1])
+        assert run(cfg_path, "run-agents") == 0
+        prompts = [request["messages"][0]["content"] for request in ep.requests]
+        first, retry = (i for i, prompt in enumerate(prompts) if prompt == head["prompt"])
+        assert retry - first - 1 > 63
+        assert cached_pairs(workdir) == [(rid, lens) for rid, _ in prepared for lens in LENSES]
+
+    def test_the_window_size_changes_no_cache_byte(self, tmp_path, chat_endpoint, monkeypatch):
+        """One 503 and one schema violation: the cache a one-pair-a-thread
+        window writes equals the default window's, apart from created_at."""
+        monkeypatch.setattr(agents_module, "BACKOFF_BASE_S", 0.01)
+        texts = {}
+
+        def script(prompt, i):
+            if i == 0 and prompt == render_prompt(Lens.GUIDANCE, texts["busy"]):
+                return 503, {"error": "busy"}
+            if i == 0 and prompt == render_prompt(Lens.RISK, texts["violating"]):
+                return 200, completion_body("no JSON here")
+            return lens_answer(prompt, i)
+
+        workdirs = []
+        for window in (1, pipeline_module.WINDOW_PER_THREAD):
+            monkeypatch.setattr(pipeline_module, "WINDOW_PER_THREAD", window)
+            ep = chat_endpoint(script)
+            cfg_path, workdir, prepared = http_run(tmp_path / str(window), ep)
+            texts.update(busy=prepared[3][1], violating=prepared[5][1])
+            assert run(cfg_path, "run-agents") == 0
+            assert len(ep.requests) == 3 * len(prepared) + 2
+            workdirs.append(workdir)
+        assert b'"retry_count": 1' in without_created_at(workdirs[0])
+        assert without_created_at(workdirs[0]) == without_created_at(workdirs[1])
 
     def test_an_error_keeps_the_answers_before_it_and_a_rerun_completes(
         self, tmp_path, chat_endpoint, capsys
