@@ -108,10 +108,6 @@ class AgentSpec:
     endpoint_url: str
     supports_logprobs: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.endpoint_url:
-            raise ValueError("endpoint_url must be non-empty")
-
 
 # Deterministic decoding: every request carries these, whatever the config.
 TEMPERATURE = 0.0
@@ -132,12 +128,6 @@ class RawGeneration:
 
     text: str
     token_logprobs: tuple[tuple[str, float], ...] | None
-
-    def __post_init__(self) -> None:
-        if self.token_logprobs is not None:
-            for token, lp in self.token_logprobs:
-                if lp > 0:
-                    raise ValueError(f"log probability above zero for token {token!r}: {lp}")
 
 
 class ViolationCategory(str, Enum):
@@ -164,75 +154,51 @@ class TransportError(RuntimeError):
 REQUIRED_KEYS = frozenset({"label", "rationale", "confidence"})
 
 
-# One step of a brace scan outside string literals: up to and including the
-# next brace, or past the next whole string literal.
-_SCAN_STEP = re.compile(r'[^{}"]*(?:([{}])|"[^"\\]*(?:\\.[^"\\]*)*")', re.S)
+# The characters that change a brace scan's state.
+_SCAN_EVENT = re.compile(r'[{}"\\]')
 
 
 def extract_json_object(text: str) -> tuple[str, int] | None:
-    """First balanced ``{...}`` object in the text and its start offset.
+    """First balanced ``{...}`` object in the text and its start offset: the
+    one whose brace scan, started at its ``{``, balances and whose ``{``
+    comes first. Braces inside string literals (with escape handling) do not
+    count, so braces inside rationale strings do not confuse the scan.
 
-    Brace depth is tracked outside of string literals (with escape handling),
-    so braces inside rationale strings do not confuse the scan. The object
-    is the one whose scan, started at its ``{``, balances and whose ``{``
-    comes first. The scan from the first ``{`` is tried alone, a string
-    literal or a run of plain text a step; when it does not balance, the
-    scans from the later ``{`` run together in one pass, so the cost is
-    linear in the text whatever it holds.
+    A scan is outside a string, inside one, or just past a backslash inside
+    one, and two scans in the same state at the same offset read the rest of
+    the text alike. So every scan runs in one pass over the braces, quotes
+    and backslashes, kept in three lists, one a state, of the offsets of
+    their ``{``, innermost last: a ``{`` outside strings opens a scan and a
+    ``}`` closes the innermost. When two lists meet in one state their scans
+    are paired off from the innermost, since a pair sits at the same depth
+    and closes at the same ``}``, and only the pair's first ``{`` can be the
+    answer. A merge drops as many scans as it reads, so the pass is linear.
     """
     start = text.find("{")
     if start == -1:
         return None
-    depth, at = 0, start
-    while step := _SCAN_STEP.match(text, at):
-        at = step.end()
-        if step[1] == "{":
-            depth += 1
-        elif step[1] == "}":
-            depth -= 1
-            if depth == 0:
-                return text[start:at], start
-    return _first_balanced(text, start + 1)
-
-
-def _first_balanced(text: str, begin: int) -> tuple[str, int] | None:
-    """:func:`extract_json_object` over the ``{`` from ``begin`` on.
-
-    A scan is outside a string, inside one, or just past a backslash inside
-    one, and two scans in the same state at the same offset read the rest of
-    the text alike. So the scans still open are kept in three lists, one a
-    state, of the offsets of their ``{``, innermost last: a ``{`` outside
-    strings opens a scan and a ``}`` closes the innermost. When two lists
-    meet in one state their scans are paired off from the innermost, since
-    a pair sits at the same depth and closes at the same ``}``, and only the
-    pair's first ``{`` can be the answer. A merge drops as many scans as it
-    reads, so the pass is linear.
-    """
     outside: list[int] = []
     inside: list[int] = []
     escaped: list[int] = []
-    first: tuple[int, int] | None = None
-    for at in range(begin, len(text)):
-        ch = text[at]
+    first: slice | None = None
+    escape_end = start
+    for event in _SCAN_EVENT.finditer(text, start):
+        at, ch = event.start(), event[0]
+        if escaped and at != escape_end:  # the escaped character was no quote or backslash
+            inside, escaped = _paired(inside, escaped), []
         if ch == '"':
-            outside, inside, escaped = inside, _paired(outside, escaped), []
+            outside, inside, escaped = inside, _paired(outside, escaped) if escaped else outside, []
         elif ch == "\\":
-            inside, escaped = escaped, inside
-        else:
-            if ch == "{":
-                outside.append(at)
-            elif ch == "}" and outside:
-                start = outside.pop()
-                if first is None or start < first[0]:
-                    first = (start, at)
-                if not (outside or inside or escaped):
-                    break  # no scan is open, and each later one opens after the first
-            if escaped:
-                inside, escaped = _paired(inside, escaped), []
-    if first is None:
-        return None
-    start, end = first
-    return text[start : end + 1], start
+            inside, escaped, escape_end = escaped, inside, at + 1
+        elif ch == "{":
+            outside.append(at)
+        elif outside:
+            opened = outside.pop()
+            if opened == start:
+                return text[start : at + 1], start  # no ``{`` comes before it
+            if first is None or opened < first.start:
+                first = slice(opened, at + 1)
+    return None if first is None else (text[first], first.start)
 
 
 def _paired(a: list[int], b: list[int]) -> list[int]:

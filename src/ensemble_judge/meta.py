@@ -198,8 +198,6 @@ def fit_logistic(
     classes = set(np.unique(y).tolist())
     if classes != {0, 1}:
         raise ValueError(f"need both classes 0 and 1 in y, got {sorted(classes)}")
-    if not C > 0:
-        raise ValueError("C must be positive")
 
     n, d = X.shape
     signs = 2.0 * y.astype(np.float64) - 1.0
@@ -337,10 +335,9 @@ def tune_C(
     Returns the chosen C, the dev score of each C, and the chosen C's fit
     (weights, intercept, optimizer report). Exact score ties resolve to the
     smallest C (strongest regularization). Expects already-standardized
-    feature matrices.
+    feature matrices and a grid of one or more positive values, as the
+    config load checks.
     """
-    if not grid:
-        raise ValueError("grid must be non-empty")
     X_train, y_train = train
     X_dev, y_dev = dev
     scores: dict[float, float] = {}

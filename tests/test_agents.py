@@ -12,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ensemble_judge import agents
@@ -141,6 +141,13 @@ class TestParseOutput:
 
     @settings(max_examples=2000, deadline=None)
     @given(st.text(alphabet='{}"\\a', max_size=80))
+    @example('{"\\a"}')  # an escape that a plain character resolves
+    @example('{"\\{"}')  # ... that a brace resolves
+    @example('{"\\}"} {}')
+    @example('{"\\""}')  # ... that a quote resolves
+    @example('{"\\\\"}')  # ... that a backslash resolves
+    @example('{"\\')  # a backslash as the last character
+    @example('a{"{"}')  # the first ``{`` closes while a later scan is open
     def test_extraction_takes_the_first_brace_whose_scan_balances(self, text):
         assert extract_json_object(text) == oracles.extract_json_object(text)
 
@@ -611,6 +618,15 @@ class TestRunAgentProtocol:
         out = run_agent(spec_for(ep.url), DECODING, disclosure(), client=_client(ep))
         assert out.confidence_source is ConfidenceSource.SELF_REPORTED
         assert out.confidence == pytest.approx(0.8)
+
+    def test_a_label_logprob_a_hair_above_zero_is_clamped_to_zero(self, chat_endpoint):
+        content = agent_json("positive", confidence=0.8)
+        lo = content.index("positive")
+        tokens = [(content[:lo], -0.001), ("positive", 1e-6), (content[lo + 8 :], -0.002)]
+        ep = chat_endpoint(lambda prompt, i: (200, completion_body(content, tokens)))
+        out = run_agent(spec_for(ep.url), DECODING, disclosure(), client=_client(ep))
+        assert out.confidence_source is ConfidenceSource.TOKEN_LOGPROB
+        assert out.confidence == 1.0
 
     def test_envelope_nested_past_the_recursion_limit_is_a_transport_error(self, chat_endpoint):
         body = '{"choices": %s}' % ("[" * 100_000 + "]" * 100_000)

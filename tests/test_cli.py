@@ -1160,6 +1160,9 @@ class TestMalformedInternalArtifacts:
             ("latents.jsonl", ("run-agents",), 3, "line 2: "),
             ("cache.jsonl", ("build-features",), 3, "byte offset"),
             ("report.json", ("report", "--format", "json"), 3, "malformed report file"),
+            ("split.json", ("build-features",), 3, "malformed split file"),
+            ("model.json", ("evaluate",), 3, "malformed model file"),
+            ("config.json", ("ingest",), 1, "invalid JSON"),
         ],
     )
     def test_bytes_that_are_not_utf8_are_refused_naming_the_file(
@@ -1167,17 +1170,18 @@ class TestMalformedInternalArtifacts:
     ):
         """Every input is decoded as strict UTF-8 inside the check that names
         it: a byte that starts no character (0xff) and a surrogate encoded as
-        if it were a character (ED A0 80), put inside a string on line 2."""
+        if it were a character (ED A0 80), put inside the first string on
+        line 2, or on the config's one line."""
         cfg_path, workdir = write_config(tmp_path)
         stages = [("synth", "--n", "300", "--seed", "42"), ("ingest",), ("run-agents",)]
         stages += [("build-features",), ("train",), ("evaluate",)]
-        before = {"ingest": 1, "run-agents": 2, "build-features": 3, "report": 6}[stage[0]]
+        before = {"ingest": 1, "run-agents": 2, "build-features": 3, "evaluate": 5, "report": 6}[stage[0]]
         for args in stages[:before]:
             assert run(cfg_path, *args) == 0
         (workdir / "cache.jsonl.table").unlink(missing_ok=True)  # so every cache line is read
-        path = workdir / name
+        path = cfg_path if name == "config.json" else workdir / name
         data = path.read_bytes()
-        at = data.index(b'"', data.index(b"\n")) + 1
+        at = data.index(b'"', data.find(b"\n") + 1) + 1
         path.write_bytes(data[:at] + bad + data[at:])
         capsys.readouterr()
         assert run(cfg_path, *stage) == code
