@@ -24,6 +24,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 from urllib.parse import SplitResult, urlsplit
 
+from .artifacts import InputError, Refusal
 from .domain import (
     AgentOutput,
     ConfidenceSource,
@@ -147,7 +148,7 @@ class SchemaViolation(Exception):
         super().__init__(f"{category.value}: {detail}" if detail else category.value)
 
 
-class TransportError(RuntimeError):
+class TransportError(Refusal):
     """HTTP or connection failure that exhausted (or bypassed) backoff."""
 
 
@@ -254,7 +255,7 @@ def parse_output(raw: RawGeneration) -> ParsedOutput:
         raise SchemaViolation(ViolationCategory.BAD_LABEL, f"label is not a string: {label_value!r}")
     try:
         label = SentimentLabel.from_string(label_value)
-    except ValueError:
+    except InputError:
         raise SchemaViolation(ViolationCategory.BAD_LABEL, f"label {label_value!r}") from None
 
     conf_value = obj["confidence"]
@@ -337,14 +338,17 @@ def _retry_after(value: str | None, backoff: float) -> float:
 
 
 def http_url(url: str) -> SplitResult:
-    """``url`` split into its parts; a ``ValueError`` unless it is http(s)
-    with a host, and its path and query are visible ASCII."""
-    parts = urlsplit(url)
+    """``url`` split into its parts; an :class:`InputError` unless it is
+    http(s) with a host, and its path and query are visible ASCII."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # noqa: B018 - raises ValueError on a malformed port
+    except ValueError as exc:  # urlsplit's refusal of a bracketed host or a port
+        raise InputError(f"{url!r} does not parse as a URL: {exc}") from None
     if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ValueError(f"{url!r} is not an http:// or https:// URL with a host")
-    parts.port  # noqa: B018 - raises ValueError on a malformed port
+        raise InputError(f"{url!r} is not an http:// or https:// URL with a host")
     if re.search(r"[^\x21-\x7e]", parts.path + parts.query):
-        raise ValueError(f"{url!r} has a character other than visible ASCII in its path or query")
+        raise InputError(f"{url!r} has a character other than visible ASCII in its path or query")
     return parts
 
 
@@ -636,7 +640,7 @@ class ChatCompletionsClient:
         target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         api_key = os.environ.get(API_KEY_ENV_VAR)
         if api_key and re.search(r"[\x00-\x1f\x7f]", api_key):
-            raise ValueError(f"{API_KEY_ENV_VAR} holds a control character")
+            raise InputError(f"{API_KEY_ENV_VAR} holds a control character")
         auth = f"Authorization: Bearer {api_key}\r\n" if api_key else ""
         # The head before and after the body's length.
         self._head = (

@@ -1,5 +1,7 @@
-"""Atomic artifact writes and checked JSONL reads.
+"""Refusals, atomic artifact writes and checked JSONL reads.
 
+A :class:`Refusal` is raised on purpose by the check that finds an input
+that does not belong to the run, and carries the CLI's exit code.
 A crash at any instant leaves each artifact either whole-old or whole-new,
 and a JSONL line that is not UTF-8, not JSON or breaks its reader's rules
 is one error naming the file and line. Derived binary sidecars
@@ -26,26 +28,56 @@ _BLOCK = 1 << 16  # bytes per hashed block of a file: small, so hashing costs li
 _JSON_LINE = json.JSONEncoder(ensure_ascii=False)
 
 
-class ArtifactError(RuntimeError):
+class Refusal(Exception):
+    """An input refused on purpose: the CLI prints the message as one
+    ``error:`` line and exits with ``exit_code``."""
+
+    exit_code = 1
+
+
+class InputError(Refusal, ValueError):
+    """A value from outside the program breaks a rule: a config key, a
+    command-line argument, a corpus line, a field of a stage's file."""
+
+
+class MissingArtifactError(Refusal):
+    """A prerequisite stage output does not exist yet."""
+
+    exit_code = 2
+
+
+class ArtifactError(Refusal):
     """A stage input on disk is malformed or does not belong to the current run."""
+
+    exit_code = 3
 
 
 def finite_number(value: object) -> float:
-    """A JSON number, an integer too, as a float; ``ValueError`` unless it is finite."""
+    """A JSON number, an integer too, as a float; :class:`InputError` unless it is finite."""
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
             if math.isfinite(value):
                 return float(value)
         except OverflowError:  # an integer beyond the float range
             pass
-    raise ValueError(f"expected a finite number, got {value!r}")
+    raise InputError(f"expected a finite number, got {value!r}")
 
 
 def finite_numbers(values: object) -> tuple[float, ...]:
     """A JSON array of :func:`finite_number` values."""
     if not isinstance(values, list):
-        raise ValueError(f"expected an array of numbers, got {values!r}")
+        raise InputError(f"expected an array of numbers, got {values!r}")
     return tuple(map(finite_number, values))
+
+
+def loads(data: bytes) -> object:
+    """The JSON value of ``data`` decoded as strict UTF-8 (on bytes, ``json.loads``
+    lets an encoded surrogate in); :class:`InputError` for whatever the decoder
+    refuses, an integer past the digit limit and deep nesting included."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"malformed JSON ({exc})") from None
 
 
 def prefix_sha256(path: str | Path, size: int) -> str:
@@ -142,8 +174,8 @@ def read_stamped(path: str | Path, magic: bytes) -> tuple[dict, memoryview] | No
     if end < 0:
         return None
     try:
-        header = json.loads(data[len(magic) : end].tobytes().decode("utf-8"))
-    except (ValueError, RecursionError):
+        header = loads(data[len(magic) : end].tobytes())
+    except InputError:
         return None
     if not isinstance(header, dict):
         return None
@@ -175,26 +207,22 @@ def _encode_strings(value: object) -> None:
 
 
 def read_jsonl(
-    path: str | Path, parse: Callable[[object], T], error: type[Exception] = ArtifactError
+    path: str | Path, parse: Callable[[object], T], error: type[Refusal] = ArtifactError
 ) -> Iterator[T]:
     """``parse`` applied to each line's JSON value, in file order, as the
-    lines are iterated. Each line is decoded as strict UTF-8 and parsed in
-    the same check as ``parse``: a line that is not UTF-8 (an encoded
-    surrogate or a lone surrogate escape included), not JSON (nested past
-    the recursion limit too) or that ``parse`` rejects with ``KeyError``,
-    ``TypeError`` or ``ValueError`` raises ``error`` naming the file and line.
+    lines are iterated. A line that :func:`loads` refuses, that holds a lone
+    surrogate escape, or that ``parse`` refuses with an :class:`InputError`
+    raises ``error`` naming the file and line; any other exception from
+    ``parse`` is a defect, and propagates as it is.
     """
     path = Path(path)
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                text = line.decode("utf-8")
-                obj = json.loads(text)
-                if "\\u" in text:  # strict UTF-8 holds no surrogate; only an escape spells one
+                obj = loads(line)
+                if b"\\u" in line:  # strict UTF-8 holds no surrogate; only an escape spells one
                     _encode_strings(obj)
                 value = parse(obj)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise error(f"{path}: line {lineno}: malformed JSON ({exc})") from None
-            except (KeyError, TypeError, ValueError) as exc:
+            except (InputError, UnicodeError) as exc:
                 raise error(f"{path}: line {lineno}: {exc}") from None
             yield value

@@ -1,7 +1,9 @@
 """Command-line entry point wiring the pipeline stages.
 
 Exit codes: 0 success, 1 usage or data error, 2 missing prerequisite
-artifact, 3 integrity or coverage error.
+artifact, 3 integrity or coverage error. A refused input, a missing file
+or a full disk prints one "error:" line; any other failure is a defect of
+the program and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -11,14 +13,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .agents import TransportError
+from .artifacts import Refusal
 from .config import RunConfig, load_config
-from .meta import ConvergenceError
 from .pipeline import (
-    ArtifactError,
-    CoverageError,
-    MissingArtifactError,
-    StaleModelError,
     stage_build_features,
     stage_evaluate,
     stage_ingest,
@@ -27,11 +24,9 @@ from .pipeline import (
     stage_synth,
     stage_train,
 )
-from .store import CacheCorruptionError, CacheIntegrityError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_MISSING_ARTIFACT = 2
 EXIT_INTEGRITY = 3
 
 
@@ -140,20 +135,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except MissingArtifactError as exc:
+    except Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_ARTIFACT
-    except (
-        ArtifactError,
-        CoverageError,
-        CacheIntegrityError,
-        CacheCorruptionError,
-        ConvergenceError,
-        StaleModelError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except (TransportError, ValueError, OSError) as exc:
+        return exc.exit_code
+    except OSError as exc:  # from the environment: a missing file, a full disk
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

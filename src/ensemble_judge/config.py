@@ -9,12 +9,12 @@ each run default is stated; the stage functions take every value from them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .agents import AgentSpec, DecodingConfig, http_url
-from .artifacts import finite_number, finite_numbers
+from .artifacts import InputError, finite_number, finite_numbers
 from .domain import LENS_ORDER, Lens, Split
 from .ingest import PreprocessConfig
 from .synth import STUB_ENDPOINT, STUB_MODEL_NAME
@@ -57,23 +57,23 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+            raise InputError("max_in_flight must be >= 1")
         if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be >= 1")
+            raise InputError("max_output_tokens must be >= 1")
         if self.train.max_iter < 1:
-            raise ValueError("train.max_iter must be >= 1")
+            raise InputError("train.max_iter must be >= 1")
         if not self.train.tol > 0:
-            raise ValueError("train.tol must be positive")
+            raise InputError("train.tol must be positive")
         if not self.train.grid or min(self.train.grid) <= 0:
-            raise ValueError("train.grid must be one or more positive values")
+            raise InputError("train.grid must be one or more positive values")
         if not self.stub.enabled:
             if len(self.agents) != len(LENS_ORDER):
-                raise ValueError("config must name exactly one agent per lens (or enable stubs)")
+                raise InputError("config must name exactly one agent per lens (or enable stubs)")
             lenses = {spec.lens for spec in self.agents}
             if lenses != set(LENS_ORDER):
-                raise ValueError(f"agents must cover every lens exactly once, got {sorted(l.value for l in lenses)}")
+                raise InputError(f"agents must cover every lens exactly once, got {sorted(l.value for l in lenses)}")
         if self.stub.enabled and self.latents_path is None:
-            raise ValueError("stub agents need a latents_path")
+            raise InputError("stub agents need a latents_path")
 
     # Artifact layout under the working directory.
     @property
@@ -112,50 +112,70 @@ class RunConfig:
         return tuple(sorted(self.agents, key=lambda s: LENS_ORDER.index(s.lens)))
 
 
-def _exactly(kind: type, what: str) -> Callable[[object], Any]:
-    """A cast that passes a value of one JSON type through; ``true`` is not an integer."""
+def _named(check: Callable[[Any], Any]) -> Callable[[Any, str], Any]:
+    """The cast of a value by ``check``: it takes the JSON value and its key,
+    which names the value when ``check`` refuses it."""
 
-    def cast(value: object) -> Any:
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise TypeError(f"expected {what}, got {value!r}")
-        return value
+    def cast(value: object, key: str) -> Any:
+        try:
+            return check(value)
+        except InputError as exc:
+            raise InputError(f"bad or missing config field: {key}: {exc}") from None
 
     return cast
 
 
-_bool = _exactly(bool, "true or false")
-_int = _exactly(int, "an integer")
+def _exactly(kind: type, what: str) -> Callable[[object], Any]:
+    """A check that passes a value of one JSON type through; ``true`` is not an integer."""
+
+    def check(value: object) -> Any:
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise InputError(f"expected {what}, got {value!r}")
+        return value
+
+    return check
+
+
 _str = _exactly(str, "a string")
-_float, _floats = finite_number, finite_numbers
+_bool = _named(_exactly(bool, "true or false"))
+_int = _named(_exactly(int, "an integer"))
+_float, _floats = _named(finite_number), _named(finite_numbers)
 
 
-class _FieldError(Exception):
-    """An unknown config key, or a value its cast rejects, named by its key."""
-
-
-def _given(raw: object, where: str, **casts: Callable[[Any], object]) -> dict:
-    """Each key ``raw`` sets, converted by its cast; absent keys are left out."""
+def _given(raw: object, where: str, cls: type, **casts: Callable[[Any, str], Any]) -> dict:
+    """Each key ``raw`` sets, converted by its cast (see :func:`_named`); a key
+    it leaves out takes the default of its field in ``cls``, and a field
+    without one must be set."""
     if not isinstance(raw, dict):
-        raise _FieldError(f"bad or missing config field: {where or 'config'} is not an object")
+        raise InputError(f"bad or missing config field: {where or 'config'} is not an object")
     given = {}
     for name, value in raw.items():
         key = f"{where}.{name}" if where else name
         if name not in casts:
-            raise _FieldError(f"unknown config key {key}")
-        try:
-            given[name] = casts[name](value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise _FieldError(f"bad or missing config field: {key}: {exc}") from None
+            raise InputError(f"unknown config key {key}")
+        given[name] = casts[name](value, key)
+    for f in fields(cls):
+        if f.name not in given and f.default is MISSING and f.default_factory is MISSING:
+            key = f"{where}.{f.name}" if where else f.name
+            raise InputError(f"bad or missing config field: {key} is missing")
     return given
 
 
-def _section(
-    cls: Callable[..., object], where: str, **casts: Callable[[Any], object]
-) -> Callable[[Any], object]:
+def _section(cls: type, **casts: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
     """A cast that builds ``cls`` from the keys a JSON object sets."""
-    return lambda raw: cls(**_given(raw, where, **casts))
+    build = _named(lambda given: cls(**given))  # a rule of cls's own, named by the section
+    return lambda raw, where: build(_given(raw, where, cls, **casts), where)
 
 
+@_named
+def _lens(value: object) -> Lens:
+    names = [lens.value for lens in Lens]
+    if value not in names:
+        raise InputError(f"expected one of {names}, got {value!r}")
+    return Lens(value)
+
+
+@_named
 def _endpoint_url(value: object) -> str:
     """An http(s) URL with a host; the check lives here, not in ``AgentSpec``,
     because the stub agents' spec names a ``stub://`` endpoint."""
@@ -164,38 +184,44 @@ def _endpoint_url(value: object) -> str:
     return url
 
 
-def _agents(entries: Iterable[object]) -> tuple[AgentSpec, ...]:
-    return tuple(
-        _section(
-            AgentSpec, f"agents[{i}]", lens=Lens, model_name=_str, endpoint_url=_endpoint_url,
-            supports_logprobs=_bool,
-        )(entry)
-        for i, entry in enumerate(entries)
-    )
+_agent = _section(
+    AgentSpec, lens=_lens, model_name=_named(_str), endpoint_url=_endpoint_url,
+    supports_logprobs=_bool,
+)
+
+
+def _agents(entries: object, key: str) -> tuple[AgentSpec, ...]:
+    if not isinstance(entries, list):
+        raise InputError(f"bad or missing config field: {key}: expected an array, got {entries!r}")
+    return tuple(_agent(entry, f"{key}[{i}]") for i, entry in enumerate(entries))
 
 
 def load_config(path: str | Path) -> RunConfig:
     """The run config in ``path``; its relative paths resolve against its directory.
 
-    Keys the file leaves out take the dataclass defaults. An unknown key or
-    a value of the wrong JSON type is a ``ValueError`` naming the key.
+    Keys the file leaves out take the dataclass defaults. Each refusal is an
+    :class:`InputError` naming the file: a file that is not JSON, an unknown
+    key, a missing key or a value of the wrong JSON type, named by its key,
+    starts with the path; a rule of :class:`RunConfig` as a whole ends with it.
     """
     path = Path(path)
     try:
         raw = json.loads(path.read_bytes().decode("utf-8"))
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}") from None
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # the decoder's own refusals
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
 
-    def _resolve(p: str) -> Path:
-        candidate = Path(p)
+    @_named
+    def _resolve(p: object) -> Path:
+        candidate = Path(_str(p))
         return candidate if candidate.is_absolute() else path.parent / candidate
 
     try:
         given = _given(
             raw,
             "",
+            RunConfig,
             workdir=_resolve,
             corpus_path=_resolve,
             latents_path=_resolve,
@@ -203,18 +229,17 @@ def load_config(path: str | Path) -> RunConfig:
             max_output_tokens=_int,
             max_in_flight=_int,
             split_fractions=_floats,
-            preprocess=_section(
-                PreprocessConfig, "preprocess", max_tokens=_int, chars_per_token=_float
-            ),
+            preprocess=_section(PreprocessConfig, max_tokens=_int, chars_per_token=_float),
             agents=_agents,
-            stub_agents=_section(StubConfig, "stub_agents", enabled=_bool),
-            train=_section(TrainConfig, "train", grid=_floats, tol=_float, max_iter=_int),
-            eval=_section(EvalConfig, "eval", delta=_float, sensitivity_deltas=_floats),
+            stub_agents=_section(StubConfig, enabled=_bool),
+            train=_section(TrainConfig, grid=_floats, tol=_float, max_iter=_int),
+            eval=_section(EvalConfig, delta=_float, sensitivity_deltas=_floats),
         )
-        if "stub_agents" in given:
-            given["stub"] = given.pop("stub_agents")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    if "stub_agents" in given:
+        given["stub"] = given.pop("stub_agents")
+    try:
         return RunConfig(**given)
-    except _FieldError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"{path}: bad or missing config field: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{exc} (in {path})") from None

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum, IntEnum
 
+from .artifacts import InputError
+
 
 class SentimentLabel(IntEnum):
     """Three-way sentiment judgment with numeric codes -1 / 0 / +1."""
@@ -23,10 +25,10 @@ class SentimentLabel(IntEnum):
 
     @classmethod
     def from_string(cls, s: str) -> "SentimentLabel":
-        try:
-            return _LABEL_FROM_STRING[s.strip().lower()]
-        except KeyError:
-            raise ValueError(f"unknown sentiment label: {s!r}") from None
+        label = _LABEL_FROM_STRING.get(s.strip().lower())
+        if label is None:
+            raise InputError(f"unknown sentiment label: {s!r}")
+        return label
 
     def as_string(self) -> str:
         return self.name.lower()
@@ -90,7 +92,7 @@ class DisclosureRecord:
 
     def __post_init__(self) -> None:
         if not self.id:
-            raise ValueError("disclosure id must be non-empty")
+            raise InputError("disclosure id must be non-empty")
         object.__setattr__(self, "binary_target", target_from_return(self.next_day_return))
 
 

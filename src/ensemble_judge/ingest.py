@@ -31,8 +31,9 @@ import numpy as np
 
 from .agents import AgentSpec, prompt_digests, templates_sha256
 from .artifacts import (
-    ArtifactError,
+    InputError,
     finite_number,
+    loads,
     prefix_sha256,
     read_jsonl,
     read_stamped,
@@ -49,7 +50,7 @@ _TEXT_KEYS = ("id", "timestamp", "ticker", "text", "clean_text")
 _CORPUS_TEXT = itemgetter("id", "timestamp", "ticker", "text")
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(InputError):
     """Raised when a corpus file violates the line-delimited JSON contract."""
 
 
@@ -68,11 +69,15 @@ class PreprocessConfig:
 
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
+            raise InputError("max_tokens must be >= 1")
         if not self.chars_per_token > 0:
-            raise ValueError("chars_per_token must be positive")
-        if self.char_budget < 1:
-            raise ValueError("character budget rounds down to zero")
+            raise InputError("chars_per_token must be positive")
+        try:
+            budget = self.char_budget
+        except OverflowError:  # a huge max_tokens: the product leaves the float range
+            raise InputError("max_tokens x chars_per_token is beyond the float range") from None
+        if budget < 1:
+            raise InputError("character budget rounds down to zero")
 
     @property
     def char_budget(self) -> int:
@@ -86,8 +91,8 @@ def parse_rfc3339(value: str) -> datetime:
         text = text[:-1] + "+00:00"
     try:
         dt = datetime.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"invalid RFC 3339 timestamp: {value!r}") from None
+    except ValueError:  # how fromisoformat refuses a string
+        raise InputError(f"invalid RFC 3339 timestamp: {value!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
@@ -98,14 +103,14 @@ def _disclosure_check(keys: frozenset[str]) -> Callable[[object], DisclosureReco
     or prepared (``PREPARED_KEYS``) file: the line's record.
 
     Each line must carry exactly ``keys``, string text fields, a finite JSON
-    number as the return and an id no earlier line has; otherwise ``ValueError``.
+    number as the return and an id no earlier line has; otherwise :class:`InputError`.
     """
     prepared = "clean_text" in keys
     seen: dict[str, int] = {}  # the line of each id
 
     def check(obj: object) -> DisclosureRecord:
         if not isinstance(obj, dict) or obj.keys() != keys:
-            raise ValueError(f"must carry keys exactly {sorted(keys)}")
+            raise InputError(f"must carry keys exactly {sorted(keys)}")
         rid, timestamp, ticker, text = _CORPUS_TEXT(obj)
         clean_text = obj["clean_text"] if prepared else ""
         if not (
@@ -113,12 +118,12 @@ def _disclosure_check(keys: frozenset[str]) -> Callable[[object], DisclosureReco
             and isinstance(text, str) and isinstance(clean_text, str)
         ):
             key = next(k for k in _TEXT_KEYS if not isinstance(obj.get(k, ""), str))
-            raise ValueError(f"{key} must be a string, got {obj[key]!r}")
+            raise InputError(f"{key} must be a string, got {obj[key]!r}")
         if prepared and not clean_text:
-            raise ValueError("clean_text is empty")
+            raise InputError("clean_text is empty")
         lineno = len(seen) + 1  # each earlier line passed, adding its id
         if seen.setdefault(rid, lineno) != lineno:
-            raise ValueError(f"duplicate id {rid!r} on lines {seen[rid]} and {lineno}")
+            raise InputError(f"duplicate id {rid!r} on lines {seen[rid]} and {lineno}")
         return DisclosureRecord(
             id=rid,
             timestamp=parse_rfc3339(timestamp),
@@ -353,7 +358,7 @@ def preprocess_corpus(
     for r in records:
         clean = preprocess(r.raw_text, cfg)
         if not clean:
-            raise ValueError(f"disclosure {r.id!r} has no text after preprocessing")
+            raise InputError(f"disclosure {r.id!r} has no text after preprocessing")
         out.append(replace(r, clean_text=clean))
     return out
 
@@ -376,10 +381,10 @@ def chronological_split(
     """
     n = len(records)
     if n < 5:
-        raise ValueError(f"need at least 5 records for a 60/20/20 split, got {n}")
+        raise InputError(f"need at least 5 records for a 60/20/20 split, got {n}")
     fracs = [Fraction(str(f)) for f in fractions]
     if len(fracs) != 3 or any(f <= 0 for f in fracs) or sum(fracs) != 1:
-        raise ValueError(f"fractions must be three positive values summing to 1, got {fractions}")
+        raise InputError(f"fractions must be three positive values summing to 1, got {fractions}")
 
     ids = [r.id for r in sort_records(records)]
     b1 = int(fracs[0] * n)
@@ -387,7 +392,7 @@ def chronological_split(
     split = {Split.TRAIN: ids[:b1], Split.DEV: ids[b1:b2], Split.TEST: ids[b2:]}
     empty = [s.value for s, split_ids in split.items() if not split_ids]
     if empty:
-        raise ValueError(
+        raise InputError(
             f"split fractions {list(fractions)} leave the {' and '.join(empty)} "
             f"split empty at {n} records"
         )
@@ -402,17 +407,19 @@ def write_split(split: dict[Split, list[str]], path: str | Path) -> None:
 def load_split(path: str | Path) -> dict[Split, list[str]]:
     """The ids of each split in ``path``, a JSON object whose ``train``,
     ``dev`` and ``test`` each hold an array of id strings; an id may appear
-    once only."""
-    obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+    once only. A file that breaks this is an :class:`InputError`."""
+    obj = loads(Path(path).read_bytes())
+    if not isinstance(obj, dict):
+        raise InputError(f"expected a JSON object, got {type(obj).__name__}")
     split: dict[Split, list[str]] = {}
     seen: set[str] = set()
     for s in Split:
-        ids = obj[s.value]
+        ids = obj.get(s.value)
         if not isinstance(ids, list) or not all(isinstance(rid, str) for rid in ids):
-            raise ValueError(f"{s.value} is not an array of id strings")
+            raise InputError(f"{s.value} is not an array of id strings")
         for rid in ids:
             if rid in seen:
-                raise ValueError(f"id {rid!r} assigned to more than one split")
+                raise InputError(f"id {rid!r} assigned to more than one split")
             seen.add(rid)
         split[s] = ids
     return split

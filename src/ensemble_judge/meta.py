@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import finite_number, finite_numbers, write_text
+from .artifacts import ArtifactError, InputError, finite_number, finite_numbers, loads, write_text
 from .domain import FEAT_CONFS, FEAT_GAP, FEATURE_DIM
 from .evaluation import ConfusionMatrix, metrics
 
@@ -28,7 +28,7 @@ STANDARDIZED_POSITIONS: tuple[int, ...] = FEAT_CONFS + (FEAT_GAP,)
 _MASK = tuple(i in STANDARDIZED_POSITIONS for i in range(FEATURE_DIM))
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArtifactError):
     def __init__(self, message: str, report: "OptimizerReport"):
         super().__init__(message)
         self.report = report
@@ -58,7 +58,7 @@ class Standardizer:
             raise ValueError(f"means and stds must hold {FEATURE_DIM} numbers each")
         for i, (std, masked) in enumerate(zip(self.stds, _MASK)):
             if masked and std <= 0:
-                raise ValueError(f"standardized column {i} has non-positive std {std}")
+                raise InputError(f"standardized column {i} has non-positive std {std}")
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         means = np.asarray(self.means, dtype=np.float64)
@@ -69,54 +69,56 @@ class Standardizer:
         return {"means": list(self.means), "stds": list(self.stds), "mask": list(_MASK)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Standardizer":
+    def from_dict(cls, d: object) -> "Standardizer":
         """A saved standardizer, which must standardize exactly
         ``STANDARDIZED_POSITIONS`` and pass every other column through."""
-        mask = d["mask"]
+        mask = _field(d, "mask")
         if not (
             isinstance(mask, list)
             and all(type(masked) is bool for masked in mask)
             and tuple(mask) == _MASK
         ):
-            raise ValueError(
+            raise InputError(
                 f"mask: expected {FEATURE_DIM} booleans marking positions "
                 f"{STANDARDIZED_POSITIONS}, got {mask!r}"
             )
         means, stds = _feature_numbers(d, "means"), _feature_numbers(d, "stds")
         for i, (mean, std, masked) in enumerate(zip(means, stds, _MASK)):
             if not masked and (mean, std) != (0.0, 1.0):
-                raise ValueError(f"column {i} is not standardized but has mean {mean}, std {std}")
+                raise InputError(f"column {i} is not standardized but has mean {mean}, std {std}")
         return cls(means=means, stds=stds)
 
 
-def _feature_numbers(d: dict, key: str) -> tuple[float, ...]:
-    """``d[key]`` as one finite number per feature position; else ``ValueError``."""
+def _field(d: object, key: str) -> object:
+    """``d[key]``; an :class:`InputError` unless ``d`` is a JSON object that sets ``key``."""
+    if not isinstance(d, dict) or key not in d:
+        raise InputError(f"expected an object with the key {key!r}, got {d!r:.80}")
+    return d[key]
+
+
+def _feature_numbers(d: object, key: str) -> tuple[float, ...]:
+    """``d[key]`` as one finite number per feature position; else :class:`InputError`."""
     try:
-        numbers = finite_numbers(d[key])
+        numbers = finite_numbers(_field(d, key))
         if len(numbers) != FEATURE_DIM:
-            raise ValueError(f"expected {FEATURE_DIM} numbers, got {len(numbers)}")
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
+            raise InputError(f"expected {FEATURE_DIM} numbers, got {len(numbers)}")
+    except InputError as exc:
+        raise InputError(f"{key}: {exc}") from None
     return numbers
 
 
-def _json_int(d: dict, key: str) -> int:
-    """``d[key]``, which must be a JSON integer (not a boolean); else ``ValueError``."""
-    if type(d[key]) is not int:
-        raise ValueError(f"{key} must be an integer, got {d[key]!r}")
-    return d[key]
+def _json_int(d: object, key: str) -> int:
+    """``d[key]``, which must be a JSON integer (not a boolean); else :class:`InputError`."""
+    if type(value := _field(d, key)) is not int:
+        raise InputError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
-def _json_str(d: dict, key: str) -> str:
-    """``d[key]``, which must be a JSON string; else ``ValueError``."""
-    if not isinstance(d[key], str):
-        raise ValueError(f"{key} must be a string, got {d[key]!r}")
-    return d[key]
-
-
-def _reject_constant(name: str) -> float:
-    """``json.loads`` hook for the ``NaN`` and ``Infinity`` tokens, which JSON lacks."""
-    raise ValueError(f"non-finite number {name}")
+def _json_str(d: object, key: str) -> str:
+    """``d[key]``, which must be a JSON string; else :class:`InputError`."""
+    if not isinstance(value := _field(d, key), str):
+        raise InputError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def fit_standardizer(train_features: np.ndarray) -> Standardizer:
@@ -188,7 +190,7 @@ def fit_logistic(
 
     Deterministic: identical inputs give bitwise-identical weights. Raises
     :class:`ConvergenceError` if the gradient infinity-norm has not reached
-    ``tol`` within ``max_iter`` Newton steps, and ``ValueError`` when only
+    ``tol`` within ``max_iter`` Newton steps, and :class:`InputError` when only
     one class is present (the optimum would run off to infinity).
     """
     X = np.asarray(X, dtype=np.float64)
@@ -197,7 +199,7 @@ def fit_logistic(
         raise ValueError("X and y shapes disagree")
     classes = set(np.unique(y).tolist())
     if classes != {0, 1}:
-        raise ValueError(f"need both classes 0 and 1 in y, got {sorted(classes)}")
+        raise InputError(f"need both classes 0 and 1 in y, got {sorted(classes)}")
 
     n, d = X.shape
     signs = 2.0 * y.astype(np.float64) - 1.0
@@ -270,7 +272,7 @@ class MetaModel:
         if len(self.weights) != len(self.standardizer.means):
             raise ValueError("weight vector and standardizer dimension disagree")
         if self.optimizer_report.final_gradient_norm > self.optimizer_report.tolerance:
-            raise ValueError("optimizer report shows an unconverged fit")
+            raise InputError("optimizer report shows an unconverged fit")
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         Z = self.standardizer.transform(np.atleast_2d(np.asarray(X, dtype=np.float64)))
@@ -301,22 +303,23 @@ class MetaModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "MetaModel":
-        """The model in ``path``; raises ``KeyError`` for a missing key and
-        ``ValueError`` for a weight, statistic, intercept, C, gradient norm or
-        tolerance that is not a finite JSON number (``NaN``, ``Infinity``, a
-        string, a boolean), an iteration or output count that is not a JSON
-        integer, or a prompt digest that is not a string."""
-        d = json.loads(Path(path).read_bytes().decode("utf-8"), parse_constant=_reject_constant)
-        rep = d["optimizer_report"]
+        """The model in ``path``. Raises :class:`InputError` for a file
+        :func:`artifacts.loads` refuses, a missing key, a weight, statistic,
+        intercept, C, gradient norm or tolerance that is not a finite JSON
+        number (``NaN``, ``Infinity``, a string, a boolean), an iteration or
+        output count that is not a JSON integer, a prompt digest that is not
+        a string, or a standardizer or fit a trained model cannot have."""
+        d = loads(Path(path).read_bytes())
+        rep = _field(d, "optimizer_report")
         return cls(
             weights=_feature_numbers(d, "weights"),
-            intercept=finite_number(d["intercept"]),
-            inverse_reg_strength=finite_number(d["inverse_reg_strength"]),
-            standardizer=Standardizer.from_dict(d["standardizer"]),
+            intercept=finite_number(_field(d, "intercept")),
+            inverse_reg_strength=finite_number(_field(d, "inverse_reg_strength")),
+            standardizer=Standardizer.from_dict(_field(d, "standardizer")),
             optimizer_report=OptimizerReport(
                 iterations=_json_int(rep, "iterations"),
-                final_gradient_norm=finite_number(rep["final_gradient_norm"]),
-                tolerance=finite_number(rep["tolerance"]),
+                final_gradient_norm=finite_number(_field(rep, "final_gradient_norm")),
+                tolerance=finite_number(_field(rep, "tolerance")),
             ),
             prompt_hash_digest=_json_str(d, "prompt_hash_digest"),
             n_outputs=_json_int(d, "n_outputs"),

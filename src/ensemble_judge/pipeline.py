@@ -26,7 +26,7 @@ from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .agents import AgentSpec, ChatCompletionsClient, Transport, run_agent
-from .artifacts import ArtifactError
+from .artifacts import ArtifactError, InputError, MissingArtifactError
 from .config import RunConfig
 from .domain import AgentOutput, DisclosureRecord, Lens, Split
 from .evaluation import EvalReport, evaluate_judgments, write_report
@@ -51,15 +51,11 @@ from .synth import generate_corpus, read_latents, stub_blocks, write_latents
 T = TypeVar("T")
 
 
-class MissingArtifactError(RuntimeError):
-    """A prerequisite stage output does not exist yet."""
-
-
-class StaleModelError(RuntimeError):
+class StaleModelError(ArtifactError):
     """The model was trained on different prompts than the current run uses."""
 
 
-class CoverageError(RuntimeError):
+class CoverageError(ArtifactError):
     """The cache does not cover every (disclosure, agent) pair a stage needs."""
 
     def __init__(self, missing: Sequence[tuple[str, Lens]]):
@@ -80,7 +76,7 @@ def _require(path: Path, what: str) -> Path:
 def stage_synth(config: RunConfig, n: int, seed: int) -> dict:
     """Write a synthetic corpus and its latent sidecar."""
     if config.latents_path is None:
-        raise ValueError("config needs latents_path to hold the synthetic signals")
+        raise InputError("config needs latents_path to hold the synthetic signals")
     records, latents = generate_corpus(n, seed)
     write_corpus(records, config.corpus_path)
     write_latents(latents, config.latents_path)
@@ -100,12 +96,13 @@ def stage_ingest(config: RunConfig) -> dict:
 
 
 def _load_checked(path: Path, load: Callable[[Path], T], what: str) -> T:
-    """``load(path)``, with a malformed file (nested past the recursion limit
-    too) reported as :class:`ArtifactError`."""
+    """``load(path)``, with a file that ``load`` refuses (an
+    :class:`InputError`) or that is not UTF-8 reported as
+    :class:`ArtifactError`. Any other exception propagates as it is."""
     try:
         return load(path)
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ArtifactError(f"{path}: malformed {what} file: {type(exc).__name__}: {exc}") from None
+    except (InputError, UnicodeError) as exc:
+        raise ArtifactError(f"{path}: malformed {what} file: {exc}") from None
 
 
 def _assigned_ids(split: dict[Split, list[str]], known: Container[str]) -> dict[str, None]:
@@ -113,7 +110,7 @@ def _assigned_ids(split: dict[Split, list[str]], known: Container[str]) -> dict[
     assigned = dict.fromkeys(rid for ids in split.values() for rid in ids)
     unknown = [rid for rid in assigned if rid not in known]
     if unknown:
-        raise ValueError(f"split references unknown ids, e.g. {unknown[:3]}")
+        raise InputError(f"split references unknown ids, e.g. {unknown[:3]}")
     return assigned
 
 
@@ -136,7 +133,7 @@ def _split_rows(config: RunConfig, keys: PreparedKeys) -> dict[Split, np.ndarray
     assigned = _assigned_ids(split, position)
     unassigned = [rid for rid in position if rid not in assigned]
     if unassigned:
-        raise ValueError(
+        raise InputError(
             f"split does not cover the corpus (stale split file?), "
             f"e.g. {unassigned[:3]}"
         )
@@ -352,14 +349,18 @@ def _prompt_digest(prompts: np.ndarray) -> str:
 def stage_train(config: RunConfig) -> dict:
     """Tune C on dev, fit the aggregator on train, persist the model file.
 
-    Refuses to run unless the cache covers the train and dev splits: all
-    model outputs must exist before the aggregator learns from any of them.
+    Refuses a split file whose train or dev list is empty, and refuses to
+    run unless the cache covers the train and dev splits: all model outputs
+    must exist before the aggregator learns from any of them.
     Each feature file must hold, byte for byte, the lines ``build-features``
     writes from the current split and cache.
     """
     keys = _prepared(config)
     by_split = _split_rows(config, keys)
     train_rows, dev_rows = by_split[Split.TRAIN], by_split[Split.DEV]
+    for split, rows in ((Split.TRAIN, train_rows), (Split.DEV, dev_rows)):
+        if not len(rows):
+            raise InputError(f"{config.split_path}: the {split.value} split holds zero examples")
     X = feature_matrix(*_cached_judgments(config, keys, np.concatenate([train_rows, dev_rows])))
 
     paths = {split: config.features_path(split) for split in (Split.TRAIN, Split.DEV)}

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
-import json
 import logging
 import os
 import sys
@@ -44,17 +43,26 @@ from typing import BinaryIO, NamedTuple, Sequence
 
 import numpy as np
 
-from .artifacts import finite_number, fsync_dir, prefix_sha256, read_stamped, write_stamped
+from .artifacts import (
+    ArtifactError,
+    InputError,
+    finite_number,
+    fsync_dir,
+    loads,
+    prefix_sha256,
+    read_stamped,
+    write_stamped,
+)
 from .domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
 
 logger = logging.getLogger(__name__)
 
 
-class CacheIntegrityError(RuntimeError):
+class CacheIntegrityError(ArtifactError):
     """A key was re-put with a different payload, or the file contradicts itself."""
 
 
-class CacheCorruptionError(RuntimeError):
+class CacheCorruptionError(ArtifactError):
     """A non-final line in the store file failed to parse."""
 
 
@@ -172,15 +180,16 @@ class _KeyMismatch(Exception):
     """A line's key block names a different judgment than its output block."""
 
 
-_IDENTITY = itemgetter("disclosure_id", "agent", "model_name", "prompt_hash", "seed")
-_KEY_IDENTITY = itemgetter("disclosure_id", "lens", "model_name", "prompt_hash", "seed")
-_VALUES = itemgetter(
-    "label", "confidence", "confidence_source", "retry_count", "rationale", "raw_json"
+# The fields of a line's key block and of its output block, the identity first.
+_KEY_FIELDS = ("disclosure_id", "lens", "model_name", "prompt_hash", "seed")
+_OUTPUT_FIELDS = (
+    "disclosure_id", "agent", "model_name", "prompt_hash", "seed",
+    "label", "confidence", "confidence_source", "retry_count", "rationale", "raw_json",
 )
-
-
-# The errors _parse_line raises on a malformed line, besides _KeyMismatch.
-_LINE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
+_KEY_IDENTITY = itemgetter(*_KEY_FIELDS)
+_IDENTITY = itemgetter(*_OUTPUT_FIELDS[:5])
+_VALUES = itemgetter(*_OUTPUT_FIELDS[5:])
+_KEY_SET, _OUTPUT_SET = frozenset(_KEY_FIELDS), frozenset(_OUTPUT_FIELDS)
 
 
 def _key_fields(payload: tuple) -> str:
@@ -197,35 +206,44 @@ def _parse_line(line: bytes) -> tuple[bytes, tuple]:
     output values in :class:`AgentOutput` field order, with the lens as its
     name and the label and confidence source as their codes.
 
-    Raises one of ``_LINE_ERRORS`` when the line breaks a rule, a value's
-    range included, and :class:`_KeyMismatch` when the key block disagrees
-    with the output block.
+    Raises :class:`InputError` when the line breaks a rule, a value's range
+    included, and :class:`_KeyMismatch` when the key block disagrees with the
+    output block.
     """
-    obj = json.loads(line.decode("utf-8"))  # strict: json.loads would pass encoded surrogates
-    out = obj["output"]
+    obj = loads(line)
+    key, out = (obj.get("key"), obj.get("output")) if type(obj) is dict else (None, None)
+    if not (type(key) is dict and type(out) is dict and key.keys() >= _KEY_SET
+            and out.keys() >= _OUTPUT_SET):
+        raise InputError("expected an object whose key and output blocks hold every field")
     identity = _IDENTITY(out)
     label, confidence, source, retry_count, rationale, raw_json = _VALUES(out)
-    datetime.fromisoformat(obj["created_at"])
-    if _KEY_IDENTITY(obj["key"]) != identity:
-        raise _KeyMismatch
     disclosure_id, lens, model_name, prompt_hash, seed = identity
+    created_at = obj.get("created_at")
+    for text in (disclosure_id, lens, model_name, prompt_hash, label, source, rationale,
+                 raw_json, created_at):
+        if not isinstance(text, str):
+            raise InputError(f"expected a string, got {text!r}")
+    try:
+        datetime.fromisoformat(created_at)
+    except ValueError:  # how fromisoformat refuses a string
+        raise InputError(f"created_at {created_at!r} is not an ISO 8601 time") from None
+    if _KEY_IDENTITY(key) != identity:
+        raise _KeyMismatch
     # The equality above holds for 42.0 == 42 and True == 1: check the types
     # _cache_lines writes.
-    if type(seed) is not int or type(obj["key"]["seed"]) is not int:
-        raise TypeError("seed must be an integer in both blocks")
+    if type(seed) is not int or type(key["seed"]) is not int:
+        raise InputError("seed must be an integer in both blocks")
     if type(retry_count) is not int or retry_count not in (0, 1):
-        raise ValueError(f"retry_count must be 0 or 1, got {retry_count!r}")
-    for text in (disclosure_id, model_name, prompt_hash, rationale, raw_json):
-        if not isinstance(text, str):
-            raise TypeError(f"expected a string, got {text!r}")
+        raise InputError(f"retry_count must be 0 or 1, got {retry_count!r}")
     code = _LABEL_CODES.get(label)
     if code is None:
         code = int(SentimentLabel.from_string(label))
-    _LENS_JSON[lens]  # a KeyError unless the lens is known
+    if lens not in _LENS_JSON or source not in _SOURCE_BY_VALUE:
+        raise InputError(f"unknown lens {lens!r} or confidence source {source!r}")
     confidence = finite_number(confidence)
     source = _SOURCE_BY_VALUE[source]
     if not 0.0 <= confidence <= 1.0 or (source == _FALLBACK_CODE and (code or confidence)):
-        raise ValueError(
+        raise InputError(
             "confidence outside [0, 1] or a fallback output that is not (neutral, 0.0)"
         )
     return key_digest(disclosure_id, lens, model_name, prompt_hash, seed), (
@@ -354,7 +372,7 @@ class CacheStore:
                         f"{self.path}: key block disagrees with output block "
                         f"at byte offset {offset}"
                     ) from None
-                except _LINE_ERRORS as exc:
+                except InputError as exc:
                     if line.endswith(b"\n"):
                         raise CacheCorruptionError(
                             f"{self.path}: corrupted line at byte offset {offset}: {exc}"
@@ -436,7 +454,7 @@ class CacheStore:
         offset = self._offsets[row]
         try:
             return _parse_line(self._read_line(offset))[1]
-        except (_KeyMismatch, *_LINE_ERRORS) as exc:
+        except (_KeyMismatch, InputError) as exc:
             raise CacheCorruptionError(
                 f"{self.path}: corrupted line at byte offset {offset}: {exc}"
             ) from None

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .agents import AgentSpec, prompt_digests
-from .artifacts import ArtifactError, finite_number, read_jsonl, write_jsonl
+from .artifacts import ArtifactError, InputError, finite_number, read_jsonl, write_jsonl
 from .domain import (
     AgentOutput,
     ConfidenceSource,
@@ -76,11 +76,11 @@ class LatentDisclosure:
         # The seed is hashed as text, so 1.5 or true would silently pick
         # another noise stream.
         if type(self.noise_seed) is not int:
-            raise TypeError(f"noise_seed must be an integer, got {self.noise_seed!r}")
+            raise InputError(f"noise_seed must be an integer, got {self.noise_seed!r}")
         for name in ("performance_signal", "guidance_signal", "risk_signal"):
             v = getattr(self, name)
             if not -1.0 <= finite_number(v) <= 1.0:
-                raise ValueError(f"{name} {v} outside [-1, 1]")
+                raise InputError(f"{name} {v} outside [-1, 1]")
 
 
 def generate_corpus(
@@ -92,8 +92,8 @@ def generate_corpus(
     and the hidden latent signals keyed by disclosure id. Timestamps are
     strictly increasing, so the chronological split is well defined.
     """
-    if n < 100:
-        raise ValueError(f"synthetic corpus needs n >= 100, got {n}")
+    if n < 100 or seed < 0:
+        raise InputError(f"synthetic corpus needs n >= 100 and seed >= 0, got {n} and {seed}")
     rng = np.random.default_rng(seed)
     kind = rng.uniform(0.0, 1.0, size=(n, 3))
     magnitude_u = rng.uniform(0.0, 1.0, size=(n, 3))
@@ -275,10 +275,10 @@ def _latent_row(obj: object) -> tuple:
     """``(id, performance, guidance, risk, noise seed)`` of one latents line,
     its values unchecked."""
     if not isinstance(obj, dict) or obj.keys() != _LATENT_KEYS:
-        raise ValueError(f"must be a JSON object with keys exactly {list(_LATENT_FIELDS)}")
+        raise InputError(f"must be a JSON object with keys exactly {list(_LATENT_FIELDS)}")
     row = _latent_fields(obj)
     if not isinstance(row[0], str):
-        raise ValueError(f"id must be a string, got {row[0]!r}")
+        raise InputError(f"id must be a string, got {row[0]!r}")
     return row
 
 
@@ -294,19 +294,17 @@ def read_latents(path: str | Path) -> tuple[dict[str, int], np.ndarray, list[int
     rows = list(read_jsonl(path, _latent_row))
     values = [value for row in rows for value in row[1:4]]
     seeds = [row[4] for row in rows]
-    try:
-        signals = np.array(values, dtype=np.float64).reshape(-1, 3)
-    except (TypeError, ValueError, OverflowError):  # not numbers, or beyond the float range
-        signals = np.full((len(rows), 3), np.nan)
-    if not (
-        set(map(type, values)) <= {int, float}
-        and set(map(type, seeds)) <= {int}
-        and (np.abs(signals) <= 1.0).all()  # NaN fails too
-    ):
+    signals = np.full((len(rows), 3), np.nan)
+    if set(map(type, values)) <= {int, float} and set(map(type, seeds)) <= {int}:
+        try:
+            signals = np.array(values, dtype=np.float64).reshape(-1, 3)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not (np.abs(signals) <= 1.0).all():  # NaN fails too
         for lineno, (_, *latent) in enumerate(rows, start=1):
             try:
                 LatentDisclosure(*latent)
-            except (TypeError, ValueError) as exc:
+            except InputError as exc:
                 raise ArtifactError(f"{path}: line {lineno}: {exc}") from None
     position: dict[str, int] = {}
     for index, (rid, *_) in enumerate(rows):

@@ -13,6 +13,7 @@ import pytest
 import ensemble_judge
 from ensemble_judge.artifacts import (
     ArtifactError,
+    InputError,
     read_jsonl,
     read_stamped,
     write_binary,
@@ -67,12 +68,30 @@ def test_write_jsonl_round_trips_through_read_jsonl(tmp_path):
     assert list(read_jsonl(tmp_path / "rows.jsonl", dict)) == rows
 
 
+def _row_id(obj: object) -> object:
+    """A line's id; the line must be an object with an ``id`` key."""
+    if not isinstance(obj, dict) or "id" not in obj:
+        raise InputError(f"expected an object with an id, got {obj!r}")
+    return obj["id"]
+
+
 @pytest.mark.parametrize("bad_line", ["{\"id\": 1", "[1, 2]", "{\"other\": 1}"])
 def test_malformed_line_names_file_and_line(tmp_path, bad_line):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"id": 0}\n' + bad_line + "\n", encoding="utf-8")
     with pytest.raises(ArtifactError, match=r"rows\.jsonl: line 2: "):
+        list(read_jsonl(path, _row_id))
+
+
+@pytest.mark.parametrize("bad_line", ["[1, 2]", "{\"other\": 1}"])
+def test_a_defect_in_the_check_is_not_blamed_on_the_line(tmp_path, bad_line):
+    """Only an InputError refuses a line: a check that fails by a subscript
+    it did not guard is a defect, and its own exception comes through."""
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": 0}\n' + bad_line + "\n", encoding="utf-8")
+    with pytest.raises((KeyError, TypeError)) as raised:
         list(read_jsonl(path, lambda obj: obj["id"]))
+    assert not isinstance(raised.value, ArtifactError)
 
 
 def test_read_jsonl_streams_one_line_at_a_time(tmp_path):

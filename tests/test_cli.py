@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -10,8 +11,11 @@ import time
 import pytest
 
 from ensemble_judge import agents as agents_module
+from ensemble_judge import ingest as ingest_module
 from ensemble_judge import pipeline as pipeline_module
+from ensemble_judge import store as store_module
 from ensemble_judge.agents import render_prompt
+from ensemble_judge.artifacts import Refusal
 from ensemble_judge.cli import main
 from ensemble_judge.domain import Lens
 from tests.conftest import agent_json, completion_body
@@ -236,6 +240,11 @@ class TestUsageErrors:
         cfg_path, _ = write_config(tmp_path)
         assert run(cfg_path, "synth", "--n", "50", "--seed", "1") == 1
         assert "n >= 100" in capsys.readouterr().err
+
+    def test_synth_with_a_negative_seed_exits_1(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        assert run(cfg_path, "synth", "--n", "100", "--seed", "-1") == 1
+        assert _single_error_line(capsys.readouterr().err, "seed >= 0")
 
     def test_report_before_evaluate_exits_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
@@ -1252,6 +1261,21 @@ class TestTrainChecksFeatureValues:
         assert not (workdir / "prepared.jsonl").exists()
         assert not (workdir / "split.json").exists()
 
+    def test_train_refuses_a_split_file_with_an_empty_train_list(self, tmp_path, capsys):
+        cfg_path, workdir = write_config(tmp_path)
+        for args in (("synth", "--n", "100", "--seed", "42"), ("ingest",), ("run-agents",)):
+            assert run(cfg_path, *args) == 0
+        split = json.loads((workdir / "split.json").read_text())
+        split["dev"] += split["train"]
+        split["train"] = []
+        (workdir / "split.json").write_text(json.dumps(split))
+        assert run(cfg_path, "build-features") == 0
+        capsys.readouterr()
+        assert run(cfg_path, "train") == 1
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "split.json") and "train split holds zero examples" in err
+        assert not (workdir / "model.json").exists()
+
     def test_train_refuses_a_split_file_with_an_empty_dev_list(self, tmp_path, capsys):
         cfg_path, workdir = write_config(tmp_path)
         for args in (("synth", "--n", "100", "--seed", "42"), ("ingest",), ("run-agents",)):
@@ -1401,3 +1425,59 @@ class TestJsonNestedPastTheRecursionLimit:
         assert run(cfg_path, "run-agents") == 3
         err = capsys.readouterr().err
         assert _single_error_line(err, "latents.jsonl") and "line 2:" in err
+
+
+# The exit code README documents for each public refusal, by where it is imported from.
+EXIT_CODES = [
+    ("pipeline", "MissingArtifactError", 2),
+    ("artifacts", "ArtifactError", 3),
+    ("pipeline", "CoverageError", 3),
+    ("pipeline", "StaleModelError", 3),
+    ("store", "CacheIntegrityError", 3),
+    ("store", "CacheCorruptionError", 3),
+    ("meta", "ConvergenceError", 3),
+    ("artifacts", "InputError", 1),
+    ("ingest", "CorpusFormatError", 1),
+    ("agents", "TransportError", 1),
+]
+
+
+@pytest.mark.parametrize("module, name, code", EXIT_CODES, ids=[name for _, name, _ in EXIT_CODES])
+def test_each_refusal_carries_its_documented_exit_code(module, name, code):
+    refusal = getattr(importlib.import_module(f"ensemble_judge.{module}"), name)
+    assert issubclass(refusal, Refusal) and refusal.exit_code == code
+
+
+class TestDefectsAreNotRefusals:
+    """Only a refusal raised on purpose prints as one ``error:`` line: a check
+    that fails by a defect of its own raises out of the CLI, however its
+    exception is named."""
+
+    def test_a_defect_in_the_disclosure_check_propagates_from_ingest(self, tmp_path, monkeypatch):
+        cfg_path, workdir = write_config(tmp_path)
+        assert run(cfg_path, "synth", "--n", "100", "--seed", "42") == 0
+
+        def broken_check(keys):
+            def check(obj):
+                raise TypeError("injected defect")
+
+            return check
+
+        monkeypatch.setattr(ingest_module, "_disclosure_check", broken_check)
+        with pytest.raises(TypeError, match="injected defect"):
+            run(cfg_path, "ingest")
+        assert not (workdir / "prepared.jsonl").exists()
+
+    @pytest.mark.parametrize("stage", ["build-features", "evaluate"])
+    def test_a_defect_in_the_cache_line_parser_propagates_from_a_reader_stage(
+        self, pipeline, monkeypatch, stage
+    ):
+        cfg_path, workdir = pipeline
+        (workdir / "cache.jsonl.table").unlink()  # so every cache line is parsed
+
+        def broken_parse(line):
+            raise TypeError("injected defect")
+
+        monkeypatch.setattr(store_module, "_parse_line", broken_parse)
+        with pytest.raises(TypeError, match="injected defect"):
+            run(cfg_path, stage)

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from ensemble_judge.artifacts import InputError
 from ensemble_judge.config import RunConfig, StubConfig, load_config
 
 
@@ -232,3 +233,70 @@ def test_cli_refuses_a_bad_endpoint_url_on_one_line(tmp_path, capsys, url):
     assert main(["run-agents", "--config", str(path)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "bad or missing config field: agents[0].endpoint_url: " in err[0]
+
+
+@pytest.mark.parametrize(
+    "fields, dropped",
+    [
+        ({"max_in_flight": 0}, ()),
+        ({"max_output_tokens": 0}, ()),
+        ({"train": {"max_iter": 0}}, ()),
+        ({"train": {"tol": 0}}, ()),
+        ({"train": {"grid": []}}, ()),
+        ({"train": {"grid": [-1]}}, ()),
+        ({"stub_agents": {"enabled": False}}, ()),
+        ({"stub_agents": {"enabled": False}, "agents": _http_agents()[:1] * 3}, ()),
+        ({}, ("latents_path",)),
+    ],
+    ids=["max-in-flight", "max-output-tokens", "max-iter", "tol", "empty-grid", "negative-grid",
+         "no-agents", "one-lens-thrice", "stubs-without-latents"],
+)
+def test_a_rule_of_the_run_config_names_the_config_file(tmp_path, capsys, fields, dropped):
+    from ensemble_judge.cli import main
+
+    path = _write(tmp_path, **fields)
+    cfg = json.loads(path.read_text())
+    for key in dropped:
+        del cfg[key]
+    path.write_text(json.dumps(cfg))
+    assert main(["ingest", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+
+def _without_model_names():
+    return [{k: v for k, v in agent.items() if k != "model_name"} for agent in _http_agents()]
+
+
+@pytest.mark.parametrize(
+    "fields, dropped, key",
+    [
+        ({}, ("workdir",), "workdir"),
+        ({"workdir": 5}, (), "workdir"),
+        ({"latents_path": ["l"]}, (), "latents_path"),
+        ({"stub_agents": {"enabled": False}, "agents": {"lens": "risk"}}, (), "agents"),
+        ({"stub_agents": {"enabled": False}, "agents": _http_agents(lens="sentiment")}, (),
+         "agents[0].lens"),
+        ({"stub_agents": {"enabled": False}, "agents": _http_agents(lens=["risk"])}, (),
+         "agents[0].lens"),
+        ({"stub_agents": {"enabled": False}, "agents": _without_model_names()}, (),
+         "agents[0].model_name"),
+        ({"stub_agents": {"enabled": False}, "agents": [5, 6, 7]}, (), "agents[0]"),
+        ({"stub_agents": {"enabled": False},
+          "agents": _http_agents(endpoint_url="http://[::1/v1")}, (), "agents[0].endpoint_url"),
+        ({"preprocess": {"max_tokens": 10**400}}, (), "preprocess"),
+    ],
+    ids=["missing-workdir", "number-workdir", "array-latents-path", "agents-object",
+         "unknown-lens", "array-lens", "missing-model-name", "agent-a-number",
+         "unclosed-ipv6-host", "budget-beyond-the-float-range"],
+)
+def test_a_missing_or_unreadable_field_is_refused_naming_its_key(tmp_path, fields, dropped, key):
+    """Each is checked explicitly, so a config refusal is never a stray
+    ``TypeError`` or ``KeyError`` from deeper in the load."""
+    path = _write(tmp_path, **fields)
+    cfg = json.loads(path.read_text())
+    for name in dropped:
+        del cfg[name]
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(InputError, match=rf"bad or missing config field: {re.escape(key)}[ :]"):
+        load_config(path)

@@ -12,8 +12,10 @@ reason they check that the package imports nothing from ``tests``, defines
 nothing that only tests use, that the names the benchmark wraps and no
 stage calls are the array functions themselves, that only the
 disclosure-line check and the generator build records, that only
-``store._parse_line`` parses a cache line, and that no stage parses a
-feature file.
+``store._parse_line`` parses a cache line, that no stage parses a
+feature file, that an input is refused by a refusal raised on purpose rather
+than by a broad built-in error caught wholesale, and that the CLI knows the
+refusals by their base class alone.
 """
 
 from __future__ import annotations
@@ -427,3 +429,76 @@ def _unset_defaults() -> set[str]:
 
 def test_every_defaulted_parameter_is_set_by_package_code():
     assert _unset_defaults() == UNSET_DEFAULTS_ALLOWED
+
+
+# Refusal guard. A check refuses an input by raising a refusal on purpose
+# (``artifacts.Refusal``, which carries the exit code). A clause that catches
+# a broad built-in error turns a defect of the program into the input's
+# fault, so each one is listed here with the reason the error can only come
+# from the input at that place.
+BROAD_ERRORS = {"KeyError", "TypeError", "ValueError", "LookupError", "AttributeError"}
+BROAD_CATCHES_ALLOWED = {
+    "agents.py:parse_output: (ValueError, RecursionError)":
+        "json.loads of a model's answer: what the decoder refuses is a schema violation",
+    "agents.py:parse_output: (ValueError, OverflowError)":
+        "float() of the answer's confidence, which may be any string or a huge integer",
+    "agents.py:http_url: ValueError": "urlsplit's refusal of a bracketed host or a port",
+    "agents.py:ChatCompletionsClient._parse_response: "
+    "(ValueError, KeyError, IndexError, TypeError, RecursionError)":
+        "a server's chat envelope of any shape is a transport failure",
+    "agents.py:ChatCompletionsClient._parse_response: "
+    "(KeyError, TypeError, ValueError, OverflowError)":
+        "a logprob stream of any shape is dropped, and the confidence falls back",
+    "agents.py:_readable_int: ValueError": "int() of an envelope integer past the digit limit",
+    "artifacts.py:loads: (ValueError, RecursionError)":
+        "the JSON decoder's own refusals, the digit limit's plain ValueError among them",
+    "config.py:load_config: (ValueError, RecursionError)":
+        "the JSON decoder's refusals of the config file",
+    "ingest.py:parse_rfc3339: ValueError": "how datetime.fromisoformat refuses a string",
+    "store.py:_parse_line: ValueError": "how datetime.fromisoformat refuses a string",
+    "ingest.py:read_key_table: (OSError, LookupError, TypeError, ValueError)":
+        "a derived sidecar: a table that does not read costs only the full parse",
+    "store.py:_read_snapshot: (OSError, LookupError, TypeError, ValueError)":
+        "a derived sidecar: a snapshot that does not read costs only the full parse",
+}
+
+
+def _broad_catches():
+    """Each ``except`` clause that names one of ``BROAD_ERRORS``, as
+    ``module:enclosing def: caught types``."""
+
+    def visit(path: Path, node: ast.AST, owner: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
+                yield from visit(path, child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                caught = {name.id for name in ast.walk(child.type) if isinstance(name, ast.Name)}
+                if caught & BROAD_ERRORS:
+                    yield f"{path.name}:{owner}: {ast.unparse(child.type)}"
+            yield from visit(path, child, owner)
+
+    for path in MODULES:
+        yield from visit(path, _tree(path), "")
+
+
+def test_only_the_listed_clauses_catch_a_broad_builtin_error():
+    assert sorted(_broad_catches()) == sorted(BROAD_CATCHES_ALLOWED)
+
+
+def test_the_cli_imports_no_exception_class_but_refusal():
+    """Each refusal's exit code lives in its class, so the CLI catches the base
+    class alone; a stage's own error classes are not its business."""
+    cli = importlib.import_module("ensemble_judge.cli")
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(_tree(PACKAGE / "cli.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    exceptions = {
+        name
+        for name in imported
+        if isinstance(getattr(cli, name, None), type) and issubclass(getattr(cli, name), BaseException)
+    }
+    assert exceptions == {"Refusal"}

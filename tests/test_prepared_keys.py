@@ -218,6 +218,22 @@ def _version_1_snapshot(workdir: Path) -> None:
     path.write_bytes(body + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n")
 
 
+def _restamped(path: Path, edit) -> None:
+    """The stamped file at ``path`` with ``edit(header)`` as its header line,
+    digest line redone, as :func:`_version_1_snapshot` redoes it."""
+    data = path.read_bytes()[:-65]
+    start = data.index(b"\n") + 1  # past the magic line
+    end = data.index(b"\n", start)
+    header = json.dumps(edit(json.loads(data[start:end]))).encode("ascii")
+    body = data[:start] + header + data[end:]
+    path.write_bytes(body + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n")
+
+
+def _headers(*names: str, edit):
+    """An edit of the headers of the sidecars ``names``."""
+    return lambda workdir: [_restamped(workdir / name, edit) for name in names]
+
+
 def _patch_templates(monkeypatch) -> None:
     risk = agents.PROMPT_TEMPLATES[Lens.RISK]
     monkeypatch.setitem(agents.PROMPT_TEMPLATES, Lens.RISK, risk.replace("downside", "tail"))
@@ -231,6 +247,13 @@ CASES = [
     ("table-stale-after-a-clean-text-edit", _edit_clean_text, None),
     ("templates-changed", None, None),
     ("version-1-snapshot", None, _version_1_snapshot),
+    # Headers of the wrong JSON types, with good digests: each costs the full parse only.
+    ("rows-a-string", None, _headers(*SIDECARS, edit=lambda h: {**h, "rows": "5"})),
+    ("snapshot-covering-negative-bytes",
+     None, _headers("cache.jsonl.table", edit=lambda h: {**h, "covered_bytes": -1})),
+    ("headers-that-are-arrays", None, _headers(*SIDECARS, edit=list)),
+    ("snapshot-without-byteorder",
+     None, _headers("cache.jsonl.table", edit=lambda h: {k: h[k] for k in h if k != "byteorder"})),
 ]
 
 
