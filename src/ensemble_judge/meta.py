@@ -107,17 +107,11 @@ def _feature_numbers(d: object, key: str) -> tuple[float, ...]:
     return numbers
 
 
-def _json_int(d: object, key: str) -> int:
-    """``d[key]``, which must be a JSON integer (not a boolean); else :class:`InputError`."""
-    if type(value := _field(d, key)) is not int:
-        raise InputError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _json_str(d: object, key: str) -> str:
-    """``d[key]``, which must be a JSON string; else :class:`InputError`."""
-    if not isinstance(value := _field(d, key), str):
-        raise InputError(f"{key} must be a string, got {value!r}")
+def _json(d: object, key: str, kind: type) -> object:
+    """``d[key]``, which must be a JSON value of type ``kind`` (a boolean is no
+    integer); else :class:`InputError`."""
+    if type(value := _field(d, key)) is not kind:
+        raise InputError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
     return value
 
 
@@ -317,12 +311,12 @@ class MetaModel:
             inverse_reg_strength=finite_number(_field(d, "inverse_reg_strength")),
             standardizer=Standardizer.from_dict(_field(d, "standardizer")),
             optimizer_report=OptimizerReport(
-                iterations=_json_int(rep, "iterations"),
+                iterations=_json(rep, "iterations", int),
                 final_gradient_norm=finite_number(_field(rep, "final_gradient_norm")),
                 tolerance=finite_number(_field(rep, "tolerance")),
             ),
-            prompt_hash_digest=_json_str(d, "prompt_hash_digest"),
-            n_outputs=_json_int(d, "n_outputs"),
+            prompt_hash_digest=_json(d, "prompt_hash_digest", str),
+            n_outputs=_json(d, "n_outputs", int),
         )
 
 
