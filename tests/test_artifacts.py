@@ -83,15 +83,14 @@ def test_malformed_line_names_file_and_line(tmp_path, bad_line):
         list(read_jsonl(path, _row_id))
 
 
-@pytest.mark.parametrize("bad_line", ["[1, 2]", "{\"other\": 1}"])
-def test_a_defect_in_the_check_is_not_blamed_on_the_line(tmp_path, bad_line):
+@pytest.mark.parametrize("bad_line, defect", [("[1, 2]", TypeError), ("{\"other\": 1}", KeyError)])
+def test_a_defect_in_the_check_is_not_blamed_on_the_line(tmp_path, bad_line, defect):
     """Only an InputError refuses a line: a check that fails by a subscript
     it did not guard is a defect, and its own exception comes through."""
     path = tmp_path / "rows.jsonl"
     path.write_text('{"id": 0}\n' + bad_line + "\n", encoding="utf-8")
-    with pytest.raises((KeyError, TypeError)) as raised:
+    with pytest.raises(defect):
         list(read_jsonl(path, lambda obj: obj["id"]))
-    assert not isinstance(raised.value, ArtifactError)
 
 
 def test_read_jsonl_streams_one_line_at_a_time(tmp_path):
