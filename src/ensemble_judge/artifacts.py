@@ -15,8 +15,10 @@ import hashlib
 import json
 import math
 import os
+import tempfile
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -127,6 +129,14 @@ def write_binary(path: str | Path, chunks: Iterable[bytes]) -> None:
     fsync_dir(path.parent)
 
 
+def spool(directory: str | Path) -> BinaryIO:
+    """A temporary file in ``directory`` for bytes a stage writes and reads
+    back before they go to an artifact. It has no name from the start, so it
+    disappears when closed, or when the process dies."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    return tempfile.TemporaryFile(dir=directory)
+
+
 def fsync_dir(path: str | Path) -> None:
     """fsync the directory ``path``, so a name just created or renamed in it
     survives a power cut."""
@@ -144,7 +154,7 @@ def write_stamped(path: str | Path, magic: bytes, header: dict, chunks: Iterable
     digest = hashlib.sha256()
 
     def stamped() -> Iterator[bytes]:
-        for chunk in (magic, json.dumps(header).encode("ascii") + b"\n", *chunks):
+        for chunk in chain((magic, json.dumps(header).encode("ascii") + b"\n"), chunks):
             digest.update(chunk)
             yield chunk
         yield digest.hexdigest().encode("ascii") + b"\n"
@@ -187,9 +197,14 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     write_binary(path, map(str.encode, chunks))  # UTF-8, the default
 
 
+def json_line(row: dict) -> str:
+    """``row`` as one JSON object, non-ASCII kept as is, ending in a newline."""
+    return _JSON_LINE.encode(row) + "\n"
+
+
 def json_lines(rows: Iterable[dict]) -> Iterator[str]:
-    """One JSON object per line, non-ASCII kept as is, each ending in a newline."""
-    return (_JSON_LINE.encode(row) + "\n" for row in rows)
+    """The :func:`json_line` of each row."""
+    return map(json_line, rows)
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:

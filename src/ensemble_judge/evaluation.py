@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import InputError, write_text
+from .artifacts import write_text
 from .features import confidence_gaps, feature_matrix, majority_labels
 
 if TYPE_CHECKING:
@@ -270,7 +270,7 @@ def evaluate_judgments(
     ``LENS_ORDER``; ``targets`` holds its binary target.
     """
     if not len(ids):
-        raise InputError("cannot evaluate an empty split")
+        raise ValueError("cannot evaluate an empty split")  # the stage refuses one first
     targets = np.asarray(targets, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     confidences = np.asarray(confidences, dtype=np.float64)

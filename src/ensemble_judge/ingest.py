@@ -12,6 +12,13 @@ stages skip the text.
 Preprocessing collapses duplicated consecutive lines, lowercases ticker
 symbols inside a leading metadata block, normalizes whitespace, and
 truncates to a character budget derived from a token budget.
+
+``ingest`` (:func:`prepare`) reads the corpus once: each line is checked,
+preprocessed and encoded as its prepared line, which waits in an unnamed
+spool file, while memory keeps a few columns a record and no text. One sort
+by (timestamp, id) then orders the prepared file, its key table and the
+split. :func:`load_corpus`, :func:`preprocess_corpus` and
+:func:`chronological_split` are the same rules over lists of records.
 """
 
 from __future__ import annotations
@@ -20,23 +27,28 @@ import json
 import math
 import os
 import re
+from array import array
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .agents import AgentSpec, prompt_digests, templates_sha256
+from .agents import AgentSpec, prompt_digester, prompt_digests, templates_sha256
 from .artifacts import (
     InputError,
     finite_number,
+    json_line,
     loads,
     prefix_sha256,
     read_jsonl,
     read_stamped,
+    spool,
+    write_binary,
     write_jsonl,
     write_stamped,
     write_text,
@@ -176,6 +188,12 @@ _KEY_TABLE_MAGIC = b"ensemble-judge prepared keys 1\n"
 _PROMPT_BYTES = 32  # a raw sha256
 
 
+def _pair_key(rid: str, spec: AgentSpec, prompt: bytes, seed: int) -> bytes:
+    """The cache-key digest of the pair (disclosure ``rid``, agent ``spec``)
+    whose prompt has the raw sha256 ``prompt``."""
+    return key_digest(rid, spec.lens.value, spec.model_name, prompt.hex(), seed)
+
+
 @dataclass(frozen=True)
 class PreparedKeys:
     """What the reader stages use of a prepared file, without its text.
@@ -204,10 +222,8 @@ class PreparedKeys:
             prompts[:, column] = np.frombuffer(b"".join(digests), np.uint8).reshape(
                 -1, _PROMPT_BYTES
             )
-            lens, model_name = spec.lens.value, spec.model_name
             keys[:, column] = [
-                key_digest(rid, lens, model_name, digest.hex(), seed)
-                for rid, digest in zip(ids, digests)
+                _pair_key(rid, spec, digest, seed) for rid, digest in zip(ids, digests)
             ]
         targets = np.array([r.binary_target for r in records], dtype=np.int64)
         return cls(ids, targets, prompts, keys)
@@ -229,27 +245,6 @@ def _key_table_stamp(prepared: Path, specs: Sequence[AgentSpec], seed: int) -> d
         "agents": [[spec.lens.value, spec.model_name] for spec in specs],
         "seed": seed,
     }
-
-
-def write_prepared(
-    records: Iterable[DisclosureRecord], path: str | Path, specs: Sequence[AgentSpec], seed: int
-) -> None:
-    """Write preprocessed disclosures, in corpus order, with their
-    ``clean_text``; then their key table, stamped with the bytes just written."""
-    path, records = Path(path), sort_records(records)
-    write_jsonl(path, (corpus_row(r, clean_text=r.clean_text) for r in records))
-    table = PreparedKeys.of(records, specs, seed)
-    write_stamped(
-        _key_table_path(path),
-        _KEY_TABLE_MAGIC,
-        {"rows": len(records), **_key_table_stamp(path, specs, seed)},
-        (
-            table.targets.astype(np.int8).tobytes(),
-            table.prompts.tobytes(),
-            table.keys.tobytes(),
-            json.dumps(table.ids).encode("ascii"),
-        ),
-    )
 
 
 def read_key_table(
@@ -342,7 +337,7 @@ def preprocess(raw_text: str, cfg: PreprocessConfig) -> str:
         for i in range(blank_at):
             deduped[i] = _lowercase_metadata_tickers(deduped[i])
 
-    normalized = re.sub(r"\s+", " ", "\n".join(deduped)).strip()
+    normalized = " ".join("\n".join(deduped).split())
     return _truncate_at_whitespace(normalized, cfg.char_budget)
 
 
@@ -371,22 +366,28 @@ def sort_records(records: Iterable[DisclosureRecord]) -> list[DisclosureRecord]:
 def chronological_split(
     records: Sequence[DisclosureRecord], fractions: tuple[float, float, float]
 ) -> dict[Split, list[str]]:
-    """The ids of each split, train/dev/test by time order.
+    """The ids of each split, train/dev/test by time order (:func:`_time_split`)."""
+    return _time_split([r.id for r in sort_records(records)], fractions)
+
+
+def _time_split(
+    ids: list[str], fractions: tuple[float, float, float]
+) -> dict[Split, list[str]]:
+    """``ids``, in (timestamp, id) order, cut into train/dev/test; with ties
+    broken by id, the split is a pure function of the corpus.
 
     Boundaries are cumulative floors of the fraction sums, which keeps every
-    split within one record of its exact share for any corpus size. Ties in
-    timestamp are broken by id, so the split is a pure function of the corpus.
-    Fractions that leave a split without records at this corpus size are
-    refused.
+    split within one record of its exact share for any corpus size. Fewer
+    than five records, and fractions that leave a split without records at
+    this corpus size, are refused.
     """
-    n = len(records)
+    n = len(ids)
     if n < 5:
         raise InputError(f"need at least 5 records for a 60/20/20 split, got {n}")
     fracs = [Fraction(str(f)) for f in fractions]
     if len(fracs) != 3 or any(f <= 0 for f in fracs) or sum(fracs) != 1:
         raise InputError(f"fractions must be three positive values summing to 1, got {fractions}")
 
-    ids = [r.id for r in sort_records(records)]
     b1 = int(fracs[0] * n)
     b2 = int((fracs[0] + fracs[1]) * n)
     split = {Split.TRAIN: ids[:b1], Split.DEV: ids[b1:b2], Split.TEST: ids[b2:]}
@@ -396,6 +397,92 @@ def chronological_split(
             f"split fractions {list(fractions)} leave the {' and '.join(empty)} "
             f"split empty at {n} records"
         )
+    return split
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_ROWS_PER_CHUNK = 4096  # key-table rows a streamed chunk of the table holds
+
+
+def _in_chunks(rows: Sequence[int], row_bytes: Callable[[int], bytes]) -> Iterator[bytes]:
+    """The ``row_bytes`` of each of ``rows``, joined :data:`_ROWS_PER_CHUNK` rows at a time."""
+    for at in range(0, len(rows), _ROWS_PER_CHUNK):
+        yield b"".join(map(row_bytes, rows[at : at + _ROWS_PER_CHUNK]))
+
+
+def prepare(
+    corpus: Path,
+    prepared: Path,
+    split_path: Path,
+    cfg: PreprocessConfig,
+    fractions: tuple[float, float, float],
+    specs: Sequence[AgentSpec],
+    seed: int,
+) -> dict[Split, list[str]]:
+    """Write the prepared file of ``corpus``, its key table and its split
+    file, reading the corpus once; return the split.
+
+    The prepared lines wait in a :func:`spool` next to ``prepared`` until the
+    sort. Refusals come in the order a reader of the whole corpus meets them:
+    the first bad line, the first record in file order whose text cleans to
+    nothing, then the split's; no file is written unless all pass.
+    """
+    check = _disclosure_check(CORPUS_KEYS)
+    digesters = [prompt_digester(spec.lens) for spec in specs]
+    ids: list[str] = []
+    times = array("q")  # microseconds since the epoch
+    targets = bytearray()
+    prompts = bytearray()  # per record, the raw sha256 of each spec's prompt
+    offsets = array("q", [0])  # where each record's prepared line starts in the spool
+    blank: str | None = None  # the first record whose text cleans to nothing
+    with spool(prepared.parent) as lines:
+        for record in read_jsonl(corpus, check, CorpusFormatError):
+            clean = preprocess(record.raw_text, cfg)
+            if not clean and blank is None:
+                blank = record.id
+            ids.append(record.id)
+            times.append((record.timestamp - _EPOCH) // _MICROSECOND)
+            targets.append(record.binary_target)
+            for digest_of in digesters:
+                prompts += digest_of(clean)
+            line = json_line(corpus_row(record, clean_text=clean)).encode()
+            lines.write(line)
+            offsets.append(offsets[-1] + len(line))
+        if blank is not None:
+            raise InputError(f"disclosure {blank!r} has no text after preprocessing")
+        order = sorted(range(len(ids)), key=lambda row: (times[row], ids[row]))
+        ordered_ids = [ids[row] for row in order]
+        split = _time_split(ordered_ids, fractions)
+
+        lines.flush()
+        fd = lines.fileno()
+        write_binary(
+            prepared,
+            (os.pread(fd, offsets[row + 1] - offsets[row], offsets[row]) for row in order),
+        )
+
+    width = len(specs) * _PROMPT_BYTES  # a record's prompt digests
+
+    def key_row(row: int) -> bytes:
+        rid, at = ids[row], row * width
+        return b"".join(
+            _pair_key(rid, spec, prompts[start : start + _PROMPT_BYTES], seed)
+            for start, spec in zip(range(at, at + width, _PROMPT_BYTES), specs)
+        )
+
+    write_stamped(
+        _key_table_path(prepared),
+        _KEY_TABLE_MAGIC,
+        {"rows": len(order), **_key_table_stamp(prepared, specs, seed)},
+        chain(
+            (bytes(map(targets.__getitem__, order)),),
+            _in_chunks(order, lambda row: prompts[row * width : (row + 1) * width]),
+            _in_chunks(order, key_row),
+            (json.dumps(ordered_ids).encode("ascii"),),
+        ),
+    )
+    write_split(split, split_path)
     return split
 
 

@@ -33,16 +33,12 @@ from .evaluation import EvalReport, evaluate_judgments, write_report
 from .features import feature_lines, feature_matrix, read_feature_file, write_feature_file
 from .ingest import (
     PreparedKeys,
-    chronological_split,
-    load_corpus,
     load_prepared,
     load_split,
-    preprocess_corpus,
+    prepare,
     read_key_table,
     read_prepared,
     write_corpus,
-    write_prepared,
-    write_split,
 )
 from .meta import ConvergenceError, MetaModel, train_meta_model
 from .store import CacheBlock, CacheStore
@@ -85,14 +81,19 @@ def stage_synth(config: RunConfig, n: int, seed: int) -> dict:
 
 
 def stage_ingest(config: RunConfig) -> dict:
-    """Load the corpus, preprocess, split chronologically, persist both."""
-    _require(config.corpus_path, "corpus file")
-    records = load_corpus(config.corpus_path)
-    prepared = preprocess_corpus(records, config.preprocess)
-    split = chronological_split(prepared, config.split_fractions)
-    write_prepared(prepared, config.prepared_path, config.agent_specs(), config.seed)
-    write_split(split, config.split_path)
-    return {"records": len(prepared), **{s.value: len(ids) for s, ids in split.items()}}
+    """Preprocess the corpus and split it chronologically, in one pass that
+    writes the prepared file, its key table and the split file."""
+    split = prepare(
+        _require(config.corpus_path, "corpus file"),
+        config.prepared_path,
+        config.split_path,
+        config.preprocess,
+        config.split_fractions,
+        config.agent_specs(),
+        config.seed,
+    )
+    counts = {s.value: len(ids) for s, ids in split.items()}
+    return {"records": sum(counts.values()), **counts}
 
 
 def _load_checked(path: Path, load: Callable[[Path], T], what: str) -> T:
@@ -398,7 +399,8 @@ def stage_evaluate(config: RunConfig) -> EvalReport:
 
     The model file's prompt digest is checked against the prompts the current
     config would render, so a model trained before a prompt or preprocessing
-    change cannot be silently scored against mismatched agent outputs.
+    change cannot be silently scored against mismatched agent outputs. A
+    split file whose test list is empty is refused.
     """
     keys = _prepared(config)
     by_split = _split_rows(config, keys)
@@ -410,6 +412,8 @@ def stage_evaluate(config: RunConfig) -> EvalReport:
             "preprocessing than this run; re-run the train stage"
         )
     test_rows = by_split[Split.TEST]
+    if not len(test_rows):
+        raise InputError(f"{config.split_path}: the test split holds zero examples")
     labels, confidences = _cached_judgments(config, keys, test_rows)
     report = evaluate_judgments(
         keys.ids_at(test_rows),

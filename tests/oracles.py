@@ -5,7 +5,8 @@ The pipeline builds features, votes and regimes for whole splits at once
 ``evaluation.evaluate_judgments`` over ``(n, 3)`` label-code and confidence
 blocks), keys the cache by digests of pairs whose prompts it never renders,
 draws the stub agents' noise and appends their cache lines a block of pairs
-at a time and writes each cache line field by field.
+at a time, writes each cache line field by field, and ingests the corpus in
+one pass through a spool of prepared lines (``ingest.prepare``).
 These are the same rules written one item at a time, in the plainest form,
 so tests can compare the two; no production code calls them.
 """
@@ -14,14 +15,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ensemble_judge import store
+from ensemble_judge import ingest, store
 from ensemble_judge.agents import AgentSpec, render_prompt
+from ensemble_judge.artifacts import write_jsonl, write_stamped
+from ensemble_judge.config import RunConfig
 from ensemble_judge.domain import (
     FEAT_GAP,
     FEATURE_DIM,
@@ -448,3 +453,52 @@ def extract_json_object(text: str) -> tuple[str, int] | None:
                     return text[start : i + 1], start
         start = text.find("{", start + 1)
     return None
+
+
+def preprocess(raw_text: str, cfg: ingest.PreprocessConfig) -> str:
+    """``ingest.preprocess`` with its whitespace rule as a regex: every run of
+    ``\\s`` becomes one space, then the ends are stripped."""
+    deduped: list[str] = []
+    prev: str | None = None
+    for line in raw_text.split("\n"):
+        if prev is None or line.strip() != prev:
+            deduped.append(line)
+        prev = line.strip()
+    blank_at = next((i for i, line in enumerate(deduped) if not line.strip()), None)
+    for i in range(blank_at or 0):
+        deduped[i] = ingest._lowercase_metadata_tickers(deduped[i])
+    normalized = re.sub(r"\s+", " ", "\n".join(deduped)).strip()
+    return ingest._truncate_at_whitespace(normalized, cfg.char_budget)
+
+
+def write_prepared(
+    records: Iterable[DisclosureRecord], path: Path, specs: Sequence[AgentSpec], seed: int
+) -> None:
+    """The prepared file of preprocessed ``records`` in (timestamp, id) order,
+    then its key table from :meth:`ingest.PreparedKeys.of`, stamped with the
+    bytes just written."""
+    records = ingest.sort_records(records)
+    write_jsonl(path, (ingest.corpus_row(r, clean_text=r.clean_text) for r in records))
+    table = ingest.PreparedKeys.of(records, specs, seed)
+    write_stamped(
+        ingest._key_table_path(path),
+        ingest._KEY_TABLE_MAGIC,
+        {"rows": len(records), **ingest._key_table_stamp(path, specs, seed)},
+        (
+            table.targets.astype(np.int8).tobytes(),
+            table.prompts.tobytes(),
+            table.keys.tobytes(),
+            json.dumps(table.ids).encode("ascii"),
+        ),
+    )
+
+
+def stage_ingest(config: RunConfig) -> dict:
+    """``pipeline.stage_ingest`` as a chain over whole lists of records: load
+    the corpus, preprocess it, split it, then write the prepared file, its
+    key table and the split file."""
+    records = ingest.preprocess_corpus(ingest.load_corpus(config.corpus_path), config.preprocess)
+    split = ingest.chronological_split(records, config.split_fractions)
+    write_prepared(records, config.prepared_path, config.agent_specs(), config.seed)
+    ingest.write_split(split, config.split_path)
+    return {"records": len(records), **{s.value: len(ids) for s, ids in split.items()}}

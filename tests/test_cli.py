@@ -1292,6 +1292,21 @@ class TestTrainChecksFeatureValues:
         assert len(err.strip().splitlines()) == 1 and "zero examples" in err
         assert not (workdir / "model.json").exists()
 
+    def test_evaluate_refuses_a_split_file_with_an_empty_test_list(self, tmp_path, capsys):
+        cfg_path, workdir = write_config(tmp_path)
+        for args in (("synth", "--n", "300", "--seed", "42"), ("ingest",), ("run-agents",),
+                     ("build-features",), ("train",)):
+            assert run(cfg_path, *args) == 0
+        split = json.loads((workdir / "split.json").read_text())
+        split["dev"] += split["test"]
+        split["test"] = []
+        (workdir / "split.json").write_text(json.dumps(split))
+        capsys.readouterr()
+        assert run(cfg_path, "evaluate") == 1
+        err = capsys.readouterr().err
+        assert _single_error_line(err, "split.json") and "test split holds zero examples" in err
+        assert not (workdir / "report.json").exists()
+
 
 ARTIFACTS = (
     "corpus.jsonl",

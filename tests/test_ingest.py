@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -6,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemble_judge import pipeline
+from ensemble_judge.agents import AgentSpec
+from ensemble_judge.artifacts import InputError
 from ensemble_judge.config import RunConfig
-from ensemble_judge.domain import DisclosureRecord, Split
+from ensemble_judge.domain import LENS_ORDER, DisclosureRecord, Split
 from ensemble_judge.ingest import (
     CorpusFormatError,
     PreprocessConfig,
@@ -21,6 +26,7 @@ from ensemble_judge.ingest import (
     write_corpus,
     write_split,
 )
+from tests import oracles
 
 CFG = PreprocessConfig(max_tokens=2048)
 FRACTIONS = RunConfig.split_fractions
@@ -182,6 +188,22 @@ class TestPreprocess:
     def test_empty_input(self):
         assert preprocess("", CFG) == ""
 
+    # Code points at the edges of what counts as whitespace: the separators
+    # \x1c-\x1f, NEL, LINE SEPARATOR and the ideographic space are whitespace;
+    # zero-width space, the Mongolian vowel separator and the BOM are not.
+    @given(
+        st.text(
+            st.sampled_from("aB: .\t\n\r\x0b\x0c\xa0\x1c\x1d\x1e\x1f\x85\u2028\u2029\u3000"
+                            "\u200b\u180e\ufeff") | st.characters(),
+            max_size=300,
+        ),
+        st.integers(min_value=1, max_value=120),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_whitespace_rule_is_the_regex_rule(self, text, max_tokens):
+        cfg = PreprocessConfig(max_tokens=max_tokens, chars_per_token=4.0)
+        assert preprocess(text, cfg) == oracles.preprocess(text, cfg)
+
     @given(st.text(max_size=400), st.integers(min_value=1, max_value=120))
     @settings(max_examples=200, deadline=None)
     def test_idempotent(self, text, max_tokens):
@@ -273,3 +295,138 @@ class TestChronologicalSplit:
         p.write_text(json.dumps({"train": ["a"], "dev": ["a"], "test": ["b"]}))
         with pytest.raises(ValueError, match="more than one"):
             load_split(p)
+
+
+SPECS = tuple(AgentSpec(lens, f"model-{lens.value}", "http://localhost:1/v1") for lens in LENS_ORDER)
+INGESTED = ("prepared.jsonl", "prepared.jsonl.keys", "split.json")
+
+
+def ingest_config(tmp_path, lines, newline="\n", **overrides):
+    """A run config whose corpus file, outside the workdir, holds ``lines``."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes("".join(line + newline for line in lines).encode())
+    return RunConfig(workdir=tmp_path / "run", corpus_path=corpus, agents=SPECS, **overrides)
+
+
+def assert_nothing_written(config):
+    assert not config.workdir.exists() or list(config.workdir.iterdir()) == []
+
+
+class TestIngestRefusalOrder:
+    """Which refusal the stage gives when a corpus breaks several rules, and
+    that it leaves no file behind: a line's, in file order, before an empty
+    text's, before the split's."""
+
+    def test_a_bad_line_after_an_empty_text_is_refused_first(self, tmp_path):
+        lines = [corpus_line(i) for i in range(10)]
+        lines[3] = corpus_line(3, text="")
+        lines[6] = "{not json"
+        config = ingest_config(tmp_path, lines)
+        with pytest.raises(CorpusFormatError, match="line 7: malformed JSON"):
+            pipeline.stage_ingest(config)
+        assert_nothing_written(config)
+
+    def test_the_first_empty_text_in_file_order_is_named(self, tmp_path):
+        # Latest first, so d5 sorts before d3.
+        lines = [
+            corpus_line(i, ts=f"2020-01-{20 - i:02d}T00:00:00Z", rid=f"d{i}",
+                        text="" if i in (3, 5) else "Revenue rose.")
+            for i in range(10)
+        ]
+        config = ingest_config(tmp_path, lines)
+        with pytest.raises(InputError, match="^disclosure 'd3' has no text after preprocessing$"):
+            pipeline.stage_ingest(config)
+        assert_nothing_written(config)
+
+    def test_an_empty_text_is_refused_before_too_few_records(self, tmp_path):
+        config = ingest_config(tmp_path, [corpus_line(0), corpus_line(1, text=" \t ")])
+        with pytest.raises(InputError, match="'r1' has no text"):
+            pipeline.stage_ingest(config)
+        assert_nothing_written(config)
+
+    @pytest.mark.parametrize(
+        "n, fractions, message",
+        [
+            (4, (0.6, 0.2, 0.2), "at least 5 records"),
+            (100, (0.995, 0.0025, 0.0025), "leave the dev split empty at 100 records"),
+        ],
+    )
+    def test_a_split_refusal_writes_nothing(self, tmp_path, n, fractions, message):
+        config = ingest_config(
+            tmp_path, [corpus_line(i) for i in range(n)], split_fractions=fractions
+        )
+        with pytest.raises(InputError, match=message):
+            pipeline.stage_ingest(config)
+        assert_nothing_written(config)
+
+
+def _awkward_corpus() -> list[str]:
+    """Lines that the one-pass ingest must order, clean and encode exactly as
+    the whole-list chain does: tied instants written with different offsets,
+    fractional seconds, non-ASCII and Unicode whitespace, CRLF inside texts, a
+    metadata block and duplicated lines, in shuffled file order."""
+    stamps = [
+        "2021-03-04T09:30:00Z", "2021-03-04T11:30:00+02:00", "2021-03-04T04:30:00-05:00",
+        "2021-03-04T09:30:00.250000+00:00", "2020-12-31T23:59:59.999999-01:00",
+        "2021-01-01T00:59:59.999999+00:00", "2021-03-04 09:30:00", "1999-07-01T12:00:00+14:00",
+    ]
+    texts = [
+        "TICKER: BRK.B\r\nDATE: 2021-03-04\r\n\r\nRevenue rose\u3000sharply.",
+        "Umsatz stieg um 5\u00a0% \u2014 Gewinn \u2713\u2028Ausblick stabil.",
+        "\u8425\u6536\u589e\u957f\x85\u98ce\u9669\u4e0b\u964d",
+        "Guidance cut.\nGuidance cut.\nGuidance cut.\x1c\x1dLitigation risk rose.",
+        "  \t Margins widened\x1e\x1f to 12%.\u2029 ",
+        "Caf\u00e9 chain beat \"consensus\" by $0.03\u200b.",
+    ]
+    lines = [
+        json.dumps(
+            {
+                "id": f"d{i:02d}" if i % 7 else f"\u00e9-{i}",
+                "timestamp": stamps[i % len(stamps)],
+                "ticker": "ACME",
+                "text": texts[i % len(texts)] + f" Item {i}.",
+                "next_day_return": (i % 5 - 2) / 100,
+            },
+            ensure_ascii=i % 2 == 0,
+        )
+        for i in range(48)
+    ]
+    random.Random(7).shuffle(lines)
+    return lines
+
+
+def test_ingest_writes_what_the_whole_list_chain_writes(tmp_path):
+    (tmp_path / "one").mkdir()
+    (tmp_path / "chain").mkdir()
+    one_pass = ingest_config(tmp_path / "one", _awkward_corpus(), newline="\r\n")
+    chain = ingest_config(tmp_path / "chain", _awkward_corpus(), newline="\r\n")
+    assert pipeline.stage_ingest(one_pass) == oracles.stage_ingest(chain)
+    for name in INGESTED:
+        assert (one_pass.workdir / name).read_bytes() == (chain.workdir / name).read_bytes(), name
+    assert sorted(p.name for p in one_pass.workdir.iterdir()) == sorted(INGESTED)
+
+
+def test_ingest_heap_does_not_grow_with_text_length(tmp_path):
+    """The stage keeps columns, not texts: padding every text by 2,000
+    characters grows its heap peak by under a tenth of what the padding adds
+    to the prepared file."""
+    padding = " ".join(["padding"] * 250)
+
+    def ingest(name, pad):
+        (tmp_path / name).mkdir()
+        lines = [corpus_line(i, ts=f"2020-01-01T00:{i // 60 % 60:02d}:{i % 60:02d}Z",
+                             text=f"Revenue rose {i}%. {pad}") for i in range(1000)]
+        config = ingest_config(tmp_path / name, lines)
+        tracemalloc.start()
+        try:
+            pipeline.stage_ingest(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, (config.workdir / "prepared.jsonl").stat().st_size
+
+    ingest("warm-up", "")
+    plain_peak, plain_bytes = ingest("plain", "")
+    padded_peak, padded_bytes = ingest("padded", padding)
+    assert padded_bytes - plain_bytes > 1000 * 2 * len(padding)  # text and clean_text
+    assert padded_peak - plain_peak < 0.1 * (padded_bytes - plain_bytes)

@@ -50,9 +50,14 @@ def _name(call: ast.Call) -> str | None:
     return None
 
 
+# Calls that open a file, each with the mode it takes when none is given.
+_OPENERS = {"open": "r", "fdopen": "r", "TemporaryFile": "w+b"}
+
+
 def _open_mode(call: ast.Call) -> str | None:
-    """The mode of an ``open``/``Path.open``/``os.fdopen`` call ("r" when not given)."""
-    if _name(call) not in ("open", "fdopen"):
+    """The mode of an ``open``/``Path.open``/``os.fdopen``/``tempfile.TemporaryFile``
+    call (its default when not given)."""
+    if _name(call) not in _OPENERS:
         return None
     for keyword in call.keywords:
         if keyword.arg == "mode":
@@ -63,7 +68,7 @@ def _open_mode(call: ast.Call) -> str | None:
         for arg in call.args
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
     ]
-    return modes[0] if modes else "r"
+    return modes[0] if modes else _OPENERS[_name(call)]
 
 
 def _opens(mode_chars: str) -> dict[str, list[int]]:

@@ -27,8 +27,8 @@ from ensemble_judge import agents, ingest, pipeline
 from ensemble_judge.agents import AgentSpec, prompt_digests, render_prompt
 from ensemble_judge.cli import main
 from ensemble_judge.domain import LENS_ORDER, DisclosureRecord, Lens
-from ensemble_judge.ingest import PreparedKeys, load_prepared, read_key_table, write_prepared
-from tests.oracles import expected_cache_keys, prompt_hash
+from ensemble_judge.ingest import PreparedKeys, load_prepared, read_key_table
+from tests.oracles import expected_cache_keys, prompt_hash, write_prepared
 
 texts = st.lists(
     st.sampled_from(["a", "é", "✓", " ", "\n", '"', "<DISCLOSURE>"]), min_size=1, max_size=8
