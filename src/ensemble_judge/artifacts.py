@@ -130,10 +130,13 @@ def write_binary(path: str | Path, chunks: Iterable[bytes]) -> None:
 
 
 def spool(directory: str | Path) -> BinaryIO:
-    """A temporary file in ``directory`` for bytes a stage writes and reads
-    back before they go to an artifact. It has no name from the start, so it
-    disappears when closed, or when the process dies."""
-    Path(directory).mkdir(parents=True, exist_ok=True)
+    """A temporary file for bytes a stage writes and reads back before they go
+    to an artifact in ``directory``; it has no name, so it disappears when
+    closed or when the process dies. It is made in the nearest existing of
+    ``directory`` and its ancestors, so a refused stage leaves no directory."""
+    directory = Path(directory).absolute()
+    while not directory.is_dir():
+        directory = directory.parent
     return tempfile.TemporaryFile(dir=directory)
 
 

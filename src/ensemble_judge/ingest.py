@@ -1,4 +1,5 @@
-"""Disclosure files, text preprocessing, and the chronological split.
+"""Disclosure files, text preprocessing, the prepared key table and the
+chronological split.
 
 The corpus file is UTF-8 line-delimited JSON, one record per line with keys
 exactly {id, timestamp, ticker, text, next_day_return}; the first four are
@@ -8,17 +9,22 @@ id repeats. The prepared file has the same lines with a non-empty
 Next to the prepared file, ``ingest`` writes its key table
 (``prepared.jsonl.keys``): the ids, targets, prompt digests and cache-key
 digests the reader stages need, stamped with what they depend on, so those
-stages skip the text.
+stages skip the text. :meth:`PreparedKeys.of` derives the digests from
+preprocessed records as they stream by, for ``ingest`` and for a reader
+stage that finds no current table; :func:`write_key_table` and
+:func:`read_key_table` hold the table's layout.
 Preprocessing collapses duplicated consecutive lines, lowercases ticker
 symbols inside a leading metadata block, normalizes whitespace, and
 truncates to a character budget derived from a token budget.
 
 ``ingest`` (:func:`prepare`) reads the corpus once: each line is checked,
 preprocessed and encoded as its prepared line, which waits in an unnamed
-spool file, while memory keeps a few columns a record and no text. One sort
+spool file, while memory keeps its keys and timestamp and no text. One sort
 by (timestamp, id) then orders the prepared file, its key table and the
-split. :func:`load_corpus`, :func:`preprocess_corpus` and
-:func:`chronological_split` are the same rules over lists of records.
+split. The list functions (:func:`load_corpus`, :func:`preprocess_corpus`,
+:func:`chronological_split`, :func:`load_prepared`) apply the same rules; no
+stage calls them, but the benchmark wraps or imports them and the tests
+chain them as the one pass's oracle.
 """
 
 from __future__ import annotations
@@ -31,14 +37,13 @@ from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .agents import AgentSpec, prompt_digester, prompt_digests, templates_sha256
+from .agents import AgentSpec, prompt_digester, templates_sha256
 from .artifacts import (
     InputError,
     finite_number,
@@ -110,14 +115,15 @@ def parse_rfc3339(value: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _disclosure_check(keys: frozenset[str]) -> Callable[[object], DisclosureRecord]:
-    """The check of each line, in file order, of a corpus (``CORPUS_KEYS``)
-    or prepared (``PREPARED_KEYS``) file: the line's record.
+def _disclosure_check(clean: Callable[[str], str] | None) -> Callable[[object], DisclosureRecord]:
+    """The check of each line, in file order, of a prepared file (``clean``
+    None) or of a corpus file, whose text gives ``clean_text`` through ``clean``.
 
-    Each line must carry exactly ``keys``, string text fields, a finite JSON
-    number as the return and an id no earlier line has; otherwise :class:`InputError`.
+    Each line must carry exactly its file's keys, string text fields, a finite
+    JSON number as the return and an id no earlier line has; otherwise :class:`InputError`.
     """
-    prepared = "clean_text" in keys
+    prepared = clean is None
+    keys = PREPARED_KEYS if prepared else CORPUS_KEYS
     seen: dict[str, int] = {}  # the line of each id
 
     def check(obj: object) -> DisclosureRecord:
@@ -131,7 +137,9 @@ def _disclosure_check(keys: frozenset[str]) -> Callable[[object], DisclosureReco
         ):
             key = next(k for k in _TEXT_KEYS if not isinstance(obj.get(k, ""), str))
             raise InputError(f"{key} must be a string, got {obj[key]!r}")
-        if prepared and not clean_text:
+        if not prepared:
+            clean_text = clean(text)
+        elif not clean_text:
             raise InputError("clean_text is empty")
         lineno = len(seen) + 1  # each earlier line passed, adding its id
         if seen.setdefault(rid, lineno) != lineno:
@@ -154,12 +162,12 @@ def load_corpus(path: str | Path) -> list[DisclosureRecord]:
     Records come back with ``clean_text`` empty; run :func:`preprocess_corpus`
     before anything downstream touches the text.
     """
-    return list(read_jsonl(path, _disclosure_check(CORPUS_KEYS), CorpusFormatError))
+    return list(read_jsonl(path, _disclosure_check(lambda text: ""), CorpusFormatError))
 
 
 def read_prepared(path: str | Path) -> Iterator[DisclosureRecord]:
     """The preprocessed disclosures, streaming (:class:`ArtifactError` on a bad line)."""
-    return read_jsonl(path, _disclosure_check(PREPARED_KEYS))
+    return read_jsonl(path, _disclosure_check(None))
 
 
 def load_prepared(path: str | Path) -> list[DisclosureRecord]:
@@ -188,12 +196,6 @@ _KEY_TABLE_MAGIC = b"ensemble-judge prepared keys 1\n"
 _PROMPT_BYTES = 32  # a raw sha256
 
 
-def _pair_key(rid: str, spec: AgentSpec, prompt: bytes, seed: int) -> bytes:
-    """The cache-key digest of the pair (disclosure ``rid``, agent ``spec``)
-    whose prompt has the raw sha256 ``prompt``."""
-    return key_digest(rid, spec.lens.value, spec.model_name, prompt.hex(), seed)
-
-
 @dataclass(frozen=True)
 class PreparedKeys:
     """What the reader stages use of a prepared file, without its text.
@@ -211,22 +213,26 @@ class PreparedKeys:
 
     @classmethod
     def of(
-        cls, records: Sequence[DisclosureRecord], specs: Sequence[AgentSpec], seed: int
+        cls, records: Iterable[DisclosureRecord], specs: Sequence[AgentSpec], seed: int
     ) -> "PreparedKeys":
-        ids = [r.id for r in records]
-        texts = [r.clean_text for r in records]
-        prompts = np.empty((len(ids), len(specs), _PROMPT_BYTES), dtype=np.uint8)
-        keys = np.empty((len(ids), len(specs)), dtype=DIGEST)
-        for column, spec in enumerate(specs):
-            digests = prompt_digests(spec.lens, texts)
-            prompts[:, column] = np.frombuffer(b"".join(digests), np.uint8).reshape(
-                -1, _PROMPT_BYTES
-            )
-            keys[:, column] = [
-                _pair_key(rid, spec, digest, seed) for rid, digest in zip(ids, digests)
-            ]
-        targets = np.array([r.binary_target for r in records], dtype=np.int64)
-        return cls(ids, targets, prompts, keys)
+        """The keys of preprocessed ``records``, taken one at a time as they
+        stream by: the only derivation of a pair's prompt and cache-key digests."""
+        columns = [(prompt_digester(s.lens), s.lens.value, s.model_name) for s in specs]
+        ids: list[str] = []
+        targets, prompts, keys = bytearray(), bytearray(), bytearray()
+        for record in records:
+            ids.append(record.id)
+            targets.append(record.binary_target)
+            for digest_of, lens, model_name in columns:
+                prompt = digest_of(record.clean_text)
+                prompts += prompt
+                keys += key_digest(record.id, lens, model_name, prompt.hex(), seed)
+        return cls(
+            ids,
+            np.frombuffer(targets, np.int8).astype(np.int64),
+            np.frombuffer(prompts, np.uint8).reshape(len(ids), len(specs), _PROMPT_BYTES),
+            np.frombuffer(keys, DIGEST).reshape(len(ids), len(specs)),
+        )
 
     def ids_at(self, rows: np.ndarray) -> list[str]:
         return [self.ids[row] for row in rows.tolist()]
@@ -251,7 +257,7 @@ def read_key_table(
     path: str | Path, specs: Sequence[AgentSpec], seed: int
 ) -> PreparedKeys | None:
     """The key table of the prepared file at ``path``: what
-    ``PreparedKeys.of(load_prepared(path), specs, seed)`` gives.
+    ``PreparedKeys.of(read_prepared(path), specs, seed)`` gives.
 
     None when the table is missing or unreadable, has another format version
     or a bad body digest, or its stamp does not match the prepared bytes,
@@ -280,6 +286,23 @@ def read_key_table(
         )
     except (OSError, LookupError, TypeError, ValueError):
         return None
+
+
+def write_key_table(path: Path, keys: PreparedKeys, specs: Sequence[AgentSpec], seed: int) -> None:
+    """Write ``keys`` as the key table of the prepared file at ``path`` (final
+    bytes): after the stamp, the targets (int8), the prompt digests and the key
+    digests, row by row, then the ids as one JSON array."""
+    write_stamped(
+        _key_table_path(path),
+        _KEY_TABLE_MAGIC,
+        {"rows": len(keys.ids), **_key_table_stamp(path, specs, seed)},
+        (
+            memoryview(keys.targets.astype(np.int8)),
+            memoryview(keys.prompts),
+            memoryview(keys.keys),
+            json.dumps(keys.ids).encode("ascii"),
+        ),
+    )
 
 
 # A metadata line is KEY: VALUE with an upper-case key.
@@ -402,13 +425,6 @@ def _time_split(
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
-_ROWS_PER_CHUNK = 4096  # key-table rows a streamed chunk of the table holds
-
-
-def _in_chunks(rows: Sequence[int], row_bytes: Callable[[int], bytes]) -> Iterator[bytes]:
-    """The ``row_bytes`` of each of ``rows``, joined :data:`_ROWS_PER_CHUNK` rows at a time."""
-    for at in range(0, len(rows), _ROWS_PER_CHUNK):
-        yield b"".join(map(row_bytes, rows[at : at + _ROWS_PER_CHUNK]))
 
 
 def prepare(
@@ -428,60 +444,37 @@ def prepare(
     the first bad line, the first record in file order whose text cleans to
     nothing, then the split's; no file is written unless all pass.
     """
-    check = _disclosure_check(CORPUS_KEYS)
-    digesters = [prompt_digester(spec.lens) for spec in specs]
-    ids: list[str] = []
     times = array("q")  # microseconds since the epoch
-    targets = bytearray()
-    prompts = bytearray()  # per record, the raw sha256 of each spec's prompt
     offsets = array("q", [0])  # where each record's prepared line starts in the spool
-    blank: str | None = None  # the first record whose text cleans to nothing
+    blank: list[str] = []  # the records whose text cleans to nothing
     with spool(prepared.parent) as lines:
-        for record in read_jsonl(corpus, check, CorpusFormatError):
-            clean = preprocess(record.raw_text, cfg)
-            if not clean and blank is None:
-                blank = record.id
-            ids.append(record.id)
-            times.append((record.timestamp - _EPOCH) // _MICROSECOND)
-            targets.append(record.binary_target)
-            for digest_of in digesters:
-                prompts += digest_of(clean)
-            line = json_line(corpus_row(record, clean_text=clean)).encode()
-            lines.write(line)
-            offsets.append(offsets[-1] + len(line))
-        if blank is not None:
-            raise InputError(f"disclosure {blank!r} has no text after preprocessing")
-        order = sorted(range(len(ids)), key=lambda row: (times[row], ids[row]))
-        ordered_ids = [ids[row] for row in order]
-        split = _time_split(ordered_ids, fractions)
+
+        def spooled() -> Iterator[DisclosureRecord]:
+            check = _disclosure_check(lambda text: preprocess(text, cfg))
+            for record in read_jsonl(corpus, check, CorpusFormatError):
+                if not record.clean_text:
+                    blank.append(record.id)
+                times.append((record.timestamp - _EPOCH) // _MICROSECOND)
+                line = json_line(corpus_row(record, clean_text=record.clean_text)).encode()
+                lines.write(line)
+                offsets.append(offsets[-1] + len(line))
+                yield record
+
+        keys = PreparedKeys.of(spooled(), specs, seed)
+        if blank:
+            raise InputError(f"disclosure {blank[0]!r} has no text after preprocessing")
+        order = sorted(range(len(times)), key=lambda row: (times[row], keys.ids[row]))
+        keys = PreparedKeys([keys.ids[row] for row in order], *(
+            column[order] for column in (keys.targets, keys.prompts, keys.keys)
+        ))
+        split = _time_split(keys.ids, fractions)
 
         lines.flush()
         fd = lines.fileno()
         write_binary(
-            prepared,
-            (os.pread(fd, offsets[row + 1] - offsets[row], offsets[row]) for row in order),
+            prepared, (os.pread(fd, offsets[r + 1] - offsets[r], offsets[r]) for r in order)
         )
-
-    width = len(specs) * _PROMPT_BYTES  # a record's prompt digests
-
-    def key_row(row: int) -> bytes:
-        rid, at = ids[row], row * width
-        return b"".join(
-            _pair_key(rid, spec, prompts[start : start + _PROMPT_BYTES], seed)
-            for start, spec in zip(range(at, at + width, _PROMPT_BYTES), specs)
-        )
-
-    write_stamped(
-        _key_table_path(prepared),
-        _KEY_TABLE_MAGIC,
-        {"rows": len(order), **_key_table_stamp(prepared, specs, seed)},
-        chain(
-            (bytes(map(targets.__getitem__, order)),),
-            _in_chunks(order, lambda row: prompts[row * width : (row + 1) * width]),
-            _in_chunks(order, key_row),
-            (json.dumps(ordered_ids).encode("ascii"),),
-        ),
-    )
+    write_key_table(prepared, keys, specs, seed)
     write_split(split, split_path)
     return split
 

@@ -7,9 +7,11 @@ cache fully covers the records they consume.
 
 The stages after ``ingest`` match disclosures to cached judgments as arrays
 of per-pair digests (:class:`ingest.PreparedKeys`), read from the prepared
-file's key table when its stamp matches and built from a full parse of the
-prepared file otherwise. Only ``run-agents`` with HTTP agents and pairs to
-fetch reads the disclosure text.
+file's key table when its stamp matches, else built as ``ingest`` builds
+the table, from the prepared records as they are parsed, holding no text.
+Only ``run-agents`` with HTTP agents and pairs to fetch keeps disclosure
+text: that of the pairs in flight. The list form ``load_prepared`` stays
+importable here, for the benchmark's mock endpoint.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .evaluation import EvalReport, evaluate_judgments, write_report
 from .features import feature_lines, feature_matrix, read_feature_file, write_feature_file
 from .ingest import (
     PreparedKeys,
-    load_prepared,
+    load_prepared,  # ``perfbench/mock_endpoint.py`` imports it from here; no stage calls it
     load_split,
     prepare,
     read_key_table,
@@ -121,7 +123,7 @@ def _prepared(config: RunConfig) -> PreparedKeys:
     path = _require(config.prepared_path, "preprocessed corpus")
     specs = config.agent_specs()
     keys = read_key_table(path, specs, config.seed)
-    return keys if keys is not None else PreparedKeys.of(load_prepared(path), specs, config.seed)
+    return keys if keys is not None else PreparedKeys.of(read_prepared(path), specs, config.seed)
 
 
 def _split_rows(config: RunConfig, keys: PreparedKeys) -> dict[Split, np.ndarray]:

@@ -549,10 +549,10 @@ class TestHttpRunAgentsWindow:
         assert run(cfg_path, "run-agents", "--split", str(subset)) == 0
         sent_before = len(ep.requests)
 
-        def refuse(path):
-            raise AssertionError(f"{path} was loaded whole")
+        def refuse(*args):
+            raise AssertionError("the full-parse fallback ran")
 
-        monkeypatch.setattr(pipeline_module, "load_prepared", refuse)
+        monkeypatch.setattr(pipeline_module.PreparedKeys, "of", refuse)
         capsys.readouterr()
         assert run(cfg_path, "run-agents") == 0
         cached = set(split["train"][::2])

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from ensemble_judge import pipeline
 from ensemble_judge.agents import AgentSpec
 from ensemble_judge.artifacts import InputError
+from ensemble_judge.cli import main
 from ensemble_judge.config import RunConfig
 from ensemble_judge.domain import LENS_ORDER, DisclosureRecord, Split
 from ensemble_judge.ingest import (
@@ -309,7 +311,7 @@ def ingest_config(tmp_path, lines, newline="\n", **overrides):
 
 
 def assert_nothing_written(config):
-    assert not config.workdir.exists() or list(config.workdir.iterdir()) == []
+    assert not config.workdir.exists()
 
 
 class TestIngestRefusalOrder:
@@ -358,6 +360,32 @@ class TestIngestRefusalOrder:
         with pytest.raises(InputError, match=message):
             pipeline.stage_ingest(config)
         assert_nothing_written(config)
+
+
+# A corpus of each kind of ingest refusal, and the start of its error line.
+REFUSED_CORPORA = {
+    "malformed-line-2": ([corpus_line(0), "{not json", corpus_line(2)], "corpus.jsonl: line 2:"),
+    "empty-text": (
+        [corpus_line(i, text=" " if i == 3 else "Up.") for i in range(9)], "disclosure 'r3'"
+    ),
+    "too-few-records": ([corpus_line(i) for i in range(4)], "need at least 5 records"),
+}
+
+
+@pytest.mark.parametrize("workdir", ["run", "a/b/run"])
+@pytest.mark.parametrize("corpus", REFUSED_CORPORA)
+def test_a_refused_ingest_leaves_no_new_directory(tmp_path, monkeypatch, capsys, workdir, corpus):
+    lines, message = REFUSED_CORPORA[corpus]
+    monkeypatch.chdir(tmp_path)
+    Path("corpus.jsonl").write_text("".join(line + "\n" for line in lines))
+    Path("config.json").write_text(json.dumps({
+        "workdir": workdir, "corpus_path": "corpus.jsonl", "latents_path": "latents.jsonl",
+        "stub_agents": {"enabled": True},
+    }))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["ingest", "--config", "config.json"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def _awkward_corpus() -> list[str]:

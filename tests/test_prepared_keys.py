@@ -15,6 +15,7 @@ import json
 import re
 import shutil
 import tempfile
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -23,9 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensemble_judge import agents, ingest, pipeline
+from ensemble_judge import agents, pipeline
 from ensemble_judge.agents import AgentSpec, prompt_digests, render_prompt
 from ensemble_judge.cli import main
+from ensemble_judge.config import load_config
 from ensemble_judge.domain import LENS_ORDER, DisclosureRecord, Lens
 from ensemble_judge.ingest import PreparedKeys, load_prepared, read_key_table
 from tests.oracles import expected_cache_keys, prompt_hash, write_prepared
@@ -286,11 +288,12 @@ def test_a_current_table_spares_the_text(base, tmp_path, monkeypatch, capsys):
     cfg, workdir = _copy(base, tmp_path)
     before = {name: (workdir / name).read_bytes() for name in ARTIFACTS}
 
-    def refuse(path):
-        raise AssertionError(f"{path} was parsed")
+    def refuse(*args):
+        raise AssertionError("the prepared file was parsed")
 
-    monkeypatch.setattr(ingest, "load_prepared", refuse)
-    monkeypatch.setattr(pipeline, "load_prepared", refuse)
+    # The full-parse fallback, and the reader of the text.
+    monkeypatch.setattr(PreparedKeys, "of", refuse)
+    monkeypatch.setattr(pipeline, "read_prepared", refuse)
     capsys.readouterr()
     for stage in STAGES:
         assert _run(cfg, stage) == 0, stage
@@ -303,3 +306,38 @@ def test_a_current_table_spares_the_text(base, tmp_path, monkeypatch, capsys):
     assert _run(cfg, "run-agents") == 0
     assert "0 cached, 900 fetched" in capsys.readouterr().out
     assert _cache_lines(workdir) == _cache_lines(base)
+
+
+def test_the_full_parse_heap_does_not_grow_with_text_length(tmp_path):
+    """With the key table deleted, the stages' full parse keeps the keys, not
+    the texts: padding every text by 2,000 characters grows its heap peak by
+    under a tenth of what the padding adds to the prepared file."""
+    padding = " ".join(["padding"] * 250)
+
+    def full_parse(name, pad):
+        workdir = tmp_path / name / "run"
+        workdir.mkdir(parents=True)
+        cfg = _config(tmp_path / name)
+        (workdir / "corpus.jsonl").write_text("".join(
+            json.dumps({"id": f"r{i}", "timestamp": f"2020-01-01T00:{i // 60:02d}:{i % 60:02d}Z",
+                        "ticker": "ACME", "text": f"Revenue rose {i}%. {pad}",
+                        "next_day_return": 0.01}) + "\n"
+            for i in range(1000)
+        ))
+        assert _run(cfg, "ingest") == 0
+        (workdir / "prepared.jsonl.keys").unlink()
+        config = load_config(cfg)
+        tracemalloc.start()
+        try:
+            keys = pipeline._prepared(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(keys.ids) == 1000
+        return peak, (workdir / "prepared.jsonl").stat().st_size
+
+    full_parse("warm-up", "")
+    plain_peak, plain_bytes = full_parse("plain", "")
+    padded_peak, padded_bytes = full_parse("padded", padding)
+    assert padded_bytes - plain_bytes > 1000 * 2 * len(padding)  # text and clean_text
+    assert padded_peak - plain_peak < 0.1 * (padded_bytes - plain_bytes)
