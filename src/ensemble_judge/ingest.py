@@ -464,9 +464,8 @@ def prepare(
         if blank:
             raise InputError(f"disclosure {blank[0]!r} has no text after preprocessing")
         order = sorted(range(len(times)), key=lambda row: (times[row], keys.ids[row]))
-        keys = PreparedKeys([keys.ids[row] for row in order], *(
-            column[order] for column in (keys.targets, keys.prompts, keys.keys)
-        ))
+        ids = [keys.ids[row] for row in order]
+        keys = PreparedKeys(ids, keys.targets[order], keys.prompts[order], keys.keys[order])
         split = _time_split(keys.ids, fractions)
 
         lines.flush()
