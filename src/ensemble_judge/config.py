@@ -200,9 +200,9 @@ def load_config(path: str | Path) -> RunConfig:
     """The run config in ``path``; its relative paths resolve against its directory.
 
     Keys the file leaves out take the dataclass defaults. Each refusal is an
-    :class:`InputError` naming the file: a file that is not JSON, an unknown
-    key, a missing key or a value of the wrong JSON type, named by its key,
-    starts with the path; a rule of :class:`RunConfig` as a whole ends with it.
+    :class:`InputError` whose message starts with the path: a file that is
+    not JSON, an unknown key, a missing key or a value of the wrong JSON type
+    (named by its key), and a rule of :class:`RunConfig` as a whole.
     """
     path = Path(path)
     try:
@@ -235,11 +235,8 @@ def load_config(path: str | Path) -> RunConfig:
             train=_section(TrainConfig, grid=_floats, tol=_float, max_iter=_int),
             eval=_section(EvalConfig, delta=_float, sensitivity_deltas=_floats),
         )
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    if "stub_agents" in given:
-        given["stub"] = given.pop("stub_agents")
-    try:
+        if "stub_agents" in given:
+            given["stub"] = given.pop("stub_agents")
         return RunConfig(**given)
     except InputError as exc:
-        raise InputError(f"{exc} (in {path})") from None
+        raise InputError(f"{path}: {exc}") from None

@@ -8,7 +8,8 @@ indicator of the most confident agent (12-14).
 The pipeline builds whole feature matrices at once with
 :func:`feature_matrix` from ``(n, 3)`` label-code and confidence blocks; it is
 the one implementation of the rules. The per-disclosure rules are test
-oracles.
+oracles. A feature file's lines are rendered, and read back, as they
+stream: neither side holds a whole file or the matrix as Python floats.
 """
 
 from __future__ import annotations
@@ -70,16 +71,26 @@ def feature_matrix(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
 build_features = feature_matrix
 
 
+# Rows per block of the matrix turned into Python floats: a block (about
+# 0.5 KB a row) stays small beside the matrix.
+_ROWS_PER_BLOCK = 1024
+
+
 def feature_lines(ids: Sequence[str], X: np.ndarray, targets: Sequence[int]) -> Iterator[str]:
     """One JSON line {disclosure_id, features, target} per row, each ending in a newline.
 
     Row order is the caller's responsibility (the pipeline passes the sorted
-    split order), so the lines are a pure function of the inputs.
+    split order), so the lines are a pure function of the inputs. The rows
+    are rendered a block at a time, as the lines are iterated.
     """
-    return json_lines(
-        {"disclosure_id": disclosure_id, "features": features, "target": int(target)}
-        for disclosure_id, features, target in zip(ids, X.tolist(), targets)
-    )
+    for start in range(0, len(X), _ROWS_PER_BLOCK):
+        stop = start + _ROWS_PER_BLOCK
+        yield from json_lines(
+            {"disclosure_id": disclosure_id, "features": features, "target": int(target)}
+            for disclosure_id, features, target in zip(
+                ids[start:stop], X[start:stop].tolist(), targets[start:stop]
+            )
+        )
 
 
 def write_feature_file(
@@ -89,8 +100,8 @@ def write_feature_file(
     write_text(path, feature_lines(ids, X, targets))
 
 
-def read_feature_file(path: str | Path) -> list[bytes]:
-    """The lines of one feature file as bytes, each with its newline byte;
-    a carriage return does not end a line."""
+def read_feature_file(path: str | Path) -> Iterator[bytes]:
+    """The lines of one feature file as bytes, each with its newline byte,
+    read as they are iterated; a carriage return does not end a line."""
     with Path(path).open("rb") as fh:
-        return fh.readlines()
+        yield from fh

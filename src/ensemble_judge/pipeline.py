@@ -12,6 +12,11 @@ the table, from the prepared records as they are parsed, holding no text.
 Only ``run-agents`` with HTTP agents and pairs to fetch keeps disclosure
 text: that of the pairs in flight. The list form ``load_prepared`` stays
 importable here, for the benchmark's mock endpoint.
+
+Beyond those arrays, the cache table and a split's feature matrix, a stage
+holds no whole-run copy: the stub latents, the feature lines written and
+compared, and the model's prompt digest all stream a block at a time, and
+``train`` lets the key table go before the fit.
 """
 
 from __future__ import annotations
@@ -156,18 +161,17 @@ def _stub_blocks(
     config: RunConfig, keys: PreparedKeys, rows: np.ndarray, columns: np.ndarray
 ) -> Iterator[CacheBlock]:
     """The stub agents' judgments of the pairs (prepared row, spec column)."""
-    position, signals, seeds = read_latents(_require(config.latents_path, "latents sidecar"))
-    lacking = sorted({keys.ids[row] for row in rows.tolist()} - position.keys())
-    if lacking:
+    path = _require(config.latents_path, "latents sidecar")
+    signals, seeds, lines = read_latents(path, keys.ids)
+    # A row without a latents line is refused only if it is judged.
+    lacking = np.unique(rows[lines[rows] == 0])
+    if lacking.size:
         raise ArtifactError(
-            f"{config.latents_path}: no latent signals for {len(lacking)} disclosures, "
-            f"e.g. {lacking[:3]}"
+            f"{path}: no latent signals for {len(lacking)} disclosures, "
+            f"e.g. {sorted(keys.ids_at(lacking))[:3]}"
         )
-    # Each prepared row's latents line; a row without one is never judged.
-    line = np.fromiter((position.get(rid, 0) for rid in keys.ids), np.int64, len(keys.ids))
     yield from stub_blocks(
-        keys, rows, columns, config.agent_specs(), signals[line],
-        [seeds[i] for i in line.tolist()], config.seed,
+        keys, rows, columns, config.agent_specs(), signals, seeds, config.seed
     )
 
 
@@ -328,25 +332,41 @@ def _checked_features(
     """``X`` and the targets of the prepared ``rows``, once the feature file at
     ``path`` holds exactly their :func:`feature_lines`, byte for byte.
 
-    ``X`` is the rows' feature matrix rebuilt from the cache.
+    ``X`` is the rows' feature matrix rebuilt from the cache. The file's
+    lines are compared as they stream by.
     """
     y = keys.targets[rows]
     lines = feature_lines(keys.ids_at(rows), X, y)
-    for lineno, (stored, line) in enumerate(zip_longest(read_feature_file(path), lines), 1):
-        if stored is None or line is None or stored != line.encode():
-            raise ArtifactError(
-                f"{path}: line {lineno} differs from the features of the current split "
-                "and agent cache (stale features? re-run build-features)"
-            )
+    with closing(read_feature_file(path)) as stored_lines:
+        for lineno, (stored, line) in enumerate(zip_longest(stored_lines, lines), 1):
+            if stored is None or line is None or stored != line.encode():
+                raise ArtifactError(
+                    f"{path}: line {lineno} differs from the features of the current split "
+                    "and agent cache (stale features? re-run build-features)"
+                )
     return X, y
+
+
+# Sorted prompt digests hashed per block: a block's copy and hex lines (about
+# 160 bytes a digest) stay small beside the sorted digests.
+_DIGESTS_PER_BLOCK = 4096
 
 
 def _prompt_digest(prompts: np.ndarray) -> str:
     """The model file's ``prompt_hash_digest``: the sha256 of the hex prompt
-    digests of ``prompts`` (raw sha256 rows), sorted, one per line."""
+    digests of ``prompts`` (raw sha256 rows), sorted, one per line.
+
+    The lines are hashed a block at a time; only the sorted digests are held.
+    """
     width = prompts.shape[-1]
     ordered = np.sort(prompts.reshape(-1, width).view(f"S{width}").ravel())
-    return hashlib.sha256(ordered.tobytes().hex("\n", width).encode("ascii")).hexdigest()
+    digest = hashlib.sha256()
+    for start in range(0, len(ordered), _DIGESTS_PER_BLOCK):
+        if start:
+            digest.update(b"\n")
+        block = ordered[start : start + _DIGESTS_PER_BLOCK].tobytes()
+        digest.update(block.hex("\n", width).encode("ascii"))
+    return digest.hexdigest()
 
 
 def stage_train(config: RunConfig) -> dict:
@@ -372,6 +392,8 @@ def stage_train(config: RunConfig) -> dict:
     n_train = len(train_rows)
     train = _checked_features(paths[Split.TRAIN], keys, train_rows, X[:n_train])
     dev = _checked_features(paths[Split.DEV], keys, dev_rows, X[n_train:])
+    prompt_hash_digest = _prompt_digest(keys.prompts[train_rows])
+    del keys  # free the key table before the fit
 
     try:
         model, dev_scores = train_meta_model(
@@ -380,7 +402,7 @@ def stage_train(config: RunConfig) -> dict:
             grid=config.train.grid,
             tol=config.train.tol,
             max_iter=config.train.max_iter,
-            prompt_hash_digest=_prompt_digest(keys.prompts[train_rows]),
+            prompt_hash_digest=prompt_hash_digest,
             n_outputs=3 * n_train,
         )
     except ConvergenceError as exc:

@@ -547,12 +547,13 @@ class CacheStore:
             "cache_sha256": prefix_sha256(self.path, self._end),
             "byteorder": sys.byteorder,
         }
+        # Views, not copies: each is one write of the file.
         columns = (self._labels, self._sources, self._confidences, self._offsets)
         write_stamped(
             self._snapshot_path,
             _SNAPSHOT_MAGIC,
             header,
-            (*map(memoryview, columns), self._digests.tobytes(), self._rows.tobytes()),
+            map(memoryview, (*columns, self._digests, self._rows)),
         )
 
     def close(self) -> None:

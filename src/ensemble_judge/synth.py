@@ -7,6 +7,10 @@ only its own lens signal through seeded noise. This reproduces the
 qualitative structure the pipeline is meant to exploit: three informative
 but imperfect judges whose disagreement carries signal, with no model
 endpoint anywhere.
+
+A stub ``run-agents`` reads the latents sidecar as it streams, a block of
+lines at a time, straight into arrays in the key table's row order; no
+line is kept once its block is checked.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import count, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -218,15 +223,16 @@ def stub_agent(
     )
 
 
-# Pairs per block of vectorized seed mixing and cache appends: large enough
-# to amortize the array calls and the write, small enough that a block's
-# buffers (a few hundred bytes a pair) do not raise the stage's peak memory.
+# Pairs per block of vectorized seed mixing and cache appends, and lines per
+# block of the latents read: large enough to amortize the array calls and
+# the write, small enough that a block's buffers (a few hundred bytes a pair
+# or a line) do not raise the stage's peak memory.
 NOISE_CHUNK = 1024
 
 
 def stub_blocks(
     keys: PreparedKeys, rows: np.ndarray, columns: np.ndarray, specs: Sequence[AgentSpec],
-    signals: np.ndarray, noise_seeds: Sequence[int], seed: int,
+    signals: np.ndarray, noise_seeds: np.ndarray, seed: int,
 ) -> Iterator[CacheBlock]:
     """:func:`stub_agent`'s judgment of each pair (prepared row, spec column),
     with the key table's prompt digest and the run's ``seed``, as cache
@@ -247,8 +253,8 @@ def stub_blocks(
         at, ids = c.tolist(), keys.ids_at(r)
         lenses = [lens_names[column] for column in at]
         pair_seeds = [
-            _noise_seed(lens, rid, noise_seeds[row])
-            for lens, rid, row in zip(lenses, ids, r.tolist())
+            _noise_seed(lens, rid, noise_seed)
+            for lens, rid, noise_seed in zip(lenses, ids, noise_seeds[r].tolist())
         ]
         draws = normal_draws(pair_seeds, [scales[column] for column in at])
         obs = signs[c] * signals[r, observed[c].astype(np.int64)] + draws
@@ -282,40 +288,83 @@ def _latent_row(obj: object) -> tuple:
     return row
 
 
-def read_latents(path: str | Path) -> tuple[dict[str, int], np.ndarray, list[int]]:
-    """The latents in ``path`` as arrays in file order: each id's line index,
-    the ``(m, 3)`` performance, guidance and risk signals, and the noise
-    seeds. An id may appear on one line only.
-
-    The values are checked as columns; when one breaks a
-    :class:`LatentDisclosure` rule, the first line that does is named with
-    that rule's message.
-    """
-    rows = list(read_jsonl(path, _latent_row))
-    values = [value for row in rows for value in row[1:4]]
-    seeds = [row[4] for row in rows]
-    signals = np.full((len(rows), 3), np.nan)
-    if set(map(type, values)) <= {int, float} and set(map(type, seeds)) <= {int}:
-        try:
-            signals = np.array(values, dtype=np.float64).reshape(-1, 3)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    if not (np.abs(signals) <= 1.0).all():  # NaN fails too
-        for lineno, (_, *latent) in enumerate(rows, start=1):
+def _block_signals(block: Sequence[tuple], start: int) -> np.ndarray:
+    """The ``(k, 3)`` signals of the :func:`_latent_row` rows of the lines
+    from ``start`` on, checked as columns; when a value breaks a
+    :class:`LatentDisclosure` rule, the first line that does is refused with
+    that rule's message."""
+    values = [value for row in block for value in row[1:4]]
+    if not (
+        {type(row[4]) for row in block} <= {int}
+        and set(map(type, values)) <= {int, float}
+        and all(-1.0 <= value <= 1.0 for value in values)  # NaN fails too
+    ):
+        for lineno, (_, *latent) in enumerate(block, start):
             try:
                 LatentDisclosure(*latent)
             except InputError as exc:
-                raise ArtifactError(f"{path}: line {lineno}: {exc}") from None
-    position: dict[str, int] = {}
-    for index, (rid, *_) in enumerate(rows):
-        if position.setdefault(rid, index) != index:
-            raise ArtifactError(
-                f"{path}: duplicate id {rid!r} on lines {position[rid] + 1} and {index + 1}"
-            )
-    return position, signals, seeds
+                raise InputError(f"line {lineno}: {exc}") from None
+    return np.array(values, dtype=np.float64).reshape(-1, 3)
+
+
+def read_latents(
+    path: str | Path, ids: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The latents in ``path`` of each of ``ids``, in the order of ``ids``:
+    the ``(n, 3)`` performance, guidance and risk signals (float64), the
+    noise seeds (uint64, or Python ints once one does not fit) and the
+    1-based line that holds each id, 0 for an id with no line.
+
+    The lines stream by :data:`NOISE_CHUNK` at a time, each block's values
+    checked as columns, and only the arrays are kept. Every line is
+    checked, that of an id outside ``ids`` too, and refused in this order: a
+    line that is not an object of the five keys with a string id; the first
+    line that breaks a :class:`LatentDisclosure` rule, with that rule's
+    message; the first id repeated, naming both its lines.
+    """
+    row_of = dict(zip(ids, range(len(ids))))
+    signals = np.zeros((len(ids), 3))
+    seeds = np.zeros(len(ids), np.uint64)
+    lines = np.zeros(len(ids), np.int64)
+    other: dict[str, int] = {}  # the line of each id outside ``ids``
+    broken = repeated = None  # the first refusal of each kind, deferred
+    rows = read_jsonl(path, _latent_row)
+    for start in count(1, NOISE_CHUNK):
+        block = list(islice(rows, NOISE_CHUNK))
+        if not block:
+            break
+        if broken is not None:
+            continue  # a later line may still be malformed, which comes first
+        try:
+            block_signals = _block_signals(block, start)
+        except InputError as exc:
+            broken = f"{path}: {exc}"
+            continue
+        mine, at = [], []  # the block's first lines of ``ids``, and their rows
+        for lineno, (rid, *_) in enumerate(block, start):
+            row = row_of.get(rid)
+            first = other.setdefault(rid, lineno) if row is None else int(lines[row]) or lineno
+            if first != lineno:
+                repeated = repeated or f"{path}: duplicate id {rid!r} on lines {first} and {lineno}"
+            elif row is not None:
+                lines[row] = lineno
+                mine.append(lineno - start)
+                at.append(row)
+        block_seeds = [block[offset][4] for offset in mine]
+        if seeds.dtype == np.uint64 and not all(0 <= seed < 1 << 64 for seed in block_seeds):
+            seeds = seeds.astype(object)  # Python ints hold any seed
+        signals[at] = block_signals[mine]
+        seeds[at] = block_seeds
+    if broken or repeated:
+        raise ArtifactError(broken or repeated)
+    return signals, seeds, lines
 
 
 def load_latents(path: str | Path) -> dict[str, LatentDisclosure]:
-    """The latents of each id in ``path``, from :func:`read_latents`."""
-    position, signals, seeds = read_latents(path)
-    return {rid: LatentDisclosure(*signals[i].tolist(), seeds[i]) for rid, i in position.items()}
+    """The latents of each id in ``path``, in file order, from :func:`read_latents`."""
+    ids = [row[0] for row in read_jsonl(path, _latent_row)]
+    signals, seeds, _ = read_latents(path, ids)
+    return {
+        rid: LatentDisclosure(*signal, seed)
+        for rid, signal, seed in zip(ids, signals.tolist(), seeds.tolist())
+    }

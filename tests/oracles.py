@@ -5,8 +5,9 @@ The pipeline builds features, votes and regimes for whole splits at once
 ``evaluation.evaluate_judgments`` over ``(n, 3)`` label-code and confidence
 blocks), keys the cache by digests of pairs whose prompts it never renders,
 draws the stub agents' noise and appends their cache lines a block of pairs
-at a time, writes each cache line field by field, and ingests the corpus in
-one pass through a spool of prepared lines (``ingest.prepare``).
+at a time, writes each cache line field by field, ingests the corpus in
+one pass through a spool of prepared lines (``ingest.prepare``), and
+streams the latents sidecar and the model's prompt digest a block at a time.
 These are the same rules written one item at a time, in the plainest form,
 so tests can compare the two; no production code calls them.
 """
@@ -23,9 +24,15 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ensemble_judge import ingest, store
+from ensemble_judge import ingest, store, synth
 from ensemble_judge.agents import AgentSpec, render_prompt
-from ensemble_judge.artifacts import write_jsonl, write_stamped
+from ensemble_judge.artifacts import (
+    ArtifactError,
+    InputError,
+    read_jsonl,
+    write_jsonl,
+    write_stamped,
+)
 from ensemble_judge.config import RunConfig
 from ensemble_judge.domain import (
     FEAT_GAP,
@@ -502,3 +509,46 @@ def stage_ingest(config: RunConfig) -> dict:
     write_prepared(records, config.prepared_path, config.agent_specs(), config.seed)
     ingest.write_split(split, config.split_path)
     return {"records": len(records), **{s.value: len(ids) for s, ids in split.items()}}
+
+
+def read_latents(path: str | Path, ids: Sequence[str]) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """``synth.read_latents`` as a whole-file read: every line kept as a tuple,
+    the values checked as columns once all are read, then each id's line
+    picked out (the signals, the seeds and the 1-based line; zeros for an id
+    with no line)."""
+    rows = list(read_jsonl(path, synth._latent_row))
+    values = [value for row in rows for value in row[1:4]]
+    seeds = [row[4] for row in rows]
+    signals = np.full((len(rows), 3), np.nan)
+    if set(map(type, values)) <= {int, float} and set(map(type, seeds)) <= {int}:
+        try:
+            signals = np.array(values, dtype=np.float64).reshape(-1, 3)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not (np.abs(signals) <= 1.0).all():  # NaN fails too
+        for lineno, (_, *latent) in enumerate(rows, start=1):
+            try:
+                LatentDisclosure(*latent)
+            except InputError as exc:
+                raise ArtifactError(f"{path}: line {lineno}: {exc}") from None
+    position: dict[str, int] = {}
+    for index, (rid, *_) in enumerate(rows):
+        if position.setdefault(rid, index) != index:
+            raise ArtifactError(
+                f"{path}: duplicate id {rid!r} on lines {position[rid] + 1} and {index + 1}"
+            )
+    line = np.fromiter((position.get(rid, -1) for rid in ids), np.int64, len(ids))
+    found = line >= 0
+    return (
+        np.where(found[:, None], signals[line], 0.0),
+        [seeds[i] if ok else 0 for i, ok in zip(line.tolist(), found.tolist())],
+        line + 1,
+    )
+
+
+def prompt_digest(prompts: np.ndarray) -> str:
+    """The model file's ``prompt_hash_digest`` as one string: the sha256 of
+    the hex prompt digests of ``prompts`` (raw sha256 rows), sorted, one per line."""
+    width = prompts.shape[-1]
+    ordered = np.sort(prompts.reshape(-1, width).view(f"S{width}").ravel())
+    return hashlib.sha256(ordered.tobytes().hex("\n", width).encode("ascii")).hexdigest()

@@ -135,9 +135,10 @@ def test_a_value_out_of_range_is_refused_at_load_naming_its_key(tmp_path, capsys
     every command exits 1 before it reads anything else."""
     from ensemble_judge.cli import main
 
-    assert main(["ingest", "--config", str(_write(tmp_path, **fields))]) == 1
+    path = _write(tmp_path, **fields)
+    assert main(["ingest", "--config", str(path)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {key} must be")
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {key} must be")
 
 
 def test_cli_reports_an_unknown_key_on_one_line(tmp_path, capsys):
@@ -261,7 +262,7 @@ def test_a_rule_of_the_run_config_names_the_config_file(tmp_path, capsys, fields
     path.write_text(json.dumps(cfg))
     assert main(["ingest", "--config", str(path)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
 
 
 def _without_model_names():

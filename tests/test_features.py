@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from ensemble_judge.domain import FEAT_CONFS, FEAT_GAP, FEATURE_DIM, Lens, SentimentLabel
 from ensemble_judge.features import (
     confidence_gaps,
+    feature_lines,
     feature_matrix,
     majority_labels,
 )
@@ -175,3 +177,18 @@ class TestExhaustiveLabelPatterns:
                 assert got is expected
             else:
                 assert got is combo[0]  # unit-confidence tie -> performance agent
+
+
+def test_feature_lines_render_a_block_of_rows_at_a_time():
+    """The lines of a 50,000 x 15 matrix stream with a heap peak under 2 MB;
+    the whole matrix as Python floats would take about 27 MB."""
+    X = np.random.default_rng(0).random((50_000, 15))
+    ids = [f"d{i:05d}" for i in range(50_000)]
+    targets = np.zeros(50_000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in feature_lines(ids, X, targets))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 50_000 and peak < 2 * 2**20

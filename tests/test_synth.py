@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,7 +190,7 @@ class TestAgainstTheStubOracle:
                 for lat in (latents[r.id] for r in records)
             ]
         )
-        seeds = [latents[r.id].noise_seed for r in records]
+        seeds = np.array([latents[r.id].noise_seed for r in records], dtype=np.uint64)
         blocks = list(stub_blocks(keys, rows, columns, specs, signals, seeds, 42))
         triples = [
             (record.id, lens, oracles.prompt_hash(render_prompt(lens, record.clean_text)))
@@ -244,3 +245,92 @@ class TestLatentsSidecar:
         path = tmp_path / "latents.jsonl"
         write_latents(latents, path)
         assert load_latents(path) == latents
+
+    @staticmethod
+    def _written(tmp_path, n):
+        """A latents file of ``n`` disclosures, and its ids in file order."""
+        _, latents = generate_corpus(max(n, 100), seed=4)
+        latents = dict(list(latents.items())[:n])
+        path = tmp_path / f"latents-{n}.jsonl"
+        write_latents(latents, path)
+        return path, list(latents)
+
+    def test_the_stream_reads_what_the_whole_file_read_reads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(synth, "NOISE_CHUNK", 7)
+        path, ids = self._written(tmp_path, 120)
+        # Another order than the file's; two ids lack a line, ten lines an id.
+        wanted = ids[::-1][10:] + ["absent-1", "absent-2"]
+        signals, seeds, lines = synth.read_latents(path, wanted)
+        expected_signals, expected_seeds, expected_lines = oracles.read_latents(path, wanted)
+        assert np.array_equal(signals, expected_signals)
+        assert seeds.dtype == np.uint64 and seeds.tolist() == expected_seeds
+        assert np.array_equal(lines, expected_lines) and lines[-2:].tolist() == [0, 0]
+
+    def test_a_seed_beyond_uint64_is_kept_as_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(synth, "NOISE_CHUNK", 7)
+        path, ids = self._written(tmp_path, 20)
+        lines = path.read_text().splitlines()
+        for at, seed in ((9, -3), (15, 2**70)):
+            lines[at] = json.dumps({**json.loads(lines[at]), "noise_seed": seed})
+        path.write_text("\n".join(lines) + "\n")
+        _, seeds, _ = synth.read_latents(path, ids)
+        assert seeds.tolist() == oracles.read_latents(path, ids)[1]
+        assert seeds.tolist()[9] == -3 and seeds.tolist()[15] == 2**70
+
+    @pytest.mark.parametrize(
+        "edits, named",
+        [
+            ({5: {"risk_signal": 2.0}, 30: "5"}, "line 30: "),
+            ({20: {"id": 3}, 35: {"noise_seed": 1.5}}, "line 35: "),
+            ({20: {"id": 3}, 12: {"id": 10}}, "on lines 10 and 12"),
+            ({4: {"id": 2}}, "on lines 2 and 4"),
+            ({38: {"id": "elsewhere"}, 39: {"id": "elsewhere"}}, "'elsewhere' on lines 38 and 39"),
+        ],
+        ids=["malformed-after-bad-value", "bad-value-after-repeat", "first-second-line",
+             "repeat-in-one-block", "repeat-outside-the-table"],
+    )
+    def test_refusals_keep_the_whole_file_reads_order(self, tmp_path, monkeypatch, edits, named):
+        """A malformed line comes first, then the first line that breaks a
+        value rule, then the first repeated id, however the blocks fall.
+        Edits are by line number; an ``id`` edit copies that line's id."""
+        monkeypatch.setattr(synth, "NOISE_CHUNK", 7)
+        path, ids = self._written(tmp_path, 40)
+        lines = path.read_text().splitlines()
+        for lineno, edit in edits.items():
+            if isinstance(edit, str):
+                lines[lineno - 1] = edit
+                continue
+            if isinstance(edit.get("id"), int):
+                edit = {"id": ids[edit["id"] - 1]}
+            lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), **edit})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ArtifactError) as expected:
+            oracles.read_latents(path, ids)
+        with pytest.raises(ArtifactError, match=named) as refused:
+            synth.read_latents(path, ids)
+        assert str(refused.value) == str(expected.value)
+
+    def test_the_read_heap_grows_under_half_as_fast_as_the_whole_file_reads(
+        self, tmp_path, monkeypatch
+    ):
+        """Per line the read keeps only array entries and the id's row: from
+        n = 1,000 to n = 4,000 its heap peak grows by under half of what the
+        whole-file read's grows. Blocks of 100 lines, so that both sizes read
+        several and the growth is that of the per-line state, not of a block."""
+        monkeypatch.setattr(synth, "NOISE_CHUNK", 100)
+
+        def peak(read, n):
+            path, ids = self._written(tmp_path, n)
+            tracemalloc.start()
+            try:
+                read(path, ids)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(synth.read_latents, 1000)  # warm-up
+        growth = {
+            read: peak(read, 4000) - peak(read, 1000)
+            for read in (synth.read_latents, oracles.read_latents)
+        }
+        assert growth[synth.read_latents] < 0.5 * growth[oracles.read_latents]

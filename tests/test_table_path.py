@@ -128,5 +128,5 @@ def test_feature_file_round_trip(tmp_path):
     path = tmp_path / "features.jsonl"
     write_feature_file(path, ["a", "b"], X, [1, 0])
     lines = [line.encode() for line in feature_lines(["a", "b"], X, [1, 0])]
-    assert read_feature_file(path) == lines
+    assert list(read_feature_file(path)) == lines
     assert path.read_bytes() == b"".join(lines)
