@@ -237,6 +237,18 @@ class PreparedKeys:
     def ids_at(self, rows: np.ndarray) -> list[str]:
         return [self.ids[row] for row in rows.tolist()]
 
+    def split_rows(self, split: dict[Split, list[str]]) -> dict[Split, np.ndarray]:
+        """The prepared row of each id of each split, in split order. An id
+        that is not prepared is an :class:`InputError`, naming the first three."""
+        row_of = dict(zip(self.ids, range(len(self.ids))))
+        unknown = [rid for ids in split.values() for rid in ids if rid not in row_of]
+        if unknown:
+            raise InputError(f"split references unknown ids, e.g. {unknown[:3]}")
+        return {
+            s: np.fromiter(map(row_of.__getitem__, ids), np.int64, len(ids))
+            for s, ids in split.items()
+        }
+
 
 def _key_table_path(prepared: Path) -> Path:
     return prepared.with_name(prepared.name + ".keys")

@@ -149,6 +149,11 @@ def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _predictions(decision: np.ndarray) -> np.ndarray:
+    """The aggregator's decision rule: positive iff the decision value is >= 0."""
+    return (decision >= 0).astype(int)
+
+
 def logistic_loss_and_gradient(
     weights: np.ndarray,
     intercept: float,
@@ -272,12 +277,8 @@ class MetaModel:
         Z = self.standardizer.transform(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         return Z @ np.asarray(self.weights) + self.intercept
 
-    def predict_proba_batch(self, X: np.ndarray) -> np.ndarray:
-        return _stable_sigmoid(self.decision_values(X))
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        # Probability exactly 0.5 goes to the positive class.
-        return (self.predict_proba_batch(X) >= 0.5).astype(int)
+        return _predictions(self.decision_values(X))
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -342,8 +343,7 @@ def tune_C(
     for C in sorted(grid):
         fits[C] = fit_logistic(X_train, y_train, C, tol, max_iter)
         w, b, _ = fits[C]
-        margins = np.asarray(X_dev, dtype=np.float64) @ w + b
-        preds = (margins >= 0).astype(int)
+        preds = _predictions(np.asarray(X_dev, dtype=np.float64) @ w + b)
         scores[C] = metrics(ConfusionMatrix.from_arrays(np.asarray(y_dev), preds)).balanced_accuracy
     best_C = max(scores, key=scores.__getitem__)  # the first, so the smallest, of tied Cs
     return best_C, scores, fits[best_C]

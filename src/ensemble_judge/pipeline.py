@@ -28,7 +28,7 @@ from contextlib import closing
 from itertools import groupby, islice, zip_longest
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -113,15 +113,6 @@ def _load_checked(path: Path, load: Callable[[Path], T], what: str) -> T:
         raise ArtifactError(f"{path}: malformed {what} file: {exc}") from None
 
 
-def _assigned_ids(split: dict[Split, list[str]], known: Container[str]) -> dict[str, None]:
-    """The ids ``split`` assigns, in split order; each must be ``known``."""
-    assigned = dict.fromkeys(rid for ids in split.values() for rid in ids)
-    unknown = [rid for rid in assigned if rid not in known]
-    if unknown:
-        raise InputError(f"split references unknown ids, e.g. {unknown[:3]}")
-    return assigned
-
-
 def _prepared(config: RunConfig) -> PreparedKeys:
     """The prepared file's keys, from its key table when the stamp matches,
     else from a full parse."""
@@ -137,18 +128,17 @@ def _split_rows(config: RunConfig, keys: PreparedKeys) -> dict[Split, np.ndarray
     The split file must assign every prepared record and nothing else.
     """
     split = _load_checked(_require(config.split_path, "split file"), load_split, "split")
-    position = dict(zip(keys.ids, range(len(keys.ids))))
-    assigned = _assigned_ids(split, position)
-    unassigned = [rid for rid in position if rid not in assigned]
-    if unassigned:
+    by_split = keys.split_rows(split)
+    assigned = np.zeros(len(keys.ids), dtype=bool)
+    for rows in by_split.values():
+        assigned[rows] = True
+    unassigned = np.flatnonzero(~assigned)
+    if unassigned.size:
         raise InputError(
             f"split does not cover the corpus (stale split file?), "
-            f"e.g. {unassigned[:3]}"
+            f"e.g. {keys.ids_at(unassigned[:3])}"
         )
-    return {
-        s: np.fromiter(map(position.__getitem__, ids), np.int64, len(ids))
-        for s, ids in split.items()
-    }
+    return by_split
 
 
 # HTTP runs append and fsync the cache once per this many answers, so a crash
@@ -254,8 +244,7 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     rows = np.arange(len(keys.ids))
     if split_path is not None:
         split = _load_checked(split_path, load_split, "split")
-        wanted = _assigned_ids(split, set(keys.ids))
-        rows = np.flatnonzero([rid in wanted for rid in keys.ids])
+        rows = np.sort(np.concatenate(list(keys.split_rows(split).values())))
     specs = config.agent_specs()
     digests = keys.keys[rows].ravel()
 

@@ -7,24 +7,24 @@ off before appending), and never rewritten in place, so feature building,
 training, and evaluation can replay it bit-for-bit without re-querying any
 model.
 
-Loading keeps a columnar table, not records: each row's label code,
-confidence, confidence-source code and byte offset, and an index of the
-rows' key digests (:func:`key_digest`, 16 bytes each) held as one sorted
-array, which :meth:`CacheStore.rows` searches with ``np.searchsorted``.
-The writer appends a :class:`CacheBlock` of judgments at a time: one write
-of its lines, which share one ``created_at``, its columns added to the
-table and its sorted digests merged into the index.
+Loading keeps a table, not records, in one order, that of the rows' key
+digests (:func:`key_digest`, 16 bytes each): the digests sorted in one
+array, which :meth:`CacheStore.rows` searches with ``np.searchsorted``, and
+beside it each row's label code, confidence-source code, confidence and
+byte offset, packed in one record array. The writer appends a
+:class:`CacheBlock` of judgments at a time: one write of its lines, which
+share one ``created_at``, and its rows merged into their digests' places.
 A row's full line (rationale, raw generation) is re-read from the file
-only to compare it with a repeated key's line or a re-put output. Every
-read of a line, the first and each re-read, goes through
+only to compare it with a re-put output or a repeated key's line (the
+first line's offset is kept). Every read of a line goes through
 :func:`_parse_line`, which holds all of a line's rules.
 
 The writer saves that table next to the cache as a derived snapshot
-(``cache.jsonl.table``), stamped with the sha256 of the cache bytes it
-covers. An open whose stamp matches loads the table and parses only the
-lines past those bytes; any other snapshot is ignored and the whole file
-is parsed, so deleting the snapshot changes nothing but the open's cost.
-A snapshot whose columns break a value rule is ignored the same way.
+(``cache.jsonl.table``) whose body is the two arrays' bytes, stamped with
+the sha256 of the cache bytes it covers. An open whose stamp matches views
+the table in those bytes and parses only the lines past them; any other
+snapshot, or one whose rows break a value rule, is ignored and the whole
+file is parsed, so deleting the snapshot changes nothing but the open's cost.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ import fcntl
 import hashlib
 import logging
 import os
-import sys
-from array import array
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -66,7 +64,7 @@ class CacheCorruptionError(ArtifactError):
     """A non-final line in the store file failed to parse."""
 
 
-# Confidence-source codes of the table's source column: each source's position.
+# Confidence-source codes of the table's source field: each source's position.
 _SOURCES = tuple(ConfidenceSource)
 SOURCE_CODES = {source: code for code, source in enumerate(_SOURCES)}
 _FALLBACK_CODE = SOURCE_CODES[ConfidenceSource.FALLBACK]
@@ -74,8 +72,12 @@ _FALLBACK_CODE = SOURCE_CODES[ConfidenceSource.FALLBACK]
 _LABEL_CODES = {label.as_string(): int(label) for label in SentimentLabel}
 _SOURCE_BY_VALUE = {source.value: code for source, code in SOURCE_CODES.items()}
 
-# The index's digest type: fixed-width bytes, compared and sorted as raw bytes.
+# The table's digest type: fixed-width bytes, compared and sorted as raw bytes.
 DIGEST = np.dtype("S16")
+# A table row, packed and little-endian; ``np.insert`` copies a _RAW_ROW value
+# whole, where it would copy a _ROW value field by field.
+_ROW = np.dtype([("label", "i1"), ("source", "i1"), ("confidence", "<f8"), ("offset", "<i8")])
+_RAW_ROW = np.dtype((np.void, _ROW.itemsize))
 
 
 def key_digest(
@@ -253,18 +255,13 @@ def _parse_line(line: bytes) -> tuple[bytes, tuple]:
 
 
 # The table snapshot is a stamped binary file (artifacts.write_stamped) whose
-# body holds the row columns in the header's byte order: label, source,
-# confidence and offset by row, then the key digests sorted and the row of
-# each sorted digest.
-_SNAPSHOT_MAGIC = b"ensemble-judge cache table 2\n"
-_SNAPSHOT_COLUMNS = ("b", "b", "d", "q")  # label, source, confidence, offset
-# The columns, a sorted digest and a row number, per row.
-_ROW_BYTES = sum(array(code).itemsize for code in _SNAPSHOT_COLUMNS) + DIGEST.itemsize + 8
+# body is the table's two arrays: the sorted key digests, then the rows.
+_SNAPSHOT_MAGIC = b"ensemble-judge cache table 3\n"
 
 
 def _read_snapshot(path: Path, cache: Path) -> tuple | None:
-    """``(covered, columns, digests, rows)``: the table of the first ``covered``
-    bytes of ``cache``, from the snapshot at ``path``.
+    """``(covered, digests, table)``: the table of the first ``covered`` bytes
+    of ``cache``, viewed in the bytes of the snapshot at ``path``.
 
     None when the snapshot is missing or unreadable, has another format
     version or a bad body digest, its stamp does not match the cache, or a
@@ -278,30 +275,20 @@ def _read_snapshot(path: Path, cache: Path) -> tuple | None:
         n, covered = header["rows"], header["covered_bytes"]
         if (
             type(n) is not int or type(covered) is not int or n < 0 or covered < 0
-            or len(body) != n * _ROW_BYTES
-            or header["byteorder"] != sys.byteorder
+            or len(body) != n * (DIGEST.itemsize + _ROW.itemsize)
             or os.stat(cache).st_size < covered
             or prefix_sha256(cache, covered) != header["cache_sha256"]
         ):
             return None
-        columns = []
-        start = 0
-        for typecode in _SNAPSHOT_COLUMNS:
-            column = array(typecode)
-            column.frombytes(body[start : start + n * column.itemsize])
-            columns.append(column)
-            start += n * column.itemsize
-        digests = np.frombuffer(body, DIGEST, n, start).copy()
-        rows = np.frombuffer(body, np.int64, n, start + n * DIGEST.itemsize).copy()
-        if (
-            (digests[1:] <= digests[:-1]).any()
-            or not np.array_equal(np.sort(rows), np.arange(n))
-            or not _valid_values(*map(np.asarray, columns[:3])).all()
-        ):
+        digests = np.frombuffer(body, DIGEST, n)
+        table = np.frombuffer(body, _ROW, n, n * DIGEST.itemsize)
+        if (digests[1:] <= digests[:-1]).any() or not _valid_values(
+            table["label"], table["source"], table["confidence"]
+        ).all():
             return None
     except (OSError, LookupError, TypeError, ValueError):
         return None
-    return covered, columns, digests, rows
+    return covered, digests, table
 
 
 class CacheStore:
@@ -323,13 +310,9 @@ class CacheStore:
 
     def __init__(self, path: str | Path, *, readonly: bool = False):
         self.path = Path(path)
-        # The index: the key digests, sorted, and the row of each.
+        # The table: the key digests, sorted, and the row of each.
         self._digests = np.empty(0, dtype=DIGEST)
-        self._rows = np.empty(0, dtype=np.int64)
-        self._labels = array("b")
-        self._confidences = array("d")
-        self._sources = array("b")
-        self._offsets = array("q")
+        self._table = np.empty(0, dtype=_ROW)
         self._end = 0  # file offset just past the last intact line
         self._unterminated = False  # the last intact line lacks its newline
         self._snapshot_path = self.path.with_name(self.path.name + ".table")
@@ -343,8 +326,7 @@ class CacheStore:
             if self.path.exists():
                 snapshot = _read_snapshot(self._snapshot_path, self.path)
                 if snapshot is not None:
-                    self._covered, columns, self._digests, self._rows = snapshot
-                    self._labels, self._sources, self._confidences, self._offsets = columns
+                    self._covered, self._digests, self._table = snapshot
                 self._load(self._covered)
             if not readonly:
                 self._repair_tail()
@@ -355,9 +337,8 @@ class CacheStore:
 
     def _load(self, offset: int) -> None:
         """Parse the lines from byte ``offset`` on into the table."""
-        added: dict[bytes, int] = {}  # the row of each key this parse adds
-        add_label, add_confidence = self._labels.append, self._confidences.append
-        add_source, add_offset = self._sources.append, self._offsets.append
+        added: dict[bytes, int] = {}  # the first line's offset of each key this parse adds
+        labels, sources, confidences = [], [], []  # and that line's values
         line = b""
         with self.path.open("rb") as fh:
             fh.seek(offset)
@@ -383,19 +364,17 @@ class CacheStore:
                     )
                     self._end = offset
                     break
-                row = added.get(digest, -1)
-                if row < 0 and len(self._digests):
+                first = added.get(digest, -1)
+                if first < 0 and len(self._digests):
                     (row,) = self.rows([digest]).tolist()
-                if row < 0:
-                    added[digest] = len(self._offsets)
-                    # The payload's label code, confidence and source code.
-                    add_label(payload[2])
-                    add_confidence(payload[3])
-                    add_source(payload[5])
-                    add_offset(offset)
-                elif self._payload_at(row) == payload:
-                    self._offsets[row] = offset  # the later line wins
-                else:
+                    first = -1 if row < 0 else int(self._table["offset"][row])
+                if first < 0:
+                    added[digest] = offset
+                    # The payload's label code, source code and confidence.
+                    labels.append(payload[2])
+                    sources.append(payload[5])
+                    confidences.append(payload[3])
+                elif self._payload_at(first) != payload:
                     raise CacheIntegrityError(
                         f"{self.path}: conflicting payloads for key "
                         f"({_key_fields(payload)}) at byte offset {offset}"
@@ -404,18 +383,20 @@ class CacheStore:
             else:
                 self._end = offset
                 self._unterminated = line[-1:] not in (b"", b"\n")
-        self._index(
-            np.array(list(added), dtype=DIGEST), np.fromiter(added.values(), np.int64, len(added))
-        )
+        if added:  # an empty merge would still copy the table
+            offsets = np.fromiter(added.values(), np.int64, len(added))
+            self._merge(np.array(list(added), dtype=DIGEST), labels, sources, confidences, offsets)
 
-    def _index(self, digests: np.ndarray, rows: np.ndarray) -> None:
-        """Merge key digests that are not in the index yet, and their rows,
-        into the sorted index."""
+    def _merge(self, digests: np.ndarray, *columns: Sequence) -> None:
+        """Insert the rows of key digests that are not in the table yet, given
+        as their ``columns`` in row field order, in their digests' places."""
         order = np.argsort(digests, kind="stable")
-        digests, rows = digests[order], rows[order]
-        at = self._digests.searchsorted(digests)
-        self._digests = np.insert(self._digests, at, digests)
-        self._rows = np.insert(self._rows, at, rows)
+        rows = np.empty(len(order), dtype=_ROW)
+        for name, column in zip(_ROW.names, columns):
+            rows[name] = np.asarray(column)[order]
+        at = self._digests.searchsorted(digests[order])
+        self._digests = np.insert(self._digests, at, digests[order])
+        self._table = np.insert(self._table.view(_RAW_ROW), at, rows.view(_RAW_ROW)).view(_ROW)
 
     def _lock(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -449,9 +430,8 @@ class CacheStore:
         self._reader.seek(offset)
         return self._reader.readline()
 
-    def _payload_at(self, row: int) -> tuple:
-        """The payload of ``row``'s line, re-read from the file."""
-        offset = self._offsets[row]
+    def _payload_at(self, offset: int) -> tuple:
+        """The payload of the line at byte ``offset``, re-read from the file."""
         try:
             return _parse_line(self._read_line(offset))[1]
         except (_KeyMismatch, InputError) as exc:
@@ -460,23 +440,21 @@ class CacheStore:
             ) from None
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return len(self._digests)
 
     def rows(self, digests: Sequence[bytes] | np.ndarray) -> np.ndarray:
         """Table row of each key digest (:func:`key_digest`), in order; -1 where
-        no key with that digest is stored."""
+        no key with that digest is stored. A :meth:`put` renumbers the rows."""
         wanted = np.asarray(digests, dtype=DIGEST)
         if not len(self._digests):
             return np.full(wanted.shape, -1, dtype=np.int64)
         at = np.minimum(self._digests.searchsorted(wanted), len(self._digests) - 1)
-        return np.where(self._digests[at] == wanted, self._rows[at], -1)
+        return np.where(self._digests[at] == wanted, at, -1)
 
     def judgments(self, rows: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Label codes (int8, -1/0/+1) and confidences (float64) of the given rows."""
         rows = np.asarray(rows, dtype=np.int64)
-        labels = np.array(self._labels, dtype=np.int8)[rows]
-        confidences = np.array(self._confidences, dtype=np.float64)[rows]
-        return labels, confidences
+        return self._table["label"][rows], self._table["confidence"][rows]
 
     def put(self, block: CacheBlock) -> None:
         """Durably append the rows of ``block`` whose keys are not stored yet,
@@ -506,7 +484,8 @@ class CacheStore:
                 new.append(i)
                 continue
             payload = tuple(column[i] for column in columns)
-            earlier = self._payload_at(row) if row >= 0 else tuple(c[j] for c in columns)
+            earlier = (self._payload_at(int(self._table["offset"][row])) if row >= 0
+                       else tuple(column[j] for column in columns))
             if payload != earlier:
                 raise CacheIntegrityError(
                     f"key already stored with a different payload: {_key_fields(payload)}"
@@ -518,12 +497,8 @@ class CacheStore:
         self._fh.write(b"".join(lines))
         self._fh.flush()
         offsets = np.cumsum([self._end, *map(len, lines)])
-        self._index(block.digests[new], np.arange(len(self), len(self) + len(new)))
-        for table, values in zip(
-            (self._labels, self._confidences, self._sources, self._offsets),
-            (block.labels[new], block.confidences[new], block.sources[new], offsets[:-1]),
-        ):
-            table.frombytes(values.astype(table.typecode).tobytes())
+        values = block.labels[new], block.sources[new], block.confidences[new], offsets[:-1]
+        self._merge(block.digests[new], *values)
         self._end = int(offsets[-1])
 
     def sync(self) -> None:
@@ -542,18 +517,16 @@ class CacheStore:
 
     def _write_snapshot(self) -> None:
         header = {
-            "rows": len(self._offsets),
+            "rows": len(self._digests),
             "covered_bytes": self._end,
             "cache_sha256": prefix_sha256(self.path, self._end),
-            "byteorder": sys.byteorder,
         }
         # Views, not copies: each is one write of the file.
-        columns = (self._labels, self._sources, self._confidences, self._offsets)
         write_stamped(
             self._snapshot_path,
             _SNAPSHOT_MAGIC,
             header,
-            map(memoryview, (*columns, self._digests, self._rows)),
+            (memoryview(self._digests), memoryview(self._table)),
         )
 
     def close(self) -> None:

@@ -302,7 +302,7 @@ def stored_payload(cache: store.CacheStore, key: CacheKey) -> tuple | None:
     """The payload of the line ``cache`` holds under ``key``, re-read from the
     file through ``store._parse_line``; None when no line has that key."""
     (row,) = cache.rows([key.digest()]).tolist()
-    return None if row < 0 else cache._payload_at(row)
+    return None if row < 0 else cache._payload_at(int(cache._table["offset"][row]))
 
 
 # The cache-line oracle: a cache line is the JSON of these nested dicts,

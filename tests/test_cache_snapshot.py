@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 import tempfile
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,13 +188,9 @@ def _observe(path: Path, keys: list[CacheKey], readonly: bool, put: AgentOutput 
                 [stored_payload(store, key) for key in keys],
                 store.missing(digests).tolist(),
                 store._end,
-                # The whole table: the digest index and every column, not
-                # only what the keys above reach.
+                # The whole table, not only what the keys above reach.
                 store._digests.tobytes(),
-                store._rows.tolist(),
-                [list(column) for column in (
-                    store._labels, store._confidences, store._sources, store._offsets
-                )],
+                store._table.tobytes(),
             )
             if put is not None:
                 store.put(block([put]))
@@ -285,9 +283,11 @@ def test_a_restamped_snapshot_with_a_bad_value_gives_the_full_parse(tmp_path, co
     bad = data[second:].replace(b'"confidence": 0.5', b'"confidence": 1.5', 1)
     with CacheStore(path, readonly=True) as store:
         # Edit line 2 in place, then stamp a snapshot of the edited cache
-        # whose row for that line holds a bad value too.
+        # whose row for that line holds a bad value too. The opened table is
+        # a read-only view of the snapshot, so the edit is made on a copy.
         path.write_bytes(data[:second] + bad)
-        store._confidences[1] = confidence
+        store._table = store._table.copy()
+        store._table["confidence"][store._table["offset"] == second] = confidence
         store._write_snapshot()
     errors = []
     for _ in ("with the snapshot", "without it"):
@@ -299,3 +299,61 @@ def test_a_restamped_snapshot_with_a_bad_value_gives_the_full_parse(tmp_path, co
         f"{path}: corrupted line at byte offset {second}: "
         "confidence outside [0, 1] or a fallback output that is not (neutral, 0.0)"
     ]
+
+
+def _large_cache(path: Path, n: int) -> None:
+    """A cache of ``n`` judgments of one lens, appended by one put, and its snapshot."""
+    ids = [f"d{i}" for i in range(n)]
+    lens, model, prompt = Lens.RISK.value, "m", "0" * 64
+    with CacheStore(path) as store:
+        store.put(store_module.CacheBlock(
+            np.array([store_module.key_digest(rid, lens, model, prompt, 42) for rid in ids],
+                     dtype=store_module.DIGEST),
+            ids, [lens] * n, np.ones(n, np.int8), np.full(n, 0.5), [""] * n,
+            np.full(n, store_module.SOURCE_CODES[ConfidenceSource.SELF_REPORTED], np.int8),
+            [model] * n, [prompt] * n, [42] * n, ["{}"] * n, np.zeros(n, np.int8),
+        ))
+
+
+def test_a_read_only_open_holds_the_snapshot_once(tmp_path):
+    """The table is viewed in the snapshot's bytes, not copied out of them."""
+    path = tmp_path / "cache.jsonl"
+    _large_cache(path, 40_000)
+    size = _snapshot(path).stat().st_size
+    tracemalloc.start()
+    try:
+        with CacheStore(path, readonly=True) as store:
+            _, peak = tracemalloc.get_traced_memory()
+            assert store._covered == path.stat().st_size  # the snapshot was used
+            assert len(store) == 40_000
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * size
+
+
+def test_a_repeated_key_keeps_its_first_line_whichever_way_the_table_is_built(tmp_path):
+    """A key repeated with an equal payload keeps its first line's offset, so
+    the snapshot's table, a snapshot plus a parse of the lines past it, and a
+    full parse are the same bytes."""
+    path = tmp_path / "cache.jsonl"
+    first, second, third = (make_output(lens, SentimentLabel.POSITIVE, 0.5, "d1") for lens in Lens)
+    path.write_bytes(_line(first) + _line(second))
+    with CacheStore(path):
+        pass  # a snapshot of the two lines
+    with path.open("ab") as fh:
+        fh.write(_line(first, datetime(2025, 6, 7, tzinfo=timezone.utc)) + _line(third))
+
+    def table():
+        with CacheStore(path, readonly=True) as store:
+            (row,) = store.rows([CacheKey.for_output(first).digest()]).tolist()
+            assert store._table["offset"][row] == 0
+            return store._covered, store._digests.tobytes(), store._table.tobytes()
+
+    tail_parsed = table()
+    with CacheStore(path):
+        pass  # a snapshot that covers the repeat
+    covered = table()
+    _snapshot(path).unlink()
+    parsed = table()
+    assert tail_parsed[0] < covered[0] == path.stat().st_size and parsed[0] == 0
+    assert tail_parsed[1:] == covered[1:] == parsed[1:]

@@ -181,6 +181,33 @@ class TestFullPipeline:
         assert run(cfg_path, "build-features") == 1
         assert "stale split" in capsys.readouterr().err
 
+    def test_split_refusals_name_three_ids_in_order(self, tmp_path, capsys):
+        """Ids the prepared file lacks are named in split order, prepared ids
+        the split leaves out in prepared order."""
+        cfg_path, workdir = write_config(tmp_path)
+        assert run(cfg_path, "synth", "--n", "300", "--seed", "42") == 0
+        assert run(cfg_path, "ingest") == 0
+        split = json.loads((workdir / "split.json").read_text())
+        prepared = [json.loads(line)["id"] for line in
+                    (workdir / "prepared.jsonl").read_text(encoding="utf-8").splitlines()]
+        subset = tmp_path / "subset.json"
+        subset.write_text(json.dumps({
+            "train": ["x3", *split["train"]], "dev": ["x1", "x2", *split["dev"]],
+            "test": ["x0", *split["test"]],
+        }))
+        (workdir / "split.json").write_text(subset.read_text())
+        capsys.readouterr()
+        for args in (("build-features",), ("run-agents", "--split", str(subset))):
+            assert run(cfg_path, *args) == 1
+            assert "unknown ids, e.g. ['x3', 'x1', 'x2']" in capsys.readouterr().err
+        left_out = {prepared[i] for i in (250, 7, 2, 4)}
+        (workdir / "split.json").write_text(json.dumps(
+            {s: [rid for rid in ids if rid not in left_out] for s, ids in split.items()}
+        ))
+        assert run(cfg_path, "build-features") == 1
+        expected = [prepared[i] for i in (2, 4, 7)]
+        assert f"(stale split file?), e.g. {expected}" in capsys.readouterr().err
+
 
 class TestStageOrdering:
     def test_evaluate_before_train_exits_2(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,7 @@ from ensemble_judge.meta import (
     OptimizerReport,
     STANDARDIZED_POSITIONS,
     Standardizer,
+    _stable_sigmoid,
     fit_logistic,
     fit_standardizer,
     logistic_loss_and_gradient,
@@ -20,6 +22,12 @@ from ensemble_judge.meta import (
 )
 
 TRAIN = TrainConfig()
+
+
+def predict_proba(model: MetaModel, X: np.ndarray) -> np.ndarray:
+    """The model's probability of the positive class: the sigmoid of its
+    decision values, which no stage reads."""
+    return _stable_sigmoid(model.decision_values(X))
 
 
 def toy_instance(n=40, d=15, seed=0, scale=1.0):
@@ -221,10 +229,18 @@ class TestPredict:
 
     def test_zero_model_gives_half(self):
         model = self._zero_model()
-        assert model.predict_proba_batch(self._row())[0] == 0.5
+        assert predict_proba(model, self._row())[0] == 0.5
 
     def test_boundary_goes_positive(self):
         assert self._zero_model().predict_batch(self._row())[0] == 1
+
+    def test_a_tiny_negative_decision_value_goes_negative(self):
+        """The sigmoid of -2e-17 rounds to exactly 0.5, but the rule is on the
+        decision value, the one ``tune_C`` scores dev with."""
+        model = dataclasses.replace(self._zero_model(), intercept=-2e-17)
+        assert model.decision_values(self._row())[0] == -2e-17
+        assert predict_proba(model, self._row())[0] == 0.5
+        assert model.predict_batch(self._row())[0] == 0
 
     def test_monotone_in_positive_weight(self):
         model = self._zero_model()
@@ -237,7 +253,7 @@ class TestPredict:
             prompt_hash_digest="",
             n_outputs=0,
         )
-        high, low = (model.predict_proba_batch(self._row(c))[0] for c in (0.9, 0.2))
+        high, low = (predict_proba(model, self._row(c))[0] for c in (0.9, 0.2))
         assert high > low
 
     def test_probability_strictly_inside_unit_interval(self):
@@ -261,7 +277,7 @@ class TestPredict:
                 prompt_hash_digest="",
                 n_outputs=0,
             )
-            p = flipped.predict_proba_batch(self._row())[0]
+            p = predict_proba(flipped, self._row())[0]
             assert 0.0 < p < 1.0
 
     def test_standardization_round_trip_changes_nothing(self):
@@ -290,8 +306,8 @@ class TestPredict:
             prompt_hash_digest="",
             n_outputs=0,
         )
-        p_direct = without_std.predict_proba_batch(Z)
-        p_via_std = with_std.predict_proba_batch(X)
+        p_direct = predict_proba(without_std, Z)
+        p_via_std = predict_proba(with_std, X)
         assert np.max(np.abs(p_direct - p_via_std)) < 1e-12
 
 

@@ -211,18 +211,23 @@ def _edit_clean_text(workdir: Path) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
-def _version_1_snapshot(workdir: Path) -> None:
-    """The snapshot with its format version set back to 1, digest line redone."""
-    path = workdir / "cache.jsonl.table"
-    body = path.read_bytes()[:-65]
-    assert body.startswith(b"ensemble-judge cache table 2\n")
-    body = body.replace(b"table 2\n", b"table 1\n", 1)
-    path.write_bytes(body + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n")
+def _old_version_snapshot(version: int):
+    """The snapshot with its format version set back to ``version``, digest
+    line redone."""
+
+    def edit(workdir: Path) -> None:
+        path = workdir / "cache.jsonl.table"
+        body = path.read_bytes()[:-65]
+        assert body.startswith(b"ensemble-judge cache table 3\n")
+        body = body.replace(b"table 3\n", b"table %d\n" % version, 1)
+        path.write_bytes(body + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n")
+
+    return edit
 
 
 def _restamped(path: Path, edit) -> None:
     """The stamped file at ``path`` with ``edit(header)`` as its header line,
-    digest line redone, as :func:`_version_1_snapshot` redoes it."""
+    digest line redone, as :func:`_old_version_snapshot` redoes it."""
     data = path.read_bytes()[:-65]
     start = data.index(b"\n") + 1  # past the magic line
     end = data.index(b"\n", start)
@@ -248,14 +253,15 @@ CASES = [
     ("table-byte-flipped", None, _flip),
     ("table-stale-after-a-clean-text-edit", _edit_clean_text, None),
     ("templates-changed", None, None),
-    ("version-1-snapshot", None, _version_1_snapshot),
+    ("version-1-snapshot", None, _old_version_snapshot(1)),
+    ("version-2-snapshot", None, _old_version_snapshot(2)),
     # Headers of the wrong JSON types, with good digests: each costs the full parse only.
     ("rows-a-string", None, _headers(*SIDECARS, edit=lambda h: {**h, "rows": "5"})),
     ("snapshot-covering-negative-bytes",
      None, _headers("cache.jsonl.table", edit=lambda h: {**h, "covered_bytes": -1})),
     ("headers-that-are-arrays", None, _headers(*SIDECARS, edit=list)),
-    ("snapshot-without-byteorder",
-     None, _headers("cache.jsonl.table", edit=lambda h: {k: h[k] for k in h if k != "byteorder"})),
+    ("snapshot-without-cache-sha256", None,
+     _headers("cache.jsonl.table", edit=lambda h: {k: h[k] for k in h if k != "cache_sha256"})),
 ]
 
 

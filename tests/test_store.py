@@ -410,7 +410,8 @@ class TestTable:
         with CacheStore(path, readonly=True) as store:
             keys = [CacheKey.for_output(outputs[2]), key_for(9), CacheKey.for_output(outputs[0])]
             rows = store.rows(digests(keys))
-            assert rows.tolist() == [2, -1, 0]
+            # Rows are numbered in the order of the key digests, not the file's.
+            assert rows.tolist() == [0, -1, 1]
             got_labels, got_conf = store.judgments(rows[[0, 2]])
             assert got_labels.tolist() == [-1, 1]
             assert got_conf.tolist() == [0.1 * 3, 0.1]
@@ -547,7 +548,8 @@ class TestDigestIndex:
             assert store._covered == path.stat().st_size
             store.put(block([outputs[4]]))  # a no-op: found in the sorted index
             assert [stored(store, o) for o in outputs] == list(map(payload, outputs))
-            assert store.rows(digests(map(CacheKey.for_output, outputs))).tolist() == list(range(9))
+            rows = store.rows(digests(map(CacheKey.for_output, outputs)))
+            assert rows.tolist() == [4, 7, 1, 8, 0, 2, 6, 3, 5]  # the digests' order
         assert len(path.read_bytes().splitlines()) == 9
 
 
@@ -689,7 +691,7 @@ def _state(store, keys):
 @given(put_sequences())
 def test_blocks_write_what_per_pair_puts_write(sequence):
     """Blocks and one-row puts leave the same bytes (``created_at`` aside),
-    rows and judgments; the index built from the blocks' digests is the one a
+    rows and judgments; the table built from the blocks' digests is the one a
     full parse of the lines builds, so each digest is its line's key digest."""
     outputs, order, blocks = sequence
     keys = [CacheKey.for_output(o) for o in outputs]
@@ -703,7 +705,7 @@ def test_blocks_write_what_per_pair_puts_write(sequence):
             for outputs_of_block in blocks:
                 store.put(block(outputs_of_block))
             assert _state(store, keys) == expected
-            index = store._digests.tobytes(), store._rows.tolist()
+            table = store._digests.tobytes(), store._table.tobytes()
         first_seen = [outputs[i] for i in dict.fromkeys(order)]
         oracle = b"".join(
             cache_line(dataclasses.replace(o, confidence=float(o.confidence)), CREATED)
@@ -713,5 +715,5 @@ def test_blocks_write_what_per_pair_puts_write(sequence):
         assert _without_created_at(per_pair.read_bytes()) == _without_created_at(oracle)
         batched.with_name("batched.jsonl.table").unlink()
         with CacheStore(batched, readonly=True) as store:
-            assert (store._digests.tobytes(), store._rows.tolist()) == index
+            assert (store._digests.tobytes(), store._table.tobytes()) == table
             assert _state(store, keys) == expected
