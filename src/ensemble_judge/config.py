@@ -66,6 +66,12 @@ class RunConfig:
             raise InputError("train.tol must be positive")
         if not self.train.grid or min(self.train.grid) <= 0:
             raise InputError("train.grid must be one or more positive values")
+        keys: dict[str, float] = {}  # each delta by its key in the report's delta_sensitivity
+        for d in self.eval.sensitivity_deltas:
+            if f"{d:g}" in keys:
+                raise InputError(f"eval.sensitivity_deltas {keys[f'{d:g}']!r} and {d!r} "
+                                 f"share the report key {d:g}")
+            keys[f"{d:g}"] = d
         if not self.stub.enabled:
             if len(self.agents) != len(LENS_ORDER):
                 raise InputError("config must name exactly one agent per lens (or enable stubs)")

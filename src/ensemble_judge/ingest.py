@@ -54,7 +54,6 @@ from .artifacts import (
     read_stamped,
     spool,
     write_binary,
-    write_jsonl,
     write_stamped,
     write_text,
 )
@@ -185,11 +184,6 @@ def corpus_row(record: DisclosureRecord, **extra: str) -> dict:
         **extra,
         "next_day_return": record.next_day_return,
     }
-
-
-def write_corpus(records: Iterable[DisclosureRecord], path: str | Path) -> None:
-    """Write disclosures in the corpus file format (used by the synthetic generator)."""
-    write_jsonl(path, map(corpus_row, records))
 
 
 _KEY_TABLE_MAGIC = b"ensemble-judge prepared keys 1\n"

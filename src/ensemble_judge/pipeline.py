@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .agents import AgentSpec, ChatCompletionsClient, Transport, run_agent
-from .artifacts import ArtifactError, InputError, MissingArtifactError
+from .artifacts import ArtifactError, InputError, MissingArtifactError, write_jsonl
 from .config import RunConfig
 from .domain import AgentOutput, DisclosureRecord, Lens, Split
 from .evaluation import EvalReport, evaluate_judgments, write_report
@@ -45,11 +45,10 @@ from .ingest import (
     prepare,
     read_key_table,
     read_prepared,
-    write_corpus,
 )
 from .meta import ConvergenceError, MetaModel, train_meta_model
 from .store import CacheBlock, CacheStore
-from .synth import generate_corpus, read_latents, stub_blocks, write_latents
+from .synth import corpus_lines, draw_corpus, latents_lines, read_latents, stub_blocks
 
 T = TypeVar("T")
 
@@ -80,11 +79,10 @@ def stage_synth(config: RunConfig, n: int, seed: int) -> dict:
     """Write a synthetic corpus and its latent sidecar."""
     if config.latents_path is None:
         raise InputError("config needs latents_path to hold the synthetic signals")
-    records, latents = generate_corpus(n, seed)
-    write_corpus(records, config.corpus_path)
-    write_latents(latents, config.latents_path)
-    positives = sum(r.binary_target for r in records)
-    return {"n": n, "seed": seed, "positive_rate": positives / n}
+    signals, returns = draw_corpus(n, seed)
+    write_jsonl(config.corpus_path, corpus_lines(signals, returns))
+    write_jsonl(config.latents_path, latents_lines(signals, seed))
+    return {"n": n, "seed": seed, "positive_rate": int(np.count_nonzero(returns > 0)) / n}
 
 
 def stage_ingest(config: RunConfig) -> dict:

@@ -8,9 +8,10 @@ qualitative structure the pipeline is meant to exploit: three informative
 but imperfect judges whose disagreement carries signal, with no model
 endpoint anywhere.
 
-A stub ``run-agents`` reads the latents sidecar as it streams, a block of
-lines at a time, straight into arrays in the key table's row order; no
-line is kept once its block is checked.
+``synth`` writes the corpus and its latents sidecar a line at a time from
+the arrays it draws. A stub ``run-agents`` reads the sidecar as it streams,
+a block of lines at a time, straight into arrays in the key table's row
+order; no line is kept once its block is checked.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .agents import AgentSpec, prompt_digests
-from .artifacts import ArtifactError, InputError, finite_number, read_jsonl, write_jsonl
+from .artifacts import ArtifactError, InputError, finite_number, read_jsonl
 from .domain import (
     AgentOutput,
     ConfidenceSource,
@@ -88,15 +89,9 @@ class LatentDisclosure:
                 raise InputError(f"{name} {v} outside [-1, 1]")
 
 
-def generate_corpus(
-    n: int, seed: int
-) -> tuple[list[DisclosureRecord], dict[str, LatentDisclosure]]:
-    """Draw a deterministic synthetic corpus of ``n`` disclosures.
-
-    Returns the records (raw text only; preprocessing is the pipeline's job)
-    and the hidden latent signals keyed by disclosure id. Timestamps are
-    strictly increasing, so the chronological split is well defined.
-    """
+def draw_corpus(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, 3)`` lens signals (performance, guidance, risk) and the ``n``
+    next-day returns of a deterministic synthetic corpus of ``n`` disclosures."""
     if n < 100 or seed < 0:
         raise InputError(f"synthetic corpus needs n >= 100 and seed >= 0, got {n} and {seed}")
     rng = np.random.default_rng(seed)
@@ -113,14 +108,17 @@ def generate_corpus(
         )
     noise = rng.normal(0.0, RETURN_NOISE_SCALE, size=n)
     w_perf, w_guid, w_risk = RETURN_WEIGHTS
+    return signals, w_perf * signals[:, 0] + w_guid * signals[:, 1] - w_risk * signals[:, 2] + noise
 
+
+def corpus_lines(signals: np.ndarray, returns: np.ndarray) -> Iterator[dict]:
+    """The corpus file's line objects of :func:`draw_corpus`'s arrays, one
+    row at a time (raw text only; preprocessing is the pipeline's job).
+    Timestamps are strictly increasing, so the chronological split is well
+    defined."""
     start = datetime(2018, 1, 2, 9, 0, tzinfo=timezone.utc)
-    records: list[DisclosureRecord] = []
-    latents: dict[str, LatentDisclosure] = {}
-    for i in range(n):
-        rid = f"syn-{i:06d}"
-        perf, guid, risk = (float(v) for v in signals[i])
-        ret = w_perf * perf + w_guid * guid - w_risk * risk + float(noise[i])
+    for i in range(len(returns)):
+        perf, guid, risk = signals[i].tolist()
         ticker = f"SYN{i % 499:03d}"
         timestamp = start + timedelta(minutes=i)
         text = (
@@ -132,23 +130,21 @@ def generate_corpus(
             f"Forward guidance index {guid:+.3f} versus prior outlook.\n"
             f"Downside risk index {risk:+.3f} across pending matters.\n"
         )
-        records.append(
-            DisclosureRecord(
-                id=rid,
-                timestamp=timestamp,
-                ticker=ticker,
-                raw_text=text,
-                clean_text="",
-                next_day_return=ret,
-            )
-        )
-        latents[rid] = LatentDisclosure(
-            performance_signal=perf,
-            guidance_signal=guid,
-            risk_signal=risk,
-            noise_seed=seed * 1_000_000 + i,
-        )
-    return records, latents
+        yield {
+            "id": f"syn-{i:06d}",
+            "timestamp": timestamp.isoformat(),
+            "ticker": ticker,
+            "text": text,
+            "next_day_return": float(returns[i]),
+        }
+
+
+def latents_lines(signals: np.ndarray, seed: int) -> Iterator[dict]:
+    """The latents sidecar's line objects of :func:`draw_corpus`'s signals,
+    one row at a time: each disclosure's hidden signals and noise seed."""
+    for i in range(len(signals)):
+        values = (f"syn-{i:06d}", *signals[i].tolist(), seed * 1_000_000 + i)
+        yield dict(zip(_LATENT_FIELDS, values))
 
 
 # The latent signal each lens observes, as its column in (performance,
@@ -266,10 +262,6 @@ def stub_blocks(
             [prompts[i : i + 64] for i in range(0, 64 * n, 64)], [seed] * n, raw_jsons,
             np.zeros(n, dtype=np.int8),
         )
-
-
-def write_latents(latents: Mapping[str, LatentDisclosure], path: str | Path) -> None:
-    write_jsonl(path, ({"id": rid, **vars(lat)} for rid, lat in latents.items()))
 
 
 _LATENT_FIELDS = ("id", "performance_signal", "guidance_signal", "risk_signal", "noise_seed")

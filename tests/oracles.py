@@ -6,8 +6,9 @@ The pipeline builds features, votes and regimes for whole splits at once
 blocks), keys the cache by digests of pairs whose prompts it never renders,
 draws the stub agents' noise and appends their cache lines a block of pairs
 at a time, writes each cache line field by field, ingests the corpus in
-one pass through a spool of prepared lines (``ingest.prepare``), and
-streams the latents sidecar and the model's prompt digest a block at a time.
+one pass through a spool of prepared lines (``ingest.prepare``), streams
+the latents sidecar and the model's prompt digest a block at a time, and
+writes the synthetic corpus a line at a time from the arrays it draws.
 These are the same rules written one item at a time, in the plainest form,
 so tests can compare the two; no production code calls them.
 """
@@ -18,7 +19,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -45,9 +46,15 @@ from ensemble_judge.domain import (
     SentimentLabel,
 )
 from ensemble_judge.evaluation import ConfusionMatrix, Regime
+from ensemble_judge.ingest import corpus_row
 from ensemble_judge.synth import (
     DEFAULT_STUB_NOISE,
     LABEL_DEAD_ZONE,
+    NEUTRAL_SIGNAL_MASS,
+    NEUTRAL_SIGNAL_WINDOW,
+    RETURN_NOISE_SCALE,
+    RETURN_WEIGHTS,
+    SIGNAL_WINDOWS,
     STUB_MODEL_NAME,
     LatentDisclosure,
 )
@@ -552,3 +559,90 @@ def prompt_digest(prompts: np.ndarray) -> str:
     width = prompts.shape[-1]
     ordered = np.sort(prompts.reshape(-1, width).view(f"S{width}").ravel())
     return hashlib.sha256(ordered.tobytes().hex("\n", width).encode("ascii")).hexdigest()
+
+
+# The synthetic corpus as whole lists: one record and one latent object a
+# disclosure, both collections held until both files are written.
+
+
+def generate_corpus(
+    n: int, seed: int
+) -> tuple[list[DisclosureRecord], dict[str, LatentDisclosure]]:
+    """Draw a deterministic synthetic corpus of ``n`` disclosures.
+
+    Returns the records (raw text only; preprocessing is the pipeline's job)
+    and the hidden latent signals keyed by disclosure id. Timestamps are
+    strictly increasing, so the chronological split is well defined.
+    """
+    if n < 100 or seed < 0:
+        raise InputError(f"synthetic corpus needs n >= 100 and seed >= 0, got {n} and {seed}")
+    rng = np.random.default_rng(seed)
+    kind = rng.uniform(0.0, 1.0, size=(n, 3))
+    magnitude_u = rng.uniform(0.0, 1.0, size=(n, 3))
+    signs = np.where(rng.uniform(0.0, 1.0, size=(n, 3)) < 0.5, -1.0, 1.0)
+    small = rng.uniform(-NEUTRAL_SIGNAL_WINDOW, NEUTRAL_SIGNAL_WINDOW, size=(n, 3))
+    signals = np.empty((n, 3))
+    for k, lens in enumerate((Lens.PERFORMANCE, Lens.GUIDANCE, Lens.RISK)):
+        lo, hi = SIGNAL_WINDOWS[lens]
+        magnitude = lo + (hi - lo) * magnitude_u[:, k]
+        signals[:, k] = np.where(
+            kind[:, k] < NEUTRAL_SIGNAL_MASS, small[:, k], signs[:, k] * magnitude
+        )
+    noise = rng.normal(0.0, RETURN_NOISE_SCALE, size=n)
+    w_perf, w_guid, w_risk = RETURN_WEIGHTS
+
+    start = datetime(2018, 1, 2, 9, 0, tzinfo=timezone.utc)
+    records: list[DisclosureRecord] = []
+    latents: dict[str, LatentDisclosure] = {}
+    for i in range(n):
+        rid = f"syn-{i:06d}"
+        perf, guid, risk = (float(v) for v in signals[i])
+        ret = w_perf * perf + w_guid * guid - w_risk * risk + float(noise[i])
+        ticker = f"SYN{i % 499:03d}"
+        timestamp = start + timedelta(minutes=i)
+        text = (
+            f"TICKER: {ticker}\n"
+            f"RELEASE: {timestamp.date().isoformat()}\n"
+            "\n"
+            "Quarterly disclosure.\n"
+            f"Operating performance index {perf:+.3f} against plan.\n"
+            f"Forward guidance index {guid:+.3f} versus prior outlook.\n"
+            f"Downside risk index {risk:+.3f} across pending matters.\n"
+        )
+        records.append(
+            DisclosureRecord(
+                id=rid,
+                timestamp=timestamp,
+                ticker=ticker,
+                raw_text=text,
+                clean_text="",
+                next_day_return=ret,
+            )
+        )
+        latents[rid] = LatentDisclosure(
+            performance_signal=perf,
+            guidance_signal=guid,
+            risk_signal=risk,
+            noise_seed=seed * 1_000_000 + i,
+        )
+    return records, latents
+
+
+def write_corpus(records: Iterable[DisclosureRecord], path: str | Path) -> None:
+    """Write disclosures in the corpus file format (used by the synthetic generator)."""
+    write_jsonl(path, map(corpus_row, records))
+
+
+def write_latents(latents: Mapping[str, LatentDisclosure], path: str | Path) -> None:
+    write_jsonl(path, ({"id": rid, **vars(lat)} for rid, lat in latents.items()))
+
+
+def stage_synth(config: RunConfig, n: int, seed: int) -> dict:
+    """Write a synthetic corpus and its latent sidecar."""
+    if config.latents_path is None:
+        raise InputError("config needs latents_path to hold the synthetic signals")
+    records, latents = generate_corpus(n, seed)
+    write_corpus(records, config.corpus_path)
+    write_latents(latents, config.latents_path)
+    positives = sum(r.binary_target for r in records)
+    return {"n": n, "seed": seed, "positive_rate": positives / n}

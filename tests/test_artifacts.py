@@ -20,8 +20,7 @@ from ensemble_judge.artifacts import (
     write_jsonl,
 )
 from ensemble_judge.features import write_feature_file
-from ensemble_judge.ingest import write_corpus
-from ensemble_judge.synth import generate_corpus
+from tests import oracles
 
 
 class _Boom(Exception):
@@ -39,9 +38,9 @@ def _records_then_crash(records):
 
 
 def _corpus_writes(path):
-    records, _ = generate_corpus(100, 1)
-    write_corpus(records, path)
-    return lambda: write_corpus(_records_then_crash(records[:50]), path)
+    records, _ = oracles.generate_corpus(100, 1)
+    oracles.write_corpus(records, path)
+    return lambda: oracles.write_corpus(_records_then_crash(records[:50]), path)
 
 
 def _feature_writes(path):

@@ -265,6 +265,26 @@ def test_a_rule_of_the_run_config_names_the_config_file(tmp_path, capsys, fields
     assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize(
+    "deltas, first, second",
+    [([0.05, 0.1, 0.1000001], "0.1", "0.1000001"), ([0.2, 0.1, 0.2], "0.2", "0.2")],
+    ids=["keys-collide", "exact-repeat"],
+)
+def test_sensitivity_deltas_that_share_a_report_key_are_refused(
+    tmp_path, capsys, deltas, first, second
+):
+    """The report keys each delta by ``f"{d:g}"``, so a second delta with the
+    same key would silently overwrite the first's entry."""
+    from ensemble_judge.cli import main
+
+    path = _write(tmp_path, eval={"sensitivity_deltas": deltas})
+    assert main(["ingest", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0] == (
+        f"error: {path}: eval.sensitivity_deltas {first} and {second} share the report key {first}"
+    )
+
+
 def _without_model_names():
     return [{k: v for k, v in agent.items() if k != "model_name"} for agent in _http_agents()]
 

@@ -25,7 +25,6 @@ from ensemble_judge.ingest import (
     preprocess,
     preprocess_corpus,
     sort_records,
-    write_corpus,
     write_split,
 )
 from tests import oracles
@@ -131,7 +130,7 @@ class TestLoadCorpus:
         ts = datetime(2021, 3, 4, 9, 30, tzinfo=timezone.utc)
         records = [record(f"a{i}", ts + timedelta(days=i)) for i in range(4)]
         p = tmp_path / "c.jsonl"
-        write_corpus(records, p)
+        oracles.write_corpus(records, p)
         loaded = load_corpus(p)
         assert [r.id for r in loaded] == [r.id for r in records]
         assert loaded[0].timestamp == ts

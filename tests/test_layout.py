@@ -319,12 +319,13 @@ def test_benchmark_aliases_are_the_array_functions(module, alias, function):
     assert attrgetter(alias)(owner) is attrgetter(function)(owner)
 
 
-# Format guard. A disclosure line is parsed by the one reader in
-# ``ingest.py``, and only the synthetic generator builds records otherwise;
-# the binary target is derived inside the record. A second parser of the
-# format, or a target computed beside it, would drift from these unseen.
+# Format guard. A disclosure record is built only by the one reader in
+# ``ingest.py``; the synthetic generator writes its lines straight from the
+# arrays it draws, with no object a row. The binary target is derived inside
+# the record. A second parser of the format, a target computed beside it, or
+# a per-row record build in ``synth`` would drift from these unseen.
 CALLERS_ALLOWED = [
-    ("DisclosureRecord", {"ingest.py", "synth.py"}),
+    ("DisclosureRecord", {"ingest.py"}),
     ("target_from_return", {"domain.py"}),
     # Prompts are rendered only to be sent; digests come from prompt_digests.
     ("render_prompt", {"agents.py"}),

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import tracemalloc
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from ensemble_judge import pipeline, synth
 from ensemble_judge.agents import AgentSpec, render_prompt
 from ensemble_judge.artifacts import ArtifactError
+from ensemble_judge.cli import main
 from ensemble_judge.config import load_config
 from ensemble_judge.domain import LENS_ORDER, ConfidenceSource, Lens, SentimentLabel
 from ensemble_judge.ingest import PreparedKeys, PreprocessConfig, preprocess_corpus
@@ -14,11 +17,9 @@ from ensemble_judge.synth import (
     LABEL_DEAD_ZONE,
     LatentDisclosure,
     RETURN_WEIGHTS,
-    generate_corpus,
     load_latents,
     stub_agent,
     stub_blocks,
-    write_latents,
 )
 from tests import oracles
 
@@ -26,55 +27,108 @@ CFG = PreprocessConfig(max_tokens=2048)
 
 
 def prepared(n=120, seed=7, **kwargs):
-    records, latents = generate_corpus(n, seed, **kwargs)
+    records, latents = oracles.generate_corpus(n, seed, **kwargs)
     return preprocess_corpus(records, CFG), latents
 
 
+def drawn(n, seed):
+    """The corpus and latents line objects ``synth`` writes for ``n`` and ``seed``."""
+    signals, returns = synth.draw_corpus(n, seed)
+    return list(synth.corpus_lines(signals, returns)), list(synth.latents_lines(signals, seed))
+
+
 class TestGenerateCorpus:
+    """What ``synth`` draws and writes."""
+
     def test_deterministic_across_calls(self):
-        a_records, a_latents = generate_corpus(150, seed=9)
-        b_records, b_latents = generate_corpus(150, seed=9)
-        assert a_records == b_records
-        assert a_latents == b_latents
+        assert drawn(150, seed=9) == drawn(150, seed=9)
 
     def test_different_seeds_differ(self):
-        a, _ = generate_corpus(150, seed=1)
-        b, _ = generate_corpus(150, seed=2)
-        assert a != b
+        assert drawn(150, seed=1)[0] != drawn(150, seed=2)[0]
 
     def test_minimum_size_enforced(self):
         with pytest.raises(ValueError, match="n >= 100"):
-            generate_corpus(99, seed=1)
+            synth.draw_corpus(99, seed=1)
 
-    def test_positive_rate_in_band_seed_42(self):
-        records, _ = generate_corpus(1000, seed=42)
-        rate = sum(r.binary_target for r in records) / len(records)
+    def test_positive_rate_in_band_seed_42(self, tmp_path):
+        rate = pipeline.stage_synth(load_config(_stub_config(tmp_path)), 1000, 42)["positive_rate"]
         assert 0.4 <= rate <= 0.6
         assert rate == pytest.approx(0.467, abs=1e-12)  # frozen from the first run
 
     def test_zero_noise_makes_target_deterministic(self, monkeypatch):
         monkeypatch.setattr(synth, "RETURN_NOISE_SCALE", 0.0)
-        records, latents = generate_corpus(200, seed=5)
+        corpus, latents = drawn(200, seed=5)
         w_p, w_g, w_r = RETURN_WEIGHTS
-        for r in records:
-            lat = latents[r.id]
+        for line, lat in zip(corpus, latents, strict=True):
+            assert line["id"] == lat["id"]
             expected = (
-                w_p * lat.performance_signal
-                + w_g * lat.guidance_signal
-                - w_r * lat.risk_signal
+                w_p * lat["performance_signal"]
+                + w_g * lat["guidance_signal"]
+                - w_r * lat["risk_signal"]
             )
-            assert r.next_day_return == pytest.approx(expected, abs=1e-15)
+            assert line["next_day_return"] == pytest.approx(expected, abs=1e-15)
 
     def test_timestamps_strictly_increasing(self):
-        records, _ = generate_corpus(300, seed=3)
-        stamps = [r.timestamp for r in records]
+        corpus, _ = drawn(300, seed=3)
+        stamps = [datetime.fromisoformat(line["timestamp"]) for line in corpus]
         assert all(a < b for a, b in zip(stamps, stamps[1:]))
 
     def test_signals_bounded(self):
-        _, latents = generate_corpus(500, seed=11)
-        for lat in latents.values():
-            for v in (lat.performance_signal, lat.guidance_signal, lat.risk_signal):
-                assert -1.0 <= v <= 1.0
+        _, latents = drawn(500, seed=11)
+        for lat in latents:
+            for key in ("performance_signal", "guidance_signal", "risk_signal"):
+                assert -1.0 <= lat[key] <= 1.0
+
+
+# sha256 of corpus.jsonl and latents.jsonl from `synth --n 300` at each seed,
+# recorded when each disclosure was still built as a record object.
+PINNED_SYNTH_SHA256 = {
+    42: ("c0cae720fda62ee3a30167abe39fb300fa66f9f8534de4a0add507577c82bfd8",
+         "03fdccd3177573993a7445333bf29aad61f0fa38bd802ff94f97d823cad80d1c"),
+    7: ("00b21c608e2ae05e43e6a5bb11e327037fb8471b4d6fc299f9d0ad6a11736d66",
+        "910724a1077a1f4bd8ff498ed09d4fb0b6aa4807d27fe0ca3e1d1ea94368363a"),
+}
+
+
+class TestSynthFiles:
+    @pytest.mark.parametrize("seed", sorted(PINNED_SYNTH_SHA256))
+    def test_synth_bytes_are_pinned(self, tmp_path, seed):
+        path = _stub_config(tmp_path)
+        assert main(["synth", "--config", str(path), "--n", "300", "--seed", str(seed)]) == 0
+        config = load_config(path)
+        written = (config.corpus_path, config.latents_path)
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in written) == (
+            PINNED_SYNTH_SHA256[seed]
+        )
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_synth_writes_what_the_record_lists_write(self, tmp_path, n):
+        (tmp_path / "lists").mkdir()
+        arrays = load_config(_stub_config(tmp_path))
+        lists = load_config(_stub_config(tmp_path / "lists"))
+        assert pipeline.stage_synth(arrays, n, 42) == oracles.stage_synth(lists, n, 42)
+        for written, expected in ((arrays.corpus_path, lists.corpus_path),
+                                  (arrays.latents_path, lists.latents_path)):
+            assert written.read_bytes() == expected.read_bytes()
+
+    def test_the_heap_grows_by_the_drawn_arrays_alone(self, tmp_path):
+        """Per disclosure the stage holds its drawn arrays (160 bytes at their
+        peak), not a record and a latent object: from n = 500 to n = 2,000 its
+        heap peak grows by under 200 bytes a disclosure. The record lists'
+        form grows by about 960, and lines made from a whole-array
+        ``tolist()`` by about 220."""
+        config = load_config(_stub_config(tmp_path))
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                pipeline.stage_synth(config, n, 42)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(500)  # warm-up
+        assert peak(2000) - peak(500) < 200 * 1500
 
 
 @pytest.fixture
@@ -147,7 +201,7 @@ class TestStubAgent:
             stub_agent(Lens.RISK, records[0], {})
 
     def test_requires_clean_text(self):
-        records, latents = generate_corpus(100, seed=2)
+        records, latents = oracles.generate_corpus(100, seed=2)
         with pytest.raises(ValueError, match="clean_text"):
             stub_agent(Lens.RISK, records[0], latents)
 
@@ -158,7 +212,7 @@ class TestAgainstTheStubOracle:
 
     @pytest.fixture(scope="class")
     def corpus(self):
-        records, latents = generate_corpus(300, seed=7)
+        records, latents = oracles.generate_corpus(300, seed=7)
         return preprocess_corpus(records, CFG), latents
 
     def test_stub_agent_matches_the_oracle_on_every_pair(self, corpus):
@@ -207,7 +261,7 @@ class TestAgainstTheStubOracle:
     def test_batch_path_needs_each_disclosures_latents(self, corpus, tmp_path):
         records, latents = corpus
         config = load_config(_stub_config(tmp_path))
-        write_latents({r.id: latents[r.id] for r in records[1:]}, config.latents_path)
+        oracles.write_latents({r.id: latents[r.id] for r in records[1:]}, config.latents_path)
         _, keys, rows, columns = self._pairs(records)
         with pytest.raises(ArtifactError, match=f"no latent signals for 1 disclosures.*{records[0].id}"):
             next(pipeline._stub_blocks(config, keys, rows, columns))
@@ -241,18 +295,18 @@ def _stub_config(tmp_path):
 
 class TestLatentsSidecar:
     def test_round_trip(self, tmp_path):
-        _, latents = generate_corpus(120, seed=4)
+        _, latents = oracles.generate_corpus(120, seed=4)
         path = tmp_path / "latents.jsonl"
-        write_latents(latents, path)
+        oracles.write_latents(latents, path)
         assert load_latents(path) == latents
 
     @staticmethod
     def _written(tmp_path, n):
         """A latents file of ``n`` disclosures, and its ids in file order."""
-        _, latents = generate_corpus(max(n, 100), seed=4)
+        _, latents = oracles.generate_corpus(max(n, 100), seed=4)
         latents = dict(list(latents.items())[:n])
         path = tmp_path / f"latents-{n}.jsonl"
-        write_latents(latents, path)
+        oracles.write_latents(latents, path)
         return path, list(latents)
 
     def test_the_stream_reads_what_the_whole_file_read_reads(self, tmp_path, monkeypatch):
