@@ -18,7 +18,6 @@ import math
 import os
 import re
 import threading
-from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
@@ -541,10 +540,13 @@ class Transport:
     requests are on the wire, and a caller that backs off holds no thread. A
     thread opens its connection to an endpoint on first use and reopens it
     after the server closes it. ``socket`` and ``ssl`` are imported only when
-    a connection opens, so stub-agent runs never pay for them.
+    a connection opens, and ``concurrent.futures`` only when a transport is
+    made, so stub-agent runs never pay for them.
     """
 
     def __init__(self, threads: int):
+        from concurrent.futures import ThreadPoolExecutor
+
         self._local = threading.local()
         # Each pool thread's connections by endpoint, for close() to close.
         self._connections: list[dict[Endpoint, _Connection]] = []
@@ -561,6 +563,8 @@ class Transport:
             answer = self._pool.submit(self._exchange, endpoint, request)
         except RuntimeError:  # the pool has shut down
             raise TransportError("the transport is closed") from None
+        from concurrent.futures import CancelledError  # loaded by __init__
+
         try:
             return answer.result()
         except CancelledError:  # close() took it off the queue

@@ -36,7 +36,6 @@ import re
 from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -410,6 +409,8 @@ def _time_split(
     than five records, and fractions that leave a split without records at
     this corpus size, are refused.
     """
+    from fractions import Fraction  # loads decimal too, which no other stage needs
+
     n = len(ids)
     if n < 5:
         raise InputError(f"need at least 5 records for a 60/20/20 split, got {n}")

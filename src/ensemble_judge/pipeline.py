@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from itertools import groupby, islice, zip_longest
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -48,7 +47,10 @@ from .ingest import (
 )
 from .meta import ConvergenceError, MetaModel, train_meta_model
 from .store import CacheBlock, CacheStore
-from .synth import corpus_lines, draw_corpus, latents_lines, read_latents, stub_blocks
+from .synth import NOISE_CHUNK, corpus_lines, draw_corpus, latents_lines, read_latents, stub_blocks
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 T = TypeVar("T")
 
@@ -146,21 +148,29 @@ HTTP_SYNC_EVERY = 256
 
 
 def _stub_blocks(
-    config: RunConfig, keys: PreparedKeys, rows: np.ndarray, columns: np.ndarray
+    config: RunConfig, keys: PreparedKeys, rows: np.ndarray, todo: np.ndarray
 ) -> Iterator[CacheBlock]:
-    """The stub agents' judgments of the pairs (prepared row, spec column)."""
+    """The stub agents' judgments of the pairs at positions ``todo`` among the
+    (row, spec column) pairs of the prepared ``rows`` in row-major order, from
+    :func:`stub_blocks`, a :data:`synth.NOISE_CHUNK` slice of ``todo`` at a time."""
     path = _require(config.latents_path, "latents sidecar")
     signals, seeds, lines = read_latents(path, keys.ids)
+    specs = config.agent_specs()
     # A row without a latents line is refused only if it is judged.
-    lacking = np.unique(rows[lines[rows] == 0])
+    judged = rows[np.unique(todo // len(specs))]
+    lacking = judged[lines[judged] == 0]
     if lacking.size:
         raise ArtifactError(
             f"{path}: no latent signals for {len(lacking)} disclosures, "
             f"e.g. {sorted(keys.ids_at(lacking))[:3]}"
         )
-    yield from stub_blocks(
-        keys, rows, columns, config.agent_specs(), signals, seeds, config.seed
-    )
+    del judged  # else held while every block is judged
+    for start in range(0, len(todo), NOISE_CHUNK):
+        pairs = todo[start : start + NOISE_CHUNK]
+        yield from stub_blocks(
+            keys, rows[pairs // len(specs)], pairs % len(specs), specs, signals, seeds,
+            config.seed,
+        )
 
 
 def _fetch_tasks(
@@ -195,6 +205,8 @@ def _http_blocks(
     and not yet collected. An error, from a pair or from ``todo``, is raised
     once the answers before it have been yielded as a block.
     """
+    from concurrent.futures import ThreadPoolExecutor  # only HTTP runs need it
+
     decoding = config.decoding()
 
     def _submit(task: tuple[DisclosureRecord, AgentSpec]) -> Future[AgentOutput]:
@@ -240,21 +252,22 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
     """
     keys = _prepared(config)
     rows = np.arange(len(keys.ids))
+    digests = keys.keys.reshape(-1)  # a view: every prepared row is judged
     if split_path is not None:
         split = _load_checked(split_path, load_split, "split")
         rows = np.sort(np.concatenate(list(keys.split_rows(split).values())))
+        digests = keys.keys[rows].ravel()
     specs = config.agent_specs()
-    digests = keys.keys[rows].ravel()
 
     fetched = 0
     fallbacks = 0
     with CacheStore(config.cache_path) as store:
         todo = store.missing(digests)
         if todo.size:
-            todo_rows, todo_columns = rows[todo // len(specs)], todo % len(specs)
             if config.stub.enabled:
-                blocks = _stub_blocks(config, keys, todo_rows, todo_columns)
+                blocks = _stub_blocks(config, keys, rows, todo)
             else:
+                todo_rows, todo_columns = rows[todo // len(specs)], todo % len(specs)
                 fetch = _fetch_tasks(config.prepared_path, todo_rows, todo_columns, specs)
                 blocks = _http_blocks(config, fetch, digests[todo])
             with closing(blocks):

@@ -12,8 +12,9 @@ digests (:func:`key_digest`, 16 bytes each): the digests sorted in one
 array, which :meth:`CacheStore.rows` searches with ``np.searchsorted``, and
 beside it each row's label code, confidence-source code, confidence and
 byte offset, packed in one record array. The writer appends a
-:class:`CacheBlock` of judgments at a time: one write of its lines, which
-share one ``created_at``, and its rows merged into their digests' places.
+:class:`CacheBlock` of judgments at a time: its lines, which share one
+``created_at``, written :data:`_LINES_PER_WRITE` at a time with one flush,
+and its rows merged into their digests' places.
 A row's full line (rationale, raw generation) is re-read from the file
 only to compare it with a re-put output or a repeated key's line (the
 first line's offset is kept). Every read of a line goes through
@@ -21,17 +22,18 @@ first line's offset is kept). Every read of a line goes through
 
 The writer saves that table next to the cache as a derived snapshot
 (``cache.jsonl.table``) whose body is the two arrays' bytes, stamped with
-the sha256 of the cache bytes it covers. An open whose stamp matches views
-the table in those bytes and parses only the lines past them; any other
-snapshot, or one whose rows break a value rule, is ignored and the whole
-file is parsed, so deleting the snapshot changes nothing but the open's cost.
+the sha256 of the cache bytes it covers: hashed as they are appended by a
+writer that opened the file empty, re-read by any other. An open whose
+stamp matches views the table in those bytes and parses only the lines past
+them; any other snapshot, or one whose rows break a value rule, is ignored
+and the whole file is parsed, so deleting the snapshot changes nothing but
+the open's cost.
 """
 
 from __future__ import annotations
 
 import fcntl
 import hashlib
-import logging
 import os
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
@@ -52,8 +54,6 @@ from .artifacts import (
     write_stamped,
 )
 from .domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
-
-logger = logging.getLogger(__name__)
 
 
 class CacheIntegrityError(ArtifactError):
@@ -176,6 +176,11 @@ def _cache_lines(columns: Sequence[list], created_at: str) -> list[bytes]:
             *map(map, _FIELD_JSON, columns), strict=True
         )
     ]
+
+
+# Cache lines joined per write call of a put (about 50 KB): a block's lines
+# are never copied whole, and a put makes a few dozen calls, not one a line.
+_LINES_PER_WRITE = 64
 
 
 class _KeyMismatch(Exception):
@@ -318,6 +323,7 @@ class CacheStore:
         self._snapshot_path = self.path.with_name(self.path.name + ".table")
         self._covered = 0  # cache bytes the snapshot on disk holds the table of
         self._snapshot_due = False  # a writer whose table is whole
+        self._sha256 = None  # a writer's hash of the file it opened empty
         self._reader: BinaryIO | None = None
         self._fh: BinaryIO | None = None
         try:
@@ -331,6 +337,7 @@ class CacheStore:
             if not readonly:
                 self._repair_tail()
                 self._snapshot_due = True
+                self._sha256 = hashlib.sha256() if self._end == 0 else None
         except BaseException:
             self.close()
             raise
@@ -359,7 +366,9 @@ class CacheStore:
                             f"{self.path}: corrupted line at byte offset {offset}: {exc}"
                         ) from None
                     # Unterminated final line: a crash artifact, not corruption.
-                    logger.warning(
+                    import logging  # only a crash tail needs it
+
+                    logging.getLogger(__name__).warning(
                         "%s: dropping truncated final line at byte offset %d", self.path, offset
                     )
                     self._end = offset
@@ -458,7 +467,7 @@ class CacheStore:
 
     def put(self, block: CacheBlock) -> None:
         """Durably append the rows of ``block`` whose keys are not stored yet,
-        in one write, each line stamped with the block's one ``created_at``.
+        with one flush, each line stamped with the block's one ``created_at``.
 
         A row whose key is stored, or repeats an earlier row's key, with the
         same payload is skipped; with another payload it is a
@@ -494,9 +503,14 @@ class CacheStore:
             return
         created_at = datetime.now(timezone.utc).isoformat()
         lines = _cache_lines([[column[i] for i in new] for column in columns], created_at)
-        self._fh.write(b"".join(lines))
+        for start in range(0, len(lines), _LINES_PER_WRITE):
+            chunk = b"".join(lines[start : start + _LINES_PER_WRITE])
+            self._fh.write(chunk)
+            if self._sha256 is not None:
+                self._sha256.update(chunk)
         self._fh.flush()
         offsets = np.cumsum([self._end, *map(len, lines)])
+        del columns, lines  # before the merge copies the table
         values = block.labels[new], block.sources[new], block.confidences[new], offsets[:-1]
         self._merge(block.digests[new], *values)
         self._end = int(offsets[-1])
@@ -516,11 +530,9 @@ class CacheStore:
         return np.flatnonzero(self.rows(digests) < 0)
 
     def _write_snapshot(self) -> None:
-        header = {
-            "rows": len(self._digests),
-            "covered_bytes": self._end,
-            "cache_sha256": prefix_sha256(self.path, self._end),
-        }
+        # A writer that opened the file empty has hashed every byte it holds.
+        stamp = self._sha256.hexdigest() if self._sha256 else prefix_sha256(self.path, self._end)
+        header = {"rows": len(self._digests), "covered_bytes": self._end, "cache_sha256": stamp}
         # Views, not copies: each is one write of the file.
         write_stamped(
             self._snapshot_path,

@@ -29,6 +29,7 @@ import numpy as np
 from .agents import AgentSpec, prompt_digests
 from .artifacts import ArtifactError, InputError, finite_number, read_jsonl
 from .domain import (
+    LENS_ORDER,
     AgentOutput,
     ConfidenceSource,
     DisclosureRecord,
@@ -95,17 +96,16 @@ def draw_corpus(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 100 or seed < 0:
         raise InputError(f"synthetic corpus needs n >= 100 and seed >= 0, got {n} and {seed}")
     rng = np.random.default_rng(seed)
-    kind = rng.uniform(0.0, 1.0, size=(n, 3))
-    magnitude_u = rng.uniform(0.0, 1.0, size=(n, 3))
-    signs = np.where(rng.uniform(0.0, 1.0, size=(n, 3)) < 0.5, -1.0, 1.0)
+    # Each draw is folded into the signals as it is drawn, in this order.
+    neutral = rng.uniform(0.0, 1.0, size=(n, 3)) < NEUTRAL_SIGNAL_MASS
+    signals = rng.uniform(0.0, 1.0, size=(n, 3))  # the magnitudes, scaled in place
+    lo, hi = np.array([SIGNAL_WINDOWS[lens] for lens in LENS_ORDER]).T
+    signals *= hi - lo
+    signals += lo
+    np.negative(signals, out=signals, where=rng.uniform(0.0, 1.0, size=(n, 3)) < 0.5)
     small = rng.uniform(-NEUTRAL_SIGNAL_WINDOW, NEUTRAL_SIGNAL_WINDOW, size=(n, 3))
-    signals = np.empty((n, 3))
-    for k, lens in enumerate((Lens.PERFORMANCE, Lens.GUIDANCE, Lens.RISK)):
-        lo, hi = SIGNAL_WINDOWS[lens]
-        magnitude = lo + (hi - lo) * magnitude_u[:, k]
-        signals[:, k] = np.where(
-            kind[:, k] < NEUTRAL_SIGNAL_MASS, small[:, k], signs[:, k] * magnitude
-        )
+    np.copyto(signals, small, where=neutral)
+    del neutral, small
     noise = rng.normal(0.0, RETURN_NOISE_SCALE, size=n)
     w_perf, w_guid, w_risk = RETURN_WEIGHTS
     return signals, w_perf * signals[:, 0] + w_guid * signals[:, 1] - w_risk * signals[:, 2] + noise

@@ -7,6 +7,7 @@ judgments, records, missing keys and end offset, or the same error.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
 import tracemalloc
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensemble_judge import store as store_module
+from ensemble_judge.artifacts import read_stamped
 from ensemble_judge.domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
 from ensemble_judge.store import (
     CacheCorruptionError,
@@ -357,3 +359,39 @@ def test_a_repeated_key_keeps_its_first_line_whichever_way_the_table_is_built(tm
     parsed = table()
     assert tail_parsed[0] < covered[0] == path.stat().st_size and parsed[0] == 0
     assert tail_parsed[1:] == covered[1:] == parsed[1:]
+
+
+def _stamp(path: Path) -> str:
+    header, _ = read_stamped(_snapshot(path), store_module._SNAPSHOT_MAGIC)
+    return header["cache_sha256"]
+
+
+def test_every_writer_stamps_the_sha256_of_the_bytes_it_covers(tmp_path):
+    """A writer that opens the file empty hashes its puts as it appends them;
+    one that opens it holding lines re-reads them. Either stamp is the
+    file's sha256."""
+    path = tmp_path / "cache.jsonl"
+    outputs = [make_output(lens, disclosure_id=f"d{i}") for i in range(4) for lens in Lens]
+    for run in (outputs[:7], outputs[7:]):
+        with CacheStore(path) as store:
+            for start in range(0, len(run), 3):
+                store.put(block(run[start : start + 3]))
+        assert _stamp(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    # A file whose one line a crash cut short is empty once the writer opens it.
+    path.write_bytes(_line(outputs[0])[:-5])
+    _snapshot(path).unlink()
+    with CacheStore(path) as store:
+        store.put(block(outputs[:2]))
+    assert _stamp(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_a_fresh_writer_stamps_its_snapshot_without_reading_the_cache_back(
+    tmp_path, monkeypatch
+):
+    read_back = []
+    monkeypatch.setattr(store_module, "prefix_sha256", lambda *args: read_back.append(args))
+    path = tmp_path / "cache.jsonl"
+    with CacheStore(path) as store:
+        for i in range(3):
+            store.put(block([make_output(lens, disclosure_id=f"d{i}") for lens in Lens]))
+    assert _snapshot(path).exists() and read_back == []

@@ -14,18 +14,25 @@ stage calls are the array functions themselves, that only the
 disclosure-line check and the generator build records, that only
 ``store._parse_line`` parses a cache line, that no stage parses a
 feature file, that an input is refused by a refusal raised on purpose rather
-than by a broad built-in error caught wholesale, and that the CLI knows the
-refusals by their base class alone.
+than by a broad built-in error caught wholesale, that the CLI knows the
+refusals by their base class alone, and that the CLI import and a stub
+``run-agents`` leave unloaded the modules only some runs need.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from operator import attrgetter
 from pathlib import Path
 
 import pytest
+
+from ensemble_judge.cli import main
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ensemble_judge"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -295,6 +302,60 @@ def test_only_the_transport_touches_the_network_modules():
     assert {name for name, module in imports if module.split(".")[0] in ("socket", "ssl")} == {
         "agents.py"
     }
+
+
+def test_only_the_http_path_imports_concurrent_futures():
+    """``agents.Transport`` and ``pipeline._http_blocks`` run the thread
+    pools; no other module imports ``concurrent.futures``."""
+    imports = [(path.name, module) for path in MODULES for _, module in _imports(path)]
+    assert {name for name, module in imports if module.startswith("concurrent")} == {
+        "agents.py",
+        "pipeline.py",
+    }
+
+
+# Import guard. Each of these modules serves only some runs: the HTTP path's
+# thread pools, ``ingest``'s exact split fractions (``fractions`` loads
+# ``decimal``) and the store's crash-tail warning. Imported where they are
+# used, they cost no other stage's process memory.
+DEFERRED_MODULES = {"concurrent.futures", "fractions", "decimal", "logging"}
+
+
+def _loaded(code: str) -> set[str]:
+    """The modules a fresh interpreter holds once it has run ``code``; this
+    process's ``sys.modules`` holds what every test before imported."""
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_the_cli_import_loads_no_module_that_only_some_runs_need():
+    assert _loaded("import ensemble_judge.cli") & DEFERRED_MODULES == set()
+
+
+def test_a_stub_run_agents_loads_no_thread_pool(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "workdir": str(tmp_path / "run"),
+        "corpus_path": str(tmp_path / "run" / "corpus.jsonl"),
+        "latents_path": str(tmp_path / "run" / "latents.jsonl"),
+        "seed": 42,
+        "stub_agents": {"enabled": True},
+    }))
+    assert main(["synth", "--config", str(config), "--n", "100", "--seed", "42"]) == 0
+    assert main(["ingest", "--config", str(config)]) == 0
+    loaded = _loaded(
+        "from ensemble_judge.cli import main\n"
+        f"assert main(['run-agents', '--config', {str(config)!r}]) == 0"
+    )
+    # The stub agents drew their noise (numpy.random) and started no thread pool.
+    assert "numpy.random" in loaded and "concurrent.futures" not in loaded
+    assert (tmp_path / "run" / "cache.jsonl").exists()
 
 
 def test_every_definition_has_a_live_user():

@@ -112,11 +112,11 @@ class TestSynthFiles:
             assert written.read_bytes() == expected.read_bytes()
 
     def test_the_heap_grows_by_the_drawn_arrays_alone(self, tmp_path):
-        """Per disclosure the stage holds its drawn arrays (160 bytes at their
-        peak), not a record and a latent object: from n = 500 to n = 2,000 its
-        heap peak grows by under 200 bytes a disclosure. The record lists'
-        form grows by about 960, and lines made from a whole-array
-        ``tolist()`` by about 220."""
+        """Per disclosure the stage holds its drawn arrays (about 54 bytes at
+        their peak, each draw folded into the signals as it is drawn), not a
+        record and a latent object: from n = 500 to n = 2,000 its heap peak
+        grows by under 100 bytes a disclosure. The record lists' form grows
+        by about 960, and the four draws held at once by 160."""
         config = load_config(_stub_config(tmp_path))
 
         def peak(n):
@@ -128,7 +128,7 @@ class TestSynthFiles:
                 tracemalloc.stop()
 
         peak(500)  # warm-up
-        assert peak(2000) - peak(500) < 200 * 1500
+        assert peak(2000) - peak(500) < 100 * 1500
 
 
 @pytest.fixture
@@ -262,11 +262,43 @@ class TestAgainstTheStubOracle:
         records, latents = corpus
         config = load_config(_stub_config(tmp_path))
         oracles.write_latents({r.id: latents[r.id] for r in records[1:]}, config.latents_path)
-        _, keys, rows, columns = self._pairs(records)
+        _, keys, _, _ = self._pairs(records)
+        rows, todo = np.arange(len(records)), np.arange(3 * len(records))
         with pytest.raises(ArtifactError, match=f"no latent signals for 1 disclosures.*{records[0].id}"):
-            next(pipeline._stub_blocks(config, keys, rows, columns))
-        # Pairs of the disclosures that have latents need nothing more.
-        assert next(pipeline._stub_blocks(config, keys, rows[3:], columns[3:]))
+            next(pipeline._stub_blocks(config, keys, rows, todo))
+        # Pairs of the disclosures that have latents need nothing more, be
+        # they the pairs to judge of all rows or all pairs of some rows.
+        assert next(pipeline._stub_blocks(config, keys, rows, todo[3:]))
+        (block,) = pipeline._stub_blocks(config, keys, rows[1:], todo[3:] - 3)
+        assert block.disclosure_ids == [r.id for r in records[1:] for _ in LENS_ORDER]
+
+
+def test_the_cold_stub_run_agents_heap_grows_by_its_tables_alone(tmp_path):
+    """Per pair a cold stub ``run-agents`` holds its share of the key table
+    (about 78 bytes), the cache table (34, and 18 more while a put merges a
+    block), the latents (13) and the pairs to judge (8), beside one block of
+    pairs: from n = 500 to n = 2,000 its heap peak grows by under 150 bytes a
+    pair (135 here). Whole-run copies of each pair's row, column and key
+    digest grow it by 167."""
+
+    def cold_run(n, name):
+        config = load_config(_stub_config(tmp_path / name))
+        pipeline.stage_synth(config, n, 42)
+        pipeline.stage_ingest(config)
+        return lambda: pipeline.stage_run_agents(config)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Untraced, so that the interpreter's free lists (of the 2,000 latents
+    # rows' tuples among them) are full before the first traced run.
+    cold_run(2000, "warm-up")()
+    assert peak(cold_run(2000, "large")) - peak(cold_run(500, "small")) < 150 * 3 * 1500
 
 
 def _block_rows(blocks) -> list[tuple]:
@@ -278,6 +310,7 @@ def _block_rows(blocks) -> list[tuple]:
 
 
 def _stub_config(tmp_path):
+    tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / "config.json"
     path.write_text(
         json.dumps(
