@@ -235,12 +235,21 @@ def read_jsonl(
     """
     path = Path(path)
     with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                obj = loads(line)
-                if b"\\u" in line:  # strict UTF-8 holds no surrogate; only an escape spells one
-                    _encode_strings(obj)
-                value = parse(obj)
-            except (InputError, UnicodeError) as exc:
-                raise error(f"{path}: line {lineno}: {exc}") from None
-            yield value
+        yield from parse_lines(path, fh, 1, parse, error)
+
+
+def parse_lines(
+    path: Path, lines: Iterable[bytes], start: int, parse: Callable[[object], T],
+    error: type[Refusal],
+) -> Iterator[T]:
+    """:func:`read_jsonl`'s values of ``lines`` of ``path``, the first of
+    them line ``start``."""
+    for lineno, line in enumerate(lines, start):
+        try:
+            obj = loads(line)
+            if b"\\u" in line:  # strict UTF-8 holds no surrogate; only an escape spells one
+                _encode_strings(obj)
+            value = parse(obj)
+        except (InputError, UnicodeError) as exc:
+            raise error(f"{path}: line {lineno}: {exc}") from None
+        yield value

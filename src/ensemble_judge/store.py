@@ -484,25 +484,26 @@ class CacheStore:
         if bad.size:
             raise ValueError(f"cache block row {bad[0]} breaks a cache line's value rules")
         columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block[1:]]
-        first: dict[bytes, int] = {}  # the first row of each key in the block
-        new = []  # the rows to append: each new key's first row
-        stored = self.rows(block.digests).tolist()
-        for i, (digest, row) in enumerate(zip(block.digests.tolist(), stored)):
-            j = first.setdefault(digest, i)
-            if row < 0 and j == i:
-                new.append(i)
-                continue
+        stored = self.rows(block.digests)
+        _, first, key = np.unique(block.digests, return_index=True, return_inverse=True)
+        first = first[key]  # the first row of each row's key in the block
+        new = (stored < 0) & (first == np.arange(n))  # each new key's first row
+        # Stored keys and repeats, in block order: the first that differs is refused.
+        for i in np.flatnonzero(~new).tolist():
             payload = tuple(column[i] for column in columns)
-            earlier = (self._payload_at(int(self._table["offset"][row])) if row >= 0
-                       else tuple(column[j] for column in columns))
+            earlier = (self._payload_at(int(self._table["offset"][stored[i]])) if stored[i] >= 0
+                       else tuple(column[first[i]] for column in columns))
             if payload != earlier:
                 raise CacheIntegrityError(
                     f"key already stored with a different payload: {_key_fields(payload)}"
                 )
-        if not new:
+        new = np.flatnonzero(new)
+        if not new.size:
             return
+        if new.size < n:
+            columns = [[column[i] for i in new.tolist()] for column in columns]
         created_at = datetime.now(timezone.utc).isoformat()
-        lines = _cache_lines([[column[i] for i in new] for column in columns], created_at)
+        lines = _cache_lines(columns, created_at)
         for start in range(0, len(lines), _LINES_PER_WRITE):
             chunk = b"".join(lines[start : start + _LINES_PER_WRITE])
             self._fh.write(chunk)

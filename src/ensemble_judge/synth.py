@@ -10,13 +10,15 @@ endpoint anywhere.
 
 ``synth`` writes the corpus and its latents sidecar a line at a time from
 the arrays it draws. A stub ``run-agents`` reads the sidecar as it streams,
-a block of lines at a time, straight into arrays in the key table's row
-order; no line is kept once its block is checked.
+a block of lines at a time (each line by the layout ``synth`` writes, where
+it has it), straight into arrays in the key table's row order; no line is
+kept once its block is checked.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import count, islice
@@ -27,7 +29,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .agents import AgentSpec, prompt_digests
-from .artifacts import ArtifactError, InputError, finite_number, read_jsonl
+from .artifacts import ArtifactError, InputError, finite_number, parse_lines, read_jsonl
 from .domain import (
     LENS_ORDER,
     AgentOutput,
@@ -155,10 +157,9 @@ _LABEL_NAMES = {int(label): label.as_string() for label in SentimentLabel}
 _SELF_REPORTED = SOURCE_CODES[ConfidenceSource.SELF_REPORTED]
 
 
-def _noise_seed(lens: str, disclosure_id: str, noise_seed: int) -> int:
-    """The seed of one (lens name, disclosure) pair's noise draw."""
-    digest = hashlib.sha256(f"{lens}:{disclosure_id}:{noise_seed}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+def _noise_seed(lens: str, disclosure_id: str, noise_seed: int) -> bytes:
+    """The seed of one (lens name, disclosure) pair's noise draw, as 8 big-endian bytes."""
+    return hashlib.sha256(f"{lens}:{disclosure_id}:{noise_seed}".encode("utf-8")).digest()[:8]
 
 
 def _stub_answers(lenses: Sequence[str], obs: np.ndarray) -> tuple:
@@ -197,7 +198,9 @@ def stub_agent(
     if not record.clean_text:
         raise ValueError(f"record {record.id!r} has no clean_text; preprocess first")
     # One pair: default_rng costs less than a call into the chunked mixing.
-    rng = np.random.default_rng(_noise_seed(lens.value, record.id, latent.noise_seed))
+    rng = np.random.default_rng(
+        int.from_bytes(_noise_seed(lens.value, record.id, latent.noise_seed), "big")
+    )
     column, sign = _OBSERVED[lens]
     signal = (latent.performance_signal, latent.guidance_signal, latent.risk_signal)[column]
     obs = sign * signal + float(rng.normal(0.0, DEFAULT_STUB_NOISE[lens]))
@@ -243,16 +246,13 @@ def stub_blocks(
 
     lens_names = [spec.lens.value for spec in specs]
     observed, signs = np.array([_OBSERVED[spec.lens] for spec in specs]).T
-    scales = [DEFAULT_STUB_NOISE[spec.lens] for spec in specs]
+    scales = np.array([DEFAULT_STUB_NOISE[spec.lens] for spec in specs])
     for start in range(0, len(rows), NOISE_CHUNK):
         r, c = rows[start : start + NOISE_CHUNK], columns[start : start + NOISE_CHUNK]
         at, ids = c.tolist(), keys.ids_at(r)
         lenses = [lens_names[column] for column in at]
-        pair_seeds = [
-            _noise_seed(lens, rid, noise_seed)
-            for lens, rid, noise_seed in zip(lenses, ids, noise_seeds[r].tolist())
-        ]
-        draws = normal_draws(pair_seeds, [scales[column] for column in at])
+        pair_seeds = b"".join(map(_noise_seed, lenses, ids, noise_seeds[r].tolist()))
+        draws = normal_draws(np.frombuffer(pair_seeds, ">u8"), scales[c])
         obs = signs[c] * signals[r, observed[c].astype(np.int64)] + draws
         labels, confidences, rationales, raw_jsons = _stub_answers(lenses, obs)
         prompts, n = keys.prompts[r, c].tobytes().hex(), len(at)
@@ -299,6 +299,39 @@ def _block_signals(block: Sequence[tuple], start: int) -> np.ndarray:
     return np.array(values, dtype=np.float64).reshape(-1, 3)
 
 
+# A latents line as ``write_jsonl`` writes ``latents_lines``' objects: an id
+# with no character JSON escapes, three signals with a fraction or an
+# exponent (JSON reads both as float()) and a seed of at most 20 digits.
+_SIGNAL = rb"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+_LATENT_LINE = re.compile(
+    rb'\{"id": "([^"\\\x00-\x1f]*)", "performance_signal": ' + _SIGNAL
+    + rb', "guidance_signal": ' + _SIGNAL + rb', "risk_signal": ' + _SIGNAL
+    + rb', "noise_seed": (0|[1-9][0-9]{0,19})\}\n?'
+)
+
+
+def _latent_rows(path: str | Path) -> Iterator[tuple]:
+    """The :func:`_latent_row` row of each line of ``path``, in file order:
+    read by the layout ``synth`` writes where a line has it and its id is
+    UTF-8 and its seed below 2**64, else as :func:`read_jsonl` reads it,
+    refusals included. A line is read either way to the same row."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            found = _LATENT_LINE.fullmatch(line)
+            if found is not None:
+                rid, performance, guidance, risk, seed = found.groups()
+                try:
+                    row = (rid.decode("utf-8"), float(performance), float(guidance),
+                           float(risk), int(seed))
+                except UnicodeDecodeError:
+                    row = None
+                if row is not None and row[4] < 1 << 64:
+                    yield row
+                    continue
+            yield from parse_lines(path, (line,), lineno, _latent_row, ArtifactError)
+
+
 def read_latents(
     path: str | Path, ids: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -320,7 +353,7 @@ def read_latents(
     lines = np.zeros(len(ids), np.int64)
     other: dict[str, int] = {}  # the line of each id outside ``ids``
     broken = repeated = None  # the first refusal of each kind, deferred
-    rows = read_jsonl(path, _latent_row)
+    rows = _latent_rows(path)
     for start in count(1, NOISE_CHUNK):
         block = list(islice(rows, NOISE_CHUNK))
         if not block:

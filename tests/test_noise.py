@@ -49,3 +49,54 @@ def test_mixing_that_differs_from_numpys_fails_loudly(monkeypatch):
     monkeypatch.setattr(noise, "_MIX_MULT_L", noise._MIX_MULT_L ^ 1)
     with pytest.raises(RuntimeError, match="SeedSequence"):
         normal_draws([12345], [0.7])
+
+
+STUB_SCALES = [0.15, 0.12, 0.7]
+
+
+def test_a_large_batch_equals_default_rng_at_each_stub_scale():
+    batch = np.concatenate(
+        [np.array(EDGE_SEEDS, dtype=np.uint64),
+         np.random.default_rng(5).integers(0, 2**64, 50_000, dtype=np.uint64)]
+    )
+    for scale in STUB_SCALES:
+        draws = normal_draws(batch, np.full(len(batch), scale))
+        expected = [float(np.random.default_rng(s).normal(0.0, scale)) for s in batch.tolist()]
+        assert draws == expected
+
+
+def _outputs_taken(seed: int) -> int:
+    """How many PCG64 outputs numpy's ``standard_normal`` takes for ``seed``'s draw."""
+    bits = np.random.PCG64(seed)
+    np.random.Generator(bits).standard_normal()
+    taken = np.random.PCG64(seed)
+    for n in range(1, 10):
+        taken.advance(1)
+        if taken.state == bits.state:
+            return n
+    raise AssertionError(seed)
+
+
+@pytest.mark.parametrize(
+    "seed, layer, outputs",
+    [(121, 0, None), (15, 1, None), (257, 12, 3)],
+    ids=["tail-layer", "layer-1", "wedge-rejection"],
+)
+def test_each_of_numpys_slow_paths_is_numpys_draw(seed, layer, outputs):
+    """Seeds whose first output falls in the tail layer, in layer 1 (whose box
+    numpy's table leaves empty), and in layer 12 outside its box, where the
+    wedge test rejects it and numpy draws again."""
+    assert int(np.random.PCG64(seed).random_raw()) & 0xFF == layer
+    if outputs is not None:
+        assert _outputs_taken(seed) == outputs
+    batch = [seed, 1, seed, 2**64 - 1]
+    for scale in STUB_SCALES:
+        assert normal_draws(batch, [scale] * 4) == [
+            float(np.random.default_rng(s).normal(0.0, scale)) for s in batch
+        ]
+
+
+def test_a_pcg64_step_that_differs_from_numpys_fails_loudly(monkeypatch):
+    monkeypatch.setattr(noise, "_PCG_MULT", noise._PCG_MULT ^ 2)
+    with pytest.raises(RuntimeError, match="PCG64 output differs from the copy in noise.py"):
+        normal_draws([12345], [0.7])

@@ -112,6 +112,38 @@ class TestPutGet:
         assert len(created) == 1  # one stamp per block
         assert lines == [cache_line(o, datetime.fromisoformat(*created)) for o in outputs[:2]]
 
+    def test_a_mixed_block_appends_and_refuses_row_by_row(self, tmp_path):
+        """New rows, rows already stored, and rows that repeat an earlier row of
+        the block with its payload or another: the new keys' first rows are
+        appended in block order, and the first row in block order whose payload
+        differs is the one refused."""
+        path = tmp_path / "cache.jsonl"
+        negative = SentimentLabel.NEGATIVE
+        with CacheStore(path) as store:
+            store.put(block([output_for(0), output_for(1)]))
+            before = path.read_bytes()
+            new = [output_for(2), output_for(3), output_for(4)]
+            store.put(block([new[0], output_for(0), new[1], new[0], output_for(1), new[2], new[1]]))
+            appended = path.read_bytes()[len(before):]
+            created = datetime.fromisoformat(json.loads(appended.splitlines()[0])["created_at"])
+            assert appended == b"".join(cache_line(o, created) for o in new)
+            assert len(store) == 5
+            for refused, named in (
+                ([output_for(5), output_for(0), output_for(5), output_for(6),
+                  output_for(6, label=negative), output_for(1, label=negative)], "d6"),
+                ([output_for(5), output_for(1, label=negative), output_for(5, label=negative)],
+                 "d1"),
+            ):
+                with pytest.raises(CacheIntegrityError) as exc:
+                    store.put(block(refused))
+                o = output_for(int(named[1:]))
+                assert str(exc.value) == (
+                    f"key already stored with a different payload: disclosure_id={named!r}, "
+                    f"lens='performance', model_name={o.model_name!r}, "
+                    f"prompt_hash={o.prompt_hash!r}, seed={o.seed!r}"
+                )
+                assert path.read_bytes() == before + appended and len(store) == 5
+
     @pytest.mark.parametrize(
         "column, value",
         [

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from datetime import datetime
 
@@ -8,7 +9,7 @@ import pytest
 
 from ensemble_judge import pipeline, synth
 from ensemble_judge.agents import AgentSpec, render_prompt
-from ensemble_judge.artifacts import ArtifactError
+from ensemble_judge.artifacts import ArtifactError, write_jsonl
 from ensemble_judge.cli import main
 from ensemble_judge.config import load_config
 from ensemble_judge.domain import LENS_ORDER, ConfidenceSource, Lens, SentimentLabel
@@ -352,6 +353,62 @@ class TestLatentsSidecar:
         assert np.array_equal(signals, expected_signals)
         assert seeds.dtype == np.uint64 and seeds.tolist() == expected_seeds
         assert np.array_equal(lines, expected_lines) and lines[-2:].tolist() == [0, 0]
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_the_fixed_layout_reads_what_the_json_path_reads(self, tmp_path, monkeypatch, seed):
+        """``synth``'s own lines all take the fixed layout; with the layout
+        refused, every line is decoded as JSON, to the same arrays."""
+        path = tmp_path / "latents.jsonl"
+        write_jsonl(path, synth.latents_lines(synth.draw_corpus(2000, seed)[0], seed))
+        ids = [f"syn-{i:06d}" for i in range(2000)][::-3] + ["absent"]
+        with monkeypatch.context() as patched:
+            patched.setattr(synth, "parse_lines", None)  # a line decoded as JSON fails
+            fixed = synth.read_latents(path, ids)
+        monkeypatch.setattr(synth, "_LATENT_LINE", re.compile(b"(?!)"))
+        decoded = synth.read_latents(path, ids)
+        assert fixed[0].tobytes() == decoded[0].tobytes()
+        assert fixed[1].dtype == decoded[1].dtype == np.uint64
+        assert np.array_equal(fixed[1], decoded[1]) and np.array_equal(fixed[2], decoded[2])
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # Off the layout, decoded as JSON:
+            '{"performance_signal": 0.5, "id": "syn-000003", "guidance_signal": -0.25, '
+            '"risk_signal": 0.75, "noise_seed": 7}',
+            '{"id": "syn-000003",  "performance_signal": 0.5, "guidance_signal": -0.25, '
+            '"risk_signal": 0.75, "noise_seed": 7}',
+            '{"id":"syn-000003","performance_signal":0.5,"guidance_signal":-0.25,'
+            '"risk_signal":0.75,"noise_seed":7}',
+            '{"id": "syn-00000\\u0033", "performance_signal": 0.5, "guidance_signal": -0.25, '
+            '"risk_signal": 0.75, "noise_seed": 7}',
+            '{"id": "syn-000003", "performance_signal": -0, "guidance_signal": 1, '
+            '"risk_signal": 0.75, "noise_seed": 7}',
+            '{"id": "syn-000003", "performance_signal": 0.5, "guidance_signal": -0.25, '
+            '"risk_signal": 0.75, "noise_seed": -3}',
+            '{"id": "syn-000003", "performance_signal": 0.5, "guidance_signal": -0.25, '
+            '"risk_signal": 0.75, "noise_seed": 18446744073709551616}',
+            '{"id": "syn-000003", "performance_signal": 0.5, "guidance_signal": -0.25, '
+            '"risk_signal": 0.75, "noise_seed": 7} ',
+            # On it:
+            '{"id": "syn-000003", "performance_signal": -0.0, "guidance_signal": 1e-05, '
+            '"risk_signal": -7.5E-1, "noise_seed": 18446744073709551615}',
+        ],
+        ids=["key-order", "spacing", "compact", "escape", "integer-signals", "negative-seed",
+             "seed-2**64", "trailing-space", "on-layout-numbers"],
+    )
+    def test_a_line_off_the_layout_reads_as_the_whole_file_read(
+        self, tmp_path, monkeypatch, line
+    ):
+        monkeypatch.setattr(synth, "NOISE_CHUNK", 7)
+        path, ids = self._written(tmp_path, 20)
+        lines = path.read_text().splitlines()
+        lines[ids.index("syn-000003")] = line
+        path.write_text("\n".join(lines) + "\n")
+        signals, seeds, found = synth.read_latents(path, ids)
+        expected_signals, expected_seeds, expected_found = oracles.read_latents(path, ids)
+        assert signals.tobytes() == expected_signals.tobytes()
+        assert seeds.tolist() == expected_seeds and np.array_equal(found, expected_found)
 
     def test_a_seed_beyond_uint64_is_kept_as_written(self, tmp_path, monkeypatch):
         monkeypatch.setattr(synth, "NOISE_CHUNK", 7)
