@@ -80,16 +80,15 @@ def templates_sha256() -> str:
     return hashlib.sha256(json.dumps(templates).encode("ascii")).hexdigest()
 
 
-def prompt_digester(lens: Lens) -> Callable[[str], bytes]:
-    """The raw sha256 of a text's :func:`render_prompt` prompt, without
-    rendering it: each hash continues a copy of one state that has taken the
-    template text before the placeholder."""
+def prompt_digester(lens: Lens) -> Callable[[bytes], bytes]:
+    """The raw sha256 of a text's :func:`render_prompt` prompt, given the
+    text as UTF-8, without rendering it: each hash continues a copy of one
+    state that has taken the template text before the placeholder."""
     head, *tails = (part.encode("utf-8") for part in PROMPT_TEMPLATES[lens].split(_PLACEHOLDER))
     seeded = hashlib.sha256(head)
 
-    def digest_of(text: str) -> bytes:
+    def digest_of(encoded: bytes) -> bytes:
         digest = seeded.copy()
-        encoded = text.encode("utf-8")
         for tail in tails:
             digest.update(encoded)
             digest.update(tail)
@@ -100,7 +99,7 @@ def prompt_digester(lens: Lens) -> Callable[[str], bytes]:
 
 def prompt_digests(lens: Lens, clean_texts: Iterable[str]) -> list[bytes]:
     """:func:`prompt_digester` of ``lens`` applied to each text."""
-    return list(map(prompt_digester(lens), clean_texts))
+    return [prompt_digester(lens)(text.encode("utf-8")) for text in clean_texts]
 
 
 # ``perfbench/traced_stage.py`` wraps this name for a span; no stage calls it.

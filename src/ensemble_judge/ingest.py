@@ -34,8 +34,10 @@ import math
 import os
 import re
 from array import array
+from binascii import hexlify
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from hashlib import blake2b
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -57,7 +59,7 @@ from .artifacts import (
     write_text,
 )
 from .domain import DisclosureRecord, Split
-from .store import DIGEST, key_digest
+from .store import DIGEST
 
 CORPUS_KEYS = frozenset({"id", "timestamp", "ticker", "text", "next_day_return"})
 PREPARED_KEYS = CORPUS_KEYS | {"clean_text"}
@@ -209,17 +211,34 @@ class PreparedKeys:
         cls, records: Iterable[DisclosureRecord], specs: Sequence[AgentSpec], seed: int
     ) -> "PreparedKeys":
         """The keys of preprocessed ``records``, taken one at a time as they
-        stream by: the only derivation of a pair's prompt and cache-key digests."""
-        columns = [(prompt_digester(s.lens), s.lens.value, s.model_name) for s in specs]
+        stream by: the only derivation of a pair's prompt and cache-key digests.
+
+        A key digest is :func:`store.key_digest`'s, hashed from pieces made
+        once: the id's a record, each spec's lens, model and prompt-length
+        prefix and the seed's a run. Each text is encoded once."""
+
+        def encoded(text: str) -> bytes:  # as key_digest encodes its one string
+            return text.encode("utf-8", "surrogatepass")
+
+        columns = [
+            (prompt_digester(s.lens), encoded(
+                f"{len(s.lens.value)}:{s.lens.value}{len(s.model_name)}:{s.model_name}"
+                f"{2 * _PROMPT_BYTES}:"
+            ))
+            for s in specs
+        ]
+        seed_text = encoded(f"{seed}")
         ids: list[str] = []
         targets, prompts, keys = bytearray(), bytearray(), bytearray()
         for record in records:
             ids.append(record.id)
             targets.append(record.binary_target)
-            for digest_of, lens, model_name in columns:
-                prompt = digest_of(record.clean_text)
+            rid, text = encoded(f"{len(record.id)}:{record.id}"), record.clean_text.encode("utf-8")
+            for digest_of, spec in columns:
+                prompt = digest_of(text)
                 prompts += prompt
-                keys += key_digest(record.id, lens, model_name, prompt.hex(), seed)
+                key = b"".join((rid, spec, hexlify(prompt), seed_text))
+                keys += blake2b(key, digest_size=16).digest()
         return cls(
             ids,
             np.frombuffer(targets, np.int8).astype(np.int64),

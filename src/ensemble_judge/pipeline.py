@@ -164,7 +164,7 @@ def _stub_blocks(
             f"{path}: no latent signals for {len(lacking)} disclosures, "
             f"e.g. {sorted(keys.ids_at(lacking))[:3]}"
         )
-    del judged  # else held while every block is judged
+    del judged, lines  # else held while every block is judged
     for start in range(0, len(todo), NOISE_CHUNK):
         pairs = todo[start : start + NOISE_CHUNK]
         yield from stub_blocks(
@@ -277,6 +277,7 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
                     fallbacks += block.fallbacks()
                     if not config.stub.enabled:
                         store.sync()
+                    del block  # before the next one is built
         still_missing = len(store.missing(digests)) if todo.size else 0
 
     return {

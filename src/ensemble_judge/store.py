@@ -12,13 +12,14 @@ digests (:func:`key_digest`, 16 bytes each): the digests sorted in one
 array, which :meth:`CacheStore.rows` searches with ``np.searchsorted``, and
 beside it each row's label code, confidence-source code, confidence and
 byte offset, packed in one record array. The writer appends a
-:class:`CacheBlock` of judgments at a time: its lines, which share one
-``created_at``, written :data:`_LINES_PER_WRITE` at a time with one flush,
-and its rows merged into their digests' places.
+:class:`CacheBlock` of judgments at a time: the arrays of its rows, merged
+into their digests' places, and the head of each row's line, which the
+put closes with one tail, ``created_at`` included, and writes
+:data:`_LINES_PER_WRITE` lines at a time with one flush.
 A row's full line (rationale, raw generation) is re-read from the file
-only to compare it with a re-put output or a repeated key's line (the
-first line's offset is kept). Every read of a line goes through
-:func:`_parse_line`, which holds all of a line's rules.
+only to compare it with a re-put row's line or a repeated key's line (the
+first line's offset is kept). Every read of a line, a re-put row's own
+included, goes through :func:`_parse_line`, which holds all of a line's rules.
 
 The writer saves that table next to the cache as a derived snapshot
 (``cache.jsonl.table``) whose body is the two arrays' bytes, stamped with
@@ -92,42 +93,70 @@ def key_digest(
     return hashlib.blake2b(encoded, digest_size=16).digest()
 
 
+def line_head(*fields: str) -> str:
+    """A cache line up to and including ``"created_at": ``, its *head*, from
+    the JSON text of each output field in :class:`AgentOutput` order:
+    ``{key, output, created_at}`` in this fixed field order. A put appends
+    the line's *tail*, the JSON text of its ``created_at``, ``}`` and the
+    newline, and writes it as the bytes ``json.dumps(..., ensure_ascii=False)``
+    writes, except that a lone surrogate, which UTF-8 cannot encode, is
+    written as its JSON escape (``\\udXXX``). A high surrogate and a low one
+    side by side are two such escapes, which JSON reads back as one character."""
+    rid, lens, label, conf, why, source, model, prompt, seed, raw, retry = fields
+    return (
+        f'{{"key": {{"disclosure_id": {rid}, "lens": {lens}, "model_name": {model}, '
+        f'"prompt_hash": {prompt}, "seed": {seed}}}, "output": {{"disclosure_id": {rid}, '
+        f'"agent": {lens}, "label": {label}, "confidence": {conf}, "rationale": {why}, '
+        f'"confidence_source": {source}, "model_name": {model}, "prompt_hash": {prompt}, '
+        f'"seed": {seed}, "raw_json": {raw}, "retry_count": {retry}}}, "created_at": '
+    )
+
+
+# The JSON text of the enum fields, by name or code.
+_LENS_JSON = {lens.value: encode_basestring(lens.value) for lens in Lens}
+_LABEL_JSON = {int(label): encode_basestring(label.as_string()) for label in SentimentLabel}
+_SOURCE_JSON = [encode_basestring(source.value) for source in _SOURCES]
+# The JSON text of a string as a cache line holds it: json.dumps's with
+# ensure_ascii=False.
+json_text = encode_basestring
+
+
 class CacheBlock(NamedTuple):
-    """Judgments to append, as columns with one row per judgment: each row's
-    key digest (as ``PreparedKeys.keys`` holds it), then its output fields in
-    :class:`AgentOutput` order, the lens as its name and the label and the
-    confidence source as their codes; the numeric columns are numpy arrays."""
+    """Judgments to append, one row per judgment: each row's key digest (as
+    ``PreparedKeys.keys`` holds it), its label and confidence-source codes
+    and its confidence, as numpy arrays, and its cache line's
+    :func:`line_head`. The arrays are what the table keeps; the heads are
+    what the file keeps."""
 
     digests: np.ndarray
-    disclosure_ids: Sequence[str]
-    lenses: Sequence[str]
     labels: np.ndarray
-    confidences: np.ndarray
-    rationales: Sequence[str]
     sources: np.ndarray
-    model_names: Sequence[str]
-    prompt_hashes: Sequence[str]
-    seeds: Sequence[int]
-    raw_jsons: Sequence[str]
-    retry_counts: np.ndarray
+    confidences: np.ndarray
+    heads: Sequence[str]
 
     @classmethod
     def of(cls, digests: Sequence[bytes], outputs: Sequence[AgentOutput]) -> "CacheBlock":
-        """The block of ``outputs``, the one under each key digest."""
-        return cls(
-            np.array(digests, dtype=DIGEST),
-            [o.disclosure_id for o in outputs],
-            [o.agent.value for o in outputs],
-            np.array([int(o.label) for o in outputs], dtype=np.int8),
-            np.array([o.confidence for o in outputs], dtype=np.float64),
-            [o.rationale for o in outputs],
-            np.array([SOURCE_CODES[o.confidence_source] for o in outputs], dtype=np.int8),
-            [o.model_name for o in outputs],
-            [o.prompt_hash for o in outputs],
-            [o.seed for o in outputs],
-            [o.raw_json for o in outputs],
-            np.array([o.retry_count for o in outputs], dtype=np.int8),
-        )
+        """The block of ``outputs``, the one under each key digest. A retry
+        count outside {0, 1} is a ``ValueError`` naming the first such row."""
+        labels = np.array([int(o.label) for o in outputs], dtype=np.int8)
+        sources = np.array([SOURCE_CODES[o.confidence_source] for o in outputs], dtype=np.int8)
+        confidences = np.array([o.confidence for o in outputs], dtype=np.float64)
+        retries = np.array([o.retry_count for o in outputs], dtype=np.int8)
+        bad = np.flatnonzero((retries < 0) | (retries > 1))
+        if bad.size:
+            raise ValueError(f"cache block row {bad[0]} breaks a cache line's value rules")
+        heads = [
+            line_head(
+                json_text(o.disclosure_id), _LENS_JSON[o.agent.value], _LABEL_JSON[label],
+                float.__repr__(confidence), json_text(o.rationale), _SOURCE_JSON[source],
+                json_text(o.model_name), json_text(o.prompt_hash), int.__repr__(o.seed),
+                json_text(o.raw_json), int.__repr__(retry),
+            )
+            for o, label, confidence, source, retry in zip(
+                outputs, labels.tolist(), confidences.tolist(), sources.tolist(), retries.tolist()
+            )
+        ]
+        return cls(np.array(digests, dtype=DIGEST), labels, sources, confidences, heads)
 
     def fallbacks(self) -> int:
         """The rows whose confidence source is the fallback."""
@@ -142,40 +171,6 @@ def _valid_values(labels: np.ndarray, sources: np.ndarray, confidences: np.ndarr
         & (confidences >= 0.0) & (confidences <= 1.0)
         & ((sources != _FALLBACK_CODE) | ((labels == 0) & (confidences == 0.0)))
     )
-
-
-# The JSON text of each output field, in CacheBlock order; enum values are
-# encoded once, by their name or code.
-_LENS_JSON = {lens.value: encode_basestring(lens.value) for lens in Lens}
-_LABEL_JSON = {int(label): encode_basestring(label.as_string()) for label in SentimentLabel}
-_SOURCE_JSON = [encode_basestring(source.value) for source in _SOURCES]
-_TEXT = encode_basestring
-_FIELD_JSON = (
-    _TEXT, _LENS_JSON.__getitem__, _LABEL_JSON.__getitem__, float.__repr__, _TEXT,
-    _SOURCE_JSON.__getitem__, _TEXT, _TEXT, int.__repr__, _TEXT, int.__repr__,
-)
-
-
-def _cache_lines(columns: Sequence[list], created_at: str) -> list[bytes]:
-    """The cache line of each row of a block's output ``columns`` (lists, in
-    :class:`CacheBlock` order): ``{key, output, created_at}`` in this fixed
-    field order, the bytes ``json.dumps(..., ensure_ascii=False)`` writes,
-    except that a lone surrogate, which UTF-8 cannot encode, is written as its
-    JSON escape (``\\udXXX``). A high surrogate and a low one side by side
-    are two such escapes, which JSON reads back as one character."""
-    at = _TEXT(created_at)
-    return [
-        (
-            f'{{"key": {{"disclosure_id": {rid}, "lens": {lens}, "model_name": {model}, '
-            f'"prompt_hash": {prompt}, "seed": {seed}}}, "output": {{"disclosure_id": {rid}, '
-            f'"agent": {lens}, "label": {label}, "confidence": {conf}, "rationale": {why}, '
-            f'"confidence_source": {source}, "model_name": {model}, "prompt_hash": {prompt}, '
-            f'"seed": {seed}, "raw_json": {raw}, "retry_count": {retry}}}, "created_at": {at}}}\n'
-        ).encode("utf-8", "backslashreplace")
-        for rid, lens, label, conf, why, source, model, prompt, seed, raw, retry in zip(
-            *map(map, _FIELD_JSON, columns), strict=True
-        )
-    ]
 
 
 # Cache lines joined per write call of a put (about 50 KB): a block's lines
@@ -237,7 +232,7 @@ def _parse_line(line: bytes) -> tuple[bytes, tuple]:
     if _KEY_IDENTITY(key) != identity:
         raise _KeyMismatch
     # The equality above holds for 42.0 == 42 and True == 1: check the types
-    # _cache_lines writes.
+    # a put writes.
     if type(seed) is not int or type(key["seed"]) is not int:
         raise InputError("seed must be an integer in both blocks")
     if type(retry_count) is not int or retry_count not in (0, 1):
@@ -467,7 +462,8 @@ class CacheStore:
 
     def put(self, block: CacheBlock) -> None:
         """Durably append the rows of ``block`` whose keys are not stored yet,
-        with one flush, each line stamped with the block's one ``created_at``.
+        with one flush: each row's head and the block's one tail, whose
+        ``created_at`` is the time of the put.
 
         A row whose key is stored, or repeats an earlier row's key, with the
         same payload is skipped; with another payload it is a
@@ -478,43 +474,50 @@ class CacheStore:
         n = len(block.digests)
         if any(len(column) != n for column in block):
             raise ValueError("a cache block's columns must hold one row per key digest")
-        retries = block.retry_counts
-        valid = _valid_values(block.labels, block.sources, block.confidences)
-        bad = np.flatnonzero(~valid | (retries < 0) | (retries > 1))
+        bad = np.flatnonzero(~_valid_values(block.labels, block.sources, block.confidences))
         if bad.size:
             raise ValueError(f"cache block row {bad[0]} breaks a cache line's value rules")
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block[1:]]
+        heads = block.heads
+        tail = f"{json_text(datetime.now(timezone.utc).isoformat())}}}\n"
         stored = self.rows(block.digests)
         _, first, key = np.unique(block.digests, return_index=True, return_inverse=True)
         first = first[key]  # the first row of each row's key in the block
         new = (stored < 0) & (first == np.arange(n))  # each new key's first row
+
+        def payload(row: int) -> tuple:
+            return _parse_line((heads[row] + tail).encode("utf-8", "backslashreplace"))[1]
+
         # Stored keys and repeats, in block order: the first that differs is refused.
         for i in np.flatnonzero(~new).tolist():
-            payload = tuple(column[i] for column in columns)
+            mine = payload(i)
             earlier = (self._payload_at(int(self._table["offset"][stored[i]])) if stored[i] >= 0
-                       else tuple(column[first[i]] for column in columns))
-            if payload != earlier:
+                       else payload(first[i]))
+            if mine != earlier:
                 raise CacheIntegrityError(
-                    f"key already stored with a different payload: {_key_fields(payload)}"
+                    f"key already stored with a different payload: {_key_fields(mine)}"
                 )
         new = np.flatnonzero(new)
         if not new.size:
             return
         if new.size < n:
-            columns = [[column[i] for i in new.tolist()] for column in columns]
-        created_at = datetime.now(timezone.utc).isoformat()
-        lines = _cache_lines(columns, created_at)
-        for start in range(0, len(lines), _LINES_PER_WRITE):
-            chunk = b"".join(lines[start : start + _LINES_PER_WRITE])
+            heads = [heads[i] for i in new.tolist()]
+        sizes = np.fromiter(map(len, heads), np.int64, len(heads)) + len(tail)
+        for start in range(0, len(heads), _LINES_PER_WRITE):
+            part = heads[start : start + _LINES_PER_WRITE]
+            text = tail.join(part) + tail
+            if not text.isascii():  # an offset counts bytes, not characters
+                sizes[start : start + len(part)] = [
+                    len(head.encode("utf-8", "backslashreplace")) + len(tail) for head in part
+                ]
+            chunk = text.encode("utf-8", "backslashreplace")
             self._fh.write(chunk)
             if self._sha256 is not None:
                 self._sha256.update(chunk)
         self._fh.flush()
-        offsets = np.cumsum([self._end, *map(len, lines)])
-        del columns, lines  # before the merge copies the table
-        values = block.labels[new], block.sources[new], block.confidences[new], offsets[:-1]
+        ends = self._end + np.cumsum(sizes)
+        values = block.labels[new], block.sources[new], block.confidences[new], ends - sizes
         self._merge(block.digests[new], *values)
-        self._end = int(offsets[-1])
+        self._end = int(ends[-1])
 
     def sync(self) -> None:
         """fsync the append handle (call on batch boundaries)."""

@@ -21,7 +21,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import count, islice
+from itertools import count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -39,7 +39,7 @@ from .domain import (
     SentimentLabel,
 )
 from .ingest import PreparedKeys
-from .store import SOURCE_CODES, CacheBlock
+from .store import SOURCE_CODES, CacheBlock, json_text, line_head
 
 STUB_MODEL_NAME = "stub-agent"
 STUB_ENDPOINT = "stub://local"
@@ -162,22 +162,19 @@ def _noise_seed(lens: str, disclosure_id: str, noise_seed: int) -> bytes:
     return hashlib.sha256(f"{lens}:{disclosure_id}:{noise_seed}".encode("utf-8")).digest()[:8]
 
 
-def _stub_answers(lenses: Sequence[str], obs: np.ndarray) -> tuple:
-    """The stub agent's label codes (int8), confidences, rationales and raw
-    answers for noisy observations ``obs`` by agents of the given lens names."""
+def _judgments(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stub agent's label codes (int8) and confidences for noisy observations ``obs``."""
     labels = np.where(obs > LABEL_DEAD_ZONE, 1, np.where(obs < -LABEL_DEAD_ZONE, -1, 0))
-    confidences = np.minimum(np.abs(obs), 1.0)
-    rationales = [
-        f"The {lens} signal reads {o:+.3f} for next-day reaction."
-        for lens, o in zip(lenses, obs.tolist())
-    ]
-    # json.dumps's bytes: the label and rationale hold no character JSON escapes.
-    raw_jsons = [
-        f'{{"label": "{_LABEL_NAMES[label]}", "rationale": "{rationale}", '
-        f'"confidence": {confidence!r}}}'
-        for label, rationale, confidence in zip(labels.tolist(), rationales, confidences.tolist())
-    ]
-    return labels.astype(np.int8), confidences, rationales, raw_jsons
+    return labels.astype(np.int8), np.minimum(np.abs(obs), 1.0)
+
+
+def _answer(lens: str, label: str, obs: str, confidence: str) -> tuple[str, str]:
+    """The stub agent's rationale and raw answer, given its lens and label
+    names, its observation as ``+0.000`` and its confidence's ``repr``. The
+    answer is json.dumps's bytes: no part holds a character JSON escapes."""
+    rationale = f"The {lens} signal reads {obs} for next-day reaction."
+    answer = f'{{"label": "{label}", "rationale": "{rationale}", "confidence": {confidence}}}'
+    return rationale, answer
 
 
 def stub_agent(
@@ -204,14 +201,13 @@ def stub_agent(
     column, sign = _OBSERVED[lens]
     signal = (latent.performance_signal, latent.guidance_signal, latent.risk_signal)[column]
     obs = sign * signal + float(rng.normal(0.0, DEFAULT_STUB_NOISE[lens]))
-    (label,), (confidence,), (rationale,), (raw_json,) = _stub_answers(
-        [lens.value], np.array([obs])
-    )
+    (label,), (confidence,) = (a.tolist() for a in _judgments(np.array([obs])))
+    rationale, raw_json = _answer(lens.value, _LABEL_NAMES[label], f"{obs:+.3f}", repr(confidence))
     return AgentOutput(
         disclosure_id=record.id,
         agent=lens,
-        label=SentimentLabel(int(label)),
-        confidence=float(confidence),
+        label=SentimentLabel(label),
+        confidence=confidence,
         rationale=rationale,
         confidence_source=ConfidenceSource.SELF_REPORTED,
         model_name=STUB_MODEL_NAME,
@@ -220,6 +216,26 @@ def stub_agent(
         raw_json=raw_json,
         retry_count=0,
     )
+
+
+# Stand-ins for a pair's own values in the line head of an agent spec:
+# private-use characters, which no JSON text escapes. A head holds them in the
+# order id, prompt, id, label, confidence, observation, prompt, label,
+# observation, confidence.
+_ID, _PROMPT, _LABEL, _CONFIDENCE, _OBS = map(chr, range(0xE000, 0xE005))
+
+
+def _head_pieces(spec: AgentSpec, seed: int) -> list[str]:
+    """The 11 pieces of text around a stub pair's own values in the
+    :func:`store.line_head` of a judgment by ``spec`` under the run ``seed``."""
+    rationale, answer = _answer(spec.lens.value, _LABEL, _OBS, _CONFIDENCE)
+    head = line_head(
+        _ID, json_text(spec.lens.value), f'"{_LABEL}"', _CONFIDENCE,
+        json_text(rationale), json_text(ConfidenceSource.SELF_REPORTED.value),
+        json_text(spec.model_name), f'"{_PROMPT}"', repr(seed),
+        json_text(answer), "0",
+    )
+    return re.split(f"[{_ID}-{_OBS}]", head)
 
 
 # Pairs per block of vectorized seed mixing and cache appends, and lines per
@@ -235,7 +251,8 @@ def stub_blocks(
 ) -> Iterator[CacheBlock]:
     """:func:`stub_agent`'s judgment of each pair (prepared row, spec column),
     with the key table's prompt digest and the run's ``seed``, as cache
-    blocks of :data:`NOISE_CHUNK` pairs.
+    blocks of :data:`NOISE_CHUNK` pairs whose heads are rendered a row at a
+    time from the spec's :func:`_head_pieces`.
 
     ``signals`` (performance, guidance, risk) and ``noise_seeds`` are the
     latents of each prepared row. The noise is the same
@@ -245,6 +262,7 @@ def stub_blocks(
     from .noise import normal_draws  # loads numpy.random, which only stub runs need
 
     lens_names = [spec.lens.value for spec in specs]
+    pieces = [_head_pieces(spec, seed) for spec in specs]
     observed, signs = np.array([_OBSERVED[spec.lens] for spec in specs]).T
     scales = np.array([DEFAULT_STUB_NOISE[spec.lens] for spec in specs])
     for start in range(0, len(rows), NOISE_CHUNK):
@@ -254,13 +272,23 @@ def stub_blocks(
         pair_seeds = b"".join(map(_noise_seed, lenses, ids, noise_seeds[r].tolist()))
         draws = normal_draws(np.frombuffer(pair_seeds, ">u8"), scales[c])
         obs = signs[c] * signals[r, observed[c].astype(np.int64)] + draws
-        labels, confidences, rationales, raw_jsons = _stub_answers(lenses, obs)
-        prompts, n = keys.prompts[r, c].tobytes().hex(), len(at)
+        labels, confidences = _judgments(obs)
+        prompts = keys.prompts[r, c].tobytes().hex()
+        # The heads are built in the yield, so no frame holds them past their put.
         yield CacheBlock(
-            keys.keys[r, c], ids, lenses, labels, confidences, rationales,
-            np.full(n, _SELF_REPORTED, dtype=np.int8), [specs[column].model_name for column in at],
-            [prompts[i : i + 64] for i in range(0, 64 * n, 64)], [seed] * n, raw_jsons,
-            np.zeros(n, dtype=np.int8),
+            keys.keys[r, c], labels, np.full(len(at), _SELF_REPORTED, dtype=np.int8), confidences,
+            [
+                f"{p0}{rid}{p1}{prompt}{p2}{rid}{p3}{label}{p4}{confidence}{p5}{o}{p6}"
+                f"{prompt}{p7}{label}{p8}{o}{p9}{confidence}{p10}"
+                for (p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10), rid, prompt, label,
+                confidence, o in zip(
+                    map(pieces.__getitem__, at), map(json_text, ids),
+                    [prompts[i : i + 64] for i in range(0, 64 * len(at), 64)],
+                    map(_LABEL_NAMES.__getitem__, labels.tolist()),
+                    map(float.__repr__, confidences.tolist()),
+                    map(format, obs.tolist(), repeat("+.3f")),
+                )
+            ],
         )
 
 
@@ -310,26 +338,59 @@ _LATENT_LINE = re.compile(
 )
 
 
-def _latent_rows(path: str | Path) -> Iterator[tuple]:
-    """The :func:`_latent_row` row of each line of ``path``, in file order:
-    read by the layout ``synth`` writes where a line has it and its id is
-    UTF-8 and its seed below 2**64, else as :func:`read_jsonl` reads it,
-    refusals included. A line is read either way to the same row."""
+def _latent_blocks(path: str | Path) -> Iterator[tuple[int, list[tuple], bool]]:
+    """The :func:`_latent_row` rows of ``path``'s lines, :data:`NOISE_CHUNK`
+    lines a block in file order: the block's first line number, its rows and
+    whether each of its lines had the layout ``synth`` writes. A line is read
+    by that layout where it has it and its id is UTF-8 and its seed below
+    2**64, else as :func:`read_jsonl` reads it, refusals included; either
+    way to the same row."""
     path = Path(path)
     with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            found = _LATENT_LINE.fullmatch(line)
-            if found is not None:
-                rid, performance, guidance, risk, seed = found.groups()
-                try:
-                    row = (rid.decode("utf-8"), float(performance), float(guidance),
-                           float(risk), int(seed))
-                except UnicodeDecodeError:
-                    row = None
-                if row is not None and row[4] < 1 << 64:
-                    yield row
-                    continue
-            yield from parse_lines(path, (line,), lineno, _latent_row, ArtifactError)
+        numbered = enumerate(fh, 1)
+        for start in count(1, NOISE_CHUNK):
+            block, fixed = [], True
+            for lineno, line in islice(numbered, NOISE_CHUNK):
+                found, row = _LATENT_LINE.fullmatch(line), None
+                if found is not None:
+                    rid, performance, guidance, risk, seed = found.groups()
+                    try:
+                        row = (rid.decode("utf-8"), float(performance), float(guidance),
+                               float(risk), int(seed))
+                    except UnicodeDecodeError:
+                        pass
+                if row is None or row[4] >= 1 << 64:
+                    fixed = False
+                    (row,) = parse_lines(path, (line,), lineno, _latent_row, ArtifactError)
+                block.append(row)
+            if not block:
+                return
+            yield start, block, fixed
+
+
+def _placed(
+    block: list[tuple], start: int, row_of: Mapping[str, int],
+    signals: np.ndarray, seeds: np.ndarray, lines: np.ndarray,
+) -> bool:
+    """Place a block of fixed-layout rows, the first of line ``start``, as
+    arrays: True when every signal is in [-1, 1] and every id is one of
+    ``row_of``'s, with no line before and once in the block; else False,
+    with nothing placed."""
+    rids, *values = zip(*block)
+    at = list(map(row_of.get, rids))
+    if None in at:
+        return False
+    block_signals, at = np.array(values[:3]).T, np.array(at)
+    if not (
+        (np.abs(block_signals) <= 1.0).all()  # NaN fails too
+        and (lines[at] == 0).all()
+        and len(np.unique(at)) == len(at)
+    ):
+        return False
+    signals[at] = block_signals
+    seeds[at] = values[3]
+    lines[at] = np.arange(start, start + len(at))
+    return True
 
 
 def read_latents(
@@ -340,12 +401,13 @@ def read_latents(
     noise seeds (uint64, or Python ints once one does not fit) and the
     1-based line that holds each id, 0 for an id with no line.
 
-    The lines stream by :data:`NOISE_CHUNK` at a time, each block's values
-    checked as columns, and only the arrays are kept. Every line is
-    checked, that of an id outside ``ids`` too, and refused in this order: a
-    line that is not an object of the five keys with a string id; the first
-    line that breaks a :class:`LatentDisclosure` rule, with that rule's
-    message; the first id repeated, naming both its lines.
+    The lines stream by :data:`NOISE_CHUNK` at a time, and only the arrays
+    are kept. A block that :func:`_placed` places is checked as arrays;
+    any other is checked a line at a time, its values as columns. Every
+    line is checked, that of an id outside ``ids`` too, and refused in this
+    order: a line that is not an object of the five keys with a string id;
+    the first line that breaks a :class:`LatentDisclosure` rule, with that
+    rule's message; the first id repeated, naming both its lines.
     """
     row_of = dict(zip(ids, range(len(ids))))
     signals = np.zeros((len(ids), 3))
@@ -353,13 +415,11 @@ def read_latents(
     lines = np.zeros(len(ids), np.int64)
     other: dict[str, int] = {}  # the line of each id outside ``ids``
     broken = repeated = None  # the first refusal of each kind, deferred
-    rows = _latent_rows(path)
-    for start in count(1, NOISE_CHUNK):
-        block = list(islice(rows, NOISE_CHUNK))
-        if not block:
-            break
+    for start, block, fixed in _latent_blocks(path):
         if broken is not None:
             continue  # a later line may still be malformed, which comes first
+        if fixed and _placed(block, start, row_of, signals, seeds, lines):
+            continue
         try:
             block_signals = _block_signals(block, start)
         except InputError as exc:

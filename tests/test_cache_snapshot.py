@@ -311,9 +311,16 @@ def _large_cache(path: Path, n: int) -> None:
         store.put(store_module.CacheBlock(
             np.array([store_module.key_digest(rid, lens, model, prompt, 42) for rid in ids],
                      dtype=store_module.DIGEST),
-            ids, [lens] * n, np.ones(n, np.int8), np.full(n, 0.5), [""] * n,
+            np.ones(n, np.int8),
             np.full(n, store_module.SOURCE_CODES[ConfidenceSource.SELF_REPORTED], np.int8),
-            [model] * n, [prompt] * n, [42] * n, ["{}"] * n, np.zeros(n, np.int8),
+            np.full(n, 0.5),
+            [
+                store_module.line_head(
+                    json.dumps(rid), json.dumps(lens), '"positive"', "0.5", '""',
+                    '"self_reported"', json.dumps(model), json.dumps(prompt), "42", '"{}"', "0",
+                )
+                for rid in ids
+            ],
         ))
 
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensemble_judge import agents, pipeline
+from ensemble_judge import agents, pipeline, store
 from ensemble_judge.agents import AgentSpec, prompt_digests, render_prompt
 from ensemble_judge.cli import main
 from ensemble_judge.config import load_config
@@ -91,6 +91,32 @@ def test_prompt_digests_follow_any_template(monkeypatch, template):
     assert [d.hex() for d in prompt_digests(Lens.RISK, texts)] == [
         prompt_hash(render_prompt(Lens.RISK, text)) for text in texts
     ]
+
+
+@pytest.mark.parametrize("seed", [42, -7])
+def test_each_pairs_digests_are_key_digest_and_prompt_digests(seed):
+    """``PreparedKeys.of`` hashes pieces it makes once a record, a spec and a
+    run; each pair's digests are still those of ``store.key_digest`` and
+    ``prompt_digests``, for ids that need JSON escapes and non-ASCII texts."""
+    rows = [("d-é", "Umsatz stieg — 5 % über Plan."), ('q"uote', "✓ confiant"),
+            ("back\\slash", "plain"), ('é"\\✓', "<DISCLOSURE> é")]
+    records = [
+        DisclosureRecord(id=rid, timestamp=START + timedelta(minutes=i), ticker="ACME",
+                         raw_text=text, clean_text=text, next_day_return=0.01)
+        for i, (rid, text) in enumerate(rows)
+    ]
+    specs = tuple(
+        AgentSpec(lens, name, "http://localhost:1/v1")
+        for lens, name in zip(LENS_ORDER, ["modèle", "m:1", "stub-agent"])
+    )
+    keys = PreparedKeys.of(records, specs, seed)
+    for row, record in enumerate(records):
+        prompts = [prompt_digests(spec.lens, [record.clean_text])[0] for spec in specs]
+        assert keys.prompts[row].tobytes() == b"".join(prompts)
+        assert keys.keys[row].tobytes() == b"".join(
+            store.key_digest(record.id, spec.lens.value, spec.model_name, prompt.hex(), seed)
+            for spec, prompt in zip(specs, prompts)
+        )
 
 
 @given(records=records, specs=specs, seed=seeds)

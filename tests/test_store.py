@@ -156,16 +156,50 @@ class TestPutGet:
     )
     def test_a_block_value_that_breaks_a_rule_is_refused(self, tmp_path, column, value):
         path = tmp_path / "cache.jsonl"
-        good = block([output_for(0), output_for(1)])
-        bad = good._replace(**{column: getattr(good, column).copy()})
-        getattr(bad, column)[1] = value
+        outputs = [output_for(0), output_for(1)]
+        good = block(outputs)
         with CacheStore(path) as store:
             with pytest.raises(ValueError, match="row 1 breaks"):
-                store.put(bad)
-            with pytest.raises(ValueError, match="one row per key digest"):
-                store.put(good._replace(rationales=good.rationales[:1]))
+                if column == "retry_counts":
+                    # Only the head holds it: refused as the head is rendered,
+                    # where AgentOutput's own check is bypassed.
+                    object.__setattr__(outputs[1], "retry_count", value)
+                    store.put(block(outputs))
+                else:
+                    bad = good._replace(**{column: getattr(good, column).copy()})
+                    getattr(bad, column)[1] = value
+                    store.put(bad)
+            for short in ("heads", "confidences"):
+                with pytest.raises(ValueError, match="one row per key digest"):
+                    store.put(good._replace(**{short: getattr(good, short)[:1]}))
             assert len(store) == 0
         assert not path.exists()
+
+    def test_non_ascii_heads_land_their_offsets_on_line_starts(self, tmp_path, monkeypatch):
+        """A chunk that is not ASCII counts each line's bytes: every row's
+        offset is its line's start, in chunks of either kind, so a later
+        conflicting put re-reads the stored line and names its key."""
+        monkeypatch.setattr(store_module, "_LINES_PER_WRITE", 2)
+        ids = ["d-a", "d-é", "d-b", "d-c", 'd-"✓"', "d-\\", "d-\ud800", "d-e"]
+        outputs = [
+            dataclasses.replace(output_for(), disclosure_id=rid, rationale=f"{rid} — ok")
+            for rid in ids
+        ]
+        path = tmp_path / "cache.jsonl"
+        with CacheStore(path) as store:
+            store.put(block(outputs))
+            data = path.read_bytes()
+            starts = [0, *(at + 1 for at, byte in enumerate(data[:-1]) if byte == ord("\n"))]
+            rows = store.rows(digests(map(CacheKey.for_output, outputs)))
+            assert store._table["offset"][rows].tolist() == starts
+            assert [stored(store, o) for o in outputs] == [payload(o) for o in outputs]
+            negative = SentimentLabel.NEGATIVE
+            for rid in ("d-é", "d-\ud800", "d-e"):
+                changed = dataclasses.replace(outputs[ids.index(rid)], label=negative)
+                with pytest.raises(CacheIntegrityError) as exc:
+                    store.put(block([output_for(9), changed]))
+                assert f"disclosure_id={rid!r}," in str(exc.value)
+            assert path.read_bytes() == data and len(store) == len(ids)
 
     def test_append_only_file_growth(self, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import re
 import tracemalloc
@@ -14,6 +16,7 @@ from ensemble_judge.cli import main
 from ensemble_judge.config import load_config
 from ensemble_judge.domain import LENS_ORDER, ConfidenceSource, Lens, SentimentLabel
 from ensemble_judge.ingest import PreparedKeys, PreprocessConfig, preprocess_corpus
+from ensemble_judge.store import CacheBlock
 from ensemble_judge.synth import (
     LABEL_DEAD_ZONE,
     LatentDisclosure,
@@ -271,7 +274,47 @@ class TestAgainstTheStubOracle:
         # they the pairs to judge of all rows or all pairs of some rows.
         assert next(pipeline._stub_blocks(config, keys, rows, todo[3:]))
         (block,) = pipeline._stub_blocks(config, keys, rows[1:], todo[3:] - 3)
-        assert block.disclosure_ids == [r.id for r in records[1:] for _ in LENS_ORDER]
+        assert block.digests.tolist() == keys.keys[1:].ravel().tolist()
+
+
+class TestStubHeads:
+    """The stub renders each head from its draws in one pass; ``CacheBlock.of``
+    renders the heads of outputs. The two producers of a line agree."""
+
+    @staticmethod
+    def _agree(records, latents, seed):
+        specs = [AgentSpec(lens, synth.STUB_MODEL_NAME, synth.STUB_ENDPOINT) for lens in LENS_ORDER]
+        keys = PreparedKeys.of(records, specs, seed)
+        rows, columns = np.divmod(np.arange(3 * len(records)), 3)
+        signals = np.array([
+            [lat.performance_signal, lat.guidance_signal, lat.risk_signal]
+            for lat in (latents[r.id] for r in records)
+        ])
+        seeds = np.array([latents[r.id].noise_seed for r in records], dtype=np.uint64)
+        blocks = list(stub_blocks(keys, rows, columns, specs, signals, seeds, seed))
+        # stub_agent's output carries the latent seed; a cache line the run's.
+        outputs = [
+            dataclasses.replace(stub_agent(spec.lens, record, latents), seed=seed)
+            for record in records
+            for spec in specs
+        ]
+        assert _block_rows(blocks) == _block_rows([CacheBlock.of(keys.keys.ravel(), outputs)])
+
+    @pytest.mark.parametrize("seed, chunk", [(42, None), (7, None), (42, 7)])
+    def test_the_stub_heads_are_those_of_its_outputs(self, monkeypatch, seed, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(synth, "NOISE_CHUNK", chunk)
+        self._agree(*prepared(2000, seed), seed)
+
+    def test_ids_that_need_json_escapes(self):
+        records, latents = prepared(100, 3)
+        renamed = ['q"uote', "back\\slash", "tab\t", "é ✓", "line\u2028", "nul\x00"]
+        records = [
+            dataclasses.replace(record, id=f"{new}-{i}")
+            for i, (record, new) in enumerate(zip(records, itertools.cycle(renamed)))
+        ]
+        latents = {record.id: lat for record, lat in zip(records, latents.values())}
+        self._agree(records, latents, 42)
 
 
 def test_the_cold_stub_run_agents_heap_grows_by_its_tables_alone(tmp_path):
@@ -279,8 +322,8 @@ def test_the_cold_stub_run_agents_heap_grows_by_its_tables_alone(tmp_path):
     (about 78 bytes), the cache table (34, and 18 more while a put merges a
     block), the latents (13) and the pairs to judge (8), beside one block of
     pairs: from n = 500 to n = 2,000 its heap peak grows by under 150 bytes a
-    pair (135 here). Whole-run copies of each pair's row, column and key
-    digest grow it by 167."""
+    pair (148 here, the peak falling while a put merges a block). Whole-run
+    copies of each pair's row, column and key digest grow it by 167."""
 
     def cold_run(n, name):
         config = load_config(_stub_config(tmp_path / name))
@@ -369,6 +412,63 @@ class TestLatentsSidecar:
         assert fixed[0].tobytes() == decoded[0].tobytes()
         assert fixed[1].dtype == decoded[1].dtype == np.uint64
         assert np.array_equal(fixed[1], decoded[1]) and np.array_equal(fixed[2], decoded[2])
+
+    @staticmethod
+    def _spy_on_placed(monkeypatch) -> list[bool]:
+        """What each call of ``synth._placed`` returns, in order."""
+        placed, place = [], synth._placed
+
+        def spy(*args):
+            placed.append(place(*args))
+            return placed[-1]
+
+        monkeypatch.setattr(synth, "_placed", spy)
+        return placed
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_the_array_path_reads_what_the_line_loop_reads(self, tmp_path, monkeypatch, seed):
+        """A block of ``synth``'s own lines whose ids are all wanted is placed
+        as arrays, to the arrays the per-line loop gives."""
+        path = tmp_path / "latents.jsonl"
+        write_jsonl(path, synth.latents_lines(synth.draw_corpus(2000, seed)[0], seed))
+        ids = ["absent", *(f"syn-{i:06d}" for i in range(2000))][::-1]
+        placed = self._spy_on_placed(monkeypatch)
+        arrays = synth.read_latents(path, ids)
+        assert placed == [True, True]
+        monkeypatch.setattr(synth, "_placed", lambda *args: False)
+        looped = synth.read_latents(path, ids)
+        assert arrays[0].tobytes() == looped[0].tobytes()
+        assert arrays[1].dtype == looped[1].dtype == np.uint64
+        assert np.array_equal(arrays[1], looped[1]) and np.array_equal(arrays[2], looped[2])
+        assert arrays[2][0] == 2000 and arrays[2][-1] == 0  # syn-001999, then "absent"
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({3: {"performance_signal": 1.5}}, "line 3: performance_signal 1.5 outside [-1, 1]"),
+            ({12: {"id": "syn-000009"}}, "duplicate id 'syn-000009' on lines 10 and 12"),
+            ({9: {"id": "elsewhere"}, 16: {"id": "elsewhere"}},
+             "duplicate id 'elsewhere' on lines 9 and 16"),
+        ],
+        ids=["signal-1.5", "repeated-id", "repeated-id-outside-ids"],
+    )
+    def test_a_fixed_layout_block_that_fails_an_array_test_keeps_its_refusal(
+        self, tmp_path, monkeypatch, edits, message
+    ):
+        monkeypatch.setattr(synth, "NOISE_CHUNK", 7)
+        path, ids = self._written(tmp_path, 20)
+        lines = path.read_text().splitlines()
+        for lineno, edit in edits.items():
+            lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), **edit})
+            assert synth._LATENT_LINE.fullmatch(lines[lineno - 1].encode())  # still the layout
+        path.write_text("\n".join(lines) + "\n")
+        placed = self._spy_on_placed(monkeypatch)
+        with pytest.raises(ArtifactError) as expected:
+            oracles.read_latents(path, ids)
+        with pytest.raises(ArtifactError) as refused:
+            synth.read_latents(path, ids)
+        assert str(refused.value) == str(expected.value) == f"{path}: {message}"
+        assert False in placed
 
     @pytest.mark.parametrize(
         "line",
