@@ -17,6 +17,7 @@ import math
 import os
 import tempfile
 from itertools import chain
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 
@@ -25,9 +26,10 @@ T = TypeVar("T")
 _DIGEST_LINE_BYTES = 65  # 64 hex digits and a newline
 _BLOCK = 1 << 16  # bytes per hashed block of a file: small, so hashing costs little memory
 
-# One encoder for every line: json.dumps with a non-default option builds a
-# new encoder per call.
-_JSON_LINE = json.JSONEncoder(ensure_ascii=False)
+# The JSON text of a string as json.dumps(..., ensure_ascii=False) writes it.
+# Each JSON-lines writer fills one fixed line template with it, floats as
+# ``float.__repr__`` and integers as ``%d``.
+json_text = encode_basestring
 
 
 class Refusal(Exception):
@@ -198,21 +200,6 @@ def read_stamped(path: str | Path, magic: bytes) -> tuple[dict, memoryview] | No
 def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     """:func:`write_binary` of the UTF-8 encoded ``chunks``."""
     write_binary(path, map(str.encode, chunks))  # UTF-8, the default
-
-
-def json_line(row: dict) -> str:
-    """``row`` as one JSON object, non-ASCII kept as is, ending in a newline."""
-    return _JSON_LINE.encode(row) + "\n"
-
-
-def json_lines(rows: Iterable[dict]) -> Iterator[str]:
-    """The :func:`json_line` of each row."""
-    return map(json_line, rows)
-
-
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    """Write :func:`json_lines` of ``rows``, streamed row by row."""
-    write_text(path, json_lines(rows))
 
 
 def _encode_strings(value: object) -> None:

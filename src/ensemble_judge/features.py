@@ -19,7 +19,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .artifacts import json_lines, write_text
+from .artifacts import json_text, write_text
+from .domain import FEATURE_DIM
 
 
 def majority_labels(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:
@@ -74,6 +75,10 @@ build_features = feature_matrix
 # Rows per block of the matrix turned into Python floats: a block (about
 # 0.5 KB a row) stays small beside the matrix.
 _ROWS_PER_BLOCK = 1024
+# A feature line as json.dumps(..., ensure_ascii=False) writes it.
+_FEATURE_LINE = (
+    '{"disclosure_id": %s, "features": [' + ", ".join(["%r"] * FEATURE_DIM) + '], "target": %d}\n'
+)
 
 
 def feature_lines(ids: Sequence[str], X: np.ndarray, targets: Sequence[int]) -> Iterator[str]:
@@ -85,12 +90,12 @@ def feature_lines(ids: Sequence[str], X: np.ndarray, targets: Sequence[int]) -> 
     """
     for start in range(0, len(X), _ROWS_PER_BLOCK):
         stop = start + _ROWS_PER_BLOCK
-        yield from json_lines(
-            {"disclosure_id": disclosure_id, "features": features, "target": int(target)}
+        yield from [
+            _FEATURE_LINE % (disclosure_id, *features, target)
             for disclosure_id, features, target in zip(
-                ids[start:stop], X[start:stop].tolist(), targets[start:stop]
+                map(json_text, ids[start:stop]), X[start:stop].tolist(), targets[start:stop]
             )
-        )
+        ]
 
 
 def write_feature_file(

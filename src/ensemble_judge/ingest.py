@@ -48,7 +48,7 @@ from .agents import AgentSpec, prompt_digester, templates_sha256
 from .artifacts import (
     InputError,
     finite_number,
-    json_line,
+    json_text,
     loads,
     prefix_sha256,
     read_jsonl,
@@ -173,18 +173,6 @@ def read_prepared(path: str | Path) -> Iterator[DisclosureRecord]:
 def load_prepared(path: str | Path) -> list[DisclosureRecord]:
     """Load preprocessed disclosures (:class:`ArtifactError` on a bad line)."""
     return list(read_prepared(path))
-
-
-def corpus_row(record: DisclosureRecord, **extra: str) -> dict:
-    """A record's JSON line object; ``extra`` keys go just before the return."""
-    return {
-        "id": record.id,
-        "timestamp": record.timestamp.isoformat(),
-        "ticker": record.ticker,
-        "text": record.raw_text,
-        **extra,
-        "next_day_return": record.next_day_return,
-    }
 
 
 _KEY_TABLE_MAGIC = b"ensemble-judge prepared keys 1\n"
@@ -451,6 +439,11 @@ def _time_split(
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
+# A prepared line as json.dumps(..., ensure_ascii=False) writes it.
+_PREPARED_LINE = (
+    '{"id": %s, "timestamp": %s, "ticker": %s, "text": %s, "clean_text": %s, '
+    '"next_day_return": %s}\n'
+)
 
 
 def prepare(
@@ -481,7 +474,11 @@ def prepare(
                 if not record.clean_text:
                     blank.append(record.id)
                 times.append((record.timestamp - _EPOCH) // _MICROSECOND)
-                line = json_line(corpus_row(record, clean_text=record.clean_text)).encode()
+                line = (_PREPARED_LINE % (
+                    json_text(record.id), json_text(record.timestamp.isoformat()),
+                    json_text(record.ticker), json_text(record.raw_text),
+                    json_text(record.clean_text), float.__repr__(record.next_day_return),
+                )).encode()
                 lines.write(line)
                 offsets.append(offsets[-1] + len(line))
                 yield record

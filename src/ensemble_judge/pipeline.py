@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVa
 import numpy as np
 
 from .agents import AgentSpec, ChatCompletionsClient, Transport, run_agent
-from .artifacts import ArtifactError, InputError, MissingArtifactError, write_jsonl
+from .artifacts import ArtifactError, InputError, MissingArtifactError, write_text
 from .config import RunConfig
 from .domain import AgentOutput, DisclosureRecord, Lens, Split
 from .evaluation import EvalReport, evaluate_judgments, write_report
@@ -82,8 +82,8 @@ def stage_synth(config: RunConfig, n: int, seed: int) -> dict:
     if config.latents_path is None:
         raise InputError("config needs latents_path to hold the synthetic signals")
     signals, returns = draw_corpus(n, seed)
-    write_jsonl(config.corpus_path, corpus_lines(signals, returns))
-    write_jsonl(config.latents_path, latents_lines(signals, seed))
+    write_text(config.corpus_path, corpus_lines(signals, returns))
+    write_text(config.latents_path, latents_lines(signals, seed))
     return {"n": n, "seed": seed, "positive_rate": int(np.count_nonzero(returns > 0)) / n}
 
 

@@ -37,7 +37,6 @@ import fcntl
 import hashlib
 import os
 from datetime import datetime, timezone
-from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, NamedTuple, Sequence
@@ -49,6 +48,7 @@ from .artifacts import (
     InputError,
     finite_number,
     fsync_dir,
+    json_text,
     loads,
     prefix_sha256,
     read_stamped,
@@ -113,12 +113,9 @@ def line_head(*fields: str) -> str:
 
 
 # The JSON text of the enum fields, by name or code.
-_LENS_JSON = {lens.value: encode_basestring(lens.value) for lens in Lens}
-_LABEL_JSON = {int(label): encode_basestring(label.as_string()) for label in SentimentLabel}
-_SOURCE_JSON = [encode_basestring(source.value) for source in _SOURCES]
-# The JSON text of a string as a cache line holds it: json.dumps's with
-# ensure_ascii=False.
-json_text = encode_basestring
+_LENS_JSON = {lens.value: json_text(lens.value) for lens in Lens}
+_LABEL_JSON = {int(label): json_text(label.as_string()) for label in SentimentLabel}
+_SOURCE_JSON = [json_text(source.value) for source in _SOURCES]
 
 
 class CacheBlock(NamedTuple):
@@ -388,19 +385,19 @@ class CacheStore:
                 self._end = offset
                 self._unterminated = line[-1:] not in (b"", b"\n")
         if added:  # an empty merge would still copy the table
+            keys, rows = np.unique(np.array(list(added), dtype=DIGEST), return_index=True)
             offsets = np.fromiter(added.values(), np.int64, len(added))
-            self._merge(np.array(list(added), dtype=DIGEST), labels, sources, confidences, offsets)
+            columns = labels, sources, confidences, offsets
+            self._merge(self._digests.searchsorted(keys), keys, rows, *columns)
 
-    def _merge(self, digests: np.ndarray, *columns: Sequence) -> None:
-        """Insert the rows of key digests that are not in the table yet, given
-        as their ``columns`` in row field order, in their digests' places."""
-        order = np.argsort(digests, kind="stable")
-        rows = np.empty(len(order), dtype=_ROW)
+    def _merge(self, at: np.ndarray, keys: np.ndarray, rows: np.ndarray, *columns) -> None:
+        """Insert the sorted key digests ``keys``, none in the table yet, before its
+        rows ``at``, with entries ``rows`` of ``columns`` in row field order."""
+        new = np.empty(len(rows), dtype=_ROW)
         for name, column in zip(_ROW.names, columns):
-            rows[name] = np.asarray(column)[order]
-        at = self._digests.searchsorted(digests[order])
-        self._digests = np.insert(self._digests, at, digests[order])
-        self._table = np.insert(self._table.view(_RAW_ROW), at, rows.view(_RAW_ROW)).view(_ROW)
+            new[name] = np.asarray(column)[rows]
+        self._digests = np.insert(self._digests, at, keys)
+        self._table = np.insert(self._table.view(_RAW_ROW), at, new.view(_RAW_ROW)).view(_ROW)
 
     def _lock(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -479,9 +476,11 @@ class CacheStore:
             raise ValueError(f"cache block row {bad[0]} breaks a cache line's value rules")
         heads = block.heads
         tail = f"{json_text(datetime.now(timezone.utc).isoformat())}}}\n"
-        stored = self.rows(block.digests)
-        _, first, key = np.unique(block.digests, return_index=True, return_inverse=True)
-        first = first[key]  # the first row of each row's key in the block
+        keys, firsts, key = np.unique(block.digests, return_index=True, return_inverse=True)
+        at = self._digests.searchsorted(keys)  # the one search of the block's sorted keys
+        found = at < len(self._digests)
+        found[found] = self._digests[at[found]] == keys[found]
+        stored, first = np.where(found, at, -1)[key], firsts[key]  # by row: -1 where not stored
         new = (stored < 0) & (first == np.arange(n))  # each new key's first row
 
         def payload(row: int) -> tuple:
@@ -515,8 +514,10 @@ class CacheStore:
                 self._sha256.update(chunk)
         self._fh.flush()
         ends = self._end + np.cumsum(sizes)
-        values = block.labels[new], block.sources[new], block.confidences[new], ends - sizes
-        self._merge(block.digests[new], *values)
+        offsets = np.zeros(n, np.int64)
+        offsets[new] = ends - sizes
+        columns = block.labels, block.sources, block.confidences, offsets
+        self._merge(at[~found], keys[~found], firsts[~found], *columns)
         self._end = int(ends[-1])
 
     def sync(self) -> None:

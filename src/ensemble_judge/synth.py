@@ -8,11 +8,12 @@ qualitative structure the pipeline is meant to exploit: three informative
 but imperfect judges whose disagreement carries signal, with no model
 endpoint anywhere.
 
-``synth`` writes the corpus and its latents sidecar a line at a time from
-the arrays it draws. A stub ``run-agents`` reads the sidecar as it streams,
-a block of lines at a time (each line by the layout ``synth`` writes, where
-it has it), straight into arrays in the key table's row order; no line is
-kept once its block is checked.
+``synth`` renders the corpus and its latents sidecar from the arrays it
+draws, a block of lines at a time from one fixed line template each. A stub
+``run-agents`` reads the sidecar as it streams, a block of lines at a time
+(each line by the layout ``synth`` writes, where it has it), straight into
+arrays in the key table's row order; no line is kept once its block is
+checked.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
 from itertools import count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -29,7 +29,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .agents import AgentSpec, prompt_digests
-from .artifacts import ArtifactError, InputError, finite_number, parse_lines, read_jsonl
+from .artifacts import ArtifactError, InputError, finite_number, json_text, parse_lines, read_jsonl
 from .domain import (
     LENS_ORDER,
     AgentOutput,
@@ -39,7 +39,7 @@ from .domain import (
     SentimentLabel,
 )
 from .ingest import PreparedKeys
-from .store import SOURCE_CODES, CacheBlock, json_text, line_head
+from .store import SOURCE_CODES, CacheBlock, line_head
 
 STUB_MODEL_NAME = "stub-agent"
 STUB_ENDPOINT = "stub://local"
@@ -113,40 +113,49 @@ def draw_corpus(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return signals, w_perf * signals[:, 0] + w_guid * signals[:, 1] - w_risk * signals[:, 2] + noise
 
 
-def corpus_lines(signals: np.ndarray, returns: np.ndarray) -> Iterator[dict]:
-    """The corpus file's line objects of :func:`draw_corpus`'s arrays, one
-    row at a time (raw text only; preprocessing is the pipeline's job).
-    Timestamps are strictly increasing, so the chronological split is well
-    defined."""
-    start = datetime(2018, 1, 2, 9, 0, tzinfo=timezone.utc)
-    for i in range(len(returns)):
-        perf, guid, risk = signals[i].tolist()
-        ticker = f"SYN{i % 499:03d}"
-        timestamp = start + timedelta(minutes=i)
-        text = (
-            f"TICKER: {ticker}\n"
-            f"RELEASE: {timestamp.date().isoformat()}\n"
-            "\n"
-            "Quarterly disclosure.\n"
-            f"Operating performance index {perf:+.3f} against plan.\n"
-            f"Forward guidance index {guid:+.3f} versus prior outlook.\n"
-            f"Downside risk index {risk:+.3f} across pending matters.\n"
-        )
-        yield {
-            "id": f"syn-{i:06d}",
-            "timestamp": timestamp.isoformat(),
-            "ticker": ticker,
-            "text": text,
-            "next_day_return": float(returns[i]),
-        }
+# Lines per yield of :func:`corpus_lines` and :func:`latents_lines`: a block
+# (about 400 bytes a corpus line) stays small beside the drawn arrays.
+SYNTH_BLOCK = 256
+# The lines as json.dumps(..., ensure_ascii=False) writes them. No value they
+# take holds a character JSON escapes: digits, the timestamp's and date's
+# separators, the ``%+.3f`` signals and a float repr.
+_CORPUS_TEMPLATE = (
+    '{"id": "syn-%06d", "timestamp": "%s+00:00", "ticker": "SYN%03d", "text": "TICKER: SYN%03d'
+    "\\nRELEASE: %s\\n\\nQuarterly disclosure.\\nOperating performance index %+.3f against plan."
+    "\\nForward guidance index %+.3f versus prior outlook.\\nDownside risk index %+.3f across "
+    'pending matters.\\n", "next_day_return": %r}\n'
+)
+_LATENTS_TEMPLATE = (
+    '{"id": "syn-%06d", "performance_signal": %r, "guidance_signal": %r, "risk_signal": %r, '
+    '"noise_seed": %d}\n'
+)
+_FIRST_RELEASE = np.datetime64("2018-01-02T09:00", "m")  # line i is released i minutes later
 
 
-def latents_lines(signals: np.ndarray, seed: int) -> Iterator[dict]:
-    """The latents sidecar's line objects of :func:`draw_corpus`'s signals,
-    one row at a time: each disclosure's hidden signals and noise seed."""
-    for i in range(len(signals)):
-        values = (f"syn-{i:06d}", *signals[i].tolist(), seed * 1_000_000 + i)
-        yield dict(zip(_LATENT_FIELDS, values))
+def corpus_lines(signals: np.ndarray, returns: np.ndarray) -> Iterator[str]:
+    """The corpus file's text of :func:`draw_corpus`'s arrays, rendered
+    :data:`SYNTH_BLOCK` lines a yield (raw text only; preprocessing is the
+    pipeline's job). Timestamps are strictly increasing, so the
+    chronological split is well defined."""
+    for lo in range(0, len(returns), SYNTH_BLOCK):
+        hi = min(lo + SYNTH_BLOCK, len(returns))
+        stamps = np.datetime_as_string(_FIRST_RELEASE + np.arange(lo, hi), unit="s").tolist()
+        yield "".join([
+            _CORPUS_TEMPLATE % (i, stamp, i % 499, i % 499, stamp[:10], perf, guid, risk, ret)
+            for i, stamp, (perf, guid, risk), ret in zip(
+                range(lo, hi), stamps, signals[lo:hi].tolist(), returns[lo:hi].tolist()
+            )
+        ])
+
+
+def latents_lines(signals: np.ndarray, seed: int) -> Iterator[str]:
+    """The latents sidecar's text of :func:`draw_corpus`'s signals, rendered
+    :data:`SYNTH_BLOCK` lines a yield: each disclosure's signals and noise seed."""
+    for lo in range(0, len(signals), SYNTH_BLOCK):
+        yield "".join([
+            _LATENTS_TEMPLATE % (i, perf, guid, risk, seed * 1_000_000 + i)
+            for i, (perf, guid, risk) in enumerate(signals[lo : lo + SYNTH_BLOCK].tolist(), lo)
+        ])
 
 
 # The latent signal each lens observes, as its column in (performance,
@@ -327,9 +336,9 @@ def _block_signals(block: Sequence[tuple], start: int) -> np.ndarray:
     return np.array(values, dtype=np.float64).reshape(-1, 3)
 
 
-# A latents line as ``write_jsonl`` writes ``latents_lines``' objects: an id
-# with no character JSON escapes, three signals with a fraction or an
-# exponent (JSON reads both as float()) and a seed of at most 20 digits.
+# A latents line as :func:`latents_lines` renders it: an id with no character
+# JSON escapes, three signals with a fraction or an exponent (JSON reads both
+# as float()) and a seed of at most 20 digits.
 _SIGNAL = rb"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
 _LATENT_LINE = re.compile(
     rb'\{"id": "([^"\\\x00-\x1f]*)", "performance_signal": ' + _SIGNAL

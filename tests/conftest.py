@@ -1,4 +1,5 @@
-"""Shared fixtures: agent-output factory and a scripted chat endpoint."""
+"""Shared fixtures: agent-output factory, a scripted chat endpoint and the
+characters that JSON-lines byte tests put in their strings."""
 
 from __future__ import annotations
 
@@ -9,6 +10,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from ensemble_judge.domain import AgentOutput, ConfidenceSource, Lens, SentimentLabel
+
+# Characters a JSON text holds escaped (a quote, a backslash, a control
+# character) or, without ensure_ascii, as they are (é, a non-BMP character).
+AWKWARD_CHARACTERS = ("é", '"', "\\", "\x01", "\U0001f600")
 
 
 def make_output(

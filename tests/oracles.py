@@ -5,10 +5,11 @@ The pipeline builds features, votes and regimes for whole splits at once
 ``evaluation.evaluate_judgments`` over ``(n, 3)`` label-code and confidence
 blocks), keys the cache by digests of pairs whose prompts it never renders,
 draws the stub agents' noise and appends their cache lines a block of pairs
-at a time, writes each cache line field by field, ingests the corpus in
-one pass through a spool of prepared lines (``ingest.prepare``), streams
-the latents sidecar and the model's prompt digest a block at a time, and
-writes the synthetic corpus a line at a time from the arrays it draws.
+at a time, renders every JSON-lines artifact from a fixed line template,
+ingests the corpus in one pass through a spool of prepared lines
+(``ingest.prepare``), streams the latents sidecar and the model's prompt
+digest a block at a time, and writes the synthetic corpus a block of lines
+at a time from the arrays it draws.
 These are the same rules written one item at a time, in the plainest form,
 so tests can compare the two; no production code calls them.
 """
@@ -31,8 +32,8 @@ from ensemble_judge.artifacts import (
     ArtifactError,
     InputError,
     read_jsonl,
-    write_jsonl,
     write_stamped,
+    write_text,
 )
 from ensemble_judge.config import RunConfig
 from ensemble_judge.domain import (
@@ -46,7 +47,6 @@ from ensemble_judge.domain import (
     SentimentLabel,
 )
 from ensemble_judge.evaluation import ConfusionMatrix, Regime
-from ensemble_judge.ingest import corpus_row
 from ensemble_judge.synth import (
     DEFAULT_STUB_NOISE,
     LABEL_DEAD_ZONE,
@@ -312,6 +312,48 @@ def stored_payload(cache: store.CacheStore, key: CacheKey) -> tuple | None:
     return None if row < 0 else cache._payload_at(int(cache._table["offset"][row]))
 
 
+# The JSON-lines oracle: each line of the corpus, latents, prepared and feature
+# files is json.dumps(..., ensure_ascii=False) of its row's dict form; the
+# package renders the same bytes from one fixed template per format.
+
+# One encoder for every line: json.dumps with a non-default option builds a
+# new encoder per call.
+_JSON_LINE = json.JSONEncoder(ensure_ascii=False)
+
+
+def json_line(row: dict) -> str:
+    """``row`` as one JSON object, non-ASCII kept as is, ending in a newline."""
+    return _JSON_LINE.encode(row) + "\n"
+
+
+def json_lines(rows: Iterable[dict]) -> Iterator[str]:
+    """The :func:`json_line` of each row."""
+    return map(json_line, rows)
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """Write :func:`json_lines` of ``rows``, streamed row by row."""
+    write_text(path, json_lines(rows))
+
+
+def corpus_row(record: DisclosureRecord, **extra: str) -> dict:
+    """A record's corpus line object; ``extra`` keys (a prepared line's
+    ``clean_text``) go just before the return."""
+    return {
+        "id": record.id,
+        "timestamp": record.timestamp.isoformat(),
+        "ticker": record.ticker,
+        "text": record.raw_text,
+        **extra,
+        "next_day_return": record.next_day_return,
+    }
+
+
+def feature_row(disclosure_id: str, features: Sequence[float], target: int) -> dict:
+    """A feature file's line object."""
+    return {"disclosure_id": disclosure_id, "features": list(features), "target": int(target)}
+
+
 # The cache-line oracle: a cache line is the JSON of these nested dicts,
 # written by ``json.dumps(..., ensure_ascii=False)``.
 
@@ -492,7 +534,7 @@ def write_prepared(
     then its key table from :meth:`ingest.PreparedKeys.of`, stamped with the
     bytes just written."""
     records = ingest.sort_records(records)
-    write_jsonl(path, (ingest.corpus_row(r, clean_text=r.clean_text) for r in records))
+    write_jsonl(path, (corpus_row(r, clean_text=r.clean_text) for r in records))
     table = ingest.PreparedKeys.of(records, specs, seed)
     write_stamped(
         ingest._key_table_path(path),

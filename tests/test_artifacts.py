@@ -17,7 +17,6 @@ from ensemble_judge.artifacts import (
     read_jsonl,
     read_stamped,
     write_binary,
-    write_jsonl,
 )
 from ensemble_judge.features import write_feature_file
 from tests import oracles
@@ -62,7 +61,7 @@ def test_interrupted_write_keeps_the_previous_file(tmp_path, writes):
 
 def test_write_jsonl_round_trips_through_read_jsonl(tmp_path):
     rows = [{"id": "ä", "x": 0.1}, {"id": "b", "x": 2}]
-    write_jsonl(tmp_path / "rows.jsonl", rows)
+    oracles.write_jsonl(tmp_path / "rows.jsonl", rows)
     assert (tmp_path / "rows.jsonl").read_text(encoding="utf-8").startswith('{"id": "ä"')
     assert list(read_jsonl(tmp_path / "rows.jsonl", dict)) == rows
 

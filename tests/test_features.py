@@ -13,7 +13,7 @@ from ensemble_judge.features import (
     feature_matrix,
     majority_labels,
 )
-from tests.conftest import make_output, make_triple
+from tests.conftest import AWKWARD_CHARACTERS, make_output, make_triple
 from tests.oracles import (
     FEAT_AGREEMENT,
     FEAT_COUNTS,
@@ -21,6 +21,8 @@ from tests.oracles import (
     FEAT_MAJORITY,
     FEAT_TOP_AGENT,
     build_features,
+    feature_row,
+    json_line,
 )
 
 L = SentimentLabel
@@ -192,3 +194,16 @@ def test_feature_lines_render_a_block_of_rows_at_a_time():
     finally:
         tracemalloc.stop()
     assert count == 50_000 and peak < 2 * 2**20
+
+
+def test_feature_lines_are_the_dict_forms_bytes():
+    """Each feature line is the oracle's json.dumps of its row's dict form,
+    for ids holding every character JSON escapes or keeps as it is only
+    without ensure_ascii, and features whose shortest repr is unusual."""
+    ids = [f"d{i}{char}" for i, char in enumerate(AWKWARD_CHARACTERS)]
+    values = np.array([-0.0, 1e-05, 1e16, 0.1 + 0.2, 1.0])
+    X = np.stack([np.roll(np.resize(values, FEATURE_DIM), i) for i in range(len(ids))])
+    targets = np.array([1, 0, 1, 1, 0])
+    assert "".join(feature_lines(ids, X, targets)) == "".join(
+        json_line(feature_row(*row)) for row in zip(ids, X.tolist(), targets.tolist())
+    )

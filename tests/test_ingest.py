@@ -28,6 +28,7 @@ from ensemble_judge.ingest import (
     write_split,
 )
 from tests import oracles
+from tests.conftest import AWKWARD_CHARACTERS
 
 CFG = PreprocessConfig(max_tokens=2048)
 FRACTIONS = RunConfig.split_fractions
@@ -457,3 +458,27 @@ def test_ingest_heap_does_not_grow_with_text_length(tmp_path):
     padded_peak, padded_bytes = ingest("padded", padding)
     assert padded_bytes - plain_bytes > 1000 * 2 * len(padding)  # text and clean_text
     assert padded_peak - plain_peak < 0.1 * (padded_bytes - plain_bytes)
+
+
+def test_prepared_lines_are_the_dict_forms_bytes(tmp_path):
+    """Each prepared line is the oracle's json.dumps of its record's dict
+    form, for ids, tickers and texts holding every awkward character and
+    returns written as 1, 1e-07 and -0.0."""
+    lines = [
+        '{"id": %s, "timestamp": "2021-03-04T09:%02d:00Z", "ticker": %s, "text": %s, '
+        '"next_day_return": %s}' % (
+            json.dumps(f"d{i}{char}", ensure_ascii=False), i,
+            json.dumps(f"T{char}", ensure_ascii=i % 2 == 0),
+            json.dumps(f"TICKER: X{char}\n\nRevenue {char} rose {i}.", ensure_ascii=False),
+            ("1", "1e-07", "-0.0")[i % 3],
+        )
+        for i, char in enumerate(AWKWARD_CHARACTERS * 2)
+    ]
+    config = ingest_config(tmp_path, lines)
+    pipeline.stage_ingest(config)
+    records = sort_records(preprocess_corpus(load_corpus(config.corpus_path), config.preprocess))
+    assert {r.next_day_return for r in records} == {1.0, 1e-07, -0.0}
+    assert all(r.id[-1] in r.clean_text for r in records)
+    assert config.prepared_path.read_text(encoding="utf-8") == "".join(
+        oracles.json_line(oracles.corpus_row(r, clean_text=r.clean_text)) for r in records
+    )

@@ -147,7 +147,22 @@ def test_only_artifacts_builds_a_non_ascii_json_encoder():
         or (isinstance(node, ast.alias) and node.name in internals | {"json.encoder"})
         or (isinstance(node, ast.ImportFrom) and node.module == "json.encoder")
     }
-    assert naming <= {"artifacts.py", "store.py"}
+    assert naming <= {"artifacts.py"}
+
+
+def test_no_module_builds_a_json_encoder():
+    """Every JSON-lines artifact is rendered from a fixed template whose
+    strings go through ``artifacts.json_text``; ``json.JSONEncoder`` is the
+    test oracles' form of the same bytes."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Name) and node.id == "JSONEncoder")
+        or (isinstance(node, ast.Attribute) and node.attr == "JSONEncoder")
+        or (isinstance(node, ast.alias) and node.name == "JSONEncoder")
+    ]
+    assert found == []
 
 
 # Sidecar guard. Each derived binary file has one writer, through

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import os
+import random
 import re
 import stat
 import tempfile
@@ -143,6 +144,35 @@ class TestPutGet:
                     f"prompt_hash={o.prompt_hash!r}, seed={o.seed!r}"
                 )
                 assert path.read_bytes() == before + appended and len(store) == 5
+
+    def test_new_keys_around_every_stored_digest_land_where_per_pair_puts_put_them(
+        self, tmp_path, monkeypatch
+    ):
+        """A block whose new keys sort before, between and after every stored
+        digest, mixed with stored keys and repeats of both: the table and the
+        file equal those of one put per pair."""
+
+        class Fixed(datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return CREATED
+
+        monkeypatch.setattr(store_module, "datetime", Fixed)
+        outputs = sorted((output_for(i) for i in range(40)),
+                         key=lambda o: CacheKey.for_output(o).digest())
+        stored_first = outputs[1::3]  # each gap between them holds two new keys
+        mixed = [*outputs, *stored_first[::2], *outputs[::5]]
+        random.Random(0).shuffle(mixed)
+        states = []
+        for name, puts in (("per-pair", [[o] for o in stored_first + mixed]),
+                           ("blocks", [stored_first, mixed])):
+            with CacheStore(tmp_path / f"{name}.jsonl") as store:
+                for outputs_of_block in puts:
+                    store.put(block(outputs_of_block))
+                assert len(store) == len(outputs)
+                states.append((store._digests.tobytes(), store._table.tobytes(),
+                               (tmp_path / f"{name}.jsonl").read_bytes()))
+        assert states[0] == states[1]
 
     @pytest.mark.parametrize(
         "column, value",

@@ -4,14 +4,14 @@ import itertools
 import json
 import re
 import tracemalloc
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from ensemble_judge import pipeline, synth
 from ensemble_judge.agents import AgentSpec, render_prompt
-from ensemble_judge.artifacts import ArtifactError, write_jsonl
+from ensemble_judge.artifacts import ArtifactError, write_text
 from ensemble_judge.cli import main
 from ensemble_judge.config import load_config
 from ensemble_judge.domain import LENS_ORDER, ConfidenceSource, Lens, SentimentLabel
@@ -35,10 +35,15 @@ def prepared(n=120, seed=7, **kwargs):
     return preprocess_corpus(records, CFG), latents
 
 
+def _parsed(blocks):
+    """The JSON value of each line of rendered blocks of lines."""
+    return [json.loads(line) for line in "".join(blocks).split("\n")[:-1]]
+
+
 def drawn(n, seed):
     """The corpus and latents line objects ``synth`` writes for ``n`` and ``seed``."""
     signals, returns = synth.draw_corpus(n, seed)
-    return list(synth.corpus_lines(signals, returns)), list(synth.latents_lines(signals, seed))
+    return _parsed(synth.corpus_lines(signals, returns)), _parsed(synth.latents_lines(signals, seed))
 
 
 class TestGenerateCorpus:
@@ -105,7 +110,7 @@ class TestSynthFiles:
             PINNED_SYNTH_SHA256[seed]
         )
 
-    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("n", [100, 2 * synth.SYNTH_BLOCK, 2 * synth.SYNTH_BLOCK + 1, 1000])
     def test_synth_writes_what_the_record_lists_write(self, tmp_path, n):
         (tmp_path / "lists").mkdir()
         arrays = load_config(_stub_config(tmp_path))
@@ -114,6 +119,23 @@ class TestSynthFiles:
         for written, expected in ((arrays.corpus_path, lists.corpus_path),
                                   (arrays.latents_path, lists.latents_path)):
             assert written.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edge", ["2018-01-03T00:00", "2018-01-31T23:59", "2020-02-29T00:00", "2020-03-01T00:00",
+                 "2018-12-31T23:59", "2019-01-01T00:00"],
+    )
+    def test_release_times_are_the_isoformat_of_their_minute(self, monkeypatch, edge):
+        """Across a midnight, a month end, the leap day and a year end, each
+        line's timestamp and release date are those of the datetime ``i``
+        minutes after the first release."""
+        monkeypatch.setattr(synth, "_FIRST_RELEASE", np.datetime64(edge, "m") - 200)
+        start = datetime.fromisoformat(edge + "+00:00") - timedelta(minutes=200)
+        lines = _parsed(synth.corpus_lines(*synth.draw_corpus(400, 1)))
+        expected = [start + timedelta(minutes=i) for i in range(400)]
+        assert [line["timestamp"] for line in lines] == [t.isoformat() for t in expected]
+        assert [line["text"].split("\n")[1] for line in lines] == [
+            f"RELEASE: {t.date().isoformat()}" for t in expected
+        ]
 
     def test_the_heap_grows_by_the_drawn_arrays_alone(self, tmp_path):
         """Per disclosure the stage holds its drawn arrays (about 54 bytes at
@@ -402,7 +424,7 @@ class TestLatentsSidecar:
         """``synth``'s own lines all take the fixed layout; with the layout
         refused, every line is decoded as JSON, to the same arrays."""
         path = tmp_path / "latents.jsonl"
-        write_jsonl(path, synth.latents_lines(synth.draw_corpus(2000, seed)[0], seed))
+        write_text(path, synth.latents_lines(synth.draw_corpus(2000, seed)[0], seed))
         ids = [f"syn-{i:06d}" for i in range(2000)][::-3] + ["absent"]
         with monkeypatch.context() as patched:
             patched.setattr(synth, "parse_lines", None)  # a line decoded as JSON fails
@@ -430,7 +452,7 @@ class TestLatentsSidecar:
         """A block of ``synth``'s own lines whose ids are all wanted is placed
         as arrays, to the arrays the per-line loop gives."""
         path = tmp_path / "latents.jsonl"
-        write_jsonl(path, synth.latents_lines(synth.draw_corpus(2000, seed)[0], seed))
+        write_text(path, synth.latents_lines(synth.draw_corpus(2000, seed)[0], seed))
         ids = ["absent", *(f"syn-{i:06d}" for i in range(2000))][::-1]
         placed = self._spy_on_placed(monkeypatch)
         arrays = synth.read_latents(path, ids)
