@@ -1,9 +1,8 @@
 """Core data types shared across the pipeline.
 
 Defines the three-way sentiment label, the per-disclosure record, per-agent
-outputs, the layout of the 15-dimensional aggregation feature vector, and the
-train/dev/test split names. All types are immutable values and safe to share
-between concurrent tasks.
+outputs and the train/dev/test split names. All types are immutable values
+and safe to share between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -120,9 +119,3 @@ class AgentOutput:
         if self.confidence_source is ConfidenceSource.FALLBACK:
             if self.label is not SentimentLabel.NEUTRAL or self.confidence != 0.0:
                 raise ValueError("fallback outputs must be (neutral, 0.0)")
-
-
-# Feature vector layout (dimension 15; features.py documents every column).
-FEATURE_DIM = 15
-FEAT_CONFS = (3, 4, 5)           # agent confidences in LENS_ORDER
-FEAT_GAP = 11                    # top-1 minus top-2 confidence

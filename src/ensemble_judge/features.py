@@ -20,7 +20,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .artifacts import json_text, write_text
-from .domain import FEATURE_DIM
+
+# The vector's dimension and the columns the aggregator standardizes.
+FEATURE_DIM = 15
+FEAT_CONFS = (3, 4, 5)           # agent confidences in LENS_ORDER
+FEAT_GAP = 11                    # top-1 minus top-2 confidence
 
 
 def majority_labels(labels: np.ndarray, confidences: np.ndarray) -> np.ndarray:

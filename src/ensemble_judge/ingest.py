@@ -112,7 +112,10 @@ def parse_rfc3339(value: str) -> datetime:
         raise InputError(f"invalid RFC 3339 timestamp: {value!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:  # its offset moves it past datetime's range
+        raise InputError(f"invalid RFC 3339 timestamp: {value!r}") from None
 
 
 def _disclosure_check(clean: Callable[[str], str] | None) -> Callable[[object], DisclosureRecord]:
@@ -287,7 +290,7 @@ def read_key_table(
             return None
         keys_at = n + n * k * _PROMPT_BYTES  # after the targets and the prompts
         ids_at = keys_at + n * k * DIGEST.itemsize
-        ids = json.loads(body[ids_at:].tobytes().decode("utf-8"))
+        ids = loads(body[ids_at:].tobytes())
         if not (isinstance(ids, list) and len(ids) == n and all(isinstance(i, str) for i in ids)):
             return None
         return PreparedKeys(

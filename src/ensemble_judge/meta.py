@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import ArtifactError, InputError, finite_number, finite_numbers, loads, write_text
-from .domain import FEAT_CONFS, FEAT_GAP, FEATURE_DIM
 from .evaluation import ConfusionMatrix, metrics
+from .features import FEAT_CONFS, FEAT_GAP, FEATURE_DIM
 
 # Continuous features (the three confidences and the confidence gap) are the
 # only standardized positions; labels, counts, and indicators stay raw.

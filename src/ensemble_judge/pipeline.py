@@ -47,7 +47,7 @@ from .ingest import (
 )
 from .meta import ConvergenceError, MetaModel, train_meta_model
 from .store import CacheBlock, CacheStore
-from .synth import NOISE_CHUNK, corpus_lines, draw_corpus, latents_lines, read_latents, stub_blocks
+from .synth import corpus_lines, draw_corpus, latents_lines, stub_blocks
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -147,32 +147,6 @@ def _split_rows(config: RunConfig, keys: PreparedKeys) -> dict[Split, np.ndarray
 HTTP_SYNC_EVERY = 256
 
 
-def _stub_blocks(
-    config: RunConfig, keys: PreparedKeys, rows: np.ndarray, todo: np.ndarray
-) -> Iterator[CacheBlock]:
-    """The stub agents' judgments of the pairs at positions ``todo`` among the
-    (row, spec column) pairs of the prepared ``rows`` in row-major order, from
-    :func:`stub_blocks`, a :data:`synth.NOISE_CHUNK` slice of ``todo`` at a time."""
-    path = _require(config.latents_path, "latents sidecar")
-    signals, seeds, lines = read_latents(path, keys.ids)
-    specs = config.agent_specs()
-    # A row without a latents line is refused only if it is judged.
-    judged = rows[np.unique(todo // len(specs))]
-    lacking = judged[lines[judged] == 0]
-    if lacking.size:
-        raise ArtifactError(
-            f"{path}: no latent signals for {len(lacking)} disclosures, "
-            f"e.g. {sorted(keys.ids_at(lacking))[:3]}"
-        )
-    del judged, lines  # else held while every block is judged
-    for start in range(0, len(todo), NOISE_CHUNK):
-        pairs = todo[start : start + NOISE_CHUNK]
-        yield from stub_blocks(
-            keys, rows[pairs // len(specs)], pairs % len(specs), specs, signals, seeds,
-            config.seed,
-        )
-
-
 def _fetch_tasks(
     path: Path, rows: np.ndarray, columns: np.ndarray, specs: Sequence[AgentSpec]
 ) -> Iterator[tuple[DisclosureRecord, AgentSpec]]:
@@ -265,7 +239,8 @@ def stage_run_agents(config: RunConfig, split_path: Path | None = None) -> dict:
         todo = store.missing(digests)
         if todo.size:
             if config.stub.enabled:
-                blocks = _stub_blocks(config, keys, rows, todo)
+                latents = _require(config.latents_path, "latents sidecar")
+                blocks = stub_blocks(latents, keys, rows, todo, specs, config.seed)
             else:
                 todo_rows, todo_columns = rows[todo // len(specs)], todo % len(specs)
                 fetch = _fetch_tasks(config.prepared_path, todo_rows, todo_columns, specs)

@@ -255,27 +255,42 @@ NOISE_CHUNK = 1024
 
 
 def stub_blocks(
-    keys: PreparedKeys, rows: np.ndarray, columns: np.ndarray, specs: Sequence[AgentSpec],
-    signals: np.ndarray, noise_seeds: np.ndarray, seed: int,
+    latents: Path, keys: PreparedKeys, rows: np.ndarray, todo: np.ndarray,
+    specs: Sequence[AgentSpec], seed: int,
 ) -> Iterator[CacheBlock]:
-    """:func:`stub_agent`'s judgment of each pair (prepared row, spec column),
+    """:func:`stub_agent`'s judgment of the pairs at positions ``todo`` among
+    the (prepared row, spec column) pairs of ``rows`` in row-major order,
     with the key table's prompt digest and the run's ``seed``, as cache
     blocks of :data:`NOISE_CHUNK` pairs whose heads are rendered a row at a
     time from the spec's :func:`_head_pieces`.
 
-    ``signals`` (performance, guidance, risk) and ``noise_seeds`` are the
-    latents of each prepared row. The noise is the same
+    The signals (performance, guidance, risk) and noise seeds of each row
+    are :func:`read_latents`' of the ``latents`` file; a judged row with no
+    line there is refused before the first block. The noise is the same
     ``default_rng(noise seed).normal`` draw, taken a block at a time. No
     disclosure text is read.
     """
     from .noise import normal_draws  # loads numpy.random, which only stub runs need
 
+    signals, noise_seeds, lines = read_latents(latents, keys.ids)
+    k = len(specs)
+    # A row without a latents line is refused only if it is judged.
+    judged = rows[np.unique(todo // k)]
+    lacking = judged[lines[judged] == 0]
+    if lacking.size:
+        raise ArtifactError(
+            f"{latents}: no latent signals for {len(lacking)} disclosures, "
+            f"e.g. {sorted(keys.ids_at(lacking))[:3]}"
+        )
+    del judged, lines  # else held while every block is judged
+
     lens_names = [spec.lens.value for spec in specs]
     pieces = [_head_pieces(spec, seed) for spec in specs]
     observed, signs = np.array([_OBSERVED[spec.lens] for spec in specs]).T
     scales = np.array([DEFAULT_STUB_NOISE[spec.lens] for spec in specs])
-    for start in range(0, len(rows), NOISE_CHUNK):
-        r, c = rows[start : start + NOISE_CHUNK], columns[start : start + NOISE_CHUNK]
+    for start in range(0, len(todo), NOISE_CHUNK):
+        pairs = todo[start : start + NOISE_CHUNK]
+        r, c = rows[pairs // k], pairs % k
         at, ids = c.tolist(), keys.ids_at(r)
         lenses = [lens_names[column] for column in at]
         pair_seeds = b"".join(map(_noise_seed, lenses, ids, noise_seeds[r].tolist()))

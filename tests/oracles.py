@@ -37,8 +37,6 @@ from ensemble_judge.artifacts import (
 )
 from ensemble_judge.config import RunConfig
 from ensemble_judge.domain import (
-    FEAT_GAP,
-    FEATURE_DIM,
     LENS_ORDER,
     AgentOutput,
     ConfidenceSource,
@@ -47,6 +45,7 @@ from ensemble_judge.domain import (
     SentimentLabel,
 )
 from ensemble_judge.evaluation import ConfusionMatrix, Regime
+from ensemble_judge.features import FEAT_GAP, FEATURE_DIM
 from ensemble_judge.synth import (
     DEFAULT_STUB_NOISE,
     LABEL_DEAD_ZONE,
@@ -59,7 +58,7 @@ from ensemble_judge.synth import (
     LatentDisclosure,
 )
 
-# The feature columns no production code indexes by name; ``domain`` holds
+# The feature columns no production code indexes by name; ``features`` holds
 # the dimension and the columns the aggregator standardizes.
 FEAT_LABELS = (0, 1, 2)          # agent labels as -1/0/+1 in LENS_ORDER
 FEAT_MAJORITY = 6                # majority label as -1/0/+1

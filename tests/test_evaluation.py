@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensemble_judge.config import EvalConfig
-from ensemble_judge.domain import FEATURE_DIM, SentimentLabel, target_from_return
+from ensemble_judge.domain import SentimentLabel, target_from_return
 from ensemble_judge.evaluation import (
     METHOD_NAMES,
     REGIMES,
@@ -18,6 +18,7 @@ from ensemble_judge.evaluation import (
     regimes,
     write_report,
 )
+from ensemble_judge.features import FEATURE_DIM
 from ensemble_judge.meta import MetaModel, OptimizerReport, Standardizer
 from tests.oracles import confusion_from_pairs
 

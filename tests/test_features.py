@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensemble_judge.domain import FEAT_CONFS, FEAT_GAP, FEATURE_DIM, Lens, SentimentLabel
+from ensemble_judge.domain import Lens, SentimentLabel
 from ensemble_judge.features import (
+    FEAT_CONFS,
+    FEAT_GAP,
+    FEATURE_DIM,
     confidence_gaps,
     feature_lines,
     feature_matrix,

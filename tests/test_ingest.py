@@ -388,6 +388,23 @@ def test_a_refused_ingest_leaves_no_new_directory(tmp_path, monkeypatch, capsys,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# Offsets that move a valid time past datetime's range once it is taken to UTC.
+@pytest.mark.parametrize("stamp", ["9999-12-31T23:59:59-23:59", "0001-01-01T00:00:00+23:59"])
+def test_a_timestamp_past_datetimes_range_is_refused(tmp_path, monkeypatch, capsys, stamp):
+    monkeypatch.chdir(tmp_path)
+    lines = [corpus_line(i, ts=stamp if i == 2 else "2020-01-01T00:00:00Z") for i in range(9)]
+    Path("corpus.jsonl").write_text("".join(line + "\n" for line in lines))
+    Path("config.json").write_text(json.dumps({
+        "workdir": "run", "corpus_path": "corpus.jsonl", "latents_path": "latents.jsonl",
+        "stub_agents": {"enabled": True},
+    }))
+    assert main(["ingest", "--config", "config.json"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: corpus.jsonl: line 3: invalid RFC 3339 timestamp: {stamp!r}"
+    ]
+    assert not Path("run").exists()
+
+
 def _awkward_corpus() -> list[str]:
     """Lines that the one-pass ingest must order, clean and encode exactly as
     the whole-list chain does: tied instants written with different offsets,

@@ -435,6 +435,12 @@ def test_only_parse_line_reads_a_cache_line():
     assert readers == {"_parse_line"}
 
 
+def test_the_stub_pass_lives_in_synth():
+    """The stub's block size and the latents' line convention belong to
+    ``synth.stub_blocks``; the stage only calls it."""
+    source = (PACKAGE / "pipeline.py").read_text(encoding="utf-8")
+    assert "NOISE_CHUNK" not in source and "read_latents" not in source
+
 
 @pytest.mark.parametrize("module", ["features.py", "pipeline.py"])
 def test_no_stage_parses_a_feature_file(module):

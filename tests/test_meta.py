@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ensemble_judge.config import TrainConfig
-from ensemble_judge.domain import FEATURE_DIM
+from ensemble_judge.features import FEATURE_DIM
 from ensemble_judge.meta import (
     ConvergenceError,
     MetaModel,

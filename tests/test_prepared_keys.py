@@ -267,6 +267,18 @@ def _headers(*names: str, edit):
     return lambda workdir: [_restamped(workdir / name, edit) for name in names]
 
 
+def _nested_ids(workdir: Path) -> None:
+    """The key table with its id array replaced by one nested past the
+    recursion limit, digest line redone."""
+    path = workdir / "prepared.jsonl.keys"
+    lines = (workdir / "prepared.jsonl").read_text(encoding="utf-8").splitlines()
+    ids = [json.loads(line)["id"] for line in lines]
+    body, array = path.read_bytes()[:-65], json.dumps(ids).encode("ascii")
+    assert body.endswith(array)
+    body = body[: -len(array)] + b"[" * 100_000
+    path.write_bytes(body + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n")
+
+
 def _patch_templates(monkeypatch) -> None:
     risk = agents.PROMPT_TEMPLATES[Lens.RISK]
     monkeypatch.setitem(agents.PROMPT_TEMPLATES, Lens.RISK, risk.replace("downside", "tail"))
@@ -286,6 +298,7 @@ CASES = [
     ("snapshot-covering-negative-bytes",
      None, _headers("cache.jsonl.table", edit=lambda h: {**h, "covered_bytes": -1})),
     ("headers-that-are-arrays", None, _headers(*SIDECARS, edit=list)),
+    ("ids-nested-past-the-recursion-limit", None, _nested_ids),
     ("snapshot-without-cache-sha256", None,
      _headers("cache.jsonl.table", edit=lambda h: {k: h[k] for k in h if k != "cache_sha256"})),
 ]

@@ -251,27 +251,22 @@ class TestAgainstTheStubOracle:
 
     @staticmethod
     def _pairs(records):
-        """Every (prepared row, spec column) pair of ``records`` under the stub
-        specs, row-major, with the key table of the run seed 42."""
+        """The stub specs, the key table of the run seed 42, the prepared rows
+        of ``records`` and the positions of all their (row, spec column)
+        pairs, row-major."""
         specs = [AgentSpec(lens, synth.STUB_MODEL_NAME, synth.STUB_ENDPOINT) for lens in LENS_ORDER]
         keys = PreparedKeys.of(records, specs, 42)
-        rows, columns = np.divmod(np.arange(3 * len(records)), 3)
-        return specs, keys, rows, columns
+        return specs, keys, np.arange(len(records)), np.arange(3 * len(records))
 
     @pytest.mark.parametrize("chunk", [None, 7])
-    def test_batch_path_yields_the_oracle_outputs(self, corpus, monkeypatch, chunk):
+    def test_batch_path_yields_the_oracle_outputs(self, corpus, tmp_path, monkeypatch, chunk):
         records, latents = corpus
         if chunk is not None:
             monkeypatch.setattr(synth, "NOISE_CHUNK", chunk)
-        specs, keys, rows, columns = self._pairs(records)
-        signals = np.array(
-            [
-                [lat.performance_signal, lat.guidance_signal, lat.risk_signal]
-                for lat in (latents[r.id] for r in records)
-            ]
-        )
-        seeds = np.array([latents[r.id].noise_seed for r in records], dtype=np.uint64)
-        blocks = list(stub_blocks(keys, rows, columns, specs, signals, seeds, 42))
+        specs, keys, rows, todo = self._pairs(records)
+        path = tmp_path / "latents.jsonl"
+        oracles.write_latents(latents, path)
+        blocks = list(stub_blocks(path, keys, rows, todo, specs, 42))
         triples = [
             (record.id, lens, oracles.prompt_hash(render_prompt(lens, record.clean_text)))
             for record in records
@@ -286,16 +281,15 @@ class TestAgainstTheStubOracle:
 
     def test_batch_path_needs_each_disclosures_latents(self, corpus, tmp_path):
         records, latents = corpus
-        config = load_config(_stub_config(tmp_path))
-        oracles.write_latents({r.id: latents[r.id] for r in records[1:]}, config.latents_path)
-        _, keys, _, _ = self._pairs(records)
-        rows, todo = np.arange(len(records)), np.arange(3 * len(records))
+        path = tmp_path / "latents.jsonl"
+        oracles.write_latents({r.id: latents[r.id] for r in records[1:]}, path)
+        specs, keys, rows, todo = self._pairs(records)
         with pytest.raises(ArtifactError, match=f"no latent signals for 1 disclosures.*{records[0].id}"):
-            next(pipeline._stub_blocks(config, keys, rows, todo))
+            next(stub_blocks(path, keys, rows, todo, specs, 42))
         # Pairs of the disclosures that have latents need nothing more, be
         # they the pairs to judge of all rows or all pairs of some rows.
-        assert next(pipeline._stub_blocks(config, keys, rows, todo[3:]))
-        (block,) = pipeline._stub_blocks(config, keys, rows[1:], todo[3:] - 3)
+        assert next(stub_blocks(path, keys, rows, todo[3:], specs, 42))
+        (block,) = stub_blocks(path, keys, rows[1:], todo[3:] - 3, specs, 42)
         assert block.digests.tolist() == keys.keys[1:].ravel().tolist()
 
 
@@ -304,16 +298,12 @@ class TestStubHeads:
     renders the heads of outputs. The two producers of a line agree."""
 
     @staticmethod
-    def _agree(records, latents, seed):
+    def _agree(records, latents, seed, path):
         specs = [AgentSpec(lens, synth.STUB_MODEL_NAME, synth.STUB_ENDPOINT) for lens in LENS_ORDER]
         keys = PreparedKeys.of(records, specs, seed)
-        rows, columns = np.divmod(np.arange(3 * len(records)), 3)
-        signals = np.array([
-            [lat.performance_signal, lat.guidance_signal, lat.risk_signal]
-            for lat in (latents[r.id] for r in records)
-        ])
-        seeds = np.array([latents[r.id].noise_seed for r in records], dtype=np.uint64)
-        blocks = list(stub_blocks(keys, rows, columns, specs, signals, seeds, seed))
+        oracles.write_latents(latents, path)
+        todo = np.arange(3 * len(records))
+        blocks = list(stub_blocks(path, keys, np.arange(len(records)), todo, specs, seed))
         # stub_agent's output carries the latent seed; a cache line the run's.
         outputs = [
             dataclasses.replace(stub_agent(spec.lens, record, latents), seed=seed)
@@ -323,12 +313,12 @@ class TestStubHeads:
         assert _block_rows(blocks) == _block_rows([CacheBlock.of(keys.keys.ravel(), outputs)])
 
     @pytest.mark.parametrize("seed, chunk", [(42, None), (7, None), (42, 7)])
-    def test_the_stub_heads_are_those_of_its_outputs(self, monkeypatch, seed, chunk):
+    def test_the_stub_heads_are_those_of_its_outputs(self, tmp_path, monkeypatch, seed, chunk):
         if chunk is not None:
             monkeypatch.setattr(synth, "NOISE_CHUNK", chunk)
-        self._agree(*prepared(2000, seed), seed)
+        self._agree(*prepared(2000, seed), seed, tmp_path / "latents.jsonl")
 
-    def test_ids_that_need_json_escapes(self):
+    def test_ids_that_need_json_escapes(self, tmp_path):
         records, latents = prepared(100, 3)
         renamed = ['q"uote', "back\\slash", "tab\t", "é ✓", "line\u2028", "nul\x00"]
         records = [
@@ -336,7 +326,22 @@ class TestStubHeads:
             for i, (record, new) in enumerate(zip(records, itertools.cycle(renamed)))
         ]
         latents = {record.id: lat for record, lat in zip(records, latents.values())}
-        self._agree(records, latents, 42)
+        self._agree(records, latents, 42, tmp_path / "latents.jsonl")
+
+    def test_a_stub_pass_builds_each_specs_head_pieces_once(self, tmp_path, monkeypatch):
+        """However many blocks a cold stub ``run-agents`` appends (172 here,
+        and more than one of the default size), each agent spec's head pieces
+        are built once."""
+        config = load_config(_stub_config(tmp_path))
+        pipeline.stage_synth(config, 400, 42)
+        pipeline.stage_ingest(config)
+        monkeypatch.setattr(synth, "NOISE_CHUNK", 7)
+        built, head_pieces = [], synth._head_pieces
+        monkeypatch.setattr(
+            synth, "_head_pieces", lambda spec, seed: built.append(spec) or head_pieces(spec, seed)
+        )
+        assert pipeline.stage_run_agents(config)["fetched"] == 1200
+        assert built == list(config.agent_specs())
 
 
 def test_the_cold_stub_run_agents_heap_grows_by_its_tables_alone(tmp_path):
