@@ -18,6 +18,7 @@ import math
 import os
 import re
 import threading
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
@@ -35,6 +36,7 @@ from .domain import (
 if TYPE_CHECKING:
     import socket
     import ssl
+    from concurrent.futures import Future
 
 API_KEY_ENV_VAR = "ENSEMBLE_JUDGE_API_KEY"
 
@@ -529,84 +531,139 @@ def _dropped(sock: socket.socket) -> bool:
 
 
 class Transport:
-    """The ``threads`` threads of a thread pool, each started on first use,
-    that carry chat requests to their endpoints.
+    """``threads`` threads, each started on first use, that carry chat
+    requests to their endpoints.
 
-    Requests wait in the pool's FIFO work queue, so the longest-waiting one
-    goes first. A thread takes a request, sends it on its own keep-alive
-    connection to that endpoint, reads the response and hands it back to its
-    caller; then it takes the next request at once. So at most ``threads``
-    requests are on the wire, and a caller that backs off holds no thread. A
-    thread opens its connection to an endpoint on first use and reopens it
-    after the server closes it. ``socket`` and ``ssl`` are imported only when
-    a connection opens, and ``concurrent.futures`` only when a transport is
-    made, so stub-agent runs never pay for them.
+    Requests wait in one FIFO queue, so the longest-waiting one goes first.
+    A thread takes a request, sends it on its own keep-alive connection to
+    that endpoint and reads the response. Before it hands that response back
+    to its caller, it takes the next queued request and sends it: the caller
+    it wakes then parses while the next exchange is already on the wire. So
+    at most ``threads`` requests are on the wire, and a caller that backs off
+    holds no thread. A thread opens its connection to an endpoint on first
+    use and reopens it after the server closes it. ``socket`` and ``ssl`` are
+    imported only when a connection opens, and ``concurrent.futures`` only
+    when a request is made, so stub-agent runs never pay for them.
     """
 
     def __init__(self, threads: int):
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._local = threading.local()
-        # Each pool thread's connections by endpoint, for close() to close.
-        self._connections: list[dict[Endpoint, _Connection]] = []
+        self._size = threads
+        self._threads: list[threading.Thread] = []
+        self._idle = 0  # threads waiting for a request
+        self._queue: deque[tuple[Endpoint, bytes, Future]] = deque()
+        self._ready = threading.Condition()
         # Set by close(); a client's default backoff wait ends on it.
         self.closed = threading.Event()
-        self._pool = ThreadPoolExecutor(threads, initializer=self._start_thread)
 
     def exchange(self, endpoint: Endpoint, request: bytes) -> tuple[int, str | None, bytes]:
         """The status, ``Retry-After`` value and body of the response to
         ``request``. Raises ``OSError`` or :class:`BadResponse` when the
         exchange fails, and :class:`TransportError` once the transport is
         closed."""
-        try:
-            answer = self._pool.submit(self._exchange, endpoint, request)
-        except RuntimeError:  # the pool has shut down
-            raise TransportError("the transport is closed") from None
-        from concurrent.futures import CancelledError  # loaded by __init__
+        from concurrent.futures import Future  # only HTTP runs need it
 
-        try:
-            return answer.result()
-        except CancelledError:  # close() took it off the queue
-            raise TransportError("the transport is closed") from None
+        answer: Future[tuple[int, str | None, bytes]] = Future()
+        with self._ready:
+            if self.closed.is_set():
+                raise TransportError("the transport is closed")
+            self._queue.append((endpoint, request, answer))
+            if len(self._queue) > self._idle and len(self._threads) < self._size:
+                self._threads.append(threading.Thread(target=self._serve, daemon=True))
+                self._threads[-1].start()
+            self._ready.notify()
+        return answer.result()
 
     def close(self) -> None:
         """Fail the queued requests, wait for the exchanges on the wire and
         close every connection; each later request raises
         :class:`TransportError`."""
-        self.closed.set()
-        self._pool.shutdown(cancel_futures=True)
-        for connections in self._connections:
+        with self._ready:
+            self.closed.set()
+            while self._queue:
+                self._queue.popleft()[2].set_exception(TransportError("the transport is closed"))
+            self._ready.notify_all()
+        for thread in self._threads:
+            thread.join()
+
+    def _serve(self) -> None:
+        connections: dict[Endpoint, _Connection] = {}
+        read = None  # the caller's future and the outcome of a response not yet handed back
+        try:
+            while True:
+                with self._ready:
+                    while read is None and not self._queue and not self.closed.is_set():
+                        self._idle += 1
+                        self._ready.wait()
+                        self._idle -= 1
+                    item = self._queue.popleft() if self._queue else None
+                if item is not None:  # sent first, so the wire does not wait for the caller
+                    endpoint, request, answer = item
+                    sent = _outcome(_send, connections, endpoint, request)
+                if read is not None:
+                    _hand_back(*read)
+                elif item is None:  # closed, and nothing is on the wire
+                    return
+                if item is not None and isinstance(sent, _Connection):
+                    sent = _outcome(_receive, connections, endpoint, sent)
+                read = None if item is None else (answer, sent)
+        finally:
             for connection in connections.values():
                 connection.close()
 
-    def _start_thread(self) -> None:
-        self._local.connections = {}
-        self._connections.append(self._local.connections)
 
-    def _exchange(self, endpoint: Endpoint, request: bytes) -> tuple[int, str | None, bytes]:
-        if self.closed.is_set():
-            raise TransportError("the transport is closed")
-        connections = self._local.connections
-        connection = connections.pop(endpoint, None)
-        # A server's idle timeout closes the socket between requests;
-        # reconnecting then costs no attempt.
-        if connection is not None and _dropped(connection.sock):
+def _send(
+    connections: dict[Endpoint, _Connection], endpoint: Endpoint, request: bytes
+) -> _Connection:
+    """The connection ``request`` went out on: the open one to ``endpoint``
+    in ``connections``, else a new one."""
+    connection = connections.pop(endpoint, None)
+    # A server's idle timeout closes the socket between requests;
+    # reconnecting then costs no attempt.
+    if connection is not None and _dropped(connection.sock):
+        connection.close()
+        connection = None
+    try:
+        if connection is None:
+            connection = _Connection(endpoint)
+        connection.sock.sendall(request)
+    except BaseException:
+        if connection is not None:
             connection.close()
-            connection = None
-        try:
-            if connection is None:
-                connection = _Connection(endpoint)
-            connection.sock.sendall(request)
-            status, retry_after, body, reusable = connection.receive()
-        except BaseException:  # the caller decides what a failure costs
-            if connection is not None:
-                connection.close()
-            raise
-        if reusable:
-            connections[endpoint] = connection
-        else:
-            connection.close()
-        return status, retry_after, body
+        raise
+    return connection
+
+
+def _receive(
+    connections: dict[Endpoint, _Connection], endpoint: Endpoint, connection: _Connection
+) -> tuple[int, str | None, bytes]:
+    """The response on ``connection``, which goes back to ``connections`` if
+    it may carry another request."""
+    try:
+        status, retry_after, body, reusable = connection.receive()
+    except BaseException:
+        connection.close()
+        raise
+    if reusable:
+        connections[endpoint] = connection
+    else:
+        connection.close()
+    return status, retry_after, body
+
+
+def _outcome(step: Callable, *args: object) -> object:
+    """What ``step(*args)`` returns, or the exception it raises: the caller
+    decides what a failure costs."""
+    try:
+        return step(*args)
+    except BaseException as exc:
+        return exc
+
+
+def _hand_back(answer: Future, outcome: object) -> None:
+    if isinstance(outcome, BaseException):
+        answer.set_exception(outcome)
+    else:
+        answer.set_result(outcome)
 
 
 class ChatCompletionsClient:

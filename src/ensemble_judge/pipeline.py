@@ -161,9 +161,10 @@ def _fetch_tasks(
 
 # Pending pairs per transport thread in the HTTP submission window: enough
 # that the wire stays busy while the answer at the window's head waits out
-# one base backoff. A thread carries an exchange in about 4 ms against a
-# local endpoint, so BACKOFF_BASE_S (0.5 s) / 4 ms ≈ 125 requests a thread;
-# a smaller window drains before the backoff ends and leaves the wire idle.
+# one base backoff. An exchange with the benchmark's mock endpoint takes about
+# 5.6 ms of service and 0.2 ms of turnaround, so BACKOFF_BASE_S (0.5 s) / 5.8 ms
+# ≈ 86 requests a thread, and 128 covers exchanges down to about 4 ms; a smaller
+# window drains before the backoff ends and leaves the wire idle.
 WINDOW_PER_THREAD = 128
 
 

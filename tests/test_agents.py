@@ -423,7 +423,7 @@ class TestRunAgentProtocol:
             )
             callers[-1].start()
             # The holder is on the wire, and each later prompt waits behind it.
-            _until(lambda: ep.requests and transport._pool._work_queue.qsize() == queued)
+            _until(lambda: ep.requests and len(transport._queue) == queued)
         release.set()
         for caller in callers:
             caller.join(timeout=5)
@@ -550,7 +550,7 @@ class TestRunAgentProtocol:
         _until(lambda: ep.requests)
         callers.append(threading.Thread(target=call, args=("queued",), daemon=True))
         callers[1].start()
-        _until(lambda: transport._pool._work_queue.qsize() == 1)
+        _until(lambda: len(transport._queue) == 1)
         closer = threading.Thread(target=transport.close, daemon=True)
         closer.start()
         _until(transport.closed.is_set)
@@ -668,6 +668,172 @@ class TestRunAgentProtocol:
 
 def _client(ep):
     return ChatCompletionsClient(ep.url, "test-model", _transport(), sleep=lambda s: None)
+
+
+def _held_endpoint(chat_endpoint, release):
+    """An endpoint that answers each prompt with itself as the rationale, and
+    holds the answer to ``"held"`` until ``release`` is set."""
+
+    def script(prompt, i):
+        if prompt == "held":
+            release.wait(timeout=5)
+        return 200, completion_body(agent_json("neutral", rationale=prompt))
+
+    return chat_endpoint(script)
+
+
+def _request(prompt):
+    body = json.dumps({"messages": [{"role": "user", "content": prompt}]}).encode("utf-8")
+    return b"POST /v1 HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+def _prompt_sent(request):
+    return json.loads(request.partition(b"\r\n\r\n")[2])["messages"][0]["content"]
+
+
+def _prompt_answered(body):
+    return json.loads(json.loads(body)["choices"][0]["message"]["content"])["rationale"]
+
+
+def _queue_behind_held(ep, transport, endpoints, prompts):
+    """Each prompt's exchange on its own thread, the first ``"held"`` by
+    ``ep`` and each later one queued behind it in order; the callers, and
+    the outcomes by prompt, a body's rationale or the exception raised."""
+    outcomes = {}
+
+    def call(endpoint, prompt):
+        try:
+            outcomes[prompt] = _prompt_answered(transport.exchange(endpoint, _request(prompt))[2])
+        except Exception as exc:  # the test reads its type
+            outcomes[prompt] = exc
+
+    callers = []
+    for queued, (endpoint, prompt) in enumerate(zip(endpoints, prompts)):
+        callers.append(threading.Thread(target=call, args=(endpoint, prompt), daemon=True))
+        callers[-1].start()
+        _until(lambda: ep.requests and len(transport._queue) == queued)
+    return callers, outcomes
+
+
+class TestTransportThreads:
+    def test_the_next_request_goes_out_before_the_last_answer_is_handed_back(
+        self, chat_endpoint, monkeypatch
+    ):
+        """One thread serves a held request and three queued behind it. After
+        it reads each response, it sends the next queued request, and only
+        then wakes the caller of the response it read."""
+        from concurrent.futures import Future
+
+        release = threading.Event()
+        ep = _held_endpoint(chat_endpoint, release)
+        log = []
+        sendall, receive = socket.socket.sendall, agents._Connection.receive
+        set_result, set_exception = Future.set_result, Future.set_exception
+
+        def logged_sendall(sock, data, *args):
+            if data.startswith(b"POST"):  # not the endpoint's own writes
+                log.append(("send", _prompt_sent(data)))
+            return sendall(sock, data, *args)
+
+        def logged_receive(connection):
+            response = receive(connection)
+            log.append(("receive", _prompt_answered(response[2])))
+            return response
+
+        def logged_set_result(future, result):
+            log.append(("resolve", _prompt_answered(result[2])))
+            return set_result(future, result)
+
+        def logged_set_exception(future, exc):
+            log.append(("fail", repr(exc)))
+            return set_exception(future, exc)
+
+        monkeypatch.setattr(socket.socket, "sendall", logged_sendall)
+        monkeypatch.setattr(agents._Connection, "receive", logged_receive)
+        monkeypatch.setattr(Future, "set_result", logged_set_result)
+        monkeypatch.setattr(Future, "set_exception", logged_set_exception)
+        transport = _transport(1)
+        endpoint = ChatCompletionsClient(ep.url, "test-model", transport).endpoint
+        prompts = ("held", "A", "B", "C")
+        callers, outcomes = _queue_behind_held(ep, transport, [endpoint] * 4, prompts)
+        release.set()
+        for caller in callers:
+            caller.join(timeout=5)
+            assert not caller.is_alive()
+        assert outcomes == {prompt: prompt for prompt in prompts}
+        assert log == [
+            ("send", "held"), ("receive", "held"),
+            ("send", "A"), ("resolve", "held"), ("receive", "A"),
+            ("send", "B"), ("resolve", "A"), ("receive", "B"),
+            ("send", "C"), ("resolve", "B"), ("receive", "C"),
+            ("resolve", "C"),
+        ]
+
+    def test_an_unexpected_exception_reaches_its_caller(self, chat_endpoint, monkeypatch):
+        """A failure that is not a transport failure ends its request, not the
+        thread: the caller gets it and the next request is served."""
+        ep = chat_endpoint(lambda prompt, i: (200, completion_body(agent_json("positive"))))
+        receive = agents._Connection.receive
+        failures = [RuntimeError("a defect in the reader")]
+
+        def receive_once_failing(connection):
+            if failures:
+                raise failures.pop()
+            return receive(connection)
+
+        monkeypatch.setattr(agents._Connection, "receive", receive_once_failing)
+        client = ChatCompletionsClient(ep.url, "test-model", _transport(1), sleep=lambda s: None)
+        outcomes = {}
+
+        def call(prompt):
+            try:
+                outcomes[prompt] = client.generate(prompt, DECODING, False).text
+            except Exception as exc:  # the test reads its type
+                outcomes[prompt] = exc
+
+        for prompt in ("first", "second"):
+            caller = threading.Thread(target=call, args=(prompt,), daemon=True)
+            caller.start()
+            caller.join(timeout=5)
+            assert not caller.is_alive(), f"{prompt!r} got no answer"
+        assert type(outcomes["first"]) is RuntimeError, outcomes["first"]
+        assert outcomes["second"] == agent_json("positive")
+        assert [request["messages"][0]["content"] for request in ep.requests] == ["first", "second"]
+
+    @pytest.mark.parametrize("step", ["open", "sendall"])
+    def test_a_request_sent_ahead_that_fails_fails_alone(self, chat_endpoint, monkeypatch, step):
+        """The request sent before the held one's answer is handed back fails
+        to open its connection or to go out: the held one still gets its
+        answer, the failing one its ``OSError``, and the one queued after it
+        is served."""
+        release = threading.Event()
+        ep = _held_endpoint(chat_endpoint, release)
+        transport = _transport(1)
+        endpoint = ChatCompletionsClient(ep.url, "test-model", transport).endpoint
+        failing = endpoint
+        if step == "open":
+            with socket.socket() as unused:  # a port nobody listens on
+                unused.bind(("127.0.0.1", 0))
+                failing = agents.Endpoint("127.0.0.1", unused.getsockname()[1], False)
+        else:
+            sendall = socket.socket.sendall
+
+            def failing_sendall(sock, data, *args):
+                if data.startswith(b"POST") and _prompt_sent(data) == "fails":
+                    raise OSError("the send failed")
+                return sendall(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, "sendall", failing_sendall)
+        callers, outcomes = _queue_behind_held(
+            ep, transport, [endpoint, failing, endpoint], ("held", "fails", "after")
+        )
+        release.set()
+        for caller in callers:
+            caller.join(timeout=5)
+            assert not caller.is_alive()
+        assert outcomes["held"] == "held" and outcomes["after"] == "after"
+        assert isinstance(outcomes["fails"], OSError), outcomes["fails"]
+        assert [request["messages"][0]["content"] for request in ep.requests] == ["held", "after"]
 
 
 class TestExpectedCacheKeys:

@@ -320,8 +320,8 @@ def test_only_the_transport_touches_the_network_modules():
 
 
 def test_only_the_http_path_imports_concurrent_futures():
-    """``agents.Transport`` and ``pipeline._http_blocks`` run the thread
-    pools; no other module imports ``concurrent.futures``."""
+    """Only the HTTP path imports ``concurrent.futures``: ``agents.Transport``
+    for its futures and ``pipeline._http_blocks`` for its worker pool."""
     imports = [(path.name, module) for path in MODULES for _, module in _imports(path)]
     assert {name for name, module in imports if module.startswith("concurrent")} == {
         "agents.py",
@@ -330,7 +330,7 @@ def test_only_the_http_path_imports_concurrent_futures():
 
 
 # Import guard. Each of these modules serves only some runs: the HTTP path's
-# thread pools, ``ingest``'s exact split fractions (``fractions`` loads
+# futures and worker pool, ``ingest``'s exact split fractions (``fractions`` loads
 # ``decimal``) and the store's crash-tail warning. Imported where they are
 # used, they cost no other stage's process memory.
 DEFERRED_MODULES = {"concurrent.futures", "fractions", "decimal", "logging"}
